@@ -12,7 +12,6 @@ import numpy as np
 
 from sixvertex import ModelParams, diagonalize_sector
 from sixvertex import odes
-from sixvertex.spectrum import polynomiality_check
 
 params = ModelParams(L=4, gamma=0.7)
 
@@ -21,10 +20,9 @@ print("permutation power deviation ||O^L - Id||:", rep.power_deviation)
 print("sector-2 deviations of (Lam(0)/c^L)^L from 1:",
       [f"{d:.1e}" for d in rep.sector_deviations[2]])
 
-es = diagonalize_sector(params, 2)
-fit = polynomiality_check(es.lam(0), params)
+lam = diagonalize_sector(params, 2).lam(0)
 print("\nSchroedinger-map residual (energy fixed at 1):",
-      odes.schrodinger_map_residual(fit, (0.2, 1.2), params, num=800))
+      odes.schrodinger_map_residual(lam, (0.2, 1.2), params, num=800))
 
 for g in (0.1, 0.3, 5.43, 8.12):
     barrier = odes.potential_profile(1j, g, (-12, 6), 1801)

@@ -6,11 +6,11 @@ and verify the functional equations, determinantal identities, conserved
 quantities, and nonlinear ODE/PDE structure carried by that spectrum.
 """
 
-from .model import (ModelParams, HighestWeightData, r_matrix, verify_ybe,
+from .model import (ModelParams, ExpSum, HighestWeightData, r_matrix, verify_ybe,
                     monodromy, monodromy_blocks, abcd_blocks, transfer,
                     yba_exchange_residual, sector_indices)
-from .spectrum import (DegenerateSpectrum, EigenSystem, PolynomialFit,
-                       diagonalize_sector, polynomiality_check,
+from .spectrum import (DegenerateSpectrum, EigenSystem, diagonalize_sector,
+                       polynomial_residuals, polynomiality_check,
                        left_vector_from_C)
 from .functional import (SpectralPointSet, coefficients_m, extended_matrix,
                          compatibility_residual, nonlinear_eq_n1_residual,

@@ -17,13 +17,13 @@ import numpy as np
 from . import bethe as bt
 from . import functional as fx
 from . import odes
-from .model import (HighestWeightData, ModelParams, monodromy_blocks,
-                    magnetization_diagonal, sector_indices, transfer,
-                    verify_ybe, yba_exchange_residual)
+from .model import (ExpSum, HighestWeightData, ModelParams, monodromy_blocks,
+                    magnetization_diagonal, transfer, verify_ybe,
+                    yba_exchange_residual)
 from .reports import (ConfigError, ResultCache, RunConfig, VerificationReport,
                       atomic_write_text, write_csv, write_svg_line)
 from .spectrum import (DegenerateSpectrum, diagonalize_sector,
-                       polynomiality_check)
+                       polynomial_residuals, polynomiality_check)
 
 EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_DEGENERATE = 0, 1, 2, 3
 
@@ -39,7 +39,6 @@ class VerifyContext:
         self.rng = np.random.default_rng(config.seed)
         self.cache = ResultCache(config.output_dir / ".cache")
         self._eigs = {}
-        self._fits = {}
         self._bethe = {}
 
     def eigensystem(self, n):
@@ -49,24 +48,11 @@ class VerifyContext:
                 key, n, self.params, lambda: diagonalize_sector(self.params, n))
         return self._eigs[n]
 
-    def fit(self, n, k):
-        if (n, k) not in self._fits:
-            self._fits[(n, k)] = polynomiality_check(
-                self.eigensystem(n).lam(k), self.params)
-        base = self._fits[(n, k)]
-        if self.config.perturb_lambda:
-            from .spectrum import PolynomialFit
-            return PolynomialFit(
-                degree=base.degree,
-                coefficients=base.coefficients * (1 + self.config.perturb_lambda),
-                residual=base.residual, L=base.L)
-        return base
-
     def lam(self, n, k):
-        """Eigenvalue evaluator, optionally perturbed for negative controls."""
+        """Exact eigenvalue sum, scaled by 1 + perturb_lambda (0 unless this
+        is a negative-control run)."""
         f = self.eigensystem(n).lam(k)
-        scale = 1 + self.config.perturb_lambda
-        return (lambda x: scale * f(x)) if self.config.perturb_lambda else f
+        return ExpSum(f.ms, f.coeffs * (1 + self.config.perturb_lambda))
 
     def bethe(self, n):
         if n not in self._bethe:
@@ -168,18 +154,16 @@ def check_exchange(ctx):
 
 def check_polynomial(ctx):
     t0 = time.perf_counter()
-    worst = 0.0
-    for n in ctx.config.sectors:
-        es = ctx.eigensystem(n)
-        for k in range(es.size):
-            worst = max(worst, ctx.fit(n, k).residual)
+    worst = max((polynomial_residuals(ctx.eigensystem(n)).max()
+                 for n in ctx.config.sectors), default=0.0)
     out = [_report("polynomial", "u^{L/2} Lam(x) is degree-L in u", worst,
                    ctx.tol("polynomial_fit"), t0)]
     t0 = time.perf_counter()
-    planted = polynomiality_check(
-        lambda x: ctx.hw.lam_a(x) + np.exp(3 * x), ctx.params)
+    # u^{L/2} exp((L+2)x) = u^{L+1}: outside the degree-L form at every L
+    _, planted = polynomiality_check(
+        lambda x: ctx.hw.lam_a(x) + np.exp((ctx.params.L + 2) * x), ctx.params)
     out.append(_exceed_report("polynomial", "planted non-eigenvalue fails fit",
-                              planted.residual, ctx.tol("negative_control"), t0))
+                              planted, ctx.tol("negative_control"), t0))
     return out
 
 
@@ -412,10 +396,10 @@ def check_riccati_n1(ctx):
     es = ctx.eigensystem(1)
     worst = worst_s = worst_d = 0.0
     for k in range(es.size):
-        fit = ctx.fit(1, k)
+        lam = ctx.lam(1, k)
         for x in (0.43, 0.9):
-            r = odes.riccati_lambda_residual(fit, x, ctx.hw, ctx.params)
-            s = odes.sigma1_residual(fit, x, ctx.hw, ctx.params)
+            r = odes.riccati_lambda_residual(lam, x, ctx.hw, ctx.params)
+            s = odes.sigma1_residual(lam, x, ctx.hw, ctx.params)
             worst = max(worst, abs(r))
             worst_s = max(worst_s, abs(s))
             worst_d = max(worst_d, abs(r - s))
@@ -433,9 +417,9 @@ def check_sigma2(ctx):
     es = ctx.eigensystem(2)
     worst = 0.0
     for k in range(es.size):
-        fit = ctx.fit(2, k)
+        lam = ctx.lam(2, k)
         for x in (0.63, -0.35):
-            worst = max(worst, abs(odes.sigma2_residual(fit, x, ctx.hw, ctx.params)))
+            worst = max(worst, abs(odes.sigma2_residual(lam, x, ctx.hw, ctx.params)))
     return [_report("sigma2", "second-order ODE (coalescing reduction)",
                     worst, ctx.tol("sigma2"), t0)]
 
@@ -451,9 +435,9 @@ def check_riccati2(ctx):
     es = ctx.eigensystem(2)
     worst = 0.0
     for k in range(es.size):
-        fit = ctx.fit(2, k)
+        lam = ctx.lam(2, k)
         for x in (0.43, 0.8):
-            worst = max(worst, abs(odes.riccati2_residual(fit, x, ctx.params)))
+            worst = max(worst, abs(odes.riccati2_residual(lam, x, ctx.params)))
     return [_report("riccati2", "standard Riccati at untwisted point", worst,
                     ctx.tol("riccati2"), t0)]
 
@@ -525,20 +509,20 @@ def check_schrodinger(ctx):
     es = ctx.eigensystem(2)
     best, best_k = float("inf"), 0
     for k in range(es.size):
-        fit = ctx.fit(2, k)
-        r = odes.schrodinger_map_residual(fit, (0.2, 1.2), ctx.params, num=800)
+        lam = ctx.lam(2, k)
+        r = odes.schrodinger_map_residual(lam, (0.2, 1.2), ctx.params, num=800)
         if r < best:
             best, best_k = r, k
     study = [(1.0 / num, odes.schrodinger_map_residual(
-        ctx.fit(2, best_k), (0.2, 1.2), ctx.params, num=num))
+        ctx.lam(2, best_k), (0.2, 1.2), ctx.params, num=num))
         for num in (200, 400, 800)]
     write_csv(ctx.config.output_dir / "convergence-schrodinger.csv",
               ["step", "residual"], study)
     out = [_report("schrodinger", "psi'' + (V - 1) psi = 0, energy fixed",
                    best, ctx.tol("schrodinger"), t0)]
     t0 = time.perf_counter()
-    fit = ctx.fit(2, 0)
-    broken = odes.schrodinger_map_residual(fit, (0.2, 1.2), ctx.params,
+    lam = ctx.lam(2, 0)
+    broken = odes.schrodinger_map_residual(lam, (0.2, 1.2), ctx.params,
                                            num=800, potential_scale=1.1)
     out.append(_exceed_report("schrodinger", "scaled potential rejected",
                               broken, ctx.tol("negative_control"), t0))
@@ -626,46 +610,35 @@ def _load_config(args):
     if getattr(args, "fd_step", None):
         cfg.fd_step = args.fd_step
     if getattr(args, "checks", None):
-        names = [c.strip() for c in args.checks.split(",") if c.strip()]
-        unknown = [c for c in names if c not in CHECKS]
-        if unknown:
-            raise ConfigError(f"unknown checks: {unknown}; "
-                              f"known: {sorted(CHECKS)}")
-        cfg.checks = names
+        cfg.checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+    unknown = [c for c in cfg.checks if c not in CHECKS]
+    if unknown:
+        raise ConfigError(f"unknown checks: {unknown}; known: {sorted(CHECKS)}")
     if getattr(args, "perturb_lambda", None):
         cfg.perturb_lambda = args.perturb_lambda
     return cfg
 
 
 def cmd_spectrum(args):
-    try:
-        cfg = _load_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load_config(args)
     out = cfg.output_dir
     cache = ResultCache(out / ".cache")
     rows = []
-    try:
-        for n in cfg.sectors:
-            es = cache.sector(cfg.content_key(), n, cfg.model,
-                              lambda n=n: diagonalize_sector(cfg.model, n))
-            sample_xs = np.linspace(0.25, 1.15, 7)
-            rec = es.to_record(sample_xs)
-            fits = [polynomiality_check(es.lam(k), cfg.model)
-                    for k in range(es.size)]
-            rec["fits"] = [{"degree": f.degree,
-                            "residual": f.residual,
-                            "coefficients": [[z.real, z.imag] for z in f.coefficients]}
-                           for f in fits]
-            atomic_write_text(out / f"spectrum-n{n}.json",
-                              json.dumps(rec, indent=2, sort_keys=True))
-            for k in range(es.size):
-                rows.append((n, k, es.eigs[k].real, es.eigs[k].imag,
-                             fits[k].residual))
-    except DegenerateSpectrum as exc:
-        print(f"degenerate spectrum: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    for n in cfg.sectors:
+        es = cache.sector(cfg.content_key(), n, cfg.model,
+                          lambda n=n: diagonalize_sector(cfg.model, n))
+        rec = es.to_record(np.linspace(0.25, 1.15, 7))
+        # exact coefficients, and their residual against direct builds of T(x)
+        residuals = polynomial_residuals(es)
+        rec["fits"] = [{"degree": cfg.model.L,
+                        "residual": float(r),
+                        "coefficients": [[z.real, z.imag] for z in c]}
+                       for r, c in zip(residuals, es.coeffs)]
+        atomic_write_text(out / f"spectrum-n{n}.json",
+                          json.dumps(rec, indent=2, sort_keys=True))
+        for k in range(es.size):
+            rows.append((n, k, es.eigs[k].real, es.eigs[k].imag,
+                         float(residuals[k])))
     write_csv(out / "spectrum.csv",
               ["sector", "k", "re_eig_at_xstar", "im_eig_at_xstar", "fit_residual"],
               rows)
@@ -674,25 +647,15 @@ def cmd_spectrum(args):
 
 
 def cmd_verify(args):
-    try:
-        cfg = _load_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    unknown = [c for c in cfg.checks if c not in CHECKS]
-    if unknown:
-        print(f"config error: unknown checks {unknown}; known: "
-              f"{sorted(CHECKS)}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load_config(args)
     ctx = VerifyContext(cfg)
     names = cfg.checks or list(CHECKS)
     reports = []
     for name in names:
         try:
             reports.extend(CHECKS[name](ctx))
-        except DegenerateSpectrum as exc:
-            print(f"degenerate spectrum: {exc}", file=sys.stderr)
-            return EXIT_DEGENERATE
+        except DegenerateSpectrum:
+            raise  # aborts the run (exit 3, in main)
         except Exception as exc:  # recorded as a failed report, run continues
             reports.append(VerificationReport(
                 check=name, identity=f"exception: {type(exc).__name__}",
@@ -709,11 +672,7 @@ def cmd_verify(args):
 
 
 def cmd_bethe(args):
-    try:
-        cfg = _load_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = _load_config(args)
     out = cfg.output_dir
     # root-finding and matching are exercised in the low sectors, where the
     # all-up reference state gives the Bethe description
@@ -742,13 +701,9 @@ def cmd_bethe(args):
                     print(f"sector {n}: root set {i} fails re-validation "
                           f"(residual {s.residual:.2e})")
             continue
-        try:
-            cache = ResultCache(out / ".cache")
-            es = cache.sector(cfg.content_key(), n, cfg.model,
-                              lambda n=n: diagonalize_sector(cfg.model, n))
-        except DegenerateSpectrum as exc:
-            print(f"degenerate spectrum: {exc}", file=sys.stderr)
-            return EXIT_DEGENERATE
+        cache = ResultCache(out / ".cache")
+        es = cache.sector(cfg.content_key(), n, cfg.model,
+                          lambda n=n: diagonalize_sector(cfg.model, n))
         rep = bt.match_spectrum(cfg.model, n, sols, es)
         for si, ei, dev in rep.pairs:
             rows.append((n, si, ei, dev, sols[si].source, sols[si].singular))
@@ -786,8 +741,7 @@ def cmd_potential(args):
         omega0 = _parse_complex(args.omega0)
         lo, hi = (float(t) for t in args.range.split(":"))
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(exc) from exc
     outdir = Path(args.out or "out")
     tag = "i" if omega0 == 1j else f"{omega0.real:g}" if omega0.imag == 0 else "c"
     series, labels = [], []
@@ -867,7 +821,14 @@ def main(argv=None):
     p.set_defaults(fn=cmd_report)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except DegenerateSpectrum as exc:
+        print(f"degenerate spectrum: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
 
 
 if __name__ == "__main__":

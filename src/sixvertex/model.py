@@ -21,6 +21,7 @@ import numpy as np
 
 __all__ = [
     "ModelParams",
+    "ExpSum",
     "HighestWeightData",
     "r_matrix",
     "verify_ybe",
@@ -271,51 +272,43 @@ def magnetization_diagonal(L: int):
 # ---------------------------------------------------------------------------
 # highest-weight data
 
-class _ExpSum:
-    """Finite sum  f(x) = sum_m kappa_m exp(m x)  with exact derivatives.
+class ExpSum:
+    """Finite exponential sum  f(x) = sum_i coeffs[i] exp(ms[i] x)  over
+    integer frequencies, with exact derivatives of any order.
 
-    A product over L sites of sinh(x - mu_j + shift) expands into 2^L such
-    exponentials; every derivative is then a weighted re-evaluation, exact
-    to rounding at any order.
+    The vacuum products lam_a, lam_d (a product over L sites of
+    sinh(x - mu_j + shift)) have frequencies -L, -L+2, ..., L, and so does
+    every transfer-matrix eigenvalue, since u^{L/2} Lambda(x) is a
+    polynomial of degree L in u = exp(2x).
     """
 
-    def __init__(self, ms, kappas):
-        self.ms = np.asarray(ms, dtype=float)
-        self.kappas = np.asarray(kappas, dtype=complex)
+    def __init__(self, ms, coeffs):
+        self.ms = np.asarray(ms, dtype=np.int64)
+        self.coeffs = np.asarray(coeffs, dtype=complex)
 
     @classmethod
     def sinh_product(cls, offsets):
-        """prod_j sinh(x + offsets[j]) as an exponential sum."""
-        ms = [0.0]
-        ks = [1.0 + 0j]
+        """prod_j sinh(x + offsets[j]), frequencies -n, -n+2, ..., n."""
+        coeffs = [1.0 + 0j]
         for off in offsets:
+            # sinh(x + off) = exp(off)/2 e^{x} - exp(-off)/2 e^{-x}; scalar
+            # products, so the rounding does not depend on the SIMD path
+            # numpy picks for complex arrays on a given CPU
             ep, em = np.exp(off) / 2, -np.exp(-off) / 2
-            new = {}
-            for m, k in zip(ms, ks):
-                for dm, factor in ((1.0, ep), (-1.0, em)):
-                    key = m + dm
-                    new[key] = new.get(key, 0.0) + k * factor
-            ms = list(new.keys())
-            ks = [new[m] for m in ms]
-        order = np.argsort(ms)
-        return cls(np.asarray(ms)[order], np.asarray(ks)[order])
+            new = [0.0] * (len(coeffs) + 1)
+            for i, k in enumerate(coeffs):
+                new[i] += k * em
+                new[i + 1] += k * ep
+            coeffs = new
+        n = len(coeffs) - 1
+        return cls(np.arange(-n, n + 1, 2), coeffs)
 
     def __call__(self, x, d=0):
-        w = self.kappas if d == 0 else self.kappas * self.ms ** d
-        return np.sum(w * np.exp(self.ms * np.asarray(x, dtype=complex)[..., None]), axis=-1) \
-            if np.ndim(x) else complex(np.sum(w * np.exp(self.ms * x)))
-
-    def scaled(self, factor):
-        return _ExpSum(self.ms, self.kappas * factor)
-
-    def plus(self, other):
-        ms = np.concatenate([self.ms, other.ms])
-        ks = np.concatenate([self.kappas, other.kappas])
-        uniq = {}
-        for m, k in zip(ms, ks):
-            uniq[m] = uniq.get(m, 0.0) + k
-        keys = sorted(uniq)
-        return _ExpSum(keys, [uniq[m] for m in keys])
+        w = self.coeffs if d == 0 else self.coeffs * self.ms ** d
+        if np.ndim(x):
+            return np.sum(w * np.exp(self.ms * np.asarray(x, dtype=complex)[..., None]),
+                          axis=-1)
+        return complex(np.sum(w * np.exp(self.ms * x)))
 
 
 @dataclass
@@ -325,13 +318,13 @@ class HighestWeightData:
     order (exponential-sum representation)."""
 
     params: ModelParams
-    _a: _ExpSum = field(init=False, repr=False)
-    _d: _ExpSum = field(init=False, repr=False)
+    _a: ExpSum = field(init=False, repr=False)
+    _d: ExpSum = field(init=False, repr=False)
 
     def __post_init__(self):
         p = self.params
-        self._a = _ExpSum.sinh_product([-m + p.gamma for m in p.mu])
-        self._d = _ExpSum.sinh_product([-m for m in p.mu])
+        self._a = ExpSum.sinh_product([-m + p.gamma for m in p.mu])
+        self._d = ExpSum.sinh_product([-m for m in p.mu])
 
     def lam_a(self, x, d=0):
         return self._a(x, d)

@@ -24,14 +24,13 @@ from math import factorial
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .model import HighestWeightData, ModelParams, transfer
+from .model import ExpSum, HighestWeightData, ModelParams, transfer
 from .spectrum import diagonalize_sector
 
 __all__ = [
     "Differentiator",
     "as_derivable",
     "upsilon_coefficients",
-    "gbar_exponential_coefficients",
     "upsilon_annihilation",
     "riccati_h_residual",
     "riccati_lambda_residual",
@@ -152,34 +151,21 @@ def upsilon_coefficients(n):
     return poly
 
 
-def gbar_exponential_coefficients(roots):
-    """prod_l sinh(w_l - x) = sum_m  c_m exp(-m x); returns {m: c_m} with
-    integer keys m in {-n, -n+2, ..., n}."""
-    coeffs = {0: 1.0 + 0j}
-    for w in roots:
-        new = {}
-        for m, cm in coeffs.items():
-            for eps, fac in ((1, np.exp(complex(w)) / 2),
-                             (-1, -np.exp(-complex(w)) / 2)):
-                key = m + eps
-                new[key] = new.get(key, 0.0) + cm * fac
-        coeffs = new
-    return coeffs
-
-
 def upsilon_annihilation(roots, n):
     """Exact residual of the annihilator applied to the exponential
-    expansion of gbar: every multiplier is an integer polynomial evaluated
-    at an integer where it vanishes, so the result is exactly 0.0."""
+    expansion of gbar(x) = prod_l sinh(w_l - x): every multiplier is an
+    integer polynomial evaluated at an integer where it vanishes, so the
+    result is exactly 0.0."""
     roots = tuple(roots)
     if len(roots) != n:
         raise ValueError(f"expected {n} roots, got {len(roots)}")
     poly = upsilon_coefficients(n)
-    coeffs = gbar_exponential_coefficients(roots)
+    # prod sinh(x - w_l) = (-1)^n gbar; the sign does not change the residual
+    gbar = ExpSum.sinh_product([-complex(w) for w in roots])
     worst = 0.0
-    for m, cm in coeffs.items():
-        # d/dx acting on exp(-m x) multiplies by -m
-        mult = sum(ck * (-m) ** k for k, ck in enumerate(poly))  # exact int
+    for m, cm in zip(gbar.ms.tolist(), gbar.coeffs):
+        # d/dx acting on exp(m x) multiplies by m
+        mult = sum(ck * m ** k for k, ck in enumerate(poly))  # exact int
         worst = max(worst, abs(cm * mult))
     return float(worst)
 
@@ -393,7 +379,7 @@ def coalescing_reduction(lam_eval, x, hw: HighestWeightData, params: ModelParams
 def sigma2_residual(lam_eval, x, hw, params, ts=None):
     """Normalized residual of the second-order ODE for sector-2 eigenvalues
     (the coalescing limit of the three-point identity).  lam_eval must
-    provide derivatives to order 2 (polynomial-fit evaluators do)."""
+    provide derivatives to order 2 (exact eigenvalue sums do)."""
     val, scale, _ = coalescing_reduction(lam_eval, x, hw, params, n=2, ts=ts)
     return complex(val / max(scale, 1e-300))
 

@@ -11,7 +11,6 @@ import hashlib
 import json
 import os
 import tempfile
-import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -306,15 +305,16 @@ class ResultCache:
         if not path.exists():
             return None
         try:
-            data = np.load(path, allow_pickle=False)
+            with np.load(path, allow_pickle=False) as data:
+                if "coeffs" not in data:  # written before eigenvalues were exact sums
+                    return None
+                return EigenSystem(
+                    params=params, n=n, x_star=complex(data["x_star"][0]),
+                    indices=list(data["indices"]), eigs=data["eigs"],
+                    right=data["right"], left=data["left"], coeffs=data["coeffs"],
+                )
         except (OSError, ValueError):
             return None
-        return EigenSystem(
-            params=params, n=n, x_star=complex(data["x_star"][0]),
-            indices=list(data["indices"]), eigs=data["eigs"],
-            right=data["right"], left=data["left"],
-            degenerate_flags=data["flags"],
-        )
 
     def store_sector(self, key, es):
         path = self._path(key, es.n)
@@ -324,7 +324,7 @@ class ResultCache:
         try:
             np.savez(tmp, x_star=np.array([es.x_star]), indices=np.array(es.indices),
                      eigs=es.eigs, right=es.right, left=es.left,
-                     flags=es.degenerate_flags)
+                     coeffs=es.coeffs)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -338,8 +338,3 @@ class ResultCache:
             self.store_sector(key, es)
         return es
 
-
-def timed(fn, *args, **kwargs):
-    t0 = time.perf_counter()
-    out = fn(*args, **kwargs)
-    return out, time.perf_counter() - t0

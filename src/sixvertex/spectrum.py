@@ -1,25 +1,34 @@
 """Brute-force spectral oracle for the transfer matrix.
 
-The commuting family T(x) is diagonalized once per magnetization sector at a
-generic spectral point x*, with left and right eigenvectors paired by LAPACK.
-Because the eigenvectors do not depend on x, each eigenvalue extends to a
-function of x through the bilinear form  lam(x) = <left| T(x) |right>.
+With u = exp(2x), exp(Lx) T(x) is a polynomial of degree L in u with matrix
+coefficients.  Each magnetization sector block is sampled at the L+1 roots of
+unity in u, and an inverse FFT gives its coefficients exactly.  The block at
+a generic point x* is assembled from them and diagonalized once, with left
+and right eigenvectors paired by LAPACK.  Because the eigenvectors do not
+depend on x, each eigenvalue  lam_k(x) = <left_k| T(x) |right_k>  is an exact
+exponential sum (`model.ExpSum`) with L+1 terms, evaluated and
+differentiated without building T(x) again.
+
+The degree-L claim stays a real test: `polynomial_residuals` compares every
+sum with the direct bilinear form at L+6 fresh points off the sampling
+circle, and `polynomiality_check` fits an arbitrary callable on the same
+points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .model import ModelParams, monodromy_blocks, sector_indices, transfer
+from .model import ExpSum, ModelParams, monodromy_blocks, sector_indices, transfer
 
 __all__ = [
     "DegenerateSpectrum",
     "EigenSystem",
-    "PolynomialFit",
     "diagonalize_sector",
+    "polynomial_residuals",
     "polynomiality_check",
     "left_vector_from_C",
 ]
@@ -33,12 +42,19 @@ class DegenerateSpectrum(RuntimeError):
     """
 
 
+def _frequencies(L):
+    """Frequencies of exp(-Lx) u^m, m = 0..L."""
+    return 2 * np.arange(L + 1) - L
+
+
 @dataclass
 class EigenSystem:
     """Eigen-decomposition of one magnetization sector.
 
     left[k] and right[:, k] are normalized so that left[k] @ right[:, k] = 1;
     rows of `left` are left eigenvectors, columns of `right` are right ones.
+    Row k of `coeffs` holds the coefficients of u^{L/2} Lambda_k(x) in
+    ascending powers of u = exp(2x).
     """
 
     params: ModelParams
@@ -48,28 +64,22 @@ class EigenSystem:
     eigs: np.ndarray
     right: np.ndarray
     left: np.ndarray
-    degenerate_flags: np.ndarray = field(default=None)
+    coeffs: np.ndarray
 
     @property
     def size(self):
         return len(self.eigs)
 
-    def _sector_transfer(self, x):
-        idx = self.indices
-        return transfer(x, self.params)[np.ix_(idx, idx)]
-
     def eigenvalues_at(self, x):
         """All sector eigenvalues evaluated at a fresh spectral point."""
-        Tb = self._sector_transfer(x)
-        return np.einsum("kd,dc,ck->k", self.left, Tb, self.right, optimize=True)
+        return self.coeffs @ np.exp(_frequencies(self.params.L) * complex(x))
 
     def eigenvalue(self, k, x):
-        Tb = self._sector_transfer(x)
-        return complex(self.left[k] @ Tb @ self.right[:, k])
+        return self.lam(k)(x)
 
     def lam(self, k):
-        """Eigenvalue evaluator x -> Lambda_k(x) for eigenpair k."""
-        return lambda x: self.eigenvalue(k, x)
+        """Eigenvalue k as an exact exponential sum x -> Lambda_k(x)."""
+        return ExpSum(_frequencies(self.params.L), self.coeffs[k])
 
     def left_full(self, k):
         """Left eigenvector embedded in the full 2^L space (row vector)."""
@@ -92,7 +102,6 @@ class EigenSystem:
             "dimension": self.size,
             "x_star": [self.x_star.real, self.x_star.imag],
             "eigenvalues_at_x_star": [[z.real, z.imag] for z in self.eigs],
-            "degenerate_flags": [bool(f) for f in self.degenerate_flags],
         }
         if len(sample_xs):
             samples = np.array([self.eigenvalues_at(x) for x in sample_xs])
@@ -101,20 +110,30 @@ class EigenSystem:
         return rec
 
 
-def diagonalize_sector(params: ModelParams, n: int, x_star=0.2137, retries=3,
+def _sector_block(x, params, idx):
+    return transfer(x, params)[np.ix_(idx, idx)]
+
+
+def diagonalize_sector(params: ModelParams, n, x_star=0.2137, retries=3,
                        collision_tol=1e-8):
     """Diagonalize the sector block of T(x*) with paired left/right vectors.
 
+    The block is assembled from the exact matrix coefficients of
+    exp(Lx) T(x), sampled at u_j = exp(-2 pi i j / (L+1)), j = 0..L.
     Raises DegenerateSpectrum when eigenvalues collide (relative spacing below
     collision_tol) at x* and at `retries` perturbed points.
     """
     idx = sector_indices(params.L, n)
     if not idx:
         raise ValueError(f"empty sector n={n}")
+    L = params.L
+    xs = -1j * np.pi * np.arange(L + 1) / (L + 1)
+    samples = np.array([np.exp(L * x) * _sector_block(x, params, idx) for x in xs])
+    blocks = np.fft.ifft(samples, axis=0)   # blocks[m]: coefficient of u^m
     x_try = complex(x_star)
     last_gap = None
     for attempt in range(retries + 1):
-        Tb = transfer(x_try, params)[np.ix_(idx, idx)]
+        Tb = np.tensordot(np.exp(_frequencies(L) * x_try), blocks, axes=1)
         w, vl, vr = scipy.linalg.eig(Tb, left=True, right=True)
         order = np.lexsort((w.imag.round(10), w.real.round(10)))
         w, vl, vr = w[order], vl[:, order], vr[:, order]
@@ -129,7 +148,7 @@ def diagonalize_sector(params: ModelParams, n: int, x_star=0.2137, retries=3,
             return EigenSystem(
                 params=params, n=n, x_star=x_try, indices=idx, eigs=w,
                 right=vr, left=left,
-                degenerate_flags=np.zeros(m, dtype=bool),
+                coeffs=np.einsum("kd,mde,ek->km", left, blocks, vr, optimize=True),
             )
         x_try = x_try + 0.137 + 0.061j * (attempt + 1)
     raise DegenerateSpectrum(
@@ -138,56 +157,50 @@ def diagonalize_sector(params: ModelParams, n: int, x_star=0.2137, retries=3,
     )
 
 
-@dataclass
-class PolynomialFit:
-    """Least-squares model  lam(x) = exp(-L x) * sum_k coeff[k] u^k,  u = exp(2x).
-
-    Equivalently an exponential sum with frequencies 2k - L, giving exact
-    derivatives of any order once the coefficients are fixed.
-    """
-
-    degree: int
-    coefficients: np.ndarray
-    residual: float
-    L: int
-
-    def __call__(self, x, d=0):
-        ms = 2 * np.arange(self.degree + 1) - self.L
-        w = self.coefficients * ms ** d if d else self.coefficients
-        return complex(np.sum(w * np.exp(ms * x)))
+def _check_points(L):
+    """L+6 points on the circle |u| = exp(0.6), off the sampling circle,
+    where the degree-L Vandermonde system is well conditioned."""
+    M = L + 6
+    us = np.exp(0.6) * np.exp(2j * np.pi * (np.arange(M) + 0.31) / M)
+    return np.log(us) / 2
 
 
-def polynomiality_check(lam, params: ModelParams, pts=None, degree=None,
-                        n_samples=None, radius=None, cond_limit=1e10):
+def _relative_residual(y, y_ref):
+    return np.linalg.norm(y - y_ref, axis=0) / np.maximum(
+        np.linalg.norm(y_ref, axis=0), 1e-300)
+
+
+def polynomial_residuals(es: EigenSystem):
+    """Per eigenpair, the relative distance between u^{L/2} times the exact
+    sum and u^{L/2} times the direct bilinear form  left_k T(x) right_k,
+    over fresh points where T(x) is built anew."""
+    p = es.params
+    xs = _check_points(p.L)
+    direct = np.array([np.einsum("kd,dc,ck->k", es.left,
+                                 _sector_block(x, p, es.indices), es.right,
+                                 optimize=True) for x in xs])
+    exact = np.array([es.eigenvalues_at(x) for x in xs])
+    scale = np.exp(p.L * xs)[:, None]
+    return _relative_residual(scale * exact, scale * direct)
+
+
+def polynomiality_check(lam, params: ModelParams, pts=None, cond_limit=1e10):
     """Fit u^{L/2} * lam(x) by a polynomial in u = exp(2x) of degree <= L.
 
-    Default sample points sit on a circle in u-space, where the Vandermonde
-    system is well conditioned; user-supplied points are replaced by circle
-    points when the fit is ill conditioned.
+    For arbitrary callables (sector eigenvalues are exact sums already; see
+    `polynomial_residuals`).  Returns (fit as an ExpSum, relative residual).
+    User-supplied points are replaced by the default ones when the fit is
+    ill conditioned.
     """
     L = params.L
-    degree = L if degree is None else degree
-    M = n_samples or max(degree + 6, L + 5)
-    r = radius or float(np.exp(2 * 0.3))
-
-    def circle_points():
-        us = r * np.exp(2j * np.pi * (np.arange(M) + 0.31) / M)
-        return np.log(us) / 2
-
-    if pts is None:
-        pts = circle_points()
-    pts = np.asarray(pts, dtype=complex)
-    for attempt in range(2):
-        us = np.exp(2 * pts)
-        V = np.vander(us, degree + 1, increasing=True)
-        y = np.array([np.exp(L * x) * lam(x) for x in pts])
-        if np.linalg.cond(V) > cond_limit and attempt == 0:
-            pts = circle_points()
-            continue
-        coeff, *_ = np.linalg.lstsq(V, y, rcond=None)
-        resid = np.linalg.norm(V @ coeff - y) / max(np.linalg.norm(y), 1e-300)
-        return PolynomialFit(degree=degree, coefficients=coeff,
-                             residual=float(resid), L=L)
+    pts = _check_points(L) if pts is None else np.asarray(pts, dtype=complex)
+    V = np.vander(np.exp(2 * pts), L + 1, increasing=True)
+    if np.linalg.cond(V) > cond_limit:
+        pts = _check_points(L)
+        V = np.vander(np.exp(2 * pts), L + 1, increasing=True)
+    y = np.array([np.exp(L * x) * lam(x) for x in pts])
+    coeff, *_ = np.linalg.lstsq(V, y, rcond=None)
+    return ExpSum(_frequencies(L), coeff), float(_relative_residual(V @ coeff, y))
 
 
 def left_vector_from_C(roots, params: ModelParams):

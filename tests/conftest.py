@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sixvertex.model import HighestWeightData, ModelParams
+from sixvertex.model import HighestWeightData, ModelParams, transfer
 from sixvertex.spectrum import diagonalize_sector, polynomiality_check
 
 
@@ -44,11 +44,20 @@ class OracleBank:
             self._eigs[key] = diagonalize_sector(params, n)
         return self._eigs[key]
 
+    def direct(self, params, n, k):
+        """x -> left_k T(x) right_k of sector n, building T(x) at every call."""
+        es = self.eigensystem(params, n)
+        idx = np.ix_(es.indices, es.indices)
+        return lambda x: complex(es.left[k] @ transfer(x, params)[idx] @ es.right[:, k])
+
     def fit(self, params, n, k):
+        """Degree-L least-squares fit of the direct bilinear form: a reference
+        independent of the exact sums the eigensystem stores."""
         key = (params, n, k)
         if key not in self._fits:
-            self._fits[key] = polynomiality_check(
-                self.eigensystem(params, n).lam(k), params)
+            fit, residual = polynomiality_check(self.direct(params, n, k), params)
+            assert residual < 1e-9
+            self._fits[key] = fit
         return self._fits[key]
 
 

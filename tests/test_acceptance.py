@@ -12,7 +12,8 @@ import pytest
 
 from sixvertex.model import (HighestWeightData, ModelParams, transfer,
                              verify_ybe)
-from sixvertex.spectrum import diagonalize_sector, polynomiality_check
+from sixvertex.spectrum import (diagonalize_sector, polynomial_residuals,
+                                polynomiality_check)
 from sixvertex import functional as fx
 from sixvertex import bethe as bt
 from sixvertex import odes
@@ -43,9 +44,9 @@ def eigs(ref):
 
 
 @pytest.fixture(scope="module")
-def fits(ref, eigs):
-    return {n: [polynomiality_check(eigs[n].lam(k), ref)
-                for k in range(eigs[n].size)] for n in range(5)}
+def sums(eigs):
+    """Exact eigenvalue sums; test 12 checks them against direct builds."""
+    return {n: [eigs[n].lam(k) for k in range(eigs[n].size)] for n in range(5)}
 
 
 @pytest.fixture(scope="module")
@@ -222,7 +223,7 @@ def test_07_conserved_quantities(ref, ref_hw, eigs, bethe_solutions):
     record(7, "closed form coth(w1) + ratio", worst_cf, 1e-7)
 
 
-def test_08_ode_chain(ref, ref_hw, fits):
+def test_08_ode_chain(ref, ref_hw, sums):
     rng = np.random.default_rng(8)
     worst_ups = 0.0
     for n in range(1, 7):
@@ -239,19 +240,19 @@ def test_08_ode_chain(ref, ref_hw, fits):
     record(8, "h-function ODE chain, orders 1..3", worst_h, 1e-9)
 
     worst_r1 = 0.0
-    for fit in fits[1]:
+    for lam in sums[1]:
         for x in (0.43, 0.9):
             worst_r1 = max(worst_r1,
-                           abs(odes.riccati_lambda_residual(fit, x, ref_hw, ref)),
-                           abs(odes.sigma1_residual(fit, x, ref_hw, ref)))
+                           abs(odes.riccati_lambda_residual(lam, x, ref_hw, ref)),
+                           abs(odes.sigma1_residual(lam, x, ref_hw, ref)))
     record(8, "sector-1 Riccati + surface form, all eigenvalues", worst_r1, 1e-7)
 
     worst_2 = 0.0
-    for fit in fits[2]:
+    for lam in sums[2]:
         for x in (0.63, -0.35):
-            worst_2 = max(worst_2, abs(odes.sigma2_residual(fit, x, ref_hw, ref)))
+            worst_2 = max(worst_2, abs(odes.sigma2_residual(lam, x, ref_hw, ref)))
         for x in (0.43, 0.8):
-            worst_2 = max(worst_2, abs(odes.riccati2_residual(fit, x, ref)))
+            worst_2 = max(worst_2, abs(odes.riccati2_residual(lam, x, ref)))
     record(8, "sector-2 second-order + standard Riccati, all eigenvalues",
            worst_2, 1e-6)
 
@@ -273,12 +274,12 @@ def test_09_pde_convergence():
     assert dt < 30.0
 
 
-def test_10_schrodinger_map(ref, fits):
+def test_10_schrodinger_map(ref, sums):
     best = None
-    for fit in fits[2]:
-        r800 = odes.schrodinger_map_residual(fit, (0.2, 1.2), ref, num=800)
+    for lam in sums[2]:
+        r800 = odes.schrodinger_map_residual(lam, (0.2, 1.2), ref, num=800)
         if best is None or r800 < best[0]:
-            r400 = odes.schrodinger_map_residual(fit, (0.2, 1.2), ref, num=400)
+            r400 = odes.schrodinger_map_residual(lam, (0.2, 1.2), ref, num=400)
             best = (r800, r400)
     r800, r400 = best
     record(10, "psi'' + (V-1) psi residual (energy fixed at 1)", r800, 1e-5,
@@ -299,13 +300,14 @@ def test_11_root_of_unity():
            rep.max_sector_deviation, 1e-9)
 
 
-def test_12_polynomial_structure(ref, ref_hw, fits):
-    worst = max(fit.residual for n in range(5) for fit in fits[n])
-    record(12, "degree-L fit of every oracle eigenvalue", worst, 1e-9)
-    planted = polynomiality_check(
-        lambda x: ref_hw.lam_a(x) + np.exp(3 * x), ref)
-    record(12, "planted non-eigenvalue rejected", planted.residual, 1e-2,
-           passed=planted.residual > 1e-2)
+def test_12_polynomial_structure(ref, ref_hw, eigs):
+    worst = max(polynomial_residuals(eigs[n]).max() for n in range(5))
+    record(12, "exact sum vs direct build, every oracle eigenvalue", worst, 1e-9)
+    # the plant of the `polynomial` check: u^{L/2} exp((L+2)x) = u^{L+1}
+    _, planted = polynomiality_check(
+        lambda x: ref_hw.lam_a(x) + np.exp((ref.L + 2) * x), ref)
+    record(12, "planted non-eigenvalue rejected", planted, 1e-2,
+           passed=planted > 1e-2)
 
 
 def test_13_potential_profiles(tmp_path):

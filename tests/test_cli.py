@@ -203,3 +203,19 @@ class TestCache:
         assert not calls  # served from disk
         assert np.allclose(es2.eigs, es.eigs)
         assert np.allclose(es2.right, es.right)
+        assert np.array_equal(es2.coeffs, es.coeffs)
+
+    def test_entry_without_coefficients_is_a_miss(self, tmp_path, params):
+        # entries written before eigenvalues became exact sums carry no
+        # coefficient array; they are recomputed and rewritten
+        from sixvertex.reports import ResultCache
+        from sixvertex.spectrum import diagonalize_sector
+        es = diagonalize_sector(params, 1)
+        np.savez(tmp_path / "eig-k1-n1.npz", x_star=np.array([es.x_star]),
+                 indices=np.array(es.indices), eigs=es.eigs, right=es.right,
+                 left=es.left, flags=np.zeros(es.size, dtype=bool))
+        cache = ResultCache(tmp_path)
+        assert cache.load_sector("k1", 1, params) is None
+        es2 = cache.sector("k1", 1, params, lambda: es)
+        assert es2 is es
+        assert np.array_equal(cache.load_sector("k1", 1, params).coeffs, es.coeffs)

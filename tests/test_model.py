@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sixvertex.model import (HighestWeightData, ModelParams, abcd_blocks,
+from sixvertex.model import (ExpSum, HighestWeightData, ModelParams, abcd_blocks,
                              magnetization_diagonal, monodromy,
                              monodromy_blocks, popcount, r_matrix,
                              sector_indices, transfer, verify_ybe,
@@ -167,6 +167,18 @@ class TestExchange:
     def test_singular_point_rejected(self, params):
         with pytest.raises(ValueError):
             yba_exchange_residual(0.4, 0.4, params)
+
+
+class TestExpSum:
+    def test_expansion_reproduces_product(self, rng):
+        offsets = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
+        f = ExpSum.sinh_product(offsets)
+        assert f.ms.tolist() == [-3, -1, 1, 3]
+        xs = np.array([0.73, -0.2 + 0.4j])
+        for x, fx in zip(xs, f(xs)):
+            expect = np.prod(np.sinh(x + offsets))
+            assert abs(f(x) - expect) < 1e-12
+            assert abs(fx - expect) < 1e-12
 
 
 class TestHighestWeightData:

@@ -34,13 +34,6 @@ class TestUpsilon:
         roots = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
         assert odes.upsilon_annihilation(roots, n) == 0.0
 
-    def test_expansion_reproduces_product(self, rng):
-        roots = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
-        coeffs = odes.gbar_exponential_coefficients(roots)
-        x = 0.73
-        val = sum(c * np.exp(-m * x) for m, c in coeffs.items())
-        assert abs(val - np.prod(np.sinh(roots - x))) < 1e-12
-
 
 class TestRiccatiChainH:
     @pytest.mark.parametrize("n", [1, 2, 3])

@@ -1,9 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from sixvertex import cli
 from sixvertex.model import ModelParams, sector_indices, transfer
+from sixvertex.reports import RunConfig
 from sixvertex.spectrum import (DegenerateSpectrum, diagonalize_sector,
-                                left_vector_from_C, polynomiality_check)
+                                left_vector_from_C, polynomial_residuals,
+                                polynomiality_check)
 
 
 class TestDiagonalizeSector:
@@ -15,13 +20,21 @@ class TestDiagonalizeSector:
             expect = 1.2 * p.a(x - 0.3) + 0.9 * p.b(x - 0.3)
             assert abs(lam(x) - expect) < 1e-12 * abs(expect)
 
-    def test_trace_consistency(self, params):
-        es = diagonalize_sector(ModelParams(L=2, gamma=0.7), 1)
-        x = 0.8
-        p2 = ModelParams(L=2, gamma=0.7)
-        idx = sector_indices(2, 1)
-        tr = np.trace(transfer(x, p2)[np.ix_(idx, idx)])
-        assert abs(sum(es.eigenvalues_at(x)) - tr) < 1e-12 * abs(tr)
+    @pytest.mark.parametrize("L,gamma", [(2, 0.7), (3, 0.7), (5, 0.7), (6, 0.7),
+                                         (3, 0.6 + 0.2j)],
+                             ids=["L2", "L3", "L5", "L6", "L3-complex-gamma"])
+    def test_trace_consistency(self, L, gamma):
+        # generic twisted, inhomogeneous point; every sector
+        rng = np.random.default_rng(L)
+        p = ModelParams(L=L, gamma=gamma, mu=tuple(rng.uniform(-0.3, 0.3, L)),
+                        phi1=1.3, phi2=0.8)
+        x = 0.8 - 0.1j
+        T = transfer(x, p)
+        for n in range(L + 1):
+            idx = sector_indices(L, n)
+            tr = np.trace(T[np.ix_(idx, idx)])
+            es = diagonalize_sector(p, n)
+            assert abs(sum(es.eigenvalues_at(x)) - tr) < 1e-12 * abs(tr)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_sector_dimensions(self, params, oracle, n):
@@ -66,36 +79,56 @@ class TestDiagonalizeSector:
 
 class TestPolynomiality:
     def test_all_reference_eigenvalues(self, params, oracle):
+        # exact sums against the direct bilinear form at fresh points, and
+        # against an independent least-squares fit of that form
         for n in range(params.L + 1):
             es = oracle.eigensystem(params, n)
+            assert polynomial_residuals(es).max() < 1e-9
             for k in range(es.size):
                 fit = oracle.fit(params, n, k)
-                assert fit.residual < 1e-9
+                scale = np.abs(es.coeffs[k]).max()
+                assert np.abs(fit.coeffs - es.coeffs[k]).max() < 1e-9 * scale
 
     def test_vacuum_sector_is_exact_degree_L(self, params, hw, oracle):
         # the n=0 eigenvalue is lam_plus, an exact degree-L polynomial in u
-        fit = polynomiality_check(lambda x: hw.lam_plus(x), params)
-        assert fit.residual < 1e-12
-        assert abs(fit.coefficients[-1]) > 1e-3 * np.abs(fit.coefficients).max()
+        fit, residual = polynomiality_check(lambda x: hw.lam_plus(x), params)
+        assert residual < 1e-12
+        assert abs(fit.coeffs[-1]) > 1e-3 * np.abs(fit.coeffs).max()
 
-    def test_negative_control(self, params, hw):
-        fit = polynomiality_check(lambda x: hw.lam_a(x) + np.exp(3 * x), params)
-        assert fit.residual > 1e-2
+    @pytest.mark.parametrize("L", [3, 4, 5])
+    def test_negative_control(self, L, tmp_path):
+        # the planted non-eigenvalue of the `polynomial` check must fail the
+        # degree-L fit at odd L too
+        cfg = RunConfig.from_dict({"model": {"L": L, "gamma": 0.7},
+                                   "sectors": [], "output_dir": str(tmp_path)})
+        _, planted = cli.check_polynomial(cli.VerifyContext(cfg))
+        assert planted.passed
+        assert planted.details["measured"] > 1e-2
+
+    def test_perturbed_coefficient_is_detected(self, generic_params, oracle):
+        es = oracle.eigensystem(generic_params, 2)
+        k = 1
+        m = int(np.argmax(np.abs(es.coeffs[k])))
+        coeffs = es.coeffs.copy()
+        coeffs[k, m] *= 1 + 1e-6
+        res = polynomial_residuals(replace(es, coeffs=coeffs))
+        assert res[k] > 1e-9
+        assert np.delete(res, k).max() < 1e-12
 
     def test_fit_evaluates_and_differentiates(self, params, oracle):
-        es = oracle.eigensystem(params, 2)
-        fit = oracle.fit(params, 2, 0)
-        f = es.lam(0)
+        lam = oracle.eigensystem(params, 2).lam(0)
+        f = oracle.direct(params, 2, 0)
         x, h = 0.4, 1e-5
-        assert abs(fit(x) - f(x)) < 1e-10
+        assert abs(lam(x) - f(x)) < 1e-10
         d1 = (f(x + h) - f(x - h)) / (2 * h)
-        assert abs(fit(x, 1) - d1) < 1e-7 * max(abs(d1), 1.0)
+        assert abs(lam(x, 1) - d1) < 1e-7 * max(abs(d1), 1.0)
 
     def test_user_points_redrawn_when_ill_conditioned(self, params, oracle):
         # nearly coincident samples are replaced by circle points
-        fit = polynomiality_check(oracle.eigensystem(params, 1).lam(0), params,
-                                  pts=np.full(11, 0.3) + np.arange(11) * 1e-9)
-        assert fit.residual < 1e-9
+        _, residual = polynomiality_check(
+            oracle.direct(params, 1, 0), params,
+            pts=np.full(11, 0.3) + np.arange(11) * 1e-9)
+        assert residual < 1e-9
 
 
 class TestLeftVectorFromC:
