@@ -33,7 +33,7 @@ print("\ntransport loop 0->1->2->0:",
 tv = fx.transport(1, 2, pts, lam, hw, params)
 fi = fx.f_n([pts[0], pts[2]], leftvec, params)
 fj = fx.f_n([pts[0], pts[1]], leftvec, params)
-print("det ratio vs direct F ratio:", abs(tv.value - fj / fi))
+print("det ratio vs direct F ratio:", abs(tv - fj / fi))
 
 print("\ntheta conservation |d_j theta|:",
       fx.theta_conservation(0, 1, pts, lam, hw, params))

@@ -15,7 +15,7 @@ from sixvertex import odes
 
 params = ModelParams(L=4, gamma=0.7)
 
-rep = odes.omega0_root_of_unity(params, sectors=(2,))
+rep = odes.omega0_root_of_unity(params, [diagonalize_sector(params, 2)])
 print("permutation power deviation ||O^L - Id||:", rep.power_deviation)
 print("sector-2 deviations of (Lam(0)/c^L)^L from 1:",
       [f"{d:.1e}" for d in rep.sector_deviations[2]])

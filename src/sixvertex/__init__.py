@@ -7,12 +7,12 @@ quantities, and nonlinear ODE/PDE structure carried by that spectrum.
 """
 
 from .model import (ModelParams, ExpSum, HighestWeightData, r_matrix, verify_ybe,
-                    monodromy, monodromy_blocks, abcd_blocks, transfer,
-                    yba_exchange_residual, sector_indices)
+                    monodromy_blocks, transfer, yba_exchange_residual,
+                    sector_indices)
 from .spectrum import (DegenerateSpectrum, EigenSystem, diagonalize_sector,
                        polynomial_residuals, polynomiality_check,
                        left_vector_from_C)
-from .functional import (SpectralPointSet, coefficients_m, extended_matrix,
+from .functional import (coefficients_m, extended_matrix,
                          compatibility_residual, nonlinear_eq_n1_residual,
                          nonlinear_eq_n2_residual, f_n, linear_relation_residual,
                          v_matrix, transport, transport_loop, tilde_v_matrix,
@@ -21,9 +21,8 @@ from .functional import (SpectralPointSet, coefficients_m, extended_matrix,
                          conserved_n1_closed_form, SingularTransport)
 from .bethe import (BetheRoots, bae_residual, bae_relative_residual, solve_bae,
                     eigenvalue_from_roots, RootEigenvalue, CothSum,
-                    h_from_roots, gbar_from_roots, match_spectrum,
-                    canonical_roots, PolePoint)
-from .odes import (Differentiator, upsilon_annihilation, riccati_h_residual,
+                    match_spectrum, canonical_roots, PolePoint)
+from .odes import (upsilon_annihilation, riccati_h_residual,
                    riccati_lambda_residual, sigma1_residual, sigma2_residual,
                    riccati2_residual, u_equation_residual,
                    pde_travelling_wave_residual, pde_convergence, potential_v,

@@ -18,11 +18,18 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import HighestWeightData, ModelParams
+
+# Newton iteration: step budget, absolute stopping residual, Jacobian FD step
+_MAX_ITER = 60
+_NEWTON_TOL = 1e-13
+_JAC_STEP = 1e-7
+# acceptance bound on the relative residual of a regular solution
+_RESIDUAL_TOL = 1e-11
 
 __all__ = [
     "BetheRoots",
@@ -30,14 +37,11 @@ __all__ = [
     "bae_residual",
     "bae_relative_residual",
     "solve_bae",
-    "solve_bae_homotopy",
     "default_seeds",
     "canonical_roots",
     "eigenvalue_from_roots",
     "RootEigenvalue",
     "CothSum",
-    "h_from_roots",
-    "gbar_from_roots",
     "MatchReport",
     "match_spectrum",
     "roots_to_json",
@@ -92,7 +96,7 @@ def bae_residual(roots, params: ModelParams, hw=None):
     return ta - td
 
 
-def bae_relative_residual(roots, params: ModelParams, hw=None, scale_floor=1e-12):
+def bae_relative_residual(roots, params: ModelParams, hw=None):
     """max_i |R_i| / max(|A-term|, |D-term|).
 
     Configurations with a scale-null row (both products vanish, as in
@@ -104,7 +108,7 @@ def bae_relative_residual(roots, params: ModelParams, hw=None, scale_floor=1e-12
     global_scale = max(np.abs(ta).max(), np.abs(td).max(), 1e-300)
     for i in range(len(ta)):
         scale = max(abs(ta[i]), abs(td[i]))
-        if scale < scale_floor * global_scale:
+        if scale < 1e-12 * global_scale:
             return float("inf")
         out = max(out, abs(ta[i] - td[i]) / scale)
     return float(out)
@@ -119,43 +123,52 @@ def canonical_roots(roots):
     return tuple(w[order])
 
 
-def _newton(roots0, params, hw, max_iter=60, tol=1e-13, damping=True, fd=1e-7):
+def _newton(roots0, params, hw):
+    """Damped Newton from one seed; None when it does not converge.
+
+    Seeds far out in the strip overflow the residue form.  Such a seed is
+    rejected at the first non-finite residual: from there on every iterate
+    would be non-finite too.
+    """
+    fd = _JAC_STEP
     w = np.asarray(roots0, dtype=complex).copy()
     n = len(w)
-    for _ in range(max_iter):
-        F = bae_residual(w, params, hw)
-        nrm = np.abs(F).max()
-        if nrm < tol:
-            return w
-        J = np.empty((n, n), dtype=complex)
-        for k in range(n):
-            e = np.zeros(n, dtype=complex)
-            e[k] = fd
-            J[:, k] = (bae_residual(w + e, params, hw)
-                       - bae_residual(w - e, params, hw)) / (2 * fd)
-        try:
-            step = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            w = w + fd * 10  # nudge off the singular Jacobian once
-            try:
-                step = np.linalg.solve(J + fd * np.eye(n), -F)
-            except np.linalg.LinAlgError:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_MAX_ITER):
+            F = bae_residual(w, params, hw)
+            if not np.isfinite(F).all():
                 return None
-        lam = 1.0
-        if damping:
+            nrm = np.abs(F).max()
+            if nrm < _NEWTON_TOL:
+                return w
+            J = np.empty((n, n), dtype=complex)
+            for k in range(n):
+                e = np.zeros(n, dtype=complex)
+                e[k] = fd
+                J[:, k] = (bae_residual(w + e, params, hw)
+                           - bae_residual(w - e, params, hw)) / (2 * fd)
+            try:
+                step = np.linalg.solve(J, -F)
+            except np.linalg.LinAlgError:
+                w = w + fd * 10  # nudge off the singular Jacobian once
+                try:
+                    step = np.linalg.solve(J + fd * np.eye(n), -F)
+                except np.linalg.LinAlgError:
+                    return None
+            lam = 1.0
             for _ in range(20):
                 if np.abs(bae_residual(w + lam * step, params, hw)).max() < nrm:
                     break
                 lam /= 2
-        w = w + lam * step
-    return w if np.abs(bae_residual(w, params, hw)).max() < tol else None
+            w = w + lam * step
+        return w if np.abs(bae_residual(w, params, hw)).max() < _NEWTON_TOL else None
 
 
-def default_seeds(params: ModelParams, n, n_random=200, seed=1234):
-    """Random strip seeds plus structured seeds around -gamma/2."""
+def default_seeds(params: ModelParams, n, seed=1234):
+    """200 random strip seeds plus structured seeds around -gamma/2."""
     rng = np.random.default_rng(seed)
     seeds = [rng.uniform(-2, 2, n) + 1j * rng.uniform(-np.pi / 2, np.pi / 2, n)
-             for _ in range(n_random)]
+             for _ in range(200)]
     base = -params.gamma / 2
     pool = [0.0, 0.35, -0.35, 0.8, -0.8,
             0.45j * np.pi, -0.45j * np.pi, 0.22j * np.pi, -0.22j * np.pi]
@@ -180,17 +193,14 @@ def _singular_candidates(params: ModelParams, n):
     return [np.array([m, m - params.gamma], dtype=complex) for m in params.mu]
 
 
-def solve_bae(params: ModelParams, n, seeds=None, max_iter=60, damping=True,
-              residual_tol=1e-11, include_singular=True, seed=1234):
-    """Multistart damped Newton on the residue form; returns distinct
-    solutions (canonical order), regular ones first."""
+def solve_bae(params: ModelParams, n, seed=1234):
+    """Multistart damped Newton on the residue form, plus the singular-pair
+    scan; returns distinct solutions (canonical order), regular ones first."""
     hw = HighestWeightData(params)
     if n == 0:
         return [BetheRoots(n=0, roots=(), residual=0.0, source="solved")]
     if n > params.L:
         raise ValueError(f"sector n={n} exceeds L={params.L}")
-    if seeds is None:
-        seeds = default_seeds(params, n, seed=seed)
 
     found = []
 
@@ -210,55 +220,22 @@ def solve_bae(params: ModelParams, n, seeds=None, max_iter=60, damping=True,
                 return
         else:
             res = bae_relative_residual(w, params, hw)
-            if not res < residual_tol:
+            if not res < _RESIDUAL_TOL:
                 return
         found.append(BetheRoots(n=n, roots=w, residual=res,
                                 source="analytic" if singular else "solved",
                                 singular=singular))
 
-    for s in seeds:
-        w = _newton(s, params, hw, max_iter=max_iter, damping=damping)
+    for s in default_seeds(params, n, seed=seed):
+        w = _newton(s, params, hw)
         if w is not None:
             try_add(w, singular=False)
-    if include_singular:
-        for cand in _singular_candidates(params, n):
-            try_add(cand, singular=True)
+    for cand in _singular_candidates(params, n):
+        try_add(cand, singular=True)
 
     found.sort(key=lambda br: (br.singular,
                                tuple((w.real, w.imag) for w in br.roots)))
     return found
-
-
-def solve_bae_homotopy(params: ModelParams, n, gamma_start=0.15, steps=8,
-                       **kwargs):
-    """Fallback strategy: solve at small anisotropy, then track the roots
-    while gamma is continued to its target value."""
-    target = params.gamma
-    path = [complex(gamma_start + (target - gamma_start) * t)
-            for t in np.linspace(0.0, 1.0, steps)]
-    p0 = ModelParams(L=params.L, gamma=path[0], mu=params.mu,
-                     phi1=params.phi1, phi2=params.phi2)
-    sols = solve_bae(p0, n, **kwargs)
-    tracked = [np.asarray(s.roots) for s in sols if not s.singular]
-    for g in path[1:]:
-        pg = ModelParams(L=params.L, gamma=g, mu=params.mu,
-                         phi1=params.phi1, phi2=params.phi2)
-        hw = HighestWeightData(pg)
-        tracked = [w for w in (
-            _newton(t, pg, hw) for t in tracked) if w is not None]
-    out = []
-    for w in tracked:
-        res = bae_relative_residual(w, params)
-        if res < 1e-11:
-            out.append(BetheRoots(n=n, roots=canonical_roots(w), residual=res))
-    # dedup
-    uniq = []
-    for br in out:
-        if not any(np.abs(np.asarray(br.roots) - np.asarray(u.roots)).max() < 1e-7
-                   for u in uniq):
-            uniq.append(br)
-    uniq.sort(key=lambda br: tuple((w.real, w.imag) for w in br.roots))
-    return uniq
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +293,7 @@ class RootEigenvalue:
         return complex(out)
 
 
-def eigenvalue_from_roots(x, roots, params: ModelParams, hw=None,
-                          pole_tol=1e-6):
+def eigenvalue_from_roots(x, roots, params: ModelParams, hw=None):
     """Closed-form eigenvalue at x.  Near a root the pole must be removable
     (Bethe equations hold); it is then evaluated by a symmetric two-sided
     limit, otherwise PolePoint is raised."""
@@ -326,7 +302,7 @@ def eigenvalue_from_roots(x, roots, params: ModelParams, hw=None,
     w = np.asarray(roots, dtype=complex)
     if len(w):
         dists = np.abs(np.sinh(x - w))
-        if dists.min() < pole_tol:
+        if dists.min() < 1e-6:
             if bae_relative_residual(roots, params, hw) > 1e-8:
                 raise PolePoint(f"x={x} collides with a non-Bethe root")
             eps = 1e-4
@@ -353,17 +329,6 @@ class CothSum:
         raise ValueError("derivatives implemented up to order 3")
 
 
-def h_from_roots(x, roots):
-    """Sum of coth(w_l - x); equals -d/dx log gbar."""
-    return CothSum(roots)(x)
-
-
-def gbar_from_roots(x, roots):
-    """gbar(x) = prod_l sinh(w_l - x) (overall constant fixed to 1)."""
-    w = np.asarray(tuple(roots), dtype=complex)
-    return complex(np.prod(np.sinh(w - x)))
-
-
 # ---------------------------------------------------------------------------
 # matching against the oracle
 
@@ -373,7 +338,6 @@ class MatchReport:
     pairs: list                 # (solution_index, eigen_index, max relative deviation)
     unmatched_solutions: list
     unmatched_eigenvalues: list
-    sample_points: list = field(default_factory=list)
 
     @property
     def max_deviation(self):
@@ -384,11 +348,10 @@ class MatchReport:
         return not self.unmatched_eigenvalues and not self.unmatched_solutions
 
 
-def match_spectrum(params: ModelParams, n, solutions, oracle,
-                   sample_xs=None, hw=None):
+def match_spectrum(params: ModelParams, n, solutions, oracle, sample_xs=None):
     """Greedy minimal-distance bipartite matching between formula and oracle
     eigenvalues, using the max relative deviation over shared sample points."""
-    hw = hw or HighestWeightData(params)
+    hw = HighestWeightData(params)
     if sample_xs is None:
         sample_xs = np.linspace(0.21, 1.3, 20)
     sample_xs = list(sample_xs)
@@ -410,8 +373,7 @@ def match_spectrum(params: ModelParams, n, solutions, oracle,
         free_e.remove(e)
     return MatchReport(n=n, pairs=pairs,
                        unmatched_solutions=sorted(free_s),
-                       unmatched_eigenvalues=sorted(free_e),
-                       sample_points=[complex(x) for x in sample_xs])
+                       unmatched_eigenvalues=sorted(free_e))
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +390,13 @@ def roots_to_json(solutions):
     return json.dumps(recs, indent=2, sort_keys=True)
 
 
-def roots_from_json(text, source="user"):
+def roots_from_json(text):
+    """Root sets from `roots_to_json` text, marked as user-supplied."""
     out = []
     for rec in json.loads(text):
         roots = tuple(complex(re, im) for re, im in rec["roots"])
         out.append(BetheRoots(n=rec["n"], roots=roots,
                               residual=float(rec.get("residual", np.nan)),
-                              source=source,
+                              source="user",
                               singular=bool(rec.get("singular", False))))
     return out

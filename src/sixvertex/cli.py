@@ -278,7 +278,7 @@ def check_transport(ctx):
             tv = fx.transport(i, j, pts, lam, ctx.hw, ctx.params)
             fi = fx.f_n([q for m, q in enumerate(pts) if m != i], lv, ctx.params)
             fj = fx.f_n([q for m, q in enumerate(pts) if m != j], lv, ctx.params)
-            worst = max(worst, abs(tv.value - fj / fi) / abs(tv.value))
+            worst = max(worst, abs(tv - fj / fi) / abs(tv))
         out.append(_report("transport", f"det ratio = F ratio (n={n})", worst,
                            ctx.tol("factorization"), t0, n=n))
     return out
@@ -326,7 +326,7 @@ def check_theta(ctx):
         worst = 0.0
         for (i, j) in [(0, 1), (1, 2)]:
             worst = max(worst, fx.theta_conservation(
-                i, j, pts, lam, ctx.hw, ctx.params, fd_step=ctx.config.fd_step))
+                i, j, pts, lam, ctx.hw, ctx.params))
         out.append(_report("theta", f"d_j theta_ij = 0 (n={n})", worst,
                            ctx.tol("theta_conservation"), t0, n=n))
     return out
@@ -393,20 +393,18 @@ def check_riccati_n1(ctx):
     if 1 not in ctx.config.sectors:
         return []
     t0 = time.perf_counter()
-    es = ctx.eigensystem(1)
-    worst = worst_s = worst_d = 0.0
-    for k in range(es.size):
-        lam = ctx.lam(1, k)
-        for x in (0.43, 0.9):
-            r = odes.riccati_lambda_residual(lam, x, ctx.hw, ctx.params)
-            s = odes.sigma1_residual(lam, x, ctx.hw, ctx.params)
-            worst = max(worst, abs(r))
-            worst_s = max(worst_s, abs(s))
-            worst_d = max(worst_d, abs(r - s))
-    out = [_report("riccati-n1", "first-order quadratic ODE", worst,
-                   ctx.tol("riccati_n1"), t0),
-           _report("riccati-n1", "surface form agrees", max(worst_s, worst_d),
-                   ctx.tol("sigma1"), t0)]
+    lams = [ctx.lam(1, k) for k in range(ctx.eigensystem(1).size)]
+    xs = (0.43, 0.9)
+    rs = [odes.riccati_lambda_residual(lam, x, ctx.hw, ctx.params)
+          for lam in lams for x in xs]
+    out = [_report("riccati-n1", "first-order quadratic ODE",
+                   max(map(abs, rs)), ctx.tol("riccati_n1"), t0)]
+    t0 = time.perf_counter()
+    ss = [odes.sigma1_residual(lam, x, ctx.hw, ctx.params)
+          for lam in lams for x in xs]
+    worst = max(max(abs(s), abs(r - s)) for r, s in zip(rs, ss))
+    out.append(_report("riccati-n1", "surface form agrees", worst,
+                       ctx.tol("sigma1"), t0))
     return out
 
 
@@ -533,13 +531,16 @@ def check_root_of_unity(ctx):
     if not _at_reference_point(ctx.params):
         return []
     t0 = time.perf_counter()
-    rep = odes.omega0_root_of_unity(ctx.params, sectors=ctx.config.sectors)
-    return [
-        _report("root-of-unity", "O^L = Id", rep.power_deviation,
-                ctx.tol("root_of_unity_power"), t0),
-        _report("root-of-unity", "(Lam(0)/c^L)^L = 1",
-                rep.max_sector_deviation, ctx.tol("root_of_unity_sector"), t0),
-    ]
+    power = odes.omega0_power_deviation(ctx.params)
+    out = [_report("root-of-unity", "O^L = Id", power,
+                   ctx.tol("root_of_unity_power"), t0)]
+    t0 = time.perf_counter()
+    devs = odes.omega0_sector_deviations(
+        ctx.params, [ctx.eigensystem(n) for n in ctx.config.sectors])
+    worst = max((max(v) for v in devs.values() if v), default=0.0)
+    out.append(_report("root-of-unity", "(Lam(0)/c^L)^L = 1", worst,
+                       ctx.tol("root_of_unity_sector"), t0))
+    return out
 
 
 def check_potential(ctx):
@@ -607,8 +608,6 @@ def _load_config(args):
         cfg.output_dir = Path(args.out)
     if args.seed is not None:
         cfg.seed = args.seed
-    if getattr(args, "fd_step", None):
-        cfg.fd_step = args.fd_step
     if getattr(args, "checks", None):
         cfg.checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     unknown = [c for c in cfg.checks if c not in CHECKS]
@@ -748,9 +747,8 @@ def cmd_potential(args):
     xs_ref = None
     for g in gammas:
         prof = odes.potential_profile(omega0, g, (lo, hi), args.samples)
-        rows = [(x, v) for x, v, _ in ((r[0], r[1], r[2]) for r in prof.to_rows())]
-        write_csv(outdir / f"potential-om{tag}-g{g:g}.csv",
-                  ["x", "re_V"], rows)
+        write_csv(outdir / f"potential-om{tag}-g{g:g}.csv", ["x", "re_V"],
+                  [(float(x), float(v.real)) for x, v in zip(prof.xs, prof.values)])
         xs_ref = prof.xs
         series.append(prof.values.real)
         labels.append(f"gamma={g:g}")
@@ -796,7 +794,6 @@ def main(argv=None):
     p = sub.add_parser("verify", help="run verification checks")
     common(p)
     p.add_argument("--checks", help="comma-separated check names")
-    p.add_argument("--fd-step", dest="fd_step", type=float)
     p.add_argument("--perturb-lambda", dest="perturb_lambda", type=float,
                    help="scale eigenvalues by (1+f): negative-control run")
     p.set_defaults(fn=cmd_verify)

@@ -17,15 +17,11 @@ paths agree identically; see tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import HighestWeightData, ModelParams, monodromy_blocks
 
 __all__ = [
-    "SpectralPointSet",
-    "TransportValue",
     "SingularTransport",
     "coefficients_m",
     "extended_matrix",
@@ -49,6 +45,8 @@ __all__ = [
 ]
 
 _MIN_SEPARATION = 1e-6
+# central-difference step of the transport derivatives behind theta
+_FD_STEP = 1e-5
 
 
 class SingularTransport(RuntimeError):
@@ -68,35 +66,9 @@ def _validate(points):
     return pts, n
 
 
-@dataclass(frozen=True)
-class SpectralPointSet:
-    """Ordered tuple (x_0, ..., x_n) of pairwise-separated spectral points."""
-
-    points: tuple
-
-    def __post_init__(self):
-        pts, _ = _validate(self.points)
-        object.__setattr__(self, "points", tuple(pts))
-
-    @property
-    def n(self):
-        return len(self.points) - 1
-
-    def swapped(self, i, j):
-        pts = list(self.points)
-        pts[i], pts[j] = pts[j], pts[i]
-        return SpectralPointSet(tuple(pts))
-
-
-def _as_points(pts):
-    if isinstance(pts, SpectralPointSet):
-        return list(pts.points), pts.n
-    return _validate(pts)
-
-
 def coefficients_m(pts, lam, hw: HighestWeightData, params: ModelParams):
     """Coefficient vector (M_0, ..., M_n) of the linear problem at `pts`."""
-    pts, n = _as_points(pts)
+    pts, n = _validate(pts)
     a, b, c = params.a, params.b, params.c
     p1, p2 = params.phi1, params.phi2
     x0 = pts[0]
@@ -115,7 +87,7 @@ def coefficients_m(pts, lam, hw: HighestWeightData, params: ModelParams):
 def extended_matrix(pts, lam, hw: HighestWeightData, params: ModelParams):
     """(n+1)x(n+1) system matrix: row j is the coefficient vector after the
     swap x_0 <-> x_j, with entries 0 and j swapped back into place."""
-    pts, n = _as_points(pts)
+    pts, n = _validate(pts)
     M = np.zeros((n + 1, n + 1), dtype=complex)
     M[0] = coefficients_m(pts, lam, hw, params)
     for j in range(1, n + 1):
@@ -138,13 +110,13 @@ def compatibility_residual(pts, lam, hw, params):
     return complex(np.linalg.det(M) / max(_row_scale(M), 1e-300))
 
 
-def extended_rank(pts, lam, hw, params, rel_tol=1e-9):
+def extended_rank(pts, lam, hw, params):
     """Numerical rank of the extended matrix (row-normalized)."""
     M = extended_matrix(pts, lam, hw, params)
     norms = np.abs(M).max(axis=1)
     M = M / np.where(norms > 0, norms, 1.0)[:, None]
     s = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(s > rel_tol * s[0]))
+    return int(np.sum(s > 1e-9 * s[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +128,7 @@ def symmetric_m_matrix(pts, hw: HighestWeightData, params: ModelParams):
     Equal to extended_matrix + diag(Lambda) entrywise; built here from its
     own closed form so the two derivations cross-check each other.
     """
-    pts, n = _as_points(pts)
+    pts, n = _validate(pts)
     a, b, c = params.a, params.b, params.c
     p1, p2 = params.phi1, params.phi2
     m = np.zeros((n + 1, n + 1), dtype=complex)
@@ -212,7 +184,7 @@ def f_n(points, leftvec, params: ModelParams):
 
 def linear_relation_residual(pts, lam, leftvec, hw, params):
     """(residual, scale) of  sum_i M_i F_n(pts minus x_i)  for one eigenpair."""
-    pts, n = _as_points(pts)
+    pts, n = _validate(pts)
     m = coefficients_m(pts, lam, hw, params)
     terms = []
     for i in range(n + 1):
@@ -238,36 +210,26 @@ def v_matrix(i, pts, lam, hw, params, mext=None):
     return V
 
 
-@dataclass(frozen=True)
-class TransportValue:
-    i: int
-    j: int
-    value: complex
-    det_vi: complex
-    det_vj: complex
-
-
-def transport(i, j, pts, lam, hw, params, det_floor=1e-12):
+def transport(i, j, pts, lam, hw, params):
     """Transport ratio F_n(X_j^0)/F_n(X_i^0) = det(V_j)/det(V_i)."""
     mext = extended_matrix(pts, lam, hw, params)
     scale = max(_row_scale(mext[1:, 1:]), 1e-300)
     di = np.linalg.det(v_matrix(i, pts, lam, hw, params, mext))
     dj = np.linalg.det(v_matrix(j, pts, lam, hw, params, mext))
-    if abs(di) < det_floor * scale:
+    if abs(di) < 1e-12 * scale:
         raise SingularTransport(f"det(V_{i}) ~ 0 at this point set")
-    return TransportValue(i=i, j=j, value=complex(dj / di),
-                          det_vi=complex(di), det_vj=complex(dj))
+    return complex(dj / di)
 
 
 def transport_loop(indices, pts, lam, hw, params):
     """Product of transport ratios around a closed index sequence."""
     total = 1.0 + 0j
     for a, b in zip(indices, indices[1:] + indices[:1]):
-        total *= transport(a, b, pts, lam, hw, params).value
+        total *= transport(a, b, pts, lam, hw, params)
     return complex(total)
 
 
-def tilde_v_matrix(i, pts, lam, hw, params, mext=None):
+def tilde_v_matrix(i, pts, lam, hw, params):
     """Rescaled Cramer matrix whose determinant drops the x_i dependence.
 
     Column i of V_i is multiplied by c^{-1} prod_j b(x_0 - x_j); every other
@@ -275,10 +237,10 @@ def tilde_v_matrix(i, pts, lam, hw, params, mext=None):
     """
     if i == 0:
         raise ValueError("defined for i in 1..n")
-    pts, n = _as_points(pts)
+    pts, n = _validate(pts)
     if n < 2:
         raise ValueError("needs at least two moving points")
-    V = v_matrix(i, pts, lam, hw, params, mext)
+    V = v_matrix(i, pts, lam, hw, params)
     b = params.b
     x0 = pts[0]
     prod_all = np.prod([b(x0 - pts[j]) for j in range(1, n + 1)])
@@ -295,19 +257,21 @@ def tilde_v_det(i, pts, lam, hw, params):
     return complex(np.linalg.det(tilde_v_matrix(i, pts, lam, hw, params)))
 
 
-def tilde_v_spread(i, pts, lam, hw, params, n_values=5, step=0.23):
-    """Max relative spread of det(tilde V_i) as x_i alone moves.
+def tilde_v_spread(i, pts, lam, hw, params):
+    """Max relative spread of det(tilde V_i) over five positions of x_i
+    (steps of 0.23, skipping unseparated ones).
 
     The determinant is conjectured independent of x_i; a nonzero spread is a
     finding to report, not a bug to absorb.
     """
-    pts, n = _as_points(pts)
+    pts, n = _validate(pts)
+    n_values = 5
     vals = []
     for shift in range(8 * n_values):
         if len(vals) == n_values:
             break
         cand = list(pts)
-        cand[i] = pts[i] + step * shift
+        cand[i] = pts[i] + 0.23 * shift
         try:
             _validate(cand)
         except ValueError:
@@ -323,25 +287,21 @@ def tilde_v_spread(i, pts, lam, hw, params, n_values=5, step=0.23):
 # ---------------------------------------------------------------------------
 # generating function of conserved quantities
 
-def _transport_value(i, j, pts, lam, hw, params):
-    return transport(i, j, pts, lam, hw, params).value
-
-
-def _dlog_transport_di(i, j, pts, lam, hw, params, fd_step):
+def _dlog_transport_di(i, j, pts, lam, hw, params):
     """d/dx_i log T_{i->j} via the branch-free ratio (T+ - T-)/(2h T0)."""
     pts = list(pts)
-    h = fd_step
+    h = _FD_STEP
 
     def at(xi):
         q = list(pts)
         q[i] = xi
-        return _transport_value(i, j, q, lam, hw, params)
+        return transport(i, j, q, lam, hw, params)
 
     t0 = at(pts[i])
     return (at(pts[i] + h) - at(pts[i] - h)) / (2 * h * t0)
 
 
-def theta_generator(i, j, pts, lam, hw, params, fd_step=1e-5, method="ratio"):
+def theta_generator(i, j, pts, lam, hw, params, method="ratio"):
     """log(d_i log T_{i->j}); the generating function of conserved
     quantities along x_j.
 
@@ -351,15 +311,15 @@ def theta_generator(i, j, pts, lam, hw, params, fd_step=1e-5, method="ratio"):
     """
     if i == j:
         raise ValueError("needs i != j")
-    pts, _ = _as_points(pts)
+    pts, _ = _validate(pts)
     if method == "ratio":
-        return complex(np.log(_dlog_transport_di(i, j, pts, lam, hw, params, fd_step)))
-    h = fd_step
+        return complex(np.log(_dlog_transport_di(i, j, pts, lam, hw, params)))
+    h = _FD_STEP
     for _ in range(6):
         def logt(xi):
             q = list(pts)
             q[i] = xi
-            return np.log(_transport_value(i, j, q, lam, hw, params))
+            return np.log(transport(i, j, q, lam, hw, params))
         lp, lm = logt(pts[i] + h), logt(pts[i] - h)
         if abs(lp.imag - lm.imag) > np.pi:  # branch crossing inside the stencil
             h /= 4
@@ -368,21 +328,20 @@ def theta_generator(i, j, pts, lam, hw, params, fd_step=1e-5, method="ratio"):
     raise ArithmeticError("log branch keeps crossing; point set too close to a cut")
 
 
-def theta_conservation(i, j, pts, lam, hw, params, fd_step=1e-5,
-                       outer_step=None):
+def theta_conservation(i, j, pts, lam, hw, params):
     """|d/dx_j theta_{i,j}|, which vanishes on the spectrum.
 
     Evaluated branch-free as |d_j G / G| with G = d_i log T_{i->j}.  The
-    outer stencil is wider than the inner one by default: the inner FD noise
-    (~eps/fd_step) would otherwise be amplified by the outer division.
+    outer stencil is ten times wider than the inner one: the inner FD noise
+    (~eps/_FD_STEP) would otherwise be amplified by the outer division.
     """
-    pts, _ = _as_points(pts)
-    h = outer_step if outer_step is not None else 10 * fd_step
+    pts, _ = _validate(pts)
+    h = 10 * _FD_STEP
 
     def G(xj):
         q = list(pts)
         q[j] = xj
-        return _dlog_transport_di(i, j, q, lam, hw, params, fd_step)
+        return _dlog_transport_di(i, j, q, lam, hw, params)
 
     g0 = G(pts[j])
     return float(abs((G(pts[j] + h) - G(pts[j] - h)) / (2 * h * g0)))

@@ -25,9 +25,7 @@ __all__ = [
     "HighestWeightData",
     "r_matrix",
     "verify_ybe",
-    "monodromy",
     "monodromy_blocks",
-    "abcd_blocks",
     "transfer",
     "yba_exchange_residual",
     "sector_indices",
@@ -204,21 +202,6 @@ def monodromy_blocks(x, params: ModelParams):
         Dn = _apply_site_right(C, r12, j, L) + _apply_site_right(Dm, r22, j, L)
         A, B, C, Dm = An, Bn, Cn, Dn
     return params.phi1 * A, params.phi1 * B, params.phi2 * C, params.phi2 * Dm
-
-
-def monodromy(x, params: ModelParams):
-    """Full twisted monodromy on (aux) x (chain), auxiliary slot first."""
-    A, B, C, D = monodromy_blocks(x, params)
-    return np.block([[A, B], [C, D]])
-
-
-def abcd_blocks(mono):
-    """Split a 2*2^L monodromy into its A, B, C, D quantum-space blocks."""
-    dim2 = mono.shape[0]
-    if mono.shape[0] != mono.shape[1] or dim2 % 2:
-        raise ValueError(f"monodromy must be square with even dimension, got {mono.shape}")
-    D = dim2 // 2
-    return mono[:D, :D], mono[:D, D:], mono[D:, :D], mono[D:, D:]
 
 
 def transfer(x, params: ModelParams):

@@ -2,7 +2,6 @@
 
 Contents:
 
-* finite-difference machinery with Richardson extrapolation;
 * the constant-coefficient annihilator of exp(-integral h) for h a sum of
   n coth terms (checked at the exponential-coefficient level, exactly);
 * the Riccati chain for h (orders 1..3) and for the eigenvalue itself:
@@ -14,6 +13,9 @@ Contents:
   algebra in the point separation; the epsilon^0 coefficient is the ODE);
 * travelling-wave PDE residuals on grids, the Schroedinger-form potential
   and map, and the root-of-unity initial condition report.
+
+Eigenvalue and h arguments are evaluators  f(x, d)  returning the d-th
+derivative exactly: `model.ExpSum`, `bethe.RootEigenvalue` or `bethe.CothSum`.
 """
 
 from __future__ import annotations
@@ -25,11 +27,8 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from .model import ExpSum, HighestWeightData, ModelParams, transfer
-from .spectrum import diagonalize_sector
 
 __all__ = [
-    "Differentiator",
-    "as_derivable",
     "upsilon_coefficients",
     "upsilon_annihilation",
     "riccati_h_residual",
@@ -47,12 +46,14 @@ __all__ = [
     "potential_profile",
     "schrodinger_map_residual",
     "OmegaReport",
+    "omega0_power_deviation",
+    "omega0_sector_deviations",
     "omega0_root_of_unity",
 ]
 
 
 # ---------------------------------------------------------------------------
-# differentiation
+# quadrature
 
 def _cumulative_simpson(y, dx):
     """cumulative_simpson for complex samples (scipy's is real-only)."""
@@ -61,68 +62,6 @@ def _cumulative_simpson(y, dx):
         return (cumulative_simpson(y.real, dx=dx, initial=0.0)
                 + 1j * cumulative_simpson(y.imag, dx=dx, initial=0.0))
     return cumulative_simpson(y, dx=dx, initial=0.0)
-
-
-@dataclass(frozen=True)
-class Differentiator:
-    """Central finite differences with optional Richardson levels.
-
-    The second derivative uses its own wider default step: at 1e-5 the
-    eps/h^2 rounding floor would dominate the h^2 truncation term.
-    """
-
-    step: float = 1e-5
-    richardson_levels: int = 1
-    second_step: float = 1e-4
-
-    def first(self, f, x):
-        def d(h):
-            return (f(x + h) - f(x - h)) / (2 * h)
-        est = d(self.step)
-        h = self.step
-        for _ in range(self.richardson_levels):
-            h /= 2
-            est = (4 * d(h) - est) / 3
-        return est
-
-    def second(self, f, x):
-        def d(h):
-            return (f(x + h) - 2 * f(x) + f(x - h)) / h ** 2
-        est = d(self.second_step)
-        h = self.second_step
-        for _ in range(self.richardson_levels):
-            h /= 2
-            est = (4 * d(h) - est) / 3
-        return est
-
-
-def as_derivable(f, step=1e-5, richardson_levels=1):
-    """Wrap a plain callable into the (x, d) protocol used by the residual
-    evaluators, with FD derivatives up to order 2."""
-    if _accepts_order(f):
-        return f
-    diff = Differentiator(step=step, richardson_levels=richardson_levels)
-
-    def g(x, d=0):
-        if d == 0:
-            return f(x)
-        if d == 1:
-            return diff.first(f, x)
-        if d == 2:
-            return diff.second(f, x)
-        raise ValueError("FD wrapper supports derivatives up to order 2")
-
-    return g
-
-
-def _accepts_order(f):
-    try:
-        import inspect
-        sig = inspect.signature(f)
-        return len(sig.parameters) >= 2 or any(
-            p.kind is inspect.Parameter.VAR_POSITIONAL for p in sig.parameters.values())
-    except (TypeError, ValueError):
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +143,6 @@ def _j_coefficients(x, hw: HighestWeightData, params: ModelParams):
 def riccati_lambda_residual(lam_eval, x, hw, params):
     """Normalized residual of the first-order quadratic ODE for sector-1
     eigenvalues:  -c lam_minus dLam + J1 Lam - Lam^2 - J0."""
-    lam_eval = as_derivable(lam_eval)
     j0, j1 = _j_coefficients(x, hw, params)
     Lam, dLam = lam_eval(x), lam_eval(x, 1)
     res = -params.c * hw.lam_minus(x) * dLam + j1 * Lam - Lam ** 2 - j0
@@ -215,7 +153,6 @@ def sigma1_residual(lam_eval, x, hw, params):
     """Same identity written through the surface form
     omega0 + (omega1 - Lam) S0 - c lam_minus dS0 with S0 = Lam - lam_plus;
     kept as an independent code path and cross-checked in tests."""
-    lam_eval = as_derivable(lam_eval)
     g = params.gamma
     sh, ch = np.sinh(g), np.cosh(g)
     lp, lm = hw.lam_plus(x), hw.lam_minus(x)
@@ -318,7 +255,6 @@ def coalescing_reduction(lam_eval, x, hw: HighestWeightData, params: ModelParams
     determinant term and spurious the largest coefficient below eps^0 (an
     internal cancellation check; it vanishes identically).
     """
-    lam_eval = as_derivable(lam_eval)
     if ts is None:
         ts = (0.0,) + tuple(np.linspace(1.0, -1.0, n))
     if len(ts) != n + 1:
@@ -376,11 +312,10 @@ def coalescing_reduction(lam_eval, x, hw: HighestWeightData, params: ModelParams
     return det.coeff(0), scale, det.max_below(0)
 
 
-def sigma2_residual(lam_eval, x, hw, params, ts=None):
+def sigma2_residual(lam_eval, x, hw, params):
     """Normalized residual of the second-order ODE for sector-2 eigenvalues
-    (the coalescing limit of the three-point identity).  lam_eval must
-    provide derivatives to order 2 (exact eigenvalue sums do)."""
-    val, scale, _ = coalescing_reduction(lam_eval, x, hw, params, n=2, ts=ts)
+    (the coalescing limit of the three-point identity)."""
+    val, scale, _ = coalescing_reduction(lam_eval, x, hw, params, n=2)
     return complex(val / max(scale, 1e-300))
 
 
@@ -393,11 +328,11 @@ def _require_reference_point(params: ModelParams, what):
                          "point (all mu = 0, phi1 = phi2 = 1) only")
 
 
-def riccati2_coefficients(x, lam0, params: ModelParams, hw=None):
+def riccati2_coefficients(x, lam0, params: ModelParams):
     """(kbar, k0, k1, k2) of  c kbar dLam = k0 + k1 Lam + k2 Lam^2  for
     sector-2 eigenvalues at mu = 0, phi = 1; lam0 = Lam(0)."""
     _require_reference_point(params, "the sector-2 Riccati equation")
-    hw = hw or HighestWeightData(params)
+    hw = HighestWeightData(params)
     g = params.gamma
     sh, ch = np.sinh, np.cosh
     la, ld = hw.lam_a(x), hw.lam_d(x)
@@ -421,11 +356,9 @@ def riccati2_coefficients(x, lam0, params: ModelParams, hw=None):
     return kbar, k0, k1, k2
 
 
-def riccati2_residual(lam_eval, x, params, lam0=None, hw=None):
+def riccati2_residual(lam_eval, x, params):
     """Normalized residual of the sector-2 standard Riccati equation."""
-    lam_eval = as_derivable(lam_eval)
-    lam0 = lam_eval(0.0) if lam0 is None else lam0
-    kbar, k0, k1, k2 = riccati2_coefficients(x, lam0, params, hw)
+    kbar, k0, k1, k2 = riccati2_coefficients(x, lam_eval(0.0), params)
     Lam, dLam = lam_eval(x), lam_eval(x, 1)
     res = params.c * kbar * dLam - k0 - k1 * Lam - k2 * Lam ** 2
     scale = max(abs(k0), abs(k1 * Lam), abs(k2 * Lam ** 2),
@@ -544,12 +477,11 @@ def pde_travelling_wave_residual(n, roots, omega, grid_n=129, window=None,
     return float(interior.max())
 
 
-def pde_convergence(n, roots, omega, base_grid=129, halvings=3, window=None,
-                    margin=0.7):
+def pde_convergence(n, roots, omega, base_grid=129, halvings=3, window=None):
     """Residuals and step-halving ratios for the order-n PDE reduction,
     measured over the shared coarse-grid interior points."""
     if window is None:
-        window = _auto_window(roots, omega, margin=margin)
+        window = _auto_window(roots, omega, margin=0.7)
     res = [pde_travelling_wave_residual(n, roots, omega,
                                         grid_n=(base_grid - 1) * 2 ** k + 1,
                                         window=window, subsample=2 ** k)
@@ -578,10 +510,6 @@ class PotentialProfile:
     values: np.ndarray          # nan at poles
     poles: list = field(default_factory=list)
 
-    def to_rows(self):
-        return [(float(x.real), float(v.real), float(v.imag))
-                for x, v in zip(self.xs, self.values)]
-
 
 def real_axis_poles(omega0, gamma, x_range):
     """Real zeros of  omega0 b(x)^2 - a(x)^2/omega0,  in closed form.
@@ -602,8 +530,7 @@ def real_axis_poles(omega0, gamma, x_range):
     return sorted(set(out))
 
 
-def potential_profile(omega0, gamma, x_range=(-8.0, 8.0), samples=801,
-                      pole_rel_tol=1e-3):
+def potential_profile(omega0, gamma, x_range=(-8.0, 8.0), samples=801):
     """Sampled potential profile; poles are located in closed form and
     reported, never evaluated (nearby samples are masked)."""
     xs = np.linspace(x_range[0], x_range[1], samples)
@@ -612,7 +539,7 @@ def potential_profile(omega0, gamma, x_range=(-8.0, 8.0), samples=801,
     den = omega0 * b ** 2 - a ** 2 / omega0
     # a pole is where the two terms cancel, so compare with the local scale
     local = np.abs(omega0 * b ** 2) + np.abs(a ** 2 / omega0)
-    mask = np.abs(den) < pole_rel_tol * local
+    mask = np.abs(den) < 1e-3 * local
     vals = np.full(xs.shape, np.nan, dtype=complex)
     vals[~mask] = -3 * np.sinh(gamma) ** 2 / den[~mask] ** 2
     poles = real_axis_poles(omega0, gamma, x_range)
@@ -646,8 +573,8 @@ def _schrodinger_functions(x, lam0, params: ModelParams, hw: HighestWeightData):
     return alpha, beta
 
 
-def schrodinger_map_residual(lam, x_range, params: ModelParams, lam0=None,
-                             num=400, hw=None, potential_scale=1.0):
+def schrodinger_map_residual(lam, x_range, params: ModelParams, num=400,
+                             potential_scale=1.0):
     """Reconstruct log psi by quadrature of (Lam - beta)/alpha and return the
     max normalized residual of  psi'' + (V - 1) psi  on interior points.
 
@@ -655,9 +582,9 @@ def schrodinger_map_residual(lam, x_range, params: ModelParams, lam0=None,
     negative-control hook (scaling V must break the residual).
     """
     _require_reference_point(params, "the Schroedinger map")
-    hw = hw or HighestWeightData(params)
+    hw = HighestWeightData(params)
     num += num % 2
-    lam0 = lam(0.0) if lam0 is None else lam0
+    lam0 = lam(0.0)
     om0 = np.sqrt(lam0 / params.c ** params.L + 0j)
     xs = np.linspace(x_range[0], x_range[1], num + 1).astype(complex)
     alpha, beta = _schrodinger_functions(xs, lam0, params, hw)
@@ -693,20 +620,25 @@ class OmegaReport:
                    default=0.0)
 
 
-def omega0_root_of_unity(params: ModelParams, sectors=None):
-    """Check T(0) = c^L O with O^L = Id, and per-sector eigenvalue phases."""
+def omega0_power_deviation(params: ModelParams):
+    """|| O^L - Id ||_max for T(0) = c^L O."""
+    _require_reference_point(params, "the root-of-unity check")
+    L = params.L
+    O = transfer(0.0, params) / params.c ** L
+    return float(np.abs(np.linalg.matrix_power(O, L) - np.eye(params.dim)).max())
+
+
+def omega0_sector_deviations(params: ModelParams, eigensystems):
+    """n -> |(Lam(0)/c^L)^L - 1| for every eigenvalue of each given sector."""
     _require_reference_point(params, "the root-of-unity check")
     L = params.L
     cl = params.c ** L
-    O = transfer(0.0, params) / cl
-    dev = float(np.abs(np.linalg.matrix_power(O, L) - np.eye(params.dim)).max())
-    sector_devs = {}
-    if sectors is None:
-        sectors = range(L + 1)
-    for n in sectors:
-        if not 0 <= n <= L:
-            continue
-        es = diagonalize_sector(params, n)
-        lam0s = es.eigenvalues_at(0.0)
-        sector_devs[n] = [float(abs((z / cl) ** L - 1)) for z in lam0s]
-    return OmegaReport(L=L, power_deviation=dev, sector_deviations=sector_devs)
+    return {es.n: [float(abs((z / cl) ** L - 1)) for z in es.eigenvalues_at(0.0)]
+            for es in eigensystems}
+
+
+def omega0_root_of_unity(params: ModelParams, eigensystems):
+    """Check T(0) = c^L O with O^L = Id, and the eigenvalue phases of the
+    given sector eigensystems."""
+    return OmegaReport(L=params.L, power_deviation=omega0_power_deviation(params),
+                       sector_deviations=omega0_sector_deviations(params, eigensystems))

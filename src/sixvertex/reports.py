@@ -84,7 +84,6 @@ class RunConfig:
     model: ModelParams
     sectors: list
     tolerances: dict
-    fd_step: float = 1e-5
     seed: int = 1234
     output_dir: Path = Path("out")
     checks: list = field(default_factory=list)
@@ -106,14 +105,10 @@ class RunConfig:
             if not (isinstance(v, (int, float)) and v > 0):
                 raise ConfigError(f"tolerance {k} must be positive, got {v}")
             tol[k] = float(v)
-        fd_step = float(d.get("fd_step", 1e-5))
-        if fd_step <= 0:
-            raise ConfigError("fd_step must be positive")
         return cls(
             model=model,
             sectors=list(sectors),
             tolerances=tol,
-            fd_step=fd_step,
             seed=int(d.get("seed", 1234)),
             output_dir=Path(d.get("output_dir", "out")),
             checks=list(d.get("checks", [])),
@@ -139,15 +134,10 @@ class RunConfig:
         return cls.from_dict(d)
 
     def content_key(self):
-        """Hash of everything that influences numerical results."""
+        """Hash of what a sector's eigendecomposition depends on: the model
+        and the package version (sectors and seed do not change it)."""
         from . import __version__
-        payload = {
-            "model": self.model.to_dict(),
-            "sectors": self.sectors,
-            "fd_step": self.fd_step,
-            "seed": self.seed,
-            "version": __version__,
-        }
+        payload = {"model": self.model.to_dict(), "version": __version__}
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -217,8 +207,8 @@ def _csv_cell(v):
     return str(v)
 
 
-def write_svg_line(path, xs, series, labels=(), title="", width=720, height=480):
-    """Minimal deterministic SVG line plot.
+def write_svg_line(path, xs, series, labels=(), title=""):
+    """Minimal deterministic 720x480 SVG line plot.
 
     series is a list of y-arrays (nan entries break the polyline, which is
     how pole locations appear in potential profiles).
@@ -234,6 +224,7 @@ def write_svg_line(path, xs, series, labels=(), title="", width=720, height=480)
     pad = 0.05 * (hi - lo)
     lo, hi = lo - pad, hi + pad
     x0, x1 = float(xs.min()), float(xs.max())
+    width, height = 720, 480
     mleft, mright, mtop, mbot = 60, 20, 40, 45
     pw, ph = width - mleft - mright, height - mtop - mbot
 

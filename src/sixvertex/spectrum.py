@@ -87,11 +87,6 @@ class EigenSystem:
         v[self.indices] = self.left[k]
         return v
 
-    def right_full(self, k):
-        v = np.zeros(self.params.dim, dtype=complex)
-        v[self.indices] = self.right[:, k]
-        return v
-
     def biorthogonality_defect(self):
         G = self.left @ self.right
         return float(np.abs(G - np.eye(self.size)).max())
@@ -114,9 +109,9 @@ def _sector_block(x, params, idx):
     return transfer(x, params)[np.ix_(idx, idx)]
 
 
-def diagonalize_sector(params: ModelParams, n, x_star=0.2137, retries=3,
-                       collision_tol=1e-8):
-    """Diagonalize the sector block of T(x*) with paired left/right vectors.
+def diagonalize_sector(params: ModelParams, n, retries=3, collision_tol=1e-8):
+    """Diagonalize the sector block of T(x*), x* = 0.2137, with paired
+    left/right vectors.
 
     The block is assembled from the exact matrix coefficients of
     exp(Lx) T(x), sampled at u_j = exp(-2 pi i j / (L+1)), j = 0..L.
@@ -130,7 +125,7 @@ def diagonalize_sector(params: ModelParams, n, x_star=0.2137, retries=3,
     xs = -1j * np.pi * np.arange(L + 1) / (L + 1)
     samples = np.array([np.exp(L * x) * _sector_block(x, params, idx) for x in xs])
     blocks = np.fft.ifft(samples, axis=0)   # blocks[m]: coefficient of u^m
-    x_try = complex(x_star)
+    x_try = complex(0.2137)
     last_gap = None
     for attempt in range(retries + 1):
         Tb = np.tensordot(np.exp(_frequencies(L) * x_try), blocks, axes=1)

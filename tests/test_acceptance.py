@@ -203,7 +203,7 @@ def test_07_conserved_quantities(ref, ref_hw, eigs, bethe_solutions):
         lam = eigs[2].lam(k)
         for (i, j) in [(0, 1), (1, 2)]:
             worst = max(worst, fx.theta_conservation(
-                i, j, pts, lam, ref_hw, ref, fd_step=1e-5))
+                i, j, pts, lam, ref_hw, ref))
     record(7, "theta conservation (fd step 1e-5, n=2)", worst, 1e-6)
 
     worst_const = 0.0
@@ -287,15 +287,14 @@ def test_10_schrodinger_map(ref, sums):
     assert 3.0 < r400 / r800 < 5.0
 
 
-def test_11_root_of_unity():
+def test_11_root_of_unity(ref, eigs):
     worst_pow = 0.0
     for L in (2, 3, 4, 6):
         p = ModelParams(L=L, gamma=0.7)
-        rep = odes.omega0_root_of_unity(p, sectors=())
+        rep = odes.omega0_root_of_unity(p, [])
         worst_pow = max(worst_pow, rep.power_deviation)
     record(11, "permutation power identity, L in {2,3,4,6}", worst_pow, 1e-12)
-    p = ModelParams(L=4, gamma=0.7)
-    rep = odes.omega0_root_of_unity(p)
+    rep = odes.omega0_root_of_unity(ref, list(eigs.values()))
     record(11, "sector eigenvalue phases at the origin",
            rep.max_sector_deviation, 1e-9)
 

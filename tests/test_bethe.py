@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,9 +74,11 @@ class TestSolver:
             gaps = np.abs(w[:, None] - w[None, :])[~np.eye(2, dtype=bool)]
             assert gaps.min() > 1e-8
 
-    def test_homotopy_fallback_recovers_roots(self, p2):
-        sols = bt.solve_bae_homotopy(p2, 1, seed=11)
-        assert any(abs(s.roots[0] + 0.35) < 1e-10 for s in sols)
+    def test_overflowing_seed_rejected_without_warnings(self):
+        p6 = ModelParams(L=6, gamma=0.7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bt._newton(np.array([200 + 0j]), p6, HighestWeightData(p6)) is None
 
     def test_determinism(self, params):
         a = bt.solve_bae(params, 2, seed=5)
@@ -153,9 +157,9 @@ class TestHFunction:
     def test_h_is_minus_dlog_gbar(self, rng):
         roots = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
         x, hstep = 0.9, 1e-6
-        fd = -(np.log(bt.gbar_from_roots(x + hstep, roots))
-               - np.log(bt.gbar_from_roots(x - hstep, roots))) / (2 * hstep)
-        assert abs(bt.h_from_roots(x, roots) - fd) < 1e-9 * max(1.0, abs(fd))
+        gbar = lambda x: np.prod(np.sinh(roots - x))
+        fd = -(np.log(gbar(x + hstep)) - np.log(gbar(x - hstep))) / (2 * hstep)
+        assert abs(bt.CothSum(roots)(x) - fd) < 1e-9 * max(1.0, abs(fd))
 
 
 class TestMatching:

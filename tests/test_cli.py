@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +34,10 @@ class TestConfig:
         a = RunConfig.reference().content_key()
         b = RunConfig.reference().content_key()
         assert a == b
-        c = RunConfig.from_dict({"seed": 7}).content_key()
-        assert a != c
+        # seed and sectors do not change a sector's eigendecomposition
+        assert RunConfig.reference(seed=7, sectors=[1, 2]).content_key() == a
+        moved = RunConfig.reference(model={"L": 4, "gamma": 0.71})
+        assert moved.content_key() != a
 
     def test_report_roundtrip(self):
         r = VerificationReport(check="x", identity="y", residual=1e-9,
@@ -103,6 +106,17 @@ class TestVerifyCommand:
     def test_unknown_check_is_config_error(self, tmp_path):
         assert run(["verify", "--out", str(tmp_path),
                     "--checks", "not-a-check"]) == 2
+
+    @pytest.mark.parametrize("name", ["riccati-n1", "root-of-unity"])
+    def test_rows_time_disjoint_work(self, tmp_path, name):
+        # each row times its own part of the check, so the rows' times add
+        # up to no more than the whole check
+        ctx = cli.VerifyContext(RunConfig.reference(output_dir=str(tmp_path)))
+        t0 = time.perf_counter()
+        rows = cli.CHECKS[name](ctx)
+        elapsed = time.perf_counter() - t0
+        assert len(rows) == 2
+        assert sum(r.wall_time for r in rows) <= elapsed
 
     def test_report_command_summarizes(self, tmp_path, capsys):
         run(["verify", "--out", str(tmp_path), "--checks", "upsilon"])
@@ -204,6 +218,20 @@ class TestCache:
         assert np.allclose(es2.eigs, es.eigs)
         assert np.allclose(es2.right, es.right)
         assert np.array_equal(es2.coeffs, es.coeffs)
+
+    def test_shared_across_seeds_and_sectors(self, tmp_path, monkeypatch):
+        # the cache is keyed on the model: a spectrum run at another seed
+        # and with other sectors loads what a verify run stored
+        assert run(["verify", "--out", str(tmp_path), "--seed", "1",
+                    "--checks", "polynomial"]) == 0
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"seed": 2, "sectors": [1, 2]}))
+
+        def recompute(*a, **k):
+            raise AssertionError("sector recomputed, not loaded from the cache")
+        monkeypatch.setattr(cli, "diagonalize_sector", recompute)
+        assert run(["spectrum", "--config", str(cfgfile),
+                    "--out", str(tmp_path)]) == 0
 
     def test_entry_without_coefficients_is_a_miss(self, tmp_path, params):
         # entries written before eigenvalues became exact sums carry no

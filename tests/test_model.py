@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sixvertex.model import (ExpSum, HighestWeightData, ModelParams, abcd_blocks,
-                             magnetization_diagonal, monodromy,
-                             monodromy_blocks, popcount, r_matrix,
+from sixvertex.model import (ExpSum, HighestWeightData, ModelParams,
+                             magnetization_diagonal, monodromy_blocks,
+                             popcount, r_matrix,
                              sector_indices, transfer, verify_ybe,
                              yba_exchange_residual)
 
@@ -68,7 +68,7 @@ class TestMonodromy:
         # 4x4 hand computation at L=1
         p = ModelParams(L=1, gamma=0.5, mu=(0.0,), phi1=1.3, phi2=0.8)
         x = 1.0
-        A, B, C, D = abcd_blocks(monodromy(x, p))
+        A, B, C, D = monodromy_blocks(x, p)
         a, b, c = p.a(x), p.b(x), p.c
         assert np.allclose(A, 1.3 * np.diag([a, b]))
         assert np.allclose(D, 0.8 * np.diag([b, a]))
@@ -113,10 +113,6 @@ class TestMonodromy:
         delta = hdiag[:, None] - hdiag[None, :]
         for M, shift in ((A, 0), (D, 0), (B, -2), (C, 2)):
             assert np.abs(M[delta != shift]).max() == 0.0
-
-    def test_abcd_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            abcd_blocks(np.zeros((3, 3)))
 
 
 class TestTransfer:
