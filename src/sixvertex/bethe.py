@@ -7,6 +7,12 @@ The equations are solved in their pole-free residue form
     R_i = phi1 lam_a(w_i) prod_{j!=i} a(w_j - w_i)
         - (-1)^{n+1} phi2 lam_d(w_i) prod_{j!=i} a(w_i - w_j) = 0 .
 
+Each product is evaluated factor by factor, and a damped Newton iteration
+with the analytic Jacobian of the products runs on all multistart seeds as
+one batch.  It stops at relative residual 1e-14 and keeps each seed's best
+iterate; a regular solution is accepted at relative residual 1e-12, the
+tolerance of the `bethe` check.
+
 Root sets are identified modulo permutations and modulo i*pi shifts of
 individual roots (both leave every observable unchanged).  Besides regular
 solutions the solver also scans for exact singular pairs {mu_j, mu_j - gamma},
@@ -24,12 +30,14 @@ import numpy as np
 
 from .model import HighestWeightData, ModelParams
 
-# Newton iteration: step budget, absolute stopping residual, Jacobian FD step
+# Newton iteration: step budget, damping factors (20 halvings), relative
+# stopping residual
 _MAX_ITER = 60
-_NEWTON_TOL = 1e-13
-_JAC_STEP = 1e-7
-# acceptance bound on the relative residual of a regular solution
-_RESIDUAL_TOL = 1e-11
+_DAMPING = 0.5 ** np.arange(1, 21)
+_NEWTON_TOL = 1e-14
+# acceptance bound on the relative residual of a regular solution; as strict
+# as the `bethe_residual` tolerance of the check that judges the solutions
+_RESIDUAL_TOL = 1e-12
 
 __all__ = [
     "BetheRoots",
@@ -74,44 +82,83 @@ class BetheRoots:
             raise ValueError(f"expected {self.n} roots, got {len(self.roots)}")
 
 
-def _terms(roots, params: ModelParams, hw=None):
-    """Per-root A-side and D-side products of the residue form."""
-    hw = hw or HighestWeightData(params)
-    w = np.asarray(roots, dtype=complex)
-    n = len(w)
-    sgn = (-1) ** (n + 1)
-    a = params.a
-    ta = np.empty(n, dtype=complex)
-    td = np.empty(n, dtype=complex)
-    for i in range(n):
-        rest = np.delete(w, i)
-        ta[i] = params.phi1 * hw.lam_a(w[i]) * np.prod(a(rest - w[i]))
-        td[i] = sgn * params.phi2 * hw.lam_d(w[i]) * np.prod(a(w[i] - rest))
-    return ta, td
+def _leave_one_out(f):
+    """Products of all factors but one along the last axis, without
+    division (a factor may be zero)."""
+    ones = np.ones(f.shape[:-1] + (1,), dtype=f.dtype)
+    before = np.cumprod(np.concatenate([ones, f[..., :-1]], axis=-1), axis=-1)
+    after = np.cumprod(np.concatenate([ones, f[..., :0:-1]], axis=-1),
+                       axis=-1)[..., ::-1]
+    return before * after
 
 
-def bae_residual(roots, params: ModelParams, hw=None):
+def _terms(w, params: ModelParams):
+    """A-side and D-side products of the residue form and their Jacobians,
+    for root sets w of shape (..., n): returns ta, td of shape (..., n) and
+    dta, dtd of shape (..., n, n) with dta[..., i, l] = d ta_i / d w_l.
+
+    Every factor is one sinh, so the vacuum products are evaluated as
+    prod_k sinh(w - mu_k + shift) and not through their expanded exponential
+    sums, which cancel near the zeros where near-singular roots sit.  The
+    derivatives follow from the product rule over leave-one-out products.
+    """
+    w = np.asarray(w, dtype=complex)
+    n = w.shape[-1]
+    wg = w + params.gamma
+    mu = np.asarray(params.mu)
+    L = len(mu)
+    eye = np.eye(n, dtype=bool)
+    # row i: L vacuum factors, then the n pair factors (the j = i one is 1):
+    #   A side  sinh(w_i + g - mu_k),  a(w_j - w_i) = sinh(w_j + g - w_i)
+    #   D side  sinh(w_i - mu_k),      a(w_i - w_j) = sinh(w_i + g - w_j)
+    # Adding gamma first makes a nearly vanishing argument the difference of
+    # two close numbers, which floating point subtracts exactly.
+    args_a = np.concatenate([wg[..., :, None] - mu, wg[..., None, :] - w[..., :, None]], -1)
+    args_d = np.concatenate([w[..., :, None] - mu, wg[..., :, None] - w[..., None, :]], -1)
+    diag = np.concatenate([np.zeros((n, L), dtype=bool), eye], -1)
+    fa = np.where(diag, 1, np.sinh(args_a))
+    fd = np.where(diag, 1, np.sinh(args_d))
+    ca = np.where(diag, 0, np.cosh(args_a))
+    cd = np.where(diag, 0, np.cosh(args_d))
+    pa, pd = params.phi1, (-1) ** (n + 1) * params.phi2
+    ta = pa * np.prod(fa, axis=-1)
+    td = pd * np.prod(fd, axis=-1)
+    ga = _leave_one_out(fa) * ca                           # d/d(argument)
+    gd = _leave_one_out(fd) * cd
+    # a vacuum factor of row i moves with w_i alone; a pair factor with
+    # argument +-(w_j - w_i) moves with both
+    own_a = ga[..., :L].sum(-1) - ga[..., L:].sum(-1)
+    own_d = gd[..., :L].sum(-1) + gd[..., L:].sum(-1)
+    dta = pa * (ga[..., L:] + own_a[..., None] * eye)
+    dtd = pd * (own_d[..., None] * eye - gd[..., L:])
+    return ta, td, dta, dtd
+
+
+def _relative(ta, td):
+    """Row-wise max_i |ta_i - td_i| / max(|ta_i|, |td_i|); inf for a root
+    set with a scale-null row."""
+    scale = np.maximum(np.abs(ta), np.abs(td))
+    null = scale < 1e-12 * np.maximum(scale.max(-1, keepdims=True), 1e-300)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = (np.abs(ta - td) / scale).max(-1)
+    return np.where(null.any(-1), np.inf, rel)
+
+
+def bae_residual(roots, params: ModelParams):
     """Residue-form residual vector (one complex entry per root)."""
-    ta, td = _terms(roots, params, hw)
-    return ta - td
+    ta, td, _, _ = _terms(np.asarray(roots, dtype=complex)[None], params)
+    return ta[0] - td[0]
 
 
-def bae_relative_residual(roots, params: ModelParams, hw=None):
+def bae_relative_residual(roots, params: ModelParams):
     """max_i |R_i| / max(|A-term|, |D-term|).
 
     Configurations with a scale-null row (both products vanish, as in
     singular pairs) return inf: they are never *regular* solutions and are
     admitted only through the explicit singular-candidate scan.
     """
-    ta, td = _terms(roots, params, hw)
-    out = 0.0
-    global_scale = max(np.abs(ta).max(), np.abs(td).max(), 1e-300)
-    for i in range(len(ta)):
-        scale = max(abs(ta[i]), abs(td[i]))
-        if scale < 1e-12 * global_scale:
-            return float("inf")
-        out = max(out, abs(ta[i] - td[i]) / scale)
-    return float(out)
+    ta, td, _, _ = _terms(np.asarray(roots, dtype=complex)[None], params)
+    return float(_relative(ta, td)[0])
 
 
 def canonical_roots(roots):
@@ -123,45 +170,64 @@ def canonical_roots(roots):
     return tuple(w[order])
 
 
-def _newton(roots0, params, hw):
-    """Damped Newton from one seed; None when it does not converge.
-
-    Seeds far out in the strip overflow the residue form.  Such a seed is
-    rejected at the first non-finite residual: from there on every iterate
-    would be non-finite too.
-    """
-    fd = _JAC_STEP
-    w = np.asarray(roots0, dtype=complex).copy()
-    n = len(w)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(_MAX_ITER):
-            F = bae_residual(w, params, hw)
-            if not np.isfinite(F).all():
-                return None
-            nrm = np.abs(F).max()
-            if nrm < _NEWTON_TOL:
-                return w
-            J = np.empty((n, n), dtype=complex)
-            for k in range(n):
-                e = np.zeros(n, dtype=complex)
-                e[k] = fd
-                J[:, k] = (bae_residual(w + e, params, hw)
-                           - bae_residual(w - e, params, hw)) / (2 * fd)
+def _newton_steps(J, F):
+    """Newton steps -J^{-1} F for a batch; a seed whose Jacobian is exactly
+    singular gets a NaN step and so leaves the batch."""
+    try:
+        return np.linalg.solve(J, -F[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full_like(F, np.nan)
+        for k in range(len(F)):
             try:
-                step = np.linalg.solve(J, -F)
+                out[k] = np.linalg.solve(J[k], -F[k])
             except np.linalg.LinAlgError:
-                w = w + fd * 10  # nudge off the singular Jacobian once
-                try:
-                    step = np.linalg.solve(J + fd * np.eye(n), -F)
-                except np.linalg.LinAlgError:
-                    return None
-            lam = 1.0
-            for _ in range(20):
-                if np.abs(bae_residual(w + lam * step, params, hw)).max() < nrm:
-                    break
-                lam /= 2
-            w = w + lam * step
-        return w if np.abs(bae_residual(w, params, hw)).max() < _NEWTON_TOL else None
+                pass
+        return out
+
+
+def _newton(seeds, params):
+    """Damped Newton on all seeds at once (shape (S, n)).
+
+    Returns each seed's best iterate by relative residual, or None for a seed
+    that never had a finite one.  A seed leaves the batch once its relative
+    residual reaches _NEWTON_TOL, or at its first non-finite residual (seeds
+    far out in the strip overflow the residue form, and from there on every
+    iterate would be non-finite too).
+    """
+    w = np.array(seeds, dtype=complex)
+    best = [None] * len(w)
+    best_rel = np.full(len(w), np.inf)
+    live = np.arange(len(w))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ta, td, dta, dtd = _terms(w, params)
+        for it in range(_MAX_ITER + 1):
+            F = ta - td
+            rel = _relative(ta, td)
+            for k in np.flatnonzero(rel < best_rel[live]):
+                best[live[k]] = w[k].copy()
+                best_rel[live[k]] = rel[k]
+            stay = np.isfinite(F).all(-1) & ~(rel <= _NEWTON_TOL)
+            live, w, F, J = live[stay], w[stay], F[stay], (dta - dtd)[stay]
+            if it == _MAX_ITER or not len(live):
+                break
+            step = _newton_steps(J, F)
+            nrm = np.abs(F).max(-1)
+            trial = w + step
+            ta, td, dta, dtd = _terms(trial, params)
+            worse = np.flatnonzero(~(np.abs(ta - td).max(-1) < nrm))
+            if len(worse):
+                # damping: of the steps scaled by 2^-1 ... 2^-H, the first
+                # that lowers max |R| is taken, else the last; all at once
+                cand = w[worse, None] + _DAMPING[:, None] * step[worse, None]
+                c = _terms(cand, params)
+                ok = np.abs(c[0] - c[1]).max(-1) < nrm[worse, None]
+                ok[:, -1] = True
+                pick = (np.arange(len(worse)), ok.argmax(-1))
+                trial[worse] = cand[pick]
+                for full, part in zip((ta, td, dta, dtd), c):
+                    full[worse] = part[pick]
+            w = trial
+    return best
 
 
 def default_seeds(params: ModelParams, n, seed=1234):
@@ -195,8 +261,9 @@ def _singular_candidates(params: ModelParams, n):
 
 def solve_bae(params: ModelParams, n, seed=1234):
     """Multistart damped Newton on the residue form, plus the singular-pair
-    scan; returns distinct solutions (canonical order), regular ones first."""
-    hw = HighestWeightData(params)
+    scan; returns distinct solutions (canonical order), regular ones first.
+    Of several seeds that reach one root set, the copy with the lowest
+    residual is kept."""
     if n == 0:
         return [BetheRoots(n=0, roots=(), residual=0.0, source="solved")]
     if n > params.L:
@@ -211,31 +278,40 @@ def solve_bae(params: ModelParams, n, seed=1234):
             gaps = np.abs(arr[:, None] - arr[None, :])[~np.eye(n, dtype=bool)]
             if gaps.min() < 1e-8:
                 return
-        for prev in found:
-            if np.abs(np.asarray(prev.roots) - arr).max() < 1e-7:
-                return
         if singular:
-            res = float(np.abs(bae_residual(w, params, hw)).max())
+            res = float(np.abs(bae_residual(w, params)).max())
             if res > 1e-12:
                 return
         else:
-            res = bae_relative_residual(w, params, hw)
+            res = bae_relative_residual(w, params)
             if not res < _RESIDUAL_TOL:
                 return
-        found.append(BetheRoots(n=n, roots=w, residual=res,
-                                source="analytic" if singular else "solved",
-                                singular=singular))
+        sol = BetheRoots(n=n, roots=w, residual=res,
+                         source="analytic" if singular else "solved",
+                         singular=singular)
+        for k, prev in enumerate(found):
+            if np.abs(np.asarray(prev.roots) - arr).max() < 1e-7:
+                if res < prev.residual:
+                    found[k] = sol
+                return
+        found.append(sol)
 
-    for s in default_seeds(params, n, seed=seed):
-        w = _newton(s, params, hw)
+    for w in _newton(default_seeds(params, n, seed=seed), params):
         if w is not None:
             try_add(w, singular=False)
     for cand in _singular_candidates(params, n):
         try_add(cand, singular=True)
 
-    found.sort(key=lambda br: (br.singular,
-                               tuple((w.real, w.imag) for w in br.roots)))
+    found.sort(key=_solution_order)
     return found
+
+
+def _solution_order(sol: BetheRoots):
+    """Sort key: regular before singular, then the roots' (real, imag) parts
+    rounded to 9 digits as in `canonical_roots`, so that the order of a
+    conjugate pair does not follow the last bits of its real parts."""
+    w = np.asarray(sol.roots, dtype=complex)
+    return sol.singular, tuple(zip(w.real.round(9), w.imag.round(9)))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +379,7 @@ def eigenvalue_from_roots(x, roots, params: ModelParams, hw=None):
     if len(w):
         dists = np.abs(np.sinh(x - w))
         if dists.min() < 1e-6:
-            if bae_relative_residual(roots, params, hw) > 1e-8:
+            if bae_relative_residual(roots, params) > 1e-8:
                 raise PolePoint(f"x={x} collides with a non-Bethe root")
             eps = 1e-4
             return 0.5 * (ev(x + eps) + ev(x - eps))

@@ -32,6 +32,10 @@ EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_DEGENERATE = 0, 1, 2, 3
 # verify context
 
 class VerifyContext:
+    """Shared state of one verify run.  Sector eigensystems and Bethe
+    solutions are built once, on first use; each build is timed as its own
+    entry of `shared`, so no check is charged for work that others reuse."""
+
     def __init__(self, config: RunConfig):
         self.config = config
         self.params = config.model
@@ -40,12 +44,21 @@ class VerifyContext:
         self.cache = ResultCache(config.output_dir / ".cache")
         self._eigs = {}
         self._bethe = {}
+        # one entry per memo miss: work, n, seconds (cmd_verify adds the check)
+        self.shared = []
+
+    def _timed(self, work, n, build):
+        t0 = time.perf_counter()
+        out = build()
+        self.shared.append({"work": work, "n": n,
+                            "seconds": time.perf_counter() - t0})
+        return out
 
     def eigensystem(self, n):
         if n not in self._eigs:
             key = self.config.content_key()
-            self._eigs[n] = self.cache.sector(
-                key, n, self.params, lambda: diagonalize_sector(self.params, n))
+            self._eigs[n] = self._timed("eigensystem", n, lambda: self.cache.sector(
+                key, n, self.params, lambda: diagonalize_sector(self.params, n)))
         return self._eigs[n]
 
     def lam(self, n, k):
@@ -56,7 +69,8 @@ class VerifyContext:
 
     def bethe(self, n):
         if n not in self._bethe:
-            self._bethe[n] = bt.solve_bae(self.params, n, seed=self.config.seed)
+            self._bethe[n] = self._timed("bethe", n, lambda: bt.solve_bae(
+                self.params, n, seed=self.config.seed))
         return self._bethe[n]
 
     def tol(self, name):
@@ -650,7 +664,9 @@ def cmd_verify(args):
     ctx = VerifyContext(cfg)
     names = cfg.checks or list(CHECKS)
     reports = []
+    checks = []     # per check: inclusive time, and that minus shared work
     for name in names:
+        t0, first = time.perf_counter(), len(ctx.shared)
         try:
             reports.extend(CHECKS[name](ctx))
         except DegenerateSpectrum:
@@ -660,8 +676,16 @@ def cmd_verify(args):
                 check=name, identity=f"exception: {type(exc).__name__}",
                 residual=float("inf"), tolerance=0.0, passed=False,
                 details={"message": str(exc)}))
+        inclusive = time.perf_counter() - t0
+        for entry in ctx.shared[first:]:
+            entry["check"] = name
+        shared = sum(entry["seconds"] for entry in ctx.shared[first:])
+        checks.append({"check": name, "inclusive_s": inclusive,
+                       "exclusive_s": inclusive - shared})
     lines = [json.dumps(r.to_dict(), sort_keys=True) for r in reports]
     atomic_write_text(cfg.output_dir / "reports.jsonl", "\n".join(lines) + "\n")
+    atomic_write_text(cfg.output_dir / "profile.json",
+                      json.dumps({"shared": ctx.shared, "checks": checks}, indent=2))
     for r in reports:
         print(r.line())
     n_fail = sum(not r.passed for r in reports)

@@ -5,13 +5,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sixvertex.model import HighestWeightData, ModelParams
+from sixvertex.model import ModelParams
 from sixvertex import bethe as bt
 
 
 @pytest.fixture(scope="module")
 def p2():
     return ModelParams(L=2, gamma=0.7)
+
+
+def generic_model(L, seed):
+    """Twisted, inhomogeneous model point drawn from a seed (the generator of
+    the benchmark's verify workload)."""
+    rng = np.random.default_rng(seed)
+    return {"L": L, "gamma": 0.7,
+            "mu": [float(v) for v in rng.uniform(-0.3, 0.3, L)],
+            "phi1": float(rng.uniform(0.7, 1.4)),
+            "phi2": float(rng.uniform(0.7, 1.4))}
+
+
+def mp_relative_residual(roots, p):
+    """max_i |R_i| / max(|A-term|, |D-term|) of the residue form, evaluated
+    with 50 digits at the given (binary) roots."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        w = [mpmath.mpc(z) for z in roots]
+        g, mu = mpmath.mpc(p.gamma), [mpmath.mpc(m) for m in p.mu]
+        n, out = len(w), mpmath.mpf(0)
+        for i in range(n):
+            rest = [w[j] for j in range(n) if j != i]
+            ta = (mpmath.mpc(p.phi1) * mpmath.fprod(mpmath.sinh(w[i] - m + g) for m in mu)
+                  * mpmath.fprod(mpmath.sinh(v - w[i] + g) for v in rest))
+            td = ((-1) ** (n + 1) * mpmath.mpc(p.phi2)
+                  * mpmath.fprod(mpmath.sinh(w[i] - m) for m in mu)
+                  * mpmath.fprod(mpmath.sinh(w[i] - v + g) for v in rest))
+            out = max(out, abs(ta - td) / max(abs(ta), abs(td)))
+        return float(out)
 
 
 class TestResidual:
@@ -39,6 +68,60 @@ class TestResidual:
         w2[0] += 1j * np.pi * shift
         shifted = np.abs(bt.bae_residual(w2, params)).max()
         assert shifted == pytest.approx(base, rel=1e-10)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_jacobian_matches_central_differences(self, params, generic_params,
+                                                  rng, n):
+        h = 1e-6
+        for p in (params, generic_params):
+            for _ in range(3):
+                w = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+                _, _, dta, dtd = bt._terms(w[None], p)
+                jac = (dta - dtd)[0]
+                fd = np.column_stack([(bt.bae_residual(w + h * e, p)
+                                       - bt.bae_residual(w - h * e, p)) / (2 * h)
+                                      for e in np.eye(n)])
+                assert np.abs(jac - fd).max() <= 1e-7 * np.abs(jac).max()
+
+    def test_batched_residual_matches_single_sets(self, params, generic_params,
+                                                  rng):
+        for p in (params, generic_params):
+            ws = rng.uniform(-1, 1, (6, 2)) + 1j * rng.uniform(-1, 1, (6, 2))
+            ta, td, _, _ = bt._terms(ws, p)
+            rel = bt._relative(ta, td)
+            for k, w in enumerate(ws):
+                np.testing.assert_allclose(ta[k] - td[k], bt.bae_residual(w, p),
+                                           rtol=1e-14, atol=0)
+                assert rel[k] == pytest.approx(bt.bae_relative_residual(w, p),
+                                               rel=1e-14)
+
+
+class TestHighPrecisionOracle:
+    """The float relative residual of the solver's own roots agrees with a
+    50-digit evaluation, so the 1e-12 acceptance bound is met in fact."""
+
+    @staticmethod
+    def _compare(p, sols):
+        for s in sols:
+            if not s.singular:
+                mp_res = mp_relative_residual(s.roots, p)
+                assert abs(bt.bae_relative_residual(s.roots, p) - mp_res) <= 1e-14
+                assert mp_res <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_reference(self, params, n):
+        self._compare(params, bt.solve_bae(params, n))
+
+    def test_near_singular_roots(self):
+        p = ModelParams.from_dict(generic_model(6, 11))
+        sols = bt.solve_bae(p, 2, seed=11)
+        # one root set sits next to a singular pair: w_2 - w_1 ~ gamma
+        gap = min(abs(np.sinh(s.roots[0] - s.roots[1] + p.gamma))
+                  for s in sols if not s.singular)
+        assert gap < 1e-3
+        self._compare(p, sols)
 
 
 class TestSolver:
@@ -78,7 +161,39 @@ class TestSolver:
         p6 = ModelParams(L=6, gamma=0.7)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert bt._newton(np.array([200 + 0j]), p6, HighestWeightData(p6)) is None
+            assert bt._newton(np.array([[200 + 0j]]), p6) == [None]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_generic_L6_complete(self, oracle, seed):
+        # every n=2 eigenvalue at a generic L=6 point has a regular root set
+        # accepted at the check's own tolerance
+        p = ModelParams.from_dict(generic_model(6, seed))
+        sols = bt.solve_bae(p, 2, seed=seed)
+        regular = [s for s in sols if not s.singular]
+        assert len(regular) == 15
+        assert all(s.residual <= 1e-12 for s in regular)
+        rep = bt.match_spectrum(p, 2, sols, oracle.eigensystem(p, 2))
+        assert not rep.unmatched_eigenvalues
+        assert rep.max_deviation <= 1e-8
+
+    @pytest.mark.parametrize("d", [1e-13, -1e-13])
+    def test_conjugate_pair_order_is_stable(self, d):
+        # the real parts of a conjugate pair differ only by rounding; the
+        # order follows the imaginary parts, whatever those last bits are
+        up = bt.BetheRoots(n=2, roots=(-0.4 + 0.3j, 0.2 + 0.1j), residual=0.0)
+        down = bt.BetheRoots(n=2, roots=(-0.4 + d - 0.3j, 0.2 - 0.1j), residual=0.0)
+        for sols in ([up, down], [down, up]):
+            assert sorted(sols, key=bt._solution_order) == [down, up]
+
+    def test_singular_jacobian_seed_leaves_batch(self):
+        # at L=1 the structured seed -gamma/2 has an exactly zero Jacobian;
+        # the other seeds still find the one root -gamma/2 + i pi/2
+        p1 = ModelParams(L=1, gamma=0.7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sols = bt.solve_bae(p1, 1)
+        assert len(sols) == 1
+        assert abs(sols[0].roots[0] - (-0.35 + 0.5j * np.pi)) < 1e-12
 
     def test_determinism(self, params):
         a = bt.solve_bae(params, 2, seed=5)

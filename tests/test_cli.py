@@ -118,6 +118,18 @@ class TestVerifyCommand:
         assert len(rows) == 2
         assert sum(r.wall_time for r in rows) <= elapsed
 
+    def test_profile_times_shared_work_apart(self, tmp_path):
+        # Bethe solves and sector eigensystems are timed as their own
+        # entries, and each check's exclusive time leaves them out
+        run(["verify", "--out", str(tmp_path)])
+        prof = json.loads((tmp_path / "profile.json").read_text())
+        assert {e["n"] for e in prof["shared"] if e["work"] == "bethe"} == {1, 2}
+        assert [c["check"] for c in prof["checks"]] == list(cli.CHECKS)
+        for c in prof["checks"]:
+            assert c["exclusive_s"] <= c["inclusive_s"]
+        for e in prof["shared"]:
+            assert e["check"] in cli.CHECKS and e["seconds"] >= 0
+
     def test_report_command_summarizes(self, tmp_path, capsys):
         run(["verify", "--out", str(tmp_path), "--checks", "upsilon"])
         capsys.readouterr()
