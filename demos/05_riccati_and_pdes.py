@@ -37,8 +37,8 @@ for n in (1, 2, 3):
           abs(odes.riccati_h_residual(h, 0.37, n)),
           "  annihilator:", odes.upsilon_annihilation(roots, n))
 
-sols = [s for s in solve_bae(params, 1) if not s.singular]
 from sixvertex.bethe import RootEigenvalue
+sols = solve_bae(diagonalize_sector(params, 1))
 ev = RootEigenvalue(sols[0].roots, params)
 print("\nlinearized second-order form residual:",
       odes.u_equation_residual(ev, (0.2, 1.2), hw, params, num=400))

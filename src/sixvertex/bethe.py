@@ -1,51 +1,48 @@
-"""Bethe equations: residue-form residuals, a damped multistart Newton
-solver, closed-form eigenvalue and h-function evaluators, and matching of
+"""Bethe equations: root sets from Baxter's TQ relation, residue-form
+residuals, closed-form eigenvalue and h-function evaluators, and matching of
 the Bethe spectrum against the brute-force oracle.
 
-The equations are solved in their pole-free residue form
+Baxter's relation Lambda(x) Q(x) = phi1 lam_a(x) Q(x - gamma)
++ phi2 lam_d(x) Q(x + gamma), the eigenvalue formula of `RootEigenvalue`, is
+linear in the coefficients of Q(x) = prod_l sinh(x - w_l), a polynomial of
+degree n in u = exp(2x).  Every sector eigenvalue is an exact exponential
+sum, so `solve_bae` builds each eigenvalue's root set from a null vector
+instead of searching for it.  Sets are judged in the pole-free residue form
 
     R_i = phi1 lam_a(w_i) prod_{j!=i} a(w_j - w_i)
-        - (-1)^{n+1} phi2 lam_d(w_i) prod_{j!=i} a(w_i - w_j) = 0 .
+        - (-1)^{n+1} phi2 lam_d(w_i) prod_{j!=i} a(w_i - w_j) = 0 ,
 
-Each product is evaluated factor by factor, and a damped Newton iteration
-with the analytic Jacobian of the products runs on all multistart seeds as
-one batch.  It stops at relative residual 1e-14 and keeps each seed's best
-iterate; a regular solution is accepted at relative residual 1e-12, the
-tolerance of the `bethe` check.
-
-Root sets are identified modulo permutations and modulo i*pi shifts of
-individual roots (both leave every observable unchanged).  Besides regular
-solutions the solver also scans for exact singular pairs {mu_j, mu_j - gamma},
-where both products above vanish identically; at reference parameters one
-sector eigenvalue is reachable only through such a pair.
+both of whose products vanish on an exact singular pair {mu_k, mu_k - gamma}.
+Root sets are identified modulo permutations and i*pi shifts of roots.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import HighestWeightData, ModelParams
+from .model import ExpSum, HighestWeightData, ModelParams
 
-# Newton iteration: step budget, damping factors (20 halvings), relative
-# stopping residual
-_MAX_ITER = 60
-_DAMPING = 0.5 ** np.arange(1, 21)
-_NEWTON_TOL = 1e-14
-# acceptance bound on the relative residual of a regular solution; as strict
-# as the `bethe_residual` tolerance of the check that judges the solutions
-_RESIDUAL_TOL = 1e-12
+# Newton polish: step budget (three steps from the TQ roots reach the
+# rounding floor)
+_MAX_ITER = 10
+# relative size of a TQ singular value or end coefficient of Q taken as zero
+# (measured <= 1e-15, next singular value >= 8e-4 up to L=10); also the
+# |sinh| distance that snaps a singular pair
+_NULL_TOL = 1e-10
+_PAIR_TOL = 1e-3    # |sinh(w_j + gamma - w_i)| that ties a pair
 
 __all__ = [
     "BetheRoots",
     "PolePoint",
     "bae_residual",
     "bae_relative_residual",
+    "solution_residual",
     "solve_bae",
-    "default_seeds",
+    "conditioning",
     "canonical_roots",
     "eigenvalue_from_roots",
     "RootEigenvalue",
@@ -67,7 +64,10 @@ class BetheRoots:
     """One solution of the sector-n Bethe equations.
 
     residual is the relative residue-form residual (absolute for singular
-    solutions, whose natural scale is zero).
+    solutions, whose natural scale is zero).  An entry (i, j, delta) of pairs
+    carries root j as roots[i] - gamma + delta, delta exact; no root is in
+    two pairs.  tq_gap is
+    sigma_{n-1} / sigma_0 of the TQ system the set came from.
     """
 
     n: int
@@ -75,11 +75,19 @@ class BetheRoots:
     residual: float
     source: str = "solved"
     singular: bool = False
+    pairs: tuple = ()
+    tq_gap: float = float("nan")
 
     def __post_init__(self):
         object.__setattr__(self, "roots", tuple(complex(w) for w in self.roots))
+        object.__setattr__(self, "pairs", tuple(
+            (int(i), int(j), complex(d)) for i, j, d in self.pairs))
         if len(self.roots) != self.n:
             raise ValueError(f"expected {self.n} roots, got {len(self.roots)}")
+        ends = [k for i, j, _ in self.pairs for k in (i, j)]
+        if len(set(ends)) < len(ends) or not all(0 <= k < self.n for k in ends):
+            raise ValueError(f"pairs {[p[:2] for p in self.pairs]} are not "
+                             f"disjoint pairs of {self.n} roots")
 
 
 def _leave_one_out(f):
@@ -92,29 +100,36 @@ def _leave_one_out(f):
     return before * after
 
 
-def _terms(w, params: ModelParams):
+def _terms(z, params: ModelParams, partner=None):
     """A-side and D-side products of the residue form and their Jacobians,
-    for root sets w of shape (..., n): returns ta, td of shape (..., n) and
-    dta, dtd of shape (..., n, n) with dta[..., i, l] = d ta_i / d w_l.
+    for root sets of shape (..., n): returns ta, td of shape (..., n) and
+    dta, dtd of shape (..., n, n) with dta[..., i, l] = d ta_i / d z_l.
 
-    Every factor is one sinh, so the vacuum products are evaluated as
-    prod_k sinh(w - mu_k + shift) and not through their expanded exponential
-    sums, which cancel near the zeros where near-singular roots sit.  The
-    derivatives follow from the product rule over leave-one-out products.
-    """
-    w = np.asarray(w, dtype=complex)
-    n = w.shape[-1]
-    wg = w + params.gamma
-    mu = np.asarray(params.mu)
+    z holds the roots, but a root j with partner[..., j] = i != j is tied:
+    w_j = w_i - gamma + z_j, with root i untied.  Every factor is one sinh
+    whose argument is summed so that a factor near zero is exact to
+    rounding; vacuum products are prod_k sinh(w - mu_k + shift), not their
+    expanded exponential sums, which cancel near their zeros."""
+    z = np.asarray(z, dtype=complex)
+    n, g, mu = z.shape[-1], params.gamma, np.asarray(params.mu)
     L = len(mu)
-    eye = np.eye(n, dtype=bool)
+    own, eye = np.arange(n), np.eye(n, dtype=bool)
+    partner = np.broadcast_to(own if partner is None else partner, z.shape)
+    tied = partner != own
+    link = tied[..., :, None] & (partner[..., :, None] == own)
+    base = np.take_along_axis(z, partner, -1)         # w_i of a tied root
+    w = np.where(tied, base - g + z, z)
+    # P[i, j] = w_i + g - w_j, the argument of a(w_i - w_j): z_i if i is
+    # tied to j
+    P = np.where(link, z[..., :, None], w[..., :, None] + g - w[..., None, :])
+    vac = base[..., :, None] - mu
     # row i: L vacuum factors, then the n pair factors (the j = i one is 1):
-    #   A side  sinh(w_i + g - mu_k),  a(w_j - w_i) = sinh(w_j + g - w_i)
-    #   D side  sinh(w_i - mu_k),      a(w_i - w_j) = sinh(w_i + g - w_j)
-    # Adding gamma first makes a nearly vanishing argument the difference of
-    # two close numbers, which floating point subtracts exactly.
-    args_a = np.concatenate([wg[..., :, None] - mu, wg[..., None, :] - w[..., :, None]], -1)
-    args_d = np.concatenate([w[..., :, None] - mu, wg[..., :, None] - w[..., None, :]], -1)
+    #   A side  sinh(w_i + g - mu_k),  a(w_j - w_i)
+    #   D side  sinh(w_i - mu_k),      a(w_i - w_j)
+    # A vacuum argument (w_i + g) - mu_k, or (w_p - mu_k) + z_i if tied to p
+    va = np.where(tied[..., None], vac + z[..., None], (z + g)[..., None] - mu)
+    args_a = np.concatenate([va, np.swapaxes(P, -1, -2)], -1)
+    args_d = np.concatenate([vac + np.where(tied, z - g, 0)[..., None], P], -1)
     diag = np.concatenate([np.zeros((n, L), dtype=bool), eye], -1)
     fa = np.where(diag, 1, np.sinh(args_a))
     fd = np.where(diag, 1, np.sinh(args_d))
@@ -126,22 +141,21 @@ def _terms(w, params: ModelParams):
     ga = _leave_one_out(fa) * ca                           # d/d(argument)
     gd = _leave_one_out(fd) * cd
     # a vacuum factor of row i moves with w_i alone; a pair factor with
-    # argument +-(w_j - w_i) moves with both
+    # argument +-(w_j - w_i) moves with both; w_l moves with z_l and, if
+    # tied, with z of its partner
     own_a = ga[..., :L].sum(-1) - ga[..., L:].sum(-1)
     own_d = gd[..., :L].sum(-1) + gd[..., L:].sum(-1)
     dta = pa * (ga[..., L:] + own_a[..., None] * eye)
     dtd = pd * (own_d[..., None] * eye - gd[..., L:])
-    return ta, td, dta, dtd
+    return ta, td, dta @ (eye | link), dtd @ (eye | link)
 
 
 def _relative(ta, td):
     """Row-wise max_i |ta_i - td_i| / max(|ta_i|, |td_i|); inf for a root
-    set with a scale-null row."""
-    scale = np.maximum(np.abs(ta), np.abs(td))
-    null = scale < 1e-12 * np.maximum(scale.max(-1, keepdims=True), 1e-300)
+    set with a null row (both products zero, as on a singular pair)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        rel = (np.abs(ta - td) / scale).max(-1)
-    return np.where(null.any(-1), np.inf, rel)
+        rel = np.abs(ta - td) / np.maximum(np.abs(ta), np.abs(td))
+    return np.where(np.isnan(rel), np.inf, rel).max(-1)
 
 
 def bae_residual(roots, params: ModelParams):
@@ -150,15 +164,25 @@ def bae_residual(roots, params: ModelParams):
     return ta[0] - td[0]
 
 
-def bae_relative_residual(roots, params: ModelParams):
-    """max_i |R_i| / max(|A-term|, |D-term|).
-
-    Configurations with a scale-null row (both products vanish, as in
-    singular pairs) return inf: they are never *regular* solutions and are
-    admitted only through the explicit singular-candidate scan.
-    """
-    ta, td, _, _ = _terms(np.asarray(roots, dtype=complex)[None], params)
+def bae_relative_residual(roots, params: ModelParams, pairs=()):
+    """max_i |R_i| / max(|A-term|, |D-term|) with the pairs tied; inf if both
+    terms of a row vanish (singular pairs are never *regular* solutions) or
+    if a tied root is not roots[i] - gamma + delta to a few ulps."""
+    z, partner = np.array(roots, dtype=complex), np.arange(len(roots))
+    for i, j, d in pairs:
+        wi, g = z[i], params.gamma
+        if abs(z[j] - (wi - g + d)) > 4e-16 * (abs(wi) + abs(g) + abs(d)):
+            return float("inf")
+        z[j], partner[j] = d, i
+    ta, td, _, _ = _terms(z[None], params, partner[None])
     return float(_relative(ta, td)[0])
+
+
+def solution_residual(sol: BetheRoots, params: ModelParams):
+    """Relative residual of a regular set, absolute of a singular one."""
+    if sol.singular:
+        return float(np.abs(bae_residual(sol.roots, params)).max())
+    return bae_relative_residual(sol.roots, params, sol.pairs)
 
 
 def canonical_roots(roots):
@@ -171,8 +195,8 @@ def canonical_roots(roots):
 
 
 def _newton_steps(J, F):
-    """Newton steps -J^{-1} F for a batch; a seed whose Jacobian is exactly
-    singular gets a NaN step and so leaves the batch."""
+    """Newton steps -J^{-1} F for a batch; a set whose Jacobian is exactly
+    singular gets a NaN step, after which its best iterate stays."""
     try:
         return np.linalg.solve(J, -F[..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -185,125 +209,97 @@ def _newton_steps(J, F):
         return out
 
 
-def _newton(seeds, params):
-    """Damped Newton on all seeds at once (shape (S, n)).
-
-    Returns each seed's best iterate by relative residual, or None for a seed
-    that never had a finite one.  A seed leaves the batch once its relative
-    residual reaches _NEWTON_TOL, or at its first non-finite residual (seeds
-    far out in the strip overflow the residue form, and from there on every
-    iterate would be non-finite too).
-    """
-    w = np.array(seeds, dtype=complex)
-    best = [None] * len(w)
-    best_rel = np.full(len(w), np.inf)
-    live = np.arange(len(w))
+def _newton(z, params, partner=None):
+    """_MAX_ITER undamped Newton steps on root sets of shape (S, n) in
+    `_terms` coordinates; returns each set's best iterate by relative
+    residual, or None if it never had a finite one (far out, the residue form
+    overflows)."""
+    z = np.array(z, dtype=complex)
+    best, best_rel = [None] * len(z), np.full(len(z), np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
-        ta, td, dta, dtd = _terms(w, params)
         for it in range(_MAX_ITER + 1):
-            F = ta - td
+            ta, td, dta, dtd = _terms(z, params, partner)
             rel = _relative(ta, td)
-            for k in np.flatnonzero(rel < best_rel[live]):
-                best[live[k]] = w[k].copy()
-                best_rel[live[k]] = rel[k]
-            stay = np.isfinite(F).all(-1) & ~(rel <= _NEWTON_TOL)
-            live, w, F, J = live[stay], w[stay], F[stay], (dta - dtd)[stay]
-            if it == _MAX_ITER or not len(live):
-                break
-            step = _newton_steps(J, F)
-            nrm = np.abs(F).max(-1)
-            trial = w + step
-            ta, td, dta, dtd = _terms(trial, params)
-            worse = np.flatnonzero(~(np.abs(ta - td).max(-1) < nrm))
-            if len(worse):
-                # damping: of the steps scaled by 2^-1 ... 2^-H, the first
-                # that lowers max |R| is taken, else the last; all at once
-                cand = w[worse, None] + _DAMPING[:, None] * step[worse, None]
-                c = _terms(cand, params)
-                ok = np.abs(c[0] - c[1]).max(-1) < nrm[worse, None]
-                ok[:, -1] = True
-                pick = (np.arange(len(worse)), ok.argmax(-1))
-                trial[worse] = cand[pick]
-                for full, part in zip((ta, td, dta, dtd), c):
-                    full[worse] = part[pick]
-            w = trial
+            for k in np.flatnonzero(rel < best_rel):
+                best[k], best_rel[k] = z[k].copy(), rel[k]
+            if it < _MAX_ITER:
+                z = z + _newton_steps(dta - dtd, ta - td)
     return best
 
 
-def default_seeds(params: ModelParams, n, seed=1234):
-    """200 random strip seeds plus structured seeds around -gamma/2."""
-    rng = np.random.default_rng(seed)
-    seeds = [rng.uniform(-2, 2, n) + 1j * rng.uniform(-np.pi / 2, np.pi / 2, n)
-             for _ in range(200)]
-    base = -params.gamma / 2
-    pool = [0.0, 0.35, -0.35, 0.8, -0.8,
-            0.45j * np.pi, -0.45j * np.pi, 0.22j * np.pi, -0.22j * np.pi]
-    for combo in itertools.combinations(pool, n):
-        seeds.append(np.array([base + off for off in combo], dtype=complex))
-    return seeds
+def _tq_null_vectors(es):
+    """Singular values and null vector of each eigenpair's TQ system, the
+    latter holding u^{n/2} Q(x) in ascending powers of u."""
+    p, n, L = es.params, es.n, es.params.L
+    a = ExpSum.sinh_product([p.gamma - m for m in p.mu]).coeffs
+    d = ExpSum.sinh_product([-m for m in p.mu]).coeffs
+    # Q(x -+ g) scales q_m by exp(-+(2m - n) g): column m of
+    # Lambda Q - phi1 lam_a Q(x - g) - phi2 lam_d Q(x + g) is u^m cols[m]
+    f = np.exp((2 * np.arange(n + 1) - n) * p.gamma)[:, None]
+    cols = es.coeffs[:, None, :] - p.phi1 * a / f - p.phi2 * d * f
+    M = np.zeros((es.size, L + n + 1, n + 1), dtype=complex)
+    for m in range(n + 1):
+        M[:, m:m + L + 1, m] = cols[:, m]
+    _, s, vh = np.linalg.svd(M)
+    return s, vh[:, -1].conj()
 
 
-def _singular_candidates(params: ModelParams, n):
-    """Exact configurations {mu_j, mu_j - gamma}, on which the residue form
-    vanishes identically; only the n = 2 embedding is scanned at desk scale.
-
-    Whether such a pair describes a sector eigenvalue cannot be decided
-    intrinsically: its eigenvalue function is pole-free and satisfies the
-    functional identities for any parameters (at the homogeneous untwisted
-    point it is a genuine eigenvalue, at generic inhomogeneities it is not).
-    Candidates are therefore returned flagged, and the spectrum matching
-    reports the unmatched ones as findings.
-    """
-    if n != 2:
-        return []
-    return [np.array([m, m - params.gamma], dtype=complex) for m in params.mu]
+def _snap_singular(w, params: ModelParams):
+    """Snap each exact singular pair {mu_k, mu_k - gamma} of w in place;
+    returns whether there was one."""
+    hit = False
+    for m in params.mu:
+        i = np.flatnonzero(np.abs(np.sinh(w - m)) < _NULL_TOL)
+        j = np.flatnonzero(np.abs(np.sinh(w + params.gamma - m)) < _NULL_TOL)
+        if len(i) and len(j):
+            w[i[0]], w[j[0]], hit = m, m - params.gamma, True
+    return hit
 
 
-def solve_bae(params: ModelParams, n, seed=1234):
-    """Multistart damped Newton on the residue form, plus the singular-pair
-    scan; returns distinct solutions (canonical order), regular ones first.
-    Of several seeds that reach one root set, the copy with the lowest
-    residual is kept."""
+def _tie_pairs(w, gamma):
+    """`_terms` coordinates of a root set: root j is tied to root i when
+    |sinh(w_j + gamma - w_i)| < _PAIR_TOL and neither is in a pair yet."""
+    z, partner, paired = w.copy(), np.arange(len(w)), set()
+    for i, j in itertools.permutations(range(len(w)), 2):
+        d = w[j] + gamma - w[i]
+        d -= 1j * np.pi * np.round(d.imag / np.pi)
+        if not paired & {i, j} and abs(np.sinh(d)) < _PAIR_TOL:
+            z[j], partner[j] = d, i
+            paired |= {i, j}
+    return z, partner
+
+
+def solve_bae(es):
+    """One root set per eigenvalue of the sector eigensystem `es` that has a
+    degree-n Q (a null vector without a root at u = 0 or infinity), regular
+    sets first, each with its residual (for the caller to judge) and its TQ
+    null-space gap.  A set holding a singular pair is snapped to it and
+    flagged; the others are polished by Newton on the residue form, with a
+    near-singular pair tied as (w_i, delta) (see `_terms`)."""
+    p, n = es.params, es.n
     if n == 0:
-        return [BetheRoots(n=0, roots=(), residual=0.0, source="solved")]
-    if n > params.L:
-        raise ValueError(f"sector n={n} exceeds L={params.L}")
-
-    found = []
-
-    def try_add(w, singular):
-        w = canonical_roots(w)
-        arr = np.asarray(w)
-        if n > 1:
-            gaps = np.abs(arr[:, None] - arr[None, :])[~np.eye(n, dtype=bool)]
-            if gaps.min() < 1e-8:
-                return
-        if singular:
-            res = float(np.abs(bae_residual(w, params)).max())
-            if res > 1e-12:
-                return
+        return [BetheRoots(n=0, roots=(), residual=0.0)]
+    found, regular = [], []
+    for s, q in zip(*_tq_null_vectors(es)):
+        ends = min(abs(q[0]), abs(q[-1]))
+        if s[-1] > _NULL_TOL * s[0] or ends <= _NULL_TOL * np.abs(q).max():
+            continue                                   # no degree-n Q
+        w = np.array(canonical_roots(np.log(np.roots(q[::-1])) / 2))
+        gap = float(s[-2] / s[0])
+        if _snap_singular(w, p):
+            found.append(BetheRoots(n, w, 0.0, "analytic", True, tq_gap=gap))
         else:
-            res = bae_relative_residual(w, params)
-            if not res < _RESIDUAL_TOL:
-                return
-        sol = BetheRoots(n=n, roots=w, residual=res,
-                         source="analytic" if singular else "solved",
-                         singular=singular)
-        for k, prev in enumerate(found):
-            if np.abs(np.asarray(prev.roots) - arr).max() < 1e-7:
-                if res < prev.residual:
-                    found[k] = sol
-                return
-        found.append(sol)
-
-    for w in _newton(default_seeds(params, n, seed=seed), params):
-        if w is not None:
-            try_add(w, singular=False)
-    for cand in _singular_candidates(params, n):
-        try_add(cand, singular=True)
-
-    found.sort(key=_solution_order)
-    return found
+            regular.append((*_tie_pairs(w, p.gamma), gap))
+    if regular:
+        z0, partner, gaps = (np.array(c) for c in zip(*regular))
+        for z, z0k, pk, gap in zip(_newton(z0, p, partner), z0, partner, gaps):
+            z = z0k if z is None else z
+            tied = pk != np.arange(n)
+            w = np.where(tied, z[pk] - p.gamma + z, z)
+            found.append(BetheRoots(n, w, 0.0, tq_gap=float(gap), pairs=[
+                (pk[j], j, z[j]) for j in np.flatnonzero(tied)]))
+    found = [replace(s, residual=solution_residual(s, p)) for s in found]
+    return sorted(found, key=_solution_order)
 
 
 def _solution_order(sol: BetheRoots):
@@ -312,6 +308,20 @@ def _solution_order(sol: BetheRoots):
     conjugate pair does not follow the last bits of its real parts."""
     w = np.asarray(sol.roots, dtype=complex)
     return sol.singular, tuple(zip(w.real.round(9), w.imag.round(9)))
+
+
+def conditioning(solutions, es):
+    """Class counts of `solve_bae(es)`, the smallest pair factor
+    |sinh(w_j + gamma - w_i)| of a regular set (None for n < 2) and the
+    smallest TQ null-space gap."""
+    regular = [s for s in solutions if not s.singular]
+    factors = [abs(np.sinh(wj + es.params.gamma - wi)) for s in regular
+               for wi, wj in itertools.permutations(s.roots, 2)]
+    return {"regular": len(regular),
+            "singular": len(solutions) - len(regular),
+            "no_degree_n_q": es.size - len(solutions),
+            "min_pair_factor": float(min(factors)) if factors else None,
+            "min_tq_gap": min((s.tq_gap for s in solutions), default=None)}
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +469,7 @@ def roots_to_json(solutions):
     recs = [{
         "n": s.n,
         "roots": [[w.real, w.imag] for w in s.roots],
+        "pairs": [[i, j, d.real, d.imag] for i, j, d in s.pairs],
         "residual": s.residual,
         "source": s.source,
         "singular": s.singular,
@@ -471,8 +482,10 @@ def roots_from_json(text):
     out = []
     for rec in json.loads(text):
         roots = tuple(complex(re, im) for re, im in rec["roots"])
+        pairs = [(i, j, complex(re, im)) for i, j, re, im in rec.get("pairs", [])]
         out.append(BetheRoots(n=rec["n"], roots=roots,
                               residual=float(rec.get("residual", np.nan)),
                               source="user",
-                              singular=bool(rec.get("singular", False))))
+                              singular=bool(rec.get("singular", False)),
+                              pairs=pairs))
     return out

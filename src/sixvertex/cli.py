@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -48,16 +49,17 @@ class VerifyContext:
         self.shared = []
 
     def _timed(self, work, n, build):
+        """build() and its `shared` entry."""
         t0 = time.perf_counter()
         out = build()
         self.shared.append({"work": work, "n": n,
                             "seconds": time.perf_counter() - t0})
-        return out
+        return out, self.shared[-1]
 
     def eigensystem(self, n):
         if n not in self._eigs:
             key = self.config.content_key()
-            self._eigs[n] = self._timed("eigensystem", n, lambda: self.cache.sector(
+            self._eigs[n], _ = self._timed("eigensystem", n, lambda: self.cache.sector(
                 key, n, self.params, lambda: diagonalize_sector(self.params, n)))
         return self._eigs[n]
 
@@ -68,9 +70,13 @@ class VerifyContext:
         return ExpSum(f.ms, f.coeffs * (1 + self.config.perturb_lambda))
 
     def bethe(self, n):
+        """Root sets of sector n and their conditioning, which also goes on
+        the `shared` entry of the solve (timed apart from the eigensystem)."""
         if n not in self._bethe:
-            self._bethe[n] = self._timed("bethe", n, lambda: bt.solve_bae(
-                self.params, n, seed=self.config.seed))
+            es = self.eigensystem(n)
+            sols, entry = self._timed("bethe", n, lambda: bt.solve_bae(es))
+            self._bethe[n] = sols, bt.conditioning(sols, es)
+            entry.update(self._bethe[n][1])
         return self._bethe[n]
 
     def tol(self, name):
@@ -363,7 +369,7 @@ def check_conserved_n1(ctx):
                        ctx.tol("conserved_constancy"), t0))
     # closed form against a Bethe root
     t0 = time.perf_counter()
-    sols = ctx.bethe(1)
+    sols, _ = ctx.bethe(1)
     worst = 0.0
     matched = bt.match_spectrum(p, 1, sols, es)
     for si, ei, _ in matched.pairs:
@@ -380,26 +386,21 @@ def check_bethe_match(ctx):
     p = ctx.params
     for n in [n for n in ctx.config.sectors if n in (1, 2) and n <= p.L]:
         t0 = time.perf_counter()
-        sols = ctx.bethe(n)
+        sols, cond = ctx.bethe(n)
+        es = ctx.eigensystem(n)
         res = max((s.residual for s in sols), default=0.0)
         out.append(_report("bethe", f"residue-form residuals (n={n})", res,
                            ctx.tol("bethe_residual"), t0, n=n,
-                           solutions=len(sols)))
+                           solutions=len(sols), **cond))
         t0 = time.perf_counter()
-        rep = bt.match_spectrum(p, n, sols, ctx.eigensystem(n))
+        rep = bt.match_spectrum(p, n, sols, es)
         matched_dev = max((d for *_, d in rep.pairs), default=float("inf"))
-        # unmatched singular candidates are findings, not failures: they are
-        # exact residue-form configurations that no sector eigenvalue claims
-        unmatched_regular = [si for si in rep.unmatched_solutions
-                             if not sols[si].singular]
-        n_unmatched = len(rep.unmatched_eigenvalues) + len(unmatched_regular)
+        n_unmatched = len(rep.unmatched_eigenvalues) + len(rep.unmatched_solutions)
         out.append(_report("bethe", f"spectrum match (n={n})",
                            max(matched_dev, float(n_unmatched)),
                            ctx.tol("bethe_match"), t0, n=n,
                            unmatched_eigenvalues=rep.unmatched_eigenvalues,
-                           unmatched_regular=unmatched_regular,
-                           unmatched_singular=[si for si in rep.unmatched_solutions
-                                               if sols[si].singular]))
+                           unmatched_solutions=rep.unmatched_solutions, **cond))
     return out
 
 
@@ -480,7 +481,7 @@ def check_u_equation(ctx):
     if 1 not in ctx.config.sectors:
         return []
     t0 = time.perf_counter()
-    sols = [s for s in ctx.bethe(1) if not s.singular]
+    sols = [s for s in ctx.bethe(1)[0] if not s.singular]
     if not sols:
         return []
     ev = bt.RootEigenvalue(sols[0].roots, ctx.params, ctx.hw)
@@ -682,6 +683,8 @@ def cmd_verify(args):
         shared = sum(entry["seconds"] for entry in ctx.shared[first:])
         checks.append({"check": name, "inclusive_s": inclusive,
                        "exclusive_s": inclusive - shared})
+    for r in reports:
+        r.parameters = {"model": cfg.model.to_dict(), "seed": cfg.seed}
     lines = [json.dumps(r.to_dict(), sort_keys=True) for r in reports]
     atomic_write_text(cfg.output_dir / "reports.jsonl", "\n".join(lines) + "\n")
     atomic_write_text(cfg.output_dir / "profile.json",
@@ -697,54 +700,47 @@ def cmd_verify(args):
 def cmd_bethe(args):
     cfg = _load_config(args)
     out = cfg.output_dir
+    cache = ResultCache(out / ".cache")
+    tol = cfg.tolerances["bethe_residual"]
     # root-finding and matching are exercised in the low sectors, where the
     # all-up reference state gives the Bethe description
     sectors = [n for n in cfg.sectors if n in (1, 2) and n <= cfg.model.L] or [1, 2]
+    try:
+        loaded = bt.roots_from_json(Path(args.roots).read_text()) if args.roots else []
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{args.roots}: {exc}") from exc
     incomplete = False
     rows = []
     for n in sectors:
+        es = None if args.roots and args.verify_only else cache.sector(
+            cfg.content_key(), n, cfg.model,
+            lambda n=n: diagonalize_sector(cfg.model, n))
         if args.roots:
-            sols = [s for s in bt.roots_from_json(Path(args.roots).read_text())
-                    if s.n == n]
-            sols = [bt.BetheRoots(n=s.n, roots=s.roots,
-                                  residual=bt.bae_relative_residual(
-                                      s.roots, cfg.model) if not s.singular
-                                  else float(np.abs(bt.bae_residual(
-                                      s.roots, cfg.model)).max()),
-                                  source="user", singular=s.singular)
-                    for s in sols]
+            sols = [replace(s, residual=bt.solution_residual(s, cfg.model))
+                    for s in loaded if s.n == n]
         else:
-            sols = bt.solve_bae(cfg.model, n, seed=cfg.seed)
+            sols = bt.solve_bae(es)
         atomic_write_text(out / f"roots-n{n}.json", bt.roots_to_json(sols))
+        for i, s in enumerate(sols):
+            if not s.residual <= tol:
+                incomplete = True
+                print(f"sector {n}: root set {i} fails the residual tolerance "
+                      f"({s.residual:.2e} > {tol:.0e})")
         if args.verify_only:
-            for i, s in enumerate(sols):
-                rows.append((n, i, "-", s.residual, s.source, s.singular))
-                if not s.residual < 1e-8:
-                    incomplete = True
-                    print(f"sector {n}: root set {i} fails re-validation "
-                          f"(residual {s.residual:.2e})")
+            rows.extend((n, i, "-", s.residual, s.source, s.singular)
+                        for i, s in enumerate(sols))
             continue
-        cache = ResultCache(out / ".cache")
-        es = cache.sector(cfg.content_key(), n, cfg.model,
-                          lambda n=n: diagonalize_sector(cfg.model, n))
         rep = bt.match_spectrum(cfg.model, n, sols, es)
         for si, ei, dev in rep.pairs:
             rows.append((n, si, ei, dev, sols[si].source, sols[si].singular))
-        unmatched_regular = [si for si in rep.unmatched_solutions
-                             if not sols[si].singular]
-        unmatched_singular = [si for si in rep.unmatched_solutions
-                              if sols[si].singular]
-        if rep.unmatched_eigenvalues or unmatched_regular:
+        if not rep.complete:
             incomplete = True
             print(f"sector {n}: {len(rep.unmatched_eigenvalues)} unmatched "
                   f"eigenvalues {rep.unmatched_eigenvalues}, "
-                  f"{len(unmatched_regular)} unmatched regular solutions")
+                  f"{len(rep.unmatched_solutions)} unmatched solutions")
         else:
             print(f"sector {n}: {len(rep.pairs)} of {es.size} eigenvalues "
                   f"matched, max deviation {rep.max_deviation:.2e}")
-        if unmatched_singular:
-            print(f"sector {n}: note: {len(unmatched_singular)} exact singular "
-                  "configuration(s) not claimed by any eigenvalue")
     write_csv(out / "bethe-matching.csv",
               ["sector", "solution", "eigenvalue", "deviation_or_residual",
                "source", "singular"], rows)

@@ -8,6 +8,16 @@ from sixvertex.spectrum import diagonalize_sector, polynomiality_check
 REFERENCE = dict(L=4, gamma=0.7, mu=(0.0, 0.0, 0.0, 0.0), phi1=1.0, phi2=1.0)
 
 
+def generic_model(L, seed):
+    """Twisted, inhomogeneous model point drawn from a seed (the generator of
+    the benchmark's verify workload), as a config mapping."""
+    rng = np.random.default_rng(seed)
+    return {"L": L, "gamma": 0.7,
+            "mu": [float(v) for v in rng.uniform(-0.3, 0.3, L)],
+            "phi1": float(rng.uniform(0.7, 1.4)),
+            "phi2": float(rng.uniform(0.7, 1.4))}
+
+
 @pytest.fixture(scope="session")
 def params():
     """Reference scenario: L=4, gamma=0.7, homogeneous, untwisted."""

@@ -50,8 +50,8 @@ def sums(eigs):
 
 
 @pytest.fixture(scope="module")
-def bethe_solutions(ref):
-    return {n: bt.solve_bae(ref, n) for n in (1, 2)}
+def bethe_solutions(eigs):
+    return {n: bt.solve_bae(eigs[n]) for n in (1, 2)}
 
 
 def test_01_yang_baxter():

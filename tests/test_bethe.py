@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import generic_model
 from sixvertex.model import ModelParams
 from sixvertex import bethe as bt
 
@@ -14,23 +15,20 @@ def p2():
     return ModelParams(L=2, gamma=0.7)
 
 
-def generic_model(L, seed):
-    """Twisted, inhomogeneous model point drawn from a seed (the generator of
-    the benchmark's verify workload)."""
-    rng = np.random.default_rng(seed)
-    return {"L": L, "gamma": 0.7,
-            "mu": [float(v) for v in rng.uniform(-0.3, 0.3, L)],
-            "phi1": float(rng.uniform(0.7, 1.4)),
-            "phi2": float(rng.uniform(0.7, 1.4))}
+def generic(L, seed):
+    return ModelParams.from_dict(generic_model(L, seed))
 
 
-def mp_relative_residual(roots, p):
+def mp_relative_residual(roots, p, pairs=()):
     """max_i |R_i| / max(|A-term|, |D-term|) of the residue form, evaluated
-    with 50 digits at the given (binary) roots."""
+    with 50 digits at the given (binary) coordinates: roots, with root j of
+    each pair (i, j, delta) taken as roots[i] - gamma + delta."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         w = [mpmath.mpc(z) for z in roots]
         g, mu = mpmath.mpc(p.gamma), [mpmath.mpc(m) for m in p.mu]
+        for i, j, d in pairs:
+            w[j] = w[i] - g + mpmath.mpc(d)
         n, out = len(w), mpmath.mpf(0)
         for i in range(n):
             rest = [w[j] for j in range(n) if j != i]
@@ -85,6 +83,33 @@ class TestKernel:
                                       for e in np.eye(n)])
                 assert np.abs(jac - fd).max() <= 1e-7 * np.abs(jac).max()
 
+    @pytest.mark.parametrize("partner", [[0, 0], [0, 0, 2], [2, 1, 2]])
+    def test_tied_jacobian_matches_central_differences(self, generic_params,
+                                                       rng, partner):
+        # in tied coordinates z_j = delta the Jacobian follows the chain rule
+        n, h = len(partner), 1e-6
+        for _ in range(3):
+            z = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+            _, _, dta, dtd = bt._terms(z[None], generic_params, [partner])
+            jac = (dta - dtd)[0]
+
+            def res(z):
+                ta, td, _, _ = bt._terms(z[None], generic_params, [partner])
+                return (ta - td)[0]
+            fd = np.column_stack([(res(z + h * e) - res(z - h * e)) / (2 * h)
+                                  for e in np.eye(n)])
+            assert np.abs(jac - fd).max() <= 1e-7 * np.abs(jac).max()
+
+    def test_tied_coordinates_give_the_same_terms(self, generic_params, rng):
+        # away from any near-singular pair both coordinate systems agree
+        w = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
+        g, z = generic_params.gamma, w.copy()
+        z[1] = w[1] + g - w[0]
+        plain = bt._terms(w[None], generic_params)
+        tied = bt._terms(z[None], generic_params, [[0, 0, 2]])
+        for a, b in zip(plain[:2], tied[:2]):
+            np.testing.assert_allclose(b, a, rtol=1e-13)
+
     def test_batched_residual_matches_single_sets(self, params, generic_params,
                                                   rng):
         for p in (params, generic_params):
@@ -106,43 +131,45 @@ class TestHighPrecisionOracle:
     def _compare(p, sols):
         for s in sols:
             if not s.singular:
-                mp_res = mp_relative_residual(s.roots, p)
-                assert abs(bt.bae_relative_residual(s.roots, p) - mp_res) <= 1e-14
+                mp_res = mp_relative_residual(s.roots, p, s.pairs)
+                assert abs(s.residual - mp_res) <= 1e-14
                 assert mp_res <= 1e-12
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_reference(self, params, n):
-        self._compare(params, bt.solve_bae(params, n))
+    def test_reference(self, params, oracle, n):
+        self._compare(params, bt.solve_bae(oracle.eigensystem(params, n)))
 
-    def test_near_singular_roots(self):
-        p = ModelParams.from_dict(generic_model(6, 11))
-        sols = bt.solve_bae(p, 2, seed=11)
-        # one root set sits next to a singular pair: w_2 - w_1 ~ gamma
-        gap = min(abs(np.sinh(s.roots[0] - s.roots[1] + p.gamma))
-                  for s in sols if not s.singular)
-        assert gap < 1e-3
-        self._compare(p, sols)
+    def test_near_singular_roots(self, oracle):
+        # each point has a root set next to a singular pair, w_2 - w_1 ~ gamma
+        # (pair factors 1.8e-6, 1.6e-4, 8.7e-7, 3.2e-7), carried as (w, delta)
+        for seed in (1, 11, 12, 14):
+            p = generic(6, seed)
+            sols = bt.solve_bae(oracle.eigensystem(p, 2))
+            tied = [s for s in sols if s.pairs]
+            assert tied and min(abs(np.sinh(d)) for s in tied
+                                for *_, d in s.pairs) < 1e-3
+            self._compare(p, sols)
 
 
 class TestSolver:
-    def test_L2_exact_solutions(self, p2):
-        sols = bt.solve_bae(p2, 1, seed=7)
+    def test_L2_exact_solutions(self, p2, oracle):
+        sols = bt.solve_bae(oracle.eigensystem(p2, 1))
         assert len(sols) == 2
         found = sorted((s.roots[0] for s in sols), key=lambda w: w.imag)
         assert abs(found[0] - (-0.35)) < 1e-12
         assert abs(found[1] - (-0.35 + 0.5j * np.pi)) < 1e-12
 
-    def test_vacuum_sector(self, params):
-        sols = bt.solve_bae(params, 0)
+    def test_vacuum_sector(self, params, oracle):
+        sols = bt.solve_bae(oracle.eigensystem(params, 0))
         assert len(sols) == 1 and sols[0].roots == ()
 
-    def test_sector_bound(self, params):
+    def test_sector_bound(self, params, oracle):
         with pytest.raises(ValueError):
-            bt.solve_bae(params, 5)
+            bt.solve_bae(oracle.eigensystem(params, 5))
 
-    def test_reference_counts(self, params):
-        s1 = bt.solve_bae(params, 1)
-        s2 = bt.solve_bae(params, 2)
+    def test_reference_counts(self, params, oracle):
+        s1 = bt.solve_bae(oracle.eigensystem(params, 1))
+        s2 = bt.solve_bae(oracle.eigensystem(params, 2))
         assert len(s1) == 4
         assert len(s2) == 6
         assert sum(s.singular for s in s2) == 1
@@ -150,9 +177,10 @@ class TestSolver:
         assert {s.source for s in s2} == {"solved", "analytic"}
         singular = next(s for s in s2 if s.singular)
         assert singular.source == "analytic"
+        assert singular.roots == (-0.7, 0.0)
 
-    def test_roots_pairwise_separated(self, params):
-        for s in bt.solve_bae(params, 2):
+    def test_roots_pairwise_separated(self, params, oracle):
+        for s in bt.solve_bae(oracle.eigensystem(params, 2)):
             w = np.asarray(s.roots)
             gaps = np.abs(w[:, None] - w[None, :])[~np.eye(2, dtype=bool)]
             assert gaps.min() > 1e-8
@@ -163,18 +191,64 @@ class TestSolver:
             warnings.simplefilter("error")
             assert bt._newton(np.array([[200 + 0j]]), p6) == [None]
 
-    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(1, 21))
     def test_generic_L6_complete(self, oracle, seed):
         # every n=2 eigenvalue at a generic L=6 point has a regular root set
-        # accepted at the check's own tolerance
-        p = ModelParams.from_dict(generic_model(6, seed))
-        sols = bt.solve_bae(p, 2, seed=seed)
+        # that meets the check's own tolerance (the multistart solver missed
+        # one at seeds 12, 14, 17 and 20)
+        p = generic(6, seed)
+        sols = bt.solve_bae(oracle.eigensystem(p, 2))
         regular = [s for s in sols if not s.singular]
         assert len(regular) == 15
         assert all(s.residual <= 1e-12 for s in regular)
         rep = bt.match_spectrum(p, 2, sols, oracle.eigensystem(p, 2))
         assert not rep.unmatched_eigenvalues
         assert rep.max_deviation <= 1e-8
+
+    def test_no_degree_n_q_at_n_equals_L(self, p2, oracle):
+        # the one n=2 eigenvalue at L=2 has no degree-2 Q, so no root set
+        es = oracle.eigensystem(p2, 2)
+        assert bt.solve_bae(es) == []
+        assert bt.conditioning([], es)["no_degree_n_q"] == 1
+
+    @pytest.mark.parametrize("point", ["reference", "generic-6-1"])
+    def test_every_sector_classified(self, params, oracle, point):
+        p = params if point == "reference" else generic(6, 1)
+        for n in range(1, p.L):
+            es = oracle.eigensystem(p, n)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                sols = bt.solve_bae(es)
+            cond = bt.conditioning(sols, es)
+            assert cond["regular"] + cond["singular"] + cond["no_degree_n_q"] \
+                == es.size
+            assert all(s.residual <= 1e-12 for s in sols)
+        # beyond the equator of the untwisted chain Q has no degree n
+        if point == "reference":
+            assert bt.conditioning(sols, es)["no_degree_n_q"] == es.size
+
+    @pytest.mark.parametrize("point", ["reference", 1, 2, 3])
+    def test_multistart_finds_no_other_set(self, params, oracle, point):
+        # an independent search: undamped Newton from random seeds, restarted
+        # from its best iterates; every regular set it converges to is one
+        # of the TQ sets
+        p = params if point == "reference" else generic(6, point)
+        rng = np.random.default_rng(7)
+        for n in (1, 2):
+            tq = [bt.canonical_roots(s.roots)
+                  for s in bt.solve_bae(oracle.eigensystem(p, n)) if not s.singular]
+            z = (rng.uniform(-2, 2, (200, n))
+                 + 1j * rng.uniform(-np.pi / 2, np.pi / 2, (200, n)))
+            for _ in range(6):
+                z = np.array([b for b in bt._newton(z, p) if b is not None])
+            converged = 0
+            for w in z:
+                sep = np.abs(np.sinh(w[:, None] - w[None, :])) + np.eye(n)
+                if bt.bae_relative_residual(w, p) <= 1e-10 and sep.min() > 1e-6:
+                    converged += 1
+                    c = bt.canonical_roots(w)
+                    assert min(np.abs(np.subtract(c, t)).max() for t in tq) < 1e-6
+            assert converged >= 50
 
     @pytest.mark.parametrize("d", [1e-13, -1e-13])
     def test_conjugate_pair_order_is_stable(self, d):
@@ -185,19 +259,24 @@ class TestSolver:
         for sols in ([up, down], [down, up]):
             assert sorted(sols, key=bt._solution_order) == [down, up]
 
-    def test_singular_jacobian_seed_leaves_batch(self):
-        # at L=1 the structured seed -gamma/2 has an exactly zero Jacobian;
-        # the other seeds still find the one root -gamma/2 + i pi/2
+    def test_singular_jacobian_seed_leaves_batch(self, oracle):
+        # at L=1 the Jacobian vanishes exactly at -gamma/2; that set leaves
+        # the batch, the other still reaches the root -gamma/2 + i pi/2,
+        # the one root set the solver returns
         p1 = ModelParams(L=1, gamma=0.7)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sols = bt.solve_bae(p1, 1)
+            stuck, moved = bt._newton([[-0.35], [-0.3 + 1.5j]], p1)
+            sols = bt.solve_bae(oracle.eigensystem(p1, 1))
+        assert stuck[0] == -0.35
+        assert abs(moved[0] - (-0.35 + 0.5j * np.pi)) < 1e-12
         assert len(sols) == 1
         assert abs(sols[0].roots[0] - (-0.35 + 0.5j * np.pi)) < 1e-12
 
     def test_determinism(self, params):
-        a = bt.solve_bae(params, 2, seed=5)
-        b = bt.solve_bae(params, 2, seed=5)
+        from sixvertex.spectrum import diagonalize_sector
+        a = bt.solve_bae(diagonalize_sector(params, 2))
+        b = bt.solve_bae(diagonalize_sector(params, 2))
         assert bt.roots_to_json(a) == bt.roots_to_json(b)
 
 
@@ -218,9 +297,9 @@ class TestEigenvalueFormula:
         assert abs(bt.eigenvalue_from_roots(
             x, [roots[0] + 1j * np.pi, roots[1]], params) - v) < 1e-13 * abs(v)
 
-    def test_removable_singularity_for_true_roots(self, params):
+    def test_removable_singularity_for_true_roots(self, params, oracle):
         # two-sided differences shrink: the pole at x -> w is removable
-        w = bt.solve_bae(params, 1)[0].roots[0]
+        w = bt.solve_bae(oracle.eigensystem(params, 1))[0].roots[0]
         ev = bt.RootEigenvalue([w], params)
         jumps = [abs(ev(w + eps) - ev(w - eps)) * eps for eps in (1e-2, 1e-3, 1e-4)]
         assert jumps[2] < jumps[0]
@@ -230,18 +309,18 @@ class TestEigenvalueFormula:
         with pytest.raises(bt.PolePoint):
             bt.eigenvalue_from_roots(0.4, [0.4 + 1e-8], params)
 
-    def test_limit_path_on_shell(self, params):
-        w = bt.solve_bae(params, 1)[0].roots[0]
+    def test_limit_path_on_shell(self, params, oracle):
+        w = bt.solve_bae(oracle.eigensystem(params, 1))[0].roots[0]
         v = bt.eigenvalue_from_roots(w + 1e-8, [w], params)
         ref = bt.eigenvalue_from_roots(w + 0.05, [w], params)
         assert abs(v - ref) < 0.2 * abs(ref)
 
-    def test_bethe_eigenvalues_are_polynomial(self, params):
+    def test_bethe_eigenvalues_are_polynomial(self, params, oracle):
         # the closed-form eigenvalue of any solved root set passes the
         # degree-L polynomial structure check
         from sixvertex.spectrum import polynomiality_check
         for n in (1, 2):
-            for s in bt.solve_bae(params, n):
+            for s in bt.solve_bae(oracle.eigensystem(params, n)):
                 ev = bt.RootEigenvalue(s.roots, params)
                 _, residual = polynomiality_check(ev, params)
                 assert residual < 1e-9
@@ -280,33 +359,56 @@ class TestHFunction:
 class TestMatching:
     def test_reference_matching_complete(self, params, oracle):
         for n, count in ((1, 4), (2, 6)):
-            sols = bt.solve_bae(params, n)
-            rep = bt.match_spectrum(params, n, sols, oracle.eigensystem(params, n))
+            es = oracle.eigensystem(params, n)
+            rep = bt.match_spectrum(params, n, bt.solve_bae(es), es)
             assert rep.complete
             assert len(rep.pairs) == count
             assert rep.max_deviation < 1e-8
 
     def test_dropping_a_solution_is_reported(self, params, oracle):
-        sols = bt.solve_bae(params, 1)[:-1]
-        rep = bt.match_spectrum(params, 1, sols, oracle.eigensystem(params, 1))
+        es = oracle.eigensystem(params, 1)
+        rep = bt.match_spectrum(params, 1, bt.solve_bae(es)[:-1], es)
         assert len(rep.unmatched_eigenvalues) == 1
         assert not rep.unmatched_solutions
 
     def test_generic_twist_matching(self, generic_params, oracle):
         # empirical bijection question: measured, and complete at this point
-        sols = bt.solve_bae(generic_params, 1)
-        rep = bt.match_spectrum(generic_params, 1, sols,
-                                oracle.eigensystem(generic_params, 1))
+        es = oracle.eigensystem(generic_params, 1)
+        rep = bt.match_spectrum(generic_params, 1, bt.solve_bae(es), es)
         assert rep.complete and rep.max_deviation < 1e-8
 
 
 class TestSerialization:
-    def test_roundtrip(self, params):
-        sols = bt.solve_bae(params, 2)
-        text = bt.roots_to_json(sols)
-        back = bt.roots_from_json(text)
-        assert len(back) == len(sols)
-        for a, b in zip(sols, back):
-            assert a.n == b.n and a.singular == b.singular
-            assert np.abs(np.asarray(a.roots) - np.asarray(b.roots)).max() == 0.0
-            assert b.source == "user"
+    def test_roundtrip(self, params, oracle):
+        # roots and the deltas of tied pairs come back bit for bit, and so
+        # does the residual recomputed from them
+        for p in (params, generic(6, 14)):
+            sols = bt.solve_bae(oracle.eigensystem(p, 2))
+            back = bt.roots_from_json(bt.roots_to_json(sols))
+            assert len(back) == len(sols)
+            assert any(s.pairs for s in back) == (p is not params)
+            for a, b in zip(sols, back):
+                assert a.n == b.n and a.singular == b.singular
+                assert a.roots == b.roots and a.pairs == b.pairs
+                assert bt.solution_residual(b, p) == a.residual
+                assert b.source == "user"
+
+    def test_tied_root_must_follow_its_pair(self, oracle):
+        # the written value of a tied root is checked against its pair
+        p = generic(6, 14)
+        s = next(s for s in bt.solve_bae(oracle.eigensystem(p, 2)) if s.pairs)
+        _, j, _ = s.pairs[0]
+        roots = list(s.roots)
+        roots[j] += 1e-9
+        assert bt.solution_residual(bt.BetheRoots(
+            2, roots, 0.0, pairs=s.pairs), p) == float("inf")
+
+    @pytest.mark.parametrize("pairs", [[(0, 3, 0.1)], [(1, 1, 0.1)],
+                                       [(0, 1, 0.1), (1, 2, 0.1)],
+                                       [(0, 1, 0.1), (1, 0, 0.1)],
+                                       [(0, 1, 0.1), (2, 1, 0.1)],
+                                       [(0, 1, 0.1), (0, 2, 0.1)]])
+    def test_malformed_pairs_rejected(self, pairs):
+        # out of range, self-tie, chain, loop, and a root in two pairs
+        with pytest.raises(ValueError):
+            bt.BetheRoots(n=3, roots=(0.1, 0.2, 0.3), residual=0.0, pairs=pairs)

@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import generic_model
 from sixvertex import cli
+from sixvertex.model import ModelParams
 from sixvertex.reports import (ConfigError, RunConfig, VerificationReport,
                                write_svg_line)
 from sixvertex.spectrum import DegenerateSpectrum
@@ -13,6 +15,13 @@ from sixvertex.spectrum import DegenerateSpectrum
 
 def run(argv):
     return cli.main(argv)
+
+
+def generic_config(tmp_path, seed, **extra):
+    """Config file for the benchmark's generic L=6 point at this seed."""
+    path = tmp_path / f"generic-{seed}.json"
+    path.write_text(json.dumps({"model": generic_model(6, seed), **extra}))
+    return str(path)
 
 
 class TestConfig:
@@ -129,6 +138,45 @@ class TestVerifyCommand:
             assert c["exclusive_s"] <= c["inclusive_s"]
         for e in prof["shared"]:
             assert e["check"] in cli.CHECKS and e["seconds"] >= 0
+        # a check that needs a Bethe solve triggers the eigensystem it rests
+        # on first; the two are timed apart, not one inside the other
+        run(["verify", "--out", str(tmp_path / "bethe"), "--checks", "bethe"])
+        prof = json.loads((tmp_path / "bethe" / "profile.json").read_text())
+        assert [e["work"] for e in prof["shared"]] == ["eigensystem", "bethe"] * 2
+        assert all(c["exclusive_s"] >= 0 for c in prof["checks"])
+        counts = [(e["regular"], e["singular"], e["no_degree_n_q"])
+                  for e in prof["shared"] if e["work"] == "bethe"]
+        assert counts == [(4, 0, 0), (5, 1, 0)]
+
+    def test_rows_record_parameters(self, tmp_path):
+        cfg = generic_config(tmp_path, 3)
+        run(["verify", "--config", cfg, "--out", str(tmp_path / "out"),
+             "--seed", "7", "--checks", "upsilon,riccati-h"])
+        rows = [json.loads(line) for line in
+                (tmp_path / "out" / "reports.jsonl").read_text().splitlines()]
+        assert len(rows) == 2
+        for row in rows:
+            assert row["parameters"]["seed"] == 7
+            assert ModelParams.from_dict(row["parameters"]["model"]) \
+                == RunConfig.from_file(cfg).model
+
+    @pytest.mark.parametrize("seed", [12, 14])
+    def test_bethe_rows_pass_with_conditioning(self, tmp_path, seed):
+        # the multistart solver left one n=2 eigenvalue unmatched at both
+        # points; every row also says how close its pass is
+        out = tmp_path / "out"
+        code = run(["verify", "--config", generic_config(tmp_path, seed),
+                    "--out", str(out), "--checks", "bethe"])
+        rows = [json.loads(line)
+                for line in (out / "reports.jsonl").read_text().splitlines()]
+        assert code == 0 and len(rows) == 4 and all(r["passed"] for r in rows)
+        for r in rows:
+            d = r["details"]
+            assert d["regular"] == {1: 6, 2: 15}[d["n"]]
+            assert d["singular"] == d["no_degree_n_q"] == 0
+            assert d["min_tq_gap"] > 1e-3
+        assert min(r["details"]["min_pair_factor"] for r in rows
+                   if r["details"]["n"] == 2) < 1e-6
 
     def test_report_command_summarizes(self, tmp_path, capsys):
         run(["verify", "--out", str(tmp_path), "--checks", "upsilon"])
@@ -161,6 +209,40 @@ class TestBetheCommand:
         back = json.loads((tmp_path / "re" / "roots-n2.json").read_text())
         assert all(r["source"] == "user" for r in back)
         assert all(r["residual"] < 1e-10 for r in back)
+
+    def test_verify_only_judges_at_check_tolerance(self, tmp_path):
+        # roots with a tied near-singular pair pass after the JSON round
+        # trip; one root moved by 1e-9 fails the check's 1e-12
+        cfg = generic_config(tmp_path, 14, sectors=[2])
+        assert run(["bethe", "--config", cfg, "--out", str(tmp_path)]) == 0
+        recs = json.loads((tmp_path / "roots-n2.json").read_text())
+        assert any(r["pairs"] for r in recs)
+        assert run(["bethe", "--config", cfg, "--out", str(tmp_path / "re"),
+                    "--roots", str(tmp_path / "roots-n2.json"),
+                    "--verify-only"]) == 0
+        recs[0]["roots"][0][0] += 1e-9
+        moved = tmp_path / "moved.json"
+        moved.write_text(json.dumps(recs))
+        assert run(["bethe", "--config", cfg, "--out", str(tmp_path / "mv"),
+                    "--roots", str(moved), "--verify-only"]) == 1
+
+    def test_verify_only_checks_tied_roots(self, tmp_path):
+        # a tied root whose written value disagrees with its pair fails;
+        # pairs that are not single ties are an input error
+        cfg = generic_config(tmp_path, 14, sectors=[2])
+        run(["bethe", "--config", cfg, "--out", str(tmp_path)])
+        recs = json.loads((tmp_path / "roots-n2.json").read_text())
+        rec = next(r for r in recs if r["pairs"])
+        _, j, *_ = rec["pairs"][0]
+        rec["roots"][j][0] += 1e-9
+        moved = tmp_path / "moved.json"
+        moved.write_text(json.dumps(recs))
+        assert run(["bethe", "--config", cfg, "--out", str(tmp_path / "mv"),
+                    "--roots", str(moved), "--verify-only"]) == 1
+        rec["pairs"][0][:2] = [j, j]
+        moved.write_text(json.dumps(recs))
+        assert run(["bethe", "--config", cfg, "--out", str(tmp_path / "mv"),
+                    "--roots", str(moved), "--verify-only"]) == 2
 
     def test_verify_only_rejects_bad_roots(self, tmp_path):
         bad = [{"n": 1, "roots": [[0.4, 0.2]], "residual": 0.0,

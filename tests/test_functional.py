@@ -323,8 +323,9 @@ class TestFullClosure:
         # closed-form eigenvalue close the linear relation together,
         # without any reference to the brute-force oracle
         from sixvertex.bethe import RootEigenvalue, solve_bae
-        from sixvertex.spectrum import left_vector_from_C
-        sols = [s for s in solve_bae(params, 2) if not s.singular]
+        from sixvertex.spectrum import diagonalize_sector, left_vector_from_C
+        sols = [s for s in solve_bae(diagonalize_sector(params, 2))
+                if not s.singular]
         pts = pts_for(2)
         for s in sols[:3]:
             bra = left_vector_from_C(s.roots, params)
@@ -374,7 +375,7 @@ class TestConservedQuantities:
             v1, _, _ = fx.conserved_n1(0.2, es.lam(k), hw, params)
             v2, _, _ = fx.conserved_n1(0.9, es.lam(k), hw, params)
             assert abs(v1 - v2) < 1e-8
-        sols = solve_bae(params, 1)
+        sols = solve_bae(es)
         rep = match_spectrum(params, 1, sols, es)
         for si, ei, _ in rep.pairs:
             val, _, _ = fx.conserved_n1(0.4, es.lam(ei), hw, params)

@@ -164,7 +164,7 @@ class TestRiccati2:
 
 class TestUEquation:
     def test_closed_form_root(self, params, hw):
-        sols = [s for s in solve_bae(params, 1) if not s.singular]
+        sols = solve_bae(diagonalize_sector(params, 1))
         ev = RootEigenvalue(sols[0].roots, params)
         r200 = odes.u_equation_residual(ev, (0.2, 1.2), hw, params, num=200)
         r400 = odes.u_equation_residual(ev, (0.2, 1.2), hw, params, num=400)
@@ -175,7 +175,7 @@ class TestUEquation:
     def test_scaling_invariance(self, params, hw):
         # u -> 2u leaves the normalized residual unchanged (homogeneous ODE);
         # replicate the internal pipeline with a rescaled u
-        sols = [s for s in solve_bae(params, 1) if not s.singular]
+        sols = solve_bae(diagonalize_sector(params, 1))
         ev = RootEigenvalue(sols[0].roots, params)
         xs = np.linspace(0.2, 1.2, 201).astype(complex)
         h = xs[1] - xs[0]
@@ -208,7 +208,7 @@ class TestUEquation:
         hw2 = HighestWeightData(p)
         lams = np.array([hw2.lam_minus(x) for x in np.linspace(0.2, 1.2, 401)])
         assert np.abs(lams).min() < 1e-2 * np.abs(lams).max()  # hazard present
-        sols = [s for s in solve_bae(p, 1) if not s.singular]
+        sols = solve_bae(diagonalize_sector(p, 1))
         ev = RootEigenvalue(sols[0].roots, p)
         # the second Bethe root's pole sits 0.1 from the shifted path, so the
         # FD constants are much larger than in the untwisted case; what must
