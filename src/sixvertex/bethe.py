@@ -209,21 +209,26 @@ def _newton_steps(J, F):
         return out
 
 
-def _newton(z, params, partner=None):
+def _newton(z, params, partner=None, held=None):
     """_MAX_ITER undamped Newton steps on root sets of shape (S, n) in
     `_terms` coordinates; returns each set's best iterate by relative
     residual, or None if it never had a finite one (far out, the residue form
-    overflows)."""
+    overflows).  Roots flagged in `held` (S, n) stay fixed, and their rows
+    are left out of the residual and of the Jacobian."""
     z = np.array(z, dtype=complex)
+    held = np.zeros(z.shape, dtype=bool) if held is None else held
+    keep = held[..., :, None] | held[..., None, :]
+    eye = np.eye(z.shape[-1])
     best, best_rel = [None] * len(z), np.full(len(z), np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(_MAX_ITER + 1):
             ta, td, dta, dtd = _terms(z, params, partner)
-            rel = _relative(ta, td)
+            rel = _relative(np.where(held, 1, ta), np.where(held, 1, td))
             for k in np.flatnonzero(rel < best_rel):
                 best[k], best_rel[k] = z[k].copy(), rel[k]
             if it < _MAX_ITER:
-                z = z + _newton_steps(dta - dtd, ta - td)
+                z = z + _newton_steps(np.where(keep, eye, dta - dtd),
+                                      np.where(held, 0, ta - td))
     return best
 
 
@@ -246,14 +251,15 @@ def _tq_null_vectors(es):
 
 def _snap_singular(w, params: ModelParams):
     """Snap each exact singular pair {mu_k, mu_k - gamma} of w in place;
-    returns whether there was one."""
-    hit = False
+    returns the mask of snapped roots."""
+    held = np.zeros(len(w), dtype=bool)
     for m in params.mu:
         i = np.flatnonzero(np.abs(np.sinh(w - m)) < _NULL_TOL)
         j = np.flatnonzero(np.abs(np.sinh(w + params.gamma - m)) < _NULL_TOL)
         if len(i) and len(j):
-            w[i[0]], w[j[0]], hit = m, m - params.gamma, True
-    return hit
+            w[i[0]], w[j[0]] = m, m - params.gamma
+            held[[i[0], j[0]]] = True
+    return held
 
 
 def _tie_pairs(w, gamma):
@@ -274,30 +280,34 @@ def solve_bae(es):
     degree-n Q (a null vector without a root at u = 0 or infinity), regular
     sets first, each with its residual (for the caller to judge) and its TQ
     null-space gap.  A set holding a singular pair is snapped to it and
-    flagged; the others are polished by Newton on the residue form, with a
+    flagged.  Newton on the residue form then polishes every set: the roots
+    outside a snapped pair, with the pair held, and a regular set with a
     near-singular pair tied as (w_i, delta) (see `_terms`)."""
     p, n = es.params, es.n
     if n == 0:
         return [BetheRoots(n=0, roots=(), residual=0.0)]
-    found, regular = [], []
+    sets = []
     for s, q in zip(*_tq_null_vectors(es)):
         ends = min(abs(q[0]), abs(q[-1]))
         if s[-1] > _NULL_TOL * s[0] or ends <= _NULL_TOL * np.abs(q).max():
             continue                                   # no degree-n Q
         w = np.array(canonical_roots(np.log(np.roots(q[::-1])) / 2))
-        gap = float(s[-2] / s[0])
-        if _snap_singular(w, p):
-            found.append(BetheRoots(n, w, 0.0, "analytic", True, tq_gap=gap))
-        else:
-            regular.append((*_tie_pairs(w, p.gamma), gap))
-    if regular:
-        z0, partner, gaps = (np.array(c) for c in zip(*regular))
-        for z, z0k, pk, gap in zip(_newton(z0, p, partner), z0, partner, gaps):
+        held = _snap_singular(w, p)
+        z, partner = (w, np.arange(n)) if held.any() else _tie_pairs(w, p.gamma)
+        sets.append((z, partner, held, s[-2] / s[0]))
+    found = []
+    if sets:
+        z0, partner, held, gaps = (np.array(c) for c in zip(*sets))
+        for z, z0k, pk, hk, gap in zip(_newton(z0, p, partner, held), z0,
+                                       partner, held, gaps):
             z = z0k if z is None else z
             tied = pk != np.arange(n)
             w = np.where(tied, z[pk] - p.gamma + z, z)
-            found.append(BetheRoots(n, w, 0.0, tq_gap=float(gap), pairs=[
-                (pk[j], j, z[j]) for j in np.flatnonzero(tied)]))
+            singular = bool(hk.any())
+            found.append(BetheRoots(
+                n, w, 0.0, "analytic" if singular else "solved", singular,
+                tq_gap=float(gap),
+                pairs=[(pk[j], j, z[j]) for j in np.flatnonzero(tied)]))
     found = [replace(s, residual=solution_residual(s, p)) for s in found]
     return sorted(found, key=_solution_order)
 
@@ -328,54 +338,37 @@ def conditioning(solutions, es):
 # closed-form evaluators
 
 class RootEigenvalue:
-    """Eigenvalue function built from a root set, with closed-form first and
-    second derivatives (log-derivative sums; valid away from the poles of the
-    ratio products and the zeros of lam_a, lam_d)."""
+    """Eigenvalue function built from a root set: Baxter's relation divided
+    by Q(x) = prod_l sinh(x - w_l),
+
+        Lambda(x) = phi1 lam_a(x) Q(x - gamma)/Q(x) + phi2 lam_d(x) Q(x + gamma)/Q(x),
+
+    with closed-form first and second derivatives from each term's
+    log-derivative (valid away from the zeros of Q, lam_a and lam_d)."""
 
     def __init__(self, roots, params: ModelParams, hw=None):
         self.roots = tuple(complex(w) for w in roots)
         self.params = params
         self.hw = hw or HighestWeightData(params)
 
-    def _branch(self, x, shift, d):
-        # F(x) = prod_l a(w_l - x)/b(w_l - x)  (shift=+1)  or its mirror
-        p = self.params
-        g = p.gamma
-        w = np.asarray(self.roots)
-        if shift > 0:
-            val = np.prod(p.a(w - x) / p.b(w - x)) if len(w) else 1.0
-            if d == 0:
-                return val, 0.0, 0.0
-            c1 = 1 / np.tanh(w - x)
-            c2 = 1 / np.tanh(w - x + g)
-        else:
-            val = np.prod(p.a(x - w) / p.b(x - w)) if len(w) else 1.0
-            if d == 0:
-                return val, 0.0, 0.0
-            c1 = -1 / np.tanh(x - w)
-            c2 = -1 / np.tanh(x - w + g)
-        # d/dx of (+-coth) is (c^2 - 1) with c the signed value, both branches
-        s = np.sum(c1 - c2)
-        ds = np.sum((c1 ** 2 - 1) - (c2 ** 2 - 1))
-        return val, s, ds
-
     def __call__(self, x, d=0):
-        p, hw = self.params, self.hw
         if d > 2:
             raise ValueError("closed-form derivatives implemented up to order 2")
-        out = 0.0 + 0j
-        for shift, phi, la in ((+1, p.phi1, hw.lam_a), (-1, p.phi2, hw.lam_d)):
-            F, s, ds = self._branch(x, shift, d)
-            f0 = la(x)
-            if d == 0:
-                out += phi * F * f0
-            else:
-                t = la(x, 1) / f0
-                if d == 1:
-                    out += phi * F * f0 * (s + t)
-                else:
-                    dt = la(x, 2) / f0 - t ** 2
-                    out += phi * F * f0 * ((s + t) ** 2 + ds + dt)
+        p, w = self.params, np.asarray(self.roots, dtype=complex)
+        out = 0j
+        # Q(x -+ gamma)/Q(x) = prod_l sinh(u_l + gamma)/sinh(u_l) with
+        # u = w - x (du/dx = -1) and u = x - w (du/dx = +1)
+        for phi, lam, u, du in ((p.phi1, self.hw.lam_a, w - x, -1),
+                                (p.phi2, self.hw.lam_d, x - w, 1)):
+            term = phi * np.prod(np.sinh(u + p.gamma) / np.sinh(u)) * lam(x)
+            if d:
+                c0, cg = 1 / np.tanh(u), 1 / np.tanh(u + p.gamma)
+                t = lam(x, 1) / lam(x)
+                log1 = du * np.sum(cg - c0) + t      # (log term)'
+                ds = np.sum((c0 ** 2 - 1) - (cg ** 2 - 1))
+                dt = lam(x, 2) / lam(x) - t ** 2
+                term *= log1 if d == 1 else log1 ** 2 + ds + dt
+            out += term
         return complex(out)
 
 

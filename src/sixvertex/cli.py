@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bethe as bt
 from . import functional as fx
-from . import odes
+from . import model, odes
 from .model import (ExpSum, HighestWeightData, ModelParams, monodromy_blocks,
                     magnetization_diagonal, transfer, verify_ybe,
                     yba_exchange_residual)
@@ -35,7 +35,8 @@ EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_DEGENERATE = 0, 1, 2, 3
 class VerifyContext:
     """Shared state of one verify run.  Sector eigensystems and Bethe
     solutions are built once, on first use; each build is timed as its own
-    entry of `shared`, so no check is charged for work that others reuse."""
+    entry of `shared`, with the monodromy builds it made, so no check is
+    charged for work that others reuse."""
 
     def __init__(self, config: RunConfig):
         self.config = config
@@ -45,15 +46,17 @@ class VerifyContext:
         self.cache = ResultCache(config.output_dir / ".cache")
         self._eigs = {}
         self._bethe = {}
-        # one entry per memo miss: work, n, seconds (cmd_verify adds the check)
+        # one entry per memo miss: work, n, seconds, builds (cmd_verify adds
+        # the check)
         self.shared = []
 
     def _timed(self, work, n, build):
         """build() and its `shared` entry."""
-        t0 = time.perf_counter()
+        t0, b0 = time.perf_counter(), model.builds
         out = build()
         self.shared.append({"work": work, "n": n,
-                            "seconds": time.perf_counter() - t0})
+                            "seconds": time.perf_counter() - t0,
+                            "builds": model.builds - b0})
         return out, self.shared[-1]
 
     def eigensystem(self, n):
@@ -665,9 +668,9 @@ def cmd_verify(args):
     ctx = VerifyContext(cfg)
     names = cfg.checks or list(CHECKS)
     reports = []
-    checks = []     # per check: inclusive time, and that minus shared work
+    checks = []     # per check: inclusive time, and time and builds less shared work
     for name in names:
-        t0, first = time.perf_counter(), len(ctx.shared)
+        t0, b0, first = time.perf_counter(), model.builds, len(ctx.shared)
         try:
             reports.extend(CHECKS[name](ctx))
         except DegenerateSpectrum:
@@ -680,9 +683,11 @@ def cmd_verify(args):
         inclusive = time.perf_counter() - t0
         for entry in ctx.shared[first:]:
             entry["check"] = name
-        shared = sum(entry["seconds"] for entry in ctx.shared[first:])
+        shared = ctx.shared[first:]
         checks.append({"check": name, "inclusive_s": inclusive,
-                       "exclusive_s": inclusive - shared})
+                       "exclusive_s": inclusive - sum(e["seconds"] for e in shared),
+                       "exclusive_builds": model.builds - b0
+                       - sum(e["builds"] for e in shared)})
     for r in reports:
         r.parameters = {"model": cfg.model.to_dict(), "seed": cfg.seed}
     lines = [json.dumps(r.to_dict(), sort_keys=True) for r in reports]

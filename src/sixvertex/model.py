@@ -1,7 +1,8 @@
 """Six-vertex model at desk scale: R-matrix, twisted monodromy, transfer matrix.
 
 Everything here is dense complex linear algebra on the 2^L-dimensional chain
-Hilbert space.  Conventions (pinned by the L=1 tests):
+Hilbert space; the monodromy blocks are built site by site as Kronecker
+products with 2x2 site factors.  Conventions (pinned by the L=1 tests):
 
 * vertex weights  a(x) = sinh(x + gamma),  b(x) = sinh(x),  c = sinh(gamma);
 * chain basis: bit-strings of length L in lexicographic order, site 1 is the
@@ -15,7 +16,6 @@ Hilbert space.  Conventions (pinned by the L=1 tests):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as _iproduct
 
 import numpy as np
 
@@ -124,84 +124,43 @@ def r_matrix(x, gamma):
     )
 
 
-def _embed_pair(op4, slots, n_slots):
-    """Embed a two-site operator into n_slots qubit slots (dense)."""
-    dim = 2 ** n_slots
-    op = op4.reshape(2, 2, 2, 2)  # [i_out, j_out, i_in, j_in]
-    full = np.zeros((dim, dim), dtype=complex)
-    i, j = slots
-    rest = [s for s in range(n_slots) if s not in slots]
-    for bits_out in _iproduct((0, 1), repeat=2):
-        for bits_in in _iproduct((0, 1), repeat=2):
-            amp = op[bits_out[0], bits_out[1], bits_in[0], bits_in[1]]
-            if amp == 0:
-                continue
-            for rest_bits in _iproduct((0, 1), repeat=len(rest)):
-                out = [0] * n_slots
-                inn = [0] * n_slots
-                out[i], out[j] = bits_out
-                inn[i], inn[j] = bits_in
-                for s, rb in zip(rest, rest_bits):
-                    out[s] = inn[s] = rb
-                r = int("".join(map(str, out)), 2)
-                cidx = int("".join(map(str, inn)), 2)
-                full[r, cidx] += amp
-    return full
-
-
 def verify_ybe(x1, x2, x3, gamma):
     """Max-norm residual of the Yang-Baxter equation on three slots."""
-    r12 = _embed_pair(r_matrix(x1 - x2, gamma), (0, 1), 3)
-    r13 = _embed_pair(r_matrix(x1 - x3, gamma), (0, 2), 3)
-    r23 = _embed_pair(r_matrix(x2 - x3, gamma), (1, 2), 3)
+    I2, P = np.eye(2), np.eye(4)[[0, 2, 1, 3]]     # P swaps two slots
+    r12 = np.kron(r_matrix(x1 - x2, gamma), I2)
+    r13 = np.kron(I2, P) @ np.kron(r_matrix(x1 - x3, gamma), I2) @ np.kron(I2, P)
+    r23 = np.kron(I2, r_matrix(x2 - x3, gamma))
     lhs = r12 @ r13 @ r23
     rhs = r23 @ r13 @ r12
     return float(np.abs(lhs - rhs).max())
 
 
-def _apply_site_right(X, m, j, L):
-    """X @ embed(m at site j), without forming the embedded operator.
-
-    Column index of X is reshaped as (pre, site, post); m is 2x2.
-    """
-    D = X.shape[0]
-    pre, post = 2 ** (j - 1), 2 ** (L - j)
-    Xr = X.reshape(D, pre, 2, post)
-    out = np.einsum("rpts,te->rpes", Xr, m, optimize=True)
-    return out.reshape(D, D)
-
-
-_E11 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-_E22 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-_E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-_E21 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+# number of monodromy_blocks calls so far (`verify` records it per check)
+builds = 0
 
 
 def monodromy_blocks(x, params: ModelParams):
     """Twisted monodromy as its four quantum-space blocks (A, B, C, D).
 
-    The ordered product runs j = 1 leftmost; the twist multiplies once at
-    the end (A, B pick up phi1; C, D pick up phi2).
+    The ordered product runs j = 1 leftmost, so each site appends its 2x2
+    factors by Kronecker products: (A, B) <- (A r11 + B r21, A r12 + B r22)
+    and likewise (C, D), with r_ab[s, t] = R[(a, s), (b, t)].  The twist
+    multiplies once at the end (A, B pick up phi1; C, D pick up phi2).
     """
-    L, g = params.L, params.gamma
-    D = params.dim
-    A = np.eye(D, dtype=complex)
-    B = np.zeros((D, D), dtype=complex)
-    C = np.zeros((D, D), dtype=complex)
-    Dm = np.eye(D, dtype=complex)
-    for j in range(1, L + 1):
-        z = x - params.mu[j - 1]
-        a, b, c = np.sinh(z + g), np.sinh(z), np.sinh(g)
-        r11 = a * _E11 + b * _E22
-        r22 = b * _E11 + a * _E22
-        r12 = c * _E21
-        r21 = c * _E12
-        An = _apply_site_right(A, r11, j, L) + _apply_site_right(B, r21, j, L)
-        Bn = _apply_site_right(A, r12, j, L) + _apply_site_right(B, r22, j, L)
-        Cn = _apply_site_right(C, r11, j, L) + _apply_site_right(Dm, r21, j, L)
-        Dn = _apply_site_right(C, r12, j, L) + _apply_site_right(Dm, r22, j, L)
-        A, B, C, Dm = An, Bn, Cn, Dn
-    return params.phi1 * A, params.phi1 * B, params.phi2 * C, params.phi2 * Dm
+    global builds
+    builds += 1
+    g = params.gamma
+    A = D = np.ones((1, 1), dtype=complex)
+    B = C = np.zeros((1, 1), dtype=complex)
+    for m in params.mu:
+        a, b, c = np.sinh(x - m + g), np.sinh(x - m), np.sinh(g)
+        r11, r22 = np.diag([a, b]), np.diag([b, a])
+        r12, r21 = np.array([[0, 0], [c, 0]]), np.array([[0, c], [0, 0]])
+        A, B, C, D = (np.kron(A, r11) + np.kron(B, r21),
+                      np.kron(A, r12) + np.kron(B, r22),
+                      np.kron(C, r11) + np.kron(D, r21),
+                      np.kron(C, r12) + np.kron(D, r22))
+    return params.phi1 * A, params.phi1 * B, params.phi2 * C, params.phi2 * D
 
 
 def transfer(x, params: ModelParams):

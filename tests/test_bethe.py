@@ -191,6 +191,18 @@ class TestSolver:
             warnings.simplefilter("error")
             assert bt._newton(np.array([[200 + 0j]]), p6) == [None]
 
+    def test_singular_sets_polished_outside_the_pair(self, oracle):
+        # at reference L=8, n=4, four sets hold the exact pair {0, -gamma}
+        # plus two more roots, which Newton polishes with the pair held
+        # (unpolished, (-1.4316, -0.7, 0, 0.7316) had residual 5.7e-12)
+        p = ModelParams(L=8, gamma=0.7)
+        sols = bt.solve_bae(oracle.eigensystem(p, 4))
+        singular = [s for s in sols if s.singular]
+        assert len(singular) >= 4
+        assert all(s.residual <= 1e-12 for s in sols)
+        for s in singular:
+            assert {-0.7, 0.0} <= set(s.roots)
+
     @pytest.mark.parametrize("seed", range(1, 21))
     def test_generic_L6_complete(self, oracle, seed):
         # every n=2 eigenvalue at a generic L=6 point has a regular root set
@@ -324,6 +336,38 @@ class TestEigenvalueFormula:
                 ev = bt.RootEigenvalue(s.roots, params)
                 _, residual = polynomiality_check(ev, params)
                 assert residual < 1e-9
+
+    # values of the two-branch evaluator this formula replaced, at a
+    # reference and a generic twisted inhomogeneous root set (x, d, value)
+    FROZEN = {
+        "reference": ((-1.0562305173394375 + 1.5707963267948966j,
+                       0.3562305173394372 + 1.5707963267948966j), [
+            (0.37 + 0.11j, 0, 1.8110628907226867 + 0.9438848791971268j),
+            (0.37 + 0.11j, 1, 8.019028135678798 + 3.802271749781192j),
+            (0.37 + 0.11j, 2, 32.304505920073176 + 15.121377483504139j),
+            (0.9 - 0.2j, 0, 12.70287319491401 - 13.298850310098702j),
+            (0.9 - 0.2j, 1, 51.65680987180765 - 53.21736110916321j),
+            (0.9 - 0.2j, 2, 206.7270322868996 - 212.8857764572249j)]),
+        "generic": ((-0.7299303902654369 - 1.2378919590122346j,
+                     -0.2665660709663987 - 0.3343726931974534j), [
+            (0.37 + 0.11j, 0, -0.1030530001087028 + 0.8942820830867564j),
+            (0.37 + 0.11j, 1, 1.5144199287623152 + 3.399993224918714j),
+            (0.37 + 0.11j, 2, 14.977873901650593 + 12.904701842692935j),
+            (0.9 - 0.2j, 0, 5.529193364125334 - 6.140445451195703j),
+            (0.9 - 0.2j, 1, 30.278899254024218 - 34.115267500776824j),
+            (0.9 - 0.2j, 2, 145.5528107875045 - 156.48121205269246j)]),
+    }
+
+    @pytest.mark.parametrize("point", ["reference", "generic"])
+    def test_values_of_the_branch_evaluator_kept(self, params, generic_params,
+                                                 point):
+        p = params if point == "reference" else generic_params
+        roots, rows = self.FROZEN[point]
+        ev = bt.RootEigenvalue(roots, p)
+        for x, d, value in rows:
+            assert abs(ev(x, d) - value) <= 1e-14 * abs(value)
+        with pytest.raises(ValueError):
+            ev(0.37, 3)
 
     def test_derivatives_match_fd(self, params):
         ev = bt.RootEigenvalue([0.3 + 0.2j, -0.5 - 0.1j], params)

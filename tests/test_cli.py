@@ -148,6 +148,14 @@ class TestVerifyCommand:
                   for e in prof["shared"] if e["work"] == "bethe"]
         assert counts == [(4, 0, 0), (5, 1, 0)]
 
+    def test_profile_counts_monodromy_builds(self, tmp_path):
+        # an eigensystem samples T(x) at L+1 points; the polynomial check
+        # builds T(x) again for its direct forms
+        run(["verify", "--out", str(tmp_path), "--checks", "polynomial"])
+        prof = json.loads((tmp_path / "profile.json").read_text())
+        assert [e["builds"] for e in prof["shared"]] == [5] * 5
+        assert [c["exclusive_builds"] for c in prof["checks"]] == [50]
+
     def test_rows_record_parameters(self, tmp_path):
         cfg = generic_config(tmp_path, 3)
         run(["verify", "--config", cfg, "--out", str(tmp_path / "out"),

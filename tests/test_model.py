@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sixvertex import model
 from sixvertex.model import (ExpSum, HighestWeightData, ModelParams,
                              magnetization_diagonal, monodromy_blocks,
                              popcount, r_matrix,
@@ -62,6 +63,36 @@ class TestYangBaxter:
     def test_complex_points(self):
         assert verify_ybe(0.3 + 0.2j, -0.7 - 0.1j, 1.1 + 0.05j, 0.8 + 0.3j) < 1e-12
 
+    def test_wrong_weights_fail(self, monkeypatch):
+        # the residual tests the R-matrix, not its embedding into three slots
+        exact = model.r_matrix
+
+        def off(x, gamma):
+            R = exact(x, gamma)
+            R[1, 2] *= 1.1
+            R[2, 1] *= 1.1
+            return R
+
+        monkeypatch.setattr(model, "r_matrix", off)
+        assert verify_ybe(0.3 + 0.2j, -0.7 - 0.1j, 1.1 + 0.05j, 0.8 + 0.3j) > 1e-2
+
+
+def dense_monodromy(x, p):
+    """Gamma0 R_01(x - mu_1) ... R_0L(x - mu_L) as one 2^(L+1) matrix on
+    aux (x) chain, aux the most significant slot.  Each R_0j is R (x) 1 on
+    the slots (aux, j, the other sites in order), carried to the slot order
+    (aux, 1, ..., L) by permuting the axes of its tensor."""
+    L, n = p.L, p.L + 1
+    T = np.kron(np.diag([p.phi1, p.phi2]), np.eye(2 ** L))
+    for j, m in enumerate(p.mu, start=1):
+        slots = [0, j] + [s for s in range(1, L + 1) if s != j]
+        perm = list(np.argsort(slots))
+        R0j = np.kron(r_matrix(x - m, p.gamma), np.eye(2 ** (L - 1)))
+        R0j = R0j.reshape((2,) * 2 * n).transpose(perm + [n + k for k in perm])
+        T = T @ R0j.reshape(2 ** n, 2 ** n)
+    T = T.reshape(2, 2 ** L, 2, 2 ** L)
+    return T[0, :, 0], T[0, :, 1], T[1, :, 0], T[1, :, 1]
+
 
 class TestMonodromy:
     def test_single_site_blocks(self):
@@ -74,6 +105,15 @@ class TestMonodromy:
         assert np.allclose(D, 0.8 * np.diag([b, a]))
         assert np.allclose(B, 1.3 * c * np.array([[0, 0], [1, 0]]))
         assert np.allclose(C, 0.8 * c * np.array([[0, 1], [0, 0]]))
+
+    @pytest.mark.parametrize("L", range(1, 7))
+    def test_matches_dense_ordered_product(self, L):
+        rng = np.random.default_rng(L)
+        p = ModelParams(L=L, gamma=0.7 + 0.3j, mu=tuple(rng.uniform(-0.3, 0.3, L)),
+                        phi1=1.3, phi2=0.8 - 0.2j)
+        x = 0.41 + 0.13j
+        for got, ref in zip(monodromy_blocks(x, p), dense_monodromy(x, p)):
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_singular_vector(self, rng):
         # C(x)|0> = 0 for all x; B(x) does not annihilate a generic vector
