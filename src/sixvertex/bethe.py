@@ -43,6 +43,7 @@ __all__ = [
     "solution_residual",
     "solve_bae",
     "conditioning",
+    "no_degree_n_q",
     "canonical_roots",
     "eigenvalue_from_roots",
     "RootEigenvalue",
@@ -249,6 +250,20 @@ def _tq_null_vectors(es):
     return s, vh[:, -1].conj()
 
 
+def _has_degree_n_q(s, q):
+    """Whether TQ singular values s and null vector q give a degree-n Q: a
+    one-dimensional null space and no root of Q at u = 0 or infinity."""
+    ends = min(abs(q[0]), abs(q[-1]))
+    return s[-1] <= _NULL_TOL * s[0] and ends > _NULL_TOL * np.abs(q).max()
+
+
+def no_degree_n_q(es):
+    """Indices of the eigenvalues of `es` (sector n >= 1) that have no
+    degree-n Q, and so no root set."""
+    return [k for k, (s, q) in enumerate(zip(*_tq_null_vectors(es)))
+            if not _has_degree_n_q(s, q)]
+
+
 def _snap_singular(w, params: ModelParams):
     """Snap each exact singular pair {mu_k, mu_k - gamma} of w in place;
     returns the mask of snapped roots."""
@@ -288,9 +303,8 @@ def solve_bae(es):
         return [BetheRoots(n=0, roots=(), residual=0.0)]
     sets = []
     for s, q in zip(*_tq_null_vectors(es)):
-        ends = min(abs(q[0]), abs(q[-1]))
-        if s[-1] > _NULL_TOL * s[0] or ends <= _NULL_TOL * np.abs(q).max():
-            continue                                   # no degree-n Q
+        if not _has_degree_n_q(s, q):
+            continue
         w = np.array(canonical_roots(np.log(np.roots(q[::-1])) / 2))
         held = _snap_singular(w, p)
         z, partner = (w, np.arange(n)) if held.any() else _tie_pairs(w, p.gamma)

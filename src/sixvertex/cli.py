@@ -60,10 +60,15 @@ class VerifyContext:
         return out, self.shared[-1]
 
     def eigensystem(self, n):
+        """Sector eigensystem; its `shared` entry also records how well
+        conditioned it is."""
         if n not in self._eigs:
             key = self.config.content_key()
-            self._eigs[n], _ = self._timed("eigensystem", n, lambda: self.cache.sector(
+            es, entry = self._timed("eigensystem", n, lambda: self.cache.sector(
                 key, n, self.params, lambda: diagonalize_sector(self.params, n)))
+            entry.update(min_relative_gap=es.min_relative_gap(),
+                         biorthogonality_defect=es.biorthogonality_defect())
+            self._eigs[n] = es
         return self._eigs[n]
 
     def lam(self, n, k):
@@ -215,6 +220,10 @@ def check_linear_problem(ctx):
     return out
 
 
+# eigenvalue scale of the compatibility negative control
+_CONTROL_FACTOR = 1.01
+
+
 def check_compatibility(ctx):
     out = []
     for n in _small_sectors(ctx):
@@ -228,17 +237,16 @@ def check_compatibility(ctx):
         out.append(_report("compatibility", f"det extended matrix = 0 (n={n})",
                            worst, ctx.tol("compatibility"), t0, n=n))
         # negative control: the 1%-off determinant must sit far above the
-        # on-shell value of the same eigenpair (the absolute response
-        # shrinks with n; see tests)
+        # on-shell value of the same eigenpair and its rounding level
         t0 = time.perf_counter()
         f = ctx.eigensystem(n).lam(0)
         on0 = abs(fx.compatibility_residual(pts, f, ctx.hw, ctx.params))
         off = abs(fx.compatibility_residual(
-            pts, lambda x: 1.01 * f(x), ctx.hw, ctx.params))
+            pts, lambda x: _CONTROL_FACTOR * f(x), ctx.hw, ctx.params))
         out.append(_exceed_report(
             "compatibility", f"perturbed eigenvalue separated (n={n})",
-            off, max(30 * on0, 1e-12), t0, n=n, on_shell=on0,
-            rank_on_shell=fx.extended_rank(pts, f, ctx.hw, ctx.params)))
+            off, fx.separation_threshold(pts, f, ctx.hw, ctx.params), t0, n=n,
+            on_shell=on0, rank_on_shell=fx.extended_rank(pts, f, ctx.hw, ctx.params)))
     return out
 
 
@@ -395,15 +403,20 @@ def check_bethe_match(ctx):
         out.append(_report("bethe", f"residue-form residuals (n={n})", res,
                            ctx.tol("bethe_residual"), t0, n=n,
                            solutions=len(sols), **cond))
+        # an eigenvalue without a degree-n Q has no root set to match
         t0 = time.perf_counter()
         rep = bt.match_spectrum(p, n, sols, es)
-        matched_dev = max((d for *_, d in rep.pairs), default=float("inf"))
-        n_unmatched = len(rep.unmatched_eigenvalues) + len(rep.unmatched_solutions)
+        no_q = set(bt.no_degree_n_q(es))
+        unmatched = [k for k in rep.unmatched_eigenvalues if k not in no_q]
+        excused = len(rep.unmatched_eigenvalues) - len(unmatched)
+        matched_dev = max((d for *_, d in rep.pairs), default=0.0)
+        n_unmatched = len(unmatched) + len(rep.unmatched_solutions)
         out.append(_report("bethe", f"spectrum match (n={n})",
                            max(matched_dev, float(n_unmatched)),
                            ctx.tol("bethe_match"), t0, n=n,
-                           unmatched_eigenvalues=rep.unmatched_eigenvalues,
-                           unmatched_solutions=rep.unmatched_solutions, **cond))
+                           unmatched_eigenvalues=unmatched,
+                           unmatched_solutions=rep.unmatched_solutions,
+                           unmatched_no_degree_n_q=excused, **cond))
     return out
 
 

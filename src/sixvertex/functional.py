@@ -27,6 +27,7 @@ __all__ = [
     "extended_matrix",
     "extended_rank",
     "compatibility_residual",
+    "separation_threshold",
     "symmetric_m_matrix",
     "nonlinear_eq_n1_residual",
     "nonlinear_eq_n2_residual",
@@ -110,13 +111,30 @@ def compatibility_residual(pts, lam, hw, params):
     return complex(np.linalg.det(M) / max(_row_scale(M), 1e-300))
 
 
-def extended_rank(pts, lam, hw, params):
-    """Numerical rank of the extended matrix (row-normalized)."""
+def _row_normalized_singular_values(pts, lam, hw, params):
     M = extended_matrix(pts, lam, hw, params)
     norms = np.abs(M).max(axis=1)
     M = M / np.where(norms > 0, norms, 1.0)[:, None]
-    s = np.linalg.svd(M, compute_uv=False)
+    return np.linalg.svd(M, compute_uv=False)
+
+
+def extended_rank(pts, lam, hw, params):
+    """Numerical rank of the extended matrix (row-normalized)."""
+    s = _row_normalized_singular_values(pts, lam, hw, params)
     return int(np.sum(s > 1e-9 * s[0]))
+
+
+def separation_threshold(pts, lam, hw, params):
+    """What |compatibility_residual| of a perturbed eigenvalue must exceed to
+    count as separated from the on-shell `lam`: 30 times the larger of the
+    on-shell value and its rounding level (n+1) eps s_1...s_n, with
+    s_1 >= ... >= s_{n+1} the singular values of the row-normalized extended
+    matrix.  Both scale like the determinant, so the bound is scale-free in
+    n and L (an absolute floor is not: the 1%-off value falls below 1e-12 at
+    L=10, n=3)."""
+    s = _row_normalized_singular_values(pts, lam, hw, params)
+    rounding = len(s) * np.finfo(float).eps * np.prod(s[:-1])
+    return 30 * max(abs(compatibility_residual(pts, lam, hw, params)), rounding)
 
 
 # ---------------------------------------------------------------------------

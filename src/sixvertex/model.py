@@ -1,8 +1,11 @@
 """Six-vertex model at desk scale: R-matrix, twisted monodromy, transfer matrix.
 
 Everything here is dense complex linear algebra on the 2^L-dimensional chain
-Hilbert space; the monodromy blocks are built site by site as Kronecker
-products with 2x2 site factors.  Conventions (pinned by the L=1 tests):
+Hilbert space; the monodromy blocks are held as one array and built site by
+site: each step writes the products with the six nonzero entries of the 2x2
+site factors into four strided views of one preallocated array (the
+Kronecker products with those factors, without the zeros).  Conventions
+(pinned by the L=1 tests):
 
 * vertex weights  a(x) = sinh(x + gamma),  b(x) = sinh(x),  c = sinh(gamma);
 * chain basis: bit-strings of length L in lexicographic order, site 1 is the
@@ -142,25 +145,37 @@ builds = 0
 def monodromy_blocks(x, params: ModelParams):
     """Twisted monodromy as its four quantum-space blocks (A, B, C, D).
 
-    The ordered product runs j = 1 leftmost, so each site appends its 2x2
-    factors by Kronecker products: (A, B) <- (A r11 + B r21, A r12 + B r22)
-    and likewise (C, D), with r_ab[s, t] = R[(a, s), (b, t)].  The twist
-    multiplies once at the end (A, B pick up phi1; C, D pick up phi2).
+    The blocks are held as one array M[i, j, r, c] (aux row i, aux column j,
+    chain row r, chain column c), A = M[0, 0] ... D = M[1, 1].  The ordered
+    product runs j = 1 leftmost, so each site appends its 2x2 factors:
+    M[i, j] <- sum_k M[i, k] (x) r_kj, r_kj[s, t] = R[(k, s), (j, t)].  Of the
+    16 site-factor entries only six are nonzero (a, b on the diagonals, c on
+    r12[1, 0] and r21[0, 1]), so the step is four products written straight
+    into strided views of a zeroed (2, 2, d, 2, d, 2) array, which reshapes
+    to the 2d x 2d blocks.  The twist multiplies once at the end, in place
+    (A, B pick up phi1; C, D pick up phi2); the four blocks returned are
+    disjoint views of that array.  Operand kinds and order are kept as in
+    the np.kron build, which gives bit-identical output: the weights stay an
+    array (array-by-array products), and the twist scalar comes first
+    (numpy rounds phi * X and X * phi differently).
     """
     global builds
     builds += 1
     g = params.gamma
-    A = D = np.ones((1, 1), dtype=complex)
-    B = C = np.zeros((1, 1), dtype=complex)
+    M = np.eye(2, dtype=complex).reshape(2, 2, 1, 1)
     for m in params.mu:
         a, b, c = np.sinh(x - m + g), np.sinh(x - m), np.sinh(g)
-        r11, r22 = np.diag([a, b]), np.diag([b, a])
-        r12, r21 = np.array([[0, 0], [c, 0]]), np.array([[0, c], [0, 0]])
-        A, B, C, D = (np.kron(A, r11) + np.kron(B, r21),
-                      np.kron(A, r12) + np.kron(B, r22),
-                      np.kron(C, r11) + np.kron(D, r21),
-                      np.kron(C, r12) + np.kron(D, r22))
-    return params.phi1 * A, params.phi1 * B, params.phi2 * C, params.phi2 * D
+        w = np.array([[a, b], [b, a], [c, c]], dtype=complex)[:, :, None, None]
+        d = M.shape[-1]
+        N = np.zeros((2, 2, d, 2, d, 2), dtype=complex)
+        np.multiply(M, w[0], out=N[..., 0, :, 0])
+        np.multiply(M, w[1], out=N[..., 1, :, 1])
+        np.multiply(M[:, 1], w[2, 0], out=N[:, 0, :, 0, :, 1])
+        np.multiply(M[:, 0], w[2, 1], out=N[:, 1, :, 1, :, 0])
+        M = N.reshape(2, 2, 2 * d, 2 * d)
+    np.multiply(params.phi1, M[0], out=M[0])
+    np.multiply(params.phi2, M[1], out=M[1])
+    return M[0, 0], M[0, 1], M[1, 0], M[1, 1]
 
 
 def transfer(x, params: ModelParams):

@@ -87,6 +87,11 @@ class EigenSystem:
         v[self.indices] = self.left[k]
         return v
 
+    def min_relative_gap(self):
+        """Smallest eigenvalue spacing at x* relative to the largest |eigenvalue|
+        (None for a one-dimensional sector)."""
+        return _relative_gap(self.eigs)
+
     def biorthogonality_defect(self):
         G = self.left @ self.right
         return float(np.abs(G - np.eye(self.size)).max())
@@ -103,6 +108,14 @@ class EigenSystem:
             rec["sample_x"] = [[complex(x).real, complex(x).imag] for x in sample_xs]
             rec["samples"] = [[[z.real, z.imag] for z in row] for row in samples.T]
         return rec
+
+
+def _relative_gap(w):
+    if len(w) < 2:
+        return None
+    scale = np.abs(w).max() + 1e-300
+    diffs = np.abs(w[:, None] - w[None, :]) + np.eye(len(w)) * 10 * scale
+    return float(diffs.min() / scale)
 
 
 def _sector_block(x, params, idx):
@@ -126,19 +139,15 @@ def diagonalize_sector(params: ModelParams, n, retries=3, collision_tol=1e-8):
     samples = np.array([np.exp(L * x) * _sector_block(x, params, idx) for x in xs])
     blocks = np.fft.ifft(samples, axis=0)   # blocks[m]: coefficient of u^m
     x_try = complex(0.2137)
-    last_gap = None
     for attempt in range(retries + 1):
         Tb = np.tensordot(np.exp(_frequencies(L) * x_try), blocks, axes=1)
         w, vl, vr = scipy.linalg.eig(Tb, left=True, right=True)
         order = np.lexsort((w.imag.round(10), w.real.round(10)))
         w, vl, vr = w[order], vl[:, order], vr[:, order]
-        scale = np.abs(w).max() + 1e-300
-        m = len(w)
-        if m > 1:
-            diffs = np.abs(w[:, None] - w[None, :]) + np.eye(m) * 10 * scale
-            last_gap = diffs.min() / scale
+        last_gap = _relative_gap(w)
         overlaps = np.einsum("dk,dk->k", vl.conj(), vr)
-        if (m == 1 or last_gap > collision_tol) and np.abs(overlaps).min() > 1e-10:
+        if ((last_gap is None or last_gap > collision_tol)
+                and np.abs(overlaps).min() > 1e-10):
             left = (vl.conj() / overlaps[None, :]).T
             return EigenSystem(
                 params=params, n=n, x_star=x_try, indices=idx, eigs=w,

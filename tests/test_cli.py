@@ -156,6 +156,60 @@ class TestVerifyCommand:
         assert [e["builds"] for e in prof["shared"]] == [5] * 5
         assert [c["exclusive_builds"] for c in prof["checks"]] == [50]
 
+    def test_profile_records_eigensystem_conditioning(self, tmp_path):
+        run(["verify", "--out", str(tmp_path), "--checks", "polynomial"])
+        prof = json.loads((tmp_path / "profile.json").read_text())
+        entries = [e for e in prof["shared"] if e["work"] == "eigensystem"]
+        assert [e["n"] for e in entries] == [0, 1, 2, 3, 4]
+        for e in entries:
+            assert np.isfinite(e["biorthogonality_defect"])
+            assert e["biorthogonality_defect"] < 1e-10
+            if e["n"] in (0, 4):        # one-dimensional: no spacing
+                assert e["min_relative_gap"] is None
+            else:
+                assert np.isfinite(e["min_relative_gap"])
+                assert e["min_relative_gap"] > 1e-8
+
+    def test_reference_L2_passes(self, tmp_path):
+        # the one n = L = 2 eigenvalue has no degree-2 Q, so no root set can
+        # match it; the match row excuses it instead of reading inf
+        cfg = tmp_path / "l2.json"
+        cfg.write_text(json.dumps({"model": {"L": 2, "gamma": 0.7}}))
+        assert run(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        rows = [json.loads(line) for line in
+                (tmp_path / "out" / "reports.jsonl").read_text().splitlines()]
+        match = [r for r in rows if r["identity"] == "spectrum match (n=2)"]
+        assert len(match) == 1 and match[0]["residual"] == 0.0
+        assert match[0]["details"]["unmatched_no_degree_n_q"] == 1
+        assert match[0]["details"]["unmatched_eigenvalues"] == []
+
+    def test_twisted_L2_matches_its_regular_set(self, tmp_path):
+        cfg = tmp_path / "l2.json"
+        cfg.write_text(json.dumps({"model": {"L": 2, "gamma": 0.7, "mu": [0.1, -0.2],
+                                             "phi1": 1.3, "phi2": 0.8}}))
+        out = tmp_path / "out"
+        assert run(["verify", "--config", str(cfg), "--out", str(out),
+                    "--checks", "bethe"]) == 0
+        rows = [json.loads(line) for line in (out / "reports.jsonl").read_text().splitlines()]
+        match = [r for r in rows if r["identity"] == "spectrum match (n=2)"][0]
+        d = match["details"]
+        assert match["passed"] and match["residual"] > 0.0
+        assert (d["regular"], d["no_degree_n_q"], d["unmatched_no_degree_n_q"]) == (1, 0, 0)
+
+    def test_dropped_root_set_fails_the_match(self, tmp_path, monkeypatch):
+        # an eigenvalue that has a degree-n Q is never excused
+        solve = cli.bt.solve_bae
+        monkeypatch.setattr(cli.bt, "solve_bae", lambda es: solve(es)[1:])
+        assert run(["verify", "--out", str(tmp_path), "--checks", "bethe"]) == 1
+        rows = [json.loads(line)
+                for line in (tmp_path / "reports.jsonl").read_text().splitlines()]
+        match = [r for r in rows if r["identity"].startswith("spectrum match")]
+        assert len(match) == 2
+        for r in match:
+            assert not r["passed"]
+            assert len(r["details"]["unmatched_eigenvalues"]) == 1
+            assert r["details"]["unmatched_no_degree_n_q"] == 0
+
     def test_rows_record_parameters(self, tmp_path):
         cfg = generic_config(tmp_path, 3)
         run(["verify", "--config", cfg, "--out", str(tmp_path / "out"),
@@ -191,6 +245,33 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert run(["report", "--out", str(tmp_path)]) == 0
         assert "checks passed" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def reference_contexts(tmp_path_factory):
+    """Verify contexts at the reference point for L = 4, 6, 8, 10, sectors
+    1..3, sharing their eigensystems across tests."""
+    out = tmp_path_factory.mktemp("controls")
+    return {L: cli.VerifyContext(RunConfig.from_dict({
+        "model": {"L": L, "gamma": 0.7}, "sectors": [1, 2, 3],
+        "output_dir": str(out / f"L{L}")})) for L in (4, 6, 8, 10)}
+
+
+class TestCompatibilityControl:
+    def test_separated_at_L10(self, reference_contexts):
+        # the 1%-off determinant at n=3 is 7e-13, under the old absolute
+        # 1e-12 floor but far above the on-shell value and its rounding level
+        rows = cli.check_compatibility(reference_contexts[10])
+        assert [r.identity for r in rows if not r.passed] == []
+        row = [r for r in rows if r.identity == "perturbed eigenvalue separated (n=3)"][0]
+        assert row.details["measured"] < 1e-12
+
+    @pytest.mark.parametrize("L", [4, 6, 8, 10])
+    def test_unperturbed_control_fails(self, reference_contexts, monkeypatch, L):
+        monkeypatch.setattr(cli, "_CONTROL_FACTOR", 1.0)
+        rows = [r for r in cli.check_compatibility(reference_contexts[L])
+                if r.identity.startswith("perturbed")]
+        assert len(rows) == 3 and not any(r.passed for r in rows)
 
 
 class TestBetheCommand:

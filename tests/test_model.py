@@ -77,6 +77,28 @@ class TestYangBaxter:
         assert verify_ybe(0.3 + 0.2j, -0.7 - 0.1j, 1.1 + 0.05j, 0.8 + 0.3j) > 1e-2
 
 
+def twisted_inhomogeneous(L):
+    """Complex gamma, twisted, inhomogeneous point drawn from the seed L."""
+    rng = np.random.default_rng(L)
+    return ModelParams(L=L, gamma=0.7 + 0.3j, mu=tuple(rng.uniform(-0.3, 0.3, L)),
+                       phi1=1.3, phi2=0.8 - 0.2j)
+
+
+def kron_monodromy(x, p):
+    """The block recursion written with np.kron: (A, B) <- (A r11 + B r21,
+    A r12 + B r22), likewise (C, D), then the twist."""
+    A = D = np.ones((1, 1), dtype=complex)
+    B = C = np.zeros((1, 1), dtype=complex)
+    for m in p.mu:
+        R = r_matrix(x - m, p.gamma).reshape(2, 2, 2, 2)   # R[a, s, b, t]
+        r11, r12, r21, r22 = R[0, :, 0], R[0, :, 1], R[1, :, 0], R[1, :, 1]
+        A, B, C, D = (np.kron(A, r11) + np.kron(B, r21),
+                      np.kron(A, r12) + np.kron(B, r22),
+                      np.kron(C, r11) + np.kron(D, r21),
+                      np.kron(C, r12) + np.kron(D, r22))
+    return p.phi1 * A, p.phi1 * B, p.phi2 * C, p.phi2 * D
+
+
 def dense_monodromy(x, p):
     """Gamma0 R_01(x - mu_1) ... R_0L(x - mu_L) as one 2^(L+1) matrix on
     aux (x) chain, aux the most significant slot.  Each R_0j is R (x) 1 on
@@ -106,14 +128,29 @@ class TestMonodromy:
         assert np.allclose(B, 1.3 * c * np.array([[0, 0], [1, 0]]))
         assert np.allclose(C, 0.8 * c * np.array([[0, 1], [0, 0]]))
 
-    @pytest.mark.parametrize("L", range(1, 7))
+    @pytest.mark.parametrize("L", range(1, 8))
     def test_matches_dense_ordered_product(self, L):
-        rng = np.random.default_rng(L)
-        p = ModelParams(L=L, gamma=0.7 + 0.3j, mu=tuple(rng.uniform(-0.3, 0.3, L)),
-                        phi1=1.3, phi2=0.8 - 0.2j)
+        p = twisted_inhomogeneous(L)
         x = 0.41 + 0.13j
         for got, ref in zip(monodromy_blocks(x, p), dense_monodromy(x, p)):
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("L", range(1, 9))
+    def test_matches_kronecker_recursion(self, L):
+        p = twisted_inhomogeneous(L)
+        x = 0.41 + 0.13j
+        for got, ref in zip(monodromy_blocks(x, p), kron_monodromy(x, p)):
+            assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    def test_blocks_do_not_share_memory(self):
+        # a caller that writes into one block leaves the others as they are
+        blocks = monodromy_blocks(0.3, twisted_inhomogeneous(3))
+        for i, X in enumerate(blocks):
+            for Y in blocks[i + 1:]:
+                assert not np.shares_memory(X, Y)
+        D = blocks[3].copy()
+        blocks[0][...] = 7.0
+        assert np.array_equal(blocks[3], D)
 
     def test_singular_vector(self, rng):
         # C(x)|0> = 0 for all x; B(x) does not annihilate a generic vector
