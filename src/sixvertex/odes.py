@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from math import factorial
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .model import ExpSum, HighestWeightData, ModelParams, transfer
 
@@ -56,12 +55,24 @@ __all__ = [
 # quadrature
 
 def _cumulative_simpson(y, dx):
-    """cumulative_simpson for complex samples (scipy's is real-only)."""
+    """Running integral of equally spaced samples y (complex allowed) from
+    the first one, by Simpson's rule as in scipy's
+    ``cumulative_simpson(y, dx=dx, initial=0)``: each interval is integrated
+    over the three samples that start it, every other one (and the last)
+    over the three that end it."""
     y = np.asarray(y)
     if np.iscomplexobj(y):
-        return (cumulative_simpson(y.real, dx=dx, initial=0.0)
-                + 1j * cumulative_simpson(y.imag, dx=dx, initial=0.0))
-    return cumulative_simpson(y, dx=dx, initial=0.0)
+        return _cumulative_simpson(y.real, dx) + 1j * _cumulative_simpson(y.imag, dx)
+    if len(y) < 3:
+        raise ValueError(f"Simpson's rule needs at least 3 samples, got {len(y)}")
+
+    def ahead(f):
+        return dx / 3 * (5 * f[:-2] / 4 + 2 * f[1:-1] - f[2:] / 4)
+
+    h1, h2 = ahead(y), ahead(y[::-1])[::-1]
+    parts = np.empty(len(y) - 1)
+    parts[:-1:2], parts[1::2], parts[-1] = h1[::2], h2[::2], h2[-1]
+    return np.concatenate(([0.0], np.cumsum(parts) + 0.0))  # -0.0 -> 0.0, as scipy
 
 
 # ---------------------------------------------------------------------------

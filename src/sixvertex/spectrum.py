@@ -3,11 +3,12 @@
 With u = exp(2x), exp(Lx) T(x) is a polynomial of degree L in u with matrix
 coefficients.  Each magnetization sector block is sampled at the L+1 roots of
 unity in u, and an inverse FFT gives its coefficients exactly.  The block at
-a generic point x* is assembled from them and diagonalized once, with left
-and right eigenvectors paired by LAPACK.  Because the eigenvectors do not
-depend on x, each eigenvalue  lam_k(x) = <left_k| T(x) |right_k>  is an exact
-exponential sum (`model.ExpSum`) with L+1 terms, evaluated and
-differentiated without building T(x) again.
+a generic point x* is assembled from them and diagonalized once; the left
+eigenvectors are the rows of the inverse of the right eigenvector matrix.
+Because the eigenvectors do not depend on x, each eigenvalue
+lam_k(x) = <left_k| T(x) |right_k>  is an exact exponential sum
+(`model.ExpSum`) with L+1 terms, evaluated and differentiated without
+building T(x) again.
 
 The degree-L claim stays a real test: `polynomial_residuals` compares every
 sum with the direct bilinear form at L+6 fresh points off the sampling
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import numpy.fft  # numpy 2 loads it lazily; load it with the module, not mid-run
 
 from .model import ExpSum, ModelParams, monodromy_blocks, sector_indices, transfer
 
@@ -141,14 +142,17 @@ def diagonalize_sector(params: ModelParams, n, retries=3, collision_tol=1e-8):
     x_try = complex(0.2137)
     for attempt in range(retries + 1):
         Tb = np.tensordot(np.exp(_frequencies(L) * x_try), blocks, axes=1)
-        w, vl, vr = scipy.linalg.eig(Tb, left=True, right=True)
+        w, vr = np.linalg.eig(Tb)
         order = np.lexsort((w.imag.round(10), w.real.round(10)))
-        w, vl, vr = w[order], vl[:, order], vr[:, order]
+        w, vr = w[order], vr[:, order]
         last_gap = _relative_gap(w)
-        overlaps = np.einsum("dk,dk->k", vl.conj(), vr)
-        if ((last_gap is None or last_gap > collision_tol)
-                and np.abs(overlaps).min() > 1e-10):
-            left = (vl.conj() / overlaps[None, :]).T
+        try:
+            left = np.linalg.inv(vr)   # rows: left eigenvectors, left @ vr = I
+        except np.linalg.LinAlgError:  # defective block
+            left = None
+        # |<l_k|r_k>| of unit-norm vectors is 1 / |row k of inv(vr)|
+        if (left is not None and (last_gap is None or last_gap > collision_tol)
+                and 1 / np.linalg.norm(left, axis=1).max() > 1e-10):
             return EigenSystem(
                 params=params, n=n, x_star=x_try, indices=idx, eigs=w,
                 right=vr, left=left,

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -6,11 +9,11 @@ import numpy as np
 import pytest
 
 from conftest import generic_model
-from sixvertex import cli
-from sixvertex.model import ModelParams
+from sixvertex import cli, odes
+from sixvertex.model import ExpSum, HighestWeightData, ModelParams
 from sixvertex.reports import (ConfigError, RunConfig, VerificationReport,
                                write_svg_line)
-from sixvertex.spectrum import DegenerateSpectrum
+from sixvertex.spectrum import DegenerateSpectrum, diagonalize_sector
 
 
 def run(argv):
@@ -274,6 +277,51 @@ class TestCompatibilityControl:
         assert len(rows) == 3 and not any(r.passed for r in rows)
 
 
+def scenario(L, point):
+    """Model of one scenario: the reference point, the benchmark's twisted
+    inhomogeneous point at seed 1, or that point at complex gamma."""
+    if point == "reference":
+        return {"L": L, "gamma": 0.7}
+    model = generic_model(L, 1)
+    return model if point == "generic" else {**model, "gamma": "0.7+0.3j"}
+
+
+class TestScenarioMatrix:
+    @pytest.mark.parametrize("L,point", [
+        (L, point) for L in (2, 3, 5, 6)
+        for point in ("reference", "generic", "complex-gamma")] + [(8, "complex-gamma")])
+    def test_verify_passes_in_full(self, tmp_path, capsys, L, point):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": scenario(L, point)}))
+        argv = ["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert run(argv) == 0
+        if point == "reference":
+            assert run(argv + ["--perturb-lambda", "0.01"]) == 1
+
+
+class TestSigma2Row:
+    @pytest.mark.parametrize("L", [3, 5, 7])
+    def test_vanishing_point_moved_at_odd_L(self, tmp_path, capsys, L):
+        # at x = -gamma/2 every determinant term of some reference odd-L
+        # eigenvalues vanishes and the row would read 0/0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"L": L, "gamma": 0.7}}))
+        out = tmp_path / "out"
+        argv = ["verify", "--config", str(cfg), "--out", str(out), "--checks", "sigma2"]
+        assert run(argv) == 0
+        row = json.loads((out / "reports.jsonl").read_text())
+        moved = row["details"]["moved_points"]
+        assert moved and all(x == -0.35 and y == -0.35 + 0.137 for _, x, y in moved)
+        assert run(argv + ["--perturb-lambda", "0.01"]) == 1
+        assert json.loads((out / "reports.jsonl").read_text())["residual"] > 3e-4
+        # each moved point is still a test: there the 1%-off eigenvalue fails
+        p = ModelParams(L=L, gamma=0.7)
+        es, hw = diagonalize_sector(p, 2), HighestWeightData(p)
+        for k, _, y in moved:
+            off = ExpSum(es.lam(k).ms, 1.01 * es.lam(k).coeffs)
+            assert abs(odes.sigma2_residual(off, y, hw, p)) > row["tolerance"]
+
+
 class TestBetheCommand:
     def test_reference_complete(self, tmp_path, capsys):
         assert run(["bethe", "--out", str(tmp_path)]) == 0
@@ -430,3 +478,34 @@ class TestCache:
         es2 = cache.sector("k1", 1, params, lambda: es)
         assert es2 is es
         assert np.array_equal(cache.load_sector("k1", 1, params).coeffs, es.coeffs)
+
+
+class TestScipyFreeRuntime:
+    """The package runs on numpy alone; scipy is not imported even if it is
+    installed."""
+
+    @staticmethod
+    def python(code, cwd):
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    def test_cli_import_loads_no_scipy(self, tmp_path):
+        proc = self.python(
+            "import sys, sixvertex.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print('numpy.fft' in sys.modules, 'numpy.random' in sys.modules)", tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[:2] == ["[]", "True True"]
+
+    def test_commands_run_with_scipy_blocked(self, tmp_path):
+        cfg = tmp_path / "generic7.json"
+        cfg.write_text(json.dumps({"model": generic_model(7, 1)}))
+        for argv in (["verify", "--out", "verify"],
+                     ["spectrum", "--config", str(cfg), "--out", "spectrum"]):
+            proc = self.python(
+                "import sys\nsys.modules['scipy'] = None\n"
+                f"from sixvertex import cli\nsys.exit(cli.main({argv!r}))", tmp_path)
+            assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

@@ -13,6 +13,33 @@ def plus_exp(fit, c):
     return ExpSum(np.append(fit.ms, 1), np.append(fit.coeffs, c))
 
 
+class TestCumulativeSimpson:
+    @pytest.mark.parametrize("n", [3, 4, 7, 10, 801])
+    def test_matches_scipy_bit_for_bit(self, n, rng):
+        integrate = pytest.importorskip("scipy.integrate")
+        y = rng.standard_normal(n)
+        z = y + 1j * rng.standard_normal(n)
+        for dx in (1.0, 0.37):
+            ref = integrate.cumulative_simpson(y, dx=dx, initial=0.0)
+            assert np.array_equal(odes._cumulative_simpson(y, dx), ref)
+            ref = (integrate.cumulative_simpson(z.real, dx=dx, initial=0.0)
+                   + 1j * integrate.cumulative_simpson(z.imag, dx=dx, initial=0.0))
+            assert np.array_equal(odes._cumulative_simpson(z, dx), ref)
+
+    @pytest.mark.parametrize("n", [3, 6, 9])
+    def test_exact_for_quadratics(self, n):
+        x = np.linspace(0.0, 1.5, n)
+        y = (3 - 1j) * x ** 2 - x + 2
+        exact = (1 - 1j / 3) * x ** 3 - x ** 2 / 2 + 2 * x
+        assert np.allclose(odes._cumulative_simpson(y, x[1]), exact,
+                           rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_fewer_than_three_samples_rejected(self, n):
+        with pytest.raises(ValueError):
+            odes._cumulative_simpson(np.ones(n), 1.0)
+
+
 class TestUpsilon:
     def test_coefficients_small_orders(self):
         # order 1: z^2 - 1; order 2: z^3 - 4z; order 3: (z^2-1)(z^2-9)

@@ -68,6 +68,47 @@ class TestDiagonalizeSector:
         off = G - np.diag(np.diag(G))
         assert np.abs(off).max() < 1e-9 * np.abs(Tb).max()
 
+    @pytest.mark.parametrize("L,n", [(4, 1), (4, 2), (7, 3)])
+    def test_left_vectors_are_left_eigenvectors(self, L, n):
+        rng = np.random.default_rng(L)
+        p = ModelParams(L=L, gamma=0.7, mu=tuple(rng.uniform(-0.3, 0.3, L)),
+                        phi1=1.3, phi2=0.8)
+        es = diagonalize_sector(p, n)
+        Tb = transfer(es.x_star, p)[np.ix_(es.indices, es.indices)]
+        r = np.linalg.norm(es.left @ Tb - es.eigs[:, None] * es.left, axis=1)
+        assert np.all(r <= 1e-12 * np.linalg.norm(Tb, 2)
+                      * np.linalg.norm(es.left, axis=1))
+
+    @staticmethod
+    def _singular_eig(monkeypatch, attempts):
+        """np.linalg.eig whose first `attempts` calls return a right
+        eigenvector matrix with a zero column, which `inv` rejects."""
+        eig, calls = np.linalg.eig, []
+
+        def singular(a):
+            w, vr = eig(a)
+            calls.append(a)
+            if len(calls) <= attempts:
+                vr[:, 1] = 0.0
+                with pytest.raises(np.linalg.LinAlgError):
+                    np.linalg.inv(vr)
+            return w, vr
+        monkeypatch.setattr(np.linalg, "eig", singular)
+        return calls
+
+    def test_singular_eigenvectors_retry(self, generic_params, monkeypatch):
+        calls = self._singular_eig(monkeypatch, attempts=1)
+        es = diagonalize_sector(generic_params, 2)
+        assert len(calls) == 2 and es.x_star != 0.2137
+        assert es.biorthogonality_defect() < 1e-9
+
+    def test_singular_eigenvectors_raise_degenerate(self, generic_params,
+                                                   monkeypatch):
+        calls = self._singular_eig(monkeypatch, attempts=10)
+        with pytest.raises(DegenerateSpectrum):
+            diagonalize_sector(generic_params, 2, retries=2)
+        assert len(calls) == 3
+
     def test_collision_detection_raises(self, params):
         with pytest.raises(DegenerateSpectrum):
             diagonalize_sector(params, 1, collision_tol=10.0, retries=1)
