@@ -17,9 +17,9 @@ from sixvertex import (ModelParams, diagonalize_sector, polynomial_residuals,
 
 params = ModelParams(L=4, gamma=0.7)
 
-for n in range(params.L + 1):
-    es = diagonalize_sector(params, n)
-    residuals = polynomial_residuals(es)
+systems = [diagonalize_sector(params, n) for n in range(params.L + 1)]
+for n, es, residuals in zip(range(params.L + 1), systems,
+                            polynomial_residuals(systems)):
     print(f"sector n={n}: dimension {es.size}")
     for k in range(es.size):
         print(f"   eigenvalue {k}: Lam(0.5) = {es.eigenvalue(k, 0.5):+.6f}   "

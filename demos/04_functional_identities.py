@@ -5,6 +5,8 @@ F_n = <Psi| B(x_1)...B(x_n) |0>; extending the relation over variable swaps
 gives a matrix that must be singular exactly on the spectrum.  Cramer minors
 of that matrix transport F_n between point sets, loops compose to one, and
 the log-derivative of a transport ratio generates conserved quantities.
+The bra <Psi| is a left eigenvector of the sector-n block of T(x): B raises
+the number of down spins by one, so only sector blocks of B(x) enter F_n.
 """
 
 import numpy as np
@@ -16,11 +18,11 @@ params = ModelParams(L=4, gamma=0.7)
 hw = HighestWeightData(params)
 es = diagonalize_sector(params, 2)
 lam = es.lam(0)
-leftvec = es.left_full(0)
+leftvec = es.left[0]
 pts = [0.31, -0.42, 0.55]
 
-res, scale = fx.linear_relation_residual(pts, lam, leftvec, hw, params)
-print("linear relation residual:", abs(res), " (term scale", f"{scale:.3f})")
+res, scale = fx.linear_relation_residual(pts, [lam], [leftvec], hw, params)
+print("linear relation residual:", abs(res[0]), " (term scale", f"{scale[0]:.3f})")
 
 print("compatibility determinant (on-shell): ",
       abs(fx.compatibility_residual(pts, lam, hw, params)))
@@ -31,8 +33,7 @@ print("\ntransport loop 0->1->2->0:",
       fx.transport_loop([0, 1, 2], pts, lam, hw, params))
 
 tv = fx.transport(1, 2, pts, lam, hw, params)
-fi = fx.f_n([pts[0], pts[2]], leftvec, params)
-fj = fx.f_n([pts[0], pts[1]], leftvec, params)
+fi, fj = fx.f_n([[pts[0], pts[2]], [pts[0], pts[1]]], leftvec, params)[0]
 print("det ratio vs direct F ratio:", abs(tv - fj / fi))
 
 print("\ntheta conservation |d_j theta|:",

@@ -20,31 +20,55 @@ from . import bethe as bt
 from . import functional as fx
 from . import model, odes
 from .model import (ExpSum, HighestWeightData, ModelParams, monodromy_blocks,
-                    magnetization_diagonal, transfer, verify_ybe,
+                    magnetization_diagonal, sector_block, transfer, verify_ybe,
                     yba_exchange_residual)
 from .reports import (ConfigError, ResultCache, RunConfig, VerificationReport,
                       atomic_write_text, write_csv, write_svg_line)
-from .spectrum import (DegenerateSpectrum, diagonalize_sector,
-                       polynomial_residuals, polynomiality_check)
+from .spectrum import (DegenerateSpectrum, diagonalize_blocks,
+                       polynomial_residuals, polynomiality_check, sample_sectors)
 
 EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_DEGENERATE = 0, 1, 2, 3
 
 
 # ---------------------------------------------------------------------------
-# verify context
+# sector eigensystems and the verify context
+
+class SectorSource:
+    """Sector eigensystems of one run's model.  Each is loaded from the
+    cache; on the first miss T(x) is sampled once for all of `sectors`
+    (L+1 builds), and each missing sector is then diagonalized when it is
+    first asked for."""
+
+    def __init__(self, config: RunConfig, sectors):
+        self.params = config.model
+        self.sectors = list(sectors)
+        self.cache = ResultCache(config.output_dir / ".cache")
+        self.key = config.content_key()
+        self._blocks = None
+
+    def _diagonalize(self, n):
+        if self._blocks is None:
+            self._blocks = sample_sectors(self.params, self.sectors)
+        return diagonalize_blocks(self.params, n, self._blocks.pop(n))
+
+    def __call__(self, n):
+        return self.cache.sector(self.key, n, self.params,
+                                 lambda: self._diagonalize(n))
+
 
 class VerifyContext:
     """Shared state of one verify run.  Sector eigensystems and Bethe
     solutions are built once, on first use; each build is timed as its own
     entry of `shared`, with the monodromy builds it made, so no check is
-    charged for work that others reuse."""
+    charged for work that others reuse.  The sampling of T(x) for all
+    configured sectors counts on the eigensystem entry that triggers it."""
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.params = config.model
         self.hw = HighestWeightData(self.params)
         self.rng = np.random.default_rng(config.seed)
-        self.cache = ResultCache(config.output_dir / ".cache")
+        self._source = SectorSource(config, config.sectors)
         self._eigs = {}
         self._bethe = {}
         # one entry per memo miss: work, n, seconds, builds (cmd_verify adds
@@ -64,9 +88,7 @@ class VerifyContext:
         """Sector eigensystem; its `shared` entry also records how well
         conditioned it is."""
         if n not in self._eigs:
-            key = self.config.content_key()
-            es, entry = self._timed("eigensystem", n, lambda: self.cache.sector(
-                key, n, self.params, lambda: diagonalize_sector(self.params, n)))
+            es, entry = self._timed("eigensystem", n, lambda: self._source(n))
             entry.update(min_relative_gap=es.min_relative_gap(),
                          biorthogonality_defect=es.biorthogonality_defect())
             self._eigs[n] = es
@@ -123,15 +145,21 @@ def check_yang_baxter(ctx):
                     ctx.tol("yang_baxter"), t0)]
 
 
+def _frobenius(blocks):
+    return np.sqrt(sum(np.linalg.norm(M) ** 2 for M in blocks))
+
+
 def check_transfer_commute(ctx):
+    """Commutators and norms on the sector blocks, where T(x) is nonzero."""
     t0 = time.perf_counter()
     p = ctx.params
     worst = 0.0
     for _ in range(10):
         x, y = ctx.rng.uniform(-1.0, 1.0, 2)
-        Tx, Ty = transfer(x, p), transfer(y, p)
-        num = np.linalg.norm(Tx @ Ty - Ty @ Tx)
-        den = np.linalg.norm(Tx) * np.linalg.norm(Ty)
+        Tx, Ty = ([sector_block(T, p.L, n, n) for n in range(p.L + 1)]
+                  for T in (transfer(x, p), transfer(y, p)))
+        num = _frobenius(a @ b - b @ a for a, b in zip(Tx, Ty))
+        den = _frobenius(Tx) * _frobenius(Ty)
         worst = max(worst, num / den)
     return [_report("transfer-commute", "[T(x), T(y)] = 0", worst,
                     ctx.tol("transfer_commute"), t0, L=p.L)]
@@ -175,16 +203,17 @@ def check_exchange(ctx):
     scale = 0.0
     for _ in range(5):
         x1, x2 = ctx.rng.uniform(-1.0, 1.0, 2)
-        worst = max(worst, yba_exchange_residual(x1, x2, ctx.params))
-        scale = max(scale, np.abs(transfer(x1, ctx.params)).max() ** 2)
+        res, t_norm = yba_exchange_residual(x1, x2, ctx.params)
+        worst = max(worst, res)
+        scale = max(scale, t_norm ** 2)
     return [_report("exchange", "A-B and D-B subalgebra relations",
                     worst / scale, ctx.tol("exchange"), t0)]
 
 
 def check_polynomial(ctx):
     t0 = time.perf_counter()
-    worst = max((polynomial_residuals(ctx.eigensystem(n)).max()
-                 for n in ctx.config.sectors), default=0.0)
+    systems = [ctx.eigensystem(n) for n in ctx.config.sectors]
+    worst = max((r.max() for r in polynomial_residuals(systems)), default=0.0)
     out = [_report("polynomial", "u^{L/2} Lam(x) is degree-L in u", worst,
                    ctx.tol("polynomial_fit"), t0)]
     t0 = time.perf_counter()
@@ -210,12 +239,12 @@ def check_linear_problem(ctx):
     for n in _small_sectors(ctx):
         t0 = time.perf_counter()
         es = ctx.eigensystem(n)
-        worst = 0.0
         pts = _sample_points(ctx, n + 1)
-        for k in range(min(es.size, 4)):
-            res, scale = fx.linear_relation_residual(
-                pts, ctx.lam(n, k), es.left_full(k), ctx.hw, ctx.params)
-            worst = max(worst, abs(res) / scale)
+        count = min(es.size, 4)
+        res, scale = fx.linear_relation_residual(
+            pts, [ctx.lam(n, k) for k in range(count)], es.left[:count],
+            ctx.hw, ctx.params)
+        worst = float((np.abs(res) / scale).max())
         out.append(_report("linear-problem", f"sum_i M_i F_{n} = 0 (n={n})",
                            worst, ctx.tol("linear_problem"), t0, n=n))
     return out
@@ -304,13 +333,12 @@ def check_transport(ctx):
                            ctx.tol("transport_loop"), t0, n=n))
         # factorization: transport ratio against directly computed F ratios
         t0 = time.perf_counter()
-        lv = es.left_full(0)
+        F = fx.f_n([pts[:i] + pts[i + 1:] for i in range(3)], es.left[0],
+                   ctx.params)[0]
         worst = 0.0
         for (i, j) in [(0, 1), (1, 2), (0, 2)]:
             tv = fx.transport(i, j, pts, lam, ctx.hw, ctx.params)
-            fi = fx.f_n([q for m, q in enumerate(pts) if m != i], lv, ctx.params)
-            fj = fx.f_n([q for m, q in enumerate(pts) if m != j], lv, ctx.params)
-            worst = max(worst, abs(tv - fj / fi) / abs(tv))
+            worst = max(worst, abs(tv - F[j] / F[i]) / abs(tv))
         out.append(_report("transport", f"det ratio = F ratio (n={n})", worst,
                            ctx.tol("factorization"), t0, n=n))
     return out
@@ -385,7 +413,7 @@ def check_conserved_n1(ctx):
     worst = 0.0
     matched = bt.match_spectrum(p, 1, sols, es)
     for si, ei, _ in matched.pairs:
-        val, _, _ = fx.conserved_n1(0.4, es.lam(ei), hw, p)
+        val, _, _ = fx.conserved_n1(0.4, ctx.lam(1, ei), hw, p)
         target = fx.conserved_n1_closed_form(sols[si].roots[0], hw)
         worst = max(worst, abs(np.exp(val) - target) / abs(target))
     out.append(_report("conserved-n1", "exp equals coth(w1) + dlm(0)/lm(0)",
@@ -579,8 +607,9 @@ def check_root_of_unity(ctx):
     out = [_report("root-of-unity", "O^L = Id", power,
                    ctx.tol("root_of_unity_power"), t0)]
     t0 = time.perf_counter()
-    devs = odes.omega0_sector_deviations(
-        ctx.params, [ctx.eigensystem(n) for n in ctx.config.sectors])
+    devs = odes.omega0_sector_deviations(ctx.params, {
+        n: [ctx.lam(n, k) for k in range(ctx.eigensystem(n).size)]
+        for n in ctx.config.sectors})
     worst = max((max(v) for v in devs.values() if v), default=0.0)
     out.append(_report("root-of-unity", "(Lam(0)/c^L)^L = 1", worst,
                        ctx.tol("root_of_unity_sector"), t0))
@@ -665,14 +694,13 @@ def _load_config(args):
 def cmd_spectrum(args):
     cfg = _load_config(args)
     out = cfg.output_dir
-    cache = ResultCache(out / ".cache")
+    source = SectorSource(cfg, cfg.sectors)
+    systems = [source(n) for n in cfg.sectors]
+    # exact coefficients, and their residual against direct builds of T(x)
     rows = []
-    for n in cfg.sectors:
-        es = cache.sector(cfg.content_key(), n, cfg.model,
-                          lambda n=n: diagonalize_sector(cfg.model, n))
+    for es, residuals in zip(systems, polynomial_residuals(systems)):
+        n = es.n
         rec = es.to_record(np.linspace(0.25, 1.15, 7))
-        # exact coefficients, and their residual against direct builds of T(x)
-        residuals = polynomial_residuals(es)
         rec["fits"] = [{"degree": cfg.model.L,
                         "residual": float(r),
                         "coefficients": [[z.real, z.imag] for z in c]}
@@ -731,7 +759,6 @@ def cmd_verify(args):
 def cmd_bethe(args):
     cfg = _load_config(args)
     out = cfg.output_dir
-    cache = ResultCache(out / ".cache")
     tol = cfg.tolerances["bethe_residual"]
     # root-finding and matching are exercised in the low sectors, where the
     # all-up reference state gives the Bethe description
@@ -740,12 +767,11 @@ def cmd_bethe(args):
         loaded = bt.roots_from_json(Path(args.roots).read_text()) if args.roots else []
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{args.roots}: {exc}") from exc
+    source = SectorSource(cfg, sectors)
     incomplete = False
     rows = []
     for n in sectors:
-        es = None if args.roots and args.verify_only else cache.sector(
-            cfg.content_key(), n, cfg.model,
-            lambda n=n: diagonalize_sector(cfg.model, n))
+        es = None if args.roots and args.verify_only else source(n)
         if args.roots:
             sols = [replace(s, residual=bt.solution_residual(s, cfg.model))
                     for s in loaded if s.n == n]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import HighestWeightData, ModelParams, monodromy_blocks
+from .model import HighestWeightData, ModelParams, monodromy_blocks, sector_block
 
 __all__ = [
     "SingularTransport",
@@ -191,26 +191,36 @@ def nonlinear_eq_n2_residual(x0, x1, x2, lam, hw, params):
 # ---------------------------------------------------------------------------
 # the symmetric function F_n and its linear relation
 
-def f_n(points, leftvec, params: ModelParams):
-    """<Psi| B(x_1)...B(x_n) |0> for a full-space bra row `leftvec`."""
-    row = np.asarray(leftvec, dtype=complex)
-    for x in points:
+def f_n(point_sets, rows, params: ModelParams):
+    """F_n(X) = <Psi| B(x_1)...B(x_n) |0>  for every bra and point set.
+
+    `rows` stacks sector-n bras <Psi|, one per row, over the basis of
+    `model.sector_indices(L, n)`; each X in `point_sets` holds n points.
+    B(x) is built once per distinct point, and each product takes only its
+    block from sector m - 1 into sector m.  Returns F[bra, point set].
+    """
+    rows = np.atleast_2d(np.asarray(rows, dtype=complex))
+    n = len(point_sets[0])
+    blocks = {}     # x -> [B from sector m into m + 1, m = 0..n-1]
+    for x in dict.fromkeys(complex(x) for X in point_sets for x in X):
         _, B, _, _ = monodromy_blocks(x, params)
-        row = row @ B
-    return complex(row[0])
+        blocks[x] = [sector_block(B, params.L, m + 1, m) for m in range(n)]
+    out = np.empty((len(rows), len(point_sets)), dtype=complex)
+    for s, X in enumerate(point_sets):
+        v = rows
+        for j, x in enumerate(X):
+            v = v @ blocks[complex(x)][n - 1 - j]
+        out[:, s] = v[:, 0]
+    return out
 
 
-def linear_relation_residual(pts, lam, leftvec, hw, params):
-    """(residual, scale) of  sum_i M_i F_n(pts minus x_i)  for one eigenpair."""
+def linear_relation_residual(pts, lams, rows, hw, params):
+    """(residuals, scales) of  sum_i M_i F_n(pts minus x_i)  for each
+    eigenpair (lams[k], sector-n bra rows[k]); a scale is the largest term."""
     pts, n = _validate(pts)
-    m = coefficients_m(pts, lam, hw, params)
-    terms = []
-    for i in range(n + 1):
-        rest = [pts[k] for k in range(n + 1) if k != i]
-        terms.append(m[i] * f_n(rest, leftvec, params))
-    total = complex(np.sum(terms))
-    scale = float(np.abs(terms).max())
-    return total, scale
+    F = f_n([pts[:i] + pts[i + 1:] for i in range(n + 1)], rows, params)
+    terms = np.array([coefficients_m(pts, lam, hw, params) for lam in lams]) * F
+    return terms.sum(axis=1), np.abs(terms).max(axis=1)
 
 
 # ---------------------------------------------------------------------------

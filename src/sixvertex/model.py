@@ -1,11 +1,13 @@
 """Six-vertex model at desk scale: R-matrix, twisted monodromy, transfer matrix.
 
-Everything here is dense complex linear algebra on the 2^L-dimensional chain
-Hilbert space; the monodromy blocks are held as one array and built site by
-site: each step writes the products with the six nonzero entries of the 2x2
-site factors into four strided views of one preallocated array (the
-Kronecker products with those factors, without the zeros).  Conventions
-(pinned by the L=1 tests):
+The monodromy blocks are built densely on the 2^L-dimensional chain Hilbert
+space, held as one array and built site by site: each step writes the
+products with the six nonzero entries of the 2x2 site factors into four
+strided views of one preallocated array (the Kronecker products with those
+factors, without the zeros).  Products of blocks are taken in sector form:
+A, D and T(x) keep the number n of down spins, B raises it by one and C
+lowers it by one, so `sector_block` slices the nonzero blocks off one build
+and only those are multiplied.  Conventions (pinned by the L=1 tests):
 
 * vertex weights  a(x) = sinh(x + gamma),  b(x) = sinh(x),  c = sinh(gamma);
 * chain basis: bit-strings of length L in lexicographic order, site 1 is the
@@ -19,6 +21,7 @@ Kronecker products with those factors, without the zeros).  Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,6 +35,7 @@ __all__ = [
     "transfer",
     "yba_exchange_residual",
     "sector_indices",
+    "sector_block",
     "popcount",
     "magnetization_diagonal",
 ]
@@ -185,26 +189,46 @@ def transfer(x, params: ModelParams):
 
 
 def yba_exchange_residual(x1, x2, params: ModelParams):
-    """Max-norm residual over the eight exchange relations of the A-B and
-    D-B subalgebras, evaluated as dense matrix identities."""
+    """Max-norm residual over the seven exchange relations of the A-B and
+    D-B subalgebras, and the max-norm of T(x1) = A1 + D1 (its scale).
+
+    Each relation is formed on its nonzero sector blocks only: for column
+    sector n, A and D keep n and B(x) takes n to n + 1, so a relation maps
+    sector n to n, n + 1 or n + 2.  Every other entry of the dense relation
+    is a sum of exact zeros."""
     b12 = params.b(x1 - x2)
     b21 = params.b(x2 - x1)
     if min(abs(b12), abs(b21)) < 1e-12:
         raise ValueError("singular point: b(x1 - x2) = 0")
     a, b, c = params.a, params.b, params.c
-    A1, B1, C1, D1 = monodromy_blocks(x1, params)
-    A2, B2, C2, D2 = monodromy_blocks(x2, params)
+    L = params.L
 
-    rels = [
-        A1 @ A2 - A2 @ A1,
-        B1 @ B2 - B2 @ B1,
-        D1 @ D2 - D2 @ D1,
-        A1 @ B2 - (a(x2 - x1) / b(x2 - x1)) * B2 @ A1 - (c / b(x1 - x2)) * B1 @ A2,
-        B1 @ A2 - (a(x2 - x1) / b(x2 - x1)) * A2 @ B1 - (c / b(x1 - x2)) * A1 @ B2,
-        D1 @ B2 - (a(x1 - x2) / b(x1 - x2)) * B2 @ D1 - (c / b(x2 - x1)) * B1 @ D2,
-        B1 @ D2 - (a(x1 - x2) / b(x1 - x2)) * D2 @ B1 - (c / b(x2 - x1)) * D1 @ B2,
-    ]
-    return float(max(np.abs(r).max() for r in rels))
+    def blocks(x):
+        A, B, _, D = monodromy_blocks(x, params)
+        return ([sector_block(A, L, n, n) for n in range(L + 1)],
+                [sector_block(B, L, n + 1, n) for n in range(L)],
+                [sector_block(D, L, n, n) for n in range(L + 1)])
+
+    A1, B1, D1 = blocks(x1)
+    A2, B2, D2 = blocks(x2)
+    rels = []
+    for n in range(L + 1):
+        rels += [A1[n] @ A2[n] - A2[n] @ A1[n], D1[n] @ D2[n] - D2[n] @ D1[n]]
+    for n in range(L - 1):
+        rels.append(B1[n + 1] @ B2[n] - B2[n + 1] @ B1[n])
+    for n in range(L):
+        rels += [
+            A1[n + 1] @ B2[n] - (a(x2 - x1) / b(x2 - x1)) * B2[n] @ A1[n]
+            - (c / b(x1 - x2)) * B1[n] @ A2[n],
+            B1[n] @ A2[n] - (a(x2 - x1) / b(x2 - x1)) * A2[n + 1] @ B1[n]
+            - (c / b(x1 - x2)) * A1[n + 1] @ B2[n],
+            D1[n + 1] @ B2[n] - (a(x1 - x2) / b(x1 - x2)) * B2[n] @ D1[n]
+            - (c / b(x2 - x1)) * B1[n] @ D2[n],
+            B1[n] @ D2[n] - (a(x1 - x2) / b(x1 - x2)) * D2[n + 1] @ B1[n]
+            - (c / b(x2 - x1)) * D1[n + 1] @ B2[n],
+        ]
+    t_norm = max(np.abs(A + D).max() for A, D in zip(A1, D1))
+    return float(max(np.abs(r).max() for r in rels)), float(t_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +238,28 @@ def popcount(s: int) -> int:
     return bin(s).count("1")
 
 
+@lru_cache(maxsize=None)
+def _sector_arrays(L):
+    counts = np.array([popcount(s) for s in range(2 ** L)])
+    out = tuple(np.flatnonzero(counts == n) for n in range(L + 1))
+    for idx in out:
+        idx.flags.writeable = False     # shared by every caller
+    return out
+
+
 def sector_indices(L: int, n: int):
-    """Basis indices of the n-down-spin sector, in lexicographic order."""
+    """Basis indices of the n-down-spin sector, in lexicographic order (a
+    read-only array shared by all callers)."""
     if not 0 <= n <= L:
         raise ValueError(f"sector label must lie in [0, {L}], got {n}")
-    return [s for s in range(2 ** L) if popcount(s) == n]
+    return _sector_arrays(L)[n]
+
+
+def sector_block(M, L: int, n_row: int, n_col: int):
+    """Block of a chain operator M from sector n_col (columns) into sector
+    n_row (rows): A, D and T(x) are nonzero only on (n, n), B on (n + 1, n),
+    C on (n - 1, n)."""
+    return M[np.ix_(sector_indices(L, n_row), sector_indices(L, n_col))]
 
 
 def magnetization_diagonal(L: int):

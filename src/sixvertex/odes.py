@@ -25,7 +25,7 @@ from math import factorial
 
 import numpy as np
 
-from .model import ExpSum, HighestWeightData, ModelParams, transfer
+from .model import ExpSum, HighestWeightData, ModelParams, sector_block, transfer
 
 __all__ = [
     "upsilon_coefficients",
@@ -632,24 +632,28 @@ class OmegaReport:
 
 
 def omega0_power_deviation(params: ModelParams):
-    """|| O^L - Id ||_max for T(0) = c^L O."""
+    """|| O^L - Id ||_max for T(0) = c^L O, taken on the sector blocks of O
+    (T(0) keeps the number of down spins)."""
     _require_reference_point(params, "the root-of-unity check")
     L = params.L
     O = transfer(0.0, params) / params.c ** L
-    return float(np.abs(np.linalg.matrix_power(O, L) - np.eye(params.dim)).max())
+    blocks = [sector_block(O, L, n, n) for n in range(L + 1)]
+    return float(max(np.abs(np.linalg.matrix_power(B, L) - np.eye(len(B))).max()
+                     for B in blocks))
 
 
-def omega0_sector_deviations(params: ModelParams, eigensystems):
-    """n -> |(Lam(0)/c^L)^L - 1| for every eigenvalue of each given sector."""
+def omega0_sector_deviations(params: ModelParams, lams):
+    """n -> |(Lam(0)/c^L)^L - 1| for every eigenvalue function in lams[n]."""
     _require_reference_point(params, "the root-of-unity check")
     L = params.L
     cl = params.c ** L
-    return {es.n: [float(abs((z / cl) ** L - 1)) for z in es.eigenvalues_at(0.0)]
-            for es in eigensystems}
+    return {n: [float(abs((lam(0.0) / cl) ** L - 1)) for lam in fs]
+            for n, fs in lams.items()}
 
 
 def omega0_root_of_unity(params: ModelParams, eigensystems):
     """Check T(0) = c^L O with O^L = Id, and the eigenvalue phases of the
     given sector eigensystems."""
+    lams = {es.n: [es.lam(k) for k in range(es.size)] for es in eigensystems}
     return OmegaReport(L=params.L, power_deviation=omega0_power_deviation(params),
-                       sector_deviations=omega0_sector_deviations(params, eigensystems))
+                       sector_deviations=omega0_sector_deviations(params, lams))

@@ -301,7 +301,7 @@ class ResultCache:
                     return None
                 return EigenSystem(
                     params=params, n=n, x_star=complex(data["x_star"][0]),
-                    indices=list(data["indices"]), eigs=data["eigs"],
+                    indices=data["indices"], eigs=data["eigs"],
                     right=data["right"], left=data["left"], coeffs=data["coeffs"],
                 )
         except (OSError, ValueError):

@@ -1,19 +1,20 @@
 """Brute-force spectral oracle for the transfer matrix.
 
 With u = exp(2x), exp(Lx) T(x) is a polynomial of degree L in u with matrix
-coefficients.  Each magnetization sector block is sampled at the L+1 roots of
-unity in u, and an inverse FFT gives its coefficients exactly.  The block at
-a generic point x* is assembled from them and diagonalized once; the left
-eigenvectors are the rows of the inverse of the right eigenvector matrix.
-Because the eigenvectors do not depend on x, each eigenvalue
-lam_k(x) = <left_k| T(x) |right_k>  is an exact exponential sum
+coefficients.  `sample_sectors` builds T(x) once at each of the L+1 roots of
+unity in u, slices every requested magnetization sector block off that build,
+and an inverse FFT gives each block's coefficients exactly.
+`diagonalize_blocks` assembles one sector's block at a generic point x* from
+them and diagonalizes it; the left eigenvectors are the rows of the inverse
+of the right eigenvector matrix.  Because the eigenvectors do not depend on x, each
+eigenvalue  lam_k(x) = <left_k| T(x) |right_k>  is an exact exponential sum
 (`model.ExpSum`) with L+1 terms, evaluated and differentiated without
 building T(x) again.
 
 The degree-L claim stays a real test: `polynomial_residuals` compares every
 sum with the direct bilinear form at L+6 fresh points off the sampling
-circle, and `polynomiality_check` fits an arbitrary callable on the same
-points.
+circle (one build per point for all sectors given), and
+`polynomiality_check` fits an arbitrary callable on the same points.
 """
 
 from __future__ import annotations
@@ -23,11 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.fft  # numpy 2 loads it lazily; load it with the module, not mid-run
 
-from .model import ExpSum, ModelParams, monodromy_blocks, sector_indices, transfer
+from .model import (ExpSum, ModelParams, monodromy_blocks, sector_block,
+                    sector_indices, transfer)
 
 __all__ = [
     "DegenerateSpectrum",
     "EigenSystem",
+    "sample_sectors",
+    "diagonalize_blocks",
     "diagonalize_sector",
     "polynomial_residuals",
     "polynomiality_check",
@@ -61,7 +65,7 @@ class EigenSystem:
     params: ModelParams
     n: int
     x_star: complex
-    indices: list
+    indices: np.ndarray
     eigs: np.ndarray
     right: np.ndarray
     left: np.ndarray
@@ -81,12 +85,6 @@ class EigenSystem:
     def lam(self, k):
         """Eigenvalue k as an exact exponential sum x -> Lambda_k(x)."""
         return ExpSum(_frequencies(self.params.L), self.coeffs[k])
-
-    def left_full(self, k):
-        """Left eigenvector embedded in the full 2^L space (row vector)."""
-        v = np.zeros(self.params.dim, dtype=complex)
-        v[self.indices] = self.left[k]
-        return v
 
     def min_relative_gap(self):
         """Smallest eigenvalue spacing at x* relative to the largest |eigenvalue|
@@ -119,26 +117,32 @@ def _relative_gap(w):
     return float(diffs.min() / scale)
 
 
-def _sector_block(x, params, idx):
-    return transfer(x, params)[np.ix_(idx, idx)]
+def sample_sectors(params: ModelParams, sectors):
+    """n -> blocks of sector n, blocks[m] the matrix coefficient of u^m in
+    exp(Lx) T(x), for every n in `sectors`.
+
+    T(x) is built once at each u_j = exp(-2 pi i j / (L+1)), j = 0..L, and
+    every sector block is sliced off that one build.
+    """
+    L = params.L
+    xs = -1j * np.pi * np.arange(L + 1) / (L + 1)
+    samples = {n: [] for n in sectors}
+    for x in xs:
+        T = transfer(x, params)
+        for n, rows in samples.items():
+            rows.append(np.exp(L * x) * sector_block(T, L, n, n))
+    return {n: np.fft.ifft(np.array(rows), axis=0) for n, rows in samples.items()}
 
 
-def diagonalize_sector(params: ModelParams, n, retries=3, collision_tol=1e-8):
-    """Diagonalize the sector block of T(x*), x* = 0.2137, with paired
+def diagonalize_blocks(params: ModelParams, n, blocks, retries=3, collision_tol=1e-8):
+    """Diagonalize the sector-n block of T(x*), x* = 0.2137, assembled from
+    its coefficients `blocks` (from `sample_sectors`), with paired
     left/right vectors.
 
-    The block is assembled from the exact matrix coefficients of
-    exp(Lx) T(x), sampled at u_j = exp(-2 pi i j / (L+1)), j = 0..L.
     Raises DegenerateSpectrum when eigenvalues collide (relative spacing below
     collision_tol) at x* and at `retries` perturbed points.
     """
-    idx = sector_indices(params.L, n)
-    if not idx:
-        raise ValueError(f"empty sector n={n}")
     L = params.L
-    xs = -1j * np.pi * np.arange(L + 1) / (L + 1)
-    samples = np.array([np.exp(L * x) * _sector_block(x, params, idx) for x in xs])
-    blocks = np.fft.ifft(samples, axis=0)   # blocks[m]: coefficient of u^m
     x_try = complex(0.2137)
     for attempt in range(retries + 1):
         Tb = np.tensordot(np.exp(_frequencies(L) * x_try), blocks, axes=1)
@@ -154,8 +158,8 @@ def diagonalize_sector(params: ModelParams, n, retries=3, collision_tol=1e-8):
         if (left is not None and (last_gap is None or last_gap > collision_tol)
                 and 1 / np.linalg.norm(left, axis=1).max() > 1e-10):
             return EigenSystem(
-                params=params, n=n, x_star=x_try, indices=idx, eigs=w,
-                right=vr, left=left,
+                params=params, n=n, x_star=x_try,
+                indices=sector_indices(L, n), eigs=w, right=vr, left=left,
                 coeffs=np.einsum("kd,mde,ek->km", left, blocks, vr, optimize=True),
             )
         x_try = x_try + 0.137 + 0.061j * (attempt + 1)
@@ -163,6 +167,12 @@ def diagonalize_sector(params: ModelParams, n, retries=3, collision_tol=1e-8):
         f"sector n={n}: eigenvalues collide (relative gap {last_gap:.2e}) after "
         f"{retries + 1} spectral points; perturb the inhomogeneities"
     )
+
+
+def diagonalize_sector(params: ModelParams, n, retries=3, collision_tol=1e-8):
+    """`diagonalize_blocks` of sector n, sampled on its own (L+1 builds)."""
+    return diagonalize_blocks(params, n, sample_sectors(params, [n])[n],
+                              retries, collision_tol)
 
 
 def _check_points(L):
@@ -178,18 +188,26 @@ def _relative_residual(y, y_ref):
         np.linalg.norm(y_ref, axis=0), 1e-300)
 
 
-def polynomial_residuals(es: EigenSystem):
-    """Per eigenpair, the relative distance between u^{L/2} times the exact
-    sum and u^{L/2} times the direct bilinear form  left_k T(x) right_k,
-    over fresh points where T(x) is built anew."""
-    p = es.params
+def polynomial_residuals(eigensystems):
+    """Per eigensystem, and in it per eigenpair, the relative distance
+    between u^{L/2} times the exact sum and u^{L/2} times the direct bilinear
+    form  left_k T(x) right_k,  over fresh points where T(x) is built anew,
+    once per point for all the (same-model) eigensystems."""
+    if not eigensystems:
+        return []
+    p = eigensystems[0].params
     xs = _check_points(p.L)
-    direct = np.array([np.einsum("kd,dc,ck->k", es.left,
-                                 _sector_block(x, p, es.indices), es.right,
-                                 optimize=True) for x in xs])
-    exact = np.array([es.eigenvalues_at(x) for x in xs])
+    direct = [[] for _ in eigensystems]
+    for x in xs:
+        T = transfer(x, p)
+        for es, rows in zip(eigensystems, direct):
+            rows.append(np.einsum("kd,dc,ck->k", es.left,
+                                  sector_block(T, p.L, es.n, es.n), es.right,
+                                  optimize=True))
     scale = np.exp(p.L * xs)[:, None]
-    return _relative_residual(scale * exact, scale * direct)
+    return [_relative_residual(scale * np.array([es.eigenvalues_at(x) for x in xs]),
+                               scale * np.array(rows))
+            for es, rows in zip(eigensystems, direct)]
 
 
 def polynomiality_check(lam, params: ModelParams, pts=None, cond_limit=1e10):
@@ -212,15 +230,15 @@ def polynomiality_check(lam, params: ModelParams, pts=None, cond_limit=1e10):
 
 
 def left_vector_from_C(roots, params: ModelParams):
-    """Bethe-type bra <0| C(w_n) ... C(w_1) as a full-space row vector.
+    """Bethe-type bra <0| C(w_n) ... C(w_1) as a sector-n row vector (over
+    `sector_indices(L, n)`, n = len(roots)).
 
     For roots solving the Bethe equations this is a left eigenvector of T(x)
     (a property that is verified, never assumed).  A numerically null result
     signals a degenerate algebraic Bethe state.
     """
-    row = np.zeros(params.dim, dtype=complex)
-    row[0] = 1.0
-    for w in reversed(list(roots)):
+    row = np.ones(1, dtype=complex)
+    for m, w in enumerate(reversed(list(roots))):
         _, _, C, _ = monodromy_blocks(w, params)
-        row = row @ C
+        row = row @ sector_block(C, params.L, m, m + 1)
     return row

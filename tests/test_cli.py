@@ -94,7 +94,7 @@ class TestSpectrumCommand:
     def test_degenerate_spectrum_exits_3(self, tmp_path, monkeypatch):
         def boom(*a, **k):
             raise DegenerateSpectrum("colliding eigenvalues")
-        monkeypatch.setattr(cli, "diagonalize_sector", boom)
+        monkeypatch.setattr(cli, "diagonalize_blocks", boom)
         assert run(["spectrum", "--out", str(tmp_path)]) == 3
 
 
@@ -152,12 +152,19 @@ class TestVerifyCommand:
         assert counts == [(4, 0, 0), (5, 1, 0)]
 
     def test_profile_counts_monodromy_builds(self, tmp_path):
-        # an eigensystem samples T(x) at L+1 points; the polynomial check
-        # builds T(x) again for its direct forms
+        # the first eigensystem samples T(x) at L+1 points for every sector;
+        # the polynomial check builds T(x) once per check point (L+6) for
+        # the direct forms of all sectors
         run(["verify", "--out", str(tmp_path), "--checks", "polynomial"])
         prof = json.loads((tmp_path / "profile.json").read_text())
-        assert [e["builds"] for e in prof["shared"]] == [5] * 5
-        assert [c["exclusive_builds"] for c in prof["checks"]] == [50]
+        assert [e["builds"] for e in prof["shared"]] == [5, 0, 0, 0, 0]
+        assert [c["exclusive_builds"] for c in prof["checks"]] == [10]
+        # spectrum at L=7: 8 sampling builds and 13 check points
+        cfg = tmp_path / "generic7.json"
+        cfg.write_text(json.dumps({"model": generic_model(7, 1)}))
+        b0 = cli.model.builds
+        assert run(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+        assert cli.model.builds - b0 == 21
 
     def test_profile_records_eigensystem_conditioning(self, tmp_path):
         run(["verify", "--out", str(tmp_path), "--checks", "polynomial"])
@@ -286,6 +293,32 @@ def scenario(L, point):
     return model if point == "generic" else {**model, "gamma": "0.7+0.3j"}
 
 
+def control_rows(L, point):
+    """Identities that the eigenvalues scaled by 1.01 of a `--perturb-lambda
+    0.01` run fail, at the sectors n <= min(3, L-1) the checks take; the
+    last three rows run at the reference point only."""
+    ns = range(1, min(3, L - 1) + 1)
+    rows = {"two-point identity", "three-point identity", "constancy across x",
+            "exp equals coth(w1) + dlm(0)/lm(0)", "first-order quadratic ODE",
+            "surface form agrees", "second-order ODE (coalescing reduction)"}
+    rows |= {f"sum_i M_i F_{n} = 0 (n={n})" for n in ns}
+    rows |= {f"det extended matrix = 0 (n={n})" for n in ns}
+    rows |= {f"det ratio = F ratio (n={n})" for n in ns if n >= 2}
+    if L >= 3:
+        rows.add("d_j theta_ij = 0 (n=2)")
+    if point == "reference":
+        rows |= {"standard Riccati at untwisted point",
+                 "psi'' + (V - 1) psi = 0, energy fixed", "(Lam(0)/c^L)^L = 1"}
+    return rows
+
+
+def assert_controls_fail(argv, L, point):
+    assert run(argv + ["--perturb-lambda", "0.01"]) == 1
+    out = Path(argv[argv.index("--out") + 1])
+    rows = [json.loads(line) for line in (out / "reports.jsonl").read_text().splitlines()]
+    assert {r["identity"] for r in rows if not r["passed"]} == control_rows(L, point)
+
+
 class TestScenarioMatrix:
     @pytest.mark.parametrize("L,point", [
         (L, point) for L in (2, 3, 5, 6)
@@ -296,7 +329,30 @@ class TestScenarioMatrix:
         argv = ["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]
         assert run(argv) == 0
         if point == "reference":
-            assert run(argv + ["--perturb-lambda", "0.01"]) == 1
+            assert_controls_fail(argv, L, point)
+
+    @pytest.mark.parametrize("L,point", [(4, "reference"), (6, "generic")])
+    def test_perturbed_run_fails_the_control_rows(self, tmp_path, capsys, L, point):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": scenario(L, point)}))
+        assert_controls_fail(["verify", "--config", str(cfg),
+                              "--out", str(tmp_path / "out")], L, point)
+
+    @pytest.mark.slow
+    def test_reference_L10(self, tmp_path, capsys):
+        # builds: 11 to sample all sectors, 16 polynomial check points,
+        # 20 transfer-commute, 12 highest-weight, 10 exchange, 9
+        # linear-problem, 7 transport, 1 root-of-unity
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"L": 10, "gamma": 0.7}}))
+        out = tmp_path / "out"
+        assert run(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = (out / "reports.jsonl").read_text().splitlines()
+        assert len(rows) == 52 and all(json.loads(r)["passed"] for r in rows)
+        prof = json.loads((out / "profile.json").read_text())
+        builds = (sum(e["builds"] for e in prof["shared"])
+                  + sum(c["exclusive_builds"] for c in prof["checks"]))
+        assert builds <= 86
 
 
 class TestSigma2Row:
@@ -460,7 +516,8 @@ class TestCache:
 
         def recompute(*a, **k):
             raise AssertionError("sector recomputed, not loaded from the cache")
-        monkeypatch.setattr(cli, "diagonalize_sector", recompute)
+        monkeypatch.setattr(cli, "sample_sectors", recompute)
+        monkeypatch.setattr(cli, "diagonalize_blocks", recompute)
         assert run(["spectrum", "--config", str(cfgfile),
                     "--out", str(tmp_path)]) == 0
 

@@ -227,14 +227,15 @@ class TestTransfer:
 class TestExchange:
     def test_relations_small(self):
         p = ModelParams(L=4, gamma=0.7)
-        scale = np.abs(transfer(0.4, p)).max() ** 2
-        assert yba_exchange_residual(0.4, -0.3, p) < 1e-11 * scale
+        res, t_norm = yba_exchange_residual(0.4, -0.3, p)
+        assert t_norm == np.abs(transfer(0.4, p)).max()
+        assert res < 1e-11 * t_norm ** 2
 
     def test_swap_self_consistency(self, generic_params):
         p = generic_params
         scale = np.abs(transfer(0.52, p)).max() ** 2
-        r1 = yba_exchange_residual(0.52, -0.17, p)
-        r2 = yba_exchange_residual(-0.17, 0.52, p)
+        r1, _ = yba_exchange_residual(0.52, -0.17, p)
+        r2, _ = yba_exchange_residual(-0.17, 0.52, p)
         assert r1 < 1e-11 * scale and r2 < 1e-11 * scale
 
     def test_singular_point_rejected(self, params):
