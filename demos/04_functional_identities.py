@@ -36,7 +36,7 @@ tv = fx.transport(1, 2, pts, lam, hw, params)
 fi, fj = fx.f_n([[pts[0], pts[2]], [pts[0], pts[1]]], leftvec, params)[0]
 print("det ratio vs direct F ratio:", abs(tv - fj / fi))
 
-print("\ntheta conservation |d_j theta|:",
+print("\ntheta conservation |d_j theta| (Cauchy-rule derivatives):",
       fx.theta_conservation(0, 1, pts, lam, hw, params))
 
 # the leading sector-1 conserved quantity is constant in x and equals a

@@ -15,14 +15,20 @@ from sixvertex import odes
 
 params = ModelParams(L=4, gamma=0.7)
 
-rep = odes.omega0_root_of_unity(params, [diagonalize_sector(params, 2)])
-print("permutation power deviation ||O^L - Id||:", rep.power_deviation)
+es = diagonalize_sector(params, 2)
+print("permutation power deviation ||O^L - Id||:",
+      odes.omega0_power_deviation(params))
+devs = odes.omega0_sector_deviations(params, {2: [es.lam(k) for k in range(es.size)]})
 print("sector-2 deviations of (Lam(0)/c^L)^L from 1:",
-      [f"{d:.1e}" for d in rep.sector_deviations[2]])
+      [f"{d:.1e}" for d in devs[2]])
 
-lam = diagonalize_sector(params, 2).lam(0)
-print("\nSchroedinger-map residual (energy fixed at 1):",
-      odes.schrodinger_map_residual(lam, (0.2, 1.2), params, num=800))
+# psi''/psi = r' + r^2 with r = (Lam - beta)/alpha, judged pointwise for every
+# sector-2 eigenvalue
+print("\nSchroedinger-map residual (energy fixed at 1), per eigenvalue:",
+      [f"{max(odes.schrodinger_map_residual(es.lam(k), x, params) for x in (0.2, 0.7, 1.2)):.1e}"
+       for k in range(es.size)])
+print("with the potential scaled by 1.1:",
+      f"{odes.schrodinger_map_residual(es.lam(0), 0.7, params, potential_scale=1.1):.1e}")
 
 for g in (0.1, 0.3, 5.43, 8.12):
     barrier = odes.potential_profile(1j, g, (-12, 6), 1801)

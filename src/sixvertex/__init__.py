@@ -25,10 +25,9 @@ from .bethe import (BetheRoots, bae_residual, bae_relative_residual, solve_bae,
                     match_spectrum, canonical_roots, PolePoint)
 from .odes import (upsilon_annihilation, riccati_h_residual,
                    riccati_lambda_residual, sigma1_residual, sigma2_residual,
-                   riccati2_residual, u_equation_residual,
-                   pde_travelling_wave_residual, pde_convergence, potential_v,
+                   riccati2_residual, pde_travelling_wave_residual, potential_v,
                    potential_profile, schrodinger_map_residual,
-                   omega0_root_of_unity)
+                   omega0_power_deviation, omega0_sector_deviations)
 from .reports import RunConfig, VerificationReport, ConfigError
 
 __version__ = "0.1.0"

@@ -404,7 +404,7 @@ def eigenvalue_from_roots(x, roots, params: ModelParams, hw=None):
 
 
 class CothSum:
-    """h(x) = sum_l coth(w_l - x) with closed-form derivatives to order 3."""
+    """h(x) = sum_l coth(w_l - x) with closed-form derivatives to order 4."""
 
     def __init__(self, roots):
         self.roots = np.asarray(tuple(roots), dtype=complex)
@@ -419,7 +419,9 @@ class CothSum:
             return complex(np.sum(2 * c * (c ** 2 - 1)))
         if d == 3:
             return complex(np.sum(2 * (3 * c ** 2 - 1) * (c ** 2 - 1)))
-        raise ValueError("derivatives implemented up to order 3")
+        if d == 4:
+            return complex(np.sum(8 * c * (c ** 2 - 1) * (3 * c ** 2 - 2)))
+        raise ValueError("derivatives implemented up to order 4")
 
 
 # ---------------------------------------------------------------------------

@@ -250,7 +250,8 @@ def check_linear_problem(ctx):
     return out
 
 
-# eigenvalue scale of the compatibility negative control
+# scale of the planted 1%-off controls: the eigenvalue in `compatibility`,
+# the wave speed in `pde`
 _CONTROL_FACTOR = 1.01
 
 
@@ -534,7 +535,14 @@ def check_upsilon(ctx):
                     ctx.tol("upsilon"), t0)]
 
 
+# points of the pointwise `u-equation` and `schrodinger` rows
+_ODE_POINTS = (0.2, 0.45, 0.7, 0.95, 1.2)
+
+
 def check_u_equation(ctx):
+    """With u'/u = Lam/(c lam_minus), the linear second-order equation for u
+    divided by u is minus the `riccati-n1` numerator: judged pointwise on
+    the Bethe-root evaluator."""
     if 1 not in ctx.config.sectors:
         return []
     t0 = time.perf_counter()
@@ -542,33 +550,34 @@ def check_u_equation(ctx):
     if not sols:
         return []
     ev = bt.RootEigenvalue(sols[0].roots, ctx.params, ctx.hw)
-    # the O(h^2) constant depends on the parameter point; refine until the
-    # tolerance is met (or give up after three refinements)
-    num = 400
-    res = odes.u_equation_residual(ev, (0.2, 1.2), ctx.hw, ctx.params, num=num)
-    while res > ctx.tol("u_equation") and num < 4000:
-        num *= 2
-        res = odes.u_equation_residual(ev, (0.2, 1.2), ctx.hw, ctx.params, num=num)
-    return [_report("u-equation", "linearized second-order form", res,
-                    ctx.tol("u_equation"), t0, grid_points=num)]
+    worst = max(abs(odes.riccati_lambda_residual(ev, x, ctx.hw, ctx.params))
+                for x in _ODE_POINTS)
+    return [_report("u-equation", "linearized second-order form", worst,
+                    ctx.tol("u_equation"), t0)]
+
+
+# the travelling waves: speed and the points X = chi - omega tau judged
+_PDE_OMEGA, _PDE_POINTS = 0.8, (0.37, -0.6)
 
 
 def check_pde(ctx):
-    out = []
+    out, draws = [], []
     for n in (1, 2, 3):
         t0 = time.perf_counter()
         roots = ctx.rng.uniform(-1, 1, n) + 1j * ctx.rng.uniform(-1, 1, n)
-        base = {1: 129, 2: 129, 3: 49}[n]
-        res, ratios = odes.pde_convergence(n, roots, omega=0.8, base_grid=base,
-                                           halvings=3)
-        width = 1.2
-        write_csv(ctx.config.output_dir / f"convergence-pde-n{n}.csv",
-                  ["step", "residual"],
-                  [(width / ((base - 1) * 2 ** k), r) for k, r in enumerate(res)])
-        dev = max(abs(r - 4.0) for r in ratios)
-        half_band = (ctx.tol("pde_ratio_high") - ctx.tol("pde_ratio_low")) / 2
-        out.append(_report("pde", f"travelling-wave reduction order {n}", dev,
-                           half_band, t0, ratios=ratios))
+        draws.append(roots)
+        worst = max(odes.pde_travelling_wave_residual(n, roots, _PDE_OMEGA, x)
+                    for x in _PDE_POINTS)
+        out.append(_report("pde", f"travelling-wave reduction order {n}", worst,
+                           ctx.tol("pde"), t0))
+    # negative control: the waves move at omega, the PDEs' coefficients use
+    # 1.01 omega
+    t0 = time.perf_counter()
+    control = min(max(odes.pde_travelling_wave_residual(
+        len(roots), roots, _PDE_OMEGA, x, omega_pde=_CONTROL_FACTOR * _PDE_OMEGA)
+        for x in _PDE_POINTS) for roots in draws)
+    out.append(_exceed_report("pde", "wave speed off by 1% rejected", control,
+                              ctx.tol("negative_control"), t0))
     return out
 
 
@@ -577,23 +586,14 @@ def check_schrodinger(ctx):
         return []
     t0 = time.perf_counter()
     es = ctx.eigensystem(2)
-    best, best_k = float("inf"), 0
-    for k in range(es.size):
-        lam = ctx.lam(2, k)
-        r = odes.schrodinger_map_residual(lam, (0.2, 1.2), ctx.params, num=800)
-        if r < best:
-            best, best_k = r, k
-    study = [(1.0 / num, odes.schrodinger_map_residual(
-        ctx.lam(2, best_k), (0.2, 1.2), ctx.params, num=num))
-        for num in (200, 400, 800)]
-    write_csv(ctx.config.output_dir / "convergence-schrodinger.csv",
-              ["step", "residual"], study)
+    worst = max(odes.schrodinger_map_residual(ctx.lam(2, k), x, ctx.params)
+                for k in range(es.size) for x in _ODE_POINTS)
     out = [_report("schrodinger", "psi'' + (V - 1) psi = 0, energy fixed",
-                   best, ctx.tol("schrodinger"), t0)]
+                   worst, ctx.tol("schrodinger"), t0)]
     t0 = time.perf_counter()
     lam = ctx.lam(2, 0)
-    broken = odes.schrodinger_map_residual(lam, (0.2, 1.2), ctx.params,
-                                           num=800, potential_scale=1.1)
+    broken = max(odes.schrodinger_map_residual(lam, x, ctx.params, potential_scale=1.1)
+                 for x in _ODE_POINTS)
     out.append(_exceed_report("schrodinger", "scaled potential rejected",
                               broken, ctx.tol("negative_control"), t0))
     return out

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import HighestWeightData, ModelParams, monodromy_blocks, sector_block
+from .model import (HighestWeightData, ModelParams, cauchy_taylor, monodromy_blocks,
+                    sector_block)
 
 __all__ = [
     "SingularTransport",
@@ -46,8 +47,11 @@ __all__ = [
 ]
 
 _MIN_SEPARATION = 1e-6
-# central-difference step of the transport derivatives behind theta
-_FD_STEP = 1e-5
+# circle radius and nodes of the Cauchy rule for the derivatives behind theta.
+# On the spectrum T_{i->j} factorizes in x_i and x_j, which the rule keeps
+# whatever its aliasing, so the radius sets the rounding only: 0.02 keeps the
+# circle off a pole of T_{0->1} that sits 0.04 from x_1 at reference L=7
+_CAUCHY_RADIUS, _CAUCHY_NODES = 0.02, 8
 
 
 class SingularTransport(RuntimeError):
@@ -315,64 +319,35 @@ def tilde_v_spread(i, pts, lam, hw, params):
 # ---------------------------------------------------------------------------
 # generating function of conserved quantities
 
-def _dlog_transport_di(i, j, pts, lam, hw, params):
-    """d/dx_i log T_{i->j} via the branch-free ratio (T+ - T-)/(2h T0)."""
-    pts = list(pts)
-    h = _FD_STEP
-
-    def at(xi):
+def _transport_taylor(i, j, pts, lam, hw, params, moving):
+    """Taylor coefficients of T_{i->j} in the points `moving` about pts."""
+    def at(*zs):
         q = list(pts)
-        q[i] = xi
+        for a, z in zip(moving, zs):
+            q[a] = z
         return transport(i, j, q, lam, hw, params)
-
-    t0 = at(pts[i])
-    return (at(pts[i] + h) - at(pts[i] - h)) / (2 * h * t0)
+    return cauchy_taylor(at, [pts[a] for a in moving], _CAUCHY_RADIUS, _CAUCHY_NODES)
 
 
-def theta_generator(i, j, pts, lam, hw, params, method="ratio"):
-    """log(d_i log T_{i->j}); the generating function of conserved
-    quantities along x_j.
-
-    method="ratio" (default) differentiates T itself, avoiding complex-log
-    branch cuts; method="log" follows the literal definition with a branch
-    jump detector that shrinks the stencil and retries.
-    """
+def theta_generator(i, j, pts, lam, hw, params):
+    """log(d_i log T_{i->j}) = log(T_i / T); the generating function of
+    conserved quantities along x_j."""
     if i == j:
         raise ValueError("needs i != j")
     pts, _ = _validate(pts)
-    if method == "ratio":
-        return complex(np.log(_dlog_transport_di(i, j, pts, lam, hw, params)))
-    h = _FD_STEP
-    for _ in range(6):
-        def logt(xi):
-            q = list(pts)
-            q[i] = xi
-            return np.log(transport(i, j, q, lam, hw, params))
-        lp, lm = logt(pts[i] + h), logt(pts[i] - h)
-        if abs(lp.imag - lm.imag) > np.pi:  # branch crossing inside the stencil
-            h /= 4
-            continue
-        return complex(np.log((lp - lm) / (2 * h)))
-    raise ArithmeticError("log branch keeps crossing; point set too close to a cut")
+    t = _transport_taylor(i, j, pts, lam, hw, params, (i,))
+    return complex(np.log(t[1] / t[0]))
 
 
 def theta_conservation(i, j, pts, lam, hw, params):
     """|d/dx_j theta_{i,j}|, which vanishes on the spectrum.
 
-    Evaluated branch-free as |d_j G / G| with G = d_i log T_{i->j}.  The
-    outer stencil is ten times wider than the inner one: the inner FD noise
-    (~eps/_FD_STEP) would otherwise be amplified by the outer division.
-    """
+    With T = T_{i->j} and G = T_i / T it is |d_j G / G| =
+    |(T_ij T - T_i T_j) / (T T_i)|, all four from one 2-D Cauchy rule about
+    (x_i, x_j)."""
     pts, _ = _validate(pts)
-    h = 10 * _FD_STEP
-
-    def G(xj):
-        q = list(pts)
-        q[j] = xj
-        return _dlog_transport_di(i, j, q, lam, hw, params)
-
-    g0 = G(pts[j])
-    return float(abs((G(pts[j] + h) - G(pts[j] - h)) / (2 * h * g0)))
+    t = _transport_taylor(i, j, pts, lam, hw, params, (i, j))
+    return float(abs((t[1, 1] * t[0, 0] - t[1, 0] * t[0, 1]) / (t[0, 0] * t[1, 0])))
 
 
 def conserved_n1(x, lam, hw: HighestWeightData, params: ModelParams):

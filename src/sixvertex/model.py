@@ -28,6 +28,7 @@ import numpy as np
 __all__ = [
     "ModelParams",
     "ExpSum",
+    "cauchy_taylor",
     "HighestWeightData",
     "r_matrix",
     "verify_ybe",
@@ -307,6 +308,21 @@ class ExpSum:
             return np.sum(w * np.exp(self.ms * np.asarray(x, dtype=complex)[..., None]),
                           axis=-1)
         return complex(np.sum(w * np.exp(self.ms * x)))
+
+
+def cauchy_taylor(f, center, radius, nodes):
+    """Taylor coefficients c[m_1, ..., m_d] = d^m f / (m_1! ... m_d!) of an
+    analytic f of d complex variables about `center`, from the trapezoidal
+    rule for Cauchy's integral on the torus |z_k - center_k| = radius with
+    `nodes` points per variable (Lyness & Moler 1967): one FFT of the
+    samples.  The low coefficients are exact to rounding (amplified by
+    radius^-|m|) when f is analytic well beyond the radius."""
+    center = np.atleast_1d(np.asarray(center, dtype=complex))
+    circle = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    vals = np.empty((nodes,) * len(center), dtype=complex)
+    for idx in np.ndindex(vals.shape):
+        vals[idx] = f(*(center + circle[list(idx)]))
+    return np.fft.fftn(vals) / vals.size / radius ** np.indices(vals.shape).sum(axis=0)
 
 
 @dataclass

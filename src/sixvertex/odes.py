@@ -11,11 +11,13 @@ Contents:
 * the sector-2 identity is evaluated by an exact coalescing-point reduction
   of the verified three-point determinant identity (truncated Laurent
   algebra in the point separation; the epsilon^0 coefficient is the ODE);
-* travelling-wave PDE residuals on grids, the Schroedinger-form potential
-  and map, and the root-of-unity initial condition report.
+* pointwise travelling-wave PDE residuals, the Schroedinger-form potential
+  and map, and the root-of-unity initial condition.
 
 Eigenvalue and h arguments are evaluators  f(x, d)  returning the d-th
 derivative exactly: `model.ExpSum`, `bethe.RootEigenvalue` or `bethe.CothSum`.
+The Schroedinger map's r = (Lam - beta)/alpha has no such form; its
+derivative comes from `model.cauchy_taylor`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,11 @@ from math import factorial
 
 import numpy as np
 
-from .model import ExpSum, HighestWeightData, ModelParams, sector_block, transfer
+from .model import (ExpSum, HighestWeightData, ModelParams, cauchy_taylor, sector_block,
+                    transfer)
+
+# circle radius and nodes of the Cauchy rule for r' in the Schroedinger map
+_CAUCHY_RADIUS, _CAUCHY_NODES = 0.02, 16
 
 __all__ = [
     "upsilon_coefficients",
@@ -37,42 +43,14 @@ __all__ = [
     "sigma2_residual",
     "riccati2_coefficients",
     "riccati2_residual",
-    "u_equation_residual",
     "pde_travelling_wave_residual",
-    "pde_convergence",
     "potential_v",
     "PotentialProfile",
     "potential_profile",
     "schrodinger_map_residual",
-    "OmegaReport",
     "omega0_power_deviation",
     "omega0_sector_deviations",
-    "omega0_root_of_unity",
 ]
-
-
-# ---------------------------------------------------------------------------
-# quadrature
-
-def _cumulative_simpson(y, dx):
-    """Running integral of equally spaced samples y (complex allowed) from
-    the first one, by Simpson's rule as in scipy's
-    ``cumulative_simpson(y, dx=dx, initial=0)``: each interval is integrated
-    over the three samples that start it, every other one (and the last)
-    over the three that end it."""
-    y = np.asarray(y)
-    if np.iscomplexobj(y):
-        return _cumulative_simpson(y.real, dx) + 1j * _cumulative_simpson(y.imag, dx)
-    if len(y) < 3:
-        raise ValueError(f"Simpson's rule needs at least 3 samples, got {len(y)}")
-
-    def ahead(f):
-        return dx / 3 * (5 * f[:-2] / 4 + 2 * f[1:-1] - f[2:] / 4)
-
-    h1, h2 = ahead(y), ahead(y[::-1])[::-1]
-    parts = np.empty(len(y) - 1)
-    parts[:-1:2], parts[1::2], parts[-1] = h1[::2], h2[::2], h2[-1]
-    return np.concatenate(([0.0], np.cumsum(parts) + 0.0))  # -0.0 -> 0.0, as scipy
 
 
 # ---------------------------------------------------------------------------
@@ -378,127 +356,33 @@ def riccati2_residual(lam_eval, x, params):
 
 
 # ---------------------------------------------------------------------------
-# linear second-order equation for u (sector 1)
-
-def u_equation_residual(lam, x_range, hw, params, num=200):
-    """Reconstruct log u by quadrature of Lam/(c lam_minus) and evaluate the
-    linear second-order ODE residual with finite differences; returns the
-    max normalized residual over interior grid points."""
-    num += num % 2  # Simpson wants an even interval count
-    xs = np.linspace(x_range[0], x_range[1], num + 1).astype(complex)
-    lm = np.array([hw.lam_minus(x) for x in xs])
-    if np.abs(lm).min() < 0.05 * np.abs(lm).max():
-        xs = xs + 0.1j  # lam_minus (nearly) vanishes on the real path
-        lm = np.array([hw.lam_minus(x) for x in xs])
-    c = params.c
-    Lv = np.array([lam(x) for x in xs])
-    integrand = Lv / (c * lm)
-    h = xs[1] - xs[0]
-    logu = _cumulative_simpson(integrand, dx=1.0) * h
-    logu -= logu.real.max()  # overflow guard; the ODE is homogeneous
-    u = np.exp(logu)
-    du = np.empty_like(u)
-    d2u = np.empty_like(u)
-    du[1:-1] = (u[2:] - u[:-2]) / (2 * h)
-    d2u[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) / h ** 2
-    dlm = np.array([hw.lam_minus(x, 1) for x in xs])
-    j0 = np.empty_like(u)
-    j1 = np.empty_like(u)
-    for k, x in enumerate(xs):
-        j0[k], j1[k] = _j_coefficients(x, hw, params)
-    t2 = (c * lm) ** 2 * d2u
-    t1 = -c * lm * (j1 - c * dlm) * du
-    t0 = j0 * u
-    res = np.abs(t2 + t1 + t0)[2:-2]
-    scale = np.maximum(np.maximum(np.abs(t2), np.abs(t1)), np.abs(t0))[2:-2]
-    return float(res.max() / max(scale.max(), 1e-300))
-
-
-# ---------------------------------------------------------------------------
 # travelling-wave PDE residuals
 
-def _roll_deriv(F, h, order, axis):
-    r = lambda k: np.roll(F, -k, axis=axis)
-    if order == 1:
-        return (r(1) - r(-1)) / (2 * h)
-    if order == 2:
-        return (r(1) - 2 * F + r(-1)) / h ** 2
-    if order == 3:
-        return (r(2) - 2 * r(1) + 2 * r(-1) - r(-2)) / (2 * h ** 3)
-    if order == 4:
-        return (r(2) - 4 * r(1) + 6 * F - 4 * r(-1) + r(-2)) / h ** 4
-    raise ValueError(order)
-
-
-def _auto_window(roots, omega, chi0=0.4, tau0=0.1, width=1.2, margin=0.3):
-    """Shift the grid window until |sinh(w_l - x)| >= margin everywhere."""
-    roots = np.asarray(tuple(roots), dtype=complex)
-    for attempt in range(40):
-        c0 = chi0 + 0.37 * attempt
-        chis = np.linspace(c0, c0 + width, 33)
-        taus = np.linspace(tau0, tau0 + width, 33)
-        xv = chis[:, None] - omega * taus[None, :]
-        dist = np.abs(np.sinh(roots[:, None, None] - xv[None, :, :])).min()
-        if dist >= margin:
-            return c0, tau0, width
-    raise RuntimeError("no pole-free window found for this root set")
-
-
-def pde_travelling_wave_residual(n, roots, omega, grid_n=129, window=None,
-                                 subsample=1):
-    """Max-norm discretized residual of the order-n travelling-wave PDE on a
-    rectangular (chi, tau) grid for psi(chi, tau) = h(chi - omega tau).
-
-    subsample > 1 restricts the max to every subsample-th interior point, so
-    refinement studies compare the residual at identical physical locations.
-    """
+def pde_travelling_wave_residual(n, roots, omega, x, omega_pde=None):
+    """Normalized residual |R| / max|term| of the order-n travelling-wave PDE
+    at X = chi - omega tau for psi(chi, tau) = h(X), h the coth sum of the
+    roots: d_tau^k psi = (-omega)^k h^(k) and d_chi = d/dX, so every term is
+    exact.  omega_pde (default omega) is the speed in the PDE's
+    coefficients; another value is a negative control."""
     from .bethe import CothSum
     if n not in (1, 2, 3):
         raise ValueError("PDE reductions implemented for n in {1, 2, 3}")
-    h_fun = CothSum(roots)
-    if window is None:
-        chi0, tau0, width = _auto_window(roots, omega)
-    else:
-        chi0, tau0, width = window
-    chis = np.linspace(chi0, chi0 + width, grid_n)
-    taus = np.linspace(tau0, tau0 + width, grid_n)
-    hc = chis[1] - chis[0]
-    ht = taus[1] - taus[0]
-    X = chis[:, None] - omega * taus[None, :]
-    w = np.asarray(tuple(roots), dtype=complex)
-    psi = np.sum(1 / np.tanh(w[:, None, None] - X[None, :, :]), axis=0)
-
+    w = omega if omega_pde is None else omega_pde
+    h, d1, d2, d3, d4 = (CothSum(roots)(x, d) for d in range(5))
     if n == 1:
-        R = _roll_deriv(psi, ht, 2, 1) - omega ** 2 * _roll_deriv(psi ** 2, hc, 1, 0)
+        # psi_tt - w^2 (psi^2)_chi
+        terms = (omega ** 2 * d2, -w ** 2 * 2 * h * d1)
     elif n == 2:
-        R = (_roll_deriv(psi, ht, 3, 1)
-             + 1.5 * omega ** 3 * _roll_deriv(psi ** 2, hc, 2, 0)
-             - omega ** 3 * _roll_deriv(psi * (psi ** 2 - 4), hc, 1, 0))
+        # psi_ttt + 3/2 w^3 (psi^2)_chichi - w^3 (psi (psi^2 - 4))_chi
+        terms = (-omega ** 3 * d3, 1.5 * w ** 3 * (2 * d1 ** 2 + 2 * h * d2),
+                 -w ** 3 * (3 * h ** 2 - 4) * d1)
     else:
-        dchi = _roll_deriv(psi, hc, 1, 0)
-        R = (omega ** -4 * _roll_deriv(psi, ht, 4, 1)
-             + _roll_deriv(psi ** 2 * (10 - psi ** 2) + dchi ** 2, hc, 1, 0)
-             + 2 * _roll_deriv(psi * (psi ** 2 - 5), hc, 2, 0)
-             - 2 * _roll_deriv(psi ** 2, hc, 3, 0))
-    if subsample > 1:
-        margin = 4 * subsample
-        R = R[margin:-margin:subsample, margin:-margin:subsample]
-        return float(np.abs(R).max())
-    interior = np.abs(R[4:-4, 4:-4])
-    return float(interior.max())
-
-
-def pde_convergence(n, roots, omega, base_grid=129, halvings=3, window=None):
-    """Residuals and step-halving ratios for the order-n PDE reduction,
-    measured over the shared coarse-grid interior points."""
-    if window is None:
-        window = _auto_window(roots, omega, margin=0.7)
-    res = [pde_travelling_wave_residual(n, roots, omega,
-                                        grid_n=(base_grid - 1) * 2 ** k + 1,
-                                        window=window, subsample=2 ** k)
-           for k in range(halvings + 1)]
-    ratios = [res[k] / res[k + 1] for k in range(halvings)]
-    return res, ratios
+        # w^-4 psi_tttt + (psi^2 (10 - psi^2) + psi_chi^2)_chi
+        #   + 2 (psi (psi^2 - 5))_chichi - 2 (psi^2)_chichichi
+        terms = ((omega / w) ** 4 * d4, (20 * h - 4 * h ** 3) * d1, 2 * d1 * d2,
+                 2 * (6 * h * d1 ** 2 + (3 * h ** 2 - 5) * d2),
+                 -4 * (3 * d1 * d2 + h * d3))
+    return float(abs(sum(terms)) / max(max(map(abs, terms)), 1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -584,52 +468,32 @@ def _schrodinger_functions(x, lam0, params: ModelParams, hw: HighestWeightData):
     return alpha, beta
 
 
-def schrodinger_map_residual(lam, x_range, params: ModelParams, num=400,
-                             potential_scale=1.0):
-    """Reconstruct log psi by quadrature of (Lam - beta)/alpha and return the
-    max normalized residual of  psi'' + (V - 1) psi  on interior points.
+def schrodinger_map_residual(lam, x, params: ModelParams, potential_scale=1.0):
+    """Normalized residual of  psi'' + (V - 1) psi = 0  at x, where
+    psi = exp(int r) with r = (Lam - beta)/alpha, so psi''/psi = r' + r^2:
+    |r' + r^2 + V - 1| / max(|r' + r^2|, |V - 1|), with r and r' from a
+    Cauchy rule about x.
 
     The reference energy is fixed at 1, never fitted.  potential_scale is a
     negative-control hook (scaling V must break the residual).
     """
     _require_reference_point(params, "the Schroedinger map")
     hw = HighestWeightData(params)
-    num += num % 2
     lam0 = lam(0.0)
     om0 = np.sqrt(lam0 / params.c ** params.L + 0j)
-    xs = np.linspace(x_range[0], x_range[1], num + 1).astype(complex)
-    alpha, beta = _schrodinger_functions(xs, lam0, params, hw)
-    if np.abs(alpha).min() < 0.05 * np.abs(alpha).max():
-        xs = xs + 0.1j  # alpha nearly vanishes on the real path
-        alpha, beta = _schrodinger_functions(xs, lam0, params, hw)
-    Lv = np.array([lam(x) for x in xs])
-    r = (Lv - beta) / alpha
-    h = xs[1] - xs[0]
-    logpsi = _cumulative_simpson(r, dx=1.0) * h
-    logpsi -= logpsi.real.max()
-    psi = np.exp(logpsi)
-    d2 = np.empty_like(psi)
-    d2[1:-1] = (psi[2:] - 2 * psi[1:-1] + psi[:-2]) / h ** 2
-    V = potential_scale * potential_v(xs, om0, params.gamma)
-    res = np.abs(d2 + (V - 1) * psi)[2:-2]
-    scale = np.maximum(np.abs(d2), np.abs((V - 1) * psi))[2:-2]
-    return float(res.max() / max(scale.max(), 1e-300))
+
+    def r(z):
+        alpha, beta = _schrodinger_functions(z, lam0, params, hw)
+        return (lam(z) - beta) / alpha
+
+    c = cauchy_taylor(r, x, _CAUCHY_RADIUS, _CAUCHY_NODES)
+    kinetic = c[1] + c[0] ** 2
+    V = potential_scale * potential_v(x, om0, params.gamma)
+    return float(abs(kinetic + V - 1) / max(abs(kinetic), abs(V - 1), 1e-300))
 
 
 # ---------------------------------------------------------------------------
 # root-of-unity initial condition
-
-@dataclass
-class OmegaReport:
-    L: int
-    power_deviation: float                  # || O^L - Id ||_max
-    sector_deviations: dict                  # n -> list of |(Lam0/c^L)^L - 1|
-
-    @property
-    def max_sector_deviation(self):
-        return max((max(v) for v in self.sector_deviations.values() if v),
-                   default=0.0)
-
 
 def omega0_power_deviation(params: ModelParams):
     """|| O^L - Id ||_max for T(0) = c^L O, taken on the sector blocks of O
@@ -650,10 +514,3 @@ def omega0_sector_deviations(params: ModelParams, lams):
     return {n: [float(abs((lam(0.0) / cl) ** L - 1)) for lam in fs]
             for n, fs in lams.items()}
 
-
-def omega0_root_of_unity(params: ModelParams, eigensystems):
-    """Check T(0) = c^L O with O^L = Id, and the eigenvalue phases of the
-    given sector eigensystems."""
-    lams = {es.n: [es.lam(k) for k in range(es.size)] for es in eigensystems}
-    return OmegaReport(L=params.L, power_deviation=omega0_power_deviation(params),
-                       sector_deviations=omega0_sector_deviations(params, lams))

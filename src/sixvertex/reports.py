@@ -63,8 +63,7 @@ def default_tolerances():
         "riccati_h": 1e-9,
         "upsilon": 1e-13,
         "u_equation": 1e-6,
-        "pde_ratio_low": 3.5,
-        "pde_ratio_high": 4.5,
+        "pde": 1e-10,
         "schrodinger": 1e-5,
         "root_of_unity_power": 1e-12,
         "root_of_unity_sector": 1e-9,

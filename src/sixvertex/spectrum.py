@@ -210,20 +210,16 @@ def polynomial_residuals(eigensystems):
             for es, rows in zip(eigensystems, direct)]
 
 
-def polynomiality_check(lam, params: ModelParams, pts=None, cond_limit=1e10):
-    """Fit u^{L/2} * lam(x) by a polynomial in u = exp(2x) of degree <= L.
+def polynomiality_check(lam, params: ModelParams):
+    """Fit u^{L/2} * lam(x) by a polynomial in u = exp(2x) of degree <= L at
+    the check points.
 
     For arbitrary callables (sector eigenvalues are exact sums already; see
     `polynomial_residuals`).  Returns (fit as an ExpSum, relative residual).
-    User-supplied points are replaced by the default ones when the fit is
-    ill conditioned.
     """
     L = params.L
-    pts = _check_points(L) if pts is None else np.asarray(pts, dtype=complex)
+    pts = _check_points(L)
     V = np.vander(np.exp(2 * pts), L + 1, increasing=True)
-    if np.linalg.cond(V) > cond_limit:
-        pts = _check_points(L)
-        V = np.vander(np.exp(2 * pts), L + 1, increasing=True)
     y = np.array([np.exp(L * x) * lam(x) for x in pts])
     coeff, *_ = np.linalg.lstsq(V, y, rcond=None)
     return ExpSum(_frequencies(L), coeff), float(_relative_residual(V @ coeff, y))

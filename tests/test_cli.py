@@ -319,6 +319,12 @@ def assert_controls_fail(argv, L, point):
     assert {r["identity"] for r in rows if not r["passed"]} == control_rows(L, point)
 
 
+# rows judged pointwise with exact or Cauchy-rule derivatives
+EXACT_ROWS = {"d_j theta_ij = 0 (n=2)", "psi'' + (V - 1) psi = 0, energy fixed",
+              "linearized second-order form"} | {
+    f"travelling-wave reduction order {n}" for n in (1, 2, 3)}
+
+
 class TestScenarioMatrix:
     @pytest.mark.parametrize("L,point", [
         (L, point) for L in (2, 3, 5, 6)
@@ -328,6 +334,10 @@ class TestScenarioMatrix:
         cfg.write_text(json.dumps({"model": scenario(L, point)}))
         argv = ["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]
         assert run(argv) == 0
+        rows = [json.loads(line) for line in
+                (tmp_path / "out" / "reports.jsonl").read_text().splitlines()]
+        exact = [r for r in rows if r["identity"] in EXACT_ROWS]
+        assert exact and all(r["residual"] <= 1e-10 for r in exact)
         if point == "reference":
             assert_controls_fail(argv, L, point)
 
@@ -348,7 +358,7 @@ class TestScenarioMatrix:
         out = tmp_path / "out"
         assert run(["verify", "--config", str(cfg), "--out", str(out)]) == 0
         rows = (out / "reports.jsonl").read_text().splitlines()
-        assert len(rows) == 52 and all(json.loads(r)["passed"] for r in rows)
+        assert len(rows) == 53 and all(json.loads(r)["passed"] for r in rows)
         prof = json.loads((out / "profile.json").read_text())
         builds = (sum(e["builds"] for e in prof["shared"])
                   + sum(c["exclusive_builds"] for c in prof["checks"]))

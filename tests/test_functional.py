@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sixvertex.model import HighestWeightData, ModelParams
+from sixvertex.model import ExpSum, HighestWeightData, ModelParams
+from sixvertex.spectrum import diagonalize_sector
 from sixvertex import functional as fx
 
 
@@ -336,7 +337,21 @@ class TestConservedQuantities:
         lam = oracle.eigensystem(params, 2).lam(0)
         pts = pts_for(2)
         for (i, j) in [(0, 1), (1, 2), (0, 2)]:
-            assert fx.theta_conservation(i, j, pts, lam, hw, params) < 1e-6
+            assert fx.theta_conservation(i, j, pts, lam, hw, params) < 1e-10
+
+    @pytest.mark.parametrize("L", range(3, 9))
+    def test_theta_conservation_reference_chains(self, L):
+        # every pair the `theta` row takes; at L=7 a pole of T_{0->1} in x_1
+        # sits 0.04 from the point
+        p = ModelParams(L=L, gamma=0.7)
+        hw_L = HighestWeightData(p)
+        lam = diagonalize_sector(p, 2).lam(0)
+        off = ExpSum(lam.ms, 1.01 * lam.coeffs)
+        pts = [0.31, -0.42, 0.55]
+        for (i, j) in [(0, 1), (1, 2)]:
+            assert fx.theta_conservation(i, j, pts, lam, hw_L, p) < 1e-10
+        assert max(fx.theta_conservation(i, j, pts, off, hw_L, p)
+                   for (i, j) in [(0, 1), (1, 2)]) > 1e-4
 
     def test_transport_itself_depends_on_xj(self, params, hw, oracle):
         lam = oracle.eigensystem(params, 2).lam(0)
@@ -346,13 +361,6 @@ class TestConservedQuantities:
         moved[1] += 0.1
         t2 = fx.transport(0, 1, moved, lam, hw, params)
         assert abs(t1 - t2) > 1e-2 * abs(t1)
-
-    def test_theta_log_method_agrees(self, params, hw, oracle):
-        lam = oracle.eigensystem(params, 2).lam(1)
-        pts = pts_for(2)
-        a = fx.theta_generator(0, 1, pts, lam, hw, params, method="ratio")
-        b = fx.theta_generator(0, 1, pts, lam, hw, params, method="log")
-        assert abs(a - b) < 1e-6 * max(abs(a), 1.0)
 
     def test_leading_taylor_coefficient_constant(self, params, hw, oracle):
         # theta with the non-j variables staggered near the origin is

@@ -13,33 +13,6 @@ def plus_exp(fit, c):
     return ExpSum(np.append(fit.ms, 1), np.append(fit.coeffs, c))
 
 
-class TestCumulativeSimpson:
-    @pytest.mark.parametrize("n", [3, 4, 7, 10, 801])
-    def test_matches_scipy_bit_for_bit(self, n, rng):
-        integrate = pytest.importorskip("scipy.integrate")
-        y = rng.standard_normal(n)
-        z = y + 1j * rng.standard_normal(n)
-        for dx in (1.0, 0.37):
-            ref = integrate.cumulative_simpson(y, dx=dx, initial=0.0)
-            assert np.array_equal(odes._cumulative_simpson(y, dx), ref)
-            ref = (integrate.cumulative_simpson(z.real, dx=dx, initial=0.0)
-                   + 1j * integrate.cumulative_simpson(z.imag, dx=dx, initial=0.0))
-            assert np.array_equal(odes._cumulative_simpson(z, dx), ref)
-
-    @pytest.mark.parametrize("n", [3, 6, 9])
-    def test_exact_for_quadratics(self, n):
-        x = np.linspace(0.0, 1.5, n)
-        y = (3 - 1j) * x ** 2 - x + 2
-        exact = (1 - 1j / 3) * x ** 3 - x ** 2 / 2 + 2 * x
-        assert np.allclose(odes._cumulative_simpson(y, x[1]), exact,
-                           rtol=0, atol=1e-14)
-
-    @pytest.mark.parametrize("n", [0, 1, 2])
-    def test_fewer_than_three_samples_rejected(self, n):
-        with pytest.raises(ValueError):
-            odes._cumulative_simpson(np.ones(n), 1.0)
-
-
 class TestUpsilon:
     def test_coefficients_small_orders(self):
         # order 1: z^2 - 1; order 2: z^3 - 4z; order 3: (z^2-1)(z^2-9)
@@ -190,79 +163,57 @@ class TestRiccati2:
 
 
 class TestUEquation:
+    """The linear equation for u, divided by u, is minus the sector-1 Riccati
+    numerator, so the row judges riccati_lambda_residual on the Bethe-root
+    evaluator pointwise."""
+
     def test_closed_form_root(self, params, hw):
         sols = solve_bae(diagonalize_sector(params, 1))
         ev = RootEigenvalue(sols[0].roots, params)
-        r200 = odes.u_equation_residual(ev, (0.2, 1.2), hw, params, num=200)
-        r400 = odes.u_equation_residual(ev, (0.2, 1.2), hw, params, num=400)
-        assert r200 < 5e-6
-        assert r400 < 1e-6
-        assert 3.5 < r200 / r400 < 4.5
+        for x in (0.2, 0.45, 0.7, 0.95, 1.2):
+            assert abs(odes.riccati_lambda_residual(ev, x, hw, params)) < 1e-12
 
-    def test_scaling_invariance(self, params, hw):
-        # u -> 2u leaves the normalized residual unchanged (homogeneous ODE);
-        # replicate the internal pipeline with a rescaled u
-        sols = solve_bae(diagonalize_sector(params, 1))
-        ev = RootEigenvalue(sols[0].roots, params)
-        xs = np.linspace(0.2, 1.2, 201).astype(complex)
-        h = xs[1] - xs[0]
-        lm = np.array([hw.lam_minus(x) for x in xs])
-        integrand = np.array([ev(x) for x in xs]) / (params.c * lm)
-        logu = odes._cumulative_simpson(integrand, dx=1.0) * h
-
-        def residual(u):
-            du = (u[2:] - u[:-2]) / (2 * h)
-            d2u = (u[2:] - 2 * u[1:-1] + u[:-2]) / h ** 2
-            j0 = np.empty(len(xs) - 2, dtype=complex)
-            j1 = np.empty(len(xs) - 2, dtype=complex)
-            for i, x in enumerate(xs[1:-1]):
-                j0[i], j1[i] = odes._j_coefficients(x, hw, params)
-            dlm = np.array([hw.lam_minus(x, 1) for x in xs[1:-1]])
-            lmm = lm[1:-1]
-            t2 = (params.c * lmm) ** 2 * d2u
-            t1 = -params.c * lmm * (j1 - params.c * dlm) * du
-            t0 = j0 * u[1:-1]
-            scale = np.maximum(np.maximum(np.abs(t2), np.abs(t1)), np.abs(t0))
-            return np.abs(t2 + t1 + t0).max() / scale.max()
-
-        u = np.exp(logu - logu.real.max())
-        assert residual(u) == pytest.approx(residual(2 * u), rel=1e-9)
-
-    def test_vanishing_lam_minus_moves_path(self):
-        # this twist puts a zero of lam_minus on the real segment; the
-        # quadrature path must shift into the complex plane
+    def test_vanishing_lam_minus(self):
+        # this twist puts a zero of lam_minus on the segment [0.2, 1.2]; the
+        # pointwise form has no division by lam_minus, so it holds there too
         p = ModelParams(L=2, gamma=0.7, phi1=1.0, phi2=5.0)
         hw2 = HighestWeightData(p)
-        lams = np.array([hw2.lam_minus(x) for x in np.linspace(0.2, 1.2, 401)])
-        assert np.abs(lams).min() < 1e-2 * np.abs(lams).max()  # hazard present
+        xs = np.linspace(0.2, 1.2, 401)
+        lams = np.abs([hw2.lam_minus(x) for x in xs])
+        assert lams.min() < 1e-2 * lams.max()  # hazard present
         sols = solve_bae(diagonalize_sector(p, 1))
         ev = RootEigenvalue(sols[0].roots, p)
-        # the second Bethe root's pole sits 0.1 from the shifted path, so the
-        # FD constants are much larger than in the untwisted case; what must
-        # survive is the O(h^2) convergence on the shifted path
-        r400 = odes.u_equation_residual(ev, (0.2, 1.2), hw2, p, num=400)
-        r800 = odes.u_equation_residual(ev, (0.2, 1.2), hw2, p, num=800)
-        assert r400 < 1e-2
-        assert 3.5 < r400 / r800 < 4.5
+        for x in (0.2, 0.45, 0.7, 0.95, 1.2, xs[int(np.argmin(lams))]):
+            assert abs(odes.riccati_lambda_residual(ev, x, hw2, p)) < 1e-12
 
 
 class TestPDE:
-    @pytest.mark.parametrize("n,base", [(1, 129), (2, 129), (3, 49)])
-    def test_convergence_ratios(self, n, base, rng):
-        roots = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
-        res, ratios = odes.pde_convergence(n, roots, omega=0.8,
-                                           base_grid=base, halvings=3)
-        assert all(3.5 <= r <= 4.5 for r in ratios)
-        assert res[-1] < res[0]
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_exact_residual_and_speed_control(self, n, rng):
+        # psi = h(chi - omega tau) solves the order-n PDE at every point; with
+        # 1.01 omega in the coefficients it does not
+        for _ in range(20):
+            roots = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+            for x in (0.37, -0.6):
+                assert odes.pde_travelling_wave_residual(n, roots, 0.8, x) < 1e-12
+            assert max(odes.pde_travelling_wave_residual(n, roots, 0.8, x,
+                                                         omega_pde=0.808)
+                       for x in (0.37, -0.6)) > 1e-3
 
-    def test_real_roots_need_rewindowing(self):
-        # real roots put pole lines in the default window; the auto-window
-        # must move away and still converge
-        roots = [0.45, 0.9]
-        window = odes._auto_window(roots, 0.8)
-        res, ratios = odes.pde_convergence(2, roots, omega=0.8, window=window,
-                                           base_grid=129, halvings=2)
-        assert all(3.5 <= r <= 4.5 for r in ratios)
+    def test_real_roots(self):
+        # real roots put poles on the real axis; between them the residual is
+        # still exact
+        for x in (0.2, 0.7, 1.3):
+            assert odes.pde_travelling_wave_residual(2, [0.45, 0.9], 0.8, x) < 1e-12
+
+    def test_coth_sum_fourth_derivative(self):
+        h = CothSum([0.3 + 0.4j, -0.5 + 0.2j, 0.1 - 0.7j])
+        e = 1e-5
+        for x in (0.37, -0.6):
+            fd = (h(x + e, 3) - h(x - e, 3)) / (2 * e)
+            assert abs(h(x, 4) - fd) < 1e-6 * abs(fd)
+            with pytest.raises(ValueError):
+                h(x, 5)
 
 
 class TestPotential:
@@ -308,32 +259,30 @@ class TestPotential:
 
 
 class TestSchrodinger:
-    def test_residual_and_convergence(self, params, oracle):
-        # pick the best-conditioned sector-2 eigenvalue; energy fixed at 1
-        best = None
-        for k in range(6):
-            fit = oracle.fit(params, 2, k)
-            r800 = odes.schrodinger_map_residual(fit, (0.2, 1.2), params, num=800)
-            if best is None or r800 < best[1]:
-                r400 = odes.schrodinger_map_residual(fit, (0.2, 1.2), params,
-                                                     num=400)
-                best = (k, r800, r400)
-        _, r800, r400 = best
-        assert r800 < 1e-5
-        assert 3.0 < r400 / r800 < 5.0
+    XS = (0.2, 0.45, 0.7, 0.95, 1.2)
+
+    @pytest.mark.parametrize("L", [4, 6, 8])
+    def test_every_eigenvalue(self, L):
+        # psi''/psi = r' + r^2 with the energy fixed at 1, for every sector-2
+        # eigenvalue (not the best one)
+        p = ModelParams(L=L, gamma=0.7)
+        es = diagonalize_sector(p, 2)
+        for k in range(es.size):
+            for x in self.XS:
+                assert odes.schrodinger_map_residual(es.lam(k), x, p) < 1e-10
 
     def test_scaled_potential_rejected(self, params, oracle):
         fit = oracle.fit(params, 2, 1)
-        ref = odes.schrodinger_map_residual(fit, (0.2, 1.2), params, num=400)
-        broken = odes.schrodinger_map_residual(fit, (0.2, 1.2), params,
-                                               num=400, potential_scale=1.1)
-        assert ref < 1e-4
+        assert odes.schrodinger_map_residual(fit, 0.7, params) < 1e-9
+        broken = max(odes.schrodinger_map_residual(fit, x, params,
+                                                   potential_scale=1.1)
+                     for x in self.XS)
         assert broken > 1e-3
 
     def test_gated_to_reference_point(self, generic_params, oracle):
         fit = oracle.fit(generic_params, 2, 0)
         with pytest.raises(ValueError):
-            odes.schrodinger_map_residual(fit, (0.2, 1.2), generic_params)
+            odes.schrodinger_map_residual(fit, 0.7, generic_params)
 
 
 class TestRootOfUnity:
@@ -349,16 +298,17 @@ class TestRootOfUnity:
 
     @pytest.mark.parametrize("L", [2, 3, 4, 6])
     def test_power_identity(self, L):
-        p = ModelParams(L=L, gamma=0.7)
-        rep = odes.omega0_root_of_unity(p, [diagonalize_sector(p, 1)])
-        assert rep.power_deviation < 1e-12
+        assert odes.omega0_power_deviation(ModelParams(L=L, gamma=0.7)) < 1e-12
 
     def test_sector_phases(self, params, oracle):
-        rep = odes.omega0_root_of_unity(
-            params, [oracle.eigensystem(params, n) for n in range(params.L + 1)])
-        assert sorted(rep.sector_deviations) == list(range(params.L + 1))
-        assert rep.max_sector_deviation < 1e-9
+        systems = [oracle.eigensystem(params, n) for n in range(params.L + 1)]
+        devs = odes.omega0_sector_deviations(
+            params, {es.n: [es.lam(k) for k in range(es.size)] for es in systems})
+        assert sorted(devs) == list(range(params.L + 1))
+        assert max(max(v) for v in devs.values()) < 1e-9
 
     def test_gated_to_reference_point(self, generic_params):
         with pytest.raises(ValueError):
-            odes.omega0_root_of_unity(generic_params, [])
+            odes.omega0_power_deviation(generic_params)
+        with pytest.raises(ValueError):
+            odes.omega0_sector_deviations(generic_params, {})

@@ -164,13 +164,6 @@ class TestPolynomiality:
         d1 = (f(x + h) - f(x - h)) / (2 * h)
         assert abs(lam(x, 1) - d1) < 1e-7 * max(abs(d1), 1.0)
 
-    def test_user_points_redrawn_when_ill_conditioned(self, params, oracle):
-        # nearly coincident samples are replaced by circle points
-        _, residual = polynomiality_check(
-            oracle.direct(params, 1, 0), params,
-            pts=np.full(11, 0.3) + np.arange(11) * 1e-9)
-        assert residual < 1e-9
-
 
 class TestLeftVectorFromC:
     def test_empty_root_set_is_vacuum_bra(self, params):
