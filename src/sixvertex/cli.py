@@ -19,7 +19,7 @@ import numpy.random  # numpy 2 loads it lazily; load it with the module, not mid
 from . import bethe as bt
 from . import functional as fx
 from . import model, odes
-from .model import (ExpSum, HighestWeightData, ModelParams, monodromy_blocks,
+from .model import (ExpSum, HighestWeightData, monodromy_blocks,
                     magnetization_diagonal, sector_block, transfer, verify_ybe,
                     yba_exchange_residual)
 from .reports import (ConfigError, ResultCache, RunConfig, VerificationReport,
@@ -469,38 +469,23 @@ def check_riccati_n1(ctx):
     return out
 
 
+# points of the `sigma2` row; x = -gamma/2 is avoided, where every determinant
+# term of some reference odd-L eigenvalues vanishes and the row reads 0/0
+_SIGMA2_POINTS = (0.63, -0.213)
+
+
 def check_sigma2(ctx):
-    """A point where every determinant term is below 1e-12 of the row's
-    largest (x = -gamma/2 at the reference point with odd L) reads 0/0; it is
-    judged at x + 0.137 instead and listed under `moved_points` as
-    [k, x, moved x]."""
     if 2 not in ctx.config.sectors or ctx.params.L < 2:
         return []
     t0 = time.perf_counter()
-    lams = [ctx.lam(2, k) for k in range(ctx.eigensystem(2).size)]
-
-    def reduce(k, x):
-        return odes.coalescing_reduction(lams[k], x, ctx.hw, ctx.params, n=2)[:2]
-
-    terms = {(k, x): reduce(k, x) for k in range(len(lams)) for x in (0.63, -0.35)}
-    floor = 1e-12 * max(scale for _, scale in terms.values())
-    worst, moved = 0.0, []
-    for (k, x), (val, scale) in terms.items():
-        if scale < floor:
-            x_moved = x + 0.137
-            moved.append([k, x, x_moved])
-            val, scale = reduce(k, x_moved)
-        worst = max(worst, abs(val) / max(scale, 1e-300))
+    worst = max(abs(odes.sigma2_residual(ctx.lam(2, k), x, ctx.hw, ctx.params))
+                for k in range(ctx.eigensystem(2).size) for x in _SIGMA2_POINTS)
     return [_report("sigma2", "second-order ODE (coalescing reduction)",
-                    worst, ctx.tol("sigma2"), t0, moved_points=moved)]
-
-
-def _at_reference_point(p: ModelParams):
-    return (all(abs(m) == 0 for m in p.mu) and p.phi1 == 1 and p.phi2 == 1)
+                    worst, ctx.tol("sigma2"), t0)]
 
 
 def check_riccati2(ctx):
-    if 2 not in ctx.config.sectors or not _at_reference_point(ctx.params):
+    if 2 not in ctx.config.sectors or not ctx.params.reference_point:
         return []
     t0 = time.perf_counter()
     es = ctx.eigensystem(2)
@@ -582,7 +567,7 @@ def check_pde(ctx):
 
 
 def check_schrodinger(ctx):
-    if 2 not in ctx.config.sectors or not _at_reference_point(ctx.params):
+    if 2 not in ctx.config.sectors or not ctx.params.reference_point:
         return []
     t0 = time.perf_counter()
     es = ctx.eigensystem(2)
@@ -600,7 +585,7 @@ def check_schrodinger(ctx):
 
 
 def check_root_of_unity(ctx):
-    if not _at_reference_point(ctx.params):
+    if not ctx.params.reference_point:
         return []
     t0 = time.perf_counter()
     power = odes.omega0_power_deviation(ctx.params)
@@ -717,6 +702,16 @@ def cmd_spectrum(args):
     return EXIT_OK
 
 
+def _print_rows(reports):
+    """Print each row and the pass count; the exit code of the run."""
+    for r in reports:
+        print(r.line())
+    n_fail = sum(not r.passed for r in reports)
+    print(f"\n{len(reports) - n_fail}/{len(reports)} checks passed"
+          + (f", {n_fail} FAILED" if n_fail else ""))
+    return EXIT_FAIL if n_fail else EXIT_OK
+
+
 def cmd_verify(args):
     cfg = _load_config(args)
     ctx = VerifyContext(cfg)
@@ -748,12 +743,7 @@ def cmd_verify(args):
     atomic_write_text(cfg.output_dir / "reports.jsonl", "\n".join(lines) + "\n")
     atomic_write_text(cfg.output_dir / "profile.json",
                       json.dumps({"shared": ctx.shared, "checks": checks}, indent=2))
-    for r in reports:
-        print(r.line())
-    n_fail = sum(not r.passed for r in reports)
-    print(f"\n{len(reports) - n_fail}/{len(reports)} checks passed"
-          + (f", {n_fail} FAILED" if n_fail else ""))
-    return EXIT_FAIL if n_fail else EXIT_OK
+    return _print_rows(reports)
 
 
 def cmd_bethe(args):
@@ -845,12 +835,7 @@ def cmd_report(args):
         return EXIT_CONFIG
     reports = [VerificationReport.from_dict(json.loads(line))
                for line in path.read_text().splitlines() if line.strip()]
-    for r in reports:
-        print(r.line())
-    n_fail = sum(not r.passed for r in reports)
-    print(f"\n{len(reports) - n_fail}/{len(reports)} checks passed"
-          + (f", {n_fail} FAILED" if n_fail else ""))
-    return EXIT_FAIL if n_fail else EXIT_OK
+    return _print_rows(reports)
 
 
 def main(argv=None):

@@ -59,11 +59,14 @@ class SingularTransport(RuntimeError):
 
 
 def _validate(points):
-    pts = [complex(p) for p in points]
+    """Points as complex scalars, or as complex arrays over a shared trailing
+    node axis (one point set per node)."""
+    pts = [complex(p) if np.ndim(p) == 0 else np.asarray(p, dtype=complex)
+           for p in points]
     n = len(pts) - 1
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            if abs(np.sinh(pts[i] - pts[j])) <= _MIN_SEPARATION:
+            if np.any(np.abs(np.sinh(pts[i] - pts[j])) <= _MIN_SEPARATION):
                 raise ValueError(
                     f"spectral points {i} and {j} are (mod i*pi) too close: "
                     f"|sinh(x_{i}-x_{j})| <= {_MIN_SEPARATION}"
@@ -148,24 +151,25 @@ def symmetric_m_matrix(pts, hw: HighestWeightData, params: ModelParams):
     """Lambda-free coefficient matrix m[i, j] of the explicit identities.
 
     Equal to extended_matrix + diag(Lambda) entrywise; built here from its
-    own closed form so the two derivations cross-check each other.
+    own closed form so the two derivations cross-check each other.  Points
+    with a trailing node axis give m[i, j, node].
     """
     pts, n = _validate(pts)
     a, b, c = params.a, params.b, params.c
     p1, p2 = params.phi1, params.phi2
-    m = np.zeros((n + 1, n + 1), dtype=complex)
+    m = np.zeros((n + 1, n + 1) + np.broadcast(*pts).shape, dtype=complex)
     full = range(n + 1)
     for i in full:
         for j in full:
             if i == j:
                 rest = [pts[k] for k in full if k != i]
-                pa = np.prod([a(x - pts[i]) / b(x - pts[i]) for x in rest])
-                pd = np.prod([a(pts[i] - x) / b(pts[i] - x) for x in rest])
+                pa = np.prod([a(x - pts[i]) / b(x - pts[i]) for x in rest], axis=0)
+                pd = np.prod([a(pts[i] - x) / b(pts[i] - x) for x in rest], axis=0)
                 m[i, j] = p1 * pa * hw.lam_a(pts[i]) + p2 * pd * hw.lam_d(pts[i])
             else:
                 rest = [pts[k] for k in full if k not in (i, j)]
-                pa = np.prod([a(x - pts[j]) / b(x - pts[j]) for x in rest]) if rest else 1.0
-                pd = np.prod([a(pts[j] - x) / b(pts[j] - x) for x in rest]) if rest else 1.0
+                pa = np.prod([a(x - pts[j]) / b(x - pts[j]) for x in rest], axis=0) if rest else 1.0
+                pd = np.prod([a(pts[j] - x) / b(pts[j] - x) for x in rest], axis=0) if rest else 1.0
                 m[i, j] = (c / b(pts[i] - pts[j])) * (
                     p1 * pa * hw.lam_a(pts[j]) - p2 * pd * hw.lam_d(pts[j]))
     return m

@@ -80,6 +80,11 @@ class ModelParams:
         return np.sinh(self.gamma)
 
     @property
+    def reference_point(self):
+        """True at the homogeneous untwisted point: all mu = 0, phi1 = phi2 = 1."""
+        return all(m == 0 for m in self.mu) and self.phi1 == 1 and self.phi2 == 1
+
+    @property
     def dim(self):
         return 2 ** self.L
 

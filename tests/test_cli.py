@@ -368,24 +368,22 @@ class TestScenarioMatrix:
 class TestSigma2Row:
     @pytest.mark.parametrize("L", [3, 5, 7])
     def test_vanishing_point_moved_at_odd_L(self, tmp_path, capsys, L):
-        # at x = -gamma/2 every determinant term of some reference odd-L
-        # eigenvalues vanishes and the row would read 0/0
+        # x = -gamma/2 reads 0/0 for some reference odd-L eigenvalues; the row
+        # judges every eigenvalue at fixed points away from it
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": {"L": L, "gamma": 0.7}}))
         out = tmp_path / "out"
         argv = ["verify", "--config", str(cfg), "--out", str(out), "--checks", "sigma2"]
         assert run(argv) == 0
-        row = json.loads((out / "reports.jsonl").read_text())
-        moved = row["details"]["moved_points"]
-        assert moved and all(x == -0.35 and y == -0.35 + 0.137 for _, x, y in moved)
+        tol = json.loads((out / "reports.jsonl").read_text())["tolerance"]
         assert run(argv + ["--perturb-lambda", "0.01"]) == 1
         assert json.loads((out / "reports.jsonl").read_text())["residual"] > 3e-4
-        # each moved point is still a test: there the 1%-off eigenvalue fails
+        # at x = -0.213 every 1%-off eigenvalue fails on its own
         p = ModelParams(L=L, gamma=0.7)
         es, hw = diagonalize_sector(p, 2), HighestWeightData(p)
-        for k, _, y in moved:
+        for k in range(es.size):
             off = ExpSum(es.lam(k).ms, 1.01 * es.lam(k).coeffs)
-            assert abs(odes.sigma2_residual(off, y, hw, p)) > row["tolerance"]
+            assert abs(odes.sigma2_residual(off, -0.213, hw, p)) > tol
 
 
 class TestBetheCommand:

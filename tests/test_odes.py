@@ -112,6 +112,56 @@ class TestCoalescingReduction:
         assert abs(val) < 1e-12 * scale
 
 
+def det_near_coalescence(lam, x, p, delta=1e-12):
+    """det(m - diag(Lambda)) at the points x, x + delta, x - delta in 120-digit
+    arithmetic, m transcribed from its closed form and Lambda the exact sum
+    (not its Taylor polynomial).  The determinant is even in delta (the
+    last two points swap), so it meets its delta -> 0 limit to O(delta^2)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(120):
+        g, phi1, phi2 = (mpmath.mpc(z) for z in (p.gamma, p.phi1, p.phi2))
+        mu = [mpmath.mpc(m) for m in p.mu]
+        x0, d = mpmath.mpf(x), mpmath.mpf(delta)
+        pts = [x0, x0 + d, x0 - d]
+
+        def ratio(u, v):
+            return mpmath.sinh(u - v + g) / mpmath.sinh(u - v)
+
+        def entry(i, j):
+            xj, rest = pts[j], [pts[k] for k in range(3) if k not in (i, j)]
+            pa = phi1 * mpmath.fprod([mpmath.sinh(xj - m + g) for m in mu]
+                                     + [ratio(y, xj) for y in rest])
+            pd = phi2 * mpmath.fprod([mpmath.sinh(xj - m) for m in mu]
+                                     + [ratio(xj, y) for y in rest])
+            if i != j:
+                return mpmath.sinh(g) / mpmath.sinh(pts[i] - xj) * (pa - pd)
+            return pa + pd - mpmath.fsum(mpmath.mpc(c) * mpmath.exp(int(k) * xj)
+                                         for k, c in zip(lam.ms, lam.coeffs))
+
+        return complex(mpmath.det(mpmath.matrix(
+            [[entry(i, j) for j in range(3)] for i in range(3)])))
+
+
+class TestCoalescingOracle:
+    """The finite part of the reduction against an independent limit.  The
+    oracle's Lambda carries every derivative and the reduction's only the
+    first two, so the third and higher do not enter the finite part."""
+
+    @pytest.mark.parametrize("point", ["reference", "generic"])
+    def test_matches_high_precision_limit(self, point, params, hw, generic_params,
+                                          generic_hw, oracle):
+        p, h = (params, hw) if point == "reference" else (generic_params, generic_hw)
+        bad = plus_exp(oracle.fit(p, 2, 1), 0.1)
+        for x in (0.63, -0.35):
+            val, scale, _ = odes.coalescing_reduction(bad, x, h, p, n=2)
+            assert abs(val - det_near_coalescence(bad, x, p)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_orders_other_than_one_two_rejected(self, n, params, hw, oracle):
+        with pytest.raises(ValueError, match="n in"):
+            odes.coalescing_reduction(oracle.fit(params, 2, 0), 0.5, hw, params, n=n)
+
+
 class TestSigma2:
     def test_all_sector2_eigenvalues_reference(self, params, hw, oracle):
         for k in range(6):
