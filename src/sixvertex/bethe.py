@@ -358,7 +358,8 @@ class RootEigenvalue:
         Lambda(x) = phi1 lam_a(x) Q(x - gamma)/Q(x) + phi2 lam_d(x) Q(x + gamma)/Q(x),
 
     with closed-form first and second derivatives from each term's
-    log-derivative (valid away from the zeros of Q, lam_a and lam_d)."""
+    log-derivative (valid away from the zeros of Q, lam_a and lam_d).  x may
+    be an array; the value has its shape."""
 
     def __init__(self, roots, params: ModelParams, hw=None):
         self.roots = tuple(complex(w) for w in roots)
@@ -369,38 +370,41 @@ class RootEigenvalue:
         if d > 2:
             raise ValueError("closed-form derivatives implemented up to order 2")
         p, w = self.params, np.asarray(self.roots, dtype=complex)
+        x = np.asarray(x, dtype=complex)
         out = 0j
         # Q(x -+ gamma)/Q(x) = prod_l sinh(u_l + gamma)/sinh(u_l) with
-        # u = w - x (du/dx = -1) and u = x - w (du/dx = +1)
-        for phi, lam, u, du in ((p.phi1, self.hw.lam_a, w - x, -1),
-                                (p.phi2, self.hw.lam_d, x - w, 1)):
-            term = phi * np.prod(np.sinh(u + p.gamma) / np.sinh(u)) * lam(x)
+        # u = w - x (du/dx = -1) and u = x - w (du/dx = +1), roots last
+        for phi, lam, u, du in ((p.phi1, self.hw.lam_a, w - x[..., None], -1),
+                                (p.phi2, self.hw.lam_d, x[..., None] - w, 1)):
+            term = phi * np.prod(np.sinh(u + p.gamma) / np.sinh(u), axis=-1) * lam(x)
             if d:
                 c0, cg = 1 / np.tanh(u), 1 / np.tanh(u + p.gamma)
                 t = lam(x, 1) / lam(x)
-                log1 = du * np.sum(cg - c0) + t      # (log term)'
-                ds = np.sum((c0 ** 2 - 1) - (cg ** 2 - 1))
+                log1 = du * np.sum(cg - c0, axis=-1) + t      # (log term)'
+                ds = np.sum((c0 ** 2 - 1) - (cg ** 2 - 1), axis=-1)
                 dt = lam(x, 2) / lam(x) - t ** 2
                 term *= log1 if d == 1 else log1 ** 2 + ds + dt
             out += term
-        return complex(out)
+        return out
 
 
 def eigenvalue_from_roots(x, roots, params: ModelParams, hw=None):
-    """Closed-form eigenvalue at x.  Near a root the pole must be removable
-    (Bethe equations hold); it is then evaluated by a symmetric two-sided
-    limit, otherwise PolePoint is raised."""
+    """Closed-form eigenvalue at x (a point or an array of points).  Near a
+    root the pole must be removable (Bethe equations hold); such a point is
+    then evaluated by a symmetric two-sided limit, otherwise PolePoint is
+    raised."""
     hw = hw or HighestWeightData(params)
     ev = RootEigenvalue(roots, params, hw)
-    w = np.asarray(roots, dtype=complex)
-    if len(w):
-        dists = np.abs(np.sinh(x - w))
-        if dists.min() < 1e-6:
-            if bae_relative_residual(roots, params) > 1e-8:
-                raise PolePoint(f"x={x} collides with a non-Bethe root")
-            eps = 1e-4
-            return 0.5 * (ev(x + eps) + ev(x - eps))
-    return ev(x)
+    x = np.asarray(x, dtype=complex)
+    near = np.any(np.abs(np.sinh(x[..., None] - np.asarray(roots, dtype=complex)))
+                  < 1e-6, axis=-1)
+    if not near.any():
+        return ev(x)
+    if bae_relative_residual(roots, params) > 1e-8:
+        raise PolePoint(f"x={x[near]} collides with a non-Bethe root")
+    eps = np.where(near, 1e-4, 0.0)
+    v = ev(x + eps)
+    return np.where(near, 0.5 * (v + ev(x - eps)), v)[()]
 
 
 class CothSum:
@@ -449,11 +453,11 @@ def match_spectrum(params: ModelParams, n, solutions, oracle, sample_xs=None):
     hw = HighestWeightData(params)
     if sample_xs is None:
         sample_xs = np.linspace(0.21, 1.3, 20)
-    sample_xs = list(sample_xs)
+    sample_xs = np.asarray(sample_xs)
     ovals = np.array([oracle.eigenvalues_at(x) for x in sample_xs])   # (npts, neig)
     oscale = np.abs(ovals).max(axis=0) + 1e-300
-    fvals = np.array([[eigenvalue_from_roots(x, s.roots, params, hw)
-                       for x in sample_xs] for s in solutions])       # (nsol, npts)
+    fvals = [eigenvalue_from_roots(sample_xs, s.roots, params, hw)
+             for s in solutions]                                      # (nsol, npts)
     cost = np.full((len(solutions), oracle.size), np.inf)
     for si in range(len(solutions)):
         cost[si] = np.abs(fvals[si][:, None] - ovals).max(axis=0) / oscale

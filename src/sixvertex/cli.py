@@ -57,11 +57,11 @@ class SectorSource:
 
 
 class VerifyContext:
-    """Shared state of one verify run.  Sector eigensystems and Bethe
-    solutions are built once, on first use; each build is timed as its own
-    entry of `shared`, with the monodromy builds it made, so no check is
-    charged for work that others reuse.  The sampling of T(x) for all
-    configured sectors counts on the eigensystem entry that triggers it."""
+    """Shared state of one verify run.  Sector eigensystems, Bethe solutions
+    and their oracle matches are built once, on first use; each build is
+    timed as its own entry of `shared`, with the monodromy builds it made, so
+    no check is charged for work that others reuse.  The sampling of T(x) for
+    all configured sectors counts on the eigensystem entry that triggers it."""
 
     def __init__(self, config: RunConfig):
         self.config = config
@@ -71,6 +71,7 @@ class VerifyContext:
         self._source = SectorSource(config, config.sectors)
         self._eigs = {}
         self._bethe = {}
+        self._match = {}
         # one entry per memo miss: work, n, seconds, builds (cmd_verify adds
         # the check)
         self.shared = []
@@ -109,6 +110,14 @@ class VerifyContext:
             self._bethe[n] = sols, bt.conditioning(sols, es)
             entry.update(self._bethe[n][1])
         return self._bethe[n]
+
+    def match(self, n):
+        """`bt.match_spectrum` of the sector-n root sets against the oracle."""
+        if n not in self._match:
+            sols, es = self.bethe(n)[0], self.eigensystem(n)
+            self._match[n], _ = self._timed(
+                "match", n, lambda: bt.match_spectrum(self.params, n, sols, es))
+        return self._match[n]
 
     def tol(self, name):
         return self.config.tolerances[name]
@@ -336,9 +345,10 @@ def check_transport(ctx):
         t0 = time.perf_counter()
         F = fx.f_n([pts[:i] + pts[i + 1:] for i in range(3)], es.left[0],
                    ctx.params)[0]
+        mext = fx.extended_matrix(pts, lam, ctx.hw, ctx.params)
         worst = 0.0
         for (i, j) in [(0, 1), (1, 2), (0, 2)]:
-            tv = fx.transport(i, j, pts, lam, ctx.hw, ctx.params)
+            tv = fx.transport(i, j, pts, lam, ctx.hw, ctx.params, mext)
             worst = max(worst, abs(tv - F[j] / F[i]) / abs(tv))
         out.append(_report("transport", f"det ratio = F ratio (n={n})", worst,
                            ctx.tol("factorization"), t0, n=n))
@@ -353,10 +363,11 @@ def check_reduced_det(ctx):
         lam = ctx.lam(n, min(1, es.size - 1))
         pts = _sample_points(ctx, n + 1)
         t0 = time.perf_counter()
+        mext = fx.extended_matrix(pts, lam, hw, p)
         worst = 0.0
         for i in range(1, n + 1):
-            dv = np.linalg.det(fx.v_matrix(i, pts, lam, hw, p))
-            dt = fx.tilde_v_det(i, pts, lam, hw, p)
+            dv = np.linalg.det(fx.v_matrix(i, pts, lam, hw, p, mext))
+            dt = fx.tilde_v_det(i, pts, lam, hw, p, mext)
             pred = (p.c * p.b(pts[0] - pts[i])
                     / np.prod([p.b(pts[0] - pts[j]) ** 2 for j in range(1, n + 1)]) * dt)
             worst = max(worst, abs(dv - pred) / abs(dv))
@@ -364,7 +375,7 @@ def check_reduced_det(ctx):
         i, j = 1, 2
         sw = list(pts)
         sw[i], sw[j] = sw[j], sw[i]
-        d1 = fx.tilde_v_det(i, pts, lam, hw, p)
+        d1 = fx.tilde_v_det(i, pts, lam, hw, p, mext)
         d2 = fx.tilde_v_det(j, sw, lam, hw, p)
         worst = max(worst, abs(d1 - d2) / abs(d1))
         out.append(_report("reduced-det", f"normalization + permutation (n={n})",
@@ -412,8 +423,7 @@ def check_conserved_n1(ctx):
     t0 = time.perf_counter()
     sols, _ = ctx.bethe(1)
     worst = 0.0
-    matched = bt.match_spectrum(p, 1, sols, es)
-    for si, ei, _ in matched.pairs:
+    for si, ei, _ in ctx.match(1).pairs:
         val, _, _ = fx.conserved_n1(0.4, ctx.lam(1, ei), hw, p)
         target = fx.conserved_n1_closed_form(sols[si].roots[0], hw)
         worst = max(worst, abs(np.exp(val) - target) / abs(target))
@@ -435,7 +445,7 @@ def check_bethe_match(ctx):
                            solutions=len(sols), **cond))
         # an eigenvalue without a degree-n Q has no root set to match
         t0 = time.perf_counter()
-        rep = bt.match_spectrum(p, n, sols, es)
+        rep = ctx.match(n)
         no_q = set(bt.no_degree_n_q(es))
         unmatched = [k for k in rep.unmatched_eigenvalues if k not in no_q]
         excused = len(rep.unmatched_eigenvalues) - len(unmatched)
@@ -478,8 +488,9 @@ def check_sigma2(ctx):
     if 2 not in ctx.config.sectors or ctx.params.L < 2:
         return []
     t0 = time.perf_counter()
-    worst = max(abs(odes.sigma2_residual(ctx.lam(2, k), x, ctx.hw, ctx.params))
-                for k in range(ctx.eigensystem(2).size) for x in _SIGMA2_POINTS)
+    lams = [ctx.lam(2, k) for k in range(ctx.eigensystem(2).size)]
+    worst = max(np.abs(odes.sigma2_residual(lams, x, ctx.hw, ctx.params)).max()
+                for x in _SIGMA2_POINTS)
     return [_report("sigma2", "second-order ODE (coalescing reduction)",
                     worst, ctx.tol("sigma2"), t0)]
 

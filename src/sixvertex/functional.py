@@ -13,6 +13,12 @@ F_n values, and the conserved quantities generated by them.
 Sign conventions for the scalar identities were fixed against the
 determinant form, which this module treats as ground truth (the two code
 paths agree identically; see tests).
+
+Points may be complex scalars or complex arrays over a shared trailing node
+axis (one point set per node), mixed and broadcast to one shape; matrices
+carry the node axes after their two matrix axes, determinants are per node,
+and eigenvalue evaluators must accept arrays.  A whole node grid is so one
+numpy evaluation, and a scalar point set is its 0-d case.
 """
 
 from __future__ import annotations
@@ -59,10 +65,10 @@ class SingularTransport(RuntimeError):
 
 
 def _validate(points):
-    """Points as complex scalars, or as complex arrays over a shared trailing
-    node axis (one point set per node)."""
-    pts = [complex(p) if np.ndim(p) == 0 else np.asarray(p, dtype=complex)
-           for p in points]
+    """Points broadcast to one shape (scalars stay 0-d); raises ValueError if
+    two points are unseparated at any node."""
+    pts = [p[()] for p in np.broadcast_arrays(*(np.asarray(p, dtype=complex)
+                                                for p in points))]
     n = len(pts) - 1
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
@@ -80,14 +86,14 @@ def coefficients_m(pts, lam, hw: HighestWeightData, params: ModelParams):
     a, b, c = params.a, params.b, params.c
     p1, p2 = params.phi1, params.phi2
     x0 = pts[0]
-    out = np.zeros(n + 1, dtype=complex)
-    prod_a = np.prod([a(pts[j] - x0) / b(pts[j] - x0) for j in range(1, n + 1)]) if n else 1.0
-    prod_d = np.prod([a(x0 - pts[j]) / b(x0 - pts[j]) for j in range(1, n + 1)]) if n else 1.0
+    out = np.zeros((n + 1,) + np.shape(x0), dtype=complex)
+    prod_a = np.prod([a(pts[j] - x0) / b(pts[j] - x0) for j in range(1, n + 1)], axis=0) if n else 1.0
+    prod_d = np.prod([a(x0 - pts[j]) / b(x0 - pts[j]) for j in range(1, n + 1)], axis=0) if n else 1.0
     out[0] = p1 * prod_a * hw.lam_a(x0) + p2 * prod_d * hw.lam_d(x0) - lam(x0)
     for i in range(1, n + 1):
         xi = pts[i]
-        qa = np.prod([a(pts[j] - xi) / b(pts[j] - xi) for j in range(1, n + 1) if j != i]) if n > 1 else 1.0
-        qd = np.prod([a(xi - pts[j]) / b(xi - pts[j]) for j in range(1, n + 1) if j != i]) if n > 1 else 1.0
+        qa = np.prod([a(pts[j] - xi) / b(pts[j] - xi) for j in range(1, n + 1) if j != i], axis=0) if n > 1 else 1.0
+        qd = np.prod([a(xi - pts[j]) / b(xi - pts[j]) for j in range(1, n + 1) if j != i], axis=0) if n > 1 else 1.0
         out[i] = (c / b(x0 - xi)) * (p1 * qa * hw.lam_a(xi) - p2 * qd * hw.lam_d(xi))
     return out
 
@@ -96,7 +102,7 @@ def extended_matrix(pts, lam, hw: HighestWeightData, params: ModelParams):
     """(n+1)x(n+1) system matrix: row j is the coefficient vector after the
     swap x_0 <-> x_j, with entries 0 and j swapped back into place."""
     pts, n = _validate(pts)
-    M = np.zeros((n + 1, n + 1), dtype=complex)
+    M = np.zeros((n + 1, n + 1) + np.shape(pts[0]), dtype=complex)
     M[0] = coefficients_m(pts, lam, hw, params)
     for j in range(1, n + 1):
         sw = list(pts)
@@ -108,7 +114,13 @@ def extended_matrix(pts, lam, hw: HighestWeightData, params: ModelParams):
 
 
 def _row_scale(M):
-    return float(np.prod(np.abs(M).max(axis=1)))
+    """Product of the row max-norms of M, per node."""
+    return np.prod(np.abs(M).max(axis=1), axis=0)
+
+
+def _det(M):
+    """Determinant over the two leading (matrix) axes, per node."""
+    return np.linalg.det(np.moveaxis(M, (0, 1), (-2, -1)))
 
 
 def compatibility_residual(pts, lam, hw, params):
@@ -151,13 +163,12 @@ def symmetric_m_matrix(pts, hw: HighestWeightData, params: ModelParams):
     """Lambda-free coefficient matrix m[i, j] of the explicit identities.
 
     Equal to extended_matrix + diag(Lambda) entrywise; built here from its
-    own closed form so the two derivations cross-check each other.  Points
-    with a trailing node axis give m[i, j, node].
+    own closed form so the two derivations cross-check each other.
     """
     pts, n = _validate(pts)
     a, b, c = params.a, params.b, params.c
     p1, p2 = params.phi1, params.phi2
-    m = np.zeros((n + 1, n + 1) + np.broadcast(*pts).shape, dtype=complex)
+    m = np.zeros((n + 1, n + 1) + np.shape(pts[0]), dtype=complex)
     full = range(n + 1)
     for i in full:
         for j in full:
@@ -239,33 +250,35 @@ def v_matrix(i, pts, lam, hw, params, mext=None):
     replaced by minus its column 0 (i = 0 keeps all columns)."""
     if mext is None:
         mext = extended_matrix(pts, lam, hw, params)
-    n = mext.shape[0] - 1
     V = mext[1:, 1:].copy()
     if i != 0:
         V[:, i - 1] = -mext[1:, 0]
     return V
 
 
-def transport(i, j, pts, lam, hw, params):
-    """Transport ratio F_n(X_j^0)/F_n(X_i^0) = det(V_j)/det(V_i)."""
-    mext = extended_matrix(pts, lam, hw, params)
-    scale = max(_row_scale(mext[1:, 1:]), 1e-300)
-    di = np.linalg.det(v_matrix(i, pts, lam, hw, params, mext))
-    dj = np.linalg.det(v_matrix(j, pts, lam, hw, params, mext))
-    if abs(di) < 1e-12 * scale:
+def transport(i, j, pts, lam, hw, params, mext=None):
+    """Transport ratio F_n(X_j^0)/F_n(X_i^0) = det(V_j)/det(V_i); raises
+    SingularTransport if det(V_i) is numerically null at any node."""
+    if mext is None:
+        mext = extended_matrix(pts, lam, hw, params)
+    scale = np.maximum(_row_scale(mext[1:, 1:]), 1e-300)
+    di = _det(v_matrix(i, pts, lam, hw, params, mext))
+    dj = _det(v_matrix(j, pts, lam, hw, params, mext))
+    if np.any(np.abs(di) < 1e-12 * scale):
         raise SingularTransport(f"det(V_{i}) ~ 0 at this point set")
-    return complex(dj / di)
+    return dj / di
 
 
 def transport_loop(indices, pts, lam, hw, params):
     """Product of transport ratios around a closed index sequence."""
+    mext = extended_matrix(pts, lam, hw, params)
     total = 1.0 + 0j
     for a, b in zip(indices, indices[1:] + indices[:1]):
-        total *= transport(a, b, pts, lam, hw, params)
-    return complex(total)
+        total *= transport(a, b, pts, lam, hw, params, mext)
+    return total
 
 
-def tilde_v_matrix(i, pts, lam, hw, params):
+def tilde_v_matrix(i, pts, lam, hw, params, mext=None):
     """Rescaled Cramer matrix whose determinant drops the x_i dependence.
 
     Column i of V_i is multiplied by c^{-1} prod_j b(x_0 - x_j); every other
@@ -276,11 +289,10 @@ def tilde_v_matrix(i, pts, lam, hw, params):
     pts, n = _validate(pts)
     if n < 2:
         raise ValueError("needs at least two moving points")
-    V = v_matrix(i, pts, lam, hw, params)
+    T = v_matrix(i, pts, lam, hw, params, mext)
     b = params.b
     x0 = pts[0]
-    prod_all = np.prod([b(x0 - pts[j]) for j in range(1, n + 1)])
-    T = V.copy()
+    prod_all = np.prod([b(x0 - pts[j]) for j in range(1, n + 1)], axis=0)
     for beta in range(1, n + 1):
         if beta == i:
             T[:, beta - 1] *= prod_all / params.c
@@ -289,33 +301,27 @@ def tilde_v_matrix(i, pts, lam, hw, params):
     return T
 
 
-def tilde_v_det(i, pts, lam, hw, params):
-    return complex(np.linalg.det(tilde_v_matrix(i, pts, lam, hw, params)))
+def tilde_v_det(i, pts, lam, hw, params, mext=None):
+    return _det(tilde_v_matrix(i, pts, lam, hw, params, mext))
 
 
 def tilde_v_spread(i, pts, lam, hw, params):
     """Max relative spread of det(tilde V_i) over five positions of x_i
-    (steps of 0.23, skipping unseparated ones).
+    (steps of 0.23, skipping unseparated ones), evaluated as one node axis.
 
     The determinant is conjectured independent of x_i; a nonzero spread is a
     finding to report, not a bug to absorb.
     """
-    pts, n = _validate(pts)
+    pts, _ = _validate(pts)
     n_values = 5
-    vals = []
-    for shift in range(8 * n_values):
-        if len(vals) == n_values:
-            break
-        cand = list(pts)
-        cand[i] = pts[i] + 0.23 * shift
-        try:
-            _validate(cand)
-        except ValueError:
-            continue
-        vals.append(tilde_v_det(i, cand, lam, hw, params))
-    if len(vals) < n_values:
+    shifted = pts[i] + 0.23 * np.arange(8 * n_values)
+    separated = np.all([np.abs(np.sinh(shifted - p)) > _MIN_SEPARATION
+                        for k, p in enumerate(pts) if k != i], axis=0)
+    if separated.sum() < n_values:
         raise ValueError("could not place enough separated sample points")
-    vals = np.array(vals)
+    cand = list(pts)
+    cand[i] = shifted[separated][:n_values]
+    vals = tilde_v_det(i, cand, lam, hw, params)
     center = vals.mean()
     return float(np.abs(vals - center).max() / max(abs(center), 1e-300))
 

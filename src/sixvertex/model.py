@@ -320,13 +320,13 @@ def cauchy_taylor(f, center, radius, nodes):
     analytic f of d complex variables about `center`, from the trapezoidal
     rule for Cauchy's integral on the torus |z_k - center_k| = radius with
     `nodes` points per variable (Lyness & Moler 1967): one FFT of the
-    samples.  The low coefficients are exact to rounding (amplified by
-    radius^-|m|) when f is analytic well beyond the radius."""
+    samples.  f is called once, on the whole node grid (one array per
+    variable, `nodes` long on each axis), so it must accept arrays.  The low
+    coefficients are exact to rounding (amplified by radius^-|m|) when f is
+    analytic well beyond the radius."""
     center = np.atleast_1d(np.asarray(center, dtype=complex))
     circle = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    vals = np.empty((nodes,) * len(center), dtype=complex)
-    for idx in np.ndindex(vals.shape):
-        vals[idx] = f(*(center + circle[list(idx)]))
+    vals = f(*np.meshgrid(*(c + circle for c in center), indexing="ij"))
     return np.fft.fftn(vals) / vals.size / radius ** np.indices(vals.shape).sum(axis=0)
 
 

@@ -171,17 +171,19 @@ def sigma1_residual(lam_eval, x, hw, params):
 _CIRCLE_RADIUS, _CIRCLE_NODES = 0.3, 64
 
 
-def coalescing_reduction(lam_eval, x, hw: HighestWeightData, params: ModelParams,
+def coalescing_reduction(lam_evals, x, hw: HighestWeightData, params: ModelParams,
                          n, ts=None):
     """eps^0 coefficient of det(m - diag(Lambda)) with all n+1 spectral
     points at x + ts[i]*eps: the order-n ODE satisfied by sector-n
-    eigenvalues (n in {1, 2}), evaluated at x.
+    eigenvalues (n in {1, 2}), evaluated at x for each evaluator Lambda in
+    the sequence `lam_evals`.
 
-    m is `functional.symmetric_m_matrix` at the nodes of a circle in eps and
-    Lambda its degree-2 Taylor polynomial about x; each eps-coefficient is a
-    mean over the circle (Cauchy's integral by the trapezoidal rule).
-    Returns (value, scale, spurious): value sums the eps^0 means of the
-    permutation terms of the determinant, scale is the largest of those
+    m is `functional.symmetric_m_matrix` at the nodes of a circle in eps,
+    built once for all evaluators, and Lambda its degree-2 Taylor polynomial
+    about x; each eps-coefficient is a mean over the circle (Cauchy's
+    integral by the trapezoidal rule).  Returns arrays (values, scales,
+    spurious), one entry per evaluator: a value sums the eps^0 means of the
+    permutation terms of the determinant, a scale is the largest of those
     means, spurious the largest coefficient of eps^-j, j >= 1 (an internal
     cancellation check; it vanishes identically).
     """
@@ -195,21 +197,25 @@ def coalescing_reduction(lam_eval, x, hw: HighestWeightData, params: ModelParams
     nodes = np.arange(_CIRCLE_NODES)
     eps = _CIRCLE_RADIUS * np.exp(2j * np.pi * nodes / _CIRCLE_NODES)
     dx = np.multiply.outer(ts, eps)
-    a = symmetric_m_matrix(x + dx, hw, params)
+    m = symmetric_m_matrix(x + dx, hw, params)
     idx = np.arange(n + 1)
-    a[idx, idx] -= lam_eval(x) + lam_eval(x, 1) * dx + lam_eval(x, 2) / 2 * dx ** 2
-    terms = np.array([np.linalg.det(np.eye(n + 1)[list(p)]) * a[idx, p].prod(axis=0)
+    # a[k] = m - diag(P_k) for evaluator k: shape (evaluators, n+1, n+1, nodes)
+    a = np.repeat(m[None], len(lam_evals), axis=0)
+    a[:, idx, idx] -= np.array([lam(x) + lam(x, 1) * dx + lam(x, 2) / 2 * dx ** 2
+                                for lam in lam_evals])
+    terms = np.array([np.linalg.det(np.eye(n + 1)[list(p)]) * a[:, idx, p].prod(axis=1)
                       for p in permutations(idx)])
-    means = terms.mean(axis=1)
-    spurious = np.abs((terms.sum(axis=0) * eps ** nodes[1:, None]).mean(axis=1)).max()
-    return complex(means.sum()), float(np.abs(means).max()), float(spurious)
+    means = terms.mean(axis=-1)
+    # the circle mean of det * eps^j is radius^j times the j-th inverse DFT term
+    spurious = np.abs(np.fft.ifft(terms.sum(axis=0))[:, 1:] * _CIRCLE_RADIUS ** nodes[1:])
+    return means.sum(axis=0), np.abs(means).max(axis=0), spurious.max(axis=-1)
 
 
-def sigma2_residual(lam_eval, x, hw, params):
-    """Normalized residual of the second-order ODE for sector-2 eigenvalues
-    (the coalescing limit of the three-point identity)."""
-    val, scale, _ = coalescing_reduction(lam_eval, x, hw, params, n=2)
-    return complex(val / max(scale, 1e-300))
+def sigma2_residual(lam_evals, x, hw, params):
+    """Normalized residuals of the second-order ODE for sector-2 eigenvalues
+    (the coalescing limit of the three-point identity), one per evaluator."""
+    vals, scales, _ = coalescing_reduction(lam_evals, x, hw, params, n=2)
+    return vals / np.maximum(scales, 1e-300)
 
 
 # ---------------------------------------------------------------------------

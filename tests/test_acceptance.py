@@ -247,7 +247,7 @@ def test_08_ode_chain(ref, ref_hw, sums):
     worst_2 = 0.0
     for lam in sums[2]:
         for x in (0.63, -0.35):
-            worst_2 = max(worst_2, abs(odes.sigma2_residual(lam, x, ref_hw, ref)))
+            worst_2 = max(worst_2, abs(odes.sigma2_residual([lam], x, ref_hw, ref)[0]))
         for x in (0.43, 0.8):
             worst_2 = max(worst_2, abs(odes.riccati2_residual(lam, x, ref)))
     record(8, "sector-2 second-order + standard Riccati, all eigenvalues",

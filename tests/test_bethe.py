@@ -369,6 +369,26 @@ class TestEigenvalueFormula:
         with pytest.raises(ValueError):
             ev(0.37, 3)
 
+    def test_array_of_points_equals_scalar_calls(self):
+        p = generic(6, 1)
+        ev = bt.RootEigenvalue([0.37 + 0.41j, -0.52 + 0.18j, 0.1 - 0.3j], p)
+        xs = np.linspace(0.21, 1.3, 20) + 0.05j
+        for d in (0, 1, 2):
+            got = ev(xs, d)
+            want = np.array([ev(x, d) for x in xs])
+            assert got.shape == xs.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_limit_rule_per_point_of_an_array(self, params, oracle):
+        # only the point on the root takes the two-sided limit
+        w = bt.solve_bae(oracle.eigensystem(params, 1))[0].roots[0]
+        xs = np.array([0.3, w + 1e-8, 0.9])
+        got = bt.eigenvalue_from_roots(xs, [w], params)
+        want = [bt.eigenvalue_from_roots(x, [w], params) for x in xs]
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        with pytest.raises(bt.PolePoint):
+            bt.eigenvalue_from_roots(np.array([0.2, 0.4]), [0.4 + 1e-8], params)
+
     def test_derivatives_match_fd(self, params):
         ev = bt.RootEigenvalue([0.3 + 0.2j, -0.5 - 0.1j], params)
         x, h = 0.9, 1e-4

@@ -142,10 +142,11 @@ class TestVerifyCommand:
         for e in prof["shared"]:
             assert e["check"] in cli.CHECKS and e["seconds"] >= 0
         # a check that needs a Bethe solve triggers the eigensystem it rests
-        # on first; the two are timed apart, not one inside the other
+        # on first, and the match to the oracle follows the solve; the three
+        # are timed apart, not one inside the other
         run(["verify", "--out", str(tmp_path / "bethe"), "--checks", "bethe"])
         prof = json.loads((tmp_path / "bethe" / "profile.json").read_text())
-        assert [e["work"] for e in prof["shared"]] == ["eigensystem", "bethe"] * 2
+        assert [e["work"] for e in prof["shared"]] == ["eigensystem", "bethe", "match"] * 2
         assert all(c["exclusive_s"] >= 0 for c in prof["checks"])
         counts = [(e["regular"], e["singular"], e["no_degree_n_q"])
                   for e in prof["shared"] if e["work"] == "bethe"]
@@ -165,6 +166,29 @@ class TestVerifyCommand:
         b0 = cli.model.builds
         assert run(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
         assert cli.model.builds - b0 == 21
+
+    def test_node_grids_are_one_call(self, tmp_path, monkeypatch):
+        # reference L=4: `theta` evaluates each index pair's Cauchy grid as one
+        # node array (one extended matrix), `sigma2` builds one m-matrix per
+        # point for every eigenvalue, and each sector's Bethe match runs once
+        # although `conserved-n1` and `bethe` both read the n=1 match
+        calls = {}
+
+        def count(module, name):
+            f = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return f(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        count(cli.fx, "extended_matrix")
+        count(cli.odes, "symmetric_m_matrix")
+        count(cli.bt, "match_spectrum")
+        assert run(["verify", "--out", str(tmp_path),
+                    "--checks", "theta,sigma2,conserved-n1,bethe"]) == 0
+        assert calls == {"extended_matrix": 2, "symmetric_m_matrix": 2,
+                         "match_spectrum": 2}
 
     def test_profile_records_eigensystem_conditioning(self, tmp_path):
         run(["verify", "--out", str(tmp_path), "--checks", "polynomial"])
@@ -383,7 +407,7 @@ class TestSigma2Row:
         es, hw = diagonalize_sector(p, 2), HighestWeightData(p)
         for k in range(es.size):
             off = ExpSum(es.lam(k).ms, 1.01 * es.lam(k).coeffs)
-            assert abs(odes.sigma2_residual(off, -0.213, hw, p)) > tol
+            assert abs(odes.sigma2_residual([off], -0.213, hw, p)[0]) > tol
 
 
 class TestBetheCommand:

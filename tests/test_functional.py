@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sixvertex.model import ExpSum, HighestWeightData, ModelParams
+from conftest import generic_model
+from sixvertex.model import ExpSum, HighestWeightData, ModelParams, cauchy_taylor
 from sixvertex.spectrum import diagonalize_sector
 from sixvertex import functional as fx
 
@@ -290,7 +291,7 @@ class TestComplexParameters:
         assert abs(odes.riccati_lambda_residual(es1.lam(0), 0.43, hw, p)) < 1e-10
         es2 = diagonalize_sector(p, 2)
         assert polynomial_residuals([es2])[0].max() < 1e-9
-        assert abs(odes.sigma2_residual(es2.lam(0), 0.63, hw, p)) < 1e-10
+        assert abs(odes.sigma2_residual([es2.lam(0)], 0.63, hw, p)[0]) < 1e-10
         res, scale = fx.linear_relation_residual(
             [0.31, -0.42, 0.55], [es2.lam(1)], es2.left[1:2], hw, p)
         assert abs(res[0]) < 1e-10 * scale[0]
@@ -403,3 +404,79 @@ class TestConservedQuantities:
         assert abs(hw.lam_minus(0.0)) < 1e-14
         with pytest.raises(ZeroDivisionError):
             fx.conserved_n1(0.4, lambda x: hw.lam_plus(x), hw, p)
+
+
+def close(batched, per_node, rtol=1e-13):
+    """Max-norm relative agreement of a batched result and the stack of
+    per-node scalar results."""
+    per_node = np.asarray(per_node)
+    return np.abs(batched - per_node).max() <= rtol * np.abs(per_node).max()
+
+
+class TestNodeBatching:
+    """Point sets with a trailing node axis against one scalar call per node,
+    at a generic L=6 point."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        p = ModelParams.from_dict(generic_model(6, 1))
+        return p, HighestWeightData(p), diagonalize_sector(p, 2).lam(1)
+
+    # x_0 and x_1 on small circles, x_2 a scalar: the mix broadcasts
+    circle = np.exp(2j * np.pi * np.arange(5) / 5)
+    pts = [0.31 + 0.02 * circle, -0.42 + 0.03 * circle, 0.55]
+
+    def per_node(self, f):
+        return [f([p if np.ndim(p) == 0 else p[k] for p in self.pts])
+                for k in range(len(self.circle))]
+
+    def test_coefficients_and_extended_matrix(self, model):
+        p, hw, lam = model
+        m = fx.coefficients_m(self.pts, lam, hw, p)
+        M = fx.extended_matrix(self.pts, lam, hw, p)
+        assert m.shape == (3, 5) and M.shape == (3, 3, 5)
+        assert close(np.moveaxis(m, -1, 0),
+                     self.per_node(lambda q: fx.coefficients_m(q, lam, hw, p)))
+        assert close(np.moveaxis(M, -1, 0),
+                     self.per_node(lambda q: fx.extended_matrix(q, lam, hw, p)))
+
+    def test_transport_and_reduced_determinant(self, model):
+        p, hw, lam = model
+        for i, j in [(0, 1), (1, 2), (2, 0)]:
+            assert close(fx.transport(i, j, self.pts, lam, hw, p),
+                         self.per_node(lambda q: fx.transport(i, j, q, lam, hw, p)))
+        for i in (1, 2):
+            assert close(fx.tilde_v_det(i, self.pts, lam, hw, p),
+                         self.per_node(lambda q: fx.tilde_v_det(i, q, lam, hw, p)))
+
+    def test_only_one_point_carries_nodes(self, model):
+        p, hw, lam = model
+        pts = [0.31, -0.42 + 0.03 * self.circle, 0.55]
+        M = fx.extended_matrix(pts, lam, hw, p)
+        assert M.shape == (3, 3, 5)
+        assert close(M[..., 2], fx.extended_matrix([0.31, pts[1][2], 0.55], lam, hw, p))
+
+    def test_one_unseparated_node_raises(self, model):
+        p, hw, lam = model
+        x1 = np.array([-0.42, 0.31 + 1e-9, 0.2])
+        with pytest.raises(ValueError, match="too close"):
+            fx.extended_matrix([0.31, x1, 0.55], lam, hw, p)
+
+    def test_spread_matches_per_shift_determinants(self, model):
+        # five separated shifts of x_1 by 0.23, evaluated as one node axis
+        p, hw, lam = model
+        pts = [0.31, -0.42, 0.55]
+        vals = np.array([fx.tilde_v_det(1, [0.31, -0.42 + 0.23 * k, 0.55], lam, hw, p)
+                         for k in range(5)])
+        spread = np.abs(vals - vals.mean()).max() / abs(vals.mean())
+        assert abs(fx.tilde_v_spread(1, pts, lam, hw, p) - spread) < 1e-13
+
+
+def test_cauchy_taylor_two_variables():
+    # exp(z1) sin(2 z2): c[m1, m2] = exp(a) / m1! * 2^m2 sin(2 b + m2 pi/2) / m2!
+    a, b = 0.3 + 0.1j, -0.2 + 0.05j
+    c = cauchy_taylor(lambda z1, z2: np.exp(z1) * np.sin(2 * z2), (a, b), 0.5, 16)
+    fact = np.array([1, 1, 2, 6])
+    expect = (np.exp(a) / fact)[:, None] * (
+        2.0 ** np.arange(4) * np.sin(2 * b + np.arange(4) * np.pi / 2) / fact)
+    assert np.abs(c[:4, :4] - expect).max() < 1e-12
