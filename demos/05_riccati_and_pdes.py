@@ -26,7 +26,7 @@ print("sector-1 Riccati residual:",
 
 lam2 = diagonalize_sector(params, 2).lam(0)
 print("sector-2 second-order residual:",
-      abs(odes.sigma2_residual([lam2], 0.63, hw, params)[0]))
+      abs(odes.sigma2_residual(lam2, 0.63, hw, params)))
 print("sector-2 standard Riccati residual:",
       abs(odes.riccati2_residual(lam2, 0.43, params)))
 

@@ -18,7 +18,7 @@ params = ModelParams(L=4, gamma=0.7)
 es = diagonalize_sector(params, 2)
 print("permutation power deviation ||O^L - Id||:",
       odes.omega0_power_deviation(params))
-devs = odes.omega0_sector_deviations(params, {2: [es.lam(k) for k in range(es.size)]})
+devs = odes.omega0_sector_deviations(params, {2: es.lam()})
 print("sector-2 deviations of (Lam(0)/c^L)^L from 1:",
       [f"{d:.1e}" for d in devs[2]])
 

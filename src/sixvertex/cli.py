@@ -95,9 +95,10 @@ class VerifyContext:
             self._eigs[n] = es
         return self._eigs[n]
 
-    def lam(self, n, k):
-        """Exact eigenvalue sum, scaled by 1 + perturb_lambda (0 unless this
-        is a negative-control run)."""
+    def lam(self, n, k=slice(None)):
+        """Exact eigenvalue sum k of sector n (a slice or index array gives
+        their stack, all of the sector by default), scaled by
+        1 + perturb_lambda (0 unless this is a negative-control run)."""
         f = self.eigensystem(n).lam(k)
         return ExpSum(f.ms, f.coeffs * (1 + self.config.perturb_lambda))
 
@@ -145,11 +146,11 @@ def _exceed_report(check, identity, value, threshold, t0, **details):
 
 def check_yang_baxter(ctx):
     t0 = time.perf_counter()
-    worst = 0.0
+    draws = []
     for _ in range(50):
-        x1, x2, x3 = ctx.rng.uniform(-1.5, 1.5, 3) + 1j * ctx.rng.uniform(-0.5, 0.5, 3)
-        g = ctx.rng.uniform(0.2, 1.2) + 1j * ctx.rng.uniform(-0.3, 0.3)
-        worst = max(worst, verify_ybe(x1, x2, x3, g))
+        x = ctx.rng.uniform(-1.5, 1.5, 3) + 1j * ctx.rng.uniform(-0.5, 0.5, 3)
+        draws.append([*x, ctx.rng.uniform(0.2, 1.2) + 1j * ctx.rng.uniform(-0.3, 0.3)])
+    worst = verify_ybe(*np.transpose(draws)).max()
     return [_report("yang-baxter", "R12 R13 R23 = R23 R13 R12", worst,
                     ctx.tol("yang_baxter"), t0)]
 
@@ -251,8 +252,7 @@ def check_linear_problem(ctx):
         pts = _sample_points(ctx, n + 1)
         count = min(es.size, 4)
         res, scale = fx.linear_relation_residual(
-            pts, [ctx.lam(n, k) for k in range(count)], es.left[:count],
-            ctx.hw, ctx.params)
+            pts, ctx.lam(n, slice(count)), es.left[:count], ctx.hw, ctx.params)
         worst = float((np.abs(res) / scale).max())
         out.append(_report("linear-problem", f"sum_i M_i F_{n} = 0 (n={n})",
                            worst, ctx.tol("linear_problem"), t0, n=n))
@@ -265,28 +265,27 @@ _CONTROL_FACTOR = 1.01
 
 
 def check_compatibility(ctx):
+    """One extended matrix per sector, for a stack of the first four
+    eigenvalues, the on-shell eigenvalue 0 and its 1%-off control."""
     out = []
     for n in _small_sectors(ctx):
         t0 = time.perf_counter()
         pts = [0.31, -0.42, 0.55, 0.9][:n + 1]
-        worst = 0.0
         es = ctx.eigensystem(n)
-        for k in range(min(es.size, 4)):
-            worst = max(worst, abs(fx.compatibility_residual(
-                pts, ctx.lam(n, k), ctx.hw, ctx.params)))
+        count, f = min(es.size, 4), es.lam(0)
+        stack = ExpSum(f.ms, np.vstack([ctx.lam(n, slice(count)).coeffs, f.coeffs,
+                                        _CONTROL_FACTOR * f.coeffs]))
+        M = fx.extended_matrix(pts, stack, ctx.hw, ctx.params)
+        dets = np.abs(fx.compatibility_residual(M))
         out.append(_report("compatibility", f"det extended matrix = 0 (n={n})",
-                           worst, ctx.tol("compatibility"), t0, n=n))
+                           dets[:count].max(), ctx.tol("compatibility"), t0, n=n))
         # negative control: the 1%-off determinant must sit far above the
         # on-shell value of the same eigenpair and its rounding level
         t0 = time.perf_counter()
-        f = ctx.eigensystem(n).lam(0)
-        on0 = abs(fx.compatibility_residual(pts, f, ctx.hw, ctx.params))
-        off = abs(fx.compatibility_residual(
-            pts, lambda x: _CONTROL_FACTOR * f(x), ctx.hw, ctx.params))
         out.append(_exceed_report(
             "compatibility", f"perturbed eigenvalue separated (n={n})",
-            off, fx.separation_threshold(pts, f, ctx.hw, ctx.params), t0, n=n,
-            on_shell=on0, rank_on_shell=fx.extended_rank(pts, f, ctx.hw, ctx.params)))
+            dets[-1], fx.separation_threshold(M[-2]), t0, n=n,
+            on_shell=float(dets[-2]), rank_on_shell=int(fx.extended_rank(M[-2]))))
     return out
 
 
@@ -295,34 +294,26 @@ def check_nonlinear(ctx):
     p, hw = ctx.params, ctx.hw
     if 1 in ctx.config.sectors:
         t0 = time.perf_counter()
-        es = ctx.eigensystem(1)
         x0, x1 = 0.31, -0.42
-        worst = 0.0
-        for k in range(es.size):
-            lam = ctx.lam(1, k)
-            scale = abs(lam(x0) * lam(x1))
-            worst = max(worst, abs(fx.nonlinear_eq_n1_residual(
-                x0, x1, lam, hw, p)) / scale)
+        # the sector, then the cross-check's off-shell eigenvalue: one m-matrix
+        f = ctx.eigensystem(1).lam(0)
+        bad = ExpSum(f.ms, 1.07 * f.coeffs)
+        stack = ExpSum(f.ms, np.vstack([ctx.lam(1).coeffs, bad.coeffs]))
+        r = fx.nonlinear_eq_n1_residual(x0, x1, stack, hw, p)
+        worst = (np.abs(r) / np.abs(stack(x0) * stack(x1)))[:-1].max()
         out.append(_report("nonlinear-n1", "two-point identity", worst,
                            ctx.tol("nonlinear_n1"), t0))
         # cross-check: identical to the determinant path
         t0 = time.perf_counter()
-        f = es.lam(0)
-        bad = lambda x: 1.07 * f(x)
-        r = fx.nonlinear_eq_n1_residual(x0, x1, bad, hw, p)
         d = np.linalg.det(fx.extended_matrix([x0, x1], bad, hw, p))
         out.append(_report("nonlinear-n1", "agrees with determinant path",
-                           abs(r - d) / abs(d), 1e-12, t0))
+                           abs(r[-1] - d) / abs(d), 1e-12, t0))
     if 2 in ctx.config.sectors and ctx.params.L >= 2:
         t0 = time.perf_counter()
-        es = ctx.eigensystem(2)
         pts = (0.31, -0.42, 0.55)
-        worst = 0.0
-        for k in range(es.size):
-            lam = ctx.lam(2, k)
-            scale = abs(lam(pts[0]) * lam(pts[1]) * lam(pts[2]))
-            worst = max(worst, abs(fx.nonlinear_eq_n2_residual(
-                *pts, lam, hw, p)) / scale)
+        lam = ctx.lam(2)
+        scale = np.abs(lam(pts[0]) * lam(pts[1]) * lam(pts[2]))
+        worst = (np.abs(fx.nonlinear_eq_n2_residual(*pts, lam, hw, p)) / scale).max()
         out.append(_report("nonlinear-n2", "three-point identity", worst,
                            ctx.tol("nonlinear_n2"), t0))
     return out
@@ -409,24 +400,20 @@ def check_conserved_n1(ctx):
         return []
     out = []
     p, hw = ctx.params, ctx.hw
-    es = ctx.eigensystem(1)
     t0 = time.perf_counter()
-    worst = 0.0
-    for k in range(es.size):
-        lam = ctx.lam(1, k)
-        v1, _, _ = fx.conserved_n1(0.2, lam, hw, p)
-        v2, _, _ = fx.conserved_n1(0.9, lam, hw, p)
-        worst = max(worst, abs(v1 - v2))
-    out.append(_report("conserved-n1", "constancy across x", worst,
-                       ctx.tol("conserved_constancy"), t0))
+    v, _, _ = fx.conserved_n1(np.array([0.2, 0.9]), ctx.lam(1), hw, p)
+    out.append(_report("conserved-n1", "constancy across x",
+                       np.abs(v[:, 0] - v[:, 1]).max(), ctx.tol("conserved_constancy"), t0))
     # closed form against a Bethe root
     t0 = time.perf_counter()
     sols, _ = ctx.bethe(1)
+    pairs = ctx.match(1).pairs
     worst = 0.0
-    for si, ei, _ in ctx.match(1).pairs:
-        val, _, _ = fx.conserved_n1(0.4, ctx.lam(1, ei), hw, p)
-        target = fx.conserved_n1_closed_form(sols[si].roots[0], hw)
-        worst = max(worst, abs(np.exp(val) - target) / abs(target))
+    if pairs:
+        val, _, _ = fx.conserved_n1(0.4, ctx.lam(1, [ei for _, ei, _ in pairs]), hw, p)
+        target = np.array([fx.conserved_n1_closed_form(sols[si].roots[0], hw)
+                           for si, _, _ in pairs])
+        worst = (np.abs(np.exp(val) - target) / np.abs(target)).max()
     out.append(_report("conserved-n1", "exp equals coth(w1) + dlm(0)/lm(0)",
                        worst, ctx.tol("conserved_closed_form"), t0))
     return out
@@ -464,18 +451,14 @@ def check_riccati_n1(ctx):
     if 1 not in ctx.config.sectors:
         return []
     t0 = time.perf_counter()
-    lams = [ctx.lam(1, k) for k in range(ctx.eigensystem(1).size)]
-    xs = (0.43, 0.9)
-    rs = [odes.riccati_lambda_residual(lam, x, ctx.hw, ctx.params)
-          for lam in lams for x in xs]
+    lam, xs = ctx.lam(1), np.array([0.43, 0.9])
+    r = odes.riccati_lambda_residual(lam, xs, ctx.hw, ctx.params)
     out = [_report("riccati-n1", "first-order quadratic ODE",
-                   max(map(abs, rs)), ctx.tol("riccati_n1"), t0)]
+                   np.abs(r).max(), ctx.tol("riccati_n1"), t0)]
     t0 = time.perf_counter()
-    ss = [odes.sigma1_residual(lam, x, ctx.hw, ctx.params)
-          for lam in lams for x in xs]
-    worst = max(max(abs(s), abs(r - s)) for r, s in zip(rs, ss))
-    out.append(_report("riccati-n1", "surface form agrees", worst,
-                       ctx.tol("sigma1"), t0))
+    s = odes.sigma1_residual(lam, xs, ctx.hw, ctx.params)
+    out.append(_report("riccati-n1", "surface form agrees",
+                       np.maximum(np.abs(s), np.abs(r - s)).max(), ctx.tol("sigma1"), t0))
     return out
 
 
@@ -488,8 +471,8 @@ def check_sigma2(ctx):
     if 2 not in ctx.config.sectors or ctx.params.L < 2:
         return []
     t0 = time.perf_counter()
-    lams = [ctx.lam(2, k) for k in range(ctx.eigensystem(2).size)]
-    worst = max(np.abs(odes.sigma2_residual(lams, x, ctx.hw, ctx.params)).max()
+    lam = ctx.lam(2)
+    worst = max(np.abs(odes.sigma2_residual(lam, x, ctx.hw, ctx.params)).max()
                 for x in _SIGMA2_POINTS)
     return [_report("sigma2", "second-order ODE (coalescing reduction)",
                     worst, ctx.tol("sigma2"), t0)]
@@ -603,10 +586,9 @@ def check_root_of_unity(ctx):
     out = [_report("root-of-unity", "O^L = Id", power,
                    ctx.tol("root_of_unity_power"), t0)]
     t0 = time.perf_counter()
-    devs = odes.omega0_sector_deviations(ctx.params, {
-        n: [ctx.lam(n, k) for k in range(ctx.eigensystem(n).size)]
-        for n in ctx.config.sectors})
-    worst = max((max(v) for v in devs.values() if v), default=0.0)
+    devs = odes.omega0_sector_deviations(
+        ctx.params, {n: ctx.lam(n) for n in ctx.config.sectors})
+    worst = max((v.max() for v in devs.values()), default=0.0)
     out.append(_report("root-of-unity", "(Lam(0)/c^L)^L = 1", worst,
                        ctx.tol("root_of_unity_sector"), t0))
     return out

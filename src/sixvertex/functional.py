@@ -19,6 +19,15 @@ axis (one point set per node), mixed and broadcast to one shape; matrices
 carry the node axes after their two matrix axes, determinants are per node,
 and eigenvalue evaluators must accept arrays.  A whole node grid is so one
 numpy evaluation, and a scalar point set is its 0-d case.
+
+`coefficients_m`, `extended_matrix`, the nonlinear identities,
+`linear_relation_residual` and `conserved_n1` also take a stack of
+eigenvalues (`model.ExpSum` with K rows, one per eigenpair of a sector):
+what they return carries a leading eigenpair axis ahead of the matrix and
+node axes, so a whole sector is one call.  `compatibility_residual`,
+`extended_rank` and `separation_threshold` take such an extended matrix of
+a scalar point set.  The Cramer, transport and theta functions take one
+eigenvalue, their matrix axes first.
 """
 
 from __future__ import annotations
@@ -80,37 +89,44 @@ def _validate(points):
     return pts, n
 
 
+def _coefficients(X, lam, hw: HighestWeightData, params: ModelParams):
+    """coefficients_m at the validated stacked points X (shape (n+1,) + node
+    shape)."""
+    # r[i, j] = a(x_i - x_j) / b(x_i - x_j), with 1 on the diagonal
+    D = X[:, None] - X[None, :]
+    diag = np.eye(len(X), dtype=bool).reshape((len(X),) * 2 + (1,) * (X.ndim - 1))
+    r = np.where(diag, 1, params.a(D) / np.where(diag, 1, params.b(D)))
+    # products over j >= 1 of r[j, i] and of r[i, j]; the diagonal 1 drops j = i
+    va = params.phi1 * np.prod(r[1:], axis=0) * hw.lam_a(X)
+    vd = params.phi2 * np.prod(r[:, 1:], axis=1) * hw.lam_d(X)
+    m0 = va[0] + vd[0] - lam(X[0])
+    mi = (params.c / params.b(X[0] - X[1:])) * (va[1:] - vd[1:])
+    e = np.ndim(m0) - X.ndim + 1        # leading eigenpair axes of lam
+    return np.concatenate([np.expand_dims(m0, e),
+                           np.broadcast_to(mi, np.shape(m0)[:e] + mi.shape)], axis=e)
+
+
 def coefficients_m(pts, lam, hw: HighestWeightData, params: ModelParams):
-    """Coefficient vector (M_0, ..., M_n) of the linear problem at `pts`."""
-    pts, n = _validate(pts)
-    a, b, c = params.a, params.b, params.c
-    p1, p2 = params.phi1, params.phi2
-    x0 = pts[0]
-    out = np.zeros((n + 1,) + np.shape(x0), dtype=complex)
-    prod_a = np.prod([a(pts[j] - x0) / b(pts[j] - x0) for j in range(1, n + 1)], axis=0) if n else 1.0
-    prod_d = np.prod([a(x0 - pts[j]) / b(x0 - pts[j]) for j in range(1, n + 1)], axis=0) if n else 1.0
-    out[0] = p1 * prod_a * hw.lam_a(x0) + p2 * prod_d * hw.lam_d(x0) - lam(x0)
-    for i in range(1, n + 1):
-        xi = pts[i]
-        qa = np.prod([a(pts[j] - xi) / b(pts[j] - xi) for j in range(1, n + 1) if j != i], axis=0) if n > 1 else 1.0
-        qd = np.prod([a(xi - pts[j]) / b(xi - pts[j]) for j in range(1, n + 1) if j != i], axis=0) if n > 1 else 1.0
-        out[i] = (c / b(x0 - xi)) * (p1 * qa * hw.lam_a(xi) - p2 * qd * hw.lam_d(xi))
-    return out
+    """Coefficient vector (M_0, ..., M_n) of the linear problem at `pts`
+    (shape (K, n+1) + node shape for a stack of K eigenvalues)."""
+    pts, _ = _validate(pts)
+    return _coefficients(np.array(pts), lam, hw, params)
 
 
 def extended_matrix(pts, lam, hw: HighestWeightData, params: ModelParams):
-    """(n+1)x(n+1) system matrix: row j is the coefficient vector after the
-    swap x_0 <-> x_j, with entries 0 and j swapped back into place."""
+    """(n+1)x(n+1) system matrix (shape (K, n+1, n+1) + node shape for a
+    stack): row j is the coefficient vector after the swap x_0 <-> x_j, with
+    entries 0 and j swapped back into place.  The n+1 swapped point sets are
+    one coefficient evaluation, over a row axis ahead of the node axes."""
     pts, n = _validate(pts)
-    M = np.zeros((n + 1, n + 1) + np.shape(pts[0]), dtype=complex)
-    M[0] = coefficients_m(pts, lam, hw, params)
-    for j in range(1, n + 1):
-        sw = list(pts)
-        sw[0], sw[j] = sw[j], sw[0]
-        row = coefficients_m(sw, lam, hw, params)
-        row[[0, j]] = row[[j, 0]]
-        M[j] = row
-    return M
+    X = np.array(pts)
+    idx = np.arange(n + 1)
+    swap = np.tile(idx, (n + 1, 1))     # swap[j]: positions after x_0 <-> x_j
+    swap[idx, 0], swap[idx, idx] = idx, 0
+    C = _coefficients(X[swap.T], lam, hw, params)   # [..., entry, row, nodes]
+    e = C.ndim - X.ndim - 1
+    C = np.moveaxis(C, (e, e + 1), (0, 1))
+    return np.moveaxis(C[swap, idx[:, None]], (0, 1), (e, e + 1))
 
 
 def _row_scale(M):
@@ -123,37 +139,39 @@ def _det(M):
     return np.linalg.det(np.moveaxis(M, (0, 1), (-2, -1)))
 
 
-def compatibility_residual(pts, lam, hw, params):
-    """det of the extended matrix, normalized by the product of row
+# The three functions below take the extended matrix M of a scalar point set,
+# its matrix axes last (any leading axes are eigenpairs), so that one build
+# serves the residuals, the rank and the threshold of a whole sector.
+
+def compatibility_residual(M):
+    """det of the extended matrix M, normalized by the product of row
     max-norms (scale-free; vanishes iff Lambda sits on the spectrum)."""
-    M = extended_matrix(pts, lam, hw, params)
-    return complex(np.linalg.det(M) / max(_row_scale(M), 1e-300))
+    M = np.moveaxis(M, (-2, -1), (0, 1))
+    return _det(M) / np.maximum(_row_scale(M), 1e-300)
 
 
-def _row_normalized_singular_values(pts, lam, hw, params):
-    M = extended_matrix(pts, lam, hw, params)
-    norms = np.abs(M).max(axis=1)
-    M = M / np.where(norms > 0, norms, 1.0)[:, None]
-    return np.linalg.svd(M, compute_uv=False)
+def _row_normalized_singular_values(M):
+    norms = np.abs(M).max(axis=-1, keepdims=True)
+    return np.linalg.svd(M / np.where(norms > 0, norms, 1.0), compute_uv=False)
 
 
-def extended_rank(pts, lam, hw, params):
-    """Numerical rank of the extended matrix (row-normalized)."""
-    s = _row_normalized_singular_values(pts, lam, hw, params)
-    return int(np.sum(s > 1e-9 * s[0]))
+def extended_rank(M):
+    """Numerical rank of the extended matrix M (row-normalized)."""
+    s = _row_normalized_singular_values(M)
+    return np.sum(s > 1e-9 * s[..., :1], axis=-1)
 
 
-def separation_threshold(pts, lam, hw, params):
+def separation_threshold(M):
     """What |compatibility_residual| of a perturbed eigenvalue must exceed to
-    count as separated from the on-shell `lam`: 30 times the larger of the
-    on-shell value and its rounding level (n+1) eps s_1...s_n, with
-    s_1 >= ... >= s_{n+1} the singular values of the row-normalized extended
-    matrix.  Both scale like the determinant, so the bound is scale-free in
-    n and L (an absolute floor is not: the 1%-off value falls below 1e-12 at
-    L=10, n=3)."""
-    s = _row_normalized_singular_values(pts, lam, hw, params)
-    rounding = len(s) * np.finfo(float).eps * np.prod(s[:-1])
-    return 30 * max(abs(compatibility_residual(pts, lam, hw, params)), rounding)
+    count as separated from the on-shell eigenvalue of extended matrix M:
+    30 times the larger of the on-shell value and its rounding level
+    (n+1) eps s_1...s_n, with s_1 >= ... >= s_{n+1} the singular values of
+    the row-normalized M.  Both scale like the determinant, so the bound is
+    scale-free in n and L (an absolute floor is not: the 1%-off value falls
+    below 1e-12 at L=10, n=3)."""
+    s = _row_normalized_singular_values(M)
+    rounding = s.shape[-1] * np.finfo(float).eps * np.prod(s[..., :-1], axis=-1)
+    return 30 * np.maximum(np.abs(compatibility_residual(M)), rounding)
 
 
 # ---------------------------------------------------------------------------
@@ -166,32 +184,29 @@ def symmetric_m_matrix(pts, hw: HighestWeightData, params: ModelParams):
     own closed form so the two derivations cross-check each other.
     """
     pts, n = _validate(pts)
-    a, b, c = params.a, params.b, params.c
-    p1, p2 = params.phi1, params.phi2
-    m = np.zeros((n + 1, n + 1) + np.shape(pts[0]), dtype=complex)
-    full = range(n + 1)
-    for i in full:
-        for j in full:
-            if i == j:
-                rest = [pts[k] for k in full if k != i]
-                pa = np.prod([a(x - pts[i]) / b(x - pts[i]) for x in rest], axis=0)
-                pd = np.prod([a(pts[i] - x) / b(pts[i] - x) for x in rest], axis=0)
-                m[i, j] = p1 * pa * hw.lam_a(pts[i]) + p2 * pd * hw.lam_d(pts[i])
-            else:
-                rest = [pts[k] for k in full if k not in (i, j)]
-                pa = np.prod([a(x - pts[j]) / b(x - pts[j]) for x in rest], axis=0) if rest else 1.0
-                pd = np.prod([a(pts[j] - x) / b(pts[j] - x) for x in rest], axis=0) if rest else 1.0
-                m[i, j] = (c / b(pts[i] - pts[j])) * (
-                    p1 * pa * hw.lam_a(pts[j]) - p2 * pd * hw.lam_d(pts[j]))
-    return m
+    X = np.array(pts)
+    a, b = params.a, params.b
+    idx = np.arange(n + 1)
+    nodes = (1,) * (X.ndim - 1)
+    diag = np.eye(n + 1, dtype=bool).reshape((n + 1,) * 2 + nodes)
+    # keep[i, j, k]: k outside {i, j}, which also keeps b(0) on the diagonal out
+    keep = ((idx[:, None, None] != idx) & (idx[:, None] != idx)).reshape((n + 1,) * 3 + nodes)
+    xj, xk = X[None, :, None], X[None, None, :]
+    # pa[i, j] = prod_k a(x_k - x_j)/b(x_k - x_j), pd[i, j] = prod_k a(x_j - x_k)/b(x_j - x_k)
+    pa = np.prod(np.where(keep, a(xk - xj) / np.where(keep, b(xk - xj), 1), 1), axis=2)
+    pd = np.prod(np.where(keep, a(xj - xk) / np.where(keep, b(xj - xk), 1), 1), axis=2)
+    va = params.phi1 * pa * hw.lam_a(X)
+    vd = params.phi2 * pd * hw.lam_d(X)
+    bij = np.where(diag, 1, b(X[:, None] - X[None, :]))
+    return np.where(diag, va + vd, (params.c / bij) * (va - vd))
 
 
 def nonlinear_eq_n1_residual(x0, x1, lam, hw, params):
     """Two-point scalar identity for sector-1 eigenvalues (LHS - RHS)."""
     m = symmetric_m_matrix([x0, x1], hw, params)
     L0, L1 = lam(x0), lam(x1)
-    return complex(L0 * L1 - m[1, 1] * L0 - m[0, 0] * L1
-                   - (m[0, 1] * m[1, 0] - m[0, 0] * m[1, 1]))
+    return (L0 * L1 - m[1, 1] * L0 - m[0, 0] * L1
+            - (m[0, 1] * m[1, 0] - m[0, 0] * m[1, 1]))
 
 
 def nonlinear_eq_n2_residual(x0, x1, x2, lam, hw, params):
@@ -204,7 +219,7 @@ def nonlinear_eq_n2_residual(x0, x1, x2, lam, hw, params):
            + (m[0, 2] * m[2, 0] - m[0, 0] * m[2, 2]) * L1
            + (m[0, 1] * m[1, 0] - m[0, 0] * m[1, 1]) * L2
            + det_m)
-    return complex(L0 * L1 * L2 - rhs)
+    return L0 * L1 * L2 - rhs
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +248,14 @@ def f_n(point_sets, rows, params: ModelParams):
     return out
 
 
-def linear_relation_residual(pts, lams, rows, hw, params):
+def linear_relation_residual(pts, lam, rows, hw, params):
     """(residuals, scales) of  sum_i M_i F_n(pts minus x_i)  for each
-    eigenpair (lams[k], sector-n bra rows[k]); a scale is the largest term."""
+    eigenpair (row k of the eigenvalue stack `lam`, sector-n bra rows[k]); a
+    scale is the largest term."""
     pts, n = _validate(pts)
     F = f_n([pts[:i] + pts[i + 1:] for i in range(n + 1)], rows, params)
-    terms = np.array([coefficients_m(pts, lam, hw, params) for lam in lams]) * F
-    return terms.sum(axis=1), np.abs(terms).max(axis=1)
+    terms = coefficients_m(pts, lam, hw, params) * F
+    return terms.sum(axis=-1), np.abs(terms).max(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +380,7 @@ def conserved_n1(x, lam, hw: HighestWeightData, params: ModelParams):
     """Leading conserved quantity of the sector-1 tower: log(G+/G-).
 
     Constant in x exactly when Lambda is a sector-1 eigenvalue.  Returns
-    (value, gplus, gminus).
+    (value, gplus, gminus), each per eigenpair of a stack and per x.
     """
     lm0 = hw.lam_minus(0.0)
     dlm0 = hw.lam_minus(0.0, 1)
@@ -378,9 +394,9 @@ def conserved_n1(x, lam, hw: HighestWeightData, params: ModelParams):
              + p2 * ld * (ch(g + x) * lm0 + sh(g + x) * dlm0)
              - Lx * (ch(x) * lm0 + sh(x) * dlm0))
     gminus = lm0 * (p1 * sh(x - g) * la + p2 * sh(x + g) * ld - sh(x) * Lx)
-    if gminus == 0:
+    if np.any(gminus == 0):
         raise ZeroDivisionError("G- = 0 at this x")
-    return complex(np.log(gplus / gminus)), complex(gplus), complex(gminus)
+    return np.log(gplus / gminus), gplus, gminus
 
 
 def conserved_n1_closed_form(w1, hw: HighestWeightData):

@@ -124,28 +124,32 @@ class ModelParams:
 
 def r_matrix(x, gamma):
     """4x4 six-vertex R-matrix on the ordered basis
-    {e1(x)e1, e1(x)e2, e2(x)e1, e2(x)e2}."""
-    a = np.sinh(x + gamma)
-    b = np.sinh(x)
-    c = np.sinh(gamma)
-    return np.array(
-        [[a, 0, 0, 0],
-         [0, b, c, 0],
-         [0, c, b, 0],
-         [0, 0, 0, a]],
-        dtype=complex,
-    )
+    {e1(x)e1, e1(x)e2, e2(x)e1, e2(x)e2} (one per entry, on the last two
+    axes, for arrays x and gamma)."""
+    a, b, c = np.broadcast_arrays(np.sinh(x + gamma), np.sinh(x), np.sinh(gamma))
+    R = np.zeros(a.shape + (4, 4), dtype=complex)
+    R[..., 0, 0] = R[..., 3, 3] = a
+    R[..., 1, 1] = R[..., 2, 2] = b
+    R[..., 1, 2] = R[..., 2, 1] = c
+    return R
+
+
+def _kron(A, B):
+    """Kronecker product over the last two axes, batched over the others."""
+    shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+    return (A[..., :, None, :, None] * B[..., None, :, None, :]).reshape(
+        shape + (A.shape[-2] * B.shape[-2], A.shape[-1] * B.shape[-1]))
 
 
 def verify_ybe(x1, x2, x3, gamma):
-    """Max-norm residual of the Yang-Baxter equation on three slots."""
+    """Max-norm residual of the Yang-Baxter equation on three slots; for
+    arrays of points and gamma, one residual per entry from one batched
+    product."""
     I2, P = np.eye(2), np.eye(4)[[0, 2, 1, 3]]     # P swaps two slots
-    r12 = np.kron(r_matrix(x1 - x2, gamma), I2)
-    r13 = np.kron(I2, P) @ np.kron(r_matrix(x1 - x3, gamma), I2) @ np.kron(I2, P)
-    r23 = np.kron(I2, r_matrix(x2 - x3, gamma))
-    lhs = r12 @ r13 @ r23
-    rhs = r23 @ r13 @ r12
-    return float(np.abs(lhs - rhs).max())
+    r12 = _kron(r_matrix(x1 - x2, gamma), I2)
+    r13 = _kron(I2, P) @ _kron(r_matrix(x1 - x3, gamma), I2) @ _kron(I2, P)
+    r23 = _kron(I2, r_matrix(x2 - x3, gamma))
+    return np.abs(r12 @ r13 @ r23 - r23 @ r13 @ r12).max(axis=(-2, -1))
 
 
 # number of monodromy_blocks calls so far (`verify` records it per check)
@@ -277,8 +281,17 @@ def magnetization_diagonal(L: int):
 # highest-weight data
 
 class ExpSum:
-    """Finite exponential sum  f(x) = sum_i coeffs[i] exp(ms[i] x)  over
+    """Finite exponential sums  f_k(x) = sum_i coeffs[k, i] exp(ms[i] x)  over
     integer frequencies, with exact derivatives of any order.
+
+    `coeffs` is a stack of shape (K, len(ms)), one row per function (one row
+    per eigenpair of a sector), or one row of shape (len(ms),) for a single
+    sum.  A call evaluates the whole stack with one complex exp, an
+    elementwise product and a sum over the contiguous term axis, so a row
+    rounds the same alone, in any stack and at any x of the same value,
+    scalar or array, real or complex (a matmul would not); the values carry
+    the stack axis first and the shape of x after it (a single sum has no
+    stack axis).
 
     The vacuum products lam_a, lam_d (a product over L sites of
     sinh(x - mu_j + shift)) have frequencies -L, -L+2, ..., L, and so does
@@ -309,10 +322,10 @@ class ExpSum:
 
     def __call__(self, x, d=0):
         w = self.coeffs if d == 0 else self.coeffs * self.ms ** d
-        if np.ndim(x):
-            return np.sum(w * np.exp(self.ms * np.asarray(x, dtype=complex)[..., None]),
-                          axis=-1)
-        return complex(np.sum(w * np.exp(self.ms * x)))
+        e = np.exp(np.multiply.outer(np.asarray(x, dtype=complex), self.ms))
+        if w.ndim == 1:
+            return np.sum(w * e, axis=-1)
+        return np.moveaxis(np.sum(w * e[..., None, :], axis=-1), -1, 0)
 
 
 def cauchy_taylor(f, center, radius, nodes):

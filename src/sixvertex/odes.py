@@ -17,6 +17,10 @@ Contents:
 
 Eigenvalue and h arguments are evaluators  f(x, d)  returning the d-th
 derivative exactly: `model.ExpSum`, `bethe.RootEigenvalue` or `bethe.CothSum`.
+An eigenvalue argument may be a stack (`model.ExpSum` with one row per
+eigenpair of a sector): the sector-1 Riccati forms, the coalescing reduction
+and the root-of-unity deviations then return one value per eigenpair, on a
+leading axis ahead of the axes of x.
 The Schroedinger map's r = (Lam - beta)/alpha has no such form; its
 derivative comes from `model.cauchy_taylor`.
 """
@@ -131,13 +135,17 @@ def _j_coefficients(x, hw: HighestWeightData, params: ModelParams):
     return j0, j1
 
 
+def _riccati_scale(j0, Lam):
+    return np.maximum(np.maximum(np.abs(j0), np.abs(Lam) ** 2), 1e-300)
+
+
 def riccati_lambda_residual(lam_eval, x, hw, params):
     """Normalized residual of the first-order quadratic ODE for sector-1
     eigenvalues:  -c lam_minus dLam + J1 Lam - Lam^2 - J0."""
     j0, j1 = _j_coefficients(x, hw, params)
     Lam, dLam = lam_eval(x), lam_eval(x, 1)
     res = -params.c * hw.lam_minus(x) * dLam + j1 * Lam - Lam ** 2 - j0
-    return complex(res / max(abs(j0), abs(Lam) ** 2, 1e-300))
+    return res / _riccati_scale(j0, Lam)
 
 
 def sigma1_residual(lam_eval, x, hw, params):
@@ -155,7 +163,7 @@ def sigma1_residual(lam_eval, x, hw, params):
     ds0 = dLam - dlp
     res = w0 + (w1 - Lam) * s0 - sh * lm * ds0
     j0, _ = _j_coefficients(x, hw, params)
-    return complex(res / max(abs(j0), abs(Lam) ** 2, 1e-300))
+    return res / _riccati_scale(j0, Lam)
 
 
 # ---------------------------------------------------------------------------
@@ -171,21 +179,22 @@ def sigma1_residual(lam_eval, x, hw, params):
 _CIRCLE_RADIUS, _CIRCLE_NODES = 0.3, 64
 
 
-def coalescing_reduction(lam_evals, x, hw: HighestWeightData, params: ModelParams,
+def coalescing_reduction(lam, x, hw: HighestWeightData, params: ModelParams,
                          n, ts=None):
     """eps^0 coefficient of det(m - diag(Lambda)) with all n+1 spectral
     points at x + ts[i]*eps: the order-n ODE satisfied by sector-n
-    eigenvalues (n in {1, 2}), evaluated at x for each evaluator Lambda in
-    the sequence `lam_evals`.
+    eigenvalues (n in {1, 2}), evaluated at x for each eigenvalue Lambda of
+    the stack `lam`.
 
     m is `functional.symmetric_m_matrix` at the nodes of a circle in eps,
-    built once for all evaluators, and Lambda its degree-2 Taylor polynomial
-    about x; each eps-coefficient is a mean over the circle (Cauchy's
-    integral by the trapezoidal rule).  Returns arrays (values, scales,
-    spurious), one entry per evaluator: a value sums the eps^0 means of the
-    permutation terms of the determinant, a scale is the largest of those
-    means, spurious the largest coefficient of eps^-j, j >= 1 (an internal
-    cancellation check; it vanishes identically).
+    built once for the whole stack, and Lambda its degree-2 Taylor
+    polynomial about x; each eps-coefficient is a mean over the circle
+    (Cauchy's integral by the trapezoidal rule).  Returns (values, scales,
+    spurious), one entry per eigenvalue of the stack (scalars for a single
+    evaluator): a value sums the eps^0 means of the permutation terms of the
+    determinant, a scale is the largest of those means, spurious the largest
+    coefficient of eps^-j, j >= 1 (an internal cancellation check; it
+    vanishes identically).
     """
     if n not in (1, 2):
         raise ValueError("the degree-2 Taylor polynomial of Lambda gives the "
@@ -199,22 +208,24 @@ def coalescing_reduction(lam_evals, x, hw: HighestWeightData, params: ModelParam
     dx = np.multiply.outer(ts, eps)
     m = symmetric_m_matrix(x + dx, hw, params)
     idx = np.arange(n + 1)
-    # a[k] = m - diag(P_k) for evaluator k: shape (evaluators, n+1, n+1, nodes)
-    a = np.repeat(m[None], len(lam_evals), axis=0)
-    a[:, idx, idx] -= np.array([lam(x) + lam(x, 1) * dx + lam(x, 2) / 2 * dx ** 2
-                                for lam in lam_evals])
-    terms = np.array([np.linalg.det(np.eye(n + 1)[list(p)]) * a[:, idx, p].prod(axis=1)
+    # a = m - diag(P) with P the Taylor polynomial of each eigenvalue:
+    # shape (stack, n+1, n+1, nodes)
+    taylor = [np.asarray(lam(x, d))[..., None, None] for d in range(3)]
+    a = np.broadcast_to(m, np.shape(taylor[0])[:-2] + m.shape).copy()
+    a[..., idx, idx, :] -= taylor[0] + taylor[1] * dx + taylor[2] / 2 * dx ** 2
+    terms = np.array([np.linalg.det(np.eye(n + 1)[list(p)]) * a[..., idx, p, :].prod(axis=-2)
                       for p in permutations(idx)])
     means = terms.mean(axis=-1)
     # the circle mean of det * eps^j is radius^j times the j-th inverse DFT term
-    spurious = np.abs(np.fft.ifft(terms.sum(axis=0))[:, 1:] * _CIRCLE_RADIUS ** nodes[1:])
+    spurious = np.abs(np.fft.ifft(terms.sum(axis=0))[..., 1:] * _CIRCLE_RADIUS ** nodes[1:])
     return means.sum(axis=0), np.abs(means).max(axis=0), spurious.max(axis=-1)
 
 
-def sigma2_residual(lam_evals, x, hw, params):
+def sigma2_residual(lam, x, hw, params):
     """Normalized residuals of the second-order ODE for sector-2 eigenvalues
-    (the coalescing limit of the three-point identity), one per evaluator."""
-    vals, scales, _ = coalescing_reduction(lam_evals, x, hw, params, n=2)
+    (the coalescing limit of the three-point identity), one per eigenvalue
+    of the stack `lam`."""
+    vals, scales, _ = coalescing_reduction(lam, x, hw, params, n=2)
     return vals / np.maximum(scales, 1e-300)
 
 
@@ -417,10 +428,9 @@ def omega0_power_deviation(params: ModelParams):
 
 
 def omega0_sector_deviations(params: ModelParams, lams):
-    """n -> |(Lam(0)/c^L)^L - 1| for every eigenvalue function in lams[n]."""
+    """n -> |(Lam(0)/c^L)^L - 1| for every eigenvalue of the stack lams[n]."""
     _require_reference_point(params, "the root-of-unity check")
     L = params.L
     cl = params.c ** L
-    return {n: [float(abs((lam(0.0) / cl) ** L - 1)) for lam in fs]
-            for n, fs in lams.items()}
+    return {n: np.abs((lam(0.0) / cl) ** L - 1) for n, lam in lams.items()}
 

@@ -11,7 +11,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -159,7 +159,8 @@ class VerificationReport:
             self.passed = bool(self.residual <= self.tolerance)
 
     def to_dict(self):
-        d = asdict(self)
+        """Shallow: `parameters` and `details` are the report's own dicts."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["residual"] = float(self.residual)
         d["tolerance"] = float(self.tolerance)
         return d

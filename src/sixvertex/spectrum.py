@@ -82,8 +82,9 @@ class EigenSystem:
     def eigenvalue(self, k, x):
         return self.lam(k)(x)
 
-    def lam(self, k):
-        """Eigenvalue k as an exact exponential sum x -> Lambda_k(x)."""
+    def lam(self, k=slice(None)):
+        """Eigenvalue k as an exact exponential sum x -> Lambda_k(x); a slice
+        or index array of k gives their stack (all eigenvalues by default)."""
         return ExpSum(_frequencies(self.params.L), self.coeffs[k])
 
     def min_relative_gap(self):
@@ -201,9 +202,8 @@ def polynomial_residuals(eigensystems):
     for x in xs:
         T = transfer(x, p)
         for es, rows in zip(eigensystems, direct):
-            rows.append(np.einsum("kd,dc,ck->k", es.left,
-                                  sector_block(T, p.L, es.n, es.n), es.right,
-                                  optimize=True))
+            rows.append(((es.left @ sector_block(T, p.L, es.n, es.n)) * es.right.T)
+                        .sum(axis=1))
     scale = np.exp(p.L * xs)[:, None]
     return [_relative_residual(scale * np.array([es.eigenvalues_at(x) for x in xs]),
                                scale * np.array(rows))

@@ -122,9 +122,9 @@ def test_04_functional_equations(ref, ref_hw, eigs):
     for n in (1, 2, 3):
         es = diagonalize_sector(p6, n)
         pts = [0.31, -0.42, 0.55, 0.9][:n + 1]
-        for k in range(0, es.size, max(es.size // 4, 1)):
-            worst_det = max(worst_det, abs(fx.compatibility_residual(
-                pts, es.lam(k), hw6, p6)))
+        M = fx.extended_matrix(pts, es.lam(slice(0, es.size, max(es.size // 4, 1))),
+                               hw6, p6)
+        worst_det = max(worst_det, np.abs(fx.compatibility_residual(M)).max())
     record(4, "compatibility determinant n=1,2,3 at L=6", worst_det, 1e-8)
 
     lam1, lam2 = eigs[1].lam(0), eigs[2].lam(0)
@@ -147,8 +147,7 @@ def test_05_linear_problem():
         for n in (1, 2, 3):
             es = diagonalize_sector(p, n)
             pts = [0.31, -0.42, 0.55, 0.9][:n + 1]
-            res, scale = fx.linear_relation_residual(
-                pts, [es.lam(k) for k in range(es.size)], es.left, hw, p)
+            res, scale = fx.linear_relation_residual(pts, es.lam(), es.left, hw, p)
             worst = max(worst, float((np.abs(res) / scale).max()))
     record(5, "linear problem for all eigenpairs, n<=3, L in {4,6}",
            worst, 1e-10)
@@ -247,7 +246,7 @@ def test_08_ode_chain(ref, ref_hw, sums):
     worst_2 = 0.0
     for lam in sums[2]:
         for x in (0.63, -0.35):
-            worst_2 = max(worst_2, abs(odes.sigma2_residual([lam], x, ref_hw, ref)[0]))
+            worst_2 = max(worst_2, abs(odes.sigma2_residual(lam, x, ref_hw, ref)))
         for x in (0.43, 0.8):
             worst_2 = max(worst_2, abs(odes.riccati2_residual(lam, x, ref)))
     record(8, "sector-2 second-order + standard Riccati, all eigenvalues",
@@ -275,13 +274,13 @@ def test_10_schrodinger_map(ref, sums):
            worst, 1e-10)
 
 
-def test_11_root_of_unity(ref, sums):
+def test_11_root_of_unity(ref, eigs):
     worst_pow = max(odes.omega0_power_deviation(ModelParams(L=L, gamma=0.7))
                     for L in (2, 3, 4, 6))
     record(11, "permutation power identity, L in {2,3,4,6}", worst_pow, 1e-12)
-    devs = odes.omega0_sector_deviations(ref, sums)
+    devs = odes.omega0_sector_deviations(ref, {n: es.lam() for n, es in eigs.items()})
     record(11, "sector eigenvalue phases at the origin",
-           max(max(v) for v in devs.values()), 1e-9)
+           max(v.max() for v in devs.values()), 1e-9)
 
 
 def test_12_polynomial_structure(ref, ref_hw, eigs):

@@ -167,21 +167,25 @@ class TestVerifyCommand:
         assert run(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
         assert cli.model.builds - b0 == 21
 
+    @staticmethod
+    def counter(monkeypatch, calls):
+        """count(module, name, key): tally each call of module.name in calls[key]."""
+        def count(module, name, key=None):
+            f = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[key or name] = calls.get(key or name, 0) + 1
+                return f(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        return count
+
     def test_node_grids_are_one_call(self, tmp_path, monkeypatch):
         # reference L=4: `theta` evaluates each index pair's Cauchy grid as one
         # node array (one extended matrix), `sigma2` builds one m-matrix per
         # point for every eigenvalue, and each sector's Bethe match runs once
         # although `conserved-n1` and `bethe` both read the n=1 match
         calls = {}
-
-        def count(module, name):
-            f = getattr(module, name)
-
-            def counted(*args, **kwargs):
-                calls[name] = calls.get(name, 0) + 1
-                return f(*args, **kwargs)
-            monkeypatch.setattr(module, name, counted)
-
+        count = self.counter(monkeypatch, calls)
         count(cli.fx, "extended_matrix")
         count(cli.odes, "symmetric_m_matrix")
         count(cli.bt, "match_spectrum")
@@ -189,6 +193,27 @@ class TestVerifyCommand:
                     "--checks", "theta,sigma2,conserved-n1,bethe"]) == 0
         assert calls == {"extended_matrix": 2, "symmetric_m_matrix": 2,
                          "match_spectrum": 2}
+        # reference L=6: `nonlinear` builds one m-matrix per point set (the
+        # sector-1 stack carries the cross-check's off-shell row), not one
+        # per eigenvalue, and one extended matrix for that cross-check
+        cfg = tmp_path / "l6.json"
+        cfg.write_text(json.dumps({"model": {"L": 6, "gamma": 0.7}}))
+        calls.clear()
+        count(cli.fx, "symmetric_m_matrix", "functional.symmetric_m_matrix")
+        assert run(["verify", "--config", str(cfg), "--out", str(tmp_path / "l6"),
+                    "--checks", "nonlinear"]) == 0
+        assert calls == {"functional.symmetric_m_matrix": 2, "extended_matrix": 1}
+
+    def test_compatibility_builds_one_matrix_per_sector(self, tmp_path, monkeypatch):
+        # reference L=6, sectors 1..3: the rows, the rank and the 1%-off
+        # control of a sector share the extended matrix of one stack
+        calls = {}
+        self.counter(monkeypatch, calls)(cli.fx, "extended_matrix")
+        cfg = tmp_path / "l6.json"
+        cfg.write_text(json.dumps({"model": {"L": 6, "gamma": 0.7}}))
+        assert run(["verify", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                    "--checks", "compatibility"]) == 0
+        assert calls == {"extended_matrix": 3}
 
     def test_profile_records_eigensystem_conditioning(self, tmp_path):
         run(["verify", "--out", str(tmp_path), "--checks", "polynomial"])
@@ -405,9 +430,8 @@ class TestSigma2Row:
         # at x = -0.213 every 1%-off eigenvalue fails on its own
         p = ModelParams(L=L, gamma=0.7)
         es, hw = diagonalize_sector(p, 2), HighestWeightData(p)
-        for k in range(es.size):
-            off = ExpSum(es.lam(k).ms, 1.01 * es.lam(k).coeffs)
-            assert abs(odes.sigma2_residual([off], -0.213, hw, p)[0]) > tol
+        off = ExpSum(es.lam().ms, 1.01 * es.coeffs)
+        assert np.all(np.abs(odes.sigma2_residual(off, -0.213, hw, p)) > tol)
 
 
 class TestBetheCommand:

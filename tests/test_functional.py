@@ -44,7 +44,7 @@ class TestCoefficients:
         es = diagonalize_sector(p, 1)
         pts = [0.31, -0.42]
         res, scale = fx.linear_relation_residual(
-            pts, [es.lam(0)], es.left[:1], hw, p)
+            pts, es.lam([0]), es.left[:1], hw, p)
         assert abs(res[0]) < 1e-10 * scale[0]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -53,7 +53,7 @@ class TestCoefficients:
         pts = pts_for(n)
         ks = list(range(0, es.size, max(es.size // 3, 1)))
         res, scale = fx.linear_relation_residual(
-            pts, [es.lam(k) for k in ks], es.left[ks], big_hw, big_params)
+            pts, es.lam(ks), es.left[ks], big_hw, big_params)
         assert np.all(np.abs(res) < 1e-10 * scale)
 
     def test_untwisted_specialization(self, hw, params):
@@ -107,15 +107,34 @@ class TestExtendedMatrix:
         with pytest.raises(ValueError):
             fx.extended_matrix((0.3, 0.3 + 1e-9), lambda x: 0.0, hw, params)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stack_equals_row_by_row_swaps(self, l5_params, oracle, n):
+        # the whole sector as one stack and the swapped rows as one row axis,
+        # against one coefficient vector per eigenvalue and swapped point set
+        p, hw = l5_params, HighestWeightData(l5_params)
+        es = oracle.eigensystem(p, n)
+        pts = pts_for(n)
+        M = fx.extended_matrix(pts, es.lam(), hw, p)
+        assert M.shape == (es.size, n + 1, n + 1)
+        for k in range(es.size):
+            rows = []
+            for j in range(n + 1):
+                sw = list(pts)
+                sw[0], sw[j] = sw[j], sw[0]
+                row = fx.coefficients_m(sw, es.lam(k), hw, p)
+                row[[0, j]] = row[[j, 0]]
+                rows.append(row)
+            assert np.array_equal(M[k], rows)
+
 
 class TestCompatibility:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_on_shell_L6(self, big_params, big_hw, oracle, n):
         es = oracle.eigensystem(big_params, n)
         pts = pts_for(n)
-        for k in range(0, es.size, max(es.size // 3, 1)):
-            assert abs(fx.compatibility_residual(
-                pts, es.lam(k), big_hw, big_params)) < 1e-8
+        ks = list(range(0, es.size, max(es.size // 3, 1)))
+        M = fx.extended_matrix(pts, es.lam(ks), big_hw, big_params)
+        assert np.all(np.abs(fx.compatibility_residual(M)) < 1e-8)
 
     def test_small_case_det(self):
         p = ModelParams(L=2, gamma=0.7)
@@ -128,17 +147,18 @@ class TestCompatibility:
 
     def test_rank_is_codimension_one_on_shell(self, params, hw, oracle):
         for n in (1, 2, 3):
-            lam = oracle.eigensystem(params, n).lam(0)
-            assert fx.extended_rank(pts_for(n), lam, hw, params) == n
+            es = oracle.eigensystem(params, n)
+            M = fx.extended_matrix(pts_for(n), es.lam(), hw, params)
+            assert np.all(fx.extended_rank(M) == n)
 
     def test_negative_control_separation(self, params, hw, oracle):
         # the perturbed determinant sits orders of magnitude above on-shell
         for n in (1, 2, 3):
             lam = oracle.eigensystem(params, n).lam(0)
             pts = pts_for(n)
-            on = abs(fx.compatibility_residual(pts, lam, hw, params))
+            on = abs(fx.compatibility_residual(fx.extended_matrix(pts, lam, hw, params)))
             off = abs(fx.compatibility_residual(
-                pts, lambda x: 1.01 * lam(x), hw, params))
+                fx.extended_matrix(pts, lambda x: 1.01 * lam(x), hw, params)))
             assert off > max(1e3 * on, 1e-12)
 
 
@@ -168,6 +188,18 @@ class TestExplicitIdentities:
         x0, x1 = 0.31, -0.42
         r = fx.nonlinear_eq_n1_residual(x0, x1, bad, hw, params)
         d = np.linalg.det(fx.extended_matrix([x0, x1], bad, hw, params))
+        assert abs(r - d) < 1e-12 * abs(d)
+
+    def test_two_point_equals_determinant_complex_gamma_L9(self):
+        # Lambda(-0.42) keeps about 1e-4 of its terms here, so the real
+        # points of the identity and the complex points of the extended
+        # matrix must give Lambda the same rounding for the paths to agree
+        p = ModelParams.from_dict({**generic_model(9, 1), "gamma": "0.7+0.3j"})
+        hw = HighestWeightData(p)
+        lam = diagonalize_sector(p, 1).lam(0)
+        bad = ExpSum(lam.ms, 1.07 * lam.coeffs)
+        r = fx.nonlinear_eq_n1_residual(0.31, -0.42, bad, hw, p)
+        d = np.linalg.det(fx.extended_matrix([0.31, -0.42], bad, hw, p))
         assert abs(r - d) < 1e-12 * abs(d)
 
     def test_negative_controls_exceed_threshold(self, params, hw, oracle):
@@ -287,13 +319,14 @@ class TestComplexParameters:
         hw = HighestWeightData(p)
         es1 = diagonalize_sector(p, 1)
         assert polynomial_residuals([es1])[0].max() < 1e-9
-        assert abs(fx.compatibility_residual([0.31, -0.42], es1.lam(0), hw, p)) < 1e-10
+        M = fx.extended_matrix([0.31, -0.42], es1.lam(0), hw, p)
+        assert abs(fx.compatibility_residual(M)) < 1e-10
         assert abs(odes.riccati_lambda_residual(es1.lam(0), 0.43, hw, p)) < 1e-10
         es2 = diagonalize_sector(p, 2)
         assert polynomial_residuals([es2])[0].max() < 1e-9
-        assert abs(odes.sigma2_residual([es2.lam(0)], 0.63, hw, p)[0]) < 1e-10
+        assert abs(odes.sigma2_residual(es2.lam(0), 0.63, hw, p)) < 1e-10
         res, scale = fx.linear_relation_residual(
-            [0.31, -0.42, 0.55], [es2.lam(1)], es2.left[1:2], hw, p)
+            [0.31, -0.42, 0.55], es2.lam([1]), es2.left[1:2], hw, p)
         assert abs(res[0]) < 1e-10 * scale[0]
 
 
@@ -329,7 +362,7 @@ class TestFullClosure:
             bra = left_vector_from_C(s.roots, params)
             assert np.abs(bra).max() > 1e-12  # non-degenerate Bethe state
             lam = RootEigenvalue(s.roots, params)
-            res, scale = fx.linear_relation_residual(pts, [lam], bra, hw, params)
+            res, scale = fx.linear_relation_residual(pts, lam, bra, hw, params)
             assert abs(res[0]) < 1e-9 * scale[0]
 
 

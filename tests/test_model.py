@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import generic_model
 from sixvertex import model
+from sixvertex.spectrum import diagonalize_sector
 from sixvertex.model import (ExpSum, HighestWeightData, ModelParams,
                              magnetization_diagonal, monodromy_blocks,
                              popcount, r_matrix,
@@ -62,6 +64,13 @@ class TestYangBaxter:
 
     def test_complex_points(self):
         assert verify_ybe(0.3 + 0.2j, -0.7 - 0.1j, 1.1 + 0.05j, 0.8 + 0.3j) < 1e-12
+
+    def test_batch_equals_per_set_calls(self, rng):
+        # 50 point sets and anisotropies as one batched product
+        x = rng.uniform(-1.5, 1.5, (4, 50)) + 1j * rng.uniform(-0.5, 0.5, (4, 50))
+        batched = verify_ybe(*x)
+        assert batched.shape == (50,)
+        assert np.array_equal(batched, [verify_ybe(*s) for s in x.T])
 
     def test_wrong_weights_fail(self, monkeypatch):
         # the residual tests the R-matrix, not its embedding into three slots
@@ -253,6 +262,27 @@ class TestExpSum:
             expect = np.prod(np.sinh(x + offsets))
             assert abs(f(x) - expect) < 1e-12
             assert abs(fx - expect) < 1e-12
+
+    @pytest.mark.parametrize("x", [
+        0.31 - 0.05j, -0.42, np.array([0.43, -0.42]),
+        0.3 + 0.02 * np.exp(2j * np.pi * np.arange(8) / 8),
+        np.array([[0.2, -0.42], [0.9, 0.55j]])],
+        ids=["scalar", "real", "real-array", "circle", "grid"])
+    def test_stack_equals_row_by_row(self, x):
+        # the sector-2 eigenvalues of a generic L=6 point as one stack round
+        # exactly as each row alone, at scalar and at array x, real or complex
+        es = diagonalize_sector(ModelParams.from_dict(generic_model(6, 1)), 2)
+        stack = es.lam()
+        for d in range(3):
+            got = stack(x, d)
+            assert got.shape == (es.size,) + np.shape(x)
+            for k in range(es.size):
+                row = ExpSum(stack.ms, es.coeffs[k])
+                assert np.shape(row(x, d)) == np.shape(x)
+                assert np.array_equal(got[k], row(x, d))
+                at_points = [row(xx, d) for xx in np.ravel(x)]
+                assert np.array_equal(np.ravel(got[k]), at_points)
+                assert np.array_equal(got[k], row(np.asarray(x, dtype=complex), d))
 
 
 class TestHighestWeightData:

@@ -70,7 +70,7 @@ class TestRiccatiLambda:
         from sixvertex.functional import nonlinear_eq_n1_residual
         bad = plus_exp(oracle.fit(params, 1, 1), 0.2)
         x = 0.4
-        (val,), (scale,), _ = odes.coalescing_reduction([bad], x, hw, params, n=1)
+        val, scale, _ = odes.coalescing_reduction(bad, x, hw, params, n=1)
         for eps in (1e-3, 1e-4):
             r = nonlinear_eq_n1_residual(x, x + eps, bad, hw, params)
             assert abs(r - val) < 40 * eps * max(abs(val), 1.0)
@@ -83,14 +83,17 @@ class TestCoalescingReduction:
         p = ModelParams.from_dict(generic_model(6, 1))
         h = HighestWeightData(p)
         es = oracle.eigensystem(p, 2)
-        lams = [es.lam(k) for k in range(es.size)]
-        lams.append(plus_exp(lams[0], 0.1))     # an off-shell row too
+        # the sector's stack with an off-shell row too: a term in exp(x) on row 0
+        off = plus_exp(es.lam(0), 0.1)
+        coeffs = np.vstack([np.append(es.coeffs, np.zeros((es.size, 1)), axis=1),
+                            off.coeffs])
+        lams = ExpSum(off.ms, coeffs)
         for n, x in ((2, 0.63), (1, -0.213)):
             batched = odes.coalescing_reduction(lams, x, h, p, n=n)
-            single = np.array([odes.coalescing_reduction([f], x, h, p, n=n)
-                               for f in lams])[..., 0]       # (evaluator, output)
+            single = np.array([odes.coalescing_reduction(ExpSum(off.ms, c), x, h, p, n=n)
+                               for c in coeffs])       # (eigenvalue, output)
             for got, want in zip(batched, single.T):
-                assert got.shape == (len(lams),)
+                assert got.shape == (len(coeffs),)
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         vals, scales, _ = odes.coalescing_reduction(lams, 0.63, h, p, n=2)
         assert np.array_equal(odes.sigma2_residual(lams, 0.63, h, p), vals / scales)
@@ -98,7 +101,7 @@ class TestCoalescingReduction:
     def test_n1_matches_closed_form(self, params, hw, oracle):
         fit = oracle.fit(params, 1, 1)
         x = 0.43
-        (val,), (scale,), (spur,) = odes.coalescing_reduction([fit], x, hw, params, n=1)
+        val, scale, spur = odes.coalescing_reduction(fit, x, hw, params, n=1)
         lp = hw.lam_plus(x)
         j0 = ((np.cosh(params.gamma) * lp) ** 2
               - (params.c * hw.lam_minus(x)) ** 2
@@ -112,10 +115,10 @@ class TestCoalescingReduction:
 
     def test_direction_independence(self, params, hw, oracle):
         bad = plus_exp(oracle.fit(params, 2, 1), 0.1)
-        (v1,), _, _ = odes.coalescing_reduction([bad], 0.5, hw, params, n=2,
-                                                 ts=(0.0, 1.0, -1.0))
-        (v2,), _, _ = odes.coalescing_reduction([bad], 0.5, hw, params, n=2,
-                                                 ts=(0.0, 0.6, -1.3))
+        v1, _, _ = odes.coalescing_reduction(bad, 0.5, hw, params, n=2,
+                                             ts=(0.0, 1.0, -1.0))
+        v2, _, _ = odes.coalescing_reduction(bad, 0.5, hw, params, n=2,
+                                             ts=(0.0, 0.6, -1.3))
         assert abs(v1 - v2) < 1e-8 * abs(v1)
 
     def test_higher_lambda_derivatives_do_not_enter(self, params, hw, oracle):
@@ -126,7 +129,7 @@ class TestCoalescingReduction:
                 raise AssertionError("order above 2 requested")
             return fit(x, d)
 
-        (val,), (scale,), _ = odes.coalescing_reduction([padded], 0.63, hw, params, n=2)
+        val, scale, _ = odes.coalescing_reduction(padded, 0.63, hw, params, n=2)
         assert abs(val) < 1e-12 * scale
 
 
@@ -171,13 +174,13 @@ class TestCoalescingOracle:
         p, h = (params, hw) if point == "reference" else (generic_params, generic_hw)
         bad = plus_exp(oracle.fit(p, 2, 1), 0.1)
         for x in (0.63, -0.35):
-            (val,), (scale,), _ = odes.coalescing_reduction([bad], x, h, p, n=2)
+            val, scale, _ = odes.coalescing_reduction(bad, x, h, p, n=2)
             assert abs(val - det_near_coalescence(bad, x, p)) <= 1e-13 * scale
 
     @pytest.mark.parametrize("n", [0, 3])
     def test_orders_other_than_one_two_rejected(self, n, params, hw, oracle):
         with pytest.raises(ValueError, match="n in"):
-            odes.coalescing_reduction([oracle.fit(params, 2, 0)], 0.5, hw, params, n=n)
+            odes.coalescing_reduction(oracle.fit(params, 2, 0), 0.5, hw, params, n=n)
 
 
 class TestSigma2:
@@ -185,24 +188,24 @@ class TestSigma2:
         for k in range(6):
             fit = oracle.fit(params, 2, k)
             for x in (0.63, -0.35):
-                assert abs(odes.sigma2_residual([fit], x, hw, params)[0]) < 1e-6
+                assert abs(odes.sigma2_residual(fit, x, hw, params)) < 1e-6
 
     def test_generic_parameters(self, generic_params, generic_hw, oracle):
         for k in (0, 3):
             fit = oracle.fit(generic_params, 2, k)
             assert abs(odes.sigma2_residual(
-                [fit], 0.63, generic_hw, generic_params)[0]) < 1e-6
+                fit, 0.63, generic_hw, generic_params)) < 1e-6
 
     def test_closed_form_family(self, generic_params, generic_hw):
         # arbitrary two-root closed form solves the identity exactly
         ev = RootEigenvalue([0.37 + 0.41j, -0.52 + 0.18j], generic_params)
         for x in (0.3, 0.9):
             assert abs(odes.sigma2_residual(
-                [ev], x, generic_hw, generic_params)[0]) < 1e-10
+                ev, x, generic_hw, generic_params)) < 1e-10
 
     def test_sector1_eigenvalue_rejected(self, params, hw, oracle):
         fit = oracle.fit(params, 1, 0)
-        assert abs(odes.sigma2_residual([fit], 0.63, hw, params)[0]) > 1e-3
+        assert abs(odes.sigma2_residual(fit, 0.63, hw, params)) > 1e-3
 
 
 class TestRiccati2:
@@ -226,7 +229,7 @@ class TestRiccati2:
     def test_consistency_with_sigma2(self, params, hw, oracle):
         # both sector-2 identities hold simultaneously for the same fit
         fit = oracle.fit(params, 2, 4)
-        assert abs(odes.sigma2_residual([fit], 0.43, hw, params)[0]) < 1e-6
+        assert abs(odes.sigma2_residual(fit, 0.43, hw, params)) < 1e-6
         assert abs(odes.riccati2_residual(fit, 0.43, params)) < 1e-6
 
 
@@ -370,10 +373,10 @@ class TestRootOfUnity:
 
     def test_sector_phases(self, params, oracle):
         systems = [oracle.eigensystem(params, n) for n in range(params.L + 1)]
-        devs = odes.omega0_sector_deviations(
-            params, {es.n: [es.lam(k) for k in range(es.size)] for es in systems})
+        devs = odes.omega0_sector_deviations(params, {es.n: es.lam() for es in systems})
         assert sorted(devs) == list(range(params.L + 1))
-        assert max(max(v) for v in devs.values()) < 1e-9
+        assert [len(v) for v in devs.values()] == [es.size for es in systems]
+        assert max(v.max() for v in devs.values()) < 1e-9
 
     def test_gated_to_reference_point(self, generic_params):
         with pytest.raises(ValueError):
