@@ -24,7 +24,7 @@ from .model import (ExpSum, HighestWeightData, monodromy_blocks,
                     yba_exchange_residual)
 from .reports import (ConfigError, ResultCache, RunConfig, VerificationReport,
                       atomic_write_text, write_csv, write_svg_line)
-from .spectrum import (DegenerateSpectrum, diagonalize_blocks,
+from .spectrum import (DegenerateSpectrum, complex_pairs, diagonalize_blocks,
                        polynomial_residuals, polynomiality_check, sample_sectors)
 
 EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_DEGENERATE = 0, 1, 2, 3
@@ -328,15 +328,15 @@ def check_transport(ctx):
         es = ctx.eigensystem(n)
         lam = ctx.lam(n, 0)
         pts = _sample_points(ctx, n + 1)
+        mext = fx.extended_matrix(pts, lam, ctx.hw, ctx.params)  # shared by both rows
         loop = abs(fx.transport_loop(list(range(min(n + 1, 4))), pts, lam,
-                                     ctx.hw, ctx.params) - 1)
+                                     ctx.hw, ctx.params, mext) - 1)
         out.append(_report("transport", f"loop composition = 1 (n={n})", loop,
                            ctx.tol("transport_loop"), t0, n=n))
         # factorization: transport ratio against directly computed F ratios
         t0 = time.perf_counter()
         F = fx.f_n([pts[:i] + pts[i + 1:] for i in range(3)], es.left[0],
                    ctx.params)[0]
-        mext = fx.extended_matrix(pts, lam, ctx.hw, ctx.params)
         worst = 0.0
         for (i, j) in [(0, 1), (1, 2), (0, 2)]:
             tv = fx.transport(i, j, pts, lam, ctx.hw, ctx.params, mext)
@@ -677,17 +677,13 @@ def cmd_spectrum(args):
     # exact coefficients, and their residual against direct builds of T(x)
     rows = []
     for es, residuals in zip(systems, polynomial_residuals(systems)):
-        n = es.n
+        n, residuals = es.n, residuals.tolist()
         rec = es.to_record(np.linspace(0.25, 1.15, 7))
-        rec["fits"] = [{"degree": cfg.model.L,
-                        "residual": float(r),
-                        "coefficients": [[z.real, z.imag] for z in c]}
-                       for r, c in zip(residuals, es.coeffs)]
-        atomic_write_text(out / f"spectrum-n{n}.json",
-                          json.dumps(rec, indent=2, sort_keys=True))
-        for k in range(es.size):
-            rows.append((n, k, es.eigs[k].real, es.eigs[k].imag,
-                         float(residuals[k])))
+        rec["fits"] = [{"degree": cfg.model.L, "residual": r, "coefficients": c}
+                       for r, c in zip(residuals, complex_pairs(es.coeffs))]
+        atomic_write_text(out / f"spectrum-n{n}.json", json.dumps(rec, sort_keys=True))
+        for k, ((re, im), r) in enumerate(zip(rec["eigenvalues_at_x_star"], residuals)):
+            rows.append((n, k, re, im, r))
     write_csv(out / "spectrum.csv",
               ["sector", "k", "re_eig_at_xstar", "im_eig_at_xstar", "fit_residual"],
               rows)

@@ -285,9 +285,10 @@ def transport(i, j, pts, lam, hw, params, mext=None):
     return dj / di
 
 
-def transport_loop(indices, pts, lam, hw, params):
+def transport_loop(indices, pts, lam, hw, params, mext=None):
     """Product of transport ratios around a closed index sequence."""
-    mext = extended_matrix(pts, lam, hw, params)
+    if mext is None:
+        mext = extended_matrix(pts, lam, hw, params)
     total = 1.0 + 0j
     for a, b in zip(indices, indices[1:] + indices[:1]):
         total *= transport(a, b, pts, lam, hw, params, mext)

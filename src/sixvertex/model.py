@@ -265,11 +265,18 @@ def sector_indices(L: int, n: int):
     return _sector_arrays(L)[n]
 
 
+@lru_cache(maxsize=None)
+def _block_index(L, n_row, n_col):
+    rows, cols = np.ix_(sector_indices(L, n_row), sector_indices(L, n_col))
+    rows.flags.writeable = cols.flags.writeable = False   # shared by every caller
+    return rows, cols
+
+
 def sector_block(M, L: int, n_row: int, n_col: int):
     """Block of a chain operator M from sector n_col (columns) into sector
     n_row (rows): A, D and T(x) are nonzero only on (n, n), B on (n + 1, n),
     C on (n - 1, n)."""
-    return M[np.ix_(sector_indices(L, n_row), sector_indices(L, n_col))]
+    return M[_block_index(L, n_row, n_col)]
 
 
 def magnetization_diagonal(L: int):

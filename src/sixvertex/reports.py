@@ -200,6 +200,8 @@ def write_csv(path, header, rows):
 
 
 def _csv_cell(v):
+    if isinstance(v, np.generic):   # repr of a numpy scalar is np.float64(...)
+        v = v.item()
     if isinstance(v, float):
         return repr(v)
     if isinstance(v, complex):

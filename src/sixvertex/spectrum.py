@@ -97,17 +97,25 @@ class EigenSystem:
         return float(np.abs(G - np.eye(self.size)).max())
 
     def to_record(self, sample_xs=()):
+        """JSON-ready record: complex numbers as [re, im] pairs of plain
+        Python floats, one `tolist` per array."""
         rec = {
             "sector": self.n,
             "dimension": self.size,
             "x_star": [self.x_star.real, self.x_star.imag],
-            "eigenvalues_at_x_star": [[z.real, z.imag] for z in self.eigs],
+            "eigenvalues_at_x_star": complex_pairs(self.eigs),
         }
         if len(sample_xs):
             samples = np.array([self.eigenvalues_at(x) for x in sample_xs])
             rec["sample_x"] = [[complex(x).real, complex(x).imag] for x in sample_xs]
-            rec["samples"] = [[[z.real, z.imag] for z in row] for row in samples.T]
+            rec["samples"] = complex_pairs(samples.T)
         return rec
+
+
+def complex_pairs(z):
+    """Nested lists of [re, im] Python floats for a complex array, in one
+    `tolist` call."""
+    return np.stack([z.real, z.imag], -1).tolist()
 
 
 def _relative_gap(w):

@@ -11,8 +11,8 @@ import pytest
 from conftest import generic_model
 from sixvertex import cli, odes
 from sixvertex.model import ExpSum, HighestWeightData, ModelParams
-from sixvertex.reports import (ConfigError, RunConfig, VerificationReport,
-                               write_svg_line)
+from sixvertex.reports import (ConfigError, ResultCache, RunConfig,
+                               VerificationReport, write_csv, write_svg_line)
 from sixvertex.spectrum import DegenerateSpectrum, diagonalize_sector
 
 
@@ -83,6 +83,49 @@ class TestSpectrumCommand:
         lam = complex(*rec["eigenvalues_at_x_star"][0])
         expect = 1.2 * np.sinh(x + 0.7) + 0.9 * np.sinh(x)
         assert abs(lam - expect) < 1e-12
+
+    def test_records_are_the_eigensystems_exactly(self, tmp_path):
+        # generic L=5: every number of a file equals the eigensystem's own
+        # array element (==, not allclose), read back from the run's cache
+        config = {"model": generic_model(5, 1)}
+        cfg = RunConfig.from_dict(config)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run(["spectrum", "--config", str(cfgfile), "--out", str(out)]) == 0
+        cache = ResultCache(out / ".cache")
+
+        def pairs(z):
+            return [[complex(v).real, complex(v).imag] for v in z]
+        for n in range(6):
+            text = (out / f"spectrum-n{n}.json").read_text()
+            assert "\n" not in text                         # compact, one line
+            rec = json.loads(text)
+            assert list(rec) == sorted(rec)
+            es = cache.load_sector(cfg.content_key(), n, cfg.model)
+            assert rec["eigenvalues_at_x_star"] == pairs(es.eigs)
+            xs = [complex(*x) for x in rec["sample_x"]]
+            assert rec["samples"] == [pairs(row) for row in
+                                      np.array([es.eigenvalues_at(x) for x in xs]).T]
+            assert [f["coefficients"] for f in rec["fits"]] == [pairs(c) for c in es.coeffs]
+
+    def test_csv_cells_are_numbers(self, tmp_path):
+        # no cell reads np.float64(...); the eigenvalue columns equal the JSON
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"model": generic_model(5, 2)}))
+        assert run(["spectrum", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+        header, *rows = [line.split(",") for line in
+                         (tmp_path / "spectrum.csv").read_text().splitlines()]
+        assert header == ["sector", "k", "re_eig_at_xstar", "im_eig_at_xstar",
+                          "fit_residual"]
+        assert len(rows) == 2 ** 5
+        for row in rows:
+            assert len(row) == 5
+            n, k = int(row[0]), int(row[1])
+            cells = [float(c) for c in row[2:]]
+            rec = json.loads((tmp_path / f"spectrum-n{n}.json").read_text())
+            assert cells[:2] == rec["eigenvalues_at_x_star"][k]
+            assert cells[2] == rec["fits"][k]["residual"]
 
     def test_malformed_config_exits_2_without_output(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -214,6 +257,21 @@ class TestVerifyCommand:
         assert run(["verify", "--config", str(cfg), "--out", str(tmp_path / "out"),
                     "--checks", "compatibility"]) == 0
         assert calls == {"extended_matrix": 3}
+
+    def test_transport_builds_one_matrix_per_sector(self, tmp_path, monkeypatch):
+        # reference L=6: the loop row and the factorization row of a sector
+        # share one extended matrix
+        calls = {}
+        self.counter(monkeypatch, calls)(cli.fx, "extended_matrix")
+        cfg = tmp_path / "l6.json"
+        cfg.write_text(json.dumps({"model": {"L": 6, "gamma": 0.7}}))
+        out = tmp_path / "out"
+        assert run(["verify", "--config", str(cfg), "--out", str(out),
+                    "--checks", "transport"]) == 0
+        rows = [json.loads(l) for l in (out / "reports.jsonl").read_text().splitlines()]
+        sectors = {r["details"]["n"] for r in rows}
+        assert sectors == {2, 3} and len(rows) == 4
+        assert calls == {"extended_matrix": len(sectors)}
 
     def test_profile_records_eigensystem_conditioning(self, tmp_path):
         run(["verify", "--out", str(tmp_path), "--checks", "polynomial"])
@@ -528,6 +586,13 @@ class TestPotentialCommand:
 
     def test_bad_omega_is_config_error(self, tmp_path):
         assert run(["potential", "--omega0", "zz", "--out", str(tmp_path)]) == 2
+
+
+def test_csv_writes_numpy_scalars_as_numbers(tmp_path):
+    # numpy 2 reprs a scalar as np.float64(...); cells hold the plain number
+    write_csv(tmp_path / "t.csv", ["a", "b", "c", "d"],
+              [(np.int64(3), np.float64(0.1), np.complex128(1.5 - 0.25j), 0.1)])
+    assert (tmp_path / "t.csv").read_text() == "a,b,c,d\n3,0.1,1.5-0.25j,0.1\n"
 
 
 class TestSvgWriter:

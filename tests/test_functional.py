@@ -243,6 +243,11 @@ class TestTransport:
         pts = pts_for(3)
         assert abs(fx.transport_loop([1, 2, 3], pts, lam, hw, params) - 1) < 1e-10
         assert abs(fx.transport_loop([0, 1, 2, 3], pts, lam, hw, params) - 1) < 1e-9
+        # a caller's extended matrix gives the same product, to the bit
+        mext = fx.extended_matrix(pts, lam, hw, params)
+        for loop in ([1, 2, 3], [0, 1, 2, 3]):
+            assert (fx.transport_loop(loop, pts, lam, hw, params, mext)
+                    == fx.transport_loop(loop, pts, lam, hw, params))
 
     def test_ratio_property_against_f(self, params, hw, oracle):
         es = oracle.eigensystem(params, 2)

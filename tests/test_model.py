@@ -8,7 +8,7 @@ from sixvertex import model
 from sixvertex.spectrum import diagonalize_sector
 from sixvertex.model import (ExpSum, HighestWeightData, ModelParams,
                              magnetization_diagonal, monodromy_blocks,
-                             popcount, r_matrix,
+                             popcount, r_matrix, sector_block,
                              sector_indices, transfer, verify_ybe,
                              yba_exchange_residual)
 
@@ -338,3 +338,20 @@ def test_sector_indices_partition():
     assert all_idx == list(range(2 ** L))
     assert len(sector_indices(L, 2)) == 10
     assert all(popcount(s) == 2 for s in sector_indices(L, 2))
+
+
+def test_sector_block_equals_fresh_fancy_index():
+    # the cached, read-only index pair slices exactly what a fresh np.ix_ does
+    L = 5
+    M = np.arange(4 ** L, dtype=float).reshape(2 ** L, 2 ** L) * (1 + 0.5j)
+    for n_row, n_col in [(2, 2), (3, 2), (1, 2), (0, 0), (5, 4)]:
+        rows = np.flatnonzero([popcount(s) == n_row for s in range(2 ** L)])
+        cols = np.flatnonzero([popcount(s) == n_col for s in range(2 ** L)])
+        got = sector_block(M, L, n_row, n_col)
+        assert np.array_equal(got, M[np.ix_(rows, cols)])
+        got[...] = 0                                     # a copy, not a view
+        assert np.array_equal(sector_block(M, L, n_row, n_col), M[np.ix_(rows, cols)])
+    for idx in model._block_index(L, 2, 3):
+        assert not idx.flags.writeable
+    with pytest.raises(ValueError):
+        sector_block(M, L, 6, 0)

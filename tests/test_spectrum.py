@@ -118,6 +118,26 @@ class TestDiagonalizeSector:
             diagonalize_sector(params, 7)
 
 
+def test_record_holds_plain_python_values(generic_params):
+    # numbers reach json.dumps as Python floats and ints, not numpy scalars
+    es = diagonalize_sector(generic_params, 2)
+
+    def walk(v):
+        if isinstance(v, dict):
+            assert all(isinstance(k, str) for k in v)
+            for w in v.values():
+                yield from walk(w)
+        elif isinstance(v, list):
+            for w in v:
+                yield from walk(w)
+        else:
+            yield v
+    rec = es.to_record(np.linspace(0.25, 1.15, 7))
+    assert {type(v) for v in walk(rec)} <= {str, int, float}
+    assert np.array(rec["eigenvalues_at_x_star"]).shape == (es.size, 2)
+    assert np.array(rec["samples"]).shape == (es.size, 7, 2)
+
+
 class TestPolynomiality:
     def test_all_reference_eigenvalues(self, params, oracle):
         # exact sums against the direct bilinear form at fresh points, and
