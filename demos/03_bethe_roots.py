@@ -21,7 +21,8 @@ params = ModelParams(L=4, gamma=0.7)
 for n in (1, 2, 3):
     es = diagonalize_sector(params, n)
     sols = solve_bae(es)
-    print(f"sector n={n}: {len(sols)} root sets, {conditioning(sols, es)}")
+    # Newton counts a set converged at a relative residual <= 1e-12
+    print(f"sector n={n}: {len(sols)} root sets, {conditioning(sols, es, 1e-12)}")
     for s in sols:
         tag = "  (singular pair)" if s.singular else ""
         print(f"   {np.round(np.asarray(s.roots), 6)}   "

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,8 +67,11 @@ class BetheRoots:
     residual is the relative residue-form residual (absolute for singular
     solutions, whose natural scale is zero).  An entry (i, j, delta) of pairs
     carries root j as roots[i] - gamma + delta, delta exact; no root is in
-    two pairs.  tq_gap is
-    sigma_{n-1} / sigma_0 of the TQ system the set came from.
+    two pairs.  tq_gap is sigma_{n-1} / sigma_0 of the TQ system the set
+    came from.  newton_residual is the best relative residual the Newton
+    polish of `solve_bae` reached on the rows outside a held pair (NaN for
+    other sets); it tells how the set was found, not which set it is, and
+    is left out of comparisons.
     """
 
     n: int
@@ -78,6 +81,7 @@ class BetheRoots:
     singular: bool = False
     pairs: tuple = ()
     tq_gap: float = float("nan")
+    newton_residual: float = field(default=float("nan"), compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "roots", tuple(complex(w) for w in self.roots))
@@ -129,26 +133,25 @@ def _terms(z, params: ModelParams, partner=None):
     #   D side  sinh(w_i - mu_k),      a(w_i - w_j)
     # A vacuum argument (w_i + g) - mu_k, or (w_p - mu_k) + z_i if tied to p
     va = np.where(tied[..., None], vac + z[..., None], (z + g)[..., None] - mu)
-    args_a = np.concatenate([va, np.swapaxes(P, -1, -2)], -1)
-    args_d = np.concatenate([vac + np.where(tied, z - g, 0)[..., None], P], -1)
+    args = np.stack([                                   # A side, D side
+        np.concatenate([va, np.swapaxes(P, -1, -2)], -1),
+        np.concatenate([vac + np.where(tied, z - g, 0)[..., None], P], -1)])
     diag = np.concatenate([np.zeros((n, L), dtype=bool), eye], -1)
-    fa = np.where(diag, 1, np.sinh(args_a))
-    fd = np.where(diag, 1, np.sinh(args_d))
-    ca = np.where(diag, 0, np.cosh(args_a))
-    cd = np.where(diag, 0, np.cosh(args_d))
+    f = np.where(diag, 1, np.sinh(args))
     pa, pd = params.phi1, (-1) ** (n + 1) * params.phi2
-    ta = pa * np.prod(fa, axis=-1)
-    td = pd * np.prod(fd, axis=-1)
-    ga = _leave_one_out(fa) * ca                           # d/d(argument)
-    gd = _leave_one_out(fd) * cd
+    prods = np.prod(f, axis=-1)
+    ta, td = pa * prods[0], pd * prods[1]
+    gf = _leave_one_out(f) * np.where(diag, 0, np.cosh(args))   # d/d(argument)
     # a vacuum factor of row i moves with w_i alone; a pair factor with
     # argument +-(w_j - w_i) moves with both; w_l moves with z_l and, if
     # tied, with z of its partner
-    own_a = ga[..., :L].sum(-1) - ga[..., L:].sum(-1)
-    own_d = gd[..., :L].sum(-1) + gd[..., L:].sum(-1)
-    dta = pa * (ga[..., L:] + own_a[..., None] * eye)
-    dtd = pd * (own_d[..., None] * eye - gd[..., L:])
-    return ta, td, dta @ (eye | link), dtd @ (eye | link)
+    vac_sum, pair_sum = gf[..., :L].sum(-1), gf[..., L:].sum(-1)
+    own_a = vac_sum[0] - pair_sum[0]
+    own_d = vac_sum[1] + pair_sum[1]
+    dta = pa * (gf[0, ..., L:] + own_a[..., None] * eye)
+    dtd = pd * (own_d[..., None] * eye - gf[1, ..., L:])
+    move = eye | link
+    return ta, td, dta @ move, dtd @ move
 
 
 def _relative(ta, td):
@@ -187,12 +190,14 @@ def solution_residual(sol: BetheRoots, params: ModelParams):
 
 
 def canonical_roots(roots):
-    """Reduce each root to the strip Im in (-pi/2, pi/2] and sort."""
+    """Reduce each root to the strip Im in (-pi/2, pi/2] and sort each root
+    set (the last axis of a stack) by its (real, imag) parts rounded to 9
+    digits."""
     w = np.asarray(roots, dtype=complex)
     w = w - 1j * np.pi * np.round(w.imag / np.pi)
     w = np.where(w.imag <= -np.pi / 2 + 1e-12, w + 1j * np.pi, w)
-    order = np.lexsort((w.imag.round(9), w.real.round(9)))
-    return tuple(w[order])
+    order = np.lexsort((w.imag.round(9), w.real.round(9)), axis=-1)
+    return np.take_along_axis(w, order, -1)
 
 
 def _newton_steps(J, F):
@@ -213,37 +218,39 @@ def _newton_steps(J, F):
 def _newton(z, params, partner=None, held=None):
     """_MAX_ITER undamped Newton steps on root sets of shape (S, n) in
     `_terms` coordinates; returns each set's best iterate by relative
-    residual, or None if it never had a finite one (far out, the residue form
-    overflows).  Roots flagged in `held` (S, n) stay fixed, and their rows
-    are left out of the residual and of the Jacobian."""
+    residual and that residual, or the starting set and inf if it never had
+    a finite one (far out, the residue form overflows).  Roots flagged in
+    `held` (S, n) stay fixed, and their rows are left out of the residual and
+    of the Jacobian."""
     z = np.array(z, dtype=complex)
     held = np.zeros(z.shape, dtype=bool) if held is None else held
     keep = held[..., :, None] | held[..., None, :]
     eye = np.eye(z.shape[-1])
-    best, best_rel = [None] * len(z), np.full(len(z), np.inf)
+    best, best_rel = z.copy(), np.full(len(z), np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(_MAX_ITER + 1):
             ta, td, dta, dtd = _terms(z, params, partner)
             rel = _relative(np.where(held, 1, ta), np.where(held, 1, td))
-            for k in np.flatnonzero(rel < best_rel):
-                best[k], best_rel[k] = z[k].copy(), rel[k]
+            better = rel < best_rel
+            best[better], best_rel[better] = z[better], rel[better]
             if it < _MAX_ITER:
                 z = z + _newton_steps(np.where(keep, eye, dta - dtd),
                                       np.where(held, 0, ta - td))
-    return best
+    return best, best_rel
 
 
-def _tq_null_vectors(es):
-    """Singular values and null vector of each eigenpair's TQ system, the
-    latter holding u^{n/2} Q(x) in ascending powers of u."""
+def _tq_null_vectors(es, k=slice(None)):
+    """Singular values and null vector of the TQ system of each eigenpair k
+    (all by default), the latter holding u^{n/2} Q(x) in ascending powers
+    of u."""
     p, n, L = es.params, es.n, es.params.L
     a = ExpSum.sinh_product([p.gamma - m for m in p.mu]).coeffs
     d = ExpSum.sinh_product([-m for m in p.mu]).coeffs
     # Q(x -+ g) scales q_m by exp(-+(2m - n) g): column m of
     # Lambda Q - phi1 lam_a Q(x - g) - phi2 lam_d Q(x + g) is u^m cols[m]
     f = np.exp((2 * np.arange(n + 1) - n) * p.gamma)[:, None]
-    cols = es.coeffs[:, None, :] - p.phi1 * a / f - p.phi2 * d * f
-    M = np.zeros((es.size, L + n + 1, n + 1), dtype=complex)
+    cols = es.coeffs[k, None, :] - p.phi1 * a / f - p.phi2 * d * f
+    M = np.zeros((len(cols), L + n + 1, n + 1), dtype=complex)
     for m in range(n + 1):
         M[:, m:m + L + 1, m] = cols[:, m]
     _, s, vh = np.linalg.svd(M)
@@ -251,42 +258,63 @@ def _tq_null_vectors(es):
 
 
 def _has_degree_n_q(s, q):
-    """Whether TQ singular values s and null vector q give a degree-n Q: a
-    one-dimensional null space and no root of Q at u = 0 or infinity."""
-    ends = min(abs(q[0]), abs(q[-1]))
-    return s[-1] <= _NULL_TOL * s[0] and ends > _NULL_TOL * np.abs(q).max()
+    """Whether each eigenpair's TQ singular values s (K, n+1) and null vector
+    q (K, n+1) give a degree-n Q: a one-dimensional null space and no root
+    of Q at u = 0 or infinity."""
+    ends = np.minimum(np.abs(q[:, 0]), np.abs(q[:, -1]))
+    return (s[:, -1] <= _NULL_TOL * s[:, 0]) & (ends > _NULL_TOL * np.abs(q).max(-1))
 
 
-def no_degree_n_q(es):
-    """Indices of the eigenvalues of `es` (sector n >= 1) that have no
+def no_degree_n_q(es, ks):
+    """Those of the eigenvalues ks of `es` (sector n >= 1) that have no
     degree-n Q, and so no root set."""
-    return [k for k, (s, q) in enumerate(zip(*_tq_null_vectors(es)))
-            if not _has_degree_n_q(s, q)]
+    ks = np.asarray(ks, dtype=int)
+    if not len(ks):
+        return []
+    return ks[~_has_degree_n_q(*_tq_null_vectors(es, ks))].tolist()
+
+
+def _q_roots(q):
+    """Canonical roots w = log(u)/2 of each Q from its coefficients q (S, n+1)
+    in ascending powers of u, both ends nonzero: the eigenvalues of one stack
+    of companion matrices, built as `np.roots` builds its one."""
+    S, n = q.shape[0], q.shape[1] - 1
+    comp = np.zeros((S, n, n), dtype=complex)
+    comp[:, 1:, :-1] = np.eye(n - 1)
+    comp[:, 0] = -q[:, -2::-1] / q[:, -1:]
+    return canonical_roots(np.log(np.linalg.eigvals(comp)) / 2)
 
 
 def _snap_singular(w, params: ModelParams):
-    """Snap each exact singular pair {mu_k, mu_k - gamma} of w in place;
-    returns the mask of snapped roots."""
-    held = np.zeros(len(w), dtype=bool)
+    """Snap each exact singular pair {mu_k, mu_k - gamma} of the root sets w
+    (S, n) in place, the first root near each end; returns the mask of
+    snapped roots."""
+    held = np.zeros(w.shape, dtype=bool)
     for m in params.mu:
-        i = np.flatnonzero(np.abs(np.sinh(w - m)) < _NULL_TOL)
-        j = np.flatnonzero(np.abs(np.sinh(w + params.gamma - m)) < _NULL_TOL)
-        if len(i) and len(j):
-            w[i[0]], w[j[0]] = m, m - params.gamma
-            held[[i[0], j[0]]] = True
+        at = np.abs(np.sinh(w - m)) < _NULL_TOL
+        below = np.abs(np.sinh(w + params.gamma - m)) < _NULL_TOL
+        r = np.flatnonzero(at.any(-1) & below.any(-1))
+        i, j = at[r].argmax(-1), below[r].argmax(-1)
+        w[r, i], w[r, j] = m, m - params.gamma
+        held[r, i] = held[r, j] = True
     return held
 
 
-def _tie_pairs(w, gamma):
-    """`_terms` coordinates of a root set: root j is tied to root i when
-    |sinh(w_j + gamma - w_i)| < _PAIR_TOL and neither is in a pair yet."""
-    z, partner, paired = w.copy(), np.arange(len(w)), set()
-    for i, j in itertools.permutations(range(len(w)), 2):
-        d = w[j] + gamma - w[i]
-        d -= 1j * np.pi * np.round(d.imag / np.pi)
-        if not paired & {i, j} and abs(np.sinh(d)) < _PAIR_TOL:
-            z[j], partner[j] = d, i
-            paired |= {i, j}
+def _tie_pairs(w, gamma, free):
+    """`_terms` coordinates of the root sets w (S, n): in a set with free[s],
+    root j is tied to root i when |sinh(w_j + gamma - w_i)| < _PAIR_TOL and
+    neither is in a pair yet, the pairs (i, j) taken in lexicographic
+    order."""
+    n = w.shape[-1]
+    d = w[:, None, :] + gamma - w[:, :, None]           # d[s, i, j]
+    d = d - 1j * np.pi * np.round(d.imag / np.pi)
+    close = (np.abs(np.sinh(d)) < _PAIR_TOL) & free[:, None, None]
+    z, partner = w.copy(), np.tile(np.arange(n), (len(w), 1))
+    paired = np.zeros(w.shape, dtype=bool)
+    for i, j in itertools.permutations(range(n), 2):
+        r = np.flatnonzero(close[:, i, j] & ~paired[:, i] & ~paired[:, j])
+        z[r, j], partner[r, j] = d[r, i, j], i
+        paired[r, i] = paired[r, j] = True
     return z, partner
 
 
@@ -297,32 +325,34 @@ def solve_bae(es):
     null-space gap.  A set holding a singular pair is snapped to it and
     flagged.  Newton on the residue form then polishes every set: the roots
     outside a snapped pair, with the pair held, and a regular set with a
-    near-singular pair tied as (w_i, delta) (see `_terms`)."""
+    near-singular pair tied as (w_i, delta) (see `_terms`).  Every step runs
+    on the stack of the sector's sets."""
     p, n = es.params, es.n
     if n == 0:
         return [BetheRoots(n=0, roots=(), residual=0.0)]
-    sets = []
-    for s, q in zip(*_tq_null_vectors(es)):
-        if not _has_degree_n_q(s, q):
-            continue
-        w = np.array(canonical_roots(np.log(np.roots(q[::-1])) / 2))
-        held = _snap_singular(w, p)
-        z, partner = (w, np.arange(n)) if held.any() else _tie_pairs(w, p.gamma)
-        sets.append((z, partner, held, s[-2] / s[0]))
-    found = []
-    if sets:
-        z0, partner, held, gaps = (np.array(c) for c in zip(*sets))
-        for z, z0k, pk, hk, gap in zip(_newton(z0, p, partner, held), z0,
-                                       partner, held, gaps):
-            z = z0k if z is None else z
-            tied = pk != np.arange(n)
-            w = np.where(tied, z[pk] - p.gamma + z, z)
-            singular = bool(hk.any())
-            found.append(BetheRoots(
-                n, w, 0.0, "analytic" if singular else "solved", singular,
-                tq_gap=float(gap),
-                pairs=[(pk[j], j, z[j]) for j in np.flatnonzero(tied)]))
-    found = [replace(s, residual=solution_residual(s, p)) for s in found]
+    s, q = _tq_null_vectors(es)
+    k = np.flatnonzero(_has_degree_n_q(s, q))
+    if not len(k):
+        return []
+    w = _q_roots(q[k])
+    held = _snap_singular(w, p)
+    singular = held.any(-1)
+    z, partner = _tie_pairs(w, p.gamma, ~singular)
+    z, rel = _newton(z, p, partner, held)
+    tied = partner != np.arange(n)
+    w = np.where(tied, np.take_along_axis(z, partner, -1) - p.gamma + z, z)
+    # a regular set's residual is Newton's best; a singular set's is the
+    # absolute residual of all its rows
+    residual = rel.copy()
+    if singular.any():
+        ta, td, _, _ = _terms(w[singular], p)
+        residual[singular] = np.abs(ta - td).max(-1)
+    gaps = s[k, -2] / s[k, 0]
+    found = [BetheRoots(
+        n, w[r], float(residual[r]), "analytic" if singular[r] else "solved",
+        bool(singular[r]), tq_gap=float(gaps[r]), newton_residual=float(rel[r]),
+        pairs=[(partner[r, j], j, z[r, j]) for j in np.flatnonzero(tied[r])])
+        for r in range(len(k))]
     return sorted(found, key=_solution_order)
 
 
@@ -334,18 +364,26 @@ def _solution_order(sol: BetheRoots):
     return sol.singular, tuple(zip(w.real.round(9), w.imag.round(9)))
 
 
-def conditioning(solutions, es):
+def conditioning(solutions, es, tol):
     """Class counts of `solve_bae(es)`, the smallest pair factor
-    |sinh(w_j + gamma - w_i)| of a regular set (None for n < 2) and the
-    smallest TQ null-space gap."""
+    |sinh(w_j + gamma - w_i)| of a regular set (None for n < 2), the
+    smallest TQ null-space gap, and how Newton left the sets: best relative
+    residual at most `tol` (converged), finite above it, or never finite
+    (overflowed)."""
     regular = [s for s in solutions if not s.singular]
-    factors = [abs(np.sinh(wj + es.params.gamma - wi)) for s in regular
-               for wi, wj in itertools.permutations(s.roots, 2)]
+    w = np.array([s.roots for s in regular], dtype=complex).reshape(
+        len(regular), es.n)
+    factors = np.abs(np.sinh(w[:, None, :] + es.params.gamma - w[:, :, None]))
+    factors = factors[:, ~np.eye(es.n, dtype=bool)]
+    rel = np.array([s.newton_residual for s in solutions])
     return {"regular": len(regular),
             "singular": len(solutions) - len(regular),
             "no_degree_n_q": es.size - len(solutions),
-            "min_pair_factor": float(min(factors)) if factors else None,
-            "min_tq_gap": min((s.tq_gap for s in solutions), default=None)}
+            "min_pair_factor": float(factors.min()) if factors.size else None,
+            "min_tq_gap": min((s.tq_gap for s in solutions), default=None),
+            "newton_converged": int(np.sum(rel <= tol)),
+            "newton_above_tol": int(np.sum((rel > tol) & np.isfinite(rel))),
+            "newton_overflowed": int(np.sum(rel == np.inf))}
 
 
 # ---------------------------------------------------------------------------
@@ -358,18 +396,20 @@ class RootEigenvalue:
         Lambda(x) = phi1 lam_a(x) Q(x - gamma)/Q(x) + phi2 lam_d(x) Q(x + gamma)/Q(x),
 
     with closed-form first and second derivatives from each term's
-    log-derivative (valid away from the zeros of Q, lam_a and lam_d).  x may
-    be an array; the value has its shape."""
+    log-derivative (valid away from the zeros of Q, lam_a and lam_d).  roots
+    may be a stack (..., n) of root sets and x an array; the value has their
+    broadcast shape (a stack of shape (S, 1) at points of shape (P,) gives
+    (S, P))."""
 
     def __init__(self, roots, params: ModelParams, hw=None):
-        self.roots = tuple(complex(w) for w in roots)
+        self.roots = np.asarray(roots, dtype=complex)
         self.params = params
         self.hw = hw or HighestWeightData(params)
 
     def __call__(self, x, d=0):
         if d > 2:
             raise ValueError("closed-form derivatives implemented up to order 2")
-        p, w = self.params, np.asarray(self.roots, dtype=complex)
+        p, w = self.params, self.roots
         x = np.asarray(x, dtype=complex)
         out = 0j
         # Q(x -+ gamma)/Q(x) = prod_l sinh(u_l + gamma)/sinh(u_l) with
@@ -389,19 +429,22 @@ class RootEigenvalue:
 
 
 def eigenvalue_from_roots(x, roots, params: ModelParams, hw=None):
-    """Closed-form eigenvalue at x (a point or an array of points).  Near a
-    root the pole must be removable (Bethe equations hold); such a point is
-    then evaluated by a symmetric two-sided limit, otherwise PolePoint is
+    """Closed-form eigenvalue at x (a point or an array of points) of a root
+    set or a stack of them, shaped as by `RootEigenvalue`.  Near a root the
+    pole must be removable (Bethe equations hold); such a point is then
+    evaluated by a symmetric two-sided limit, otherwise PolePoint is
     raised."""
     hw = hw or HighestWeightData(params)
     ev = RootEigenvalue(roots, params, hw)
     x = np.asarray(x, dtype=complex)
-    near = np.any(np.abs(np.sinh(x[..., None] - np.asarray(roots, dtype=complex)))
-                  < 1e-6, axis=-1)
+    near = np.any(np.abs(np.sinh(x[..., None] - ev.roots)) < 1e-6, axis=-1)
     if not near.any():
         return ev(x)
-    if bae_relative_residual(roots, params) > 1e-8:
-        raise PolePoint(f"x={x[near]} collides with a non-Bethe root")
+    ta, td, _, _ = _terms(ev.roots, params)
+    off = near & (_relative(ta, td) > 1e-8)
+    if off.any():
+        raise PolePoint(f"x={np.broadcast_to(x, off.shape)[off]} collides "
+                        "with a non-Bethe root")
     eps = np.where(near, 1e-4, 0.0)
     v = ev(x + eps)
     return np.where(near, 0.5 * (v + ev(x - eps)), v)[()]
@@ -447,6 +490,25 @@ class MatchReport:
         return not self.unmatched_eigenvalues and not self.unmatched_solutions
 
 
+def _greedy_pairs(cost):
+    """Greedy matching on a cost matrix: the cheapest entry among the free
+    rows and columns, again and again, ties to the smallest (row, column).
+    One stable sort of the row-major entries puts them in that order, so the
+    entries are walked once; returns the (row, column, cost) pairs and the
+    rows and columns left free."""
+    free_s, free_e = set(range(cost.shape[0])), set(range(cost.shape[1]))
+    pairs = []
+    for k in np.argsort(cost, axis=None, kind="stable").tolist():
+        if not (free_s and free_e):
+            break
+        s, e = divmod(k, cost.shape[1])
+        if s in free_s and e in free_e:
+            pairs.append((s, e, float(cost[s, e])))
+            free_s.remove(s)
+            free_e.remove(e)
+    return pairs, sorted(free_s), sorted(free_e)
+
+
 def match_spectrum(params: ModelParams, n, solutions, oracle, sample_xs=None):
     """Greedy minimal-distance bipartite matching between formula and oracle
     eigenvalues, using the max relative deviation over shared sample points."""
@@ -456,23 +518,13 @@ def match_spectrum(params: ModelParams, n, solutions, oracle, sample_xs=None):
     sample_xs = np.asarray(sample_xs)
     ovals = np.array([oracle.eigenvalues_at(x) for x in sample_xs])   # (npts, neig)
     oscale = np.abs(ovals).max(axis=0) + 1e-300
-    fvals = [eigenvalue_from_roots(sample_xs, s.roots, params, hw)
-             for s in solutions]                                      # (nsol, npts)
-    cost = np.full((len(solutions), oracle.size), np.inf)
-    for si in range(len(solutions)):
-        cost[si] = np.abs(fvals[si][:, None] - ovals).max(axis=0) / oscale
-    pairs = []
-    free_s = set(range(len(solutions)))
-    free_e = set(range(oracle.size))
-    while free_s and free_e:
-        best = min(((cost[s, e], s, e) for s in free_s for e in free_e))
-        d, s, e = best
-        pairs.append((s, e, float(d)))
-        free_s.remove(s)
-        free_e.remove(e)
-    return MatchReport(n=n, pairs=pairs,
-                       unmatched_solutions=sorted(free_s),
-                       unmatched_eigenvalues=sorted(free_e))
+    roots = np.array([s.roots for s in solutions], dtype=complex)
+    roots = roots.reshape(len(solutions), 1, n)
+    fvals = eigenvalue_from_roots(sample_xs, roots, params, hw)       # (nsol, npts)
+    cost = np.abs(fvals[:, :, None] - ovals).max(axis=1) / oscale     # (nsol, neig)
+    pairs, free_s, free_e = _greedy_pairs(cost)
+    return MatchReport(n=n, pairs=pairs, unmatched_solutions=free_s,
+                       unmatched_eigenvalues=free_e)
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,8 @@ class VerifyContext:
         if n not in self._bethe:
             es = self.eigensystem(n)
             sols, entry = self._timed("bethe", n, lambda: bt.solve_bae(es))
-            self._bethe[n] = sols, bt.conditioning(sols, es)
+            self._bethe[n] = sols, bt.conditioning(sols, es,
+                                                   self.tol("bethe_residual"))
             entry.update(self._bethe[n][1])
         return self._bethe[n]
 
@@ -191,7 +192,9 @@ def check_highest_weight(ctx):
                     np.abs(C @ e0).max() / sc)
     out = [_report("highest-weight", "A|0>, D|0> eigen; C|0> = 0", worst,
                    ctx.tol("highest_weight"), t0)]
-    # magnetization block structure and trace identity
+    # magnetization block structure, and the trace against its closed form:
+    # the trace over each site of R(x - mu_j) is (a + b) times the unit on
+    # the auxiliary space, so tr T(x) = (phi1 + phi2) prod_j (a_j + b_j)
     t0 = time.perf_counter()
     x = 0.37
     A, B, C, D = monodromy_blocks(x, p)
@@ -201,7 +204,10 @@ def check_highest_weight(ctx):
     for M, shift in ((A, 0), (D, 0), (B, -2), (C, 2)):
         bad = np.abs(M[(hdiag[:, None] - hdiag[None, :]) != shift]).max() / scale
         worst = max(worst, bad)
-    tr_dev = abs(np.trace(A + D) - np.trace(transfer(x, p))) / abs(np.trace(A + D))
+    tr = np.trace(A + D)
+    closed = (p.phi1 + p.phi2) * np.prod([np.sinh(x - m + p.gamma) + np.sinh(x - m)
+                                          for m in p.mu])
+    tr_dev = abs(tr - closed) / abs(tr)
     out.append(_report("highest-weight", "magnetization blocks + trace",
                        max(worst, tr_dev), ctx.tol("structure"), t0))
     return out
@@ -430,10 +436,11 @@ def check_bethe_match(ctx):
         out.append(_report("bethe", f"residue-form residuals (n={n})", res,
                            ctx.tol("bethe_residual"), t0, n=n,
                            solutions=len(sols), **cond))
-        # an eigenvalue without a degree-n Q has no root set to match
+        # an eigenvalue without a degree-n Q has no root set to match; the
+        # TQ system is solved again for the unmatched eigenvalues only
         t0 = time.perf_counter()
         rep = ctx.match(n)
-        no_q = set(bt.no_degree_n_q(es))
+        no_q = bt.no_degree_n_q(es, rep.unmatched_eigenvalues)
         unmatched = [k for k in rep.unmatched_eigenvalues if k not in no_q]
         excused = len(rep.unmatched_eigenvalues) - len(unmatched)
         matched_dev = max((d for *_, d in rep.pairs), default=0.0)
@@ -529,8 +536,8 @@ def check_u_equation(ctx):
     if not sols:
         return []
     ev = bt.RootEigenvalue(sols[0].roots, ctx.params, ctx.hw)
-    worst = max(abs(odes.riccati_lambda_residual(ev, x, ctx.hw, ctx.params))
-                for x in _ODE_POINTS)
+    worst = np.abs(odes.riccati_lambda_residual(
+        ev, np.array(_ODE_POINTS), ctx.hw, ctx.params)).max()
     return [_report("u-equation", "linearized second-order form", worst,
                     ctx.tol("u_equation"), t0)]
 

@@ -1,4 +1,6 @@
+import itertools
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import generic_model
 from sixvertex.model import ModelParams
+from sixvertex.spectrum import diagonalize_blocks, sample_sectors
 from sixvertex import bethe as bt
 
 
@@ -39,6 +42,65 @@ def mp_relative_residual(roots, p, pairs=()):
                   * mpmath.fprod(mpmath.sinh(w[i] - v + g) for v in rest))
             out = max(out, abs(ta - td) / max(abs(ta), abs(td)))
         return float(out)
+
+
+def reference_solve_bae(es):
+    """The per-set construction `bt.solve_bae` stacks, kept as a reference:
+    for each eigenvalue with a degree-n Q, np.roots of its null vector,
+    canonical roots, singular snap and pair tie one set at a time; Newton on
+    the stack; each residual recomputed from the finished set."""
+    p, n = es.params, es.n
+    sets = []
+    for s, q in zip(*bt._tq_null_vectors(es)):
+        if not (s[-1] <= bt._NULL_TOL * s[0]
+                and min(abs(q[0]), abs(q[-1])) > bt._NULL_TOL * np.abs(q).max()):
+            continue
+        w = np.log(np.roots(q[::-1])) / 2
+        w = w - 1j * np.pi * np.round(w.imag / np.pi)
+        w = np.where(w.imag <= -np.pi / 2 + 1e-12, w + 1j * np.pi, w)
+        w = w[np.lexsort((w.imag.round(9), w.real.round(9)))]
+        held = np.zeros(n, dtype=bool)
+        for m in p.mu:
+            i = np.flatnonzero(np.abs(np.sinh(w - m)) < bt._NULL_TOL)
+            j = np.flatnonzero(np.abs(np.sinh(w + p.gamma - m)) < bt._NULL_TOL)
+            if len(i) and len(j):
+                w[i[0]], w[j[0]] = m, m - p.gamma
+                held[[i[0], j[0]]] = True
+        z, partner, paired = w.copy(), np.arange(n), set()
+        if not held.any():
+            for i, j in itertools.permutations(range(n), 2):
+                d = w[j] + p.gamma - w[i]
+                d -= 1j * np.pi * np.round(d.imag / np.pi)
+                if not paired & {i, j} and abs(np.sinh(d)) < bt._PAIR_TOL:
+                    z[j], partner[j] = d, i
+                    paired |= {i, j}
+        sets.append((z, partner, held, s[-2] / s[0]))
+    if not sets:
+        return []
+    z0, partner, held, gaps = (np.array(c) for c in zip(*sets))
+    found = []
+    for z, pk, hk, gap in zip(bt._newton(z0, p, partner, held)[0], partner,
+                              held, gaps):
+        tied = pk != np.arange(n)
+        singular = bool(hk.any())
+        sol = bt.BetheRoots(
+            n, np.where(tied, z[pk] - p.gamma + z, z), 0.0,
+            "analytic" if singular else "solved", singular, tq_gap=float(gap),
+            pairs=[(pk[j], j, z[j]) for j in np.flatnonzero(tied)])
+        found.append(replace(sol, residual=bt.solution_residual(sol, p)))
+    return sorted(found, key=bt._solution_order)
+
+
+def tuple_min_greedy(cost):
+    """The matching loop `bt._greedy_pairs` replaces: min over (cost, s, e)
+    tuples of the free rows and columns."""
+    pairs, free_s, free_e = [], set(range(cost.shape[0])), set(range(cost.shape[1]))
+    while free_s and free_e:
+        d, s, e = min((cost[s, e], s, e) for s in free_s for e in free_e)
+        pairs.append((s, e, float(d)))
+        free_s.remove(s)
+        free_e.remove(e)
+    return pairs, sorted(free_s), sorted(free_e)
 
 
 class TestResidual:
@@ -189,7 +251,8 @@ class TestSolver:
         p6 = ModelParams(L=6, gamma=0.7)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert bt._newton(np.array([[200 + 0j]]), p6) == [None]
+            best, rel = bt._newton(np.array([[200 + 0j]]), p6)
+        assert rel.tolist() == [np.inf] and best.tolist() == [[200 + 0j]]
 
     def test_singular_sets_polished_outside_the_pair(self, oracle):
         # at reference L=8, n=4, four sets hold the exact pair {0, -gamma}
@@ -221,7 +284,11 @@ class TestSolver:
         # the one n=2 eigenvalue at L=2 has no degree-2 Q, so no root set
         es = oracle.eigensystem(p2, 2)
         assert bt.solve_bae(es) == []
-        assert bt.conditioning([], es)["no_degree_n_q"] == 1
+        assert bt.conditioning([], es, 1e-12)["no_degree_n_q"] == 1
+        assert bt.no_degree_n_q(es, [0]) == [0]
+        es1 = oracle.eigensystem(p2, 1)
+        assert bt.no_degree_n_q(es1, range(es1.size)) == []
+        assert bt.no_degree_n_q(es1, []) == []
 
     @pytest.mark.parametrize("point", ["reference", "generic-6-1"])
     def test_every_sector_classified(self, params, oracle, point):
@@ -231,13 +298,13 @@ class TestSolver:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 sols = bt.solve_bae(es)
-            cond = bt.conditioning(sols, es)
+            cond = bt.conditioning(sols, es, 1e-12)
             assert cond["regular"] + cond["singular"] + cond["no_degree_n_q"] \
                 == es.size
             assert all(s.residual <= 1e-12 for s in sols)
         # beyond the equator of the untwisted chain Q has no degree n
         if point == "reference":
-            assert bt.conditioning(sols, es)["no_degree_n_q"] == es.size
+            assert bt.conditioning(sols, es, 1e-12)["no_degree_n_q"] == es.size
 
     @pytest.mark.parametrize("point", ["reference", 1, 2, 3])
     def test_multistart_finds_no_other_set(self, params, oracle, point):
@@ -252,7 +319,8 @@ class TestSolver:
             z = (rng.uniform(-2, 2, (200, n))
                  + 1j * rng.uniform(-np.pi / 2, np.pi / 2, (200, n)))
             for _ in range(6):
-                z = np.array([b for b in bt._newton(z, p) if b is not None])
+                best, rel = bt._newton(z, p)
+                z = best[np.isfinite(rel)]
             converged = 0
             for w in z:
                 sep = np.abs(np.sinh(w[:, None] - w[None, :])) + np.eye(n)
@@ -278,9 +346,9 @@ class TestSolver:
         p1 = ModelParams(L=1, gamma=0.7)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            stuck, moved = bt._newton([[-0.35], [-0.3 + 1.5j]], p1)
+            (stuck, moved), rel = bt._newton([[-0.35], [-0.3 + 1.5j]], p1)
             sols = bt.solve_bae(oracle.eigensystem(p1, 1))
-        assert stuck[0] == -0.35
+        assert stuck[0] == -0.35 and np.isfinite(rel).all()
         assert abs(moved[0] - (-0.35 + 0.5j * np.pi)) < 1e-12
         assert len(sols) == 1
         assert abs(sols[0].roots[0] - (-0.35 + 0.5j * np.pi)) < 1e-12
@@ -290,6 +358,113 @@ class TestSolver:
         a = bt.solve_bae(diagonalize_sector(params, 2))
         b = bt.solve_bae(diagonalize_sector(params, 2))
         assert bt.roots_to_json(a) == bt.roots_to_json(b)
+
+
+# the points the stacked construction was compared at: singular sets at the
+# reference point, tied pairs everywhere from n = 2
+STACKING_POINTS = {
+    "generic-6-1": generic_model(6, 1), "generic-6-3": generic_model(6, 3),
+    "generic-8-1": generic_model(8, 1),
+    "reference-8": {"L": 8, "gamma": 0.7}, "reference-10": {"L": 10, "gamma": 0.7},
+    "complex-gamma-8": {**generic_model(8, 1), "gamma": "0.7+0.3j"},
+    "complex-gamma-10": {**generic_model(10, 1), "gamma": "0.7+0.3j"}}
+
+
+class TestStacking:
+    @pytest.mark.parametrize("point", STACKING_POINTS)
+    def test_solve_equals_the_per_set_reference(self, point):
+        p = ModelParams.from_dict(STACKING_POINTS[point])
+        blocks = sample_sectors(p, (1, 2, 3))
+        for n in (1, 2, 3):
+            es = diagonalize_blocks(p, n, blocks[n])
+            got = bt.solve_bae(es)
+            assert got == reference_solve_bae(es)
+            # a regular set's residual is Newton's own best
+            assert all(s.residual == s.newton_residual for s in got
+                       if not s.singular)
+
+    @pytest.mark.parametrize("point", ["generic-6-1", "reference-8"])
+    def test_one_stack_per_sector(self, oracle, monkeypatch, point):
+        # no per-set np.roots, and Newton's _terms calls plus one for the
+        # singular sets' residuals
+        p = ModelParams.from_dict(STACKING_POINTS[point])
+        calls, terms = [], bt._terms
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return terms(*args, **kwargs)
+        monkeypatch.setattr(bt, "_terms", counted)
+        monkeypatch.setattr(np, "roots", None)
+        for n in (1, 2, 3):
+            es = oracle.eigensystem(p, n)
+            calls.clear()
+            sols = bt.solve_bae(es)
+            assert len(calls) == bt._MAX_ITER + 1 + any(s.singular for s in sols)
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_sorted_greedy_is_the_tuple_min_greedy(self, rows, cols, data):
+        # few distinct values and inf entries, so that ties are common
+        values = st.sampled_from([0.0, 1e-9, 1e-9, 0.5, 2.0, np.inf, np.inf])
+        cost = np.array(data.draw(st.lists(values, min_size=rows * cols,
+                                           max_size=rows * cols))).reshape(rows, cols)
+        assert bt._greedy_pairs(cost) == tuple_min_greedy(cost)
+
+    def test_stacked_eigenvalues_equal_single_sets(self, oracle):
+        p = generic(6, 1)
+        sols = bt.solve_bae(oracle.eigensystem(p, 2))
+        xs = np.linspace(0.21, 1.3, 20)
+        stack = np.array([s.roots for s in sols])[:, None]
+        got = bt.eigenvalue_from_roots(xs, stack, p)
+        assert got.shape == (len(sols), 20)
+        for row, s in zip(got, sols):
+            assert np.array_equal(row, bt.eigenvalue_from_roots(xs, s.roots, p))
+
+    def test_stacked_limit_and_pole_point(self, params, oracle):
+        # a point on a root of one set takes the limit in that set only; an
+        # off-shell set with a root on a point raises
+        sols = bt.solve_bae(oracle.eigensystem(params, 1))
+        w = sols[0].roots[0]
+        xs = np.array([0.3, w + 1e-8])
+        stack = np.array([s.roots for s in sols])[:, None]
+        got = bt.eigenvalue_from_roots(xs, stack, params)
+        for row, s in zip(got, sols):
+            assert np.array_equal(row, bt.eigenvalue_from_roots(xs, s.roots, params))
+        with pytest.raises(bt.PolePoint):
+            bt.eigenvalue_from_roots(np.array([0.3, 0.4]),
+                                     np.array([[[w]], [[0.4 + 1e-8]]]), params)
+
+
+class TestNewtonCounters:
+    def test_counts_of_solved_sectors(self, params, oracle):
+        # every set the TQ roots start from converges, singular ones too
+        for p in (params, generic(6, 1)):
+            for n in (1, 2):
+                es = oracle.eigensystem(p, n)
+                sols = bt.solve_bae(es)
+                cond = bt.conditioning(sols, es, 1e-12)
+                assert cond["newton_converged"] == len(sols)
+                assert cond["newton_above_tol"] == cond["newton_overflowed"] == 0
+
+    def test_above_tolerance_and_overflow(self, params, oracle):
+        # Newton overflows from a far seed; the counts follow the residuals
+        # Newton left on the sets
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, rel = bt._newton(np.array([[200 + 0j]]), ModelParams(L=6, gamma=0.7))
+        assert rel[0] == np.inf
+        es = oracle.eigensystem(params, 1)
+        sols = bt.solve_bae(es)
+        made = [replace(sols[0], newton_residual=r)
+                for r in (0.0, 1e-12, 2e-12, 0.1, np.inf, rel[0])]
+        cond = bt.conditioning(made, es, 1e-12)
+        assert (cond["newton_converged"], cond["newton_above_tol"],
+                cond["newton_overflowed"]) == (2, 2, 2)
+
+    def test_newton_residual_is_not_compared(self, params, oracle):
+        s = bt.solve_bae(oracle.eigensystem(params, 1))[0]
+        assert replace(s, newton_residual=1.0) == s
+        assert np.isnan(bt.roots_from_json(bt.roots_to_json([s]))[0].newton_residual)
 
 
 class TestEigenvalueFormula:

@@ -194,6 +194,10 @@ class TestVerifyCommand:
         counts = [(e["regular"], e["singular"], e["no_degree_n_q"])
                   for e in prof["shared"] if e["work"] == "bethe"]
         assert counts == [(4, 0, 0), (5, 1, 0)]
+        # Newton left every set converged
+        newton = [(e["newton_converged"], e["newton_above_tol"], e["newton_overflowed"])
+                  for e in prof["shared"] if e["work"] == "bethe"]
+        assert newton == [(4, 0, 0), (6, 0, 0)]
 
     def test_profile_counts_monodromy_builds(self, tmp_path):
         # the first eigensystem samples T(x) at L+1 points for every sector;
@@ -353,6 +357,8 @@ class TestVerifyCommand:
             d = r["details"]
             assert d["regular"] == {1: 6, 2: 15}[d["n"]]
             assert d["singular"] == d["no_degree_n_q"] == 0
+            assert d["newton_converged"] == d["regular"]
+            assert d["newton_above_tol"] == d["newton_overflowed"] == 0
             assert d["min_tq_gap"] > 1e-3
         assert min(r["details"]["min_pair_factor"] for r in rows
                    if r["details"]["n"] == 2) < 1e-6
@@ -435,7 +441,8 @@ EXACT_ROWS = {"d_j theta_ij = 0 (n=2)", "psi'' + (V - 1) psi = 0, energy fixed",
 class TestScenarioMatrix:
     @pytest.mark.parametrize("L,point", [
         (L, point) for L in (2, 3, 5, 6)
-        for point in ("reference", "generic", "complex-gamma")] + [(8, "complex-gamma")])
+        for point in ("reference", "generic", "complex-gamma")] + [
+            (8, "complex-gamma"), (9, "complex-gamma")])
     def test_verify_passes_in_full(self, tmp_path, capsys, L, point):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": scenario(L, point)}))
@@ -458,8 +465,8 @@ class TestScenarioMatrix:
     @pytest.mark.slow
     def test_reference_L10(self, tmp_path, capsys):
         # builds: 11 to sample all sectors, 16 polynomial check points,
-        # 20 transfer-commute, 12 highest-weight, 10 exchange, 9
-        # linear-problem, 7 transport, 1 root-of-unity
+        # 20 transfer-commute, 11 highest-weight, 10 exchange, 9
+        # linear-problem, 7 transport, 1 root-of-unity (85)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": {"L": 10, "gamma": 0.7}}))
         out = tmp_path / "out"
@@ -490,6 +497,37 @@ class TestSigma2Row:
         es, hw = diagonalize_sector(p, 2), HighestWeightData(p)
         off = ExpSum(es.lam().ms, 1.01 * es.coeffs)
         assert np.all(np.abs(odes.sigma2_residual(off, -0.213, hw, p)) > tol)
+
+
+class TestTraceRow:
+    ROW = "magnetization blocks + trace"
+
+    @pytest.mark.parametrize("L,point", [
+        (L, point) for L in (2, 5, 8) for point in ("reference", "generic", "complex-gamma")])
+    def test_closed_form_trace_to_rounding(self, tmp_path, L, point):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": scenario(L, point)}))
+        out = tmp_path / "out"
+        assert run(["verify", "--config", str(cfg), "--out", str(out),
+                    "--checks", "highest-weight"]) == 0
+        rows = [json.loads(line) for line in (out / "reports.jsonl").read_text().splitlines()]
+        assert [r["residual"] for r in rows if r["identity"] == self.ROW][0] <= 1e-15
+
+    def test_a_defective_build_fails_the_row(self, tmp_path, monkeypatch):
+        # D off by 1e-9 in every build: a trace taken from a second build
+        # would agree with it, the closed form does not
+        blocks = cli.model.monodromy_blocks
+
+        def off(x, p):
+            A, B, C, D = blocks(x, p)
+            return A, B, C, D * (1 + 1e-9)
+        monkeypatch.setattr(cli.model, "monodromy_blocks", off)
+        monkeypatch.setattr(cli, "monodromy_blocks", off)
+        out = tmp_path / "out"
+        assert run(["verify", "--out", str(out), "--checks", "highest-weight"]) == 1
+        rows = [json.loads(line) for line in (out / "reports.jsonl").read_text().splitlines()]
+        row = [r for r in rows if r["identity"] == self.ROW][0]
+        assert not row["passed"] and row["residual"] > 1e-10
 
 
 class TestBetheCommand:
