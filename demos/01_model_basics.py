@@ -28,7 +28,8 @@ Tx, Ty = transfer(x, params), transfer(y, params)
 comm = np.linalg.norm(Tx @ Ty - Ty @ Tx)
 print(f"||[T({x}), T({y})]||_F =", comm)
 
-res, t_norm = yba_exchange_residual(x, y, params)
+# the A-B and D-B exchange relations on every pair of a point set
+res, t_norm = yba_exchange_residual([x, y, 0.9], params)
 print("exchange-relation residual, relative to max|T(x)|^2:", res / t_norm ** 2)
 
 # the all-up state is a joint eigenvector of A and D and is killed by C

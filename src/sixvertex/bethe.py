@@ -105,10 +105,11 @@ def _leave_one_out(f):
     return before * after
 
 
-def _terms(z, params: ModelParams, partner=None):
+def _terms(z, params: ModelParams, partner=None, jacobian=True):
     """A-side and D-side products of the residue form and their Jacobians,
     for root sets of shape (..., n): returns ta, td of shape (..., n) and
-    dta, dtd of shape (..., n, n) with dta[..., i, l] = d ta_i / d z_l.
+    dta, dtd of shape (..., n, n) with dta[..., i, l] = d ta_i / d z_l
+    (None for both without `jacobian`).
 
     z holds the roots, but a root j with partner[..., j] = i != j is tied:
     w_j = w_i - gamma + z_j, with root i untied.  Every factor is one sinh
@@ -141,6 +142,8 @@ def _terms(z, params: ModelParams, partner=None):
     pa, pd = params.phi1, (-1) ** (n + 1) * params.phi2
     prods = np.prod(f, axis=-1)
     ta, td = pa * prods[0], pd * prods[1]
+    if not jacobian:
+        return ta, td, None, None
     gf = _leave_one_out(f) * np.where(diag, 0, np.cosh(args))   # d/d(argument)
     # a vacuum factor of row i moves with w_i alone; a pair factor with
     # argument +-(w_j - w_i) moves with both; w_l moves with z_l and, if
@@ -164,7 +167,8 @@ def _relative(ta, td):
 
 def bae_residual(roots, params: ModelParams):
     """Residue-form residual vector (one complex entry per root)."""
-    ta, td, _, _ = _terms(np.asarray(roots, dtype=complex)[None], params)
+    ta, td, _, _ = _terms(np.asarray(roots, dtype=complex)[None], params,
+                          jacobian=False)
     return ta[0] - td[0]
 
 
@@ -178,7 +182,7 @@ def bae_relative_residual(roots, params: ModelParams, pairs=()):
         if abs(z[j] - (wi - g + d)) > 4e-16 * (abs(wi) + abs(g) + abs(d)):
             return float("inf")
         z[j], partner[j] = d, i
-    ta, td, _, _ = _terms(z[None], params, partner[None])
+    ta, td, _, _ = _terms(z[None], params, partner[None], jacobian=False)
     return float(_relative(ta, td)[0])
 
 
@@ -229,7 +233,8 @@ def _newton(z, params, partner=None, held=None):
     best, best_rel = z.copy(), np.full(len(z), np.inf)
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(_MAX_ITER + 1):
-            ta, td, dta, dtd = _terms(z, params, partner)
+            # no step follows the last call: it needs no Jacobian
+            ta, td, dta, dtd = _terms(z, params, partner, jacobian=it < _MAX_ITER)
             rel = _relative(np.where(held, 1, ta), np.where(held, 1, td))
             better = rel < best_rel
             best[better], best_rel[better] = z[better], rel[better]
@@ -345,7 +350,7 @@ def solve_bae(es):
     # absolute residual of all its rows
     residual = rel.copy()
     if singular.any():
-        ta, td, _, _ = _terms(w[singular], p)
+        ta, td, _, _ = _terms(w[singular], p, jacobian=False)
         residual[singular] = np.abs(ta - td).max(-1)
     gaps = s[k, -2] / s[k, 0]
     found = [BetheRoots(
@@ -440,7 +445,7 @@ def eigenvalue_from_roots(x, roots, params: ModelParams, hw=None):
     near = np.any(np.abs(np.sinh(x[..., None] - ev.roots)) < 1e-6, axis=-1)
     if not near.any():
         return ev(x)
-    ta, td, _, _ = _terms(ev.roots, params)
+    ta, td, _, _ = _terms(ev.roots, params, jacobian=False)
     off = near & (_relative(ta, td) > 1e-8)
     if off.any():
         raise PolePoint(f"x={np.broadcast_to(x, off.shape)[off]} collides "

@@ -7,6 +7,7 @@ errors, 3 degenerate-spectrum abort.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -20,8 +21,7 @@ from . import bethe as bt
 from . import functional as fx
 from . import model, odes
 from .model import (ExpSum, HighestWeightData, monodromy_blocks,
-                    magnetization_diagonal, sector_block, transfer, verify_ybe,
-                    yba_exchange_residual)
+                    magnetization_diagonal, verify_ybe, yba_exchange_residual)
 from .reports import (ConfigError, ResultCache, RunConfig, VerificationReport,
                       atomic_write_text, write_csv, write_svg_line)
 from .spectrum import (DegenerateSpectrum, complex_pairs, diagonalize_blocks,
@@ -35,40 +35,42 @@ EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_DEGENERATE = 0, 1, 2, 3
 
 class SectorSource:
     """Sector eigensystems of one run's model.  Each is loaded from the
-    cache; on the first miss T(x) is sampled once for all of `sectors`
-    (L+1 builds), and each missing sector is then diagonalized when it is
-    first asked for."""
+    cache; a missing sector is diagonalized, when it is first asked for,
+    from its coefficient blocks in `samples()` (n -> blocks, as from
+    `sample_sectors`), which the caller memoizes and keeps."""
 
-    def __init__(self, config: RunConfig, sectors):
+    def __init__(self, config: RunConfig, samples):
         self.params = config.model
-        self.sectors = list(sectors)
         self.cache = ResultCache(config.output_dir / ".cache")
         self.key = config.content_key()
-        self._blocks = None
-
-    def _diagonalize(self, n):
-        if self._blocks is None:
-            self._blocks = sample_sectors(self.params, self.sectors)
-        return diagonalize_blocks(self.params, n, self._blocks.pop(n))
+        self._samples = samples
 
     def __call__(self, n):
-        return self.cache.sector(self.key, n, self.params,
-                                 lambda: self._diagonalize(n))
+        return self.cache.sector(
+            self.key, n, self.params,
+            lambda: diagonalize_blocks(self.params, n, self._samples()[n]))
 
 
 class VerifyContext:
-    """Shared state of one verify run.  Sector eigensystems, Bethe solutions
-    and their oracle matches are built once, on first use; each build is
-    timed as its own entry of `shared`, with the monodromy builds it made, so
-    no check is charged for work that others reuse.  The sampling of T(x) for
-    all configured sectors counts on the eigensystem entry that triggers it."""
+    """Shared state of one verify run.  The samples of T(x) (coefficient
+    blocks from L+1 builds), sector eigensystems, Bethe solutions and their
+    oracle matches are built once, on first use, and kept for the run; each
+    build is timed as its own entry of `shared`, with the monodromy builds
+    it made, so no check is charged for work that others reuse.  The samples
+    cover the configured sectors, and every sector 0..L when the run has
+    `transfer-commute`; when every eigensystem comes from the cache, T(x) is
+    still sampled once, for the first check that reads the samples."""
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.params = config.model
         self.hw = HighestWeightData(self.params)
         self.rng = np.random.default_rng(config.seed)
-        self._source = SectorSource(config, config.sectors)
+        self._source = SectorSource(config, self.samples)
+        self._sampled = (range(self.params.L + 1)
+                         if "transfer-commute" in (config.checks or CHECKS)
+                         else config.sectors)
+        self._samples = None
         self._eigs = {}
         self._bethe = {}
         self._match = {}
@@ -77,13 +79,24 @@ class VerifyContext:
         self.shared = []
 
     def _timed(self, work, n, build):
-        """build() and its `shared` entry."""
-        t0, b0 = time.perf_counter(), model.builds
+        """build() and its `shared` entry, which leaves out the shared work
+        that build() triggers (it has entries of its own, ahead of it)."""
+        t0, b0, first = time.perf_counter(), model.builds, len(self.shared)
         out = build()
-        self.shared.append({"work": work, "n": n,
-                            "seconds": time.perf_counter() - t0,
-                            "builds": model.builds - b0})
+        nested = self.shared[first:]
+        self.shared.append({
+            "work": work, "n": n,
+            "seconds": time.perf_counter() - t0 - sum(e["seconds"] for e in nested),
+            "builds": model.builds - b0 - sum(e["builds"] for e in nested)})
         return out, self.shared[-1]
+
+    def samples(self):
+        """n -> coefficient blocks of sector n (`sample_sectors`), for every
+        sector the run samples."""
+        if self._samples is None:
+            self._samples, _ = self._timed(
+                "samples", None, lambda: sample_sectors(self.params, self._sampled))
+        return self._samples
 
     def eigensystem(self, n):
         """Sector eigensystem; its `shared` entry also records how well
@@ -156,24 +169,27 @@ def check_yang_baxter(ctx):
                     ctx.tol("yang_baxter"), t0)]
 
 
-def _frobenius(blocks):
-    return np.sqrt(sum(np.linalg.norm(M) ** 2 for M in blocks))
-
-
 def check_transfer_commute(ctx):
-    """Commutators and norms on the sector blocks, where T(x) is nonzero."""
+    """||[T_i, T_j]||_F / (||T_i||_F ||T_j||_F) over every pair of the run's
+    L+1 samples T_i = exp(L x_i) T(x_i), on the sector blocks, where T(x) is
+    nonzero; no build.  T(x) is a degree-L trigonometric polynomial that the
+    samples span, so this holds exactly when [T(x), T(y)] = 0 for all x and
+    y (the factors exp(L x_i) cancel in the ratio)."""
     t0 = time.perf_counter()
-    p = ctx.params
-    worst = 0.0
-    for _ in range(10):
-        x, y = ctx.rng.uniform(-1.0, 1.0, 2)
-        Tx, Ty = ([sector_block(T, p.L, n, n) for n in range(p.L + 1)]
-                  for T in (transfer(x, p), transfer(y, p)))
-        num = _frobenius(a @ b - b @ a for a, b in zip(Tx, Ty))
-        den = _frobenius(Tx) * _frobenius(Ty)
-        worst = max(worst, num / den)
+    L = ctx.params.L
+    comm = np.zeros((L + 1, L + 1))     # squared norms, summed over sectors
+    norm = np.zeros(L + 1)
+    for blocks in ctx.samples().values():
+        S = np.fft.fft(blocks, axis=0)  # the sector's samples
+        norm += np.linalg.norm(S, axis=(1, 2)) ** 2
+        for i in range(L):              # sample i against every later one
+            C = S[i] @ S[i + 1:]
+            C -= S[i + 1:] @ S[i]
+            comm[i, i + 1:] += np.linalg.norm(C, axis=(1, 2)) ** 2
+    i, j = np.triu_indices(L + 1, 1)
+    worst = np.sqrt(comm[i, j] / (norm[i] * norm[j])).max()
     return [_report("transfer-commute", "[T(x), T(y)] = 0", worst,
-                    ctx.tol("transfer_commute"), t0, L=p.L)]
+                    ctx.tol("transfer_commute"), t0, L=L)]
 
 
 def check_highest_weight(ctx):
@@ -214,16 +230,12 @@ def check_highest_weight(ctx):
 
 
 def check_exchange(ctx):
+    """The exchange relations on every pair of four random points (four
+    builds), relative to the largest max|T(x)|^2 among them."""
     t0 = time.perf_counter()
-    worst = 0.0
-    scale = 0.0
-    for _ in range(5):
-        x1, x2 = ctx.rng.uniform(-1.0, 1.0, 2)
-        res, t_norm = yba_exchange_residual(x1, x2, ctx.params)
-        worst = max(worst, res)
-        scale = max(scale, t_norm ** 2)
+    worst, t_norm = yba_exchange_residual(ctx.rng.uniform(-1.0, 1.0, 4), ctx.params)
     return [_report("exchange", "A-B and D-B subalgebra relations",
-                    worst / scale, ctx.tol("exchange"), t0)]
+                    worst / t_norm ** 2, ctx.tol("exchange"), t0)]
 
 
 def check_polynomial(ctx):
@@ -679,7 +691,8 @@ def _load_config(args):
 def cmd_spectrum(args):
     cfg = _load_config(args)
     out = cfg.output_dir
-    source = SectorSource(cfg, cfg.sectors)
+    source = SectorSource(cfg, functools.cache(
+        lambda: sample_sectors(cfg.model, cfg.sectors)))
     systems = [source(n) for n in cfg.sectors]
     # exact coefficients, and their residual against direct builds of T(x)
     rows = []
@@ -753,7 +766,8 @@ def cmd_bethe(args):
         loaded = bt.roots_from_json(Path(args.roots).read_text()) if args.roots else []
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{args.roots}: {exc}") from exc
-    source = SectorSource(cfg, sectors)
+    source = SectorSource(cfg, functools.cache(
+        lambda: sample_sectors(cfg.model, sectors)))
     incomplete = False
     rows = []
     for n in sectors:

@@ -198,47 +198,61 @@ def transfer(x, params: ModelParams):
     return A + D
 
 
-def yba_exchange_residual(x1, x2, params: ModelParams):
+def yba_exchange_residual(xs, params: ModelParams):
     """Max-norm residual over the seven exchange relations of the A-B and
-    D-B subalgebras, and the max-norm of T(x1) = A1 + D1 (its scale).
+    D-B subalgebras, worst over every pair x1 = xs[i], x2 = xs[j] (i < j) of
+    the points, and the largest max-norm of T(x) = A + D over the points
+    (its scale).  Raises ValueError if b(x1 - x2) vanishes for a pair.
 
-    Each relation is formed on its nonzero sector blocks only: for column
-    sector n, A and D keep n and B(x) takes n to n + 1, so a relation maps
-    sector n to n, n + 1 or n + 2.  Every other entry of the dense relation
-    is a sum of exact zeros."""
-    b12 = params.b(x1 - x2)
-    b21 = params.b(x2 - x1)
-    if min(abs(b12), abs(b21)) < 1e-12:
+    Each point is built once, and only its sector blocks are kept.  Each
+    relation is formed on its nonzero sector blocks only: for column sector
+    n, A and D keep n and B(x) takes n to n + 1, so a relation maps sector n
+    to n, n + 1 or n + 2.  Every other entry of the dense relation is a sum
+    of exact zeros.  A and D are one stack: the D relations are the A ones
+    with x1 and x2 swapped in their coefficients a(x2 - x1)/b(x2 - x1) and
+    c/b(x1 - x2).  Each point x1 meets all later points x2 in one batch."""
+    xs = np.asarray(xs)
+    L, K = params.L, len(xs)
+    first, second = np.triu_indices(K, 1)
+    dx = xs[second] - xs[first]                         # x2 - x1 per pair
+    if (np.abs(params.b(dx)) < 1e-12).any():
         raise ValueError("singular point: b(x1 - x2) = 0")
-    a, b, c = params.a, params.b, params.c
-    L = params.L
-
-    def blocks(x):
-        A, B, _, D = monodromy_blocks(x, params)
-        return ([sector_block(A, L, n, n) for n in range(L + 1)],
-                [sector_block(B, L, n + 1, n) for n in range(L)],
-                [sector_block(D, L, n, n) for n in range(L + 1)])
-
-    A1, B1, D1 = blocks(x1)
-    A2, B2, D2 = blocks(x2)
-    rels = []
-    for n in range(L + 1):
-        rels += [A1[n] @ A2[n] - A2[n] @ A1[n], D1[n] @ D2[n] - D2[n] @ D1[n]]
-    for n in range(L - 1):
-        rels.append(B1[n + 1] @ B2[n] - B2[n + 1] @ B1[n])
-    for n in range(L):
-        rels += [
-            A1[n + 1] @ B2[n] - (a(x2 - x1) / b(x2 - x1)) * B2[n] @ A1[n]
-            - (c / b(x1 - x2)) * B1[n] @ A2[n],
-            B1[n] @ A2[n] - (a(x2 - x1) / b(x2 - x1)) * A2[n + 1] @ B1[n]
-            - (c / b(x1 - x2)) * A1[n + 1] @ B2[n],
-            D1[n + 1] @ B2[n] - (a(x1 - x2) / b(x1 - x2)) * B2[n] @ D1[n]
-            - (c / b(x2 - x1)) * B1[n] @ D2[n],
-            B1[n] @ D2[n] - (a(x1 - x2) / b(x1 - x2)) * D2[n + 1] @ B1[n]
-            - (c / b(x2 - x1)) * D1[n + 1] @ B2[n],
-        ]
-    t_norm = max(np.abs(A + D).max() for A, D in zip(A1, D1))
-    return float(max(np.abs(r).max() for r in rels)), float(t_norm)
+    # (A, D) x pair, broadcast against the (pair, row, column) products
+    alpha = np.stack([params.a(dx) / params.b(dx),
+                      params.a(-dx) / params.b(-dx)])[:, :, None, None]
+    beta = np.stack([params.c / params.b(-dx),
+                     params.c / params.b(dx)])[:, :, None, None]
+    # X[n]: (A, D) x point x sector n block; B[n]: point x (n + 1, n) block
+    dims = [len(sector_indices(L, n)) for n in range(L + 1)]
+    X = [np.empty((2, K, d, d), dtype=complex) for d in dims]
+    B = [np.empty((K, dims[n + 1], dims[n]), dtype=complex) for n in range(L)]
+    for k, x in enumerate(xs):
+        Ak, Bk, _, Dk = monodromy_blocks(x, params)
+        for n in range(L + 1):
+            X[n][0, k] = sector_block(Ak, L, n, n)
+            X[n][1, k] = sector_block(Dk, L, n, n)
+            if n < L:
+                B[n][k] = sector_block(Bk, L, n + 1, n)
+        del Ak, Bk, _, Dk   # frees this dense build before the next one
+    t_norm = max(np.abs(Xn[0] + Xn[1]).max() for Xn in X)
+    worst = 0.0
+    for k in range(K - 1):
+        al, be = alpha[:, first == k], beta[:, first == k]
+        for n in range(L + 1):
+            X1, X2 = X[n][:, k, None], X[n][:, k + 1:]
+            worst = max(worst, np.abs(X1 @ X2 - X2 @ X1).max())
+            if n == L:
+                break
+            B1, B2 = B[n][k], B[n][k + 1:]
+            if n + 1 < L:
+                BB = B[n + 1][k] @ B2 - B[n + 1][k + 1:] @ B1
+                worst = max(worst, np.abs(BB).max())
+            Y1, Y2 = X[n + 1][:, k, None], X[n + 1][:, k + 1:]
+            Y1B2, B1X2 = Y1 @ B2, B1 @ X2
+            worst = max(worst,
+                        np.abs(Y1B2 - al * (B2 @ X1) - be * B1X2).max(),
+                        np.abs(B1X2 - al * (Y2 @ B1) - be * Y1B2).max())
+    return float(worst), float(t_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +322,9 @@ class ExpSum:
 
     def __init__(self, ms, coeffs):
         self.ms = np.asarray(ms, dtype=np.int64)
-        self.coeffs = np.asarray(coeffs, dtype=complex)
+        # C order: the rounding of a row is the same alone and in a stack
+        # only over a contiguous term axis
+        self.coeffs = np.ascontiguousarray(coeffs, dtype=complex)
 
     @classmethod
     def sinh_product(cls, offsets):

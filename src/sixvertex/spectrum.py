@@ -135,12 +135,15 @@ def sample_sectors(params: ModelParams, sectors):
     """
     L = params.L
     xs = -1j * np.pi * np.arange(L + 1) / (L + 1)
-    samples = {n: [] for n in sectors}
-    for x in xs:
+    blocks = {n: np.empty((L + 1,) + (len(sector_indices(L, n)),) * 2, dtype=complex)
+              for n in sectors}
+    for j, x in enumerate(xs):
         T = transfer(x, params)
-        for n, rows in samples.items():
-            rows.append(np.exp(L * x) * sector_block(T, L, n, n))
-    return {n: np.fft.ifft(np.array(rows), axis=0) for n, rows in samples.items()}
+        for n, b in blocks.items():
+            np.multiply(np.exp(L * x), sector_block(T, L, n, n), out=b[j])
+    for n in blocks:       # a sector at a time: one extra copy of a block at most
+        blocks[n] = np.fft.ifft(blocks[n], axis=0)
+    return blocks
 
 
 def diagonalize_blocks(params: ModelParams, n, blocks, retries=3, collision_tol=1e-8):
@@ -169,7 +172,7 @@ def diagonalize_blocks(params: ModelParams, n, blocks, retries=3, collision_tol=
             return EigenSystem(
                 params=params, n=n, x_star=x_try,
                 indices=sector_indices(L, n), eigs=w, right=vr, left=left,
-                coeffs=np.einsum("kd,mde,ek->km", left, blocks, vr, optimize=True),
+                coeffs=np.ascontiguousarray(((left @ blocks) * vr.T).sum(-1).T),
             )
         x_try = x_try + 0.137 + 0.061j * (attempt + 1)
     raise DegenerateSpectrum(

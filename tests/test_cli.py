@@ -189,7 +189,8 @@ class TestVerifyCommand:
         # are timed apart, not one inside the other
         run(["verify", "--out", str(tmp_path / "bethe"), "--checks", "bethe"])
         prof = json.loads((tmp_path / "bethe" / "profile.json").read_text())
-        assert [e["work"] for e in prof["shared"]] == ["eigensystem", "bethe", "match"] * 2
+        assert [e["work"] for e in prof["shared"]] == (
+            ["samples"] + ["eigensystem", "bethe", "match"] * 2)
         assert all(c["exclusive_s"] >= 0 for c in prof["checks"])
         counts = [(e["regular"], e["singular"], e["no_degree_n_q"])
                   for e in prof["shared"] if e["work"] == "bethe"]
@@ -200,19 +201,67 @@ class TestVerifyCommand:
         assert newton == [(4, 0, 0), (6, 0, 0)]
 
     def test_profile_counts_monodromy_builds(self, tmp_path):
-        # the first eigensystem samples T(x) at L+1 points for every sector;
-        # the polynomial check builds T(x) once per check point (L+6) for
-        # the direct forms of all sectors
+        # the samples entry holds the L+1 builds that sample T(x) for every
+        # sector, ahead of the first eigensystem that needs them; the
+        # polynomial check builds T(x) once per check point (L+6) for the
+        # direct forms of all sectors
         run(["verify", "--out", str(tmp_path), "--checks", "polynomial"])
         prof = json.loads((tmp_path / "profile.json").read_text())
-        assert [e["builds"] for e in prof["shared"]] == [5, 0, 0, 0, 0]
+        assert [e["work"] for e in prof["shared"]] == ["samples"] + ["eigensystem"] * 5
+        assert [e["builds"] for e in prof["shared"]] == [5, 0, 0, 0, 0, 0]
         assert [c["exclusive_builds"] for c in prof["checks"]] == [10]
+        # the whole verify at the benchmark's generic L=6 point: no build in
+        # transfer-commute (it reads the samples), one per point in exchange
+        out = tmp_path / "generic"
+        assert run(["verify", "--config", generic_config(tmp_path, 1),
+                    "--out", str(out)]) == 0
+        prof = json.loads((out / "profile.json").read_text())
+        exclusive = {c["check"]: c["exclusive_builds"] for c in prof["checks"]}
+        assert exclusive["transfer-commute"] == 0 and exclusive["exchange"] == 4
+        assert (sum(e["builds"] for e in prof["shared"])
+                + sum(exclusive.values())) == 50
         # spectrum at L=7: 8 sampling builds and 13 check points
         cfg = tmp_path / "generic7.json"
         cfg.write_text(json.dumps({"model": generic_model(7, 1)}))
         b0 = cli.model.builds
         assert run(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
         assert cli.model.builds - b0 == 21
+
+    def test_planted_non_commuting_sample_fails(self, tmp_path):
+        # eps = 1e-6 times a matrix that commutes with no sample, added to
+        # one sample of one sector of the kept coefficient blocks
+        ctx = cli.VerifyContext(RunConfig.reference(model=generic_model(6, 1),
+                                                    output_dir=str(tmp_path)))
+        row, = cli.check_transfer_commute(ctx)
+        assert row.passed and row.residual < 1e-14
+        blocks = ctx.samples()[3]
+        S = np.fft.fft(blocks, axis=0)
+        K = np.random.default_rng(5).standard_normal(S.shape[1:])
+        S[2] += 1e-6 * np.linalg.norm(S[2]) / np.linalg.norm(K) * K
+        blocks[:] = np.fft.ifft(S, axis=0)
+        row, = cli.check_transfer_commute(ctx)
+        assert not row.passed and row.residual > 1e-8
+
+    def test_samples_cover_every_sector_only_for_transfer_commute(self, tmp_path):
+        def sampled(checks):
+            ctx = cli.VerifyContext(RunConfig.reference(
+                sectors=[1, 2], checks=checks, output_dir=str(tmp_path)))
+            return sorted(ctx.samples())
+        assert sampled(["polynomial"]) == [1, 2]
+        assert sampled(["polynomial", "transfer-commute"]) == [0, 1, 2, 3, 4]
+        assert sampled([]) == [0, 1, 2, 3, 4]     # every check runs
+
+    def test_second_run_reads_the_cache_and_samples_once(self, tmp_path, monkeypatch):
+        cfg, out = generic_config(tmp_path, 1), str(tmp_path / "out")
+        assert run(["verify", "--config", cfg, "--out", out]) == 0
+        calls = {}
+        self.counter(monkeypatch, calls)(cli, "diagonalize_blocks")
+        assert run(["verify", "--config", cfg, "--out", out]) == 0
+        assert calls == {}      # every eigensystem came from the cache
+        prof = json.loads((tmp_path / "out" / "profile.json").read_text())
+        assert [(e["work"], e["builds"]) for e in prof["shared"]
+                if e["work"] in ("samples", "eigensystem")] == (
+            [("samples", 7)] + [("eigensystem", 0)] * 7)
 
     @staticmethod
     def counter(monkeypatch, calls):
@@ -465,8 +514,8 @@ class TestScenarioMatrix:
     @pytest.mark.slow
     def test_reference_L10(self, tmp_path, capsys):
         # builds: 11 to sample all sectors, 16 polynomial check points,
-        # 20 transfer-commute, 11 highest-weight, 10 exchange, 9
-        # linear-problem, 7 transport, 1 root-of-unity (85)
+        # 11 highest-weight, 4 exchange, 9 linear-problem, 7 transport,
+        # 1 root-of-unity (59); transfer-commute reads the samples
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": {"L": 10, "gamma": 0.7}}))
         out = tmp_path / "out"
@@ -476,7 +525,7 @@ class TestScenarioMatrix:
         prof = json.loads((out / "profile.json").read_text())
         builds = (sum(e["builds"] for e in prof["shared"])
                   + sum(c["exclusive_builds"] for c in prof["checks"]))
-        assert builds <= 86
+        assert builds <= 59
 
 
 class TestSigma2Row:

@@ -233,23 +233,71 @@ class TestTransfer:
         assert abs(np.trace(T) - np.trace(A) - np.trace(D)) < 1e-12 * abs(np.trace(T))
 
 
+def dense_exchange(xs, params):
+    """Worst residual of the seven exchange relations over every pair of xs,
+    and max|A + D| over xs, transcribed on the dense blocks of each build."""
+    a, b, c = params.a, params.b, params.c
+    blocks = [[M.copy() for M in model.monodromy_blocks(x, params)] for x in xs]
+    worst = 0.0
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            x1, x2 = xs[i], xs[j]
+            (A1, B1, _, D1), (A2, B2, _, D2) = blocks[i], blocks[j]
+            rels = [
+                A1 @ A2 - A2 @ A1, D1 @ D2 - D2 @ D1, B1 @ B2 - B2 @ B1,
+                A1 @ B2 - a(x2 - x1) / b(x2 - x1) * B2 @ A1 - c / b(x1 - x2) * B1 @ A2,
+                B1 @ A2 - a(x2 - x1) / b(x2 - x1) * A2 @ B1 - c / b(x1 - x2) * A1 @ B2,
+                D1 @ B2 - a(x1 - x2) / b(x1 - x2) * B2 @ D1 - c / b(x2 - x1) * B1 @ D2,
+                B1 @ D2 - a(x1 - x2) / b(x1 - x2) * D2 @ B1 - c / b(x2 - x1) * D1 @ B2]
+            worst = max(worst, max(np.abs(r).max() for r in rels))
+    return worst, max(np.abs(A + D).max() for A, _, _, D in blocks)
+
+
 class TestExchange:
+    POINTS = [0.41, -0.27, 0.83, -0.66]
+
     def test_relations_small(self):
         p = ModelParams(L=4, gamma=0.7)
-        res, t_norm = yba_exchange_residual(0.4, -0.3, p)
-        assert t_norm == np.abs(transfer(0.4, p)).max()
+        res, t_norm = yba_exchange_residual([0.4, -0.3], p)
+        assert t_norm == max(np.abs(transfer(x, p)).max() for x in (0.4, -0.3))
         assert res < 1e-11 * t_norm ** 2
 
     def test_swap_self_consistency(self, generic_params):
         p = generic_params
         scale = np.abs(transfer(0.52, p)).max() ** 2
-        r1, _ = yba_exchange_residual(0.52, -0.17, p)
-        r2, _ = yba_exchange_residual(-0.17, 0.52, p)
+        r1, _ = yba_exchange_residual([0.52, -0.17], p)
+        r2, _ = yba_exchange_residual([-0.17, 0.52], p)
         assert r1 < 1e-11 * scale and r2 < 1e-11 * scale
+
+    @pytest.mark.parametrize("L", [3, 4])
+    @pytest.mark.parametrize("built_gamma", [None, 0.75])
+    def test_point_set_is_the_max_over_its_pairs(self, monkeypatch, L, built_gamma):
+        # with the blocks built at another gamma than the coefficients use,
+        # the relations fail at O(1) and the comparison is not one of
+        # rounding noise
+        p = ModelParams.from_dict(generic_model(L, 2))
+        if built_gamma is not None:
+            blocks, other = model.monodromy_blocks, ModelParams.from_dict(
+                {**generic_model(L, 2), "gamma": built_gamma})
+            monkeypatch.setattr(model, "monodromy_blocks",
+                                lambda x, _: blocks(x, other))
+        res, t_norm = yba_exchange_residual(self.POINTS, p)
+        ref, ref_norm = dense_exchange(self.POINTS, p)
+        assert t_norm == ref_norm
+        assert abs(res - ref) <= 1e-13 * (ref if built_gamma else ref_norm ** 2)
+        pairs = max(yba_exchange_residual([x1, x2], p)[0]
+                    for k, x1 in enumerate(self.POINTS) for x2 in self.POINTS[k + 1:])
+        assert abs(res - pairs) <= 1e-13 * (ref if built_gamma else ref_norm ** 2)
+        if built_gamma:
+            assert ref > 1e-3 * ref_norm ** 2
 
     def test_singular_point_rejected(self, params):
         with pytest.raises(ValueError):
-            yba_exchange_residual(0.4, 0.4, params)
+            yba_exchange_residual([0.4, 0.4], params)
+        # one singular pair inside a set, also b(x1 - x2) = 0 at x1 - x2 = i pi
+        for xs in ([0.1, 0.4, -0.3, 0.4], [0.1, 0.4, -0.3, 0.4 + 1j * np.pi]):
+            with pytest.raises(ValueError):
+                yba_exchange_residual(xs, params)
 
 
 class TestExpSum:
@@ -283,6 +331,21 @@ class TestExpSum:
                 at_points = [row(xx, d) for xx in np.ravel(x)]
                 assert np.array_equal(np.ravel(got[k]), at_points)
                 assert np.array_equal(got[k], row(np.asarray(x, dtype=complex), d))
+
+
+    def test_memory_order_does_not_change_rounding(self):
+        # an F-ordered coefficient stack evaluates bit-identically to its
+        # C-ordered copy and to each of its rows alone
+        p = ModelParams.from_dict({**generic_model(8, 1), "gamma": "0.7+0.3j"})
+        es = diagonalize_sector(p, 3)
+        ms, f_order = es.lam().ms, np.asfortranarray(es.coeffs)
+        assert not f_order.flags.c_contiguous
+        x = np.array([0.31 - 0.05j, -0.42, 0.9 + 0.2j])
+        for d in range(3):
+            got = ExpSum(ms, f_order)(x, d)
+            assert np.array_equal(got, ExpSum(ms, np.ascontiguousarray(f_order))(x, d))
+            for k in range(es.size):
+                assert np.array_equal(got[k], ExpSum(ms, f_order[k])(x, d))
 
 
 class TestHighestWeightData:
