@@ -10,8 +10,6 @@ of unity in u, so every eigenvalue is an exact exponential sum; the residual
 printed below compares that sum with T(x) built directly at L+6 fresh points.
 """
 
-import numpy as np
-
 from sixvertex import (ModelParams, diagonalize_sector, polynomial_residuals,
                        transfer)
 
@@ -28,8 +26,7 @@ for n, es, residuals in zip(range(params.L + 1), systems,
 # the exact sum differentiates exactly; compare with a finite difference of
 # the direct bilinear form <left| T(x) |right>
 es = diagonalize_sector(params, 2)
-idx = np.ix_(es.indices, es.indices)
-direct = lambda x: es.left[0] @ transfer(x, params)[idx] @ es.right[:, 0]
+direct = lambda x: es.left[0] @ transfer([x], params)[2][0] @ es.right[:, 0]
 x = 0.4
 h = 1e-5
 fd = (direct(x + h) - direct(x - h)) / (2 * h)

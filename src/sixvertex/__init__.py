@@ -8,7 +8,7 @@ quantities, and nonlinear ODE/PDE structure carried by that spectrum.
 
 from .model import (ModelParams, ExpSum, HighestWeightData, r_matrix, verify_ybe,
                     monodromy_blocks, transfer, yba_exchange_residual,
-                    sector_indices, sector_block)
+                    sector_indices)
 from .spectrum import (DegenerateSpectrum, EigenSystem, sample_sectors,
                        diagonalize_blocks, diagonalize_sector,
                        polynomial_residuals, polynomiality_check,

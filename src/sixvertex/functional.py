@@ -34,8 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import (HighestWeightData, ModelParams, cauchy_taylor, monodromy_blocks,
-                    sector_block)
+from .model import HighestWeightData, ModelParams, cauchy_taylor, monodromy_blocks
 
 __all__ = [
     "SingularTransport",
@@ -230,20 +229,20 @@ def f_n(point_sets, rows, params: ModelParams):
 
     `rows` stacks sector-n bras <Psi|, one per row, over the basis of
     `model.sector_indices(L, n)`; each X in `point_sets` holds n points.
-    B(x) is built once per distinct point, and each product takes only its
-    block from sector m - 1 into sector m.  Returns F[bra, point set].
+    B(x) is built at every distinct point in one stacked call, and each
+    product takes only its block from sector m - 1 into sector m.  Returns
+    F[bra, point set].
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=complex))
     n = len(point_sets[0])
-    blocks = {}     # x -> [B from sector m into m + 1, m = 0..n-1]
-    for x in dict.fromkeys(complex(x) for X in point_sets for x in X):
-        _, B, _, _ = monodromy_blocks(x, params)
-        blocks[x] = [sector_block(B, params.L, m + 1, m) for m in range(n)]
+    where = {x: k for k, x in enumerate(
+        dict.fromkeys(complex(x) for X in point_sets for x in X))}
+    _, B, _, _ = monodromy_blocks(list(where), params)
     out = np.empty((len(rows), len(point_sets)), dtype=complex)
     for s, X in enumerate(point_sets):
         v = rows
         for j, x in enumerate(X):
-            v = v @ blocks[complex(x)][n - 1 - j]
+            v = v @ B[n - 1 - j][where[complex(x)]]
         out[:, s] = v[:, 0]
     return out
 

@@ -1,13 +1,11 @@
 """Six-vertex model at desk scale: R-matrix, twisted monodromy, transfer matrix.
 
-The monodromy blocks are built densely on the 2^L-dimensional chain Hilbert
-space, held as one array and built site by site: each step writes the
-products with the six nonzero entries of the 2x2 site factors into four
-strided views of one preallocated array (the Kronecker products with those
-factors, without the zeros).  Products of blocks are taken in sector form:
-A, D and T(x) keep the number n of down spins, B raises it by one and C
-lowers it by one, so `sector_block` slices the nonzero blocks off one build
-and only those are multiplied.  Conventions (pinned by the L=1 tests):
+The monodromy is built on magnetization sectors only: A, D and T(x) keep the
+number n of down spins, B raises it by one and C lowers it by one, so each
+operator is its L+1 nonzero sector blocks, and every product is taken on
+them.  One constructor builds those blocks site by site, left to right, for
+a whole stack of points at once; the dense 2^L x 2^L operators are never
+formed.  Conventions (pinned by the L=1 tests):
 
 * vertex weights  a(x) = sinh(x + gamma),  b(x) = sinh(x),  c = sinh(gamma);
 * chain basis: bit-strings of length L in lexicographic order, site 1 is the
@@ -22,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -36,9 +35,7 @@ __all__ = [
     "transfer",
     "yba_exchange_residual",
     "sector_indices",
-    "sector_block",
     "popcount",
-    "magnetization_diagonal",
 ]
 
 
@@ -152,50 +149,180 @@ def verify_ybe(x1, x2, x3, gamma):
     return np.abs(r12 @ r13 @ r23 - r23 @ r13 @ r12).max(axis=(-2, -1))
 
 
-# number of monodromy_blocks calls so far (`verify` records it per check)
+# number of points at which the monodromy was built so far (`verify` records
+# it per check)
 builds = 0
 
+# entries of the four operators' sector blocks built in one chunk of points
+# (16 B each, at least one point per chunk).  Small chunks reuse the memory
+# of the chunk before instead of touching fresh pages for a whole stack, and
+# stay in cache: on 2 cores with a 2 MB L2, 8192 built the L = 6 and 7
+# stacks faster than 16384, 40000 or whole stacks, with the least peak memory
+_CHUNK_ENTRIES = 8192
 
-def monodromy_blocks(x, params: ModelParams):
-    """Twisted monodromy as its four quantum-space blocks (A, B, C, D).
 
-    The blocks are held as one array M[i, j, r, c] (aux row i, aux column j,
-    chain row r, chain column c), A = M[0, 0] ... D = M[1, 1].  The ordered
-    product runs j = 1 leftmost, so each site appends its 2x2 factors:
-    M[i, j] <- sum_k M[i, k] (x) r_kj, r_kj[s, t] = R[(k, s), (j, t)].  Of the
-    16 site-factor entries only six are nonzero (a, b on the diagonals, c on
-    r12[1, 0] and r21[0, 1]), so the step is four products written straight
-    into strided views of a zeroed (2, 2, d, 2, d, 2) array, which reshapes
-    to the 2d x 2d blocks.  The twist multiplies once at the end, in place
-    (A, B pick up phi1; C, D pick up phi2); the four blocks returned are
-    disjoint views of that array.  Operand kinds and order are kept as in
-    the np.kron build, which gives bit-identical output: the weights stay an
-    array (array-by-array products), and the twist scalar comes first
-    (numpy rounds phi * X and X * phi differently).
-    """
+def _dim(l, n):
+    """Dimension of the n-down-spin sector of l sites (0 outside 0..l)."""
+    return comb(l, n) if 0 <= n <= l else 0
+
+
+@lru_cache(maxsize=None)
+def _layout(l):
+    """Where the sector blocks of l sites sit in one flat row: for operator
+    op = 2 i + k (A, B, C, D = aux (0, 0), (0, 1), (1, 0), (1, 1)) and
+    column sector n = 0..l, (start, rows, columns) of the block from sector n
+    into sector n + k - i, in C order; and the row's length.  B from sector
+    l and C from sector 0 are empty blocks."""
+    blocks, start = {}, 0
+    for op in range(4):
+        i, k = divmod(op, 2)
+        for n in range(l + 1):
+            rows, cols = _dim(l, n + k - i), _dim(l, n)
+            blocks[op, n] = (start, rows, cols)
+            start += rows * cols
+    return blocks, start
+
+
+@lru_cache(maxsize=None)
+def _site_gathers(L):
+    """For each site l = 1..L, the index of every sector-block entry of
+    sites 1..l into the weighted copies of the blocks of sites 1..l-1: the
+    flattened (3, E + Z) array whose row w holds weight w (a, b, c) times
+    the E old entries, then Z zeros (Z is the widest sector of l - 1 sites).
+
+    Site l is appended as the least significant bit: M[i, k] <- sum_j
+    M[i, j] (x) r_jk with r_jk[s, t] = R[(j, s), (k, t)], nonzero only for
+    j = k + t - s, where it is a if s = t = j, b if s = t != j, and c if
+    s != t.  The entry at row state r and column state c of a new block,
+    with last bits s and t, is the weighted old entry of M[i, j] at
+    (r >> 1, c >> 1), in the old block from column sector n - t; where no j
+    fits, it is a zero.  All sites are indexed in one pass over the blocks
+    of every length: once per block row, then once per entry."""
+    lengths = np.arange(L + 1)
+    # dims[l, m + 1]: sector m of l sites, 0 for m = -1 and m > l
+    dims = np.array([[_dim(l, m) for m in range(-1, L + 2)] for l in lengths])
+    # the basis states of every length, sorted by length, sector and state
+    # (sector m of length l starts at first[l, m + 1]); of each, its last
+    # site and the place of the state without it in its sector
+    state = np.concatenate([idx for l in range(L + 1) for idx in _sector_arrays(l)])
+    first = (np.cumsum(dims) - dims.ravel()).reshape(dims.shape)
+    count = 2 ** lengths
+    length = np.repeat(lengths, count)
+    rank = np.empty_like(state)             # place in its sector, by (length, state)
+    rank[count[length] - 1 + state] = (np.arange(len(state))
+                                       - np.repeat(first.ravel(), dims.ravel()))
+    last = state & 1
+    parent = rank[count[length - 1] - 1 + (state >> 1)]     # unused at length 0
+    # every block of every length: length, operator, column sector, and its
+    # start, rows and columns in the flat row of its length
+    l, op, n, start, rows, cols = np.array(
+        [(l, op, n) + _layout(l)[0][op, n] for l in range(L + 1)
+         for op in range(4) for n in range(l + 1)]).T
+    size = np.array([_layout(l)[1] for l in range(L + 1)])
+    starts = np.zeros((L + 1, 4, L + 1), dtype=np.intp)
+    starts[l, op, n] = start
+    width = size + dims[lengths, lengths // 2 + 1]      # E + Z of each length
+    i, k = op >> 1, op & 1
+    new = l > 0
+    l, i, k, n, rows, cols = l[new], i[new], k[new], n[new], rows[new], cols[new]
+    # per block row, at place p: for t = 0, 1 the weighted old entry of the
+    # source block at (its parent row, column 0)
+    row = np.repeat(np.arange(len(l)), rows)
+    l, i, k, n, cols = l[row], i[row], k[row], n[row], cols[row]
+    p = first[l, n + k - i + 1] + np.arange(len(row)) - np.repeat(np.cumsum(rows) - rows, rows)
+    s = last[p]
+    source = []
+    for t in (0, 1):
+        j = k + t - s
+        w = np.where(s != t, 2, np.where(s == j, 0, 1))
+        source.append(np.where((j == 0) | (j == 1),
+                               w * width[l - 1] + starts[l - 1, 2 * i + (j & 1), n - t]
+                               + parent[p] * dims[l - 1, n - t + 1],
+                               size[l - 1]))
+    # per entry, at the place p of its column state: t picks the source, and
+    # the parent column adds on
+    p = np.repeat(first[l, n + 1] - np.cumsum(cols) + cols, cols) + np.arange(cols.sum())
+    index = (np.where(last[p], np.repeat(source[1], cols), np.repeat(source[0], cols))
+             + parent[p])
+    index.flags.writeable = False      # shared by every build
+    return np.split(index, np.cumsum(size[1:L]))
+
+
+def _build(xs, params, out):
+    """The twisted sector blocks of A, B, C, D at the points xs, one flat
+    row per point in the `_layout(L)` order, into `out`.
+
+    T0 = Gamma R_01 ... R_0L is built left to right: site j = 1..L is
+    appended to the blocks of sites 1..j-1 by one elementwise product
+    (every old entry times a, b and c of its point) and one gather
+    (`_site_gathers`); the twist multiplies once at the end (A, B pick up
+    phi1; C, D pick up phi2).  An entry of the monodromy is one product of a
+    site weight per site (spin conservation fixes the auxiliary path), and
+    this takes the products in the order of the dense ordered product.
+    Every operation is elementwise per point, so a point's blocks are the
+    same alone and in any stack."""
     global builds
-    builds += 1
-    g = params.gamma
-    M = np.eye(2, dtype=complex).reshape(2, 2, 1, 1)
-    for m in params.mu:
-        a, b, c = np.sinh(x - m + g), np.sinh(x - m), np.sinh(g)
-        w = np.array([[a, b], [b, a], [c, c]], dtype=complex)[:, :, None, None]
-        d = M.shape[-1]
-        N = np.zeros((2, 2, d, 2, d, 2), dtype=complex)
-        np.multiply(M, w[0], out=N[..., 0, :, 0])
-        np.multiply(M, w[1], out=N[..., 1, :, 1])
-        np.multiply(M[:, 1], w[2, 0], out=N[:, 0, :, 0, :, 1])
-        np.multiply(M[:, 0], w[2, 1], out=N[:, 1, :, 1, :, 0])
-        M = N.reshape(2, 2, 2 * d, 2 * d)
-    np.multiply(params.phi1, M[0], out=M[0])
-    np.multiply(params.phi2, M[1], out=M[1])
-    return M[0, 0], M[0, 1], M[1, 0], M[1, 1]
+    builds += len(xs)
+    L, g = params.L, params.gamma
+    z = xs[:, None] - np.array(params.mu)       # point x site
+    weights = np.stack([np.sinh(z + g), np.sinh(z), np.full(z.shape, np.sinh(g))], axis=2)
+    M = np.ones((len(xs), 2), dtype=complex)    # A, D of the empty chain
+    for l, index in enumerate(_site_gathers(L), start=1):
+        E, Z = M.shape[1], _dim(l - 1, (l - 1) // 2)
+        scaled = np.empty((len(xs), 3, E + Z), dtype=complex)
+        scaled[:, :, E:] = 0
+        np.multiply(M[:, None, :], weights[:, l - 1, :, None], out=scaled[:, :, :E])
+        M = np.take(scaled.reshape(len(xs), -1), index, axis=1,
+                    out=out if l == L else None, mode="clip")
+    split = _layout(L)[0][2, 0][0]              # C starts here
+    np.multiply(params.phi1, out[:, :split], out=out[:, :split])
+    np.multiply(params.phi2, out[:, split:], out=out[:, split:])
 
 
-def transfer(x, params: ModelParams):
-    """Transfer matrix: partial trace of the twisted monodromy over aux."""
-    A, _, _, D = monodromy_blocks(x, params)
-    return A + D
+def _points(xs):
+    return np.asarray(xs, dtype=complex).reshape(-1)
+
+
+def _chunks(count, L):
+    step = max(1, _CHUNK_ENTRIES // _layout(L)[1])
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
+def _views(flat, blocks, op, L):
+    return [flat[:, s:s + r * c].reshape(len(flat), r, c)
+            for s, r, c in (blocks[op, n] for n in range(L + 1))]
+
+
+def monodromy_blocks(xs, params: ModelParams):
+    """Twisted monodromy on magnetization sectors at every point of xs (a
+    scalar is one point): four lists (A, B, C, D), entry n the stack over the
+    points of the operator's block from column sector n, of shape
+    (points, rows, columns).  A and D keep sector n, B raises it to n + 1
+    and C lowers it to n - 1 (so B[L] and C[0] have no rows); every other
+    entry of the 2^L x 2^L operators is zero.  The points are built in
+    chunks of at most `_CHUNK_ENTRIES` entries; the blocks are disjoint
+    views of one array."""
+    xs, L = _points(xs), params.L
+    blocks, E = _layout(L)
+    flat = np.empty((len(xs), E), dtype=complex)
+    for chunk in _chunks(len(xs), L):
+        _build(xs[chunk], params, flat[chunk])
+    return tuple(_views(flat, blocks, op, L) for op in range(4))
+
+
+def transfer(xs, params: ModelParams):
+    """Transfer matrix T(x) = A + D (the partial trace of the twisted
+    monodromy over aux) on every sector n: entry n is the stack over the
+    points of xs of its (n, n) block."""
+    xs, L = _points(xs), params.L
+    blocks, E = _layout(L)
+    size = blocks[1, 0][0]                      # A, and D, have this many entries
+    flat = np.empty((len(xs), size), dtype=complex)
+    for chunk in _chunks(len(xs), L):
+        M = np.empty((len(flat[chunk]), E), dtype=complex)
+        _build(xs[chunk], params, M)
+        np.add(M[:, :size], M[:, E - size:], out=flat[chunk])
+    return _views(flat, blocks, 0, L)
 
 
 def yba_exchange_residual(xs, params: ModelParams):
@@ -204,11 +331,10 @@ def yba_exchange_residual(xs, params: ModelParams):
     the points, and the largest max-norm of T(x) = A + D over the points
     (its scale).  Raises ValueError if b(x1 - x2) vanishes for a pair.
 
-    Each point is built once, and only its sector blocks are kept.  Each
-    relation is formed on its nonzero sector blocks only: for column sector
-    n, A and D keep n and B(x) takes n to n + 1, so a relation maps sector n
-    to n, n + 1 or n + 2.  Every other entry of the dense relation is a sum
-    of exact zeros.  A and D are one stack: the D relations are the A ones
+    The points are one stacked build of the sector blocks.  Each relation
+    is formed on its nonzero sector blocks only: for column sector n, A and
+    D keep n and B(x) takes n to n + 1, so a relation maps sector n to n,
+    n + 1 or n + 2.  A and D are one stack: the D relations are the A ones
     with x1 and x2 swapped in their coefficients a(x2 - x1)/b(x2 - x1) and
     c/b(x1 - x2).  Each point x1 meets all later points x2 in one batch."""
     xs = np.asarray(xs)
@@ -223,17 +349,9 @@ def yba_exchange_residual(xs, params: ModelParams):
     beta = np.stack([params.c / params.b(-dx),
                      params.c / params.b(dx)])[:, :, None, None]
     # X[n]: (A, D) x point x sector n block; B[n]: point x (n + 1, n) block
-    dims = [len(sector_indices(L, n)) for n in range(L + 1)]
-    X = [np.empty((2, K, d, d), dtype=complex) for d in dims]
-    B = [np.empty((K, dims[n + 1], dims[n]), dtype=complex) for n in range(L)]
-    for k, x in enumerate(xs):
-        Ak, Bk, _, Dk = monodromy_blocks(x, params)
-        for n in range(L + 1):
-            X[n][0, k] = sector_block(Ak, L, n, n)
-            X[n][1, k] = sector_block(Dk, L, n, n)
-            if n < L:
-                B[n][k] = sector_block(Bk, L, n + 1, n)
-        del Ak, Bk, _, Dk   # frees this dense build before the next one
+    A, B, _, D = monodromy_blocks(xs, params)
+    X = [np.stack(AD) for AD in zip(A, D)]
+    del A, D
     t_norm = max(np.abs(Xn[0] + Xn[1]).max() for Xn in X)
     worst = 0.0
     for k in range(K - 1):
@@ -277,25 +395,6 @@ def sector_indices(L: int, n: int):
     if not 0 <= n <= L:
         raise ValueError(f"sector label must lie in [0, {L}], got {n}")
     return _sector_arrays(L)[n]
-
-
-@lru_cache(maxsize=None)
-def _block_index(L, n_row, n_col):
-    rows, cols = np.ix_(sector_indices(L, n_row), sector_indices(L, n_col))
-    rows.flags.writeable = cols.flags.writeable = False   # shared by every caller
-    return rows, cols
-
-
-def sector_block(M, L: int, n_row: int, n_col: int):
-    """Block of a chain operator M from sector n_col (columns) into sector
-    n_row (rows): A, D and T(x) are nonzero only on (n, n), B on (n + 1, n),
-    C on (n - 1, n)."""
-    return M[_block_index(L, n_row, n_col)]
-
-
-def magnetization_diagonal(L: int):
-    """Diagonal of H = sum_j (E11 - E22)_j in the chain basis."""
-    return np.array([L - 2 * popcount(s) for s in range(2 ** L)])
 
 
 # ---------------------------------------------------------------------------

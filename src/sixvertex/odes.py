@@ -33,8 +33,7 @@ from itertools import permutations
 import numpy as np
 
 from .functional import symmetric_m_matrix
-from .model import (ExpSum, HighestWeightData, ModelParams, cauchy_taylor, sector_block,
-                    transfer)
+from .model import ExpSum, HighestWeightData, ModelParams, cauchy_taylor, transfer
 
 # circle radius and nodes of the Cauchy rule for r' in the Schroedinger map
 _CAUCHY_RADIUS, _CAUCHY_NODES = 0.02, 16
@@ -421,8 +420,7 @@ def omega0_power_deviation(params: ModelParams):
     (T(0) keeps the number of down spins)."""
     _require_reference_point(params, "the root-of-unity check")
     L = params.L
-    O = transfer(0.0, params) / params.c ** L
-    blocks = [sector_block(O, L, n, n) for n in range(L + 1)]
+    blocks = [T[0] / params.c ** L for T in transfer([0.0], params)]
     return float(max(np.abs(np.linalg.matrix_power(B, L) - np.eye(len(B))).max()
                      for B in blocks))
 

@@ -1,9 +1,9 @@
 """Brute-force spectral oracle for the transfer matrix.
 
 With u = exp(2x), exp(Lx) T(x) is a polynomial of degree L in u with matrix
-coefficients.  `sample_sectors` builds T(x) once at each of the L+1 roots of
-unity in u, slices every requested magnetization sector block off that build,
-and an inverse FFT gives each block's coefficients exactly.
+coefficients.  `sample_sectors` builds the magnetization sector blocks of T(x) at
+the L+1 roots of unity in u in one stacked call, and an inverse FFT gives
+each block's coefficients exactly.
 `diagonalize_blocks` assembles one sector's block at a generic point x* from
 them and diagonalizes it; the left eigenvectors are the rows of the inverse
 of the right eigenvector matrix.  Because the eigenvectors do not depend on x, each
@@ -13,7 +13,7 @@ building T(x) again.
 
 The degree-L claim stays a real test: `polynomial_residuals` compares every
 sum with the direct bilinear form at L+6 fresh points off the sampling
-circle (one build per point for all sectors given), and
+circle (one stacked build for all sectors given), and
 `polynomiality_check` fits an arbitrary callable on the same points.
 """
 
@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.fft  # numpy 2 loads it lazily; load it with the module, not mid-run
 
-from .model import (ExpSum, ModelParams, monodromy_blocks, sector_block,
-                    sector_indices, transfer)
+from .model import ExpSum, ModelParams, monodromy_blocks, sector_indices, transfer
 
 __all__ = [
     "DegenerateSpectrum",
@@ -130,20 +129,16 @@ def sample_sectors(params: ModelParams, sectors):
     """n -> blocks of sector n, blocks[m] the matrix coefficient of u^m in
     exp(Lx) T(x), for every n in `sectors`.
 
-    T(x) is built once at each u_j = exp(-2 pi i j / (L+1)), j = 0..L, and
-    every sector block is sliced off that one build.
+    The sector blocks of T(x) at u_j = exp(-2 pi i j / (L+1)), j = 0..L,
+    come from one stacked build.
     """
     L = params.L
+    if not set(sectors) <= set(range(L + 1)):
+        raise ValueError(f"sector labels must lie in [0, {L}], got {sorted(sectors)}")
     xs = -1j * np.pi * np.arange(L + 1) / (L + 1)
-    blocks = {n: np.empty((L + 1,) + (len(sector_indices(L, n)),) * 2, dtype=complex)
-              for n in sectors}
-    for j, x in enumerate(xs):
-        T = transfer(x, params)
-        for n, b in blocks.items():
-            np.multiply(np.exp(L * x), sector_block(T, L, n, n), out=b[j])
-    for n in blocks:       # a sector at a time: one extra copy of a block at most
-        blocks[n] = np.fft.ifft(blocks[n], axis=0)
-    return blocks
+    T = transfer(xs, params)
+    scale = np.exp(L * xs)[:, None, None]
+    return {n: np.fft.ifft(scale * T[n], axis=0) for n in sectors}
 
 
 def diagonalize_blocks(params: ModelParams, n, blocks, retries=3, collision_tol=1e-8):
@@ -204,21 +199,16 @@ def polynomial_residuals(eigensystems):
     """Per eigensystem, and in it per eigenpair, the relative distance
     between u^{L/2} times the exact sum and u^{L/2} times the direct bilinear
     form  left_k T(x) right_k,  over fresh points where T(x) is built anew,
-    once per point for all the (same-model) eigensystems."""
+    in one stacked build for all the (same-model) eigensystems."""
     if not eigensystems:
         return []
     p = eigensystems[0].params
     xs = _check_points(p.L)
-    direct = [[] for _ in eigensystems]
-    for x in xs:
-        T = transfer(x, p)
-        for es, rows in zip(eigensystems, direct):
-            rows.append(((es.left @ sector_block(T, p.L, es.n, es.n)) * es.right.T)
-                        .sum(axis=1))
+    T = transfer(xs, p)
     scale = np.exp(p.L * xs)[:, None]
     return [_relative_residual(scale * np.array([es.eigenvalues_at(x) for x in xs]),
-                               scale * np.array(rows))
-            for es, rows in zip(eigensystems, direct)]
+                               scale * ((es.left @ T[es.n]) * es.right.T).sum(axis=-1))
+            for es in eigensystems]
 
 
 def polynomiality_check(lam, params: ModelParams):
@@ -244,8 +234,9 @@ def left_vector_from_C(roots, params: ModelParams):
     (a property that is verified, never assumed).  A numerically null result
     signals a degenerate algebraic Bethe state.
     """
+    roots = list(roots)
+    _, _, C, _ = monodromy_blocks(roots, params)
     row = np.ones(1, dtype=complex)
-    for m, w in enumerate(reversed(list(roots))):
-        _, _, C, _ = monodromy_blocks(w, params)
-        row = row @ sector_block(C, params.L, m, m + 1)
+    for m in range(len(roots)):         # C(w_n) first, from sector m + 1 into m
+        row = row @ C[m + 1][len(roots) - 1 - m]
     return row

@@ -18,6 +18,16 @@ def generic_model(L, seed):
             "phi2": float(rng.uniform(0.7, 1.4))}
 
 
+def scenario(L, point):
+    """Model of one scenario, as a config mapping: the reference point, the
+    benchmark's twisted inhomogeneous point at seed 1, or that point at
+    complex gamma."""
+    if point == "reference":
+        return {"L": L, "gamma": 0.7}
+    model = generic_model(L, 1)
+    return model if point == "generic" else {**model, "gamma": "0.7+0.3j"}
+
+
 @pytest.fixture(scope="session")
 def params():
     """Reference scenario: L=4, gamma=0.7, homogeneous, untwisted."""
@@ -57,8 +67,7 @@ class OracleBank:
     def direct(self, params, n, k):
         """x -> left_k T(x) right_k of sector n, building T(x) at every call."""
         es = self.eigensystem(params, n)
-        idx = np.ix_(es.indices, es.indices)
-        return lambda x: complex(es.left[k] @ transfer(x, params)[idx] @ es.right[:, k])
+        return lambda x: complex(es.left[k] @ transfer([x], params)[n][0] @ es.right[:, k])
 
     def fit(self, params, n, k):
         """Degree-L least-squares fit of the direct bilinear form: a reference

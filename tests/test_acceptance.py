@@ -75,10 +75,11 @@ def test_02_transfer_commutation():
     for L in (2, 4, 6, 8):
         p = ModelParams(L=L, gamma=0.7)
         for _ in range(10):
-            x, y = rng.uniform(-1, 1, 2)
-            Tx, Ty = transfer(x, p), transfer(y, p)
-            num = np.linalg.norm(Tx @ Ty - Ty @ Tx)
-            worst = max(worst, num / (np.linalg.norm(Tx) * np.linalg.norm(Ty)))
+            T = transfer(rng.uniform(-1, 1, 2), p)     # per sector: T(x), T(y)
+            num = np.sqrt(sum(np.linalg.norm(Tn[0] @ Tn[1] - Tn[1] @ Tn[0]) ** 2
+                              for Tn in T))
+            norm = np.sqrt(sum(np.linalg.norm(Tn, axis=(1, 2)) ** 2 for Tn in T))
+            worst = max(worst, num / (norm[0] * norm[1]))
     dt = time.perf_counter() - t0
     record(2, "[T(x),T(y)] Frobenius, L in {2,4,6,8}", worst, 1e-10,
            note=f"({dt:.2f}s) ")

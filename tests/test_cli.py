@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import generic_model
+from conftest import generic_model, scenario
 from sixvertex import cli, odes
 from sixvertex.model import ExpSum, HighestWeightData, ModelParams
 from sixvertex.reports import (ConfigError, ResultCache, RunConfig,
@@ -446,15 +446,6 @@ class TestCompatibilityControl:
         assert len(rows) == 3 and not any(r.passed for r in rows)
 
 
-def scenario(L, point):
-    """Model of one scenario: the reference point, the benchmark's twisted
-    inhomogeneous point at seed 1, or that point at complex gamma."""
-    if point == "reference":
-        return {"L": L, "gamma": 0.7}
-    model = generic_model(L, 1)
-    return model if point == "generic" else {**model, "gamma": "0.7+0.3j"}
-
-
 def control_rows(L, point):
     """Identities that the eigenvalues scaled by 1.01 of a `--perturb-lambda
     0.01` run fail, at the sectors n <= min(3, L-1) the checks take; the
@@ -563,15 +554,14 @@ class TestTraceRow:
         assert [r["residual"] for r in rows if r["identity"] == self.ROW][0] <= 1e-15
 
     def test_a_defective_build_fails_the_row(self, tmp_path, monkeypatch):
-        # D off by 1e-9 in every build: a trace taken from a second build
-        # would agree with it, the closed form does not
+        # T = A + D with D off by 1e-9 on every sector: a trace taken from a
+        # second build would agree with it, the closed form does not
         blocks = cli.model.monodromy_blocks
 
-        def off(x, p):
-            A, B, C, D = blocks(x, p)
-            return A, B, C, D * (1 + 1e-9)
-        monkeypatch.setattr(cli.model, "monodromy_blocks", off)
-        monkeypatch.setattr(cli, "monodromy_blocks", off)
+        def off(xs, p):
+            A, _, _, D = blocks(xs, p)
+            return [An + Dn * (1 + 1e-9) for An, Dn in zip(A, D)]
+        monkeypatch.setattr(cli, "transfer", off)
         out = tmp_path / "out"
         assert run(["verify", "--out", str(out), "--checks", "highest-weight"]) == 1
         rows = [json.loads(line) for line in (out / "reports.jsonl").read_text().splitlines()]

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import generic_model
+from conftest import generic_model, scenario
 from sixvertex import model
 from sixvertex.spectrum import diagonalize_sector
 from sixvertex.model import (ExpSum, HighestWeightData, ModelParams,
-                             magnetization_diagonal, monodromy_blocks,
-                             popcount, r_matrix, sector_block,
+                             monodromy_blocks, popcount, r_matrix,
                              sector_indices, transfer, verify_ybe,
                              yba_exchange_residual)
 
@@ -125,12 +124,32 @@ def dense_monodromy(x, p):
     return T[0, :, 0], T[0, :, 1], T[1, :, 0], T[1, :, 1]
 
 
+def assemble(blocks, L):
+    """Dense 2^L x 2^L (A, B, C, D) of every point of a stack, from their
+    sector blocks (operator 2 i + k takes sector n to n + k - i)."""
+    dense = []
+    for op, stacks in enumerate(blocks):
+        i, k = divmod(op, 2)
+        M = np.zeros((len(stacks[0]), 2 ** L, 2 ** L), dtype=complex)
+        for n, S in enumerate(stacks):
+            if S.shape[1]:
+                M[np.ix_(range(len(S)), sector_indices(L, n + k - i),
+                         sector_indices(L, n))] = S
+        dense.append(M)
+    return dense
+
+
+def magnetization(L):
+    """Diagonal of H = sum_j (E11 - E22)_j in the chain basis."""
+    return np.array([L - 2 * popcount(s) for s in range(2 ** L)])
+
+
 class TestMonodromy:
     def test_single_site_blocks(self):
         # 4x4 hand computation at L=1
         p = ModelParams(L=1, gamma=0.5, mu=(0.0,), phi1=1.3, phi2=0.8)
         x = 1.0
-        A, B, C, D = monodromy_blocks(x, p)
+        A, B, C, D = (M[0] for M in assemble(monodromy_blocks([x], p), 1))
         a, b, c = p.a(x), p.b(x), p.c
         assert np.allclose(A, 1.3 * np.diag([a, b]))
         assert np.allclose(D, 0.8 * np.diag([b, a]))
@@ -141,42 +160,75 @@ class TestMonodromy:
     def test_matches_dense_ordered_product(self, L):
         p = twisted_inhomogeneous(L)
         x = 0.41 + 0.13j
-        for got, ref in zip(monodromy_blocks(x, p), dense_monodromy(x, p)):
-            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        for got, ref in zip(assemble(monodromy_blocks([x], p), L), dense_monodromy(x, p)):
+            assert np.abs(got[0] - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("L", range(1, 9))
     def test_matches_kronecker_recursion(self, L):
-        p = twisted_inhomogeneous(L)
-        x = 0.41 + 0.13j
-        for got, ref in zip(monodromy_blocks(x, p), kron_monodromy(x, p)):
-            assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+        # every sector block of A, B, C, D against the np.kron build, on the
+        # twisted complex-gamma point and, up to L = 6, the three scenarios
+        points = [twisted_inhomogeneous(L)] + [
+            ModelParams.from_dict(scenario(L, point))
+            for point in ("reference", "generic", "complex-gamma")
+            if L <= 6]
+        xs = [0.41 + 0.13j, -0.73, 0.2 - 0.35j]
+        for p in points:
+            built = monodromy_blocks(xs, p)
+            for k, x in enumerate(xs):
+                for op, ref in enumerate(kron_monodromy(x, p)):
+                    i, j = divmod(op, 2)
+                    scale = np.abs(ref).max()
+                    for n, S in enumerate(built[op]):
+                        rows = sector_indices(L, n + j - i) if S.shape[1] else []
+                        block = ref[np.ix_(rows, sector_indices(L, n))]
+                        assert np.abs(S[k] - block).max(initial=0) <= 1e-15 * scale
+
+    def test_point_alone_equals_in_stack(self, monkeypatch):
+        # bit-identical alone, in any order of a stack, and across chunks
+        p = ModelParams.from_dict(scenario(6, "complex-gamma"))
+        xs = np.array([0.41 + 0.13j, -0.73, 0.2 - 0.35j, 1.1, -0.05 + 0.6j])
+        alone = [monodromy_blocks([x], p) for x in xs]
+        stacks = [(xs, monodromy_blocks(xs, p)),
+                  (xs[::-1], monodromy_blocks(xs[::-1], p))]
+        monkeypatch.setattr(model, "_CHUNK_ENTRIES", 2 * model._layout(6)[1])
+        stacks.append((xs, monodromy_blocks(xs, p)))      # chunks of 2, 2, 1
+        for order, blocks in stacks:
+            for k, x in enumerate(order):
+                ref = alone[list(xs).index(x)]
+                for op in range(4):
+                    for S, R in zip(blocks[op], ref[op]):
+                        assert np.array_equal(S[k], R[0])
+        A, _, _, D = stacks[-1][1]
+        for T, An, Dn in zip(transfer(xs, p), A, D):
+            assert np.array_equal(T, An + Dn)
 
     def test_blocks_do_not_share_memory(self):
         # a caller that writes into one block leaves the others as they are
-        blocks = monodromy_blocks(0.3, twisted_inhomogeneous(3))
+        blocks = [S for stacks in monodromy_blocks([0.3, -0.2], twisted_inhomogeneous(3))
+                  for S in stacks]
         for i, X in enumerate(blocks):
             for Y in blocks[i + 1:]:
                 assert not np.shares_memory(X, Y)
-        D = blocks[3].copy()
+        D = blocks[-1].copy()
         blocks[0][...] = 7.0
-        assert np.array_equal(blocks[3], D)
+        assert np.array_equal(blocks[-1], D)
 
     def test_singular_vector(self, rng):
-        # C(x)|0> = 0 for all x; B(x) does not annihilate a generic vector
+        # C(x)|0> = 0 for all x (C has no block from sector 0); B(x) does not
+        # annihilate a generic vector
         p = ModelParams(L=3, gamma=0.7, mu=(0.0, 0.2, -0.4), phi1=1.1, phi2=0.9)
-        e0 = np.zeros(8)
-        e0[0] = 1.0
         v = rng.normal(size=8) + 1j * rng.normal(size=8)
-        for x in (p.mu[0], 0.63, -0.8 + 0.3j):
-            A, B, C, D = monodromy_blocks(x, p)
-            assert np.abs(C @ e0).max() == 0.0
-            assert np.abs(B @ v).max() > 1e-3
+        xs = [p.mu[0], 0.63, -0.8 + 0.3j]
+        _, B, C, _ = monodromy_blocks(xs, p)
+        assert C[0].shape == (3, 0, 1)
+        for Bk in assemble(monodromy_blocks(xs, p), 3)[1]:
+            assert np.abs(Bk @ v).max() > 1e-3
 
     def test_near_degenerate_anisotropy_diagonal(self):
         # as gamma -> 0 all c-weights vanish and A becomes scalar
         p = ModelParams(L=3, gamma=1e-10, mu=(0.1, -0.2, 0.3), phi1=1.2, phi2=0.9)
         x = 0.77
-        A, _, _, _ = monodromy_blocks(x, p)
+        A = assemble(monodromy_blocks([x], p), 3)[0][0]
         target = 1.2 * np.prod([np.sinh(x - m) for m in p.mu]) * np.eye(8)
         assert np.abs(A - target).max() < 1e-8
 
@@ -184,60 +236,74 @@ class TestMonodromy:
         p, hw = generic_params, generic_hw
         e0 = np.zeros(p.dim)
         e0[0] = 1.0
-        for _ in range(10):
-            x = rng.uniform(-1, 1) + 1j * rng.uniform(-0.3, 0.3)
-            A, B, C, D = monodromy_blocks(x, p)
+        xs = rng.uniform(-1, 1, 10) + 1j * rng.uniform(-0.3, 0.3, 10)
+        for x, A, B, C, D in zip(xs, *assemble(monodromy_blocks(xs, p), p.L)):
             sc = max(abs(hw.lam_a(x)), abs(hw.lam_d(x)), 1.0)
             assert np.abs(A @ e0 - p.phi1 * hw.lam_a(x) * e0).max() < 1e-12 * sc
             assert np.abs(D @ e0 - p.phi2 * hw.lam_d(x) * e0).max() < 1e-12 * sc
             assert np.abs(C @ e0).max() < 1e-14 * sc
 
     def test_magnetization_blocks_exact(self, generic_params):
-        # structural zeros are exact: A, D preserve popcount, B raises, C lowers
-        A, B, C, D = monodromy_blocks(0.37, generic_params)
-        hdiag = magnetization_diagonal(generic_params.L)
-        delta = hdiag[:, None] - hdiag[None, :]
-        for M, shift in ((A, 0), (D, 0), (B, -2), (C, 2)):
-            assert np.abs(M[delta != shift]).max() == 0.0
+        # in the independent Kronecker build the entries off the sector
+        # blocks are exact zeros: A, D preserve popcount, B raises, C lowers;
+        # so the sector blocks are the whole operators
+        for p in (generic_params, ModelParams.from_dict(scenario(5, "complex-gamma"))):
+            hdiag = magnetization(p.L)
+            delta = hdiag[:, None] - hdiag[None, :]
+            for M, shift in zip(kron_monodromy(0.37 - 0.2j, p), (0, -2, 2, 0)):
+                assert np.abs(M[delta != shift]).max() == 0.0
+
+
+def sector_norm(T):
+    """Frobenius norm over all sector blocks of one operator."""
+    return np.sqrt(sum(np.linalg.norm(Tn) ** 2 for Tn in T))
 
 
 class TestTransfer:
     def test_single_site_eigenvalues(self):
         p = ModelParams(L=1, gamma=0.7, mu=(0.0,), phi1=1.2, phi2=0.9)
         x = 0.55
-        T = transfer(x, p)
-        assert np.allclose(np.diag(T), [1.2 * p.a(x) + 0.9 * p.b(x),
-                                        1.2 * p.b(x) + 0.9 * p.a(x)])
+        T = transfer([x], p)
+        assert np.allclose([T[0][0, 0, 0], T[1][0, 0, 0]],
+                           [1.2 * p.a(x) + 0.9 * p.b(x), 1.2 * p.b(x) + 0.9 * p.a(x)])
 
     @pytest.mark.parametrize("L", [2, 4, 6, 8])
     def test_commuting_family(self, L, rng):
         p = ModelParams(L=L, gamma=0.7)
         for _ in range(3):
-            x, y = rng.uniform(-1, 1, 2)
-            Tx, Ty = transfer(x, p), transfer(y, p)
-            num = np.linalg.norm(Tx @ Ty - Ty @ Tx)
-            assert num < 1e-10 * np.linalg.norm(Tx) * np.linalg.norm(Ty)
+            T = transfer(rng.uniform(-1, 1, 2), p)
+            num = sector_norm([Tn[0] @ Tn[1] - Tn[1] @ Tn[0] for Tn in T])
+            assert num < 1e-10 * sector_norm([Tn[0] for Tn in T]) * sector_norm(
+                [Tn[1] for Tn in T])
 
     def test_zero_point_permutation(self, params):
-        # T(0) = c^L * O with O a permutation operator
+        # T(0) = c^L * O with O a permutation operator, one per sector
         p = params
-        O = transfer(0.0, p) / p.c ** p.L
-        assert np.abs(np.abs(O).sum(axis=0) - 1).max() < 1e-12
-        assert np.abs(np.abs(O).sum(axis=1) - 1).max() < 1e-12
-        assert np.abs(O @ O.conj().T - np.eye(p.dim)).max() < 1e-12
+        for T in transfer([0.0], p):
+            O = T[0] / p.c ** p.L
+            assert np.abs(np.abs(O).sum(axis=0) - 1).max() < 1e-12
+            assert np.abs(np.abs(O).sum(axis=1) - 1).max() < 1e-12
+            assert np.abs(O @ O.conj().T - np.eye(len(O))).max() < 1e-12
 
     def test_trace_identity(self, generic_params):
-        x = 0.41
-        A, _, _, D = monodromy_blocks(x, generic_params)
-        T = transfer(x, generic_params)
-        assert abs(np.trace(T) - np.trace(A) - np.trace(D)) < 1e-12 * abs(np.trace(T))
+        # T = A + D on every sector, and its trace is that of A plus D
+        xs = [0.41, -0.2 + 0.3j]
+        A, _, _, D = monodromy_blocks(xs, generic_params)
+        T = transfer(xs, generic_params)
+        for Tn, An, Dn in zip(T, A, D):
+            assert np.array_equal(Tn, An + Dn)
+        tr = sum(np.trace(Tn, axis1=1, axis2=2) for Tn in T)
+        trA = sum(np.trace(An, axis1=1, axis2=2) for An in A)
+        trD = sum(np.trace(Dn, axis1=1, axis2=2) for Dn in D)
+        assert np.all(np.abs(tr - trA - trD) < 1e-12 * np.abs(tr))
 
 
-def dense_exchange(xs, params):
+def dense_exchange(xs, params, built):
     """Worst residual of the seven exchange relations over every pair of xs,
-    and max|A + D| over xs, transcribed on the dense blocks of each build."""
+    and max|A + D| over xs, transcribed on the dense Kronecker blocks built
+    at the point `built` (the relations' coefficients use `params`)."""
     a, b, c = params.a, params.b, params.c
-    blocks = [[M.copy() for M in model.monodromy_blocks(x, params)] for x in xs]
+    blocks = [kron_monodromy(x, built) for x in xs]
     worst = 0.0
     for i in range(len(xs)):
         for j in range(i + 1, len(xs)):
@@ -253,18 +319,22 @@ def dense_exchange(xs, params):
     return worst, max(np.abs(A + D).max() for A, _, _, D in blocks)
 
 
+def max_t(xs, p):
+    return max(np.abs(T).max() for T in transfer(xs, p))
+
+
 class TestExchange:
     POINTS = [0.41, -0.27, 0.83, -0.66]
 
     def test_relations_small(self):
         p = ModelParams(L=4, gamma=0.7)
         res, t_norm = yba_exchange_residual([0.4, -0.3], p)
-        assert t_norm == max(np.abs(transfer(x, p)).max() for x in (0.4, -0.3))
+        assert t_norm == max_t([0.4, -0.3], p)
         assert res < 1e-11 * t_norm ** 2
 
     def test_swap_self_consistency(self, generic_params):
         p = generic_params
-        scale = np.abs(transfer(0.52, p)).max() ** 2
+        scale = max_t([0.52], p) ** 2
         r1, _ = yba_exchange_residual([0.52, -0.17], p)
         r2, _ = yba_exchange_residual([-0.17, 0.52], p)
         assert r1 < 1e-11 * scale and r2 < 1e-11 * scale
@@ -275,15 +345,15 @@ class TestExchange:
         # with the blocks built at another gamma than the coefficients use,
         # the relations fail at O(1) and the comparison is not one of
         # rounding noise
-        p = ModelParams.from_dict(generic_model(L, 2))
+        p = built = ModelParams.from_dict(generic_model(L, 2))
         if built_gamma is not None:
-            blocks, other = model.monodromy_blocks, ModelParams.from_dict(
+            blocks, built = model.monodromy_blocks, ModelParams.from_dict(
                 {**generic_model(L, 2), "gamma": built_gamma})
             monkeypatch.setattr(model, "monodromy_blocks",
-                                lambda x, _: blocks(x, other))
+                                lambda xs, _: blocks(xs, built))
         res, t_norm = yba_exchange_residual(self.POINTS, p)
-        ref, ref_norm = dense_exchange(self.POINTS, p)
-        assert t_norm == ref_norm
+        ref, ref_norm = dense_exchange(self.POINTS, p, built)
+        assert abs(t_norm - ref_norm) <= 1e-15 * ref_norm
         assert abs(res - ref) <= 1e-13 * (ref if built_gamma else ref_norm ** 2)
         pairs = max(yba_exchange_residual([x1, x2], p)[0]
                     for k, x1 in enumerate(self.POINTS) for x2 in self.POINTS[k + 1:])
@@ -401,20 +471,3 @@ def test_sector_indices_partition():
     assert all_idx == list(range(2 ** L))
     assert len(sector_indices(L, 2)) == 10
     assert all(popcount(s) == 2 for s in sector_indices(L, 2))
-
-
-def test_sector_block_equals_fresh_fancy_index():
-    # the cached, read-only index pair slices exactly what a fresh np.ix_ does
-    L = 5
-    M = np.arange(4 ** L, dtype=float).reshape(2 ** L, 2 ** L) * (1 + 0.5j)
-    for n_row, n_col in [(2, 2), (3, 2), (1, 2), (0, 0), (5, 4)]:
-        rows = np.flatnonzero([popcount(s) == n_row for s in range(2 ** L)])
-        cols = np.flatnonzero([popcount(s) == n_col for s in range(2 ** L)])
-        got = sector_block(M, L, n_row, n_col)
-        assert np.array_equal(got, M[np.ix_(rows, cols)])
-        got[...] = 0                                     # a copy, not a view
-        assert np.array_equal(sector_block(M, L, n_row, n_col), M[np.ix_(rows, cols)])
-    for idx in model._block_index(L, 2, 3):
-        assert not idx.flags.writeable
-    with pytest.raises(ValueError):
-        sector_block(M, L, 6, 0)

@@ -359,13 +359,14 @@ class TestSchrodinger:
 class TestRootOfUnity:
     def test_L2_is_site_swap(self):
         p = ModelParams(L=2, gamma=0.7)
-        from sixvertex.model import transfer
-        O = transfer(0.0, p) / p.c ** 2
+        from sixvertex.model import sector_indices, transfer
         P = np.zeros((4, 4))
         for s in range(4):
             b0, b1 = (s >> 1) & 1, s & 1
             P[(b1 << 1) | b0, s] = 1.0
-        assert np.abs(O - P).max() < 1e-14
+        for n, T in enumerate(transfer([0.0], p)):
+            idx = sector_indices(2, n)
+            assert np.abs(T[0] / p.c ** 2 - P[np.ix_(idx, idx)]).max() < 1e-14
 
     @pytest.mark.parametrize("L", [2, 3, 4, 6])
     def test_power_identity(self, L):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sixvertex import cli
-from sixvertex.model import ModelParams, sector_block, sector_indices, transfer
+from sixvertex.model import ModelParams, transfer
 from sixvertex.reports import RunConfig
 from sixvertex.spectrum import (DegenerateSpectrum, diagonalize_sector,
                                 left_vector_from_C, polynomial_residuals,
@@ -29,10 +29,9 @@ class TestDiagonalizeSector:
         p = ModelParams(L=L, gamma=gamma, mu=tuple(rng.uniform(-0.3, 0.3, L)),
                         phi1=1.3, phi2=0.8)
         x = 0.8 - 0.1j
-        T = transfer(x, p)
+        T = transfer([x], p)
         for n in range(L + 1):
-            idx = sector_indices(L, n)
-            tr = np.trace(T[np.ix_(idx, idx)])
+            tr = np.trace(T[n][0])
             es = diagonalize_sector(p, n)
             assert abs(sum(es.eigenvalues_at(x)) - tr) < 1e-12 * abs(tr)
 
@@ -49,10 +48,9 @@ class TestDiagonalizeSector:
 
     def test_eigen_residual_at_fresh_points(self, params, oracle, rng):
         es = oracle.eigensystem(params, 2)
-        idx = es.indices
         for _ in range(3):
             x = rng.uniform(-0.8, 1.2)
-            Tb = transfer(x, params)[np.ix_(idx, idx)]
+            Tb = transfer([x], params)[2][0]
             lams = es.eigenvalues_at(x)
             for k in range(es.size):
                 r = np.linalg.norm(Tb @ es.right[:, k] - lams[k] * es.right[:, k])
@@ -61,9 +59,8 @@ class TestDiagonalizeSector:
     def test_commuting_family_off_diagonals(self, generic_params, oracle, rng):
         # the eigenbasis built at x* must diagonalize T(y) for fresh y
         es = oracle.eigensystem(generic_params, 2)
-        idx = es.indices
         y = 0.93
-        Tb = transfer(y, generic_params)[np.ix_(idx, idx)]
+        Tb = transfer([y], generic_params)[2][0]
         G = es.left @ Tb @ es.right
         off = G - np.diag(np.diag(G))
         assert np.abs(off).max() < 1e-9 * np.abs(Tb).max()
@@ -74,7 +71,7 @@ class TestDiagonalizeSector:
         p = ModelParams(L=L, gamma=0.7, mu=tuple(rng.uniform(-0.3, 0.3, L)),
                         phi1=1.3, phi2=0.8)
         es = diagonalize_sector(p, n)
-        Tb = transfer(es.x_star, p)[np.ix_(es.indices, es.indices)]
+        Tb = transfer([es.x_star], p)[n][0]
         r = np.linalg.norm(es.left @ Tb - es.eigs[:, None] * es.left, axis=1)
         assert np.all(r <= 1e-12 * np.linalg.norm(Tb, 2)
                       * np.linalg.norm(es.left, axis=1))
@@ -196,7 +193,7 @@ class TestLeftVectorFromC:
         p = ModelParams(L=2, gamma=0.7)
         row = left_vector_from_C([-0.35], p)
         x = 0.9
-        T = sector_block(transfer(x, p), p.L, 1, 1)
+        T = transfer([x], p)[1][0]
         out = row @ T
         k = int(np.argmax(np.abs(row)))
         lam = out[k] / row[k]
@@ -205,7 +202,7 @@ class TestLeftVectorFromC:
     def test_non_root_is_not_left_eigenvector(self):
         p = ModelParams(L=2, gamma=0.7)
         row = left_vector_from_C([0.4], p)
-        T = sector_block(transfer(0.9, p), p.L, 1, 1)
+        T = transfer([0.9], p)[1][0]
         out = row @ T
         k = int(np.argmax(np.abs(row)))
         lam = out[k] / row[k]
