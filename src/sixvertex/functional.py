@@ -14,20 +14,16 @@ Sign conventions for the scalar identities were fixed against the
 determinant form, which this module treats as ground truth (the two code
 paths agree identically; see tests).
 
-Points may be complex scalars or complex arrays over a shared trailing node
-axis (one point set per node), mixed and broadcast to one shape; matrices
-carry the node axes after their two matrix axes, determinants are per node,
-and eigenvalue evaluators must accept arrays.  A whole node grid is so one
-numpy evaluation, and a scalar point set is its 0-d case.
-
-`coefficients_m`, `extended_matrix`, the nonlinear identities,
-`linear_relation_residual` and `conserved_n1` also take a stack of
-eigenvalues (`model.ExpSum` with K rows, one per eigenpair of a sector):
-what they return carries a leading eigenpair axis ahead of the matrix and
-node axes, so a whole sector is one call.  `compatibility_residual`,
-`extended_rank` and `separation_threshold` take such an extended matrix of
-a scalar point set.  The Cramer, transport and theta functions take one
-eigenvalue, their matrix axes first.
+Points may be complex scalars or complex arrays of one node shape (one
+point set per node), mixed and broadcast to one shape, and an eigenvalue
+may be a stack (`model.ExpSum` with K rows, one per eigenpair of a sector);
+eigenvalue evaluators must accept arrays.  Every array here has one layout,
+eigenpair axis first, node axes next, matrix (or coefficient) axes last:
+`(K,) + node shape + (n+1, n+1)` for the extended matrix, without the K
+axis for a single eigenvalue.  A whole sector and node grid is so one numpy
+evaluation, a scalar point set is its 0-d case, and determinants are per
+eigenpair and node.  `tilde_v_spread` and the theta functions take one
+eigenvalue and a scalar point set.
 """
 
 from __future__ import annotations
@@ -51,7 +47,6 @@ __all__ = [
     "v_matrix",
     "transport",
     "transport_loop",
-    "tilde_v_matrix",
     "tilde_v_det",
     "tilde_v_spread",
     "theta_generator",
@@ -73,80 +68,64 @@ class SingularTransport(RuntimeError):
 
 
 def _validate(points):
-    """Points broadcast to one shape (scalars stay 0-d); raises ValueError if
-    two points are unseparated at any node."""
-    pts = [p[()] for p in np.broadcast_arrays(*(np.asarray(p, dtype=complex)
-                                                for p in points))]
-    n = len(pts) - 1
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if np.any(np.abs(np.sinh(pts[i] - pts[j])) <= _MIN_SEPARATION):
+    """Points broadcast to one shape and stacked on a last axis (shape node
+    shape + (n+1,)); raises ValueError if two points are unseparated at any
+    node."""
+    X = np.stack(np.broadcast_arrays(*(np.asarray(p, dtype=complex)
+                                       for p in points)), axis=-1)
+    n = X.shape[-1] - 1
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            if np.any(np.abs(np.sinh(X[..., i] - X[..., j])) <= _MIN_SEPARATION):
                 raise ValueError(
                     f"spectral points {i} and {j} are (mod i*pi) too close: "
                     f"|sinh(x_{i}-x_{j})| <= {_MIN_SEPARATION}"
                 )
-    return pts, n
+    return X, n
 
 
 def _coefficients(X, lam, hw: HighestWeightData, params: ModelParams):
-    """coefficients_m at the validated stacked points X (shape (n+1,) + node
-    shape)."""
-    # r[i, j] = a(x_i - x_j) / b(x_i - x_j), with 1 on the diagonal
-    D = X[:, None] - X[None, :]
-    diag = np.eye(len(X), dtype=bool).reshape((len(X),) * 2 + (1,) * (X.ndim - 1))
+    """coefficients_m at the validated stacked points X."""
+    # r[..., i, j] = a(x_i - x_j) / b(x_i - x_j), with 1 on the diagonal
+    D = X[..., :, None] - X[..., None, :]
+    diag = np.eye(X.shape[-1], dtype=bool)
     r = np.where(diag, 1, params.a(D) / np.where(diag, 1, params.b(D)))
     # products over j >= 1 of r[j, i] and of r[i, j]; the diagonal 1 drops j = i
-    va = params.phi1 * np.prod(r[1:], axis=0) * hw.lam_a(X)
-    vd = params.phi2 * np.prod(r[:, 1:], axis=1) * hw.lam_d(X)
-    m0 = va[0] + vd[0] - lam(X[0])
-    mi = (params.c / params.b(X[0] - X[1:])) * (va[1:] - vd[1:])
-    e = np.ndim(m0) - X.ndim + 1        # leading eigenpair axes of lam
-    return np.concatenate([np.expand_dims(m0, e),
-                           np.broadcast_to(mi, np.shape(m0)[:e] + mi.shape)], axis=e)
+    va = params.phi1 * np.prod(r[..., 1:, :], axis=-2) * hw.lam_a(X)
+    vd = params.phi2 * np.prod(r[..., 1:], axis=-1) * hw.lam_d(X)
+    m0 = va[..., 0] + vd[..., 0] - lam(X[..., 0])
+    mi = (params.c / params.b(X[..., :1] - X[..., 1:])) * (va[..., 1:] - vd[..., 1:])
+    return np.concatenate(
+        [m0[..., None], np.broadcast_to(mi, np.shape(m0) + mi.shape[-1:])], axis=-1)
 
 
 def coefficients_m(pts, lam, hw: HighestWeightData, params: ModelParams):
-    """Coefficient vector (M_0, ..., M_n) of the linear problem at `pts`
-    (shape (K, n+1) + node shape for a stack of K eigenvalues)."""
-    pts, _ = _validate(pts)
-    return _coefficients(np.array(pts), lam, hw, params)
+    """Coefficient vector (M_0, ..., M_n) of the linear problem at `pts`."""
+    return _coefficients(_validate(pts)[0], lam, hw, params)
 
 
 def extended_matrix(pts, lam, hw: HighestWeightData, params: ModelParams):
-    """(n+1)x(n+1) system matrix (shape (K, n+1, n+1) + node shape for a
-    stack): row j is the coefficient vector after the swap x_0 <-> x_j, with
-    entries 0 and j swapped back into place.  The n+1 swapped point sets are
-    one coefficient evaluation, over a row axis ahead of the node axes."""
-    pts, n = _validate(pts)
-    X = np.array(pts)
+    """(n+1)x(n+1) system matrix: row j is the coefficient vector after the
+    swap x_0 <-> x_j, with entries 0 and j swapped back into place.  The n+1
+    swapped point sets are one coefficient evaluation, over a row axis after
+    the node axes."""
+    X, n = _validate(pts)
     idx = np.arange(n + 1)
     swap = np.tile(idx, (n + 1, 1))     # swap[j]: positions after x_0 <-> x_j
     swap[idx, 0], swap[idx, idx] = idx, 0
-    C = _coefficients(X[swap.T], lam, hw, params)   # [..., entry, row, nodes]
-    e = C.ndim - X.ndim - 1
-    C = np.moveaxis(C, (e, e + 1), (0, 1))
-    return np.moveaxis(C[swap, idx[:, None]], (0, 1), (e, e + 1))
+    C = _coefficients(X[..., swap], lam, hw, params)   # [..., row, entry]
+    return C[..., idx[:, None], swap]
 
 
 def _row_scale(M):
-    """Product of the row max-norms of M, per node."""
-    return np.prod(np.abs(M).max(axis=1), axis=0)
+    """Product of the row max-norms of M."""
+    return np.prod(np.abs(M).max(axis=-1), axis=-1)
 
-
-def _det(M):
-    """Determinant over the two leading (matrix) axes, per node."""
-    return np.linalg.det(np.moveaxis(M, (0, 1), (-2, -1)))
-
-
-# The three functions below take the extended matrix M of a scalar point set,
-# its matrix axes last (any leading axes are eigenpairs), so that one build
-# serves the residuals, the rank and the threshold of a whole sector.
 
 def compatibility_residual(M):
     """det of the extended matrix M, normalized by the product of row
     max-norms (scale-free; vanishes iff Lambda sits on the spectrum)."""
-    M = np.moveaxis(M, (-2, -1), (0, 1))
-    return _det(M) / np.maximum(_row_scale(M), 1e-300)
+    return np.linalg.det(M) / np.maximum(_row_scale(M), 1e-300)
 
 
 def _row_normalized_singular_values(M):
@@ -182,21 +161,19 @@ def symmetric_m_matrix(pts, hw: HighestWeightData, params: ModelParams):
     Equal to extended_matrix + diag(Lambda) entrywise; built here from its
     own closed form so the two derivations cross-check each other.
     """
-    pts, n = _validate(pts)
-    X = np.array(pts)
+    X, n = _validate(pts)
     a, b = params.a, params.b
     idx = np.arange(n + 1)
-    nodes = (1,) * (X.ndim - 1)
-    diag = np.eye(n + 1, dtype=bool).reshape((n + 1,) * 2 + nodes)
+    diag = np.eye(n + 1, dtype=bool)
     # keep[i, j, k]: k outside {i, j}, which also keeps b(0) on the diagonal out
-    keep = ((idx[:, None, None] != idx) & (idx[:, None] != idx)).reshape((n + 1,) * 3 + nodes)
-    xj, xk = X[None, :, None], X[None, None, :]
+    keep = (idx[:, None, None] != idx) & (idx[:, None] != idx)
+    xj, xk = X[..., None, :, None], X[..., None, None, :]
     # pa[i, j] = prod_k a(x_k - x_j)/b(x_k - x_j), pd[i, j] = prod_k a(x_j - x_k)/b(x_j - x_k)
-    pa = np.prod(np.where(keep, a(xk - xj) / np.where(keep, b(xk - xj), 1), 1), axis=2)
-    pd = np.prod(np.where(keep, a(xj - xk) / np.where(keep, b(xj - xk), 1), 1), axis=2)
-    va = params.phi1 * pa * hw.lam_a(X)
-    vd = params.phi2 * pd * hw.lam_d(X)
-    bij = np.where(diag, 1, b(X[:, None] - X[None, :]))
+    pa = np.prod(np.where(keep, a(xk - xj) / np.where(keep, b(xk - xj), 1), 1), axis=-1)
+    pd = np.prod(np.where(keep, a(xj - xk) / np.where(keep, b(xj - xk), 1), 1), axis=-1)
+    va = params.phi1 * pa * hw.lam_a(X)[..., None, :]
+    vd = params.phi2 * pd * hw.lam_d(X)[..., None, :]
+    bij = np.where(diag, 1, b(X[..., :, None] - X[..., None, :]))
     return np.where(diag, va + vd, (params.c / bij) * (va - vd))
 
 
@@ -204,8 +181,8 @@ def nonlinear_eq_n1_residual(x0, x1, lam, hw, params):
     """Two-point scalar identity for sector-1 eigenvalues (LHS - RHS)."""
     m = symmetric_m_matrix([x0, x1], hw, params)
     L0, L1 = lam(x0), lam(x1)
-    return (L0 * L1 - m[1, 1] * L0 - m[0, 0] * L1
-            - (m[0, 1] * m[1, 0] - m[0, 0] * m[1, 1]))
+    return (L0 * L1 - m[..., 1, 1] * L0 - m[..., 0, 0] * L1
+            - (m[..., 0, 1] * m[..., 1, 0] - m[..., 0, 0] * m[..., 1, 1]))
 
 
 def nonlinear_eq_n2_residual(x0, x1, x2, lam, hw, params):
@@ -213,10 +190,10 @@ def nonlinear_eq_n2_residual(x0, x1, x2, lam, hw, params):
     m = symmetric_m_matrix([x0, x1, x2], hw, params)
     L0, L1, L2 = lam(x0), lam(x1), lam(x2)
     det_m = np.linalg.det(m)
-    rhs = (m[2, 2] * L0 * L1 + m[1, 1] * L0 * L2 + m[0, 0] * L1 * L2
-           + (m[1, 2] * m[2, 1] - m[1, 1] * m[2, 2]) * L0
-           + (m[0, 2] * m[2, 0] - m[0, 0] * m[2, 2]) * L1
-           + (m[0, 1] * m[1, 0] - m[0, 0] * m[1, 1]) * L2
+    rhs = (m[..., 2, 2] * L0 * L1 + m[..., 1, 1] * L0 * L2 + m[..., 0, 0] * L1 * L2
+           + (m[..., 1, 2] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 2]) * L0
+           + (m[..., 0, 2] * m[..., 2, 0] - m[..., 0, 0] * m[..., 2, 2]) * L1
+           + (m[..., 0, 1] * m[..., 1, 0] - m[..., 0, 0] * m[..., 1, 1]) * L2
            + det_m)
     return L0 * L1 * L2 - rhs
 
@@ -251,9 +228,9 @@ def linear_relation_residual(pts, lam, rows, hw, params):
     """(residuals, scales) of  sum_i M_i F_n(pts minus x_i)  for each
     eigenpair (row k of the eigenvalue stack `lam`, sector-n bra rows[k]); a
     scale is the largest term."""
-    pts, n = _validate(pts)
-    F = f_n([pts[:i] + pts[i + 1:] for i in range(n + 1)], rows, params)
-    terms = coefficients_m(pts, lam, hw, params) * F
+    X, n = _validate(pts)
+    F = f_n([np.delete(X, i, axis=-1) for i in range(n + 1)], rows, params)
+    terms = _coefficients(X, lam, hw, params) * F
     return terms.sum(axis=-1), np.abs(terms).max(axis=-1)
 
 
@@ -265,9 +242,9 @@ def v_matrix(i, pts, lam, hw, params, mext=None):
     replaced by minus its column 0 (i = 0 keeps all columns)."""
     if mext is None:
         mext = extended_matrix(pts, lam, hw, params)
-    V = mext[1:, 1:].copy()
+    V = mext[..., 1:, 1:].copy()
     if i != 0:
-        V[:, i - 1] = -mext[1:, 0]
+        V[..., i - 1] = -mext[..., 1:, 0]
     return V
 
 
@@ -276,9 +253,9 @@ def transport(i, j, pts, lam, hw, params, mext=None):
     SingularTransport if det(V_i) is numerically null at any node."""
     if mext is None:
         mext = extended_matrix(pts, lam, hw, params)
-    scale = np.maximum(_row_scale(mext[1:, 1:]), 1e-300)
-    di = _det(v_matrix(i, pts, lam, hw, params, mext))
-    dj = _det(v_matrix(j, pts, lam, hw, params, mext))
+    scale = np.maximum(_row_scale(mext[..., 1:, 1:]), 1e-300)
+    di = np.linalg.det(v_matrix(i, pts, lam, hw, params, mext))
+    dj = np.linalg.det(v_matrix(j, pts, lam, hw, params, mext))
     if np.any(np.abs(di) < 1e-12 * scale):
         raise SingularTransport(f"det(V_{i}) ~ 0 at this point set")
     return dj / di
@@ -294,31 +271,18 @@ def transport_loop(indices, pts, lam, hw, params, mext=None):
     return total
 
 
-def tilde_v_matrix(i, pts, lam, hw, params, mext=None):
-    """Rescaled Cramer matrix whose determinant drops the x_i dependence.
-
-    Column i of V_i is multiplied by c^{-1} prod_j b(x_0 - x_j); every other
-    column beta by b(x_0 - x_beta).
-    """
+def tilde_v_det(i, pts, lam, hw, params, mext=None):
+    """det of the rescaled Cramer matrix, which drops the x_i dependence:
+    column i of V_i multiplied by c^{-1} prod_j b(x_0 - x_j), every other
+    column beta by b(x_0 - x_beta)."""
     if i == 0:
         raise ValueError("defined for i in 1..n")
-    pts, n = _validate(pts)
+    X, n = _validate(pts)
     if n < 2:
         raise ValueError("needs at least two moving points")
-    T = v_matrix(i, pts, lam, hw, params, mext)
-    b = params.b
-    x0 = pts[0]
-    prod_all = np.prod([b(x0 - pts[j]) for j in range(1, n + 1)], axis=0)
-    for beta in range(1, n + 1):
-        if beta == i:
-            T[:, beta - 1] *= prod_all / params.c
-        else:
-            T[:, beta - 1] *= b(x0 - pts[beta])
-    return T
-
-
-def tilde_v_det(i, pts, lam, hw, params, mext=None):
-    return _det(tilde_v_matrix(i, pts, lam, hw, params, mext))
+    w = params.b(X[..., :1] - X[..., 1:])
+    w[..., i - 1] = np.prod(w, axis=-1) / params.c
+    return np.linalg.det(v_matrix(i, pts, lam, hw, params, mext) * w[..., None, :])
 
 
 def tilde_v_spread(i, pts, lam, hw, params):
@@ -328,14 +292,14 @@ def tilde_v_spread(i, pts, lam, hw, params):
     The determinant is conjectured independent of x_i; a nonzero spread is a
     finding to report, not a bug to absorb.
     """
-    pts, _ = _validate(pts)
+    X, _ = _validate(pts)
     n_values = 5
-    shifted = pts[i] + 0.23 * np.arange(8 * n_values)
+    shifted = X[i] + 0.23 * np.arange(8 * n_values)
     separated = np.all([np.abs(np.sinh(shifted - p)) > _MIN_SEPARATION
-                        for k, p in enumerate(pts) if k != i], axis=0)
+                        for k, p in enumerate(X) if k != i], axis=0)
     if separated.sum() < n_values:
         raise ValueError("could not place enough separated sample points")
-    cand = list(pts)
+    cand = list(X)
     cand[i] = shifted[separated][:n_values]
     vals = tilde_v_det(i, cand, lam, hw, params)
     center = vals.mean()

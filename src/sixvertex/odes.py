@@ -204,15 +204,15 @@ def coalescing_reduction(lam, x, hw: HighestWeightData, params: ModelParams,
         raise ValueError(f"need {n + 1} direction constants")
     nodes = np.arange(_CIRCLE_NODES)
     eps = _CIRCLE_RADIUS * np.exp(2j * np.pi * nodes / _CIRCLE_NODES)
-    dx = np.multiply.outer(ts, eps)
-    m = symmetric_m_matrix(x + dx, hw, params)
+    dx = np.multiply.outer(eps, ts)
+    m = symmetric_m_matrix(x + dx.T, hw, params)
     idx = np.arange(n + 1)
     # a = m - diag(P) with P the Taylor polynomial of each eigenvalue:
-    # shape (stack, n+1, n+1, nodes)
+    # shape (stack, nodes, n+1, n+1)
     taylor = [np.asarray(lam(x, d))[..., None, None] for d in range(3)]
     a = np.broadcast_to(m, np.shape(taylor[0])[:-2] + m.shape).copy()
-    a[..., idx, idx, :] -= taylor[0] + taylor[1] * dx + taylor[2] / 2 * dx ** 2
-    terms = np.array([np.linalg.det(np.eye(n + 1)[list(p)]) * a[..., idx, p, :].prod(axis=-2)
+    a[..., idx, idx] -= taylor[0] + taylor[1] * dx + taylor[2] / 2 * dx ** 2
+    terms = np.array([np.linalg.det(np.eye(n + 1)[list(p)]) * a[..., idx, p].prod(axis=-1)
                       for p in permutations(idx)])
     means = terms.mean(axis=-1)
     # the circle mean of det * eps^j is radius^j times the j-th inverse DFT term

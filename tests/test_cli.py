@@ -140,6 +140,15 @@ class TestSpectrumCommand:
         monkeypatch.setattr(cli, "diagonalize_blocks", boom)
         assert run(["spectrum", "--out", str(tmp_path)]) == 3
 
+    def test_root_of_unity_is_refused(self, tmp_path, capsys):
+        # gamma = i pi/2 (q^4 = 1): degenerate sectors are out of scope, and
+        # the real diagonalization refuses them
+        config = tmp_path / "root-of-unity.json"
+        config.write_text(json.dumps({"model": {"L": 4, "gamma": [0, np.pi / 2]}}))
+        out = tmp_path / "out"
+        assert run(["verify", "--config", str(config), "--out", str(out)]) == 3
+        assert "sector n=2: eigenvalues collide" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_subset_passes(self, tmp_path, capsys):

@@ -456,29 +456,56 @@ class TestNodeBatching:
     at a generic L=6 point."""
 
     @pytest.fixture(scope="class")
-    def model(self):
+    def sector(self):
         p = ModelParams.from_dict(generic_model(6, 1))
-        return p, HighestWeightData(p), diagonalize_sector(p, 2).lam(1)
+        return p, HighestWeightData(p), diagonalize_sector(p, 2)
 
-    # x_0 and x_1 on small circles, x_2 a scalar: the mix broadcasts
+    @pytest.fixture(scope="class")
+    def model(self, sector):
+        p, hw, es = sector
+        return p, hw, es.lam(1)
+
+    @staticmethod
+    def circle_points(nodes):
+        # x_0 and x_1 on small circles, x_2 a scalar: the mix broadcasts
+        circle = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+        return [0.31 + 0.02 * circle, -0.42 + 0.03 * circle, 0.55]
+
     circle = np.exp(2j * np.pi * np.arange(5) / 5)
-    pts = [0.31 + 0.02 * circle, -0.42 + 0.03 * circle, 0.55]
+    pts = circle_points(5)
 
-    def per_node(self, f):
-        return [f([p if np.ndim(p) == 0 else p[k] for p in self.pts])
-                for k in range(len(self.circle))]
+    def per_node(self, f, pts=None):
+        pts = self.pts if pts is None else pts
+        return [f([p if np.ndim(p) == 0 else p[k] for p in pts])
+                for k in range(max(np.size(p) for p in pts))]
 
     def test_coefficients_and_extended_matrix(self, model):
         p, hw, lam = model
         m = fx.coefficients_m(self.pts, lam, hw, p)
         M = fx.extended_matrix(self.pts, lam, hw, p)
-        assert m.shape == (3, 5) and M.shape == (3, 3, 5)
-        assert close(np.moveaxis(m, -1, 0),
-                     self.per_node(lambda q: fx.coefficients_m(q, lam, hw, p)))
-        assert close(np.moveaxis(M, -1, 0),
-                     self.per_node(lambda q: fx.extended_matrix(q, lam, hw, p)))
+        assert m.shape == (5, 3) and M.shape == (5, 3, 3)
+        assert close(m, self.per_node(lambda q: fx.coefficients_m(q, lam, hw, p)))
+        assert close(M, self.per_node(lambda q: fx.extended_matrix(q, lam, hw, p)))
 
-    def test_transport_and_reduced_determinant(self, model):
+    @pytest.mark.parametrize("nodes", [3, 5])
+    def test_explicit_identities(self, model, nodes):
+        # an off-shell eigenvalue keeps the residuals far above rounding; a
+        # node count of 3 matches the matrix size, so an axis mix-up gives
+        # wrong values there instead of an error
+        p, hw, lam = model
+        bad = ExpSum(lam.ms, 1.07 * lam.coeffs)
+        pts = self.circle_points(nodes)
+        m = fx.symmetric_m_matrix(pts, hw, p)
+        assert m.shape == (nodes, 3, 3)
+        assert close(m, self.per_node(lambda q: fx.symmetric_m_matrix(q, hw, p), pts))
+        assert close(fx.nonlinear_eq_n1_residual(*pts[:2], bad, hw, p),
+                     self.per_node(lambda q: fx.nonlinear_eq_n1_residual(*q, bad, hw, p),
+                                   pts[:2]))
+        assert close(fx.nonlinear_eq_n2_residual(*pts, bad, hw, p),
+                     self.per_node(lambda q: fx.nonlinear_eq_n2_residual(*q, bad, hw, p),
+                                   pts))
+
+    def test_transport_and_reduced_determinant(self, model, sector):
         p, hw, lam = model
         for i, j in [(0, 1), (1, 2), (2, 0)]:
             assert close(fx.transport(i, j, self.pts, lam, hw, p),
@@ -486,13 +513,21 @@ class TestNodeBatching:
         for i in (1, 2):
             assert close(fx.tilde_v_det(i, self.pts, lam, hw, p),
                          self.per_node(lambda q: fx.tilde_v_det(i, q, lam, hw, p)))
+        # an eigenpair stack over the node grid: one value per eigenpair and node
+        es = sector[2]
+        for f in (lambda l: fx.transport(1, 2, self.pts, l, hw, p),
+                  lambda l: fx.transport_loop([0, 1, 2], self.pts, l, hw, p),
+                  lambda l: fx.tilde_v_det(2, self.pts, l, hw, p)):
+            stacked = f(es.lam(slice(0, 3)))
+            assert stacked.shape == (3, 5)
+            assert close(stacked, [f(es.lam(k)) for k in range(3)])
 
     def test_only_one_point_carries_nodes(self, model):
         p, hw, lam = model
         pts = [0.31, -0.42 + 0.03 * self.circle, 0.55]
         M = fx.extended_matrix(pts, lam, hw, p)
-        assert M.shape == (3, 3, 5)
-        assert close(M[..., 2], fx.extended_matrix([0.31, pts[1][2], 0.55], lam, hw, p))
+        assert M.shape == (5, 3, 3)
+        assert close(M[2], fx.extended_matrix([0.31, pts[1][2], 0.55], lam, hw, p))
 
     def test_one_unseparated_node_raises(self, model):
         p, hw, lam = model
