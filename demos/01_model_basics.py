@@ -15,7 +15,7 @@ over the points asked for.
 
 import numpy as np
 
-from sixvertex import (ModelParams, HighestWeightData, r_matrix, verify_ybe,
+from sixvertex import (ModelParams, r_matrix, verify_ybe,
                        monodromy_blocks, transfer, yba_exchange_residual)
 
 params = ModelParams(L=4, gamma=0.7, mu=(0.0, 0.0, 0.0, 0.0),
@@ -39,8 +39,7 @@ print("exchange-relation residual, relative to max|T(x)|^2:", res / t_norm ** 2)
 
 # the all-up state |0> spans sector 0: a joint eigenvector of A and D, and
 # killed by C, which has no block from sector 0
-hw = HighestWeightData(params)
 A, B, C, D = monodromy_blocks([x], params)
 print("\nA|0> = lam_a(x)|0> deviation:",
-      abs(A[0][0, 0, 0] - params.phi1 * hw.lam_a(x)))
+      abs(A[0][0, 0, 0] - params.phi1 * params.lam_a(x)))
 print("rows of C from sector 0:", C[0].shape[1])

@@ -12,21 +12,20 @@ checked pointwise with exact derivatives.
 
 import numpy as np
 
-from sixvertex import ModelParams, HighestWeightData, diagonalize_sector
+from sixvertex import ModelParams, diagonalize_sector
 from sixvertex import odes
 from sixvertex.bethe import CothSum, solve_bae
 
 params = ModelParams(L=4, gamma=0.7)
-hw = HighestWeightData(params)
 
 # sector eigenvalues are exact exponential sums: exact derivatives of any order
 lam1 = diagonalize_sector(params, 1).lam(0)
 print("sector-1 Riccati residual:",
-      abs(odes.riccati_lambda_residual(lam1, 0.43, hw, params)))
+      abs(odes.riccati_lambda_residual(lam1, 0.43, params)))
 
 lam2 = diagonalize_sector(params, 2).lam(0)
 print("sector-2 second-order residual:",
-      abs(odes.sigma2_residual(lam2, 0.63, hw, params)))
+      abs(odes.sigma2_residual(lam2, 0.63, params)))
 print("sector-2 standard Riccati residual:",
       abs(odes.riccati2_residual(lam2, 0.43, params)))
 
@@ -45,7 +44,7 @@ from sixvertex.bethe import RootEigenvalue
 sols = solve_bae(diagonalize_sector(params, 1))
 ev = RootEigenvalue(sols[0].roots, params)
 print("\nlinearized second-order form residual:",
-      max(abs(odes.riccati_lambda_residual(ev, x, hw, params))
+      max(abs(odes.riccati_lambda_residual(ev, x, params))
           for x in (0.2, 0.7, 1.2)))
 
 # psi(chi, tau) = h(chi - omega tau): every derivative is exact, and a 1% error

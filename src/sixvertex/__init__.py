@@ -6,7 +6,7 @@ and verify the functional equations, determinantal identities, conserved
 quantities, and nonlinear ODE/PDE structure carried by that spectrum.
 """
 
-from .model import (ModelParams, ExpSum, HighestWeightData, r_matrix, verify_ybe,
+from .model import (ModelParams, ExpSum, r_matrix, verify_ybe,
                     monodromy_blocks, transfer, yba_exchange_residual,
                     sector_indices)
 from .spectrum import (DegenerateSpectrum, EigenSystem, sample_sectors,

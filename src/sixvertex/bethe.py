@@ -13,6 +13,7 @@ instead of searching for it.  Sets are judged in the pole-free residue form
         - (-1)^{n+1} phi2 lam_d(w_i) prod_{j!=i} a(w_i - w_j) = 0 ,
 
 both of whose products vanish on an exact singular pair {mu_k, mu_k - gamma}.
+lam_a and lam_d are the model's vacuum sums `ModelParams.lam_a`, `lam_d`.
 Root sets are identified modulo permutations and i*pi shifts of roots.
 """
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ExpSum, HighestWeightData, ModelParams
+from .model import ModelParams
 
 # Newton polish: step budget (three steps from the TQ roots reach the
 # rounding floor)
@@ -249,8 +250,7 @@ def _tq_null_vectors(es, k=slice(None)):
     (all by default), the latter holding u^{n/2} Q(x) in ascending powers
     of u."""
     p, n, L = es.params, es.n, es.params.L
-    a = ExpSum.sinh_product([p.gamma - m for m in p.mu]).coeffs
-    d = ExpSum.sinh_product([-m for m in p.mu]).coeffs
+    a, d = p.lam_a.coeffs, p.lam_d.coeffs
     # Q(x -+ g) scales q_m by exp(-+(2m - n) g): column m of
     # Lambda Q - phi1 lam_a Q(x - g) - phi2 lam_d Q(x + g) is u^m cols[m]
     f = np.exp((2 * np.arange(n + 1) - n) * p.gamma)[:, None]
@@ -406,10 +406,9 @@ class RootEigenvalue:
     broadcast shape (a stack of shape (S, 1) at points of shape (P,) gives
     (S, P))."""
 
-    def __init__(self, roots, params: ModelParams, hw=None):
+    def __init__(self, roots, params: ModelParams):
         self.roots = np.asarray(roots, dtype=complex)
         self.params = params
-        self.hw = hw or HighestWeightData(params)
 
     def __call__(self, x, d=0):
         if d > 2:
@@ -419,8 +418,8 @@ class RootEigenvalue:
         out = 0j
         # Q(x -+ gamma)/Q(x) = prod_l sinh(u_l + gamma)/sinh(u_l) with
         # u = w - x (du/dx = -1) and u = x - w (du/dx = +1), roots last
-        for phi, lam, u, du in ((p.phi1, self.hw.lam_a, w - x[..., None], -1),
-                                (p.phi2, self.hw.lam_d, x[..., None] - w, 1)):
+        for phi, lam, u, du in ((p.phi1, p.lam_a, w - x[..., None], -1),
+                                (p.phi2, p.lam_d, x[..., None] - w, 1)):
             term = phi * np.prod(np.sinh(u + p.gamma) / np.sinh(u), axis=-1) * lam(x)
             if d:
                 c0, cg = 1 / np.tanh(u), 1 / np.tanh(u + p.gamma)
@@ -433,14 +432,13 @@ class RootEigenvalue:
         return out
 
 
-def eigenvalue_from_roots(x, roots, params: ModelParams, hw=None):
+def eigenvalue_from_roots(x, roots, params: ModelParams):
     """Closed-form eigenvalue at x (a point or an array of points) of a root
     set or a stack of them, shaped as by `RootEigenvalue`.  Near a root the
     pole must be removable (Bethe equations hold); such a point is then
     evaluated by a symmetric two-sided limit, otherwise PolePoint is
     raised."""
-    hw = hw or HighestWeightData(params)
-    ev = RootEigenvalue(roots, params, hw)
+    ev = RootEigenvalue(roots, params)
     x = np.asarray(x, dtype=complex)
     near = np.any(np.abs(np.sinh(x[..., None] - ev.roots)) < 1e-6, axis=-1)
     if not near.any():
@@ -517,7 +515,6 @@ def _greedy_pairs(cost):
 def match_spectrum(params: ModelParams, n, solutions, oracle, sample_xs=None):
     """Greedy minimal-distance bipartite matching between formula and oracle
     eigenvalues, using the max relative deviation over shared sample points."""
-    hw = HighestWeightData(params)
     if sample_xs is None:
         sample_xs = np.linspace(0.21, 1.3, 20)
     sample_xs = np.asarray(sample_xs)
@@ -525,7 +522,7 @@ def match_spectrum(params: ModelParams, n, solutions, oracle, sample_xs=None):
     oscale = np.abs(ovals).max(axis=0) + 1e-300
     roots = np.array([s.roots for s in solutions], dtype=complex)
     roots = roots.reshape(len(solutions), 1, n)
-    fvals = eigenvalue_from_roots(sample_xs, roots, params, hw)       # (nsol, npts)
+    fvals = eigenvalue_from_roots(sample_xs, roots, params)           # (nsol, npts)
     cost = np.abs(fvals[:, :, None] - ovals).max(axis=1) / oscale     # (nsol, neig)
     pairs, free_s, free_e = _greedy_pairs(cost)
     return MatchReport(n=n, pairs=pairs, unmatched_solutions=free_s,

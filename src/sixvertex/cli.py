@@ -20,8 +20,8 @@ import numpy.random  # numpy 2 loads it lazily; load it with the module, not mid
 from . import bethe as bt
 from . import functional as fx
 from . import model, odes
-from .model import (ExpSum, HighestWeightData, monodromy_blocks, sector_indices,
-                    transfer, verify_ybe, yba_exchange_residual)
+from .model import (ExpSum, monodromy_blocks, sector_indices, transfer, verify_ybe,
+                    yba_exchange_residual)
 from .reports import (ConfigError, ResultCache, RunConfig, VerificationReport,
                       atomic_write_text, write_csv, write_svg_line)
 from .spectrum import (DegenerateSpectrum, complex_pairs, diagonalize_blocks,
@@ -64,7 +64,6 @@ class VerifyContext:
     def __init__(self, config: RunConfig):
         self.config = config
         self.params = config.model
-        self.hw = HighestWeightData(self.params)
         self.rng = np.random.default_rng(config.seed)
         self._source = SectorSource(config, self.samples)
         self._sampled = (range(self.params.L + 1)
@@ -197,11 +196,11 @@ def check_highest_weight(ctx):
     points (one stacked build); C|0> = 0 holds by construction, since C has
     no block from sector 0."""
     t0 = time.perf_counter()
-    p, hw = ctx.params, ctx.hw
+    p = ctx.params
     xs = np.array([ctx.rng.uniform(-1.0, 1.0) + 1j * ctx.rng.uniform(-0.3, 0.3)
                    for _ in range(10)])
     A, _, _, D = monodromy_blocks(xs, p)
-    lam_a, lam_d = hw.lam_a(xs), hw.lam_d(xs)
+    lam_a, lam_d = p.lam_a(xs), p.lam_d(xs)
     sc = np.maximum(1.0, np.maximum(np.abs(lam_a), np.abs(lam_d)))
     worst = max((np.abs(A[0][:, 0, 0] - p.phi1 * lam_a) / sc).max(),
                 (np.abs(D[0][:, 0, 0] - p.phi2 * lam_d) / sc).max())
@@ -243,7 +242,7 @@ def check_polynomial(ctx):
     t0 = time.perf_counter()
     # u^{L/2} exp((L+2)x) = u^{L+1}: outside the degree-L form at every L
     _, planted = polynomiality_check(
-        lambda x: ctx.hw.lam_a(x) + np.exp((ctx.params.L + 2) * x), ctx.params)
+        lambda x: ctx.params.lam_a(x) + np.exp((ctx.params.L + 2) * x), ctx.params)
     out.append(_exceed_report("polynomial", "planted non-eigenvalue fails fit",
                               planted, ctx.tol("negative_control"), t0))
     return out
@@ -266,7 +265,7 @@ def check_linear_problem(ctx):
         pts = _sample_points(ctx, n + 1)
         count = min(es.size, 4)
         res, scale = fx.linear_relation_residual(
-            pts, ctx.lam(n, slice(count)), es.left[:count], ctx.hw, ctx.params)
+            pts, ctx.lam(n, slice(count)), es.left[:count], ctx.params)
         worst = float((np.abs(res) / scale).max())
         out.append(_report("linear-problem", f"sum_i M_i F_{n} = 0 (n={n})",
                            worst, ctx.tol("linear_problem"), t0, n=n))
@@ -289,7 +288,7 @@ def check_compatibility(ctx):
         count, f = min(es.size, 4), es.lam(0)
         stack = ExpSum(f.ms, np.vstack([ctx.lam(n, slice(count)).coeffs, f.coeffs,
                                         _CONTROL_FACTOR * f.coeffs]))
-        M = fx.extended_matrix(pts, stack, ctx.hw, ctx.params)
+        M = fx.extended_matrix(pts, stack, ctx.params)
         dets = np.abs(fx.compatibility_residual(M))
         out.append(_report("compatibility", f"det extended matrix = 0 (n={n})",
                            dets[:count].max(), ctx.tol("compatibility"), t0, n=n))
@@ -305,7 +304,7 @@ def check_compatibility(ctx):
 
 def check_nonlinear(ctx):
     out = []
-    p, hw = ctx.params, ctx.hw
+    p = ctx.params
     if 1 in ctx.config.sectors:
         t0 = time.perf_counter()
         x0, x1 = 0.31, -0.42
@@ -313,13 +312,13 @@ def check_nonlinear(ctx):
         f = ctx.eigensystem(1).lam(0)
         bad = ExpSum(f.ms, 1.07 * f.coeffs)
         stack = ExpSum(f.ms, np.vstack([ctx.lam(1).coeffs, bad.coeffs]))
-        r = fx.nonlinear_eq_n1_residual(x0, x1, stack, hw, p)
+        r = fx.nonlinear_eq_n1_residual(x0, x1, stack, p)
         worst = (np.abs(r) / np.abs(stack(x0) * stack(x1)))[:-1].max()
         out.append(_report("nonlinear-n1", "two-point identity", worst,
                            ctx.tol("nonlinear_n1"), t0))
         # cross-check: identical to the determinant path
         t0 = time.perf_counter()
-        d = np.linalg.det(fx.extended_matrix([x0, x1], bad, hw, p))
+        d = np.linalg.det(fx.extended_matrix([x0, x1], bad, p))
         out.append(_report("nonlinear-n1", "agrees with determinant path",
                            abs(r[-1] - d) / abs(d), 1e-12, t0))
     if 2 in ctx.config.sectors and ctx.params.L >= 2:
@@ -327,7 +326,7 @@ def check_nonlinear(ctx):
         pts = (0.31, -0.42, 0.55)
         lam = ctx.lam(2)
         scale = np.abs(lam(pts[0]) * lam(pts[1]) * lam(pts[2]))
-        worst = (np.abs(fx.nonlinear_eq_n2_residual(*pts, lam, hw, p)) / scale).max()
+        worst = (np.abs(fx.nonlinear_eq_n2_residual(*pts, lam, p)) / scale).max()
         out.append(_report("nonlinear-n2", "three-point identity", worst,
                            ctx.tol("nonlinear_n2"), t0))
     return out
@@ -342,9 +341,9 @@ def check_transport(ctx):
         es = ctx.eigensystem(n)
         lam = ctx.lam(n, 0)
         pts = _sample_points(ctx, n + 1)
-        mext = fx.extended_matrix(pts, lam, ctx.hw, ctx.params)  # shared by both rows
+        mext = fx.extended_matrix(pts, lam, ctx.params)  # shared by both rows
         loop = abs(fx.transport_loop(list(range(min(n + 1, 4))), pts, lam,
-                                     ctx.hw, ctx.params, mext) - 1)
+                                     ctx.params, mext) - 1)
         out.append(_report("transport", f"loop composition = 1 (n={n})", loop,
                            ctx.tol("transport_loop"), t0, n=n))
         # factorization: transport ratio against directly computed F ratios
@@ -353,7 +352,7 @@ def check_transport(ctx):
                    ctx.params)[0]
         worst = 0.0
         for (i, j) in [(0, 1), (1, 2), (0, 2)]:
-            tv = fx.transport(i, j, pts, lam, ctx.hw, ctx.params, mext)
+            tv = fx.transport(i, j, pts, lam, ctx.params, mext)
             worst = max(worst, abs(tv - F[j] / F[i]) / abs(tv))
         out.append(_report("transport", f"det ratio = F ratio (n={n})", worst,
                            ctx.tol("factorization"), t0, n=n))
@@ -362,17 +361,17 @@ def check_transport(ctx):
 
 def check_reduced_det(ctx):
     out = []
-    p, hw = ctx.params, ctx.hw
+    p = ctx.params
     for n in [n for n in ctx.config.sectors if 2 <= n <= min(4, p.L - 1)]:
         es = ctx.eigensystem(n)
         lam = ctx.lam(n, min(1, es.size - 1))
         pts = _sample_points(ctx, n + 1)
         t0 = time.perf_counter()
-        mext = fx.extended_matrix(pts, lam, hw, p)
+        mext = fx.extended_matrix(pts, lam, p)
         worst = 0.0
         for i in range(1, n + 1):
-            dv = np.linalg.det(fx.v_matrix(i, pts, lam, hw, p, mext))
-            dt = fx.tilde_v_det(i, pts, lam, hw, p, mext)
+            dv = np.linalg.det(fx.v_matrix(i, pts, lam, p, mext))
+            dt = fx.tilde_v_det(i, pts, lam, p, mext)
             pred = (p.c * p.b(pts[0] - pts[i])
                     / np.prod([p.b(pts[0] - pts[j]) ** 2 for j in range(1, n + 1)]) * dt)
             worst = max(worst, abs(dv - pred) / abs(dv))
@@ -380,13 +379,13 @@ def check_reduced_det(ctx):
         i, j = 1, 2
         sw = list(pts)
         sw[i], sw[j] = sw[j], sw[i]
-        d1 = fx.tilde_v_det(i, pts, lam, hw, p, mext)
-        d2 = fx.tilde_v_det(j, sw, lam, hw, p)
+        d1 = fx.tilde_v_det(i, pts, lam, p, mext)
+        d2 = fx.tilde_v_det(j, sw, lam, p)
         worst = max(worst, abs(d1 - d2) / abs(d1))
         out.append(_report("reduced-det", f"normalization + permutation (n={n})",
                            worst, ctx.tol("reduced_det"), t0, n=n))
         t0 = time.perf_counter()
-        spread = fx.tilde_v_spread(1, pts, lam, hw, p)
+        spread = fx.tilde_v_spread(1, pts, lam, p)
         out.append(_report("reduced-det", f"det independent of x_i (n={n})",
                            spread, ctx.tol("reduced_det_spread"), t0, n=n))
     return out
@@ -402,8 +401,7 @@ def check_theta(ctx):
         pts = [0.31, -0.42, 0.55][:n + 1]
         worst = 0.0
         for (i, j) in [(0, 1), (1, 2)]:
-            worst = max(worst, fx.theta_conservation(
-                i, j, pts, lam, ctx.hw, ctx.params))
+            worst = max(worst, fx.theta_conservation(i, j, pts, lam, ctx.params))
         out.append(_report("theta", f"d_j theta_ij = 0 (n={n})", worst,
                            ctx.tol("theta_conservation"), t0, n=n))
     return out
@@ -413,9 +411,9 @@ def check_conserved_n1(ctx):
     if 1 not in ctx.config.sectors:
         return []
     out = []
-    p, hw = ctx.params, ctx.hw
+    p = ctx.params
     t0 = time.perf_counter()
-    v, _, _ = fx.conserved_n1(np.array([0.2, 0.9]), ctx.lam(1), hw, p)
+    v, _, _ = fx.conserved_n1(np.array([0.2, 0.9]), ctx.lam(1), p)
     out.append(_report("conserved-n1", "constancy across x",
                        np.abs(v[:, 0] - v[:, 1]).max(), ctx.tol("conserved_constancy"), t0))
     # closed form against a Bethe root
@@ -424,8 +422,8 @@ def check_conserved_n1(ctx):
     pairs = ctx.match(1).pairs
     worst = 0.0
     if pairs:
-        val, _, _ = fx.conserved_n1(0.4, ctx.lam(1, [ei for _, ei, _ in pairs]), hw, p)
-        target = np.array([fx.conserved_n1_closed_form(sols[si].roots[0], hw)
+        val, _, _ = fx.conserved_n1(0.4, ctx.lam(1, [ei for _, ei, _ in pairs]), p)
+        target = np.array([fx.conserved_n1_closed_form(sols[si].roots[0], p)
                            for si, _, _ in pairs])
         worst = (np.abs(np.exp(val) - target) / np.abs(target)).max()
     out.append(_report("conserved-n1", "exp equals coth(w1) + dlm(0)/lm(0)",
@@ -467,11 +465,11 @@ def check_riccati_n1(ctx):
         return []
     t0 = time.perf_counter()
     lam, xs = ctx.lam(1), np.array([0.43, 0.9])
-    r = odes.riccati_lambda_residual(lam, xs, ctx.hw, ctx.params)
+    r = odes.riccati_lambda_residual(lam, xs, ctx.params)
     out = [_report("riccati-n1", "first-order quadratic ODE",
                    np.abs(r).max(), ctx.tol("riccati_n1"), t0)]
     t0 = time.perf_counter()
-    s = odes.sigma1_residual(lam, xs, ctx.hw, ctx.params)
+    s = odes.sigma1_residual(lam, xs, ctx.params)
     out.append(_report("riccati-n1", "surface form agrees",
                        np.maximum(np.abs(s), np.abs(r - s)).max(), ctx.tol("sigma1"), t0))
     return out
@@ -487,7 +485,7 @@ def check_sigma2(ctx):
         return []
     t0 = time.perf_counter()
     lam = ctx.lam(2)
-    worst = max(np.abs(odes.sigma2_residual(lam, x, ctx.hw, ctx.params)).max()
+    worst = max(np.abs(odes.sigma2_residual(lam, x, ctx.params)).max()
                 for x in _SIGMA2_POINTS)
     return [_report("sigma2", "second-order ODE (coalescing reduction)",
                     worst, ctx.tol("sigma2"), t0)]
@@ -543,9 +541,9 @@ def check_u_equation(ctx):
     sols = [s for s in ctx.bethe(1)[0] if not s.singular]
     if not sols:
         return []
-    ev = bt.RootEigenvalue(sols[0].roots, ctx.params, ctx.hw)
+    ev = bt.RootEigenvalue(sols[0].roots, ctx.params)
     worst = np.abs(odes.riccati_lambda_residual(
-        ev, np.array(_ODE_POINTS), ctx.hw, ctx.params)).max()
+        ev, np.array(_ODE_POINTS), ctx.params)).max()
     return [_report("u-equation", "linearized second-order form", worst,
                     ctx.tol("u_equation"), t0)]
 
@@ -757,7 +755,9 @@ def cmd_bethe(args):
     tol = cfg.tolerances["bethe_residual"]
     # root-finding and matching are exercised in the low sectors, where the
     # all-up reference state gives the Bethe description
-    sectors = [n for n in cfg.sectors if n in (1, 2) and n <= cfg.model.L] or [1, 2]
+    sectors = [n for n in cfg.sectors if n in (1, 2)]
+    if not sectors:
+        raise ConfigError(f"bethe needs sector 1 or 2 in sectors, got {cfg.sectors}")
     try:
         loaded = bt.roots_from_json(Path(args.roots).read_text()) if args.roots else []
     except (ValueError, KeyError, TypeError) as exc:

@@ -24,13 +24,17 @@ axis for a single eigenvalue.  A whole sector and node grid is so one numpy
 evaluation, a scalar point set is its 0-d case, and determinants are per
 eigenpair and node.  `tilde_v_spread` and the theta functions take one
 eigenvalue and a scalar point set.
+
+The vacuum eigenvalues come from the model (`ModelParams.lam_a`, `lam_d`,
+`lam_plus`, `lam_minus`), so each function takes the eigenvalue and
+`params`, as in `extended_matrix(pts, lam, params)`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import HighestWeightData, ModelParams, cauchy_taylor, monodromy_blocks
+from .model import ModelParams, cauchy_taylor, monodromy_blocks
 
 __all__ = [
     "SingularTransport",
@@ -84,27 +88,27 @@ def _validate(points):
     return X, n
 
 
-def _coefficients(X, lam, hw: HighestWeightData, params: ModelParams):
+def _coefficients(X, lam, params: ModelParams):
     """coefficients_m at the validated stacked points X."""
     # r[..., i, j] = a(x_i - x_j) / b(x_i - x_j), with 1 on the diagonal
     D = X[..., :, None] - X[..., None, :]
     diag = np.eye(X.shape[-1], dtype=bool)
     r = np.where(diag, 1, params.a(D) / np.where(diag, 1, params.b(D)))
     # products over j >= 1 of r[j, i] and of r[i, j]; the diagonal 1 drops j = i
-    va = params.phi1 * np.prod(r[..., 1:, :], axis=-2) * hw.lam_a(X)
-    vd = params.phi2 * np.prod(r[..., 1:], axis=-1) * hw.lam_d(X)
+    va = params.phi1 * np.prod(r[..., 1:, :], axis=-2) * params.lam_a(X)
+    vd = params.phi2 * np.prod(r[..., 1:], axis=-1) * params.lam_d(X)
     m0 = va[..., 0] + vd[..., 0] - lam(X[..., 0])
     mi = (params.c / params.b(X[..., :1] - X[..., 1:])) * (va[..., 1:] - vd[..., 1:])
     return np.concatenate(
         [m0[..., None], np.broadcast_to(mi, np.shape(m0) + mi.shape[-1:])], axis=-1)
 
 
-def coefficients_m(pts, lam, hw: HighestWeightData, params: ModelParams):
+def coefficients_m(pts, lam, params: ModelParams):
     """Coefficient vector (M_0, ..., M_n) of the linear problem at `pts`."""
-    return _coefficients(_validate(pts)[0], lam, hw, params)
+    return _coefficients(_validate(pts)[0], lam, params)
 
 
-def extended_matrix(pts, lam, hw: HighestWeightData, params: ModelParams):
+def extended_matrix(pts, lam, params: ModelParams):
     """(n+1)x(n+1) system matrix: row j is the coefficient vector after the
     swap x_0 <-> x_j, with entries 0 and j swapped back into place.  The n+1
     swapped point sets are one coefficient evaluation, over a row axis after
@@ -113,7 +117,7 @@ def extended_matrix(pts, lam, hw: HighestWeightData, params: ModelParams):
     idx = np.arange(n + 1)
     swap = np.tile(idx, (n + 1, 1))     # swap[j]: positions after x_0 <-> x_j
     swap[idx, 0], swap[idx, idx] = idx, 0
-    C = _coefficients(X[..., swap], lam, hw, params)   # [..., row, entry]
+    C = _coefficients(X[..., swap], lam, params)   # [..., row, entry]
     return C[..., idx[:, None], swap]
 
 
@@ -155,7 +159,7 @@ def separation_threshold(M):
 # ---------------------------------------------------------------------------
 # explicit scalar identities (independent transcription of the same algebra)
 
-def symmetric_m_matrix(pts, hw: HighestWeightData, params: ModelParams):
+def symmetric_m_matrix(pts, params: ModelParams):
     """Lambda-free coefficient matrix m[i, j] of the explicit identities.
 
     Equal to extended_matrix + diag(Lambda) entrywise; built here from its
@@ -171,23 +175,23 @@ def symmetric_m_matrix(pts, hw: HighestWeightData, params: ModelParams):
     # pa[i, j] = prod_k a(x_k - x_j)/b(x_k - x_j), pd[i, j] = prod_k a(x_j - x_k)/b(x_j - x_k)
     pa = np.prod(np.where(keep, a(xk - xj) / np.where(keep, b(xk - xj), 1), 1), axis=-1)
     pd = np.prod(np.where(keep, a(xj - xk) / np.where(keep, b(xj - xk), 1), 1), axis=-1)
-    va = params.phi1 * pa * hw.lam_a(X)[..., None, :]
-    vd = params.phi2 * pd * hw.lam_d(X)[..., None, :]
+    va = params.phi1 * pa * params.lam_a(X)[..., None, :]
+    vd = params.phi2 * pd * params.lam_d(X)[..., None, :]
     bij = np.where(diag, 1, b(X[..., :, None] - X[..., None, :]))
     return np.where(diag, va + vd, (params.c / bij) * (va - vd))
 
 
-def nonlinear_eq_n1_residual(x0, x1, lam, hw, params):
+def nonlinear_eq_n1_residual(x0, x1, lam, params):
     """Two-point scalar identity for sector-1 eigenvalues (LHS - RHS)."""
-    m = symmetric_m_matrix([x0, x1], hw, params)
+    m = symmetric_m_matrix([x0, x1], params)
     L0, L1 = lam(x0), lam(x1)
     return (L0 * L1 - m[..., 1, 1] * L0 - m[..., 0, 0] * L1
             - (m[..., 0, 1] * m[..., 1, 0] - m[..., 0, 0] * m[..., 1, 1]))
 
 
-def nonlinear_eq_n2_residual(x0, x1, x2, lam, hw, params):
+def nonlinear_eq_n2_residual(x0, x1, x2, lam, params):
     """Three-point scalar identity for sector-2 eigenvalues (LHS - RHS)."""
-    m = symmetric_m_matrix([x0, x1, x2], hw, params)
+    m = symmetric_m_matrix([x0, x1, x2], params)
     L0, L1, L2 = lam(x0), lam(x1), lam(x2)
     det_m = np.linalg.det(m)
     rhs = (m[..., 2, 2] * L0 * L1 + m[..., 1, 1] * L0 * L2 + m[..., 0, 0] * L1 * L2
@@ -224,54 +228,54 @@ def f_n(point_sets, rows, params: ModelParams):
     return out
 
 
-def linear_relation_residual(pts, lam, rows, hw, params):
+def linear_relation_residual(pts, lam, rows, params):
     """(residuals, scales) of  sum_i M_i F_n(pts minus x_i)  for each
     eigenpair (row k of the eigenvalue stack `lam`, sector-n bra rows[k]); a
     scale is the largest term."""
     X, n = _validate(pts)
     F = f_n([np.delete(X, i, axis=-1) for i in range(n + 1)], rows, params)
-    terms = _coefficients(X, lam, hw, params) * F
+    terms = _coefficients(X, lam, params) * F
     return terms.sum(axis=-1), np.abs(terms).max(axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # Cramer minors, transport, conserved quantities
 
-def v_matrix(i, pts, lam, hw, params, mext=None):
+def v_matrix(i, pts, lam, params, mext=None):
     """n x n Cramer matrix: rows 1..n of the extended matrix with column i
     replaced by minus its column 0 (i = 0 keeps all columns)."""
     if mext is None:
-        mext = extended_matrix(pts, lam, hw, params)
+        mext = extended_matrix(pts, lam, params)
     V = mext[..., 1:, 1:].copy()
     if i != 0:
         V[..., i - 1] = -mext[..., 1:, 0]
     return V
 
 
-def transport(i, j, pts, lam, hw, params, mext=None):
+def transport(i, j, pts, lam, params, mext=None):
     """Transport ratio F_n(X_j^0)/F_n(X_i^0) = det(V_j)/det(V_i); raises
     SingularTransport if det(V_i) is numerically null at any node."""
     if mext is None:
-        mext = extended_matrix(pts, lam, hw, params)
+        mext = extended_matrix(pts, lam, params)
     scale = np.maximum(_row_scale(mext[..., 1:, 1:]), 1e-300)
-    di = np.linalg.det(v_matrix(i, pts, lam, hw, params, mext))
-    dj = np.linalg.det(v_matrix(j, pts, lam, hw, params, mext))
+    di = np.linalg.det(v_matrix(i, pts, lam, params, mext))
+    dj = np.linalg.det(v_matrix(j, pts, lam, params, mext))
     if np.any(np.abs(di) < 1e-12 * scale):
         raise SingularTransport(f"det(V_{i}) ~ 0 at this point set")
     return dj / di
 
 
-def transport_loop(indices, pts, lam, hw, params, mext=None):
+def transport_loop(indices, pts, lam, params, mext=None):
     """Product of transport ratios around a closed index sequence."""
     if mext is None:
-        mext = extended_matrix(pts, lam, hw, params)
+        mext = extended_matrix(pts, lam, params)
     total = 1.0 + 0j
     for a, b in zip(indices, indices[1:] + indices[:1]):
-        total *= transport(a, b, pts, lam, hw, params, mext)
+        total *= transport(a, b, pts, lam, params, mext)
     return total
 
 
-def tilde_v_det(i, pts, lam, hw, params, mext=None):
+def tilde_v_det(i, pts, lam, params, mext=None):
     """det of the rescaled Cramer matrix, which drops the x_i dependence:
     column i of V_i multiplied by c^{-1} prod_j b(x_0 - x_j), every other
     column beta by b(x_0 - x_beta)."""
@@ -282,10 +286,10 @@ def tilde_v_det(i, pts, lam, hw, params, mext=None):
         raise ValueError("needs at least two moving points")
     w = params.b(X[..., :1] - X[..., 1:])
     w[..., i - 1] = np.prod(w, axis=-1) / params.c
-    return np.linalg.det(v_matrix(i, pts, lam, hw, params, mext) * w[..., None, :])
+    return np.linalg.det(v_matrix(i, pts, lam, params, mext) * w[..., None, :])
 
 
-def tilde_v_spread(i, pts, lam, hw, params):
+def tilde_v_spread(i, pts, lam, params):
     """Max relative spread of det(tilde V_i) over five positions of x_i
     (steps of 0.23, skipping unseparated ones), evaluated as one node axis.
 
@@ -301,7 +305,7 @@ def tilde_v_spread(i, pts, lam, hw, params):
         raise ValueError("could not place enough separated sample points")
     cand = list(X)
     cand[i] = shifted[separated][:n_values]
-    vals = tilde_v_det(i, cand, lam, hw, params)
+    vals = tilde_v_det(i, cand, lam, params)
     center = vals.mean()
     return float(np.abs(vals - center).max() / max(abs(center), 1e-300))
 
@@ -309,48 +313,48 @@ def tilde_v_spread(i, pts, lam, hw, params):
 # ---------------------------------------------------------------------------
 # generating function of conserved quantities
 
-def _transport_taylor(i, j, pts, lam, hw, params, moving):
+def _transport_taylor(i, j, pts, lam, params, moving):
     """Taylor coefficients of T_{i->j} in the points `moving` about pts."""
     def at(*zs):
         q = list(pts)
         for a, z in zip(moving, zs):
             q[a] = z
-        return transport(i, j, q, lam, hw, params)
+        return transport(i, j, q, lam, params)
     return cauchy_taylor(at, [pts[a] for a in moving], _CAUCHY_RADIUS, _CAUCHY_NODES)
 
 
-def theta_generator(i, j, pts, lam, hw, params):
+def theta_generator(i, j, pts, lam, params):
     """log(d_i log T_{i->j}) = log(T_i / T); the generating function of
     conserved quantities along x_j."""
     if i == j:
         raise ValueError("needs i != j")
     pts, _ = _validate(pts)
-    t = _transport_taylor(i, j, pts, lam, hw, params, (i,))
+    t = _transport_taylor(i, j, pts, lam, params, (i,))
     return complex(np.log(t[1] / t[0]))
 
 
-def theta_conservation(i, j, pts, lam, hw, params):
+def theta_conservation(i, j, pts, lam, params):
     """|d/dx_j theta_{i,j}|, which vanishes on the spectrum.
 
     With T = T_{i->j} and G = T_i / T it is |d_j G / G| =
     |(T_ij T - T_i T_j) / (T T_i)|, all four from one 2-D Cauchy rule about
     (x_i, x_j)."""
     pts, _ = _validate(pts)
-    t = _transport_taylor(i, j, pts, lam, hw, params, (i, j))
+    t = _transport_taylor(i, j, pts, lam, params, (i, j))
     return float(abs((t[1, 1] * t[0, 0] - t[1, 0] * t[0, 1]) / (t[0, 0] * t[1, 0])))
 
 
-def conserved_n1(x, lam, hw: HighestWeightData, params: ModelParams):
+def conserved_n1(x, lam, params: ModelParams):
     """Leading conserved quantity of the sector-1 tower: log(G+/G-).
 
     Constant in x exactly when Lambda is a sector-1 eigenvalue.  Returns
     (value, gplus, gminus), each per eigenpair of a stack and per x.
     """
-    lm0 = hw.lam_minus(0.0)
-    dlm0 = hw.lam_minus(0.0, 1)
+    lm0 = params.lam_minus(0.0)
+    dlm0 = params.lam_minus(0.0, 1)
     if abs(lm0) < 1e-300:
         raise ZeroDivisionError("lam_minus(0) = 0; conserved quantity undefined")
-    la, ld, Lx = hw.lam_a(x), hw.lam_d(x), lam(x)
+    la, ld, Lx = params.lam_a(x), params.lam_d(x), lam(x)
     p1, p2 = params.phi1, params.phi2
     sh, ch = np.sinh, np.cosh
     g = params.gamma
@@ -363,6 +367,6 @@ def conserved_n1(x, lam, hw: HighestWeightData, params: ModelParams):
     return np.log(gplus / gminus), gplus, gminus
 
 
-def conserved_n1_closed_form(w1, hw: HighestWeightData):
+def conserved_n1_closed_form(w1, params: ModelParams):
     """exp of the leading sector-1 conserved quantity for a known root."""
-    return complex(1 / np.tanh(w1) + hw.lam_minus(0.0, 1) / hw.lam_minus(0.0))
+    return complex(1 / np.tanh(w1) + params.lam_minus(0.0, 1) / params.lam_minus(0.0))

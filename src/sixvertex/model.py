@@ -14,12 +14,13 @@ formed.  Conventions (pinned by the L=1 tests):
   auxiliary slot first and the j=1 factor leftmost, Gamma0 = diag(phi1, phi2);
 * the twist lives in the monodromy only: the A/B blocks carry phi1, the C/D
   blocks carry phi2, and the vacuum products lam_a, lam_d are twist-free.
+  They are `ExpSum`s on `ModelParams`, built once per model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
@@ -28,7 +29,6 @@ __all__ = [
     "ModelParams",
     "ExpSum",
     "cauchy_taylor",
-    "HighestWeightData",
     "r_matrix",
     "verify_ybe",
     "monodromy_blocks",
@@ -75,6 +75,22 @@ class ModelParams:
     @property
     def c(self):
         return np.sinh(self.gamma)
+
+    # vacuum eigenvalues of A and D (twist-free) and the twist combinations
+    # lam_pm = +-phi1*lam_a + phi2*lam_d, each sum built once per model
+    @cached_property
+    def lam_a(self):
+        return ExpSum.sinh_product([-m + self.gamma for m in self.mu])
+
+    @cached_property
+    def lam_d(self):
+        return ExpSum.sinh_product([-m for m in self.mu])
+
+    def lam_plus(self, x, d=0):
+        return self.phi1 * self.lam_a(x, d) + self.phi2 * self.lam_d(x, d)
+
+    def lam_minus(self, x, d=0):
+        return -self.phi1 * self.lam_a(x, d) + self.phi2 * self.lam_d(x, d)
 
     @property
     def reference_point(self):
@@ -398,7 +414,7 @@ def sector_indices(L: int, n: int):
 
 
 # ---------------------------------------------------------------------------
-# highest-weight data
+# exponential sums
 
 class ExpSum:
     """Finite exponential sums  f_k(x) = sum_i coeffs[k, i] exp(ms[i] x)  over
@@ -463,33 +479,3 @@ def cauchy_taylor(f, center, radius, nodes):
     circle = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
     vals = f(*np.meshgrid(*(c + circle for c in center), indexing="ij"))
     return np.fft.fftn(vals) / vals.size / radius ** np.indices(vals.shape).sum(axis=0)
-
-
-@dataclass
-class HighestWeightData:
-    """Vacuum eigenvalue functions lam_a, lam_d and the twist combinations
-    lam_pm = +-phi1*lam_a + phi2*lam_d, with closed-form derivatives of any
-    order (exponential-sum representation)."""
-
-    params: ModelParams
-    _a: ExpSum = field(init=False, repr=False)
-    _d: ExpSum = field(init=False, repr=False)
-
-    def __post_init__(self):
-        p = self.params
-        self._a = ExpSum.sinh_product([-m + p.gamma for m in p.mu])
-        self._d = ExpSum.sinh_product([-m for m in p.mu])
-
-    def lam_a(self, x, d=0):
-        return self._a(x, d)
-
-    def lam_d(self, x, d=0):
-        return self._d(x, d)
-
-    def lam_plus(self, x, d=0):
-        p = self.params
-        return p.phi1 * self._a(x, d) + p.phi2 * self._d(x, d)
-
-    def lam_minus(self, x, d=0):
-        p = self.params
-        return -p.phi1 * self._a(x, d) + p.phi2 * self._d(x, d)

@@ -22,7 +22,8 @@ eigenpair of a sector): the sector-1 Riccati forms, the coalescing reduction
 and the root-of-unity deviations then return one value per eigenpair, on a
 leading axis ahead of the axes of x.
 The Schroedinger map's r = (Lam - beta)/alpha has no such form; its
-derivative comes from `model.cauchy_taylor`.
+derivative comes from `model.cauchy_taylor`.  The vacuum eigenvalues come
+from the model, as in `riccati_lambda_residual(lam, x, params)`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from itertools import permutations
 import numpy as np
 
 from .functional import symmetric_m_matrix
-from .model import ExpSum, HighestWeightData, ModelParams, cauchy_taylor, transfer
+from .model import ExpSum, ModelParams, cauchy_taylor, transfer
 
 # circle radius and nodes of the Cauchy rule for r' in the Schroedinger map
 _CAUCHY_RADIUS, _CAUCHY_NODES = 0.02, 16
@@ -124,11 +125,11 @@ def riccati_h_residual(h_eval, x, n):
 # ---------------------------------------------------------------------------
 # sector-1 Riccati equation for the eigenvalue
 
-def _j_coefficients(x, hw: HighestWeightData, params: ModelParams):
+def _j_coefficients(x, params: ModelParams):
     g = params.gamma
     sh, ch = np.sinh(g), np.cosh(g)
-    lp, lm = hw.lam_plus(x), hw.lam_minus(x)
-    dlp, dlm = hw.lam_plus(x, 1), hw.lam_minus(x, 1)
+    lp, lm = params.lam_plus(x), params.lam_minus(x)
+    dlp, dlm = params.lam_plus(x, 1), params.lam_minus(x, 1)
     j0 = (ch * lp) ** 2 - (sh * lm) ** 2 + sh * ch * (lp * dlm - lm * dlp)
     j1 = 2 * ch * lp + sh * dlm
     return j0, j1
@@ -138,30 +139,30 @@ def _riccati_scale(j0, Lam):
     return np.maximum(np.maximum(np.abs(j0), np.abs(Lam) ** 2), 1e-300)
 
 
-def riccati_lambda_residual(lam_eval, x, hw, params):
+def riccati_lambda_residual(lam_eval, x, params):
     """Normalized residual of the first-order quadratic ODE for sector-1
     eigenvalues:  -c lam_minus dLam + J1 Lam - Lam^2 - J0."""
-    j0, j1 = _j_coefficients(x, hw, params)
+    j0, j1 = _j_coefficients(x, params)
     Lam, dLam = lam_eval(x), lam_eval(x, 1)
-    res = -params.c * hw.lam_minus(x) * dLam + j1 * Lam - Lam ** 2 - j0
+    res = -params.c * params.lam_minus(x) * dLam + j1 * Lam - Lam ** 2 - j0
     return res / _riccati_scale(j0, Lam)
 
 
-def sigma1_residual(lam_eval, x, hw, params):
+def sigma1_residual(lam_eval, x, params):
     """Same identity written through the surface form
     omega0 + (omega1 - Lam) S0 - c lam_minus dS0 with S0 = Lam - lam_plus;
     kept as an independent code path and cross-checked in tests."""
     g = params.gamma
     sh, ch = np.sinh(g), np.cosh(g)
-    lp, lm = hw.lam_plus(x), hw.lam_minus(x)
-    dlp, dlm = hw.lam_plus(x, 1), hw.lam_minus(x, 1)
+    lp, lm = params.lam_plus(x), params.lam_minus(x)
+    dlp, dlm = params.lam_plus(x, 1), params.lam_minus(x, 1)
     w0 = (sh * lm) ** 2 - ((ch - 1) * lp) ** 2 + sh * (ch - 1) * (lm * dlp - lp * dlm)
     w1 = (2 * ch - 1) * lp + sh * dlm
     Lam, dLam = lam_eval(x), lam_eval(x, 1)
     s0 = Lam - lp
     ds0 = dLam - dlp
     res = w0 + (w1 - Lam) * s0 - sh * lm * ds0
-    j0, _ = _j_coefficients(x, hw, params)
+    j0, _ = _j_coefficients(x, params)
     return res / _riccati_scale(j0, Lam)
 
 
@@ -178,8 +179,7 @@ def sigma1_residual(lam_eval, x, hw, params):
 _CIRCLE_RADIUS, _CIRCLE_NODES = 0.3, 64
 
 
-def coalescing_reduction(lam, x, hw: HighestWeightData, params: ModelParams,
-                         n, ts=None):
+def coalescing_reduction(lam, x, params: ModelParams, n, ts=None):
     """eps^0 coefficient of det(m - diag(Lambda)) with all n+1 spectral
     points at x + ts[i]*eps: the order-n ODE satisfied by sector-n
     eigenvalues (n in {1, 2}), evaluated at x for each eigenvalue Lambda of
@@ -205,7 +205,7 @@ def coalescing_reduction(lam, x, hw: HighestWeightData, params: ModelParams,
     nodes = np.arange(_CIRCLE_NODES)
     eps = _CIRCLE_RADIUS * np.exp(2j * np.pi * nodes / _CIRCLE_NODES)
     dx = np.multiply.outer(eps, ts)
-    m = symmetric_m_matrix(x + dx.T, hw, params)
+    m = symmetric_m_matrix(x + dx.T, params)
     idx = np.arange(n + 1)
     # a = m - diag(P) with P the Taylor polynomial of each eigenvalue:
     # shape (stack, nodes, n+1, n+1)
@@ -220,11 +220,11 @@ def coalescing_reduction(lam, x, hw: HighestWeightData, params: ModelParams,
     return means.sum(axis=0), np.abs(means).max(axis=0), spurious.max(axis=-1)
 
 
-def sigma2_residual(lam, x, hw, params):
+def sigma2_residual(lam, x, params):
     """Normalized residuals of the second-order ODE for sector-2 eigenvalues
     (the coalescing limit of the three-point identity), one per eigenvalue
     of the stack `lam`."""
-    vals, scales, _ = coalescing_reduction(lam, x, hw, params, n=2)
+    vals, scales, _ = coalescing_reduction(lam, x, params, n=2)
     return vals / np.maximum(scales, 1e-300)
 
 
@@ -241,12 +241,11 @@ def riccati2_coefficients(x, lam0, params: ModelParams):
     """(kbar, k0, k1, k2) of  c kbar dLam = k0 + k1 Lam + k2 Lam^2  for
     sector-2 eigenvalues at mu = 0, phi = 1; lam0 = Lam(0)."""
     _require_reference_point(params, "the sector-2 Riccati equation")
-    hw = HighestWeightData(params)
     g = params.gamma
     sh, ch = np.sinh, np.cosh
-    la, ld = hw.lam_a(x), hw.lam_d(x)
-    dla, dld = hw.lam_a(x, 1), hw.lam_d(x, 1)
-    la0 = hw.lam_a(0.0)
+    la, ld = params.lam_a(x), params.lam_d(x)
+    dla, dld = params.lam_a(x, 1), params.lam_d(x, 1)
+    la0 = params.lam_a(0.0)
     kbar = (la * sh(x) * (lam0 * sh(g - x) + la0 * sh(g + x))
             + ld * sh(x + g) * (lam0 * sh(x) - la0 * sh(x + 2 * g)))
     k0 = (la ** 2 * (la0 * sh(x) ** 2 - lam0 * sh(x - g) ** 2)
@@ -362,12 +361,12 @@ def potential_profile(omega0, gamma, x_range=(-8.0, 8.0), samples=801):
                             xs=xs, values=vals, poles=poles)
 
 
-def _schrodinger_functions(x, lam0, params: ModelParams, hw: HighestWeightData):
+def _schrodinger_functions(x, lam0, params: ModelParams):
     """alpha2, beta2*beta2bar of the sector-2 log-derivative substitution."""
     g = params.gamma
     sh, ch = np.sinh, np.cosh
-    la, ld = hw.lam_a(x), hw.lam_d(x)
-    la0 = hw.lam_a(0.0)
+    la, ld = params.lam_a(x), params.lam_d(x)
+    la0 = params.lam_a(0.0)
     den = lam0 * sh(x) ** 2 - la0 * sh(x + g) ** 2
     alpha = sh(g) / den * (
         la * sh(x) * (lam0 * sh(g - x) + la0 * sh(g + x))
@@ -398,12 +397,11 @@ def schrodinger_map_residual(lam, x, params: ModelParams, potential_scale=1.0):
     negative-control hook (scaling V must break the residual).
     """
     _require_reference_point(params, "the Schroedinger map")
-    hw = HighestWeightData(params)
     lam0 = lam(0.0)
     om0 = np.sqrt(lam0 / params.c ** params.L + 0j)
 
     def r(z):
-        alpha, beta = _schrodinger_functions(z, lam0, params, hw)
+        alpha, beta = _schrodinger_functions(z, lam0, params)
         return (lam(z) - beta) / alpha
 
     c = cauchy_taylor(r, x, _CAUCHY_RADIUS, _CAUCHY_NODES)

@@ -95,8 +95,12 @@ class RunConfig:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad model section: {exc}") from exc
         sectors = d.get("sectors", list(range(model.L + 1)))
-        if not all(isinstance(n, int) and 0 <= n <= model.L for n in sectors):
+        if not isinstance(sectors, (list, tuple)) or not all(
+                isinstance(n, int) and not isinstance(n, bool) and 0 <= n <= model.L
+                for n in sectors):
             raise ConfigError(f"sectors must be integers in [0, {model.L}]: {sectors}")
+        if len(set(sectors)) != len(sectors):
+            raise ConfigError(f"sectors must not repeat: {sectors}")
         tol = default_tolerances()
         for k, v in d.get("tolerances", {}).items():
             if k not in tol:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sixvertex.model import HighestWeightData, ModelParams, transfer
+from sixvertex.model import ModelParams, transfer
 from sixvertex.spectrum import diagonalize_sector, polynomiality_check
 
 
@@ -35,20 +35,10 @@ def params():
 
 
 @pytest.fixture(scope="session")
-def hw(params):
-    return HighestWeightData(params)
-
-
-@pytest.fixture(scope="session")
 def generic_params():
     """Generic twisted, inhomogeneous point (away from any special locus)."""
     return ModelParams(L=4, gamma=0.7, mu=(0.11, -0.23, 0.31, 0.05),
                        phi1=1.3, phi2=0.8)
-
-
-@pytest.fixture(scope="session")
-def generic_hw(generic_params):
-    return HighestWeightData(generic_params)
 
 
 class OracleBank:

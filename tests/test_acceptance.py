@@ -10,8 +10,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from sixvertex.model import (HighestWeightData, ModelParams, transfer,
-                             verify_ybe)
+from sixvertex.model import ModelParams, transfer, verify_ybe
 from sixvertex.spectrum import (diagonalize_sector, polynomial_residuals,
                                 polynomiality_check)
 from sixvertex import functional as fx
@@ -31,11 +30,6 @@ def record(num, name, value, threshold, passed=None, note=""):
 @pytest.fixture(scope="module")
 def ref():
     return ModelParams(L=4, gamma=0.7)
-
-
-@pytest.fixture(scope="module")
-def ref_hw(ref):
-    return HighestWeightData(ref)
 
 
 @pytest.fixture(scope="module")
@@ -104,27 +98,25 @@ def test_03_bethe_oracle_match(ref, eigs, bethe_solutions):
     assert dt < 30.0
 
 
-def test_04_functional_equations(ref, ref_hw, eigs):
+def test_04_functional_equations(ref, eigs):
     x0, x1, x2 = 0.31, -0.42, 0.55
     worst = 0.0
     for k in range(eigs[1].size):
         lam = eigs[1].lam(k)
         worst = max(worst, abs(fx.nonlinear_eq_n1_residual(
-            x0, x1, lam, ref_hw, ref)) / abs(lam(x0) * lam(x1)))
+            x0, x1, lam, ref)) / abs(lam(x0) * lam(x1)))
     for k in range(eigs[2].size):
         lam = eigs[2].lam(k)
         worst = max(worst, abs(fx.nonlinear_eq_n2_residual(
-            x0, x1, x2, lam, ref_hw, ref)) / abs(lam(x0) * lam(x1) * lam(x2)))
+            x0, x1, x2, lam, ref)) / abs(lam(x0) * lam(x1) * lam(x2)))
     record(4, "explicit 2- and 3-point identities at L=4", worst, 1e-8)
 
     p6 = ModelParams(L=6, gamma=0.7)
-    hw6 = HighestWeightData(p6)
     worst_det = 0.0
     for n in (1, 2, 3):
         es = diagonalize_sector(p6, n)
         pts = [0.31, -0.42, 0.55, 0.9][:n + 1]
-        M = fx.extended_matrix(pts, es.lam(slice(0, es.size, max(es.size // 4, 1))),
-                               hw6, p6)
+        M = fx.extended_matrix(pts, es.lam(slice(0, es.size, max(es.size // 4, 1))), p6)
         worst_det = max(worst_det, np.abs(fx.compatibility_residual(M)).max())
     record(4, "compatibility determinant n=1,2,3 at L=6", worst_det, 1e-8)
 
@@ -132,9 +124,9 @@ def test_04_functional_equations(ref, ref_hw, eigs):
     b1 = lambda x: 1.01 * lam1(x)
     b2 = lambda x: 1.01 * lam2(x)
     neg = min(
-        abs(fx.nonlinear_eq_n1_residual(x0, x1, b1, ref_hw, ref))
+        abs(fx.nonlinear_eq_n1_residual(x0, x1, b1, ref))
         / abs(b1(x0) * b1(x1)),
-        abs(fx.nonlinear_eq_n2_residual(x0, x1, x2, b2, ref_hw, ref))
+        abs(fx.nonlinear_eq_n2_residual(x0, x1, x2, b2, ref))
         / abs(b2(x0) * b2(x1) * b2(x2)))
     record(4, "perturbed-eigenvalue negative controls", neg, 1e-3,
            passed=neg > 1e-3)
@@ -144,11 +136,10 @@ def test_05_linear_problem():
     worst = 0.0
     for L in (4, 6):
         p = ModelParams(L=L, gamma=0.7)
-        hw = HighestWeightData(p)
         for n in (1, 2, 3):
             es = diagonalize_sector(p, n)
             pts = [0.31, -0.42, 0.55, 0.9][:n + 1]
-            res, scale = fx.linear_relation_residual(pts, es.lam(), es.left, hw, p)
+            res, scale = fx.linear_relation_residual(pts, es.lam(), es.left, p)
             worst = max(worst, float((np.abs(res) / scale).max()))
     record(5, "linear problem for all eigenpairs, n<=3, L in {4,6}",
            worst, 1e-10)
@@ -156,17 +147,16 @@ def test_05_linear_problem():
 
 def test_06_transport_structure():
     p = ModelParams(L=5, gamma=0.7)
-    hw = HighestWeightData(p)
     worst_loop = worst_fact = worst_norm = worst_spread = 0.0
     for n in (2, 3, 4):
         es = diagonalize_sector(p, n)
         lam = es.lam(0)
         pts = [0.31, -0.42, 0.55, 0.9, -0.15][:n + 1]
         worst_loop = max(worst_loop, abs(fx.transport_loop(
-            list(range(min(4, n + 1))), pts, lam, hw, p) - 1))
-        mext = fx.extended_matrix(pts, lam, hw, p)
+            list(range(min(4, n + 1))), pts, lam, p) - 1))
+        mext = fx.extended_matrix(pts, lam, p)
         F = fx.f_n([pts[:i] + pts[i + 1:] for i in range(n + 1)], es.left[0], p)[0]
-        det = [np.linalg.det(fx.v_matrix(i, pts, lam, hw, p, mext))
+        det = [np.linalg.det(fx.v_matrix(i, pts, lam, p, mext))
                for i in range(n + 1)]
         scale = max(abs(F[i] * det[j])
                     for i in range(n + 1) for j in range(n + 1))
@@ -175,52 +165,52 @@ def test_06_transport_structure():
                 worst_fact = max(worst_fact,
                                  abs(F[i] * det[j] - F[j] * det[i]) / scale)
         for i in range(1, n + 1):
-            dv = np.linalg.det(fx.v_matrix(i, pts, lam, hw, p, mext))
-            dt = fx.tilde_v_det(i, pts, lam, hw, p)
+            dv = np.linalg.det(fx.v_matrix(i, pts, lam, p, mext))
+            dt = fx.tilde_v_det(i, pts, lam, p)
             pred = (p.c * p.b(pts[0] - pts[i])
                     / np.prod([p.b(pts[0] - pts[j]) ** 2
                                for j in range(1, n + 1)]) * dt)
             worst_norm = max(worst_norm, abs(dv - pred) / abs(dv))
         sw = list(pts)
         sw[1], sw[2] = sw[2], sw[1]
-        d1 = fx.tilde_v_det(1, pts, lam, hw, p)
-        d2 = fx.tilde_v_det(2, sw, lam, hw, p)
+        d1 = fx.tilde_v_det(1, pts, lam, p)
+        d2 = fx.tilde_v_det(2, sw, lam, p)
         worst_norm = max(worst_norm, abs(d1 - d2) / abs(d1))
-        worst_spread = max(worst_spread, fx.tilde_v_spread(1, pts, lam, hw, p))
+        worst_spread = max(worst_spread, fx.tilde_v_spread(1, pts, lam, p))
     record(6, "transport loops", worst_loop, 1e-9)
     record(6, "factorization cross-ratios", worst_fact, 1e-8)
     record(6, "rescaled-determinant identities", worst_norm, 1e-10)
     record(6, "determinant x_i-independence spread", worst_spread, 1e-9)
 
 
-def test_07_conserved_quantities(ref, ref_hw, eigs, bethe_solutions):
+def test_07_conserved_quantities(ref, eigs, bethe_solutions):
     pts = [0.31, -0.42, 0.55]
     worst = 0.0
     for k in range(eigs[2].size):
         lam = eigs[2].lam(k)
         for (i, j) in [(0, 1), (1, 2)]:
             worst = max(worst, fx.theta_conservation(
-                i, j, pts, lam, ref_hw, ref))
+                i, j, pts, lam, ref))
     record(7, "theta conservation (Cauchy rule, n=2)", worst, 1e-10)
 
     worst_const = 0.0
     for k in range(eigs[1].size):
-        v1, _, _ = fx.conserved_n1(0.2, eigs[1].lam(k), ref_hw, ref)
-        v2, _, _ = fx.conserved_n1(0.9, eigs[1].lam(k), ref_hw, ref)
+        v1, _, _ = fx.conserved_n1(0.2, eigs[1].lam(k), ref)
+        v2, _, _ = fx.conserved_n1(0.9, eigs[1].lam(k), ref)
         worst_const = max(worst_const, abs(v1 - v2))
     record(7, "leading conserved quantity constancy", worst_const, 1e-8)
 
     rep = bt.match_spectrum(ref, 1, bethe_solutions[1], eigs[1])
     worst_cf = 0.0
     for si, ei, _ in rep.pairs:
-        val, _, _ = fx.conserved_n1(0.4, eigs[1].lam(ei), ref_hw, ref)
+        val, _, _ = fx.conserved_n1(0.4, eigs[1].lam(ei), ref)
         target = fx.conserved_n1_closed_form(
-            bethe_solutions[1][si].roots[0], ref_hw)
+            bethe_solutions[1][si].roots[0], ref)
         worst_cf = max(worst_cf, abs(np.exp(val) - target) / abs(target))
     record(7, "closed form coth(w1) + ratio", worst_cf, 1e-7)
 
 
-def test_08_ode_chain(ref, ref_hw, sums):
+def test_08_ode_chain(ref, sums):
     rng = np.random.default_rng(8)
     worst_ups = 0.0
     for n in range(1, 7):
@@ -240,14 +230,14 @@ def test_08_ode_chain(ref, ref_hw, sums):
     for lam in sums[1]:
         for x in (0.43, 0.9):
             worst_r1 = max(worst_r1,
-                           abs(odes.riccati_lambda_residual(lam, x, ref_hw, ref)),
-                           abs(odes.sigma1_residual(lam, x, ref_hw, ref)))
+                           abs(odes.riccati_lambda_residual(lam, x, ref)),
+                           abs(odes.sigma1_residual(lam, x, ref)))
     record(8, "sector-1 Riccati + surface form, all eigenvalues", worst_r1, 1e-7)
 
     worst_2 = 0.0
     for lam in sums[2]:
         for x in (0.63, -0.35):
-            worst_2 = max(worst_2, abs(odes.sigma2_residual(lam, x, ref_hw, ref)))
+            worst_2 = max(worst_2, abs(odes.sigma2_residual(lam, x, ref)))
         for x in (0.43, 0.8):
             worst_2 = max(worst_2, abs(odes.riccati2_residual(lam, x, ref)))
     record(8, "sector-2 second-order + standard Riccati, all eigenvalues",
@@ -284,12 +274,12 @@ def test_11_root_of_unity(ref, eigs):
            max(v.max() for v in devs.values()), 1e-9)
 
 
-def test_12_polynomial_structure(ref, ref_hw, eigs):
+def test_12_polynomial_structure(ref, eigs):
     worst = max(r.max() for r in polynomial_residuals([eigs[n] for n in range(5)]))
     record(12, "exact sum vs direct build, every oracle eigenvalue", worst, 1e-9)
     # the plant of the `polynomial` check: u^{L/2} exp((L+2)x) = u^{L+1}
     _, planted = polynomiality_check(
-        lambda x: ref_hw.lam_a(x) + np.exp((ref.L + 2) * x), ref)
+        lambda x: ref.lam_a(x) + np.exp((ref.L + 2) * x), ref)
     record(12, "planted non-eigenvalue rejected", planted, 1e-2,
            passed=planted > 1e-2)
 

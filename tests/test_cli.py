@@ -10,7 +10,7 @@ import pytest
 
 from conftest import generic_model, scenario
 from sixvertex import cli, odes
-from sixvertex.model import ExpSum, HighestWeightData, ModelParams
+from sixvertex.model import ExpSum, ModelParams
 from sixvertex.reports import (ConfigError, ResultCache, RunConfig,
                                VerificationReport, write_csv, write_svg_line)
 from sixvertex.spectrum import DegenerateSpectrum, diagonalize_sector
@@ -41,6 +41,11 @@ class TestConfig:
     def test_bad_sector_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"sectors": [0, 9]})
+
+    @pytest.mark.parametrize("sectors", [[1, 1, True], [True], [1, 2, 1], 3])
+    def test_sector_labels_are_distinct_integers(self, sectors):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict({"sectors": sectors})
 
     def test_content_key_stable(self):
         a = RunConfig.reference().content_key()
@@ -543,9 +548,9 @@ class TestSigma2Row:
         assert json.loads((out / "reports.jsonl").read_text())["residual"] > 3e-4
         # at x = -0.213 every 1%-off eigenvalue fails on its own
         p = ModelParams(L=L, gamma=0.7)
-        es, hw = diagonalize_sector(p, 2), HighestWeightData(p)
+        es = diagonalize_sector(p, 2)
         off = ExpSum(es.lam().ms, 1.01 * es.coeffs)
-        assert np.all(np.abs(odes.sigma2_residual(off, -0.213, hw, p)) > tol)
+        assert np.all(np.abs(odes.sigma2_residual(off, -0.213, p)) > tol)
 
 
 class TestTraceRow:
@@ -585,6 +590,14 @@ class TestBetheCommand:
         assert "4 of 4" in out and "6 of 6" in out
         assert (tmp_path / "roots-n1.json").exists()
         assert (tmp_path / "bethe-matching.csv").exists()
+
+    @pytest.mark.parametrize("L,sectors", [(1, [0]), (4, [0, 3])])
+    def test_sectors_without_1_or_2_are_config_error(self, tmp_path, L, sectors):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"L": L, "gamma": 0.7}, "sectors": sectors}))
+        out = tmp_path / "out"
+        assert run(["bethe", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not list(out.glob("roots-n*.json"))
 
     def test_reproducible_bytes(self, tmp_path):
         run(["bethe", "--out", str(tmp_path / "a"), "--seed", "77"])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import generic_model, scenario
 from sixvertex import model
 from sixvertex.spectrum import diagonalize_sector
-from sixvertex.model import (ExpSum, HighestWeightData, ModelParams,
+from sixvertex.model import (ExpSum, ModelParams,
                              monodromy_blocks, popcount, r_matrix,
                              sector_indices, transfer, verify_ybe,
                              yba_exchange_residual)
@@ -232,15 +234,15 @@ class TestMonodromy:
         target = 1.2 * np.prod([np.sinh(x - m) for m in p.mu]) * np.eye(8)
         assert np.abs(A - target).max() < 1e-8
 
-    def test_highest_weight_action(self, generic_params, generic_hw, rng):
-        p, hw = generic_params, generic_hw
+    def test_highest_weight_action(self, generic_params, rng):
+        p = generic_params
         e0 = np.zeros(p.dim)
         e0[0] = 1.0
         xs = rng.uniform(-1, 1, 10) + 1j * rng.uniform(-0.3, 0.3, 10)
         for x, A, B, C, D in zip(xs, *assemble(monodromy_blocks(xs, p), p.L)):
-            sc = max(abs(hw.lam_a(x)), abs(hw.lam_d(x)), 1.0)
-            assert np.abs(A @ e0 - p.phi1 * hw.lam_a(x) * e0).max() < 1e-12 * sc
-            assert np.abs(D @ e0 - p.phi2 * hw.lam_d(x) * e0).max() < 1e-12 * sc
+            sc = max(abs(p.lam_a(x)), abs(p.lam_d(x)), 1.0)
+            assert np.abs(A @ e0 - p.phi1 * p.lam_a(x) * e0).max() < 1e-12 * sc
+            assert np.abs(D @ e0 - p.phi2 * p.lam_d(x) * e0).max() < 1e-12 * sc
             assert np.abs(C @ e0).max() < 1e-14 * sc
 
     def test_magnetization_blocks_exact(self, generic_params):
@@ -418,18 +420,50 @@ class TestExpSum:
                 assert np.array_equal(got[k], ExpSum(ms, f_order[k])(x, d))
 
 
-class TestHighestWeightData:
-    def test_homogeneous_values(self, params, hw):
-        assert hw.lam_d(0.0) == 0.0
-        assert abs(hw.lam_a(0.0) - params.c ** params.L) < 1e-14
+class TestVacuumEigenvalues:
+    """lam_a, lam_d and lam_pm are part of ModelParams, built once per model."""
+
+    def test_homogeneous_values(self, params):
+        assert params.lam_d(0.0) == 0.0
+        assert abs(params.lam_a(0.0) - params.c ** params.L) < 1e-14
+
+    def test_sums_built_once_per_model(self, generic_params):
+        p = generic_params
+        assert p.lam_a is p.lam_a
+        assert p.lam_d is p.lam_d
+
+    def test_reading_a_sum_keeps_equality_and_hash(self):
+        p, q = (ModelParams(L=4, gamma=0.7, mu=(0.1, -0.2, 0.3, 0.0), phi1=1.3)
+                for _ in range(2))
+        before = hash(p)
+        p.lam_a(0.3)
+        assert p == q and hash(p) == hash(q) == before
+
+    def test_replace_gives_the_new_models_values(self, generic_params):
+        p = generic_params
+        p.lam_plus(0.3)                     # builds the old model's sums
+        x = 0.37 + 0.11j
+
+        def close(got, want):
+            return abs(got - want) <= 1e-13 * abs(want)
+
+        mu = (0.2, -0.1, 0.05, -0.3)
+        q = replace(p, mu=mu)
+        assert close(q.lam_a(x), np.prod(np.sinh(x - np.array(mu) + q.gamma)))
+        assert close(q.lam_d(x), np.prod(np.sinh(x - np.array(mu))))
+        r = replace(p, phi2=0.45)
+        la = np.prod(np.sinh(x - np.array(p.mu) + p.gamma))
+        ld = np.prod(np.sinh(x - np.array(p.mu)))
+        assert close(r.lam_plus(x), p.phi1 * la + 0.45 * ld)
+        assert close(r.lam_minus(x), -p.phi1 * la + 0.45 * ld)
 
     @pytest.mark.parametrize("d,h,rel", [(1, 1e-5, 1e-8), (2, 1e-4, 1e-6),
                                          (3, 1e-2, 1e-2)])
-    def test_derivatives_match_finite_differences(self, generic_hw, d, h, rel):
+    def test_derivatives_match_finite_differences(self, generic_params, d, h, rel):
         # step chosen per order: the eps/h^d rounding floor dominates otherwise
         x = 0.37 + 0.11j
-        for f in (generic_hw.lam_a, generic_hw.lam_d,
-                  generic_hw.lam_plus, generic_hw.lam_minus):
+        for f in (generic_params.lam_a, generic_params.lam_d,
+                  generic_params.lam_plus, generic_params.lam_minus):
             if d == 1:
                 fd = (f(x + h) - f(x - h)) / (2 * h)
             elif d == 2:

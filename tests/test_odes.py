@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sixvertex.model import ExpSum, HighestWeightData, ModelParams
+from sixvertex.model import ExpSum, ModelParams
 from sixvertex.bethe import CothSum, RootEigenvalue, solve_bae
 from sixvertex.spectrum import diagonalize_sector
 from sixvertex import odes
@@ -40,39 +40,39 @@ class TestRiccatiChainH:
 
 
 class TestRiccatiLambda:
-    def test_all_sector1_eigenvalues(self, params, hw, oracle):
+    def test_all_sector1_eigenvalues(self, params, oracle):
         for k in range(4):
             fit = oracle.fit(params, 1, k)
             for x in (0.43, 0.9, -0.3):
-                assert abs(odes.riccati_lambda_residual(fit, x, hw, params)) < 1e-7
-                assert abs(odes.sigma1_residual(fit, x, hw, params)) < 1e-7
+                assert abs(odes.riccati_lambda_residual(fit, x, params)) < 1e-7
+                assert abs(odes.sigma1_residual(fit, x, params)) < 1e-7
 
-    def test_two_forms_agree(self, params, hw, oracle):
+    def test_two_forms_agree(self, params, oracle):
         # algebraically identical packagings, independent transcriptions
         fit = oracle.fit(params, 1, 2)
         for x in (0.43, -0.8):
-            r = odes.riccati_lambda_residual(fit, x, hw, params)
-            s = odes.sigma1_residual(fit, x, hw, params)
+            r = odes.riccati_lambda_residual(fit, x, params)
+            s = odes.sigma1_residual(fit, x, params)
             assert abs(r - s) < 1e-12
 
-    def test_generic_parameters(self, generic_params, generic_hw, oracle):
+    def test_generic_parameters(self, generic_params, oracle):
         fit = oracle.fit(generic_params, 1, 0)
         assert abs(odes.riccati_lambda_residual(
-            fit, 0.43, generic_hw, generic_params)) < 1e-7
+            fit, 0.43, generic_params)) < 1e-7
 
-    def test_closed_form_family_satisfies_identity(self, params, hw):
+    def test_closed_form_family_satisfies_identity(self, params):
         # one-root eigenvalue formula solves the ODE for *arbitrary* root
         ev = RootEigenvalue([0.8 + 0.6j], params)
-        assert abs(odes.riccati_lambda_residual(ev, 0.3, hw, params)) < 1e-11
+        assert abs(odes.riccati_lambda_residual(ev, 0.3, params)) < 1e-11
 
-    def test_two_point_identity_limit(self, params, hw, oracle):
+    def test_two_point_identity_limit(self, params, oracle):
         # the two-point identity at x1 = x0 + eps approaches -Sigma1 at O(eps)
         from sixvertex.functional import nonlinear_eq_n1_residual
         bad = plus_exp(oracle.fit(params, 1, 1), 0.2)
         x = 0.4
-        val, scale, _ = odes.coalescing_reduction(bad, x, hw, params, n=1)
+        val, scale, _ = odes.coalescing_reduction(bad, x, params, n=1)
         for eps in (1e-3, 1e-4):
-            r = nonlinear_eq_n1_residual(x, x + eps, bad, hw, params)
+            r = nonlinear_eq_n1_residual(x, x + eps, bad, params)
             assert abs(r - val) < 40 * eps * max(abs(val), 1.0)
 
 
@@ -81,7 +81,6 @@ class TestCoalescingReduction:
         # one m-matrix for every evaluator, as one call per evaluator gives
         from conftest import generic_model
         p = ModelParams.from_dict(generic_model(6, 1))
-        h = HighestWeightData(p)
         es = oracle.eigensystem(p, 2)
         # the sector's stack with an off-shell row too: a term in exp(x) on row 0
         off = plus_exp(es.lam(0), 0.1)
@@ -89,39 +88,39 @@ class TestCoalescingReduction:
                             off.coeffs])
         lams = ExpSum(off.ms, coeffs)
         for n, x in ((2, 0.63), (1, -0.213)):
-            batched = odes.coalescing_reduction(lams, x, h, p, n=n)
-            single = np.array([odes.coalescing_reduction(ExpSum(off.ms, c), x, h, p, n=n)
+            batched = odes.coalescing_reduction(lams, x, p, n=n)
+            single = np.array([odes.coalescing_reduction(ExpSum(off.ms, c), x, p, n=n)
                                for c in coeffs])       # (eigenvalue, output)
             for got, want in zip(batched, single.T):
                 assert got.shape == (len(coeffs),)
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-        vals, scales, _ = odes.coalescing_reduction(lams, 0.63, h, p, n=2)
-        assert np.array_equal(odes.sigma2_residual(lams, 0.63, h, p), vals / scales)
+        vals, scales, _ = odes.coalescing_reduction(lams, 0.63, p, n=2)
+        assert np.array_equal(odes.sigma2_residual(lams, 0.63, p), vals / scales)
 
-    def test_n1_matches_closed_form(self, params, hw, oracle):
+    def test_n1_matches_closed_form(self, params, oracle):
         fit = oracle.fit(params, 1, 1)
         x = 0.43
-        val, scale, spur = odes.coalescing_reduction(fit, x, hw, params, n=1)
-        lp = hw.lam_plus(x)
+        val, scale, spur = odes.coalescing_reduction(fit, x, params, n=1)
+        lp = params.lam_plus(x)
         j0 = ((np.cosh(params.gamma) * lp) ** 2
-              - (params.c * hw.lam_minus(x)) ** 2
+              - (params.c * params.lam_minus(x)) ** 2
               + params.c * np.cosh(params.gamma)
-              * (lp * hw.lam_minus(x, 1) - hw.lam_minus(x) * hw.lam_plus(x, 1)))
-        j1 = 2 * np.cosh(params.gamma) * lp + params.c * hw.lam_minus(x, 1)
-        sig1 = (-params.c * hw.lam_minus(x) * fit(x, 1) + j1 * fit(x)
+              * (lp * params.lam_minus(x, 1) - params.lam_minus(x) * params.lam_plus(x, 1)))
+        j1 = 2 * np.cosh(params.gamma) * lp + params.c * params.lam_minus(x, 1)
+        sig1 = (-params.c * params.lam_minus(x) * fit(x, 1) + j1 * fit(x)
                 - fit(x) ** 2 - j0)
         assert abs(val + sig1) < 1e-10 * max(abs(sig1), abs(val), 1.0)
         assert spur < 1e-10 * scale
 
-    def test_direction_independence(self, params, hw, oracle):
+    def test_direction_independence(self, params, oracle):
         bad = plus_exp(oracle.fit(params, 2, 1), 0.1)
-        v1, _, _ = odes.coalescing_reduction(bad, 0.5, hw, params, n=2,
+        v1, _, _ = odes.coalescing_reduction(bad, 0.5, params, n=2,
                                              ts=(0.0, 1.0, -1.0))
-        v2, _, _ = odes.coalescing_reduction(bad, 0.5, hw, params, n=2,
+        v2, _, _ = odes.coalescing_reduction(bad, 0.5, params, n=2,
                                              ts=(0.0, 0.6, -1.3))
         assert abs(v1 - v2) < 1e-8 * abs(v1)
 
-    def test_higher_lambda_derivatives_do_not_enter(self, params, hw, oracle):
+    def test_higher_lambda_derivatives_do_not_enter(self, params, oracle):
         fit = oracle.fit(params, 2, 0)
 
         def padded(x, d=0):
@@ -129,7 +128,7 @@ class TestCoalescingReduction:
                 raise AssertionError("order above 2 requested")
             return fit(x, d)
 
-        val, scale, _ = odes.coalescing_reduction(padded, 0.63, hw, params, n=2)
+        val, scale, _ = odes.coalescing_reduction(padded, 0.63, params, n=2)
         assert abs(val) < 1e-12 * scale
 
 
@@ -169,43 +168,42 @@ class TestCoalescingOracle:
     first two, so the third and higher do not enter the finite part."""
 
     @pytest.mark.parametrize("point", ["reference", "generic"])
-    def test_matches_high_precision_limit(self, point, params, hw, generic_params,
-                                          generic_hw, oracle):
-        p, h = (params, hw) if point == "reference" else (generic_params, generic_hw)
+    def test_matches_high_precision_limit(self, point, params, generic_params, oracle):
+        p = params if point == "reference" else generic_params
         bad = plus_exp(oracle.fit(p, 2, 1), 0.1)
         for x in (0.63, -0.35):
-            val, scale, _ = odes.coalescing_reduction(bad, x, h, p, n=2)
+            val, scale, _ = odes.coalescing_reduction(bad, x, p, n=2)
             assert abs(val - det_near_coalescence(bad, x, p)) <= 1e-13 * scale
 
     @pytest.mark.parametrize("n", [0, 3])
-    def test_orders_other_than_one_two_rejected(self, n, params, hw, oracle):
+    def test_orders_other_than_one_two_rejected(self, n, params, oracle):
         with pytest.raises(ValueError, match="n in"):
-            odes.coalescing_reduction(oracle.fit(params, 2, 0), 0.5, hw, params, n=n)
+            odes.coalescing_reduction(oracle.fit(params, 2, 0), 0.5, params, n=n)
 
 
 class TestSigma2:
-    def test_all_sector2_eigenvalues_reference(self, params, hw, oracle):
+    def test_all_sector2_eigenvalues_reference(self, params, oracle):
         for k in range(6):
             fit = oracle.fit(params, 2, k)
             for x in (0.63, -0.35):
-                assert abs(odes.sigma2_residual(fit, x, hw, params)) < 1e-6
+                assert abs(odes.sigma2_residual(fit, x, params)) < 1e-6
 
-    def test_generic_parameters(self, generic_params, generic_hw, oracle):
+    def test_generic_parameters(self, generic_params, oracle):
         for k in (0, 3):
             fit = oracle.fit(generic_params, 2, k)
             assert abs(odes.sigma2_residual(
-                fit, 0.63, generic_hw, generic_params)) < 1e-6
+                fit, 0.63, generic_params)) < 1e-6
 
-    def test_closed_form_family(self, generic_params, generic_hw):
+    def test_closed_form_family(self, generic_params):
         # arbitrary two-root closed form solves the identity exactly
         ev = RootEigenvalue([0.37 + 0.41j, -0.52 + 0.18j], generic_params)
         for x in (0.3, 0.9):
             assert abs(odes.sigma2_residual(
-                ev, x, generic_hw, generic_params)) < 1e-10
+                ev, x, generic_params)) < 1e-10
 
-    def test_sector1_eigenvalue_rejected(self, params, hw, oracle):
+    def test_sector1_eigenvalue_rejected(self, params, oracle):
         fit = oracle.fit(params, 1, 0)
-        assert abs(odes.sigma2_residual(fit, 0.63, hw, params)) > 1e-3
+        assert abs(odes.sigma2_residual(fit, 0.63, params)) > 1e-3
 
 
 class TestRiccati2:
@@ -215,10 +213,10 @@ class TestRiccati2:
             for x in (0.43, 0.8):
                 assert abs(odes.riccati2_residual(fit, x, params)) < 1e-6
 
-    def test_k2_spot_value(self, params, hw):
+    def test_k2_spot_value(self, params):
         x, lam0 = 0.57, 0.9 + 0.1j
         _, _, _, k2 = odes.riccati2_coefficients(x, lam0, params)
-        expect = hw.lam_a(0.0) * np.sinh(x + params.gamma) ** 2 \
+        expect = params.lam_a(0.0) * np.sinh(x + params.gamma) ** 2 \
             - lam0 * np.sinh(x) ** 2
         assert abs(k2 - expect) < 1e-14 * abs(expect)
 
@@ -226,10 +224,10 @@ class TestRiccati2:
         with pytest.raises(ValueError):
             odes.riccati2_coefficients(0.4, 1.0, generic_params)
 
-    def test_consistency_with_sigma2(self, params, hw, oracle):
+    def test_consistency_with_sigma2(self, params, oracle):
         # both sector-2 identities hold simultaneously for the same fit
         fit = oracle.fit(params, 2, 4)
-        assert abs(odes.sigma2_residual(fit, 0.43, hw, params)) < 1e-6
+        assert abs(odes.sigma2_residual(fit, 0.43, params)) < 1e-6
         assert abs(odes.riccati2_residual(fit, 0.43, params)) < 1e-6
 
 
@@ -238,24 +236,23 @@ class TestUEquation:
     numerator, so the row judges riccati_lambda_residual on the Bethe-root
     evaluator pointwise."""
 
-    def test_closed_form_root(self, params, hw):
+    def test_closed_form_root(self, params):
         sols = solve_bae(diagonalize_sector(params, 1))
         ev = RootEigenvalue(sols[0].roots, params)
         for x in (0.2, 0.45, 0.7, 0.95, 1.2):
-            assert abs(odes.riccati_lambda_residual(ev, x, hw, params)) < 1e-12
+            assert abs(odes.riccati_lambda_residual(ev, x, params)) < 1e-12
 
     def test_vanishing_lam_minus(self):
         # this twist puts a zero of lam_minus on the segment [0.2, 1.2]; the
         # pointwise form has no division by lam_minus, so it holds there too
         p = ModelParams(L=2, gamma=0.7, phi1=1.0, phi2=5.0)
-        hw2 = HighestWeightData(p)
         xs = np.linspace(0.2, 1.2, 401)
-        lams = np.abs([hw2.lam_minus(x) for x in xs])
+        lams = np.abs([p.lam_minus(x) for x in xs])
         assert lams.min() < 1e-2 * lams.max()  # hazard present
         sols = solve_bae(diagonalize_sector(p, 1))
         ev = RootEigenvalue(sols[0].roots, p)
         for x in (0.2, 0.45, 0.7, 0.95, 1.2, xs[int(np.argmin(lams))]):
-            assert abs(odes.riccati_lambda_residual(ev, x, hw2, p)) < 1e-12
+            assert abs(odes.riccati_lambda_residual(ev, x, p)) < 1e-12
 
 
 class TestPDE:
