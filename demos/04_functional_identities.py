@@ -30,10 +30,11 @@ dets = np.abs(fx.compatibility_residual(fx.extended_matrix(pts, stack, params)))
 print("compatibility determinant (on-shell, worst):", dets[:-1].max())
 print("compatibility determinant (1% off):         ", dets[-1])
 
-print("\ntransport loop 0->1->2->0:",
-      fx.transport_loop([0, 1, 2], pts, lam, params))
+# Cramer minors and transport ratios are read off one extended matrix
+M = fx.extended_matrix(pts, lam, params)
+print("\ntransport loop 0->1->2->0:", fx.transport_loop([0, 1, 2], M))
 
-tv = fx.transport(1, 2, pts, lam, params)
+tv = fx.transport(1, 2, M)
 fi, fj = fx.f_n([[pts[0], pts[2]], [pts[0], pts[1]]], leftvec, params)[0]
 print("det ratio vs direct F ratio:", abs(tv - fj / fi))
 

@@ -35,6 +35,8 @@ _MAX_ITER = 10
 # |sinh| distance that snaps a singular pair
 _NULL_TOL = 1e-10
 _PAIR_TOL = 1e-3    # |sinh(w_j + gamma - w_i)| that ties a pair
+# the points at which `match_spectrum` compares formula and oracle eigenvalues
+_MATCH_XS = np.linspace(0.21, 1.3, 20)
 
 __all__ = [
     "BetheRoots",
@@ -480,7 +482,7 @@ class CothSum:
 @dataclass
 class MatchReport:
     n: int
-    pairs: list                 # (solution_index, eigen_index, max relative deviation)
+    pairs: list     # (solution_index, eigen_index, max relative deviation), by solution
     unmatched_solutions: list
     unmatched_eigenvalues: list
 
@@ -512,20 +514,18 @@ def _greedy_pairs(cost):
     return pairs, sorted(free_s), sorted(free_e)
 
 
-def match_spectrum(params: ModelParams, n, solutions, oracle, sample_xs=None):
+def match_spectrum(params: ModelParams, n, solutions, oracle):
     """Greedy minimal-distance bipartite matching between formula and oracle
-    eigenvalues, using the max relative deviation over shared sample points."""
-    if sample_xs is None:
-        sample_xs = np.linspace(0.21, 1.3, 20)
-    sample_xs = np.asarray(sample_xs)
-    ovals = np.array([oracle.eigenvalues_at(x) for x in sample_xs])   # (npts, neig)
-    oscale = np.abs(ovals).max(axis=0) + 1e-300
+    eigenvalues, using the max relative deviation over the points
+    `_MATCH_XS`; the pairs are listed by solution index."""
+    ovals = oracle.eigenvalues_at(_MATCH_XS)                          # (neig, npts)
+    oscale = np.abs(ovals).max(axis=1) + 1e-300
     roots = np.array([s.roots for s in solutions], dtype=complex)
     roots = roots.reshape(len(solutions), 1, n)
-    fvals = eigenvalue_from_roots(sample_xs, roots, params)           # (nsol, npts)
-    cost = np.abs(fvals[:, :, None] - ovals).max(axis=1) / oscale     # (nsol, neig)
+    fvals = eigenvalue_from_roots(_MATCH_XS, roots, params)           # (nsol, npts)
+    cost = np.abs(fvals[:, None] - ovals).max(axis=-1) / oscale       # (nsol, neig)
     pairs, free_s, free_e = _greedy_pairs(cost)
-    return MatchReport(n=n, pairs=pairs, unmatched_solutions=free_s,
+    return MatchReport(n=n, pairs=sorted(pairs), unmatched_solutions=free_s,
                        unmatched_eigenvalues=free_e)
 
 

@@ -341,9 +341,8 @@ def check_transport(ctx):
         es = ctx.eigensystem(n)
         lam = ctx.lam(n, 0)
         pts = _sample_points(ctx, n + 1)
-        mext = fx.extended_matrix(pts, lam, ctx.params)  # shared by both rows
-        loop = abs(fx.transport_loop(list(range(min(n + 1, 4))), pts, lam,
-                                     ctx.params, mext) - 1)
+        M = fx.extended_matrix(pts, lam, ctx.params)  # shared by both rows
+        loop = abs(fx.transport_loop(list(range(min(n + 1, 4))), M) - 1)
         out.append(_report("transport", f"loop composition = 1 (n={n})", loop,
                            ctx.tol("transport_loop"), t0, n=n))
         # factorization: transport ratio against directly computed F ratios
@@ -352,7 +351,7 @@ def check_transport(ctx):
                    ctx.params)[0]
         worst = 0.0
         for (i, j) in [(0, 1), (1, 2), (0, 2)]:
-            tv = fx.transport(i, j, pts, lam, ctx.params, mext)
+            tv = fx.transport(i, j, M)
             worst = max(worst, abs(tv - F[j] / F[i]) / abs(tv))
         out.append(_report("transport", f"det ratio = F ratio (n={n})", worst,
                            ctx.tol("factorization"), t0, n=n))
@@ -367,11 +366,11 @@ def check_reduced_det(ctx):
         lam = ctx.lam(n, min(1, es.size - 1))
         pts = _sample_points(ctx, n + 1)
         t0 = time.perf_counter()
-        mext = fx.extended_matrix(pts, lam, p)
+        M = fx.extended_matrix(pts, lam, p)
         worst = 0.0
         for i in range(1, n + 1):
-            dv = np.linalg.det(fx.v_matrix(i, pts, lam, p, mext))
-            dt = fx.tilde_v_det(i, pts, lam, p, mext)
+            dv = np.linalg.det(fx.v_matrix(i, M))
+            dt = fx.tilde_v_det(i, pts, M, p)
             pred = (p.c * p.b(pts[0] - pts[i])
                     / np.prod([p.b(pts[0] - pts[j]) ** 2 for j in range(1, n + 1)]) * dt)
             worst = max(worst, abs(dv - pred) / abs(dv))
@@ -379,8 +378,8 @@ def check_reduced_det(ctx):
         i, j = 1, 2
         sw = list(pts)
         sw[i], sw[j] = sw[j], sw[i]
-        d1 = fx.tilde_v_det(i, pts, lam, p, mext)
-        d2 = fx.tilde_v_det(j, sw, lam, p)
+        d1 = fx.tilde_v_det(i, pts, M, p)
+        d2 = fx.tilde_v_det(j, sw, fx.extended_matrix(sw, lam, p), p)
         worst = max(worst, abs(d1 - d2) / abs(d1))
         out.append(_report("reduced-det", f"normalization + permutation (n={n})",
                            worst, ctx.tol("reduced_det"), t0, n=n))
@@ -692,7 +691,7 @@ def cmd_spectrum(args):
     rows = []
     for es, residuals in zip(systems, polynomial_residuals(systems)):
         n, residuals = es.n, residuals.tolist()
-        rec = es.to_record(np.linspace(0.25, 1.15, 7))
+        rec = es.to_record()
         rec["fits"] = [{"degree": cfg.model.L, "residual": r, "coefficients": c}
                        for r, c in zip(residuals, complex_pairs(es.coeffs))]
         atomic_write_text(out / f"spectrum-n{n}.json", json.dumps(rec, sort_keys=True))
@@ -814,6 +813,9 @@ def cmd_potential(args):
         lo, hi = (float(t) for t in args.range.split(":"))
     except ValueError as exc:
         raise ConfigError(exc) from exc
+    if args.samples < 2 or not lo < hi:
+        raise ConfigError(f"potential needs --samples >= 2 and a range lo:hi with "
+                          f"lo < hi, got {args.samples} samples on {args.range}")
     outdir = Path(args.out or "out")
     tag = "i" if omega0 == 1j else f"{omega0.real:g}" if omega0.imag == 0 else "c"
     series, labels = [], []

@@ -27,7 +27,8 @@ eigenvalue and a scalar point set.
 
 The vacuum eigenvalues come from the model (`ModelParams.lam_a`, `lam_d`,
 `lam_plus`, `lam_minus`), so each function takes the eigenvalue and
-`params`, as in `extended_matrix(pts, lam, params)`.
+`params`, as in `extended_matrix(pts, lam, params)`; the Cramer minors and
+transport ratios take that extended matrix M instead.
 """
 
 from __future__ import annotations
@@ -241,44 +242,39 @@ def linear_relation_residual(pts, lam, rows, params):
 # ---------------------------------------------------------------------------
 # Cramer minors, transport, conserved quantities
 
-def v_matrix(i, pts, lam, params, mext=None):
-    """n x n Cramer matrix: rows 1..n of the extended matrix with column i
-    replaced by minus its column 0 (i = 0 keeps all columns)."""
-    if mext is None:
-        mext = extended_matrix(pts, lam, params)
-    V = mext[..., 1:, 1:].copy()
+def v_matrix(i, M):
+    """n x n Cramer matrix of the extended matrix M: its rows 1..n with
+    column i replaced by minus its column 0 (i = 0 keeps all columns)."""
+    V = M[..., 1:, 1:].copy()
     if i != 0:
-        V[..., i - 1] = -mext[..., 1:, 0]
+        V[..., i - 1] = -M[..., 1:, 0]
     return V
 
 
-def transport(i, j, pts, lam, params, mext=None):
-    """Transport ratio F_n(X_j^0)/F_n(X_i^0) = det(V_j)/det(V_i); raises
-    SingularTransport if det(V_i) is numerically null at any node."""
-    if mext is None:
-        mext = extended_matrix(pts, lam, params)
-    scale = np.maximum(_row_scale(mext[..., 1:, 1:]), 1e-300)
-    di = np.linalg.det(v_matrix(i, pts, lam, params, mext))
-    dj = np.linalg.det(v_matrix(j, pts, lam, params, mext))
+def transport(i, j, M):
+    """Transport ratio F_n(X_j^0)/F_n(X_i^0) = det(V_j)/det(V_i) of the
+    extended matrix M; raises SingularTransport if det(V_i) is numerically
+    null at any node."""
+    scale = np.maximum(_row_scale(M[..., 1:, 1:]), 1e-300)
+    di = np.linalg.det(v_matrix(i, M))
+    dj = np.linalg.det(v_matrix(j, M))
     if np.any(np.abs(di) < 1e-12 * scale):
         raise SingularTransport(f"det(V_{i}) ~ 0 at this point set")
     return dj / di
 
 
-def transport_loop(indices, pts, lam, params, mext=None):
-    """Product of transport ratios around a closed index sequence."""
-    if mext is None:
-        mext = extended_matrix(pts, lam, params)
+def transport_loop(indices, M):
+    """Product of the transport ratios of M around a closed index sequence."""
     total = 1.0 + 0j
     for a, b in zip(indices, indices[1:] + indices[:1]):
-        total *= transport(a, b, pts, lam, params, mext)
+        total *= transport(a, b, M)
     return total
 
 
-def tilde_v_det(i, pts, lam, params, mext=None):
-    """det of the rescaled Cramer matrix, which drops the x_i dependence:
-    column i of V_i multiplied by c^{-1} prod_j b(x_0 - x_j), every other
-    column beta by b(x_0 - x_beta)."""
+def tilde_v_det(i, pts, M, params):
+    """det of the rescaled Cramer matrix of the extended matrix M at `pts`,
+    which drops the x_i dependence: column i of V_i multiplied by
+    c^{-1} prod_j b(x_0 - x_j), every other column beta by b(x_0 - x_beta)."""
     if i == 0:
         raise ValueError("defined for i in 1..n")
     X, n = _validate(pts)
@@ -286,7 +282,7 @@ def tilde_v_det(i, pts, lam, params, mext=None):
         raise ValueError("needs at least two moving points")
     w = params.b(X[..., :1] - X[..., 1:])
     w[..., i - 1] = np.prod(w, axis=-1) / params.c
-    return np.linalg.det(v_matrix(i, pts, lam, params, mext) * w[..., None, :])
+    return np.linalg.det(v_matrix(i, M) * w[..., None, :])
 
 
 def tilde_v_spread(i, pts, lam, params):
@@ -305,7 +301,7 @@ def tilde_v_spread(i, pts, lam, params):
         raise ValueError("could not place enough separated sample points")
     cand = list(X)
     cand[i] = shifted[separated][:n_values]
-    vals = tilde_v_det(i, cand, lam, params)
+    vals = tilde_v_det(i, cand, extended_matrix(cand, lam, params), params)
     center = vals.mean()
     return float(np.abs(vals - center).max() / max(abs(center), 1e-300))
 
@@ -319,7 +315,7 @@ def _transport_taylor(i, j, pts, lam, params, moving):
         q = list(pts)
         for a, z in zip(moving, zs):
             q[a] = z
-        return transport(i, j, q, lam, params)
+        return transport(i, j, extended_matrix(q, lam, params))
     return cauchy_taylor(at, [pts[a] for a in moving], _CAUCHY_RADIUS, _CAUCHY_NODES)
 
 

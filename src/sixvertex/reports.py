@@ -71,6 +71,14 @@ def default_tolerances():
     }
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 _REFERENCE_MODEL = {"L": 4, "gamma": 0.7, "mu": [0.0, 0.0, 0.0, 0.0],
                     "phi1": 1.0, "phi2": 1.0}
 
@@ -90,33 +98,43 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
         try:
             model = ModelParams.from_dict(d.get("model", _REFERENCE_MODEL))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad model section: {exc}") from exc
         sectors = d.get("sectors", list(range(model.L + 1)))
         if not isinstance(sectors, (list, tuple)) or not all(
-                isinstance(n, int) and not isinstance(n, bool) and 0 <= n <= model.L
-                for n in sectors):
+                _is_int(n) and 0 <= n <= model.L for n in sectors):
             raise ConfigError(f"sectors must be integers in [0, {model.L}]: {sectors}")
         if len(set(sectors)) != len(sectors):
             raise ConfigError(f"sectors must not repeat: {sectors}")
         tol = default_tolerances()
-        for k, v in d.get("tolerances", {}).items():
+        tolerances = d.get("tolerances", {})
+        if not isinstance(tolerances, dict):
+            raise ConfigError(f"tolerances must map names to values: {tolerances}")
+        for k, v in tolerances.items():
             if k not in tol:
                 raise ConfigError(f"unknown tolerance name: {k}")
-            if not (isinstance(v, (int, float)) and v > 0):
+            if not (_is_real(v) and v > 0):
                 raise ConfigError(f"tolerance {k} must be positive, got {v}")
             tol[k] = float(v)
-        return cls(
-            model=model,
-            sectors=list(sectors),
-            tolerances=tol,
-            seed=int(d.get("seed", 1234)),
-            output_dir=Path(d.get("output_dir", "out")),
-            checks=list(d.get("checks", [])),
-            perturb_lambda=float(d.get("perturb_lambda", 0.0)),
-        )
+        seed = d.get("seed", 1234)
+        if not _is_int(seed):
+            raise ConfigError(f"seed must be an integer: {seed!r}")
+        output_dir = d.get("output_dir", "out")
+        if not isinstance(output_dir, str):
+            raise ConfigError(f"output_dir must be a path string: {output_dir!r}")
+        checks = d.get("checks", [])
+        if not (isinstance(checks, list) and all(isinstance(c, str) for c in checks)):
+            raise ConfigError(f"checks must be a list of check names: {checks!r}")
+        perturb = d.get("perturb_lambda", 0.0)
+        if not _is_real(perturb):
+            raise ConfigError(f"perturb_lambda must be a number: {perturb!r}")
+        return cls(model=model, sectors=list(sectors), tolerances=tol, seed=seed,
+                   output_dir=Path(output_dir), checks=list(checks),
+                   perturb_lambda=float(perturb))
 
     @classmethod
     def from_file(cls, path):

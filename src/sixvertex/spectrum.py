@@ -37,6 +37,12 @@ __all__ = [
     "left_vector_from_C",
 ]
 
+# perturbed spectral points tried after x* when eigenvalues collide, and the
+# relative spacing below which they count as collided
+_RETRIES, _COLLISION_TOL = 3, 1e-8
+# the points at which `EigenSystem.to_record` samples every eigenvalue
+_RECORD_XS = np.linspace(0.25, 1.15, 7)
+
 
 class DegenerateSpectrum(RuntimeError):
     """Sector eigenvalues collide at every attempted spectral point.
@@ -75,8 +81,8 @@ class EigenSystem:
         return len(self.eigs)
 
     def eigenvalues_at(self, x):
-        """All sector eigenvalues evaluated at a fresh spectral point."""
-        return self.coeffs @ np.exp(_frequencies(self.params.L) * complex(x))
+        """`lam()(x)`: every eigenvalue at a point or points, eigenpair axis first."""
+        return self.lam()(x)
 
     def eigenvalue(self, k, x):
         return self.lam(k)(x)
@@ -95,20 +101,18 @@ class EigenSystem:
         G = self.left @ self.right
         return float(np.abs(G - np.eye(self.size)).max())
 
-    def to_record(self, sample_xs=()):
-        """JSON-ready record: complex numbers as [re, im] pairs of plain
-        Python floats, one `tolist` per array."""
-        rec = {
+    def to_record(self):
+        """JSON-ready record with every eigenvalue sampled at `_RECORD_XS`:
+        complex numbers as [re, im] pairs of plain Python floats, one
+        `tolist` per array."""
+        return {
             "sector": self.n,
             "dimension": self.size,
             "x_star": [self.x_star.real, self.x_star.imag],
             "eigenvalues_at_x_star": complex_pairs(self.eigs),
+            "sample_x": complex_pairs(_RECORD_XS.astype(complex)),
+            "samples": complex_pairs(self.eigenvalues_at(_RECORD_XS)),
         }
-        if len(sample_xs):
-            samples = np.array([self.eigenvalues_at(x) for x in sample_xs])
-            rec["sample_x"] = [[complex(x).real, complex(x).imag] for x in sample_xs]
-            rec["samples"] = complex_pairs(samples.T)
-        return rec
 
 
 def complex_pairs(z):
@@ -141,17 +145,17 @@ def sample_sectors(params: ModelParams, sectors):
     return {n: np.fft.ifft(scale * T[n], axis=0) for n in sectors}
 
 
-def diagonalize_blocks(params: ModelParams, n, blocks, retries=3, collision_tol=1e-8):
+def diagonalize_blocks(params: ModelParams, n, blocks):
     """Diagonalize the sector-n block of T(x*), x* = 0.2137, assembled from
     its coefficients `blocks` (from `sample_sectors`), with paired
     left/right vectors.
 
     Raises DegenerateSpectrum when eigenvalues collide (relative spacing below
-    collision_tol) at x* and at `retries` perturbed points.
+    `_COLLISION_TOL`) at x* and at `_RETRIES` perturbed points.
     """
     L = params.L
     x_try = complex(0.2137)
-    for attempt in range(retries + 1):
+    for attempt in range(_RETRIES + 1):
         Tb = np.tensordot(np.exp(_frequencies(L) * x_try), blocks, axes=1)
         w, vr = np.linalg.eig(Tb)
         order = np.lexsort((w.imag.round(10), w.real.round(10)))
@@ -162,7 +166,7 @@ def diagonalize_blocks(params: ModelParams, n, blocks, retries=3, collision_tol=
         except np.linalg.LinAlgError:  # defective block
             left = None
         # |<l_k|r_k>| of unit-norm vectors is 1 / |row k of inv(vr)|
-        if (left is not None and (last_gap is None or last_gap > collision_tol)
+        if (left is not None and (last_gap is None or last_gap > _COLLISION_TOL)
                 and 1 / np.linalg.norm(left, axis=1).max() > 1e-10):
             return EigenSystem(
                 params=params, n=n, x_star=x_try,
@@ -172,14 +176,13 @@ def diagonalize_blocks(params: ModelParams, n, blocks, retries=3, collision_tol=
         x_try = x_try + 0.137 + 0.061j * (attempt + 1)
     raise DegenerateSpectrum(
         f"sector n={n}: eigenvalues collide (relative gap {last_gap:.2e}) after "
-        f"{retries + 1} spectral points; perturb the inhomogeneities"
+        f"{_RETRIES + 1} spectral points; perturb the inhomogeneities"
     )
 
 
-def diagonalize_sector(params: ModelParams, n, retries=3, collision_tol=1e-8):
+def diagonalize_sector(params: ModelParams, n):
     """`diagonalize_blocks` of sector n, sampled on its own (L+1 builds)."""
-    return diagonalize_blocks(params, n, sample_sectors(params, [n])[n],
-                              retries, collision_tol)
+    return diagonalize_blocks(params, n, sample_sectors(params, [n])[n])
 
 
 def _check_points(L):
@@ -206,7 +209,7 @@ def polynomial_residuals(eigensystems):
     xs = _check_points(p.L)
     T = transfer(xs, p)
     scale = np.exp(p.L * xs)[:, None]
-    return [_relative_residual(scale * np.array([es.eigenvalues_at(x) for x in xs]),
+    return [_relative_residual(scale * es.eigenvalues_at(xs).T,
                                scale * ((es.left @ T[es.n]) * es.right.T).sum(axis=-1))
             for es in eigensystems]
 

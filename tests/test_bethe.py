@@ -610,6 +610,15 @@ class TestMatching:
         assert len(rep.unmatched_eigenvalues) == 1
         assert not rep.unmatched_solutions
 
+    def test_pairs_listed_by_solution(self, generic_params, oracle):
+        # the greedy walk finds pairs in cost order, which follows the last
+        # bits of the costs; the report lists them by solution index
+        es = oracle.eigensystem(generic_params, 2)
+        sols = bt.solve_bae(es)
+        rep = bt.match_spectrum(generic_params, 2, sols, es)
+        assert rep.complete
+        assert [s for s, _, _ in rep.pairs] == list(range(len(sols)))
+
     def test_generic_twist_matching(self, generic_params, oracle):
         # empirical bijection question: measured, and complete at this point
         es = oracle.eigensystem(generic_params, 1)

@@ -47,6 +47,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"sectors": sectors})
 
+    @pytest.mark.parametrize("config", [
+        {"seed": "abc"}, {"seed": 1.7}, {"seed": True}, {"perturb_lambda": "x"},
+        [], [{"seed": 1}], {"tolerances": [1]}, {"output_dir": 5},
+        {"checks": "pde"}],
+        ids=["seed-str", "seed-float", "seed-bool", "perturb-str", "empty-list",
+             "list", "tolerances-list", "output-dir-int", "checks-str"])
+    def test_malformed_values_rejected(self, tmp_path, config):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(config)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(ConfigError):
+            RunConfig.from_file(path)
+        assert run(["verify", "--config", str(path), "--checks", "yang-baxter",
+                    "--out", str(tmp_path / "out")]) == 2
+
     def test_content_key_stable(self):
         a = RunConfig.reference().content_key()
         b = RunConfig.reference().content_key()
@@ -110,8 +126,7 @@ class TestSpectrumCommand:
             es = cache.load_sector(cfg.content_key(), n, cfg.model)
             assert rec["eigenvalues_at_x_star"] == pairs(es.eigs)
             xs = [complex(*x) for x in rec["sample_x"]]
-            assert rec["samples"] == [pairs(row) for row in
-                                      np.array([es.eigenvalues_at(x) for x in xs]).T]
+            assert rec["samples"] == [pairs(row) for row in es.eigenvalues_at(xs)]
             assert [f["coefficients"] for f in rec["fits"]] == [pairs(c) for c in es.coeffs]
 
     def test_csv_cells_are_numbers(self, tmp_path):
@@ -685,6 +700,14 @@ class TestPotentialCommand:
 
     def test_bad_omega_is_config_error(self, tmp_path):
         assert run(["potential", "--omega0", "zz", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("grid", [["--samples", "1"], ["--samples", "0"],
+                                      ["--range", "1:1"], ["--range", "2:1"]],
+                             ids=["one-sample", "no-sample", "empty-range",
+                                  "reversed-range"])
+    def test_degenerate_grid_is_config_error(self, tmp_path, grid):
+        assert run(["potential", *grid, "--out", str(tmp_path)]) == 2
+        assert not any(tmp_path.iterdir())
 
 
 def test_csv_writes_numpy_scalars_as_numbers(tmp_path):

@@ -223,30 +223,28 @@ class TestTransport:
     def test_identity_and_reciprocity(self, params, oracle):
         lam = oracle.eigensystem(params, 2).lam(0)
         pts = pts_for(2)
-        t11 = fx.transport(1, 1, pts, lam, params)
+        M = fx.extended_matrix(pts, lam, params)
+        t11 = fx.transport(1, 1, M)
         assert t11 == 1.0
-        t12 = fx.transport(1, 2, pts, lam, params)
-        t21 = fx.transport(2, 1, pts, lam, params)
+        t12 = fx.transport(1, 2, M)
+        t21 = fx.transport(2, 1, M)
         assert abs(t12 * t21 - 1) < 1e-12
 
     def test_loop_composition(self, params, oracle):
         lam = oracle.eigensystem(params, 3).lam(1)
         pts = pts_for(3)
-        assert abs(fx.transport_loop([1, 2, 3], pts, lam, params) - 1) < 1e-10
-        assert abs(fx.transport_loop([0, 1, 2, 3], pts, lam, params) - 1) < 1e-9
-        # a caller's extended matrix gives the same product, to the bit
-        mext = fx.extended_matrix(pts, lam, params)
-        for loop in ([1, 2, 3], [0, 1, 2, 3]):
-            assert (fx.transport_loop(loop, pts, lam, params, mext)
-                    == fx.transport_loop(loop, pts, lam, params))
+        M = fx.extended_matrix(pts, lam, params)
+        assert abs(fx.transport_loop([1, 2, 3], M) - 1) < 1e-10
+        assert abs(fx.transport_loop([0, 1, 2, 3], M) - 1) < 1e-9
 
     def test_ratio_property_against_f(self, params, oracle):
         es = oracle.eigensystem(params, 2)
         lam = es.lam(0)
         pts = pts_for(2)
         F = fx.f_n([pts[:i] + pts[i + 1:] for i in range(3)], es.left[0], params)[0]
+        M = fx.extended_matrix(pts, lam, params)
         for (i, j) in [(0, 1), (1, 2), (0, 2)]:
-            tv = fx.transport(i, j, pts, lam, params)
+            tv = fx.transport(i, j, M)
             assert abs(tv - F[j] / F[i]) < 1e-8 * abs(tv)
 
     def test_factorization_cross_products(self, params, oracle):
@@ -254,10 +252,9 @@ class TestTransport:
         es = oracle.eigensystem(params, 2)
         lam = es.lam(2)
         pts = pts_for(2)
-        mext = fx.extended_matrix(pts, lam, params)
+        M = fx.extended_matrix(pts, lam, params)
         F = fx.f_n([pts[:i] + pts[i + 1:] for i in range(3)], es.left[2], params)[0]
-        det = [np.linalg.det(fx.v_matrix(i, pts, lam, params, mext))
-               for i in range(3)]
+        det = [np.linalg.det(fx.v_matrix(i, M)) for i in range(3)]
         scale = max(abs(F[i] * det[j]) for i in range(3) for j in range(3))
         for i in range(3):
             for j in range(3):
@@ -267,7 +264,7 @@ class TestTransport:
         # at x0 = (i pi - gamma)/2 the 1x1 Cramer matrix vanishes identically
         x0 = (1j * np.pi - params.gamma) / 2
         with pytest.raises(fx.SingularTransport):
-            fx.transport(1, 0, [x0, 0.4], lambda x: 1.0, params)
+            fx.transport(1, 0, fx.extended_matrix([x0, 0.4], lambda x: 1.0, params))
 
 
 class TestReducedMatrix:
@@ -277,9 +274,10 @@ class TestReducedMatrix:
         es = oracle.eigensystem(p, n)
         lam = es.lam(min(1, es.size - 1))
         pts = pts_for(n)
+        M = fx.extended_matrix(pts, lam, p)
         for i in range(1, n + 1):
-            dv = np.linalg.det(fx.v_matrix(i, pts, lam, p))
-            dt = fx.tilde_v_det(i, pts, lam, p)
+            dv = np.linalg.det(fx.v_matrix(i, M))
+            dt = fx.tilde_v_det(i, pts, M, p)
             pred = (p.c * p.b(pts[0] - pts[i])
                     / np.prod([p.b(pts[0] - pts[j]) ** 2
                                for j in range(1, n + 1)]) * dt)
@@ -287,8 +285,8 @@ class TestReducedMatrix:
         i, j = 1, 2
         sw = list(pts)
         sw[i], sw[j] = sw[j], sw[i]
-        d1 = fx.tilde_v_det(i, pts, lam, p)
-        d2 = fx.tilde_v_det(j, sw, lam, p)
+        d1 = fx.tilde_v_det(i, pts, M, p)
+        d2 = fx.tilde_v_det(j, sw, fx.extended_matrix(sw, lam, p), p)
         assert abs(d1 - d2) < 1e-10 * abs(d1)
         assert fx.tilde_v_spread(1, pts, lam, p) < 1e-9
 
@@ -329,9 +327,9 @@ class TestClosedFormCramer:
         p = generic_params
         lam = oracle.eigensystem(p, 1).lam(0)
         x0, x1 = 0.31, -0.42
-        mext = fx.extended_matrix([x0, x1], lam, p)
-        d0 = np.linalg.det(fx.v_matrix(0, [x0, x1], lam, p, mext))
-        d1 = np.linalg.det(fx.v_matrix(1, [x0, x1], lam, p, mext))
+        M = fx.extended_matrix([x0, x1], lam, p)
+        d0 = np.linalg.det(fx.v_matrix(0, M))
+        d1 = np.linalg.det(fx.v_matrix(1, M))
         a, b, c = p.a, p.b, p.c
         p1, p2 = p.phi1, p.phi2
         expect0 = (p1 * a(x0 - x1) * p.lam_a(x1) - p2 * a(x1 - x0) * p.lam_d(x1)
@@ -382,10 +380,10 @@ class TestConservedQuantities:
     def test_transport_itself_depends_on_xj(self, params, oracle):
         lam = oracle.eigensystem(params, 2).lam(0)
         pts = pts_for(2)
-        t1 = fx.transport(0, 1, pts, lam, params)
+        t1 = fx.transport(0, 1, fx.extended_matrix(pts, lam, params))
         moved = list(pts)
         moved[1] += 0.1
-        t2 = fx.transport(0, 1, moved, lam, params)
+        t2 = fx.transport(0, 1, fx.extended_matrix(moved, lam, params))
         assert abs(t1 - t2) > 1e-2 * abs(t1)
 
     def test_leading_taylor_coefficient_constant(self, params, oracle):
@@ -491,17 +489,20 @@ class TestNodeBatching:
 
     def test_transport_and_reduced_determinant(self, model, sector):
         p, lam = model
+
+        def ext(q, l=lam):
+            return fx.extended_matrix(q, l, p)
         for i, j in [(0, 1), (1, 2), (2, 0)]:
-            assert close(fx.transport(i, j, self.pts, lam, p),
-                         self.per_node(lambda q: fx.transport(i, j, q, lam, p)))
+            assert close(fx.transport(i, j, ext(self.pts)),
+                         self.per_node(lambda q: fx.transport(i, j, ext(q))))
         for i in (1, 2):
-            assert close(fx.tilde_v_det(i, self.pts, lam, p),
-                         self.per_node(lambda q: fx.tilde_v_det(i, q, lam, p)))
+            assert close(fx.tilde_v_det(i, self.pts, ext(self.pts), p),
+                         self.per_node(lambda q: fx.tilde_v_det(i, q, ext(q), p)))
         # an eigenpair stack over the node grid: one value per eigenpair and node
         es = sector[1]
-        for f in (lambda l: fx.transport(1, 2, self.pts, l, p),
-                  lambda l: fx.transport_loop([0, 1, 2], self.pts, l, p),
-                  lambda l: fx.tilde_v_det(2, self.pts, l, p)):
+        for f in (lambda l: fx.transport(1, 2, ext(self.pts, l)),
+                  lambda l: fx.transport_loop([0, 1, 2], ext(self.pts, l)),
+                  lambda l: fx.tilde_v_det(2, self.pts, ext(self.pts, l), p)):
             stacked = f(es.lam(slice(0, 3)))
             assert stacked.shape == (3, 5)
             assert close(stacked, [f(es.lam(k)) for k in range(3)])
@@ -523,8 +524,9 @@ class TestNodeBatching:
         # five separated shifts of x_1 by 0.23, evaluated as one node axis
         p, lam = model
         pts = [0.31, -0.42, 0.55]
-        vals = np.array([fx.tilde_v_det(1, [0.31, -0.42 + 0.23 * k, 0.55], lam, p)
-                         for k in range(5)])
+        shifts = [[0.31, -0.42 + 0.23 * k, 0.55] for k in range(5)]
+        vals = np.array([fx.tilde_v_det(1, q, fx.extended_matrix(q, lam, p), p)
+                         for q in shifts])
         spread = np.abs(vals - vals.mean()).max() / abs(vals.mean())
         assert abs(fx.tilde_v_spread(1, pts, lam, p) - spread) < 1e-13
 

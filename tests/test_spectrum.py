@@ -6,6 +6,7 @@ import pytest
 from sixvertex import cli
 from sixvertex.model import ModelParams, transfer
 from sixvertex.reports import RunConfig
+from sixvertex import spectrum
 from sixvertex.spectrum import (DegenerateSpectrum, diagonalize_sector,
                                 left_vector_from_C, polynomial_residuals,
                                 polynomiality_check)
@@ -56,6 +57,16 @@ class TestDiagonalizeSector:
                 r = np.linalg.norm(Tb @ es.right[:, k] - lams[k] * es.right[:, k])
                 assert r < 1e-9 * np.linalg.norm(Tb)
 
+    def test_eigenvalues_at_is_the_exact_sum_stack(self, generic_params, oracle):
+        # one point or an array of points: the values of lam(), bit for bit
+        es = oracle.eigensystem(generic_params, 2)
+        xs = np.array([0.21, -0.4 + 0.3j, 1.1, 0.05j])
+        vals = es.eigenvalues_at(xs)
+        assert vals.shape == (es.size, len(xs))
+        assert np.array_equal(vals, es.lam()(xs))
+        for j, x in enumerate(xs):
+            assert np.array_equal(vals[:, j], es.eigenvalues_at(x))
+
     def test_commuting_family_off_diagonals(self, generic_params, oracle, rng):
         # the eigenbasis built at x* must diagonalize T(y) for fresh y
         es = oracle.eigensystem(generic_params, 2)
@@ -103,12 +114,14 @@ class TestDiagonalizeSector:
                                                    monkeypatch):
         calls = self._singular_eig(monkeypatch, attempts=10)
         with pytest.raises(DegenerateSpectrum):
-            diagonalize_sector(generic_params, 2, retries=2)
-        assert len(calls) == 3
+            diagonalize_sector(generic_params, 2)
+        assert len(calls) == spectrum._RETRIES + 1
 
     def test_collision_detection_raises(self, params):
-        with pytest.raises(DegenerateSpectrum):
-            diagonalize_sector(params, 1, collision_tol=10.0, retries=1)
+        # at the root of unity gamma = i pi/2 two sector-2 eigenvalues of the
+        # homogeneous L=4 chain coincide at every spectral point
+        with pytest.raises(DegenerateSpectrum, match="collide"):
+            diagonalize_sector(replace(params, gamma=1j * np.pi / 2), 2)
 
     def test_empty_arguments_rejected(self, params):
         with pytest.raises(ValueError):
@@ -129,7 +142,7 @@ def test_record_holds_plain_python_values(generic_params):
                 yield from walk(w)
         else:
             yield v
-    rec = es.to_record(np.linspace(0.25, 1.15, 7))
+    rec = es.to_record()
     assert {type(v) for v in walk(rec)} <= {str, int, float}
     assert np.array(rec["eigenvalues_at_x_star"]).shape == (es.size, 2)
     assert np.array(rec["samples"]).shape == (es.size, 7, 2)
