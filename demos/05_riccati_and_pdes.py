@@ -18,23 +18,26 @@ from sixvertex.bethe import CothSum, solve_bae
 
 params = ModelParams(L=4, gamma=0.7)
 
-# sector eigenvalues are exact exponential sums: exact derivatives of any order
-lam1 = diagonalize_sector(params, 1).lam(0)
-print("sector-1 Riccati residual:",
-      abs(odes.riccati_lambda_residual(lam1, 0.43, params)))
+# sector eigenvalues are exact exponential sums: exact derivatives of any
+# order.  Each residual takes a sector's whole stack of eigenvalues and an
+# array of points, and returns one value per eigenvalue and point
+xs = np.array([0.43, 0.63, 0.9])
+lam1 = diagonalize_sector(params, 1).lam()
+print("sector-1 Riccati residuals (eigenvalue x point):\n",
+      np.abs(odes.riccati_lambda_residual(lam1, xs, params)))
 
-lam2 = diagonalize_sector(params, 2).lam(0)
-print("sector-2 second-order residual:",
-      abs(odes.sigma2_residual(lam2, 0.63, params)))
-print("sector-2 standard Riccati residual:",
-      abs(odes.riccati2_residual(lam2, 0.43, params)))
+lam2 = diagonalize_sector(params, 2).lam()
+print("sector-2 second-order residual, worst:",
+      np.abs(odes.sigma2_residual(lam2, xs, params)).max())
+print("sector-2 standard Riccati residual, worst:",
+      np.abs(odes.riccati2_residual(lam2, xs, params)).max())
 
 rng = np.random.default_rng(0)
 for n in (1, 2, 3):
     roots = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
     h = CothSum(roots)
-    print(f"h-chain order {n} residual:",
-          abs(odes.riccati_h_residual(h, 0.37, n)),
+    print(f"h-chain order {n} residual, worst:",
+          np.abs(odes.riccati_h_residual(h, xs, n)).max(),
           "  annihilator:", odes.upsilon_annihilation(roots, n))
 
 # with u'/u = Lam/(c lam_minus), the linear second-order equation for u,
@@ -44,14 +47,14 @@ from sixvertex.bethe import RootEigenvalue
 sols = solve_bae(diagonalize_sector(params, 1))
 ev = RootEigenvalue(sols[0].roots, params)
 print("\nlinearized second-order form residual:",
-      max(abs(odes.riccati_lambda_residual(ev, x, params))
-          for x in (0.2, 0.7, 1.2)))
+      np.abs(odes.riccati_lambda_residual(ev, np.array([0.2, 0.7, 1.2]), params)).max())
 
 # psi(chi, tau) = h(chi - omega tau): every derivative is exact, and a 1% error
 # in the speed the PDE's coefficients assume is rejected
-print("\ntravelling-wave PDE residuals at X = 0.37 (omega = 0.8):")
+print("\ntravelling-wave PDE residuals, worst over X = 0.37, -0.6 (omega = 0.8):")
+Xs = np.array([0.37, -0.6])
 for n in (1, 2, 3):
     roots = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
-    on = odes.pde_travelling_wave_residual(n, roots, 0.8, 0.37)
-    off = odes.pde_travelling_wave_residual(n, roots, 0.8, 0.37, omega_pde=0.808)
+    on = odes.pde_travelling_wave_residual(n, roots, 0.8, Xs).max()
+    off = odes.pde_travelling_wave_residual(n, roots, 0.8, Xs, omega_pde=0.808).max()
     print(f"   order {n}: {on:.1e}   (coefficients at 1.01 omega: {off:.1e})")

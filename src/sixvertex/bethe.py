@@ -456,24 +456,23 @@ def eigenvalue_from_roots(x, roots, params: ModelParams):
 
 
 class CothSum:
-    """h(x) = sum_l coth(w_l - x) with closed-form derivatives to order 4."""
+    """h(x) = sum_l coth(w_l - x) with closed-form derivatives to order 4.
+    roots may be a stack (..., n) of root sets and x an array, broadcast as
+    in `RootEigenvalue`."""
+
+    # the d-th derivative of coth(w - x) in x, a polynomial in c = coth(w - x)
+    _DERIVATIVES = (lambda c: c, lambda c: c ** 2 - 1, lambda c: 2 * c * (c ** 2 - 1),
+                    lambda c: 2 * (3 * c ** 2 - 1) * (c ** 2 - 1),
+                    lambda c: 8 * c * (c ** 2 - 1) * (3 * c ** 2 - 2))
 
     def __init__(self, roots):
-        self.roots = np.asarray(tuple(roots), dtype=complex)
+        self.roots = np.asarray(roots, dtype=complex)
 
     def __call__(self, x, d=0):
-        c = 1 / np.tanh(self.roots - x)
-        if d == 0:
-            return complex(np.sum(c))
-        if d == 1:
-            return complex(np.sum(c ** 2 - 1))
-        if d == 2:
-            return complex(np.sum(2 * c * (c ** 2 - 1)))
-        if d == 3:
-            return complex(np.sum(2 * (3 * c ** 2 - 1) * (c ** 2 - 1)))
-        if d == 4:
-            return complex(np.sum(8 * c * (c ** 2 - 1) * (3 * c ** 2 - 2)))
-        raise ValueError("derivatives implemented up to order 4")
+        if d not in range(5):
+            raise ValueError("derivatives implemented up to order 4")
+        c = 1 / np.tanh(self.roots - np.asarray(x)[..., None])
+        return np.sum(self._DERIVATIVES[d](c), axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -476,16 +476,14 @@ def check_riccati_n1(ctx):
 
 # points of the `sigma2` row; x = -gamma/2 is avoided, where every determinant
 # term of some reference odd-L eigenvalues vanishes and the row reads 0/0
-_SIGMA2_POINTS = (0.63, -0.213)
+_SIGMA2_POINTS = np.array([0.63, -0.213])
 
 
 def check_sigma2(ctx):
     if 2 not in ctx.config.sectors or ctx.params.L < 2:
         return []
     t0 = time.perf_counter()
-    lam = ctx.lam(2)
-    worst = max(np.abs(odes.sigma2_residual(lam, x, ctx.params)).max()
-                for x in _SIGMA2_POINTS)
+    worst = np.abs(odes.sigma2_residual(ctx.lam(2), _SIGMA2_POINTS, ctx.params)).max()
     return [_report("sigma2", "second-order ODE (coalescing reduction)",
                     worst, ctx.tol("sigma2"), t0)]
 
@@ -494,40 +492,34 @@ def check_riccati2(ctx):
     if 2 not in ctx.config.sectors or not ctx.params.reference_point:
         return []
     t0 = time.perf_counter()
-    es = ctx.eigensystem(2)
-    worst = 0.0
-    for k in range(es.size):
-        lam = ctx.lam(2, k)
-        for x in (0.43, 0.8):
-            worst = max(worst, abs(odes.riccati2_residual(lam, x, ctx.params)))
+    worst = np.abs(odes.riccati2_residual(ctx.lam(2), np.array([0.43, 0.8]),
+                                          ctx.params)).max()
     return [_report("riccati2", "standard Riccati at untwisted point", worst,
                     ctx.tol("riccati2"), t0)]
 
 
+def _coth_roots(ctx, n):
+    """n roots of a coth sum, drawn uniformly from |Re|, |Im| < 1."""
+    return ctx.rng.uniform(-1, 1, n) + 1j * ctx.rng.uniform(-1, 1, n)
+
+
 def check_riccati_h(ctx):
     t0 = time.perf_counter()
-    worst = 0.0
-    for n in (1, 2, 3):
-        roots = ctx.rng.uniform(-1, 1, n) + 1j * ctx.rng.uniform(-1, 1, n)
-        h = bt.CothSum(roots)
-        for x in (0.37, -0.6):
-            worst = max(worst, abs(odes.riccati_h_residual(h, x, n)))
+    worst = max(np.abs(odes.riccati_h_residual(
+        bt.CothSum(_coth_roots(ctx, n)), _PDE_POINTS, n)).max() for n in (1, 2, 3))
     return [_report("riccati-h", "coth-sum ODE chain (orders 1..3)", worst,
                     ctx.tol("riccati_h"), t0)]
 
 
 def check_upsilon(ctx):
     t0 = time.perf_counter()
-    worst = 0.0
-    for n in range(1, 7):
-        roots = ctx.rng.uniform(-1, 1, n) + 1j * ctx.rng.uniform(-1, 1, n)
-        worst = max(worst, odes.upsilon_annihilation(roots, n))
+    worst = max(odes.upsilon_annihilation(_coth_roots(ctx, n), n) for n in range(1, 7))
     return [_report("upsilon", "annihilator of exp(-int h), exact", worst,
                     ctx.tol("upsilon"), t0)]
 
 
 # points of the pointwise `u-equation` and `schrodinger` rows
-_ODE_POINTS = (0.2, 0.45, 0.7, 0.95, 1.2)
+_ODE_POINTS = np.array([0.2, 0.45, 0.7, 0.95, 1.2])
 
 
 def check_u_equation(ctx):
@@ -541,32 +533,31 @@ def check_u_equation(ctx):
     if not sols:
         return []
     ev = bt.RootEigenvalue(sols[0].roots, ctx.params)
-    worst = np.abs(odes.riccati_lambda_residual(
-        ev, np.array(_ODE_POINTS), ctx.params)).max()
+    worst = np.abs(odes.riccati_lambda_residual(ev, _ODE_POINTS, ctx.params)).max()
     return [_report("u-equation", "linearized second-order form", worst,
                     ctx.tol("u_equation"), t0)]
 
 
-# the travelling waves: speed and the points X = chi - omega tau judged
-_PDE_OMEGA, _PDE_POINTS = 0.8, (0.37, -0.6)
+# the travelling waves: speed and the points X = chi - omega tau judged (also
+# the points of `riccati-h`)
+_PDE_OMEGA, _PDE_POINTS = 0.8, np.array([0.37, -0.6])
 
 
 def check_pde(ctx):
     out, draws = [], []
     for n in (1, 2, 3):
         t0 = time.perf_counter()
-        roots = ctx.rng.uniform(-1, 1, n) + 1j * ctx.rng.uniform(-1, 1, n)
+        roots = _coth_roots(ctx, n)
         draws.append(roots)
-        worst = max(odes.pde_travelling_wave_residual(n, roots, _PDE_OMEGA, x)
-                    for x in _PDE_POINTS)
+        worst = odes.pde_travelling_wave_residual(n, roots, _PDE_OMEGA, _PDE_POINTS).max()
         out.append(_report("pde", f"travelling-wave reduction order {n}", worst,
                            ctx.tol("pde"), t0))
     # negative control: the waves move at omega, the PDEs' coefficients use
     # 1.01 omega
     t0 = time.perf_counter()
-    control = min(max(odes.pde_travelling_wave_residual(
-        len(roots), roots, _PDE_OMEGA, x, omega_pde=_CONTROL_FACTOR * _PDE_OMEGA)
-        for x in _PDE_POINTS) for roots in draws)
+    control = min(odes.pde_travelling_wave_residual(
+        len(roots), roots, _PDE_OMEGA, _PDE_POINTS,
+        omega_pde=_CONTROL_FACTOR * _PDE_OMEGA).max() for roots in draws)
     out.append(_exceed_report("pde", "wave speed off by 1% rejected", control,
                               ctx.tol("negative_control"), t0))
     return out
@@ -576,15 +567,12 @@ def check_schrodinger(ctx):
     if 2 not in ctx.config.sectors or not ctx.params.reference_point:
         return []
     t0 = time.perf_counter()
-    es = ctx.eigensystem(2)
-    worst = max(odes.schrodinger_map_residual(ctx.lam(2, k), x, ctx.params)
-                for k in range(es.size) for x in _ODE_POINTS)
+    worst = odes.schrodinger_map_residual(ctx.lam(2), _ODE_POINTS, ctx.params).max()
     out = [_report("schrodinger", "psi'' + (V - 1) psi = 0, energy fixed",
                    worst, ctx.tol("schrodinger"), t0)]
     t0 = time.perf_counter()
-    lam = ctx.lam(2, 0)
-    broken = max(odes.schrodinger_map_residual(lam, x, ctx.params, potential_scale=1.1)
-                 for x in _ODE_POINTS)
+    broken = odes.schrodinger_map_residual(ctx.lam(2, 0), _ODE_POINTS, ctx.params,
+                                           potential_scale=1.1).max()
     out.append(_exceed_report("schrodinger", "scaled potential rejected",
                               broken, ctx.tol("negative_control"), t0))
     return out
@@ -800,10 +788,7 @@ def cmd_bethe(args):
 
 
 def _parse_complex(s):
-    s = s.strip().lower().replace("i", "j")
-    if s == "j":
-        s = "1j"
-    return complex(s)
+    return complex(s.strip().lower().replace("i", "j"))
 
 
 def cmd_potential(args):
@@ -813,9 +798,12 @@ def cmd_potential(args):
         lo, hi = (float(t) for t in args.range.split(":"))
     except ValueError as exc:
         raise ConfigError(exc) from exc
-    if args.samples < 2 or not lo < hi:
-        raise ConfigError(f"potential needs --samples >= 2 and a range lo:hi with "
-                          f"lo < hi, got {args.samples} samples on {args.range}")
+    if (args.samples < 2 or not lo < hi or omega0 == 0
+            or not np.isfinite([omega0, lo, hi, *gammas]).all()):
+        raise ConfigError(
+            f"potential needs --samples >= 2, a finite range lo:hi with lo < hi, a "
+            f"finite nonzero --omega0 and finite --gammas, got {args.samples} samples "
+            f"on {args.range}, omega0 {args.omega0}, gammas {args.gammas}")
     outdir = Path(args.out or "out")
     tag = "i" if omega0 == 1j else f"{omega0.real:g}" if omega0.imag == 0 else "c"
     series, labels = [], []
@@ -841,8 +829,13 @@ def cmd_report(args):
     if not path.exists():
         print(f"no reports at {path}", file=sys.stderr)
         return EXIT_CONFIG
-    reports = [VerificationReport.from_dict(json.loads(line))
-               for line in path.read_text().splitlines() if line.strip()]
+    reports = []
+    for number, line in enumerate(path.read_text().splitlines(), 1):
+        if line.strip():
+            try:
+                reports.append(VerificationReport.from_dict(json.loads(line)))
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"{path}, line {number}: not a report: {exc}") from exc
     return _print_rows(reports)
 
 

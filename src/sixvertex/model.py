@@ -472,10 +472,13 @@ def cauchy_taylor(f, center, radius, nodes):
     rule for Cauchy's integral on the torus |z_k - center_k| = radius with
     `nodes` points per variable (Lyness & Moler 1967): one FFT of the
     samples.  f is called once, on the whole node grid (one array per
-    variable, `nodes` long on each axis), so it must accept arrays.  The low
-    coefficients are exact to rounding (amplified by radius^-|m|) when f is
-    analytic well beyond the radius."""
+    variable, `nodes` long on each axis), so it must accept arrays; axes of
+    its value ahead of the d node axes are batch axes, one function each.
+    The low coefficients are exact to rounding (amplified by radius^-|m|)
+    when f is analytic well beyond the radius."""
     center = np.atleast_1d(np.asarray(center, dtype=complex))
+    d = len(center)
     circle = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
     vals = f(*np.meshgrid(*(c + circle for c in center), indexing="ij"))
-    return np.fft.fftn(vals) / vals.size / radius ** np.indices(vals.shape).sum(axis=0)
+    return (np.fft.fftn(vals, axes=range(-d, 0)) / nodes ** d
+            / radius ** np.indices(vals.shape[-d:]).sum(axis=0))

@@ -1,29 +1,23 @@
-"""Differential identities satisfied by the spectrum.
-
-Contents:
-
-* the constant-coefficient annihilator of exp(-integral h) for h a sum of
-  n coth terms (checked at the exponential-coefficient level, exactly);
-* the Riccati chain for h (orders 1..3) and for the eigenvalue itself:
-  the sector-1 Riccati equation in two algebraically identical forms, the
-  sector-2 second-order identity, and the sector-2 standard Riccati at the
-  homogeneous untwisted point;
-* the sector-2 identity is evaluated by a coalescing-point reduction of the
-  verified three-point determinant identity: its epsilon^0 coefficient in
-  the point separation, the ODE, is a mean over a circle in epsilon of
-  `functional.symmetric_m_matrix` at the coalescing points;
-* pointwise travelling-wave PDE residuals, the Schroedinger-form potential
-  and map, and the root-of-unity initial condition.
+"""Differential identities satisfied by the spectrum: the constant-coefficient
+annihilator of exp(-integral h) for h a sum of n coth terms (exact, on the
+exponential coefficients); the Riccati chain for h (orders 1..3) and for the
+eigenvalue: sector 1 in two algebraically identical forms, the sector-2
+second-order identity as a coalescing-point reduction of the three-point
+determinant identity (a circle mean of `functional.symmetric_m_matrix`), and
+the sector-2 standard Riccati at the homogeneous untwisted point; pointwise
+travelling-wave PDE residuals, the Schroedinger-form potential and map, and
+the root-of-unity initial condition.
 
 Eigenvalue and h arguments are evaluators  f(x, d)  returning the d-th
 derivative exactly: `model.ExpSum`, `bethe.RootEigenvalue` or `bethe.CothSum`.
-An eigenvalue argument may be a stack (`model.ExpSum` with one row per
-eigenpair of a sector): the sector-1 Riccati forms, the coalescing reduction
-and the root-of-unity deviations then return one value per eigenpair, on a
-leading axis ahead of the axes of x.
-The Schroedinger map's r = (Lam - beta)/alpha has no such form; its
-derivative comes from `model.cauchy_taylor`.  The vacuum eigenvalues come
-from the model, as in `riccati_lambda_residual(lam, x, params)`.
+Every residual has the layout of `functional`: the eigenvalue stack
+(`model.ExpSum` with K rows, one per eigenpair of a sector) goes first and
+the points x are an array, and the result has shape (K,) + shape(x), without
+the K axis for a single sum; `CothSum` and `RootEigenvalue` broadcast their
+stack of root sets against x instead.  The Schroedinger map's
+r = (Lam - beta)/alpha has no closed-form derivative; it comes from one
+`model.cauchy_taylor` rule for the whole stack and every point.  The vacuum
+eigenvalues come from the model, as in `riccati_lambda_residual(lam, x, params)`.
 """
 
 from __future__ import annotations
@@ -33,6 +27,7 @@ from itertools import permutations
 
 import numpy as np
 
+from .bethe import CothSum
 from .functional import symmetric_m_matrix
 from .model import ExpSum, ModelParams, cauchy_taylor, transfer
 
@@ -112,13 +107,13 @@ def riccati_h_residual(h_eval, x, n):
     terms; h_eval follows the (x, d) protocol with derivatives to order n."""
     h = h_eval(x)
     if n == 1:
-        return complex(h_eval(x, 1) + 1 - h ** 2)
+        return h_eval(x, 1) + 1 - h ** 2
     if n == 2:
-        return complex(h_eval(x, 2) - 3 * h * h_eval(x, 1) + h * (h ** 2 - 4))
+        return h_eval(x, 2) - 3 * h * h_eval(x, 1) + h * (h ** 2 - 4)
     if n == 3:
         d1, d2, d3 = h_eval(x, 1), h_eval(x, 2), h_eval(x, 3)
-        return complex(d3 - 4 * h * d2 - (10 - 6 * h ** 2 + 3 * d1) * d1
-                       - (h ** 2 - 1) * (h ** 2 - 9))
+        return (d3 - 4 * h * d2 - (10 - 6 * h ** 2 + 3 * d1) * d1
+                - (h ** 2 - 1) * (h ** 2 - 9))
     raise ValueError("closed forms implemented for n in {1, 2, 3}")
 
 
@@ -183,13 +178,13 @@ def coalescing_reduction(lam, x, params: ModelParams, n, ts=None):
     """eps^0 coefficient of det(m - diag(Lambda)) with all n+1 spectral
     points at x + ts[i]*eps: the order-n ODE satisfied by sector-n
     eigenvalues (n in {1, 2}), evaluated at x for each eigenvalue Lambda of
-    the stack `lam`.
+    the stack `lam` and each point of x.
 
     m is `functional.symmetric_m_matrix` at the nodes of a circle in eps,
-    built once for the whole stack, and Lambda its degree-2 Taylor
-    polynomial about x; each eps-coefficient is a mean over the circle
-    (Cauchy's integral by the trapezoidal rule).  Returns (values, scales,
-    spurious), one entry per eigenvalue of the stack (scalars for a single
+    built once for the whole stack and every point, and Lambda its degree-2
+    Taylor polynomial about x; each eps-coefficient is a mean over the
+    circle (Cauchy's integral by the trapezoidal rule).  Returns (values, scales,
+    spurious), each of shape (stack,) + x.shape (no stack axis for a single
     evaluator): a value sums the eps^0 means of the permutation terms of the
     determinant, a scale is the largest of those means, spurious the largest
     coefficient of eps^-j, j >= 1 (an internal cancellation check; it
@@ -205,13 +200,14 @@ def coalescing_reduction(lam, x, params: ModelParams, n, ts=None):
     nodes = np.arange(_CIRCLE_NODES)
     eps = _CIRCLE_RADIUS * np.exp(2j * np.pi * nodes / _CIRCLE_NODES)
     dx = np.multiply.outer(eps, ts)
-    m = symmetric_m_matrix(x + dx.T, params)
+    # m at every point and node: shape x.shape + (nodes, n+1, n+1)
+    m = symmetric_m_matrix(np.moveaxis(np.add.outer(x, dx), -1, 0), params)
     idx = np.arange(n + 1)
     # a = m - diag(P) with P the Taylor polynomial of each eigenvalue:
-    # shape (stack, nodes, n+1, n+1)
+    # shape (stack,) + x.shape + (nodes, n+1, n+1)
     taylor = [np.asarray(lam(x, d))[..., None, None] for d in range(3)]
-    a = np.broadcast_to(m, np.shape(taylor[0])[:-2] + m.shape).copy()
-    a[..., idx, idx] -= taylor[0] + taylor[1] * dx + taylor[2] / 2 * dx ** 2
+    P = taylor[0] + taylor[1] * dx + taylor[2] / 2 * dx ** 2
+    a = m - P[..., None] * np.eye(n + 1)
     terms = np.array([np.linalg.det(np.eye(n + 1)[list(p)]) * a[..., idx, p].prod(axis=-1)
                       for p in permutations(idx)])
     means = terms.mean(axis=-1)
@@ -264,14 +260,19 @@ def riccati2_coefficients(x, lam0, params: ModelParams):
     return kbar, k0, k1, k2
 
 
-def riccati2_residual(lam_eval, x, params):
-    """Normalized residual of the sector-2 standard Riccati equation."""
-    kbar, k0, k1, k2 = riccati2_coefficients(x, lam_eval(0.0), params)
-    Lam, dLam = lam_eval(x), lam_eval(x, 1)
+def _at_zero(lam, x):
+    """Lam(0) of each eigenvalue of `lam`, with a unit axis per axis of x."""
+    return np.expand_dims(lam(0.0), tuple(range(-np.ndim(x), 0)))
+
+
+def riccati2_residual(lam, x, params):
+    """Normalized residual of the sector-2 standard Riccati equation, one
+    per eigenvalue of the stack `lam` and point of x."""
+    kbar, k0, k1, k2 = riccati2_coefficients(x, _at_zero(lam, x), params)
+    Lam, dLam = lam(x), lam(x, 1)
     res = params.c * kbar * dLam - k0 - k1 * Lam - k2 * Lam ** 2
-    scale = max(abs(k0), abs(k1 * Lam), abs(k2 * Lam ** 2),
-                abs(params.c * kbar * dLam), 1e-300)
-    return complex(res / scale)
+    terms = np.abs([k0, k1 * Lam, k2 * Lam ** 2, params.c * kbar * dLam])
+    return res / np.maximum(terms.max(axis=0), 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +283,13 @@ def pde_travelling_wave_residual(n, roots, omega, x, omega_pde=None):
     at X = chi - omega tau for psi(chi, tau) = h(X), h the coth sum of the
     roots: d_tau^k psi = (-omega)^k h^(k) and d_chi = d/dX, so every term is
     exact.  omega_pde (default omega) is the speed in the PDE's
-    coefficients; another value is a negative control."""
-    from .bethe import CothSum
+    coefficients; another value is a negative control.  roots and x
+    broadcast as in `bethe.CothSum`."""
     if n not in (1, 2, 3):
         raise ValueError("PDE reductions implemented for n in {1, 2, 3}")
     w = omega if omega_pde is None else omega_pde
-    h, d1, d2, d3, d4 = (CothSum(roots)(x, d) for d in range(5))
+    h_eval = CothSum(roots)
+    h, d1, d2, d3, d4 = (h_eval(x, d) for d in range(5))
     if n == 1:
         # psi_tt - w^2 (psi^2)_chi
         terms = (omega ** 2 * d2, -w ** 2 * 2 * h * d1)
@@ -301,7 +303,8 @@ def pde_travelling_wave_residual(n, roots, omega, x, omega_pde=None):
         terms = ((omega / w) ** 4 * d4, (20 * h - 4 * h ** 3) * d1, 2 * d1 * d2,
                  2 * (6 * h * d1 ** 2 + (3 * h ** 2 - 5) * d2),
                  -4 * (3 * d1 * d2 + h * d3))
-    return float(abs(sum(terms)) / max(max(map(abs, terms)), 1e-300))
+    terms = np.array(terms)
+    return np.abs(terms.sum(axis=0)) / np.maximum(np.abs(terms).max(axis=0), 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +312,9 @@ def pde_travelling_wave_residual(n, roots, omega, x, omega_pde=None):
 
 def potential_v(x, omega0, gamma):
     """Potential  -3 c^2 / (omega0 b(x)^2 - omega0^{-1} a(x)^2)^2."""
-    a = np.sinh(np.asarray(x) + gamma)
-    b = np.sinh(np.asarray(x))
-    c = np.sinh(gamma)
-    den = omega0 * b ** 2 - a ** 2 / omega0
-    return -3 * c ** 2 / den ** 2
+    x = np.asarray(x)
+    den = omega0 * np.sinh(x) ** 2 - np.sinh(x + gamma) ** 2 / omega0
+    return -3 * np.sinh(gamma) ** 2 / den ** 2
 
 
 @dataclass
@@ -391,23 +392,26 @@ def schrodinger_map_residual(lam, x, params: ModelParams, potential_scale=1.0):
     """Normalized residual of  psi'' + (V - 1) psi = 0  at x, where
     psi = exp(int r) with r = (Lam - beta)/alpha, so psi''/psi = r' + r^2:
     |r' + r^2 + V - 1| / max(|r' + r^2|, |V - 1|), with r and r' from a
-    Cauchy rule about x.
+    Cauchy rule about each point, one per eigenvalue of the stack `lam` and
+    point of x (one rule for all of them, a batch axis each).
 
     The reference energy is fixed at 1, never fitted.  potential_scale is a
     negative-control hook (scaling V must break the residual).
     """
     _require_reference_point(params, "the Schroedinger map")
-    lam0 = lam(0.0)
+    lam0 = _at_zero(lam, x)
     om0 = np.sqrt(lam0 / params.c ** params.L + 0j)
 
     def r(z):
-        alpha, beta = _schrodinger_functions(z, lam0, params)
-        return (lam(z) - beta) / alpha
+        zs = np.add.outer(x, z)     # the circle about every point
+        alpha, beta = _schrodinger_functions(zs, lam0[..., None], params)
+        return (lam(zs) - beta) / alpha
 
-    c = cauchy_taylor(r, x, _CAUCHY_RADIUS, _CAUCHY_NODES)
-    kinetic = c[1] + c[0] ** 2
+    c = cauchy_taylor(r, 0.0, _CAUCHY_RADIUS, _CAUCHY_NODES)
+    kinetic = c[..., 1] + c[..., 0] ** 2
     V = potential_scale * potential_v(x, om0, params.gamma)
-    return float(abs(kinetic + V - 1) / max(abs(kinetic), abs(V - 1), 1e-300))
+    return (np.abs(kinetic + V - 1)
+            / np.maximum(np.maximum(np.abs(kinetic), np.abs(V - 1)), 1e-300))
 
 
 # ---------------------------------------------------------------------------

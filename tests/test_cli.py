@@ -306,8 +306,8 @@ class TestVerifyCommand:
 
     def test_node_grids_are_one_call(self, tmp_path, monkeypatch):
         # reference L=4: `theta` evaluates each index pair's Cauchy grid as one
-        # node array (one extended matrix), `sigma2` builds one m-matrix per
-        # point for every eigenvalue, and each sector's Bethe match runs once
+        # node array (one extended matrix), `sigma2` builds one m-matrix for
+        # both points and every eigenvalue, and each sector's Bethe match runs once
         # although `conserved-n1` and `bethe` both read the n=1 match
         calls = {}
         count = self.counter(monkeypatch, calls)
@@ -316,7 +316,7 @@ class TestVerifyCommand:
         count(cli.bt, "match_spectrum")
         assert run(["verify", "--out", str(tmp_path),
                     "--checks", "theta,sigma2,conserved-n1,bethe"]) == 0
-        assert calls == {"extended_matrix": 2, "symmetric_m_matrix": 2,
+        assert calls == {"extended_matrix": 2, "symmetric_m_matrix": 1,
                          "match_spectrum": 2}
         # reference L=6: `nonlinear` builds one m-matrix per point set (the
         # sector-1 stack carries the cross-check's off-shell row), not one
@@ -446,6 +446,16 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert run(["report", "--out", str(tmp_path)]) == 0
         assert "checks passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad", ["{not json", '{"check": "x", "bogus": 1}'],
+                             ids=["not-json", "unknown-key"])
+    def test_malformed_report_is_config_error(self, tmp_path, capsys, bad):
+        run(["verify", "--out", str(tmp_path), "--checks", "upsilon"])
+        path = tmp_path / "reports.jsonl"
+        path.write_text(path.read_text() + bad + "\n")
+        capsys.readouterr()
+        assert run(["report", "--out", str(tmp_path)]) == 2
+        assert f"{path}, line 2" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -702,9 +712,12 @@ class TestPotentialCommand:
         assert run(["potential", "--omega0", "zz", "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("grid", [["--samples", "1"], ["--samples", "0"],
-                                      ["--range", "1:1"], ["--range", "2:1"]],
+                                      ["--range", "1:1"], ["--range", "2:1"],
+                                      ["--range=-inf:1"], ["--omega0", "0"],
+                                      ["--gammas", "0.3,nan"]],
                              ids=["one-sample", "no-sample", "empty-range",
-                                  "reversed-range"])
+                                  "reversed-range", "infinite-range", "zero-omega0",
+                                  "nan-gamma"])
     def test_degenerate_grid_is_config_error(self, tmp_path, grid):
         assert run(["potential", *grid, "--out", str(tmp_path)]) == 2
         assert not any(tmp_path.iterdir())

@@ -539,3 +539,12 @@ def test_cauchy_taylor_two_variables():
     expect = (np.exp(a) / fact)[:, None] * (
         2.0 ** np.arange(4) * np.sin(2 * b + np.arange(4) * np.pi / 2) / fact)
     assert np.abs(c[:4, :4] - expect).max() < 1e-12
+    # leading axes of f's value are a batch: one function per entry, each
+    # transformed as by a call of its own, bit for bit
+    ks = [[1.0, -0.5], [2.0, 3.0]]
+    f = lambda k: lambda z1, z2: np.exp(z1) * np.sin(k * z2)
+    batch = cauchy_taylor(lambda *zs: np.array([[f(k)(*zs) for k in row] for row in ks]),
+                          (a, b), 0.5, 16)
+    assert batch.shape == (2, 2) + c.shape
+    for (i, j), k in np.ndenumerate(ks):
+        assert np.array_equal(batch[i, j], cauchy_taylor(f(k), (a, b), 0.5, 16))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import scenario
 from sixvertex.model import ExpSum, ModelParams
 from sixvertex.bethe import CothSum, RootEigenvalue, solve_bae
 from sixvertex.spectrum import diagonalize_sector
@@ -31,8 +32,13 @@ class TestRiccatiChainH:
     def test_coth_sums_satisfy_chain(self, n, rng):
         roots = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
         h = CothSum(roots)
-        for x in (0.37, -0.61, 1.2):
-            assert abs(odes.riccati_h_residual(h, x, n)) < 1e-9
+        xs = np.array([0.37, -0.61, 1.2])
+        assert np.abs(odes.riccati_h_residual(h, xs, n)).max() < 1e-9
+        # over the point array as per point, at every order (off shell when
+        # it is not n)
+        got = np.array([odes.riccati_h_residual(h, xs, m) for m in (1, 2, 3)])
+        want = np.array([[odes.riccati_h_residual(h, x, m) for x in xs] for m in (1, 2, 3)])
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_first_order_exact(self):
         h = CothSum([0.4 - 0.2j])
@@ -76,26 +82,39 @@ class TestRiccatiLambda:
             assert abs(r - val) < 40 * eps * max(abs(val), 1.0)
 
 
+# points of the pointwise sector-2 rows of `verify`
+ODE_POINTS, SIGMA2_POINTS = (0.2, 0.45, 0.7, 0.95, 1.2), (0.63, -0.213)
+
+# stacked calls on an eigenvalue stack and an array of points: the model
+# point at L=6, the points, and the call (outputs on a last axis)
+STACKED_CALLS = {
+    "coalescing-n2": ("generic", SIGMA2_POINTS, lambda lam, x, p: np.stack(
+        odes.coalescing_reduction(lam, x, p, n=2), axis=-1)),
+    "coalescing-n1": ("generic", SIGMA2_POINTS, lambda lam, x, p: np.stack(
+        odes.coalescing_reduction(lam, x, p, n=1), axis=-1)),
+    "sigma2": ("reference", SIGMA2_POINTS, odes.sigma2_residual),
+    "riccati2": ("reference", ODE_POINTS, odes.riccati2_residual),
+    "schrodinger": ("reference", ODE_POINTS, odes.schrodinger_map_residual),
+}
+
+
 class TestCoalescingReduction:
     def test_batch_equals_single_evaluator_calls(self, oracle):
-        # one m-matrix for every evaluator, as one call per evaluator gives
-        from conftest import generic_model
-        p = ModelParams.from_dict(generic_model(6, 1))
-        es = oracle.eigensystem(p, 2)
-        # the sector's stack with an off-shell row too: a term in exp(x) on row 0
-        off = plus_exp(es.lam(0), 0.1)
-        coeffs = np.vstack([np.append(es.coeffs, np.zeros((es.size, 1)), axis=1),
-                            off.coeffs])
-        lams = ExpSum(off.ms, coeffs)
-        for n, x in ((2, 0.63), (1, -0.213)):
-            batched = odes.coalescing_reduction(lams, x, p, n=n)
-            single = np.array([odes.coalescing_reduction(ExpSum(off.ms, c), x, p, n=n)
-                               for c in coeffs])       # (eigenvalue, output)
-            for got, want in zip(batched, single.T):
-                assert got.shape == (len(coeffs),)
-                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-        vals, scales, _ = odes.coalescing_reduction(lams, 0.63, p, n=2)
-        assert np.array_equal(odes.sigma2_residual(lams, 0.63, p), vals / scales)
+        # one call for every evaluator of a sector and every point (one
+        # m-matrix, one Cauchy rule), as one call per evaluator and point gives
+        for name, (point, xs, call) in STACKED_CALLS.items():
+            p = ModelParams.from_dict(scenario(6, point))
+            es = oracle.eigensystem(p, 2)
+            # the sector's stack with an off-shell row too: a term in exp(x) on row 0
+            off = plus_exp(es.lam(0), 0.1)
+            coeffs = np.vstack([np.append(es.coeffs, np.zeros((es.size, 1)), axis=1),
+                                off.coeffs])
+            got = call(ExpSum(off.ms, coeffs), np.array(xs), p)
+            want = np.array([[call(ExpSum(off.ms, c), x, p) for x in xs] for c in coeffs])
+            assert got.shape == want.shape, name
+            # each output to 1e-13 of its largest entry
+            scale = np.abs(want).max(axis=(0, 1))
+            assert (np.abs(got - want).max(axis=(0, 1)) <= 1e-13 * scale).all(), name
 
     def test_n1_matches_closed_form(self, params, oracle):
         fit = oracle.fit(params, 1, 1)
@@ -193,6 +212,11 @@ class TestSigma2:
             fit = oracle.fit(generic_params, 2, k)
             assert abs(odes.sigma2_residual(
                 fit, 0.63, generic_params)) < 1e-6
+        # on a stack: the reduction's values over its scales
+        lams = oracle.eigensystem(generic_params, 2).lam()
+        vals, scales, _ = odes.coalescing_reduction(lams, 0.63, generic_params, n=2)
+        assert np.array_equal(odes.sigma2_residual(lams, 0.63, generic_params),
+                              vals / scales)
 
     def test_closed_form_family(self, generic_params):
         # arbitrary two-root closed form solves the identity exactly
@@ -260,13 +284,17 @@ class TestPDE:
     def test_exact_residual_and_speed_control(self, n, rng):
         # psi = h(chi - omega tau) solves the order-n PDE at every point; with
         # 1.01 omega in the coefficients it does not
+        xs = np.array([0.37, -0.6])
         for _ in range(20):
             roots = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
-            for x in (0.37, -0.6):
-                assert odes.pde_travelling_wave_residual(n, roots, 0.8, x) < 1e-12
-            assert max(odes.pde_travelling_wave_residual(n, roots, 0.8, x,
-                                                         omega_pde=0.808)
-                       for x in (0.37, -0.6)) > 1e-3
+            got = np.array([odes.pde_travelling_wave_residual(n, roots, 0.8, xs, omega_pde=w)
+                            for w in (0.8, 0.808)])
+            assert got[0].max() < 1e-12 and got[1].max() > 1e-3
+            # over the point array as per point, to 1e-13 of the largest term
+            # (the residual's unit)
+            want = np.array([[odes.pde_travelling_wave_residual(n, roots, 0.8, x, omega_pde=w)
+                              for x in xs] for w in (0.8, 0.808)])
+            assert np.abs(got - want).max() <= 1e-13
 
     def test_real_roots(self):
         # real roots put poles on the real axis; between them the residual is
@@ -275,13 +303,21 @@ class TestPDE:
             assert odes.pde_travelling_wave_residual(2, [0.45, 0.9], 0.8, x) < 1e-12
 
     def test_coth_sum_fourth_derivative(self):
-        h = CothSum([0.3 + 0.4j, -0.5 + 0.2j, 0.1 - 0.7j])
-        e = 1e-5
-        for x in (0.37, -0.6):
-            fd = (h(x + e, 3) - h(x - e, 3)) / (2 * e)
-            assert abs(h(x, 4) - fd) < 1e-6 * abs(fd)
-            with pytest.raises(ValueError):
-                h(x, 5)
+        roots = [0.3 + 0.4j, -0.5 + 0.2j, 0.1 - 0.7j]
+        h = CothSum(roots)
+        e, xs = 1e-5, np.array([0.37, -0.6])
+        fd = (h(xs + e, 3) - h(xs - e, 3)) / (2 * e)
+        assert (np.abs(h(xs, 4) - fd) < 1e-6 * np.abs(fd)).all()
+        with pytest.raises(ValueError):
+            h(xs, 5)
+        # every order over the point array as per point, and over a stack of
+        # root sets (shape (2, 1, 3), points (2,): values (2, 2)) as per set
+        stack = CothSum(np.array([roots, roots[::-1]])[:, None])
+        for d in range(5):
+            want = np.array([h(x, d) for x in xs])
+            assert np.abs(h(xs, d) - want).max() <= 1e-13 * np.abs(want).max()
+            assert np.array_equal(stack(xs, d)[0], h(xs, d))
+            assert np.abs(stack(xs, d)[1] - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestPotential:
