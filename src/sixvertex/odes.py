@@ -1,23 +1,28 @@
-"""Differential identities satisfied by the spectrum: the constant-coefficient
-annihilator of exp(-integral h) for h a sum of n coth terms (exact, on the
-exponential coefficients); the Riccati chain for h (orders 1..3) and for the
-eigenvalue: sector 1 in two algebraically identical forms, the sector-2
-second-order identity as a coalescing-point reduction of the three-point
-determinant identity (a circle mean of `functional.symmetric_m_matrix`), and
-the sector-2 standard Riccati at the homogeneous untwisted point; pointwise
-travelling-wave PDE residuals, the Schroedinger-form potential and map, and
-the root-of-unity initial condition.
+"""Differential identities satisfied by the spectrum.
+
+Contents:
+
+* the constant-coefficient annihilator of exp(-integral h) for h a sum of
+  n coth terms (checked at the exponential-coefficient level, exactly);
+* the Riccati chain for h (orders 1..3) and for the eigenvalue itself:
+  the sector-1 Riccati equation in two algebraically identical forms, the
+  sector-2 second-order identity, and the sector-2 standard Riccati at the
+  homogeneous untwisted point;
+* the sector-2 identity is evaluated by a coalescing-point reduction of the
+  verified three-point determinant identity: its epsilon^0 coefficient in
+  the point separation, the ODE, is a mean over a circle in epsilon of
+  `functional.symmetric_m_matrix` at the coalescing points;
+* pointwise travelling-wave PDE residuals, the Schroedinger-form potential
+  and map, and the root-of-unity initial condition.
 
 Eigenvalue and h arguments are evaluators  f(x, d)  returning the d-th
 derivative exactly: `model.ExpSum`, `bethe.RootEigenvalue` or `bethe.CothSum`.
-Every residual has the layout of `functional`: the eigenvalue stack
-(`model.ExpSum` with K rows, one per eigenpair of a sector) goes first and
-the points x are an array, and the result has shape (K,) + shape(x), without
-the K axis for a single sum; `CothSum` and `RootEigenvalue` broadcast their
-stack of root sets against x instead.  The Schroedinger map's
-r = (Lam - beta)/alpha has no closed-form derivative; it comes from one
-`model.cauchy_taylor` rule for the whole stack and every point.  The vacuum
-eigenvalues come from the model, as in `riccati_lambda_residual(lam, x, params)`.
+Every residual has the layout of `functional`: an eigenvalue stack (an
+`ExpSum` with K rows, one per eigenpair of a sector) goes first, the points
+x are an array, and the result has shape (K,) + shape(x), with no K axis for
+a single evaluator; h root-set stacks broadcast against x as in `CothSum`.
+The Schroedinger map's r' comes from one `model.cauchy_taylor` rule for the
+whole stack and all points.  Vacuum eigenvalues come from the model (params).
 """
 
 from __future__ import annotations
@@ -219,7 +224,7 @@ def coalescing_reduction(lam, x, params: ModelParams, n, ts=None):
 def sigma2_residual(lam, x, params):
     """Normalized residuals of the second-order ODE for sector-2 eigenvalues
     (the coalescing limit of the three-point identity), one per eigenvalue
-    of the stack `lam`."""
+    of the stack `lam` and point of x."""
     vals, scales, _ = coalescing_reduction(lam, x, params, n=2)
     return vals / np.maximum(scales, 1e-300)
 
@@ -260,15 +265,10 @@ def riccati2_coefficients(x, lam0, params: ModelParams):
     return kbar, k0, k1, k2
 
 
-def _at_zero(lam, x):
-    """Lam(0) of each eigenvalue of `lam`, with a unit axis per axis of x."""
-    return np.expand_dims(lam(0.0), tuple(range(-np.ndim(x), 0)))
-
-
 def riccati2_residual(lam, x, params):
     """Normalized residual of the sector-2 standard Riccati equation, one
     per eigenvalue of the stack `lam` and point of x."""
-    kbar, k0, k1, k2 = riccati2_coefficients(x, _at_zero(lam, x), params)
+    kbar, k0, k1, k2 = riccati2_coefficients(x, lam(np.zeros(np.shape(x))), params)
     Lam, dLam = lam(x), lam(x, 1)
     res = params.c * kbar * dLam - k0 - k1 * Lam - k2 * Lam ** 2
     terms = np.abs([k0, k1 * Lam, k2 * Lam ** 2, params.c * kbar * dLam])
@@ -288,8 +288,7 @@ def pde_travelling_wave_residual(n, roots, omega, x, omega_pde=None):
     if n not in (1, 2, 3):
         raise ValueError("PDE reductions implemented for n in {1, 2, 3}")
     w = omega if omega_pde is None else omega_pde
-    h_eval = CothSum(roots)
-    h, d1, d2, d3, d4 = (h_eval(x, d) for d in range(5))
+    h, d1, d2, d3, d4 = (CothSum(roots)(x, d) for d in range(5))
     if n == 1:
         # psi_tt - w^2 (psi^2)_chi
         terms = (omega ** 2 * d2, -w ** 2 * 2 * h * d1)
@@ -303,8 +302,7 @@ def pde_travelling_wave_residual(n, roots, omega, x, omega_pde=None):
         terms = ((omega / w) ** 4 * d4, (20 * h - 4 * h ** 3) * d1, 2 * d1 * d2,
                  2 * (6 * h * d1 ** 2 + (3 * h ** 2 - 5) * d2),
                  -4 * (3 * d1 * d2 + h * d3))
-    terms = np.array(terms)
-    return np.abs(terms.sum(axis=0)) / np.maximum(np.abs(terms).max(axis=0), 1e-300)
+    return np.abs(sum(terms)) / np.maximum(np.abs(terms).max(axis=0), 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +310,11 @@ def pde_travelling_wave_residual(n, roots, omega, x, omega_pde=None):
 
 def potential_v(x, omega0, gamma):
     """Potential  -3 c^2 / (omega0 b(x)^2 - omega0^{-1} a(x)^2)^2."""
-    x = np.asarray(x)
-    den = omega0 * np.sinh(x) ** 2 - np.sinh(x + gamma) ** 2 / omega0
-    return -3 * np.sinh(gamma) ** 2 / den ** 2
+    a = np.sinh(np.asarray(x) + gamma)
+    b = np.sinh(np.asarray(x))
+    c = np.sinh(gamma)
+    den = omega0 * b ** 2 - a ** 2 / omega0
+    return -3 * c ** 2 / den ** 2
 
 
 @dataclass
@@ -391,15 +391,15 @@ def _schrodinger_functions(x, lam0, params: ModelParams):
 def schrodinger_map_residual(lam, x, params: ModelParams, potential_scale=1.0):
     """Normalized residual of  psi'' + (V - 1) psi = 0  at x, where
     psi = exp(int r) with r = (Lam - beta)/alpha, so psi''/psi = r' + r^2:
-    |r' + r^2 + V - 1| / max(|r' + r^2|, |V - 1|), with r and r' from a
-    Cauchy rule about each point, one per eigenvalue of the stack `lam` and
-    point of x (one rule for all of them, a batch axis each).
+    |r' + r^2 + V - 1| / max(|r' + r^2|, |V - 1|) for each eigenvalue of `lam`
+    and point of x, with r and r' from one Cauchy rule on a circle axis after
+    x's (so `lam` is one evaluator or an `ExpSum` stack, not a root-set stack).
 
     The reference energy is fixed at 1, never fitted.  potential_scale is a
     negative-control hook (scaling V must break the residual).
     """
     _require_reference_point(params, "the Schroedinger map")
-    lam0 = _at_zero(lam, x)
+    lam0 = lam(np.zeros(np.shape(x)))
     om0 = np.sqrt(lam0 / params.c ** params.L + 0j)
 
     def r(z):

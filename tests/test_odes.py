@@ -116,6 +116,19 @@ class TestCoalescingReduction:
             scale = np.abs(want).max(axis=(0, 1))
             assert (np.abs(got - want).max(axis=(0, 1)) <= 1e-13 * scale).all(), name
 
+    def test_root_set_stack_equals_single_calls(self):
+        # a stack of root sets, shape (S, 1, n), broadcasts against the points
+        p = ModelParams.from_dict(scenario(6, "reference"))
+        roots = np.array([[0.37 + 0.41j, -0.52 + 0.18j], [0.1 - 0.3j, 0.6 + 0.2j],
+                          [-0.25 + 0.5j, 0.45 - 0.35j]])
+        for call, xs in ((odes.riccati2_residual, ODE_POINTS),
+                         (odes.sigma2_residual, SIGMA2_POINTS)):
+            got = call(RootEigenvalue(roots[:, None], p), np.array(xs), p)
+            want = np.array([[call(RootEigenvalue(w, p), x, p) for x in xs] for w in roots])
+            assert got.shape == want.shape
+            # the residuals are relative to their largest term already
+            assert np.abs(got - want).max() <= 1e-13
+
     def test_n1_matches_closed_form(self, params, oracle):
         fit = oracle.fit(params, 1, 1)
         x = 0.43
