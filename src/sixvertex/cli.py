@@ -7,7 +7,6 @@ errors, 3 degenerate-spectrum abort.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import time
@@ -22,7 +21,7 @@ from . import functional as fx
 from . import model, odes
 from .model import (ExpSum, monodromy_blocks, sector_indices, transfer, verify_ybe,
                     yba_exchange_residual)
-from .reports import (ConfigError, ResultCache, RunConfig, VerificationReport,
+from .reports import (ConfigError, RunConfig, VerificationReport,
                       atomic_write_text, write_csv, write_svg_line)
 from .spectrum import (DegenerateSpectrum, complex_pairs, diagonalize_blocks,
                        polynomial_residuals, polynomiality_check, sample_sectors)
@@ -31,25 +30,7 @@ EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_DEGENERATE = 0, 1, 2, 3
 
 
 # ---------------------------------------------------------------------------
-# sector eigensystems and the verify context
-
-class SectorSource:
-    """Sector eigensystems of one run's model.  Each is loaded from the
-    cache; a missing sector is diagonalized, when it is first asked for,
-    from its coefficient blocks in `samples()` (n -> blocks, as from
-    `sample_sectors`), which the caller memoizes and keeps."""
-
-    def __init__(self, config: RunConfig, samples):
-        self.params = config.model
-        self.cache = ResultCache(config.output_dir / ".cache")
-        self.key = config.content_key()
-        self._samples = samples
-
-    def __call__(self, n):
-        return self.cache.sector(
-            self.key, n, self.params,
-            lambda: diagonalize_blocks(self.params, n, self._samples()[n]))
-
+# the verify context
 
 class VerifyContext:
     """Shared state of one verify run.  The samples of T(x) (coefficient
@@ -58,14 +39,13 @@ class VerifyContext:
     build is timed as its own entry of `shared`, with the monodromy builds
     it made, so no check is charged for work that others reuse.  The samples
     cover the configured sectors, and every sector 0..L when the run has
-    `transfer-commute`; when every eigensystem comes from the cache, T(x) is
-    still sampled once, for the first check that reads the samples."""
+    `transfer-commute`.  Each eigensystem is diagonalized in memory from
+    the samples; nothing is kept between runs."""
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.params = config.model
         self.rng = np.random.default_rng(config.seed)
-        self._source = SectorSource(config, self.samples)
         self._sampled = (range(self.params.L + 1)
                          if "transfer-commute" in (config.checks or CHECKS)
                          else config.sectors)
@@ -101,7 +81,8 @@ class VerifyContext:
         """Sector eigensystem; its `shared` entry also records how well
         conditioned it is."""
         if n not in self._eigs:
-            es, entry = self._timed("eigensystem", n, lambda: self._source(n))
+            es, entry = self._timed("eigensystem", n, lambda: diagonalize_blocks(
+                self.params, n, self.samples()[n]))
             entry.update(min_relative_gap=es.min_relative_gap(),
                          biorthogonality_defect=es.biorthogonality_defect())
             self._eigs[n] = es
@@ -672,9 +653,8 @@ def _load_config(args):
 def cmd_spectrum(args):
     cfg = _load_config(args)
     out = cfg.output_dir
-    source = SectorSource(cfg, functools.cache(
-        lambda: sample_sectors(cfg.model, cfg.sectors)))
-    systems = [source(n) for n in cfg.sectors]
+    samples = sample_sectors(cfg.model, cfg.sectors)
+    systems = [diagonalize_blocks(cfg.model, n, samples[n]) for n in cfg.sectors]
     # exact coefficients, and their residual against direct builds of T(x)
     rows = []
     for es, residuals in zip(systems, polynomial_residuals(systems)):
@@ -749,12 +729,13 @@ def cmd_bethe(args):
         loaded = bt.roots_from_json(Path(args.roots).read_text()) if args.roots else []
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{args.roots}: {exc}") from exc
-    source = SectorSource(cfg, functools.cache(
-        lambda: sample_sectors(cfg.model, sectors)))
+    # --verify-only with --roots needs no eigensystem, so no samples
+    samples = (None if args.roots and args.verify_only
+               else sample_sectors(cfg.model, sectors))
     incomplete = False
     rows = []
     for n in sectors:
-        es = None if args.roots and args.verify_only else source(n)
+        es = None if samples is None else diagonalize_blocks(cfg.model, n, samples[n])
         if args.roots:
             sols = [replace(s, residual=bt.solution_residual(s, cfg.model))
                     for s in loaded if s.n == n]

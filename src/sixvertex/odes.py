@@ -238,6 +238,15 @@ def _require_reference_point(params: ModelParams, what):
                          "point (all mu = 0, phi1 = phi2 = 1) only")
 
 
+def _kbar(x, lam0, la, ld, params: ModelParams):
+    """kbar of the sector-2 Riccati equation, with la, ld the vacuum
+    eigenvalues at x; also the numerator of the Schroedinger map's alpha."""
+    g, sh = params.gamma, np.sinh
+    la0 = params.lam_a(0.0)
+    return (la * sh(x) * (lam0 * sh(g - x) + la0 * sh(g + x))
+            + ld * sh(x + g) * (lam0 * sh(x) - la0 * sh(x + 2 * g)))
+
+
 def riccati2_coefficients(x, lam0, params: ModelParams):
     """(kbar, k0, k1, k2) of  c kbar dLam = k0 + k1 Lam + k2 Lam^2  for
     sector-2 eigenvalues at mu = 0, phi = 1; lam0 = Lam(0)."""
@@ -247,8 +256,7 @@ def riccati2_coefficients(x, lam0, params: ModelParams):
     la, ld = params.lam_a(x), params.lam_d(x)
     dla, dld = params.lam_a(x, 1), params.lam_d(x, 1)
     la0 = params.lam_a(0.0)
-    kbar = (la * sh(x) * (lam0 * sh(g - x) + la0 * sh(g + x))
-            + ld * sh(x + g) * (lam0 * sh(x) - la0 * sh(x + 2 * g)))
+    kbar = _kbar(x, lam0, la, ld, params)
     k0 = (la ** 2 * (la0 * sh(x) ** 2 - lam0 * sh(x - g) ** 2)
           + ld ** 2 * (la0 * sh(x + 2 * g) ** 2 - lam0 * sh(x + g) ** 2)
           - la * ld * (la0 * (ch(4 * g) - ch(2 * g) * ch(2 * x + 2 * g))
@@ -369,9 +377,7 @@ def _schrodinger_functions(x, lam0, params: ModelParams):
     la, ld = params.lam_a(x), params.lam_d(x)
     la0 = params.lam_a(0.0)
     den = lam0 * sh(x) ** 2 - la0 * sh(x + g) ** 2
-    alpha = sh(g) / den * (
-        la * sh(x) * (lam0 * sh(g - x) + la0 * sh(g + x))
-        + ld * sh(x + g) * (lam0 * sh(x) - la0 * sh(2 * g + x)))
+    alpha = sh(g) / den * _kbar(x, lam0, la, ld, params)
     tA = (sh(x) * ch(g) * (la0 ** 2 * sh(x + g) ** 3 - lam0 ** 2 * sh(g - x) * sh(x) ** 2)
           + la0 * lam0 / 16 * (1 - 2 * sh(2 * g) * sh(4 * x)
                                + 4 * (ch(2 * g) + 3) * ch(g) ** 2 * ch(2 * x)

@@ -7,7 +7,6 @@ rename so concurrent commands never observe partial files.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -154,14 +153,6 @@ class RunConfig:
         d.update(overrides)
         return cls.from_dict(d)
 
-    def content_key(self):
-        """Hash of what a sector's eigendecomposition depends on: the model
-        and the package version (sectors and seed do not change it)."""
-        from . import __version__
-        payload = {"model": self.model.to_dict(), "version": __version__}
-        blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
-
 
 @dataclass
 class VerificationReport:
@@ -189,7 +180,13 @@ class VerificationReport:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**d)
+        r = cls(**d)
+        if not (isinstance(r.check, str) and isinstance(r.identity, str)
+                and _is_real(r.residual) and _is_real(r.tolerance)
+                and isinstance(r.passed, bool)):
+            raise TypeError("check and identity must be strings, residual and "
+                            "tolerance numbers and passed a boolean")
+        return r
 
     def line(self):
         status = "PASS" if self.passed else "FAIL"
@@ -303,10 +300,15 @@ def write_svg_line(path, xs, series, labels=(), title=""):
 
 
 # ---------------------------------------------------------------------------
-# diagonalization cache
+# eigensystem store
 
 class ResultCache:
-    """Content-addressed store for per-sector eigendecompositions."""
+    """Store for per-sector eigendecompositions under caller-chosen keys.
+
+    No command uses it: every run diagonalizes its sectors in memory.  The
+    class stays only because the benchmark's per-layer tracer
+    (perfbench/tracer.py) looks it up by name; it goes together with those
+    tracer entries."""
 
     def __init__(self, root):
         self.root = Path(root)

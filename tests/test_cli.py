@@ -11,9 +11,10 @@ import pytest
 from conftest import generic_model, scenario
 from sixvertex import cli, odes
 from sixvertex.model import ExpSum, ModelParams
-from sixvertex.reports import (ConfigError, ResultCache, RunConfig,
-                               VerificationReport, write_csv, write_svg_line)
-from sixvertex.spectrum import DegenerateSpectrum, diagonalize_sector
+from sixvertex.reports import (ConfigError, RunConfig, VerificationReport,
+                               write_csv, write_svg_line)
+from sixvertex.spectrum import (DegenerateSpectrum, diagonalize_blocks,
+                                diagonalize_sector, sample_sectors)
 
 
 def run(argv):
@@ -63,15 +64,6 @@ class TestConfig:
         assert run(["verify", "--config", str(path), "--checks", "yang-baxter",
                     "--out", str(tmp_path / "out")]) == 2
 
-    def test_content_key_stable(self):
-        a = RunConfig.reference().content_key()
-        b = RunConfig.reference().content_key()
-        assert a == b
-        # seed and sectors do not change a sector's eigendecomposition
-        assert RunConfig.reference(seed=7, sectors=[1, 2]).content_key() == a
-        moved = RunConfig.reference(model={"L": 4, "gamma": 0.71})
-        assert moved.content_key() != a
-
     def test_report_roundtrip(self):
         r = VerificationReport(check="x", identity="y", residual=1e-9,
                                tolerance=1e-6, parameters={"n": 2})
@@ -107,14 +99,14 @@ class TestSpectrumCommand:
 
     def test_records_are_the_eigensystems_exactly(self, tmp_path):
         # generic L=5: every number of a file equals the eigensystem's own
-        # array element (==, not allclose), read back from the run's cache
+        # array element (==, not allclose), diagonalized afresh
         config = {"model": generic_model(5, 1)}
         cfg = RunConfig.from_dict(config)
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(config))
         out = tmp_path / "out"
         assert run(["spectrum", "--config", str(cfgfile), "--out", str(out)]) == 0
-        cache = ResultCache(out / ".cache")
+        samples = sample_sectors(cfg.model, range(6))
 
         def pairs(z):
             return [[complex(v).real, complex(v).imag] for v in z]
@@ -123,7 +115,7 @@ class TestSpectrumCommand:
             assert "\n" not in text                         # compact, one line
             rec = json.loads(text)
             assert list(rec) == sorted(rec)
-            es = cache.load_sector(cfg.content_key(), n, cfg.model)
+            es = diagonalize_blocks(cfg.model, n, samples[n])
             assert rec["eigenvalues_at_x_star"] == pairs(es.eigs)
             xs = [complex(*x) for x in rec["sample_x"]]
             assert rec["samples"] == [pairs(row) for row in es.eigenvalues_at(xs)]
@@ -280,17 +272,29 @@ class TestVerifyCommand:
         assert sampled(["polynomial", "transfer-commute"]) == [0, 1, 2, 3, 4]
         assert sampled([]) == [0, 1, 2, 3, 4]     # every check runs
 
-    def test_second_run_reads_the_cache_and_samples_once(self, tmp_path, monkeypatch):
-        cfg, out = generic_config(tmp_path, 1), str(tmp_path / "out")
-        assert run(["verify", "--config", cfg, "--out", out]) == 0
-        calls = {}
-        self.counter(monkeypatch, calls)(cli, "diagonalize_blocks")
-        assert run(["verify", "--config", cfg, "--out", out]) == 0
-        assert calls == {}      # every eigensystem came from the cache
-        prof = json.loads((tmp_path / "out" / "profile.json").read_text())
+    def test_runs_leave_only_their_outputs(self, tmp_path):
+        # spectrum, verify and bethe write their named outputs and nothing
+        # else; a second verify into the same directory samples and
+        # diagonalizes afresh and gives the same residuals
+        cfg, out = generic_config(tmp_path, 1), tmp_path / "out"
+
+        def residuals():
+            return [json.loads(line)["residual"]
+                    for line in (out / "reports.jsonl").read_text().splitlines()]
+        for command in ("spectrum", "verify", "bethe"):
+            assert run([command, "--config", cfg, "--out", str(out)]) == 0
+        first = residuals()
+        assert run(["verify", "--config", cfg, "--out", str(out)]) == 0
+        assert residuals() == first
+        prof = json.loads((out / "profile.json").read_text())
         assert [(e["work"], e["builds"]) for e in prof["shared"]
                 if e["work"] in ("samples", "eigensystem")] == (
             [("samples", 7)] + [("eigensystem", 0)] * 7)
+        # no .cache directory, no .tmp-* leftovers
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [f"spectrum-n{n}.json" for n in range(7)]
+            + ["spectrum.csv", "reports.jsonl", "profile.json",
+               "roots-n1.json", "roots-n2.json", "bethe-matching.csv"])
 
     @staticmethod
     def counter(monkeypatch, calls):
@@ -447,8 +451,16 @@ class TestVerifyCommand:
         assert run(["report", "--out", str(tmp_path)]) == 0
         assert "checks passed" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("bad", ["{not json", '{"check": "x", "bogus": 1}'],
-                             ids=["not-json", "unknown-key"])
+    @pytest.mark.parametrize("bad", [
+        "{not json", '{"check": "x", "bogus": 1}',
+        '{"check": 1, "identity": "y", "residual": 1e-3, "tolerance": 1}',
+        '{"check": "x", "identity": ["y"], "residual": 1e-3, "tolerance": 1}',
+        '{"check": "x", "identity": "y", "residual": "1e-3", "tolerance": 1}',
+        '{"check": "x", "identity": "y", "residual": 1e-3, "tolerance": null}',
+        '{"check": "x", "identity": "y", "residual": 1e-3, "tolerance": 1, '
+        '"passed": "yes"}'],
+        ids=["not-json", "unknown-key", "int-check", "list-identity",
+             "str-residual", "null-tolerance", "str-passed"])
     def test_malformed_report_is_config_error(self, tmp_path, capsys, bad):
         run(["verify", "--out", str(tmp_path), "--checks", "upsilon"])
         path = tmp_path / "reports.jsonl"
@@ -761,21 +773,6 @@ class TestCache:
         assert np.allclose(es2.eigs, es.eigs)
         assert np.allclose(es2.right, es.right)
         assert np.array_equal(es2.coeffs, es.coeffs)
-
-    def test_shared_across_seeds_and_sectors(self, tmp_path, monkeypatch):
-        # the cache is keyed on the model: a spectrum run at another seed
-        # and with other sectors loads what a verify run stored
-        assert run(["verify", "--out", str(tmp_path), "--seed", "1",
-                    "--checks", "polynomial"]) == 0
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"seed": 2, "sectors": [1, 2]}))
-
-        def recompute(*a, **k):
-            raise AssertionError("sector recomputed, not loaded from the cache")
-        monkeypatch.setattr(cli, "sample_sectors", recompute)
-        monkeypatch.setattr(cli, "diagonalize_blocks", recompute)
-        assert run(["spectrum", "--config", str(cfgfile),
-                    "--out", str(tmp_path)]) == 0
 
     def test_entry_without_coefficients_is_a_miss(self, tmp_path, params):
         # entries written before eigenvalues became exact sums carry no
