@@ -13,11 +13,11 @@ from .spectrum import (DegenerateSpectrum, EigenSystem, sample_sectors,
                        diagonalize_blocks, diagonalize_sector,
                        polynomial_residuals, polynomiality_check,
                        left_vector_from_C)
-from .functional import (coefficients_m, extended_matrix,
+from .functional import (extended_matrix,
                          compatibility_residual, nonlinear_eq_n1_residual,
                          nonlinear_eq_n2_residual, f_n, linear_relation_residual,
                          v_matrix, transport, transport_loop, tilde_v_det,
-                         tilde_v_spread, theta_generator, theta_conservation,
+                         tilde_v_spread, theta_conservation,
                          conserved_n1, conserved_n1_closed_form, SingularTransport)
 from .bethe import (BetheRoots, bae_residual, bae_relative_residual, solve_bae,
                     eigenvalue_from_roots, RootEigenvalue, CothSum,

@@ -480,7 +480,6 @@ class CothSum:
 
 @dataclass
 class MatchReport:
-    n: int
     pairs: list     # (solution_index, eigen_index, max relative deviation), by solution
     unmatched_solutions: list
     unmatched_eigenvalues: list
@@ -524,7 +523,7 @@ def match_spectrum(params: ModelParams, n, solutions, oracle):
     fvals = eigenvalue_from_roots(_MATCH_XS, roots, params)           # (nsol, npts)
     cost = np.abs(fvals[:, None] - ovals).max(axis=-1) / oscale       # (nsol, neig)
     pairs, free_s, free_e = _greedy_pairs(cost)
-    return MatchReport(n=n, pairs=sorted(pairs), unmatched_solutions=free_s,
+    return MatchReport(pairs=sorted(pairs), unmatched_solutions=free_s,
                        unmatched_eigenvalues=free_e)
 
 

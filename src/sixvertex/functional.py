@@ -6,9 +6,10 @@ functions F_n = <Psi| B(x_1)...B(x_n) |0>:
     sum_i M_i(x_0..x_n) F_n(points minus x_i) = 0
 
 whose (n+1)x(n+1) extension over variable swaps must be singular.  This
-module builds the coefficients, the extended matrix and its Cramer minors,
-the explicit n=1 and n=2 scalar identities, transport ratios between the
-F_n values, and the conserved quantities generated by them.
+module builds that extended matrix (row 0 holds the coefficients M_i) and
+its Cramer minors, the explicit n=1 and n=2 scalar identities, transport
+ratios between the F_n values, the conservation of the theta generating
+function built from them, and the leading sector-1 conserved quantity.
 
 Sign conventions for the scalar identities were fixed against the
 determinant form, which this module treats as ground truth (the two code
@@ -22,7 +23,7 @@ eigenpair axis first, node axes next, matrix (or coefficient) axes last:
 `(K,) + node shape + (n+1, n+1)` for the extended matrix, without the K
 axis for a single eigenvalue.  A whole sector and node grid is so one numpy
 evaluation, a scalar point set is its 0-d case, and determinants are per
-eigenpair and node.  `tilde_v_spread` and the theta functions take one
+eigenpair and node.  `tilde_v_spread` and `theta_conservation` take one
 eigenvalue and a scalar point set.
 
 The vacuum eigenvalues come from the model (`ModelParams.lam_a`, `lam_d`,
@@ -39,7 +40,6 @@ from .model import ModelParams, cauchy_taylor, monodromy_blocks
 
 __all__ = [
     "SingularTransport",
-    "coefficients_m",
     "extended_matrix",
     "extended_rank",
     "compatibility_residual",
@@ -54,7 +54,6 @@ __all__ = [
     "transport_loop",
     "tilde_v_det",
     "tilde_v_spread",
-    "theta_generator",
     "theta_conservation",
     "conserved_n1",
     "conserved_n1_closed_form",
@@ -90,7 +89,8 @@ def _validate(points):
 
 
 def _coefficients(X, lam, params: ModelParams):
-    """coefficients_m at the validated stacked points X."""
+    """Coefficient vector (M_0, ..., M_n) of the linear problem at the
+    validated stacked points X; row 0 of the extended matrix."""
     # r[..., i, j] = a(x_i - x_j) / b(x_i - x_j), with 1 on the diagonal
     D = X[..., :, None] - X[..., None, :]
     diag = np.eye(X.shape[-1], dtype=bool)
@@ -102,11 +102,6 @@ def _coefficients(X, lam, params: ModelParams):
     mi = (params.c / params.b(X[..., :1] - X[..., 1:])) * (va[..., 1:] - vd[..., 1:])
     return np.concatenate(
         [m0[..., None], np.broadcast_to(mi, np.shape(m0) + mi.shape[-1:])], axis=-1)
-
-
-def coefficients_m(pts, lam, params: ModelParams):
-    """Coefficient vector (M_0, ..., M_n) of the linear problem at `pts`."""
-    return _coefficients(_validate(pts)[0], lam, params)
 
 
 def extended_matrix(pts, lam, params: ModelParams):
@@ -317,16 +312,6 @@ def _transport_taylor(i, j, pts, lam, params, moving):
             q[a] = z
         return transport(i, j, extended_matrix(q, lam, params))
     return cauchy_taylor(at, [pts[a] for a in moving], _CAUCHY_RADIUS, _CAUCHY_NODES)
-
-
-def theta_generator(i, j, pts, lam, params):
-    """log(d_i log T_{i->j}) = log(T_i / T); the generating function of
-    conserved quantities along x_j."""
-    if i == j:
-        raise ValueError("needs i != j")
-    pts, _ = _validate(pts)
-    t = _transport_taylor(i, j, pts, lam, params, (i,))
-    return complex(np.log(t[1] / t[0]))
 
 
 def theta_conservation(i, j, pts, lam, params):

@@ -327,8 +327,6 @@ def potential_v(x, omega0, gamma):
 
 @dataclass
 class PotentialProfile:
-    omega0: complex
-    gamma: complex
     xs: np.ndarray
     values: np.ndarray          # nan at poles
     poles: list = field(default_factory=list)
@@ -357,17 +355,13 @@ def potential_profile(omega0, gamma, x_range=(-8.0, 8.0), samples=801):
     """Sampled potential profile; poles are located in closed form and
     reported, never evaluated (nearby samples are masked)."""
     xs = np.linspace(x_range[0], x_range[1], samples)
-    a = np.sinh(xs + gamma)
-    b = np.sinh(xs)
-    den = omega0 * b ** 2 - a ** 2 / omega0
+    b2, a2 = omega0 * np.sinh(xs) ** 2, np.sinh(xs + gamma) ** 2 / omega0
     # a pole is where the two terms cancel, so compare with the local scale
-    local = np.abs(omega0 * b ** 2) + np.abs(a ** 2 / omega0)
-    mask = np.abs(den) < 1e-3 * local
+    mask = np.abs(b2 - a2) < 1e-3 * (np.abs(b2) + np.abs(a2))
     vals = np.full(xs.shape, np.nan, dtype=complex)
-    vals[~mask] = -3 * np.sinh(gamma) ** 2 / den[~mask] ** 2
-    poles = real_axis_poles(omega0, gamma, x_range)
-    return PotentialProfile(omega0=complex(omega0), gamma=complex(gamma),
-                            xs=xs, values=vals, poles=poles)
+    vals[~mask] = potential_v(xs[~mask], omega0, gamma)
+    return PotentialProfile(xs=xs, values=vals,
+                            poles=real_axis_poles(omega0, gamma, x_range))
 
 
 def _schrodinger_functions(x, lam0, params: ModelParams):

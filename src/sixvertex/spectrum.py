@@ -219,12 +219,13 @@ def polynomiality_check(lam, params: ModelParams):
     the check points.
 
     For arbitrary callables (sector eigenvalues are exact sums already; see
-    `polynomial_residuals`).  Returns (fit as an ExpSum, relative residual).
+    `polynomial_residuals`), called once on the array of check points.
+    Returns (fit as an ExpSum, relative residual).
     """
     L = params.L
     pts = _check_points(L)
     V = np.vander(np.exp(2 * pts), L + 1, increasing=True)
-    y = np.array([np.exp(L * x) * lam(x) for x in pts])
+    y = np.exp(L * pts) * lam(pts)
     coeff, *_ = np.linalg.lstsq(V, y, rcond=None)
     return ExpSum(_frequencies(L), coeff), float(_relative_residual(V @ coeff, y))
 

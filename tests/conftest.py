@@ -55,9 +55,11 @@ class OracleBank:
         return self._eigs[key]
 
     def direct(self, params, n, k):
-        """x -> left_k T(x) right_k of sector n, building T(x) at every call."""
+        """x -> left_k T(x) right_k of sector n at a point or an array of
+        points, building T at all of them in one stacked call."""
         es = self.eigensystem(params, n)
-        return lambda x: complex(es.left[k] @ transfer([x], params)[n][0] @ es.right[:, k])
+        return lambda x: (es.left[k] @ transfer(np.ravel(x), params)[n]
+                          @ es.right[:, k]).reshape(np.shape(x))
 
     def fit(self, params, n, k):
         """Degree-L least-squares fit of the direct bilinear form: a reference

@@ -592,17 +592,48 @@ class TestSigma2Row:
 
 class TestTraceRow:
     ROW = "magnetization blocks + trace"
+    # critical gamma near i pi, L=6: a + b nearly vanishes, and tr T(0.37)
+    # cancels about 700-fold below sum |T_ii|
+    CRITICAL = {"L": 6, "gamma": "2.866086225333975j",
+                "mu": [-0.07520898228088146, -0.16014756604974956, 0.25111826007960925,
+                       -0.026648157573763154, -0.18142657384063432, -0.17080718042271484],
+                "phi1": "(0.8597096421694168+1.0708037892212816j)",
+                "phi2": "(0.8571242751351887+0.25808771895757243j)"}
+
+    def trace_row(self, tmp_path, model):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": model}))
+        out = tmp_path / "out"
+        code = run(["verify", "--config", str(cfg), "--out", str(out),
+                    "--checks", "highest-weight"])
+        rows = [json.loads(line) for line in (out / "reports.jsonl").read_text().splitlines()]
+        return code, [r for r in rows if r["identity"] == self.ROW][0]
+
+    def test_cancelling_trace_passes(self, tmp_path):
+        code, row = self.trace_row(tmp_path, self.CRITICAL)
+        assert code == 0 and row["passed"] and row["residual"] <= 1e-15
+
+    @pytest.mark.parametrize("model", [
+        CRITICAL, {"L": 6, "gamma": 0.7}, {"L": 10, "gamma": 0.7}, generic_model(6, 1)],
+        ids=["critical", "reference-6", "reference-10", "generic-6"])
+    def test_planted_sector_one_diagonal_error_fails(self, tmp_path, monkeypatch, model):
+        # a relative 1e-12 on the sector-1 diagonal of T: the row's measure,
+        # relative to sum |T_ii|, must still see it at the cancelling point
+        build = cli.transfer
+
+        def planted(xs, p):
+            T = list(build(xs, p))
+            T[1] = T[1] * (1 + 1e-12 * np.eye(T[1].shape[-1]))
+            return T
+        monkeypatch.setattr(cli, "transfer", planted)
+        code, row = self.trace_row(tmp_path, model)
+        assert code == 1 and not row["passed"] and row["residual"] > 1e-13
 
     @pytest.mark.parametrize("L,point", [
         (L, point) for L in (2, 5, 8) for point in ("reference", "generic", "complex-gamma")])
     def test_closed_form_trace_to_rounding(self, tmp_path, L, point):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"model": scenario(L, point)}))
-        out = tmp_path / "out"
-        assert run(["verify", "--config", str(cfg), "--out", str(out),
-                    "--checks", "highest-weight"]) == 0
-        rows = [json.loads(line) for line in (out / "reports.jsonl").read_text().splitlines()]
-        assert [r["residual"] for r in rows if r["identity"] == self.ROW][0] <= 1e-15
+        code, row = self.trace_row(tmp_path, scenario(L, point))
+        assert code == 0 and row["residual"] <= 1e-15
 
     def test_a_defective_build_fails_the_row(self, tmp_path, monkeypatch):
         # T = A + D with D off by 1e-9 on every sector: a trace taken from a

@@ -27,9 +27,9 @@ class TestCoefficients:
     def test_vacuum_sector_coefficient(self, params, oracle):
         # n=0: the single coefficient is lam_plus - Lambda, zero on-shell
         lam = oracle.eigensystem(params, 0).lam(0)
-        m = fx.coefficients_m([0.63], lam, params)
+        m = fx.extended_matrix([0.63], lam, params)[..., 0, :]
         assert abs(m[0]) < 1e-10
-        m_off = fx.coefficients_m([0.63], lambda x: 1.1 * lam(x), params)
+        m_off = fx.extended_matrix([0.63], lambda x: 1.1 * lam(x), params)[..., 0, :]
         assert abs(m_off[0]) > 1e-3
 
     def test_linear_relation_small_case(self):
@@ -54,7 +54,7 @@ class TestCoefficients:
         # with phi2 = 0 only the lam_a branch survives in the i >= 1 entries
         p0 = ModelParams(L=4, gamma=0.7, phi1=1.0, phi2=1e-30)
         pts = pts_for(2)
-        m = fx.coefficients_m(pts, lambda x: 0.0, p0)
+        m = fx.extended_matrix(pts, lambda x: 0.0, p0)[..., 0, :]
         a, b, c = p0.a, p0.b, p0.c
         for i in (1, 2):
             xi = pts[i]
@@ -66,11 +66,17 @@ class TestCoefficients:
 
 class TestExtendedMatrix:
     def test_row_zero_is_plain_coefficients(self, params, oracle):
+        # row j at the x_0 <-> x_j swapped points, entries 0 and j swapped
+        # back, holds the coefficients at the unswapped points: row 0
         lam = oracle.eigensystem(params, 2).lam(1)
         pts = pts_for(2)
         M = fx.extended_matrix(pts, lam, params)
-        m = fx.coefficients_m(pts, lam, params)
-        assert np.abs(M[0] - m).max() == 0.0
+        for j in (1, 2):
+            sw = list(pts)
+            sw[0], sw[j] = sw[j], sw[0]
+            m = fx.extended_matrix(sw, lam, params)[j]
+            m[[0, j]] = m[[j, 0]]
+            assert np.abs(M[0] - m).max() == 0.0
 
     def test_double_swap_returns_row_zero(self, params, oracle):
         lam = oracle.eigensystem(params, 2).lam(0)
@@ -93,17 +99,18 @@ class TestExtendedMatrix:
 
     def test_point_validation(self, params):
         with pytest.raises(ValueError):
-            fx.coefficients_m([0.3, 0.3 + 1e-9], lambda x: 0.0, params)
+            fx.extended_matrix([0.3, 0.3 + 1e-9], lambda x: 0.0, params)
         with pytest.raises(ValueError):
             # i*pi-shifted coincidence is also singular (b vanishes)
-            fx.coefficients_m([0.3, 0.3 + 1j * np.pi], lambda x: 0.0, params)
+            fx.extended_matrix([0.3, 0.3 + 1j * np.pi], lambda x: 0.0, params)
         with pytest.raises(ValueError):
             fx.extended_matrix((0.3, 0.3 + 1e-9), lambda x: 0.0, params)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_stack_equals_row_by_row_swaps(self, l5_params, oracle, n):
         # the whole sector as one stack and the swapped rows as one row axis,
-        # against one coefficient vector per eigenvalue and swapped point set
+        # against row 0 of one extended matrix per eigenvalue and swapped
+        # point set
         p = l5_params
         es = oracle.eigensystem(p, n)
         pts = pts_for(n)
@@ -114,7 +121,7 @@ class TestExtendedMatrix:
             for j in range(n + 1):
                 sw = list(pts)
                 sw[0], sw[j] = sw[j], sw[0]
-                row = fx.coefficients_m(sw, es.lam(k), p)
+                row = fx.extended_matrix(sw, es.lam(k), p)[0]
                 row[[0, j]] = row[[j, 0]]
                 rows.append(row)
             assert np.array_equal(M[k], rows)
@@ -390,11 +397,9 @@ class TestConservedQuantities:
         # theta with the non-j variables staggered near the origin is
         # x_j-independent on the spectrum
         lam = oracle.eigensystem(params, 2).lam(0)
-        vals = []
         for xj in (0.5, 0.9):
             pts = [0.013, xj, -0.029]
-            vals.append(fx.theta_generator(0, 1, pts, lam, params))
-        assert abs(vals[0] - vals[1]) < 1e-6
+            assert fx.theta_conservation(0, 1, pts, lam, params) < 1e-6
 
     def test_conserved_n1_constancy_and_closed_form(self, params, oracle):
         from sixvertex.bethe import match_spectrum, solve_bae
@@ -463,10 +468,10 @@ class TestNodeBatching:
 
     def test_coefficients_and_extended_matrix(self, model):
         p, lam = model
-        m = fx.coefficients_m(self.pts, lam, p)
         M = fx.extended_matrix(self.pts, lam, p)
+        m = M[..., 0, :]
         assert m.shape == (5, 3) and M.shape == (5, 3, 3)
-        assert close(m, self.per_node(lambda q: fx.coefficients_m(q, lam, p)))
+        assert close(m, self.per_node(lambda q: fx.extended_matrix(q, lam, p)[0]))
         assert close(M, self.per_node(lambda q: fx.extended_matrix(q, lam, p)))
 
     @pytest.mark.parametrize("nodes", [3, 5])
