@@ -112,7 +112,9 @@ class ModelParams:
                 return complex(v.replace(" ", ""))
             return complex(v)
 
-        L = int(d["L"])
+        L = d["L"]
+        if not isinstance(L, int) or isinstance(L, bool):
+            raise TypeError(f"L must be an integer: {L!r}")
         mu = d.get("mu", [0.0] * L)
         if not isinstance(mu, (list, tuple)):
             mu = [mu] * L

@@ -365,13 +365,13 @@ def potential_profile(omega0, gamma, x_range=(-8.0, 8.0), samples=801):
 
 
 def _schrodinger_functions(x, lam0, params: ModelParams):
-    """alpha2, beta2*beta2bar of the sector-2 log-derivative substitution."""
+    """(Q, B, den) of the sector-2 log-derivative substitution, free of
+    denominators: alpha2 = Q/den^2 and beta2*beta2bar = B/den^2."""
     g = params.gamma
     sh, ch = np.sinh, np.cosh
     la, ld = params.lam_a(x), params.lam_d(x)
     la0 = params.lam_a(0.0)
     den = lam0 * sh(x) ** 2 - la0 * sh(x + g) ** 2
-    alpha = sh(g) / den * _kbar(x, lam0, la, ld, params)
     tA = (sh(x) * ch(g) * (la0 ** 2 * sh(x + g) ** 3 - lam0 ** 2 * sh(g - x) * sh(x) ** 2)
           + la0 * lam0 / 16 * (1 - 2 * sh(2 * g) * sh(4 * x)
                                + 4 * (ch(2 * g) + 3) * ch(g) ** 2 * ch(2 * x)
@@ -384,16 +384,19 @@ def _schrodinger_functions(x, lam0, params: ModelParams):
                                + 6 * ch(g) * ch(3 * g + 2 * x)
                                - 4 * ch(g) * ch(3 * g + 4 * x)
                                - 14 * ch(2 * g) + ch(4 * g)))
-    beta = (la * tA + ld * tD) / den ** 2
-    return alpha, beta
+    return sh(g) * den * _kbar(x, lam0, la, ld, params), la * tA + ld * tD, den
 
 
 def schrodinger_map_residual(lam, x, params: ModelParams, potential_scale=1.0):
     """Normalized residual of  psi'' + (V - 1) psi = 0  at x, where
     psi = exp(int r) with r = (Lam - beta)/alpha, so psi''/psi = r' + r^2:
     |r' + r^2 + V - 1| / max(|r' + r^2|, |V - 1|) for each eigenvalue of `lam`
-    and point of x, with r and r' from one Cauchy rule on a circle axis after
-    x's (so `lam` is one evaluator or an `ExpSum` stack, not a root-set stack).
+    and point of x.  r = P/Q with P = (Lam - beta) den^2 and Q = alpha den^2,
+    both free of poles, and r' = (P'Q - PQ')/Q^2, with P, Q and their
+    derivatives from one Cauchy rule on a circle axis after x's (so `lam` is
+    one evaluator or an `ExpSum` stack, not a root-set stack).  A rule on r
+    itself converges slowly where a zero of alpha comes near x, as at
+    imaginary gamma.
 
     The reference energy is fixed at 1, never fitted.  potential_scale is a
     negative-control hook (scaling V must break the residual).
@@ -402,13 +405,15 @@ def schrodinger_map_residual(lam, x, params: ModelParams, potential_scale=1.0):
     lam0 = lam(np.zeros(np.shape(x)))
     om0 = np.sqrt(lam0 / params.c ** params.L + 0j)
 
-    def r(z):
+    def pq(z):
         zs = np.add.outer(x, z)     # the circle about every point
-        alpha, beta = _schrodinger_functions(zs, lam0[..., None], params)
-        return (lam(zs) - beta) / alpha
+        Q, B, den = _schrodinger_functions(zs, lam0[..., None], params)
+        return np.stack([lam(zs) * den ** 2 - B, Q])
 
-    c = cauchy_taylor(r, 0.0, _CAUCHY_RADIUS, _CAUCHY_NODES)
-    kinetic = c[..., 1] + c[..., 0] ** 2
+    (P, dP), (Q, dQ) = np.moveaxis(
+        cauchy_taylor(pq, 0.0, _CAUCHY_RADIUS, _CAUCHY_NODES)[..., :2], -1, 1)
+    r = P / Q
+    kinetic = (dP * Q - P * dQ) / Q ** 2 + r ** 2
     V = potential_scale * potential_v(x, om0, params.gamma)
     return (np.abs(kinetic + V - 1)
             / np.maximum(np.maximum(np.abs(kinetic), np.abs(V - 1)), 1e-300))

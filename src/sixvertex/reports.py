@@ -164,7 +164,6 @@ class VerificationReport:
     tolerance: float
     parameters: dict = field(default_factory=dict)
     passed: bool = None
-    wall_time: float = 0.0
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):

@@ -21,11 +21,13 @@ def generic_model(L, seed):
 def scenario(L, point):
     """Model of one scenario, as a config mapping: the reference point, the
     benchmark's twisted inhomogeneous point at seed 1, or that point at
-    complex gamma."""
-    if point == "reference":
-        return {"L": L, "gamma": 0.7}
-    model = generic_model(L, 1)
-    return model if point == "generic" else {**model, "gamma": "0.7+0.3j"}
+    complex gamma; "critical" and "critical-generic" are the reference and
+    the generic point at gamma = 0.7i."""
+    gamma = {"complex-gamma": "0.7+0.3j", "critical": "0.7j",
+             "critical-generic": "0.7j"}.get(point, 0.7)
+    if point in ("reference", "critical"):
+        return {"L": L, "gamma": gamma}
+    return {**generic_model(L, 1), "gamma": gamma}
 
 
 @pytest.fixture(scope="session")

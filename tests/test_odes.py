@@ -4,6 +4,7 @@ import pytest
 from conftest import scenario
 from sixvertex.model import ExpSum, ModelParams
 from sixvertex.bethe import CothSum, RootEigenvalue, solve_bae
+from sixvertex.reports import default_tolerances
 from sixvertex.spectrum import diagonalize_sector
 from sixvertex import odes
 
@@ -387,6 +388,16 @@ class TestSchrodinger:
         for k in range(es.size):
             for x in self.XS:
                 assert odes.schrodinger_map_residual(es.lam(k), x, p) < 1e-10
+
+    @pytest.mark.parametrize("L", [6, 7, 9])
+    def test_critical_within_tolerance(self, L):
+        # at gamma = 0.7i zeros of alpha, the poles of r, come within 0.005
+        # to 0.05 of the row's points; the Cauchy rule runs on the pole-free
+        # P and Q of r = P/Q
+        p = ModelParams(L=L, gamma=0.7j)
+        worst = odes.schrodinger_map_residual(diagonalize_sector(p, 2).lam(),
+                                              np.array(self.XS), p).max()
+        assert worst <= default_tolerances()["schrodinger"]
 
     def test_scaled_potential_rejected(self, params, oracle):
         fit = oracle.fit(params, 2, 1)
