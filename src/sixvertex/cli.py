@@ -623,7 +623,7 @@ def cmd_spectrum(args):
     for es, residuals in zip(systems, polynomial_residuals(systems)):
         n, residuals = es.n, residuals.tolist()
         rec = es.to_record()
-        rec["fits"] = [{"degree": cfg.model.L, "residual": r, "coefficients": c}
+        rec["fits"] = [{"residual": r, "coefficients": c}
                        for r, c in zip(residuals, complex_pairs(es.coeffs))]
         atomic_write_text(out / f"spectrum-n{n}.json", json.dumps(rec, sort_keys=True))
         for k, ((re, im), r) in enumerate(zip(rec["eigenvalues_at_x_star"], residuals)):

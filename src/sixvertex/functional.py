@@ -78,13 +78,16 @@ def _validate(points):
     X = np.stack(np.broadcast_arrays(*(np.asarray(p, dtype=complex)
                                        for p in points)), axis=-1)
     n = X.shape[-1] - 1
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            if np.any(np.abs(np.sinh(X[..., i] - X[..., j])) <= _MIN_SEPARATION):
-                raise ValueError(
-                    f"spectral points {i} and {j} are (mod i*pi) too close: "
-                    f"|sinh(x_{i}-x_{j})| <= {_MIN_SEPARATION}"
-                )
+    # every pair i < j in lexicographic order (np.triu_indices costs more here)
+    i, j = np.nonzero(np.less.outer(np.arange(n + 1), np.arange(n + 1)))
+    close = np.abs(np.sinh(X[..., i] - X[..., j])) <= _MIN_SEPARATION
+    close = np.any(close, axis=tuple(range(X.ndim - 1)))
+    if close.any():  # name the first unseparated pair
+        i, j = i[close][0], j[close][0]
+        raise ValueError(
+            f"spectral points {i} and {j} are (mod i*pi) too close: "
+            f"|sinh(x_{i}-x_{j})| <= {_MIN_SEPARATION}"
+        )
     return X, n
 
 

@@ -40,8 +40,6 @@ __all__ = [
 # perturbed spectral points tried after x* when eigenvalues collide, and the
 # relative spacing below which they count as collided
 _RETRIES, _COLLISION_TOL = 3, 1e-8
-# the points at which `EigenSystem.to_record` samples every eigenvalue
-_RECORD_XS = np.linspace(0.25, 1.15, 7)
 
 
 class DegenerateSpectrum(RuntimeError):
@@ -102,16 +100,13 @@ class EigenSystem:
         return float(np.abs(G - np.eye(self.size)).max())
 
     def to_record(self):
-        """JSON-ready record with every eigenvalue sampled at `_RECORD_XS`:
-        complex numbers as [re, im] pairs of plain Python floats, one
-        `tolist` per array."""
+        """JSON-ready record of the sector at x*: complex numbers as [re, im]
+        pairs of plain Python floats, one `tolist` per array."""
         return {
             "sector": self.n,
             "dimension": self.size,
             "x_star": [self.x_star.real, self.x_star.imag],
             "eigenvalues_at_x_star": complex_pairs(self.eigs),
-            "sample_x": complex_pairs(_RECORD_XS.astype(complex)),
-            "samples": complex_pairs(self.eigenvalues_at(_RECORD_XS)),
         }
 
 

@@ -108,6 +108,7 @@ class TestSpectrumCommand:
         out = tmp_path / "out"
         assert run(["spectrum", "--config", str(cfgfile), "--out", str(out)]) == 0
         samples = sample_sectors(cfg.model, range(6))
+        xs = np.linspace(-0.8, 1.3, 9) + 0.2j
 
         def pairs(z):
             return [[complex(v).real, complex(v).imag] for v in z]
@@ -118,9 +119,16 @@ class TestSpectrumCommand:
             assert list(rec) == sorted(rec)
             es = diagonalize_blocks(cfg.model, n, samples[n])
             assert rec["eigenvalues_at_x_star"] == pairs(es.eigs)
-            xs = [complex(*x) for x in rec["sample_x"]]
-            assert rec["samples"] == [pairs(row) for row in es.eigenvalues_at(xs)]
+            assert set(rec) == {"dimension", "eigenvalues_at_x_star", "fits",
+                                "sector", "x_star"}
+            assert all(set(f) == {"coefficients", "residual"} for f in rec["fits"])
             assert [f["coefficients"] for f in rec["fits"]] == [pairs(c) for c in es.coeffs]
+            # the file's coefficients are the evaluator: an ExpSum built from
+            # its numbers gives every eigenvalue bit for bit
+            coeffs = np.array([[complex(*c) for c in f["coefficients"]]
+                               for f in rec["fits"]])
+            lam = ExpSum(2 * np.arange(cfg.model.L + 1) - cfg.model.L, coeffs)
+            assert np.array_equal(lam(xs), es.eigenvalues_at(xs))
 
     def test_csv_cells_are_numbers(self, tmp_path):
         # no cell reads np.float64(...); the eigenvalue columns equal the JSON

@@ -105,6 +105,12 @@ class TestExtendedMatrix:
             fx.extended_matrix([0.3, 0.3 + 1j * np.pi], lambda x: 0.0, params)
         with pytest.raises(ValueError):
             fx.extended_matrix((0.3, 0.3 + 1e-9), lambda x: 0.0, params)
+        # two unseparated pairs at different nodes, (1, 2) at node 0 and
+        # (0, 1) at node 1: the lexicographically first pair is named
+        pts = [np.array([0.1, 0.5]), np.array([0.4, 0.5 + 1e-9]),
+               np.array([0.4 + 1e-9, 0.9])]
+        with pytest.raises(ValueError, match="spectral points 0 and 1 "):
+            fx.extended_matrix(pts, lambda x: 0.0 * x, params)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_stack_equals_row_by_row_swaps(self, l5_params, oracle, n):

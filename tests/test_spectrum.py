@@ -145,7 +145,6 @@ def test_record_holds_plain_python_values(generic_params):
     rec = es.to_record()
     assert {type(v) for v in walk(rec)} <= {str, int, float}
     assert np.array(rec["eigenvalues_at_x_star"]).shape == (es.size, 2)
-    assert np.array(rec["samples"]).shape == (es.size, 7, 2)
 
 
 class TestPolynomiality:
