@@ -14,11 +14,11 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import numpy.random  # numpy 2 loads it lazily; load it with the module, not mid-run
 
 from . import bethe as bt
 from . import functional as fx
 from . import model, odes
+from ._rng import PCG64Stream
 from .model import (ExpSum, monodromy_blocks, sector_indices, transfer, verify_ybe,
                     yba_exchange_residual)
 from .reports import (ConfigError, RunConfig, VerificationReport,
@@ -45,7 +45,7 @@ class VerifyContext:
     def __init__(self, config: RunConfig):
         self.config = config
         self.params = config.model
-        self.rng = np.random.default_rng(config.seed)
+        self.rng = PCG64Stream(config.seed)
         self._sampled = (range(self.params.L + 1)
                          if "transfer-commute" in (config.checks or CHECKS)
                          else config.sectors)
@@ -601,15 +601,15 @@ def _load_config(args):
         cfg = RunConfig.reference()
     if args.out:
         cfg.output_dir = Path(args.out)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    if getattr(args, "seed", None) is not None:
+        cfg = replace(cfg, seed=args.seed)      # validated as the config's seed
     if getattr(args, "checks", None):
         cfg.checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     unknown = [c for c in cfg.checks if c not in CHECKS]
     if unknown:
         raise ConfigError(f"unknown checks: {unknown}; known: {sorted(CHECKS)}")
     if getattr(args, "perturb_lambda", None):
-        cfg.perturb_lambda = args.perturb_lambda
+        cfg = replace(cfg, perturb_lambda=args.perturb_lambda)
     return cfg
 
 
@@ -792,7 +792,6 @@ def main(argv=None):
     def common(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="RNG seed override")
 
     p = sub.add_parser("spectrum", help="brute-force sector spectra + fits")
     common(p)
@@ -800,6 +799,7 @@ def main(argv=None):
 
     p = sub.add_parser("verify", help="run verification checks")
     common(p)
+    p.add_argument("--seed", type=int, help="seed of the random check points")
     p.add_argument("--checks", help="comma-separated check names")
     p.add_argument("--perturb-lambda", dest="perturb_lambda", type=float,
                    help="scale eigenvalues by (1+f): negative-control run")

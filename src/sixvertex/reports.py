@@ -8,6 +8,7 @@ rename so concurrent commands never observe partial files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field, fields
@@ -78,6 +79,13 @@ def _is_real(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_finite(v):
+    try:
+        return _is_real(v) and math.isfinite(v)
+    except OverflowError:           # an integer beyond the float range
+        return False
+
+
 _REFERENCE_MODEL = {"L": 4, "gamma": 0.7, "mu": [0.0, 0.0, 0.0, 0.0],
                     "phi1": 1.0, "phi2": 1.0}
 
@@ -94,6 +102,16 @@ class RunConfig:
     output_dir: Path = Path("out")
     checks: list = field(default_factory=list)
     perturb_lambda: float = 0.0
+
+    def __post_init__(self):
+        # the fields a command line overrides (through `dataclasses.replace`),
+        # so a config file and an option are held to the same rules
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ConfigError(f"seed must be a non-negative integer: {self.seed!r}")
+        if not _is_finite(self.perturb_lambda):
+            raise ConfigError(
+                f"perturb_lambda must be a finite number: {self.perturb_lambda!r}")
+        self.perturb_lambda = float(self.perturb_lambda)
 
     @classmethod
     def from_dict(cls, d):
@@ -119,21 +137,15 @@ class RunConfig:
             if not (_is_real(v) and v > 0):
                 raise ConfigError(f"tolerance {k} must be positive, got {v}")
             tol[k] = float(v)
-        seed = d.get("seed", 1234)
-        if not _is_int(seed):
-            raise ConfigError(f"seed must be an integer: {seed!r}")
         output_dir = d.get("output_dir", "out")
         if not isinstance(output_dir, str):
             raise ConfigError(f"output_dir must be a path string: {output_dir!r}")
         checks = d.get("checks", [])
         if not (isinstance(checks, list) and all(isinstance(c, str) for c in checks)):
             raise ConfigError(f"checks must be a list of check names: {checks!r}")
-        perturb = d.get("perturb_lambda", 0.0)
-        if not _is_real(perturb):
-            raise ConfigError(f"perturb_lambda must be a number: {perturb!r}")
-        return cls(model=model, sectors=list(sectors), tolerances=tol, seed=seed,
-                   output_dir=Path(output_dir), checks=list(checks),
-                   perturb_lambda=float(perturb))
+        return cls(model=model, sectors=list(sectors), tolerances=tol,
+                   seed=d.get("seed", 1234), output_dir=Path(output_dir),
+                   checks=list(checks), perturb_lambda=d.get("perturb_lambda", 0.0))
 
     @classmethod
     def from_file(cls, path):

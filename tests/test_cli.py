@@ -51,10 +51,10 @@ class TestConfig:
         {"seed": "abc"}, {"seed": 1.7}, {"seed": True}, {"perturb_lambda": "x"},
         [], [{"seed": 1}], {"tolerances": [1]}, {"output_dir": 5},
         {"checks": "pde"}, {"model": {"L": 4.5}}, {"model": {"L": True}},
-        {"model": {"L": "4"}}],
+        {"model": {"L": "4"}}, {"seed": -2}, {"perturb_lambda": float("nan")}],
         ids=["seed-str", "seed-float", "seed-bool", "perturb-str", "empty-list",
              "list", "tolerances-list", "output-dir-int", "checks-str", "L-float",
-             "L-bool", "L-str"])
+             "L-bool", "L-str", "seed-negative", "perturb-nan"])
     def test_malformed_values_rejected(self, tmp_path, config):
         with pytest.raises(ConfigError):
             RunConfig.from_dict(config)
@@ -64,6 +64,22 @@ class TestConfig:
             RunConfig.from_file(path)
         assert run(["verify", "--config", str(path), "--checks", "yang-baxter",
                     "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("option", [["--seed", "-3"], ["--perturb-lambda", "nan"],
+                                        ["--perturb-lambda", "inf"]])
+    def test_malformed_overrides_rejected(self, tmp_path, option):
+        # an option is held to the rules of the config key it overrides
+        out = tmp_path / "out"
+        assert run(["verify", "--checks", "yang-baxter", "--out", str(out),
+                    *option]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["spectrum", "bethe"])
+    def test_seed_is_a_verify_option_only(self, command):
+        # neither command draws a random number
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--seed", "1"])
+        assert exc.value.code == 2
 
     def test_report_roundtrip(self):
         r = VerificationReport(check="x", identity="y", residual=1e-9,
@@ -675,8 +691,8 @@ class TestBetheCommand:
         assert not list(out.glob("roots-n*.json"))
 
     def test_reproducible_bytes(self, tmp_path):
-        run(["bethe", "--out", str(tmp_path / "a"), "--seed", "77"])
-        run(["bethe", "--out", str(tmp_path / "b"), "--seed", "77"])
+        run(["bethe", "--out", str(tmp_path / "a")])
+        run(["bethe", "--out", str(tmp_path / "b")])
         for n in (1, 2):
             assert (tmp_path / "a" / f"roots-n{n}.json").read_bytes() \
                 == (tmp_path / "b" / f"roots-n{n}.json").read_bytes()
@@ -830,7 +846,7 @@ class TestCache:
 
 class TestScipyFreeRuntime:
     """The package runs on numpy alone; scipy is not imported even if it is
-    installed."""
+    installed, and numpy.random is not imported either."""
 
     @staticmethod
     def python(code, cwd):
@@ -846,7 +862,26 @@ class TestScipyFreeRuntime:
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
             "print('numpy.fft' in sys.modules, 'numpy.random' in sys.modules)", tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n")[:2] == ["[]", "True True"]
+        assert proc.stdout.split("\n")[:2] == ["[]", "True False"]
+
+    def test_runs_load_no_random_or_crypto(self, tmp_path):
+        # verify draws its points from the package's own PCG64 stream, so a
+        # run never loads numpy.random, nor the libcrypto it brings in through
+        # secrets; and every module a run needs is loaded by the import, apart
+        # from what argparse's gettext loads when the first parser is built
+        cfg = tmp_path / "generic7.json"
+        cfg.write_text(json.dumps({"model": generic_model(7, 1)}))
+        proc = self.python(
+            "import json, sys\nfrom sixvertex import cli\nloaded = set(sys.modules)\n"
+            "assert cli.main(['verify', '--out', 'verify']) == 0\n"
+            f"assert cli.main(['spectrum', '--config', {str(cfg)!r}, '--out', 's']) == 0\n"
+            "print(json.dumps(sorted(set(sys.modules) - loaded)))\n"
+            "print(json.dumps([m for m in ('numpy.random', 'secrets', '_hashlib')\n"
+            "                  if m in sys.modules]))", tmp_path)
+        assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+        new, random = map(json.loads, proc.stdout.strip().split("\n")[-2:])
+        assert set(new) <= {"locale", "_locale"}
+        assert random == []
 
     def test_commands_run_with_scipy_blocked(self, tmp_path):
         cfg = tmp_path / "generic7.json"
