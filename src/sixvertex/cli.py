@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # argparse's gettext loads it with the first parser, mid-run
 import sys
 import time
 from dataclasses import replace
@@ -102,7 +103,7 @@ class VerifyContext:
             es = self.eigensystem(n)
             sols, entry = self._timed("bethe", n, lambda: bt.solve_bae(es))
             self._bethe[n] = sols, bt.conditioning(sols, es,
-                                                   self.tol("bethe_residual"))
+                                                   TOLERANCES["bethe_residual"])
             entry.update(self._bethe[n][1])
         return self._bethe[n]
 
@@ -113,9 +114,6 @@ class VerifyContext:
             self._match[n], _ = self._timed(
                 "match", n, lambda: bt.match_spectrum(self.params, n, sols, es))
         return self._match[n]
-
-    def tol(self, name):
-        return self.config.tolerances[name]
 
 
 def _report(check, identity, residual, tol, **details):
@@ -145,7 +143,7 @@ def check_yang_baxter(ctx):
         draws.append([*x, ctx.rng.uniform(0.2, 1.2) + 1j * ctx.rng.uniform(-0.3, 0.3)])
     worst = verify_ybe(*np.transpose(draws)).max()
     return [_report("yang-baxter", "R12 R13 R23 = R23 R13 R12", worst,
-                    ctx.tol("yang_baxter"))]
+                    TOLERANCES["yang_baxter"])]
 
 
 def check_transfer_commute(ctx):
@@ -167,7 +165,7 @@ def check_transfer_commute(ctx):
     i, j = np.triu_indices(L + 1, 1)
     worst = np.sqrt(comm[i, j] / (norm[i] * norm[j])).max()
     return [_report("transfer-commute", "[T(x), T(y)] = 0", worst,
-                    ctx.tol("transfer_commute"), L=L)]
+                    TOLERANCES["transfer_commute"], L=L)]
 
 
 def check_highest_weight(ctx):
@@ -184,7 +182,7 @@ def check_highest_weight(ctx):
                 (np.abs(D[0][:, 0, 0] - p.phi2 * lam_d) / sc).max())
     del A, D
     out = [_report("highest-weight", "A|0>, D|0> eigen; C|0> = 0", worst,
-                   ctx.tol("highest_weight"))]
+                   TOLERANCES["highest_weight"])]
     # the trace against its closed form: the trace over each site of
     # R(x - mu_j) is (a + b) times the unit on the auxiliary space, so
     # tr T(x) = (phi1 + phi2) prod_j (a_j + b_j); the magnetization blocks
@@ -199,7 +197,7 @@ def check_highest_weight(ctx):
                                           for m in p.mu])
     out.append(_report("highest-weight", "magnetization blocks + trace",
                        abs(diag.sum() - closed) / np.abs(diag).sum(),
-                       ctx.tol("structure")))
+                       TOLERANCES["structure"]))
     return out
 
 
@@ -208,19 +206,19 @@ def check_exchange(ctx):
     stacked build), relative to the largest max|T(x)|^2 among them."""
     worst, t_norm = yba_exchange_residual(ctx.rng.uniform(-1.0, 1.0, 4), ctx.params)
     return [_report("exchange", "A-B and D-B subalgebra relations",
-                    worst / t_norm ** 2, ctx.tol("exchange"))]
+                    worst / t_norm ** 2, TOLERANCES["exchange"])]
 
 
 def check_polynomial(ctx):
     systems = [ctx.eigensystem(n) for n in ctx.config.sectors]
     worst = max((r.max() for r in polynomial_residuals(systems)), default=0.0)
     out = [_report("polynomial", "u^{L/2} Lam(x) is degree-L in u", worst,
-                   ctx.tol("polynomial_fit"))]
+                   TOLERANCES["polynomial_fit"])]
     # u^{L/2} exp((L+2)x) = u^{L+1}: outside the degree-L form at every L
     _, planted = polynomiality_check(
         lambda x: ctx.params.lam_a(x) + np.exp((ctx.params.L + 2) * x), ctx.params)
     out.append(_exceed_report("polynomial", "planted non-eigenvalue fails fit",
-                              planted, ctx.tol("negative_control")))
+                              planted, TOLERANCES["negative_control"]))
     return out
 
 
@@ -243,7 +241,7 @@ def check_linear_problem(ctx):
             pts, ctx.lam(n, slice(count)), es.left[:count], ctx.params)
         worst = float((np.abs(res) / scale).max())
         out.append(_report("linear-problem", f"sum_i M_i F_{n} = 0 (n={n})",
-                           worst, ctx.tol("linear_problem"), n=n))
+                           worst, TOLERANCES["linear_problem"], n=n))
     return out
 
 
@@ -265,7 +263,7 @@ def check_compatibility(ctx):
         M = fx.extended_matrix(pts, stack, ctx.params)
         dets = np.abs(fx.compatibility_residual(M))
         out.append(_report("compatibility", f"det extended matrix = 0 (n={n})",
-                           dets[:count].max(), ctx.tol("compatibility"), n=n))
+                           dets[:count].max(), TOLERANCES["compatibility"], n=n))
         # negative control: the 1%-off determinant must sit far above the
         # on-shell value of the same eigenpair and its rounding level
         out.append(_exceed_report(
@@ -287,18 +285,18 @@ def check_nonlinear(ctx):
         r = fx.nonlinear_eq_n1_residual(x0, x1, stack, p)
         worst = (np.abs(r) / np.abs(stack(x0) * stack(x1)))[:-1].max()
         out.append(_report("nonlinear-n1", "two-point identity", worst,
-                           ctx.tol("nonlinear_n1")))
+                           TOLERANCES["nonlinear_n1"]))
         # cross-check: identical to the determinant path
         d = np.linalg.det(fx.extended_matrix([x0, x1], bad, p))
         out.append(_report("nonlinear-n1", "agrees with determinant path",
-                           abs(r[-1] - d) / abs(d), 1e-12))
+                           abs(r[-1] - d) / abs(d), TOLERANCES["nonlinear_n1_det"]))
     if 2 in ctx.config.sectors and ctx.params.L >= 2:
         pts = (0.31, -0.42, 0.55)
         lam = ctx.lam(2)
         scale = np.abs(lam(pts[0]) * lam(pts[1]) * lam(pts[2]))
         worst = (np.abs(fx.nonlinear_eq_n2_residual(*pts, lam, p)) / scale).max()
         out.append(_report("nonlinear-n2", "three-point identity", worst,
-                           ctx.tol("nonlinear_n2")))
+                           TOLERANCES["nonlinear_n2"]))
     return out
 
 
@@ -313,7 +311,7 @@ def check_transport(ctx):
         M = fx.extended_matrix(pts, lam, ctx.params)  # shared by both rows
         loop = abs(fx.transport_loop(list(range(min(n + 1, 4))), M) - 1)
         out.append(_report("transport", f"loop composition = 1 (n={n})", loop,
-                           ctx.tol("transport_loop"), n=n))
+                           TOLERANCES["transport_loop"], n=n))
         # factorization: transport ratio against directly computed F ratios
         F = fx.f_n([pts[:i] + pts[i + 1:] for i in range(3)], es.left[0],
                    ctx.params)[0]
@@ -322,7 +320,7 @@ def check_transport(ctx):
             tv = fx.transport(i, j, M)
             worst = max(worst, abs(tv - F[j] / F[i]) / abs(tv))
         out.append(_report("transport", f"det ratio = F ratio (n={n})", worst,
-                           ctx.tol("factorization"), n=n))
+                           TOLERANCES["factorization"], n=n))
     return out
 
 
@@ -349,10 +347,10 @@ def check_reduced_det(ctx):
         d2 = fx.tilde_v_det(j, sw, fx.extended_matrix(sw, lam, p), p)
         worst = max(worst, abs(d1 - d2) / abs(d1))
         out.append(_report("reduced-det", f"normalization + permutation (n={n})",
-                           worst, ctx.tol("reduced_det"), n=n))
+                           worst, TOLERANCES["reduced_det"], n=n))
         spread = fx.tilde_v_spread(1, pts, lam, p)
         out.append(_report("reduced-det", f"det independent of x_i (n={n})",
-                           spread, ctx.tol("reduced_det_spread"), n=n))
+                           spread, TOLERANCES["reduced_det_spread"], n=n))
     return out
 
 
@@ -367,7 +365,7 @@ def check_theta(ctx):
         for (i, j) in [(0, 1), (1, 2)]:
             worst = max(worst, fx.theta_conservation(i, j, pts, lam, ctx.params))
         out.append(_report("theta", f"d_j theta_ij = 0 (n={n})", worst,
-                           ctx.tol("theta_conservation"), n=n))
+                           TOLERANCES["theta_conservation"], n=n))
     return out
 
 
@@ -378,7 +376,8 @@ def check_conserved_n1(ctx):
     p = ctx.params
     v, _, _ = fx.conserved_n1(np.array([0.2, 0.9]), ctx.lam(1), p)
     out.append(_report("conserved-n1", "constancy across x",
-                       np.abs(v[:, 0] - v[:, 1]).max(), ctx.tol("conserved_constancy")))
+                       np.abs(v[:, 0] - v[:, 1]).max(),
+                       TOLERANCES["conserved_constancy"]))
     # closed form against a Bethe root
     sols, _ = ctx.bethe(1)
     pairs = ctx.match(1).pairs
@@ -389,7 +388,7 @@ def check_conserved_n1(ctx):
                            for si, _, _ in pairs])
         worst = (np.abs(np.exp(val) - target) / np.abs(target)).max()
     out.append(_report("conserved-n1", "exp equals coth(w1) + dlm(0)/lm(0)",
-                       worst, ctx.tol("conserved_closed_form")))
+                       worst, TOLERANCES["conserved_closed_form"]))
     return out
 
 
@@ -401,7 +400,7 @@ def check_bethe_match(ctx):
         es = ctx.eigensystem(n)
         res = max((s.residual for s in sols), default=0.0)
         out.append(_report("bethe", f"residue-form residuals (n={n})", res,
-                           ctx.tol("bethe_residual"), n=n,
+                           TOLERANCES["bethe_residual"], n=n,
                            solutions=len(sols), **cond))
         # an eigenvalue without a degree-n Q has no root set to match; the
         # TQ system is solved again for the unmatched eigenvalues only
@@ -413,7 +412,7 @@ def check_bethe_match(ctx):
         n_unmatched = len(unmatched) + len(rep.unmatched_solutions)
         out.append(_report("bethe", f"spectrum match (n={n})",
                            max(matched_dev, float(n_unmatched)),
-                           ctx.tol("bethe_match"), n=n,
+                           TOLERANCES["bethe_match"], n=n,
                            unmatched_eigenvalues=unmatched,
                            unmatched_solutions=rep.unmatched_solutions,
                            unmatched_no_degree_n_q=excused, **cond))
@@ -426,10 +425,11 @@ def check_riccati_n1(ctx):
     lam, xs = ctx.lam(1), np.array([0.43, 0.9])
     r = odes.riccati_lambda_residual(lam, xs, ctx.params)
     out = [_report("riccati-n1", "first-order quadratic ODE",
-                   np.abs(r).max(), ctx.tol("riccati_n1"))]
+                   np.abs(r).max(), TOLERANCES["riccati_n1"])]
     s = odes.sigma1_residual(lam, xs, ctx.params)
     out.append(_report("riccati-n1", "surface form agrees",
-                       np.maximum(np.abs(s), np.abs(r - s)).max(), ctx.tol("sigma1")))
+                       np.maximum(np.abs(s), np.abs(r - s)).max(),
+                       TOLERANCES["sigma1"]))
     return out
 
 
@@ -443,7 +443,7 @@ def check_sigma2(ctx):
         return []
     worst = np.abs(odes.sigma2_residual(ctx.lam(2), _SIGMA2_POINTS, ctx.params)).max()
     return [_report("sigma2", "second-order ODE (coalescing reduction)",
-                    worst, ctx.tol("sigma2"))]
+                    worst, TOLERANCES["sigma2"])]
 
 
 def check_riccati2(ctx):
@@ -452,7 +452,7 @@ def check_riccati2(ctx):
     worst = np.abs(odes.riccati2_residual(ctx.lam(2), np.array([0.43, 0.8]),
                                           ctx.params)).max()
     return [_report("riccati2", "standard Riccati at untwisted point", worst,
-                    ctx.tol("riccati2"))]
+                    TOLERANCES["riccati2"])]
 
 
 def check_riccati_h(ctx):
@@ -462,7 +462,7 @@ def check_riccati_h(ctx):
         worst = max(worst, np.abs(odes.riccati_h_residual(
             bt.CothSum(roots), np.array([0.37, -0.6]), n)).max())
     return [_report("riccati-h", "coth-sum ODE chain (orders 1..3)", worst,
-                    ctx.tol("riccati_h"))]
+                    TOLERANCES["riccati_h"])]
 
 
 def check_upsilon(ctx):
@@ -471,7 +471,7 @@ def check_upsilon(ctx):
         roots = ctx.rng.uniform(-1, 1, n) + 1j * ctx.rng.uniform(-1, 1, n)
         worst = max(worst, odes.upsilon_annihilation(roots, n))
     return [_report("upsilon", "annihilator of exp(-int h), exact", worst,
-                    ctx.tol("upsilon"))]
+                    TOLERANCES["upsilon"])]
 
 
 # points of the pointwise `u-equation` and `schrodinger` rows
@@ -490,7 +490,7 @@ def check_u_equation(ctx):
     ev = bt.RootEigenvalue(sols[0].roots, ctx.params)
     worst = np.abs(odes.riccati_lambda_residual(ev, _ODE_POINTS, ctx.params)).max()
     return [_report("u-equation", "linearized second-order form", worst,
-                    ctx.tol("u_equation"))]
+                    TOLERANCES["u_equation"])]
 
 
 # the travelling waves: speed and the points X = chi - omega tau judged
@@ -504,14 +504,14 @@ def check_pde(ctx):
         draws.append(roots)
         worst = odes.pde_travelling_wave_residual(n, roots, _PDE_OMEGA, _PDE_POINTS).max()
         out.append(_report("pde", f"travelling-wave reduction order {n}", worst,
-                           ctx.tol("pde")))
+                           TOLERANCES["pde"]))
     # negative control: the waves move at omega, the PDEs' coefficients use
     # 1.01 omega
     control = min(odes.pde_travelling_wave_residual(
         len(roots), roots, _PDE_OMEGA, _PDE_POINTS,
         omega_pde=_CONTROL_FACTOR * _PDE_OMEGA).max() for roots in draws)
     out.append(_exceed_report("pde", "wave speed off by 1% rejected", control,
-                              ctx.tol("negative_control")))
+                              TOLERANCES["negative_control"]))
     return out
 
 
@@ -520,11 +520,11 @@ def check_schrodinger(ctx):
         return []
     worst = odes.schrodinger_map_residual(ctx.lam(2), _ODE_POINTS, ctx.params).max()
     out = [_report("schrodinger", "psi'' + (V - 1) psi = 0, energy fixed",
-                   worst, ctx.tol("schrodinger"))]
+                   worst, TOLERANCES["schrodinger"])]
     broken = odes.schrodinger_map_residual(ctx.lam(2, 0), _ODE_POINTS, ctx.params,
                                            potential_scale=1.1).max()
     out.append(_exceed_report("schrodinger", "scaled potential rejected",
-                              broken, ctx.tol("negative_control")))
+                              broken, TOLERANCES["negative_control"]))
     return out
 
 
@@ -532,12 +532,13 @@ def check_root_of_unity(ctx):
     if not ctx.params.reference_point:
         return []
     power = odes.omega0_power_deviation(ctx.params)
-    out = [_report("root-of-unity", "O^L = Id", power, ctx.tol("root_of_unity_power"))]
+    out = [_report("root-of-unity", "O^L = Id", power,
+                   TOLERANCES["root_of_unity_power"])]
     devs = odes.omega0_sector_deviations(
         ctx.params, {n: ctx.lam(n) for n in ctx.config.sectors})
     worst = max((v.max() for v in devs.values()), default=0.0)
     out.append(_report("root-of-unity", "(Lam(0)/c^L)^L = 1", worst,
-                       ctx.tol("root_of_unity_sector")))
+                       TOLERANCES["root_of_unity_sector"]))
     return out
 
 
@@ -550,7 +551,7 @@ def check_potential(ctx):
                                           - om0 * np.sinh(xs) ** 2) > 1e-3], om0, g)
         worst_im = max(worst_im, float(np.abs(vals.imag).max()))
     out = [_report("potential", "V real on the real axis", worst_im,
-                   ctx.tol("potential_reality"))]
+                   TOLERANCES["potential_reality"])]
     barrier = odes.potential_profile(1j, g, (-6, 6), 601)
     vals = barrier.values[np.isfinite(barrier.values)]
     ok_barrier = bool((vals.real > -1e-12).all()) and not barrier.poles
@@ -560,8 +561,48 @@ def check_potential(ctx):
     ok_well = bool((wvals.real < 1e-12).all())
     shape_penalty = 0.0 if (ok_barrier and ok_well) else 1.0
     out.append(_report("potential", "barrier for om0=i, well with pole for om0=1",
-                       pole_dev + shape_penalty, 1e-6))
+                       pole_dev + shape_penalty, TOLERANCES["potential_shape"]))
     return out
+
+
+# the bound of each row, by name: a row passes when its residual is at most
+# its bound (must-exceed rows compare a margin with 1.0 instead)
+TOLERANCES = {
+    "yang_baxter": 1e-12,
+    "transfer_commute": 1e-10,
+    "highest_weight": 1e-12,
+    "exchange": 1e-11,
+    "structure": 1e-14,
+    "polynomial_fit": 1e-9,
+    "linear_problem": 1e-10,
+    "compatibility": 1e-8,
+    "nonlinear_n1": 1e-8,
+    "nonlinear_n1_det": 1e-12,
+    "nonlinear_n2": 1e-8,
+    "negative_control": 1e-3,
+    "transport_loop": 1e-9,
+    "factorization": 1e-8,
+    "reduced_det": 1e-10,
+    "reduced_det_spread": 1e-9,
+    "theta_conservation": 1e-6,
+    "conserved_constancy": 1e-8,
+    "conserved_closed_form": 1e-7,
+    "bethe_residual": 1e-12,
+    "bethe_match": 1e-8,
+    "riccati_n1": 1e-7,
+    "sigma1": 1e-7,
+    "sigma2": 1e-6,
+    "riccati2": 1e-6,
+    "riccati_h": 1e-9,
+    "upsilon": 1e-13,
+    "u_equation": 1e-6,
+    "pde": 1e-10,
+    "schrodinger": 1e-5,
+    "root_of_unity_power": 1e-12,
+    "root_of_unity_sector": 1e-9,
+    "potential_reality": 1e-12,
+    "potential_shape": 1e-6,
+}
 
 
 CHECKS = {
@@ -595,21 +636,15 @@ CHECKS = {
 # commands
 
 def _load_config(args):
-    if args.config:
-        cfg = RunConfig.from_file(args.config)
-    else:
-        cfg = RunConfig.reference()
-    if args.out:
-        cfg.output_dir = Path(args.out)
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)      # validated as the config's seed
-    if getattr(args, "checks", None):
-        cfg.checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+    cfg = RunConfig.from_file(args.config) if args.config else RunConfig.reference()
+    # the options given, each validated (by `replace`) as the key it overrides
+    given = {"output_dir": args.out, "seed": getattr(args, "seed", None),
+             "checks": getattr(args, "checks", None),
+             "perturb_lambda": getattr(args, "perturb_lambda", None)}
+    cfg = replace(cfg, **{k: v for k, v in given.items() if v is not None})
     unknown = [c for c in cfg.checks if c not in CHECKS]
     if unknown:
         raise ConfigError(f"unknown checks: {unknown}; known: {sorted(CHECKS)}")
-    if getattr(args, "perturb_lambda", None):
-        cfg = replace(cfg, perturb_lambda=args.perturb_lambda)
     return cfg
 
 
@@ -682,7 +717,7 @@ def cmd_verify(args):
 def cmd_bethe(args):
     cfg = _load_config(args)
     out = cfg.output_dir
-    tol = cfg.tolerances["bethe_residual"]
+    tol = TOLERANCES["bethe_residual"]
     # root-finding and matching are exercised in the low sectors, where the
     # all-up reference state gives the Bethe description
     sectors = [n for n in cfg.sectors if n in (1, 2)]
@@ -783,6 +818,10 @@ def cmd_report(args):
     return _print_rows(reports)
 
 
+def _names(text):
+    return [c.strip() for c in text.split(",") if c.strip()]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="sixvertex",
@@ -800,7 +839,7 @@ def main(argv=None):
     p = sub.add_parser("verify", help="run verification checks")
     common(p)
     p.add_argument("--seed", type=int, help="seed of the random check points")
-    p.add_argument("--checks", help="comma-separated check names")
+    p.add_argument("--checks", type=_names, help="comma-separated check names")
     p.add_argument("--perturb-lambda", dest="perturb_lambda", type=float,
                    help="scale eigenvalues by (1+f): negative-control run")
     p.set_defaults(fn=cmd_verify)

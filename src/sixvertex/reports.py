@@ -22,7 +22,6 @@ __all__ = [
     "ConfigError",
     "RunConfig",
     "VerificationReport",
-    "default_tolerances",
     "atomic_write_text",
     "write_csv",
     "write_svg_line",
@@ -32,43 +31,6 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
-
-
-def default_tolerances():
-    return {
-        "yang_baxter": 1e-12,
-        "transfer_commute": 1e-10,
-        "highest_weight": 1e-12,
-        "exchange": 1e-11,
-        "structure": 1e-14,
-        "polynomial_fit": 1e-9,
-        "linear_problem": 1e-10,
-        "compatibility": 1e-8,
-        "nonlinear_n1": 1e-8,
-        "nonlinear_n2": 1e-8,
-        "negative_control": 1e-3,
-        "transport_loop": 1e-9,
-        "factorization": 1e-8,
-        "reduced_det": 1e-10,
-        "reduced_det_spread": 1e-9,
-        "theta_conservation": 1e-6,
-        "conserved_constancy": 1e-8,
-        "conserved_closed_form": 1e-7,
-        "bethe_residual": 1e-12,
-        "bethe_match": 1e-8,
-        "riccati_n1": 1e-7,
-        "sigma1": 1e-7,
-        "sigma2": 1e-6,
-        "riccati2": 1e-6,
-        "riccati_h": 1e-9,
-        "upsilon": 1e-13,
-        "u_equation": 1e-6,
-        "pde": 1e-10,
-        "schrodinger": 1e-5,
-        "root_of_unity_power": 1e-12,
-        "root_of_unity_sector": 1e-9,
-        "potential_reality": 1e-12,
-    }
 
 
 def _is_int(v):
@@ -97,7 +59,6 @@ class RunConfig:
 
     model: ModelParams
     sectors: list
-    tolerances: dict
     seed: int = 1234
     output_dir: Path = Path("out")
     checks: list = field(default_factory=list)
@@ -111,7 +72,13 @@ class RunConfig:
         if not _is_finite(self.perturb_lambda):
             raise ConfigError(
                 f"perturb_lambda must be a finite number: {self.perturb_lambda!r}")
+        if not isinstance(self.output_dir, (str, Path)):
+            raise ConfigError(f"output_dir must be a path string: {self.output_dir!r}")
+        if not (isinstance(self.checks, list)
+                and all(isinstance(c, str) for c in self.checks)):
+            raise ConfigError(f"checks must be a list of check names: {self.checks!r}")
         self.perturb_lambda = float(self.perturb_lambda)
+        self.output_dir = Path(self.output_dir)
 
     @classmethod
     def from_dict(cls, d):
@@ -127,25 +94,12 @@ class RunConfig:
             raise ConfigError(f"sectors must be integers in [0, {model.L}]: {sectors}")
         if len(set(sectors)) != len(sectors):
             raise ConfigError(f"sectors must not repeat: {sectors}")
-        tol = default_tolerances()
-        tolerances = d.get("tolerances", {})
-        if not isinstance(tolerances, dict):
-            raise ConfigError(f"tolerances must map names to values: {tolerances}")
-        for k, v in tolerances.items():
-            if k not in tol:
-                raise ConfigError(f"unknown tolerance name: {k}")
-            if not (_is_real(v) and v > 0):
-                raise ConfigError(f"tolerance {k} must be positive, got {v}")
-            tol[k] = float(v)
-        output_dir = d.get("output_dir", "out")
-        if not isinstance(output_dir, str):
-            raise ConfigError(f"output_dir must be a path string: {output_dir!r}")
-        checks = d.get("checks", [])
-        if not (isinstance(checks, list) and all(isinstance(c, str) for c in checks)):
-            raise ConfigError(f"checks must be a list of check names: {checks!r}")
-        return cls(model=model, sectors=list(sectors), tolerances=tol,
-                   seed=d.get("seed", 1234), output_dir=Path(output_dir),
-                   checks=list(checks), perturb_lambda=d.get("perturb_lambda", 0.0))
+        if "tolerances" in d:
+            raise ConfigError("tolerances are not configurable: each row's bound is "
+                              "fixed in sixvertex.cli.TOLERANCES")
+        return cls(model=model, sectors=list(sectors), seed=d.get("seed", 1234),
+                   output_dir=d.get("output_dir", "out"), checks=d.get("checks", []),
+                   perturb_lambda=d.get("perturb_lambda", 0.0))
 
     @classmethod
     def from_file(cls, path):

@@ -34,9 +34,16 @@ class TestConfig:
         assert cfg.model.gamma == 0.7
         assert cfg.sectors == [0, 1, 2, 3, 4]
 
-    def test_unknown_tolerance_rejected(self):
-        with pytest.raises(ConfigError):
-            RunConfig.from_dict({"tolerances": {"bogus": 1.0}})
+    def test_unknown_tolerance_rejected(self, tmp_path):
+        # every bound is fixed in cli.TOLERANCES, so a config written to
+        # tighten one is refused rather than run at the fixed value
+        for tolerances in ({"bogus": 1.0}, {"theta_conservation": 1e-6}):
+            with pytest.raises(ConfigError, match="cli.TOLERANCES"):
+                RunConfig.from_dict({"tolerances": tolerances})
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"tolerances": tolerances}))
+            assert run(["verify", "--config", str(path), "--checks", "theta",
+                        "--out", str(tmp_path / "out")]) == 2
 
     def test_bad_sector_rejected(self):
         with pytest.raises(ConfigError):
@@ -73,6 +80,15 @@ class TestConfig:
         assert run(["verify", "--checks", "yang-baxter", "--out", str(out),
                     *option]) == 2
         assert not out.exists()
+
+    def test_zero_overrides_the_config(self, tmp_path):
+        # `--perturb-lambda 0` is given, so it replaces the config's value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"perturb_lambda": 0.01}))
+        assert run(["verify", "--config", str(path), "--out", str(tmp_path / "a"),
+                    "--perturb-lambda", "0"]) == 0
+        assert run(["verify", "--config", str(path), "--out", str(tmp_path / "b"),
+                    "--checks", "compatibility"]) == 1
 
     @pytest.mark.parametrize("command", ["spectrum", "bethe"])
     def test_seed_is_a_verify_option_only(self, command):
@@ -867,8 +883,7 @@ class TestScipyFreeRuntime:
     def test_runs_load_no_random_or_crypto(self, tmp_path):
         # verify draws its points from the package's own PCG64 stream, so a
         # run never loads numpy.random, nor the libcrypto it brings in through
-        # secrets; and every module a run needs is loaded by the import, apart
-        # from what argparse's gettext loads when the first parser is built
+        # secrets; and every module a run needs is loaded by the import
         cfg = tmp_path / "generic7.json"
         cfg.write_text(json.dumps({"model": generic_model(7, 1)}))
         proc = self.python(
@@ -880,7 +895,7 @@ class TestScipyFreeRuntime:
             "                  if m in sys.modules]))", tmp_path)
         assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
         new, random = map(json.loads, proc.stdout.strip().split("\n")[-2:])
-        assert set(new) <= {"locale", "_locale"}
+        assert new == []
         assert random == []
 
     def test_commands_run_with_scipy_blocked(self, tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from conftest import scenario
 from sixvertex.model import ExpSum, ModelParams
 from sixvertex.bethe import CothSum, RootEigenvalue, solve_bae
-from sixvertex.reports import default_tolerances
+from sixvertex.cli import TOLERANCES
 from sixvertex.spectrum import diagonalize_sector
 from sixvertex import odes
 
@@ -397,7 +397,7 @@ class TestSchrodinger:
         p = ModelParams(L=L, gamma=0.7j)
         worst = odes.schrodinger_map_residual(diagonalize_sector(p, 2).lam(),
                                               np.array(self.XS), p).max()
-        assert worst <= default_tolerances()["schrodinger"]
+        assert worst <= TOLERANCES["schrodinger"]
 
     def test_scaled_potential_rejected(self, params, oracle):
         fit = oracle.fit(params, 2, 1)
