@@ -482,11 +482,12 @@ class CothSum:
 class MatchReport:
     pairs: list     # (solution_index, eigen_index, max relative deviation), by solution
     unmatched_solutions: list
-    unmatched_eigenvalues: list
+    unmatched_eigenvalues: list     # those with a degree-n Q, which fail the match
+    no_degree_n_q: list             # the unmatched ones without, which have no root set
 
     @property
     def max_deviation(self):
-        return max((d for *_, d in self.pairs), default=float("nan"))
+        return max((d for *_, d in self.pairs), default=0.0)
 
     @property
     def complete(self):
@@ -515,7 +516,9 @@ def _greedy_pairs(cost):
 def match_spectrum(params: ModelParams, n, solutions, oracle):
     """Greedy minimal-distance bipartite matching between formula and oracle
     eigenvalues, using the max relative deviation over the points
-    `_MATCH_XS`; the pairs are listed by solution index."""
+    `_MATCH_XS`; the pairs are listed by solution index.  An unmatched
+    eigenvalue without a degree-n Q has no root set, so it is excused (the
+    TQ system is solved again for the unmatched eigenvalues only)."""
     ovals = oracle.eigenvalues_at(_MATCH_XS)                          # (neig, npts)
     oscale = np.abs(ovals).max(axis=1) + 1e-300
     roots = np.array([s.roots for s in solutions], dtype=complex)
@@ -523,8 +526,10 @@ def match_spectrum(params: ModelParams, n, solutions, oracle):
     fvals = eigenvalue_from_roots(_MATCH_XS, roots, params)           # (nsol, npts)
     cost = np.abs(fvals[:, None] - ovals).max(axis=-1) / oscale       # (nsol, neig)
     pairs, free_s, free_e = _greedy_pairs(cost)
+    excused = no_degree_n_q(oracle, free_e)
     return MatchReport(pairs=sorted(pairs), unmatched_solutions=free_s,
-                       unmatched_eigenvalues=free_e)
+                       unmatched_eigenvalues=[k for k in free_e if k not in excused],
+                       no_degree_n_q=excused)
 
 
 # ---------------------------------------------------------------------------

@@ -34,14 +34,14 @@ EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_DEGENERATE = 0, 1, 2, 3
 # the verify context
 
 class VerifyContext:
-    """Shared state of one verify run.  The samples of T(x) (coefficient
-    blocks from L+1 builds), sector eigensystems, Bethe solutions and their
-    oracle matches are built once, on first use, and kept for the run; each
-    build is timed as its own entry of `shared`, with the monodromy builds
-    it made, so no check is charged for work that others reuse.  The samples
-    cover the configured sectors, and every sector 0..L when the run has
-    `transfer-commute`.  Each eigensystem is diagonalized in memory from
-    the samples; nothing is kept between runs."""
+    """Shared state of one verify or bethe run.  The samples of T(x)
+    (coefficient blocks from L+1 builds), sector eigensystems, Bethe
+    solutions and their oracle matches are built once, on first use, and
+    kept for the run; each build is timed as its own entry of `shared`, with
+    the monodromy builds it made, so no check is charged for work that
+    others reuse.  The samples cover the configured sectors, and every
+    sector 0..L when the run has `transfer-commute`.  Each eigensystem is
+    diagonalized in memory from the samples; nothing is kept between runs."""
 
     def __init__(self, config: RunConfig):
         self.config = config
@@ -290,7 +290,7 @@ def check_nonlinear(ctx):
         d = np.linalg.det(fx.extended_matrix([x0, x1], bad, p))
         out.append(_report("nonlinear-n1", "agrees with determinant path",
                            abs(r[-1] - d) / abs(d), TOLERANCES["nonlinear_n1_det"]))
-    if 2 in ctx.config.sectors and ctx.params.L >= 2:
+    if 2 in ctx.config.sectors:
         pts = (0.31, -0.42, 0.55)
         lam = ctx.lam(2)
         scale = np.abs(lam(pts[0]) * lam(pts[1]) * lam(pts[2]))
@@ -392,30 +392,33 @@ def check_conserved_n1(ctx):
     return out
 
 
+def _bethe_sectors(sectors):
+    """Those of `sectors` whose Bethe roots are solved and matched: 1 and 2,
+    where the all-up reference state gives the Bethe description."""
+    return [n for n in sectors if n in (1, 2)]
+
+
+def _match_residual(rep):
+    """The `spectrum match` residual of a `bt.MatchReport`: the worst matched
+    deviation, or the count of unmatched eigenvalues and sets if any."""
+    return max(rep.max_deviation,
+               float(len(rep.unmatched_eigenvalues) + len(rep.unmatched_solutions)))
+
+
 def check_bethe_match(ctx):
     out = []
-    p = ctx.params
-    for n in [n for n in ctx.config.sectors if n in (1, 2) and n <= p.L]:
+    for n in _bethe_sectors(ctx.config.sectors):
         sols, cond = ctx.bethe(n)
-        es = ctx.eigensystem(n)
         res = max((s.residual for s in sols), default=0.0)
         out.append(_report("bethe", f"residue-form residuals (n={n})", res,
                            TOLERANCES["bethe_residual"], n=n,
                            solutions=len(sols), **cond))
-        # an eigenvalue without a degree-n Q has no root set to match; the
-        # TQ system is solved again for the unmatched eigenvalues only
         rep = ctx.match(n)
-        no_q = bt.no_degree_n_q(es, rep.unmatched_eigenvalues)
-        unmatched = [k for k in rep.unmatched_eigenvalues if k not in no_q]
-        excused = len(rep.unmatched_eigenvalues) - len(unmatched)
-        matched_dev = max((d for *_, d in rep.pairs), default=0.0)
-        n_unmatched = len(unmatched) + len(rep.unmatched_solutions)
-        out.append(_report("bethe", f"spectrum match (n={n})",
-                           max(matched_dev, float(n_unmatched)),
+        out.append(_report("bethe", f"spectrum match (n={n})", _match_residual(rep),
                            TOLERANCES["bethe_match"], n=n,
-                           unmatched_eigenvalues=unmatched,
+                           unmatched_eigenvalues=rep.unmatched_eigenvalues,
                            unmatched_solutions=rep.unmatched_solutions,
-                           unmatched_no_degree_n_q=excused, **cond))
+                           unmatched_no_degree_n_q=len(rep.no_degree_n_q), **cond))
     return out
 
 
@@ -439,7 +442,7 @@ _SIGMA2_POINTS = np.array([0.63, -0.213])
 
 
 def check_sigma2(ctx):
-    if 2 not in ctx.config.sectors or ctx.params.L < 2:
+    if 2 not in ctx.config.sectors:
         return []
     worst = np.abs(odes.sigma2_residual(ctx.lam(2), _SIGMA2_POINTS, ctx.params)).max()
     return [_report("sigma2", "second-order ODE (coalescing reduction)",
@@ -718,27 +721,31 @@ def cmd_bethe(args):
     cfg = _load_config(args)
     out = cfg.output_dir
     tol = TOLERANCES["bethe_residual"]
-    # root-finding and matching are exercised in the low sectors, where the
-    # all-up reference state gives the Bethe description
-    sectors = [n for n in cfg.sectors if n in (1, 2)]
+    sectors = _bethe_sectors(cfg.sectors)
     if not sectors:
         raise ConfigError(f"bethe needs sector 1 or 2 in sectors, got {cfg.sectors}")
-    try:
-        loaded = bt.roots_from_json(Path(args.roots).read_text()) if args.roots else []
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"{args.roots}: {exc}") from exc
-    # --verify-only with --roots needs no eigensystem, so no samples
-    samples = (None if args.roots and args.verify_only
-               else sample_sectors(cfg.model, sectors))
+    if args.verify_only and not args.roots:
+        raise ConfigError("--verify-only judges the root sets of --roots; none given")
+    if args.roots:
+        try:
+            loaded = bt.roots_from_json(Path(args.roots).read_text())
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"{args.roots}: {exc}") from exc
+        held = sorted({s.n for s in loaded})
+        if not held or not set(held) <= set(sectors):
+            raise ConfigError(f"{args.roots}: holds root sets of sectors {held}, "
+                              f"bethe judges sectors {sectors}")
+        sectors = held
+    # samples only the sectors judged, on first use: --verify-only builds nothing
+    ctx = VerifyContext(replace(cfg, sectors=sectors, checks=["bethe"]))
     incomplete = False
     rows = []
     for n in sectors:
-        es = None if samples is None else diagonalize_blocks(cfg.model, n, samples[n])
         if args.roots:
             sols = [replace(s, residual=bt.solution_residual(s, cfg.model))
                     for s in loaded if s.n == n]
         else:
-            sols = bt.solve_bae(es)
+            sols = ctx.bethe(n)[0]
         atomic_write_text(out / f"roots-n{n}.json", bt.roots_to_json(sols))
         for i, s in enumerate(sols):
             if not s.residual <= tol:
@@ -749,17 +756,15 @@ def cmd_bethe(args):
             rows.extend((n, i, "-", s.residual, s.source, s.singular)
                         for i, s in enumerate(sols))
             continue
-        rep = bt.match_spectrum(cfg.model, n, sols, es)
-        for si, ei, dev in rep.pairs:
-            rows.append((n, si, ei, dev, sols[si].source, sols[si].singular))
-        if not rep.complete:
-            incomplete = True
-            print(f"sector {n}: {len(rep.unmatched_eigenvalues)} unmatched "
-                  f"eigenvalues {rep.unmatched_eigenvalues}, "
-                  f"{len(rep.unmatched_solutions)} unmatched solutions")
-        else:
-            print(f"sector {n}: {len(rep.pairs)} of {es.size} eigenvalues "
-                  f"matched, max deviation {rep.max_deviation:.2e}")
+        es = ctx.eigensystem(n)
+        rep = bt.match_spectrum(cfg.model, n, sols, es) if args.roots else ctx.match(n)
+        rows.extend((n, si, ei, dev, sols[si].source, sols[si].singular)
+                    for si, ei, dev in rep.pairs)
+        incomplete |= not _match_residual(rep) <= TOLERANCES["bethe_match"]
+        print(f"sector {n}: {len(rep.pairs)} of {es.size} eigenvalues matched, max "
+              f"deviation {rep.max_deviation:.2e}, {len(rep.no_degree_n_q)} without a "
+              f"degree-{n} Q; unmatched: eigenvalues {rep.unmatched_eigenvalues}, "
+              f"root sets {rep.unmatched_solutions}")
     write_csv(out / "bethe-matching.csv",
               ["sector", "solution", "eigenvalue", "deviation_or_residual",
                "source", "singular"], rows)

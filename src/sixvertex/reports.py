@@ -65,8 +65,14 @@ class RunConfig:
     perturb_lambda: float = 0.0
 
     def __post_init__(self):
-        # the fields a command line overrides (through `dataclasses.replace`),
-        # so a config file and an option are held to the same rules
+        # every field beside the model, which a config file sets and a command
+        # may `dataclasses.replace`, so both are held to the same rules
+        if not (isinstance(self.sectors, list)
+                and all(_is_int(n) and 0 <= n <= self.model.L for n in self.sectors)):
+            raise ConfigError(
+                f"sectors must be integers in [0, {self.model.L}]: {self.sectors}")
+        if len(set(self.sectors)) != len(self.sectors):
+            raise ConfigError(f"sectors must not repeat: {self.sectors}")
         if not (_is_int(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be a non-negative integer: {self.seed!r}")
         if not _is_finite(self.perturb_lambda):
@@ -88,18 +94,12 @@ class RunConfig:
             model = ModelParams.from_dict(d.get("model", _REFERENCE_MODEL))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad model section: {exc}") from exc
-        sectors = d.get("sectors", list(range(model.L + 1)))
-        if not isinstance(sectors, (list, tuple)) or not all(
-                _is_int(n) and 0 <= n <= model.L for n in sectors):
-            raise ConfigError(f"sectors must be integers in [0, {model.L}]: {sectors}")
-        if len(set(sectors)) != len(sectors):
-            raise ConfigError(f"sectors must not repeat: {sectors}")
         if "tolerances" in d:
             raise ConfigError("tolerances are not configurable: each row's bound is "
                               "fixed in sixvertex.cli.TOLERANCES")
-        return cls(model=model, sectors=list(sectors), seed=d.get("seed", 1234),
-                   output_dir=d.get("output_dir", "out"), checks=d.get("checks", []),
-                   perturb_lambda=d.get("perturb_lambda", 0.0))
+        return cls(model=model, sectors=d.get("sectors", list(range(model.L + 1))),
+                   seed=d.get("seed", 1234), output_dir=d.get("output_dir", "out"),
+                   checks=d.get("checks", []), perturb_lambda=d.get("perturb_lambda", 0.0))
 
     @classmethod
     def from_file(cls, path):
@@ -292,9 +292,8 @@ class ResultCache:
                     return None
                 return EigenSystem(
                     params=params, n=n, x_star=complex(data["x_star"][0]),
-                    indices=data["indices"], eigs=data["eigs"],
-                    right=data["right"], left=data["left"], coeffs=data["coeffs"],
-                )
+                    eigs=data["eigs"], right=data["right"], left=data["left"],
+                    coeffs=data["coeffs"])
         except (OSError, ValueError):
             return None
 
@@ -304,19 +303,11 @@ class ResultCache:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".npz")
         os.close(fd)
         try:
-            np.savez(tmp, x_star=np.array([es.x_star]), indices=np.array(es.indices),
-                     eigs=es.eigs, right=es.right, left=es.left,
-                     coeffs=es.coeffs)
+            np.savez(tmp, x_star=np.array([es.x_star]), eigs=es.eigs,
+                     right=es.right, left=es.left, coeffs=es.coeffs)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
-
-    def sector(self, key, n, params, compute):
-        es = self.load_sector(key, n, params)
-        if es is None:
-            es = compute()
-            self.store_sector(key, es)
-        return es
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.fft  # numpy 2 loads it lazily; load it with the module, not mid-run
 
-from .model import ExpSum, ModelParams, monodromy_blocks, sector_indices, transfer
+from .model import ExpSum, ModelParams, monodromy_blocks, transfer
 
 __all__ = [
     "DegenerateSpectrum",
@@ -68,7 +68,6 @@ class EigenSystem:
     params: ModelParams
     n: int
     x_star: complex
-    indices: np.ndarray
     eigs: np.ndarray
     right: np.ndarray
     left: np.ndarray
@@ -164,8 +163,7 @@ def diagonalize_blocks(params: ModelParams, n, blocks):
         if (left is not None and (last_gap is None or last_gap > _COLLISION_TOL)
                 and 1 / np.linalg.norm(left, axis=1).max() > 1e-10):
             return EigenSystem(
-                params=params, n=n, x_star=x_try,
-                indices=sector_indices(L, n), eigs=w, right=vr, left=left,
+                params=params, n=n, x_star=x_try, eigs=w, right=vr, left=left,
                 coeffs=np.ascontiguousarray(((left @ blocks) * vr.T).sum(-1).T),
             )
         x_try = x_try + 0.137 + 0.061j * (attempt + 1)

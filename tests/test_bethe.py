@@ -286,6 +286,10 @@ class TestSolver:
         assert bt.solve_bae(es) == []
         assert bt.conditioning([], es, 1e-12)["no_degree_n_q"] == 1
         assert bt.no_degree_n_q(es, [0]) == [0]
+        # the match excuses it, so the empty collection is complete
+        rep = bt.match_spectrum(p2, 2, [], es)
+        assert rep.complete and rep.no_degree_n_q == [0]
+        assert rep.unmatched_eigenvalues == [] and rep.max_deviation == 0.0
         es1 = oracle.eigensystem(p2, 1)
         assert bt.no_degree_n_q(es1, range(es1.size)) == []
         assert bt.no_degree_n_q(es1, []) == []

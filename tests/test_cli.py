@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,13 @@ class TestConfig:
     def test_sector_labels_are_distinct_integers(self, sectors):
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"sectors": sectors})
+
+    @pytest.mark.parametrize("sectors", [[5], [-1], [1, 1], (1, 2), [1.0]])
+    def test_sector_labels_checked_on_every_config(self, sectors):
+        # checked by the dataclass itself, so a replaced config is held to
+        # the rules of a loaded one
+        with pytest.raises(ConfigError):
+            replace(RunConfig.reference(), sectors=sectors)
 
     @pytest.mark.parametrize("config", [
         {"seed": "abc"}, {"seed": 1.7}, {"seed": True}, {"perturb_lambda": "x"},
@@ -434,10 +442,12 @@ class TestVerifyCommand:
         assert (d["regular"], d["no_degree_n_q"], d["unmatched_no_degree_n_q"]) == (1, 0, 0)
 
     def test_dropped_root_set_fails_the_match(self, tmp_path, monkeypatch):
-        # an eigenvalue that has a degree-n Q is never excused
+        # an eigenvalue that has a degree-n Q is never excused, by the rows
+        # or by the command
         solve = cli.bt.solve_bae
         monkeypatch.setattr(cli.bt, "solve_bae", lambda es: solve(es)[1:])
         assert run(["verify", "--out", str(tmp_path), "--checks", "bethe"]) == 1
+        assert run(["bethe", "--out", str(tmp_path / "bethe")]) == 1
         rows = [json.loads(line)
                 for line in (tmp_path / "reports.jsonl").read_text().splitlines()]
         match = [r for r in rows if r["identity"].startswith("spectrum match")]
@@ -757,6 +767,52 @@ class TestBetheCommand:
         assert run(["bethe", "--config", cfg, "--out", str(tmp_path / "mv"),
                     "--roots", str(moved), "--verify-only"]) == 2
 
+    @pytest.mark.parametrize("model", [{"L": 2, "gamma": 0.7}, {"L": 3, "gamma": 0.7},
+                                       {"L": 4, "gamma": 0.7}, generic_model(6, 1)],
+                             ids=["reference-2", "reference-3", "reference-4",
+                                  "generic-6-1"])
+    def test_exit_code_is_the_verdict_of_the_bethe_rows(self, tmp_path, model):
+        # both judge a sector through the same match, which excuses the
+        # eigenvalues without a degree-n Q (the n = L = 2 one among them)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": model}))
+        code = run(["bethe", "--config", str(cfg), "--out", str(tmp_path / "b")])
+        assert code == run(["verify", "--config", str(cfg), "--checks", "bethe",
+                            "--out", str(tmp_path / "v")]) == 0
+
+    def test_roots_file_judges_only_its_sectors(self, tmp_path):
+        # the README's pair of lines: re-judging the n=2 file leaves the n=1
+        # file alone and builds nothing, and the file passes the match of its
+        # own sector
+        out = tmp_path / "out"
+        assert run(["bethe", "--out", str(out)]) == 0
+        n1 = (out / "roots-n1.json").read_bytes()
+        roots = ["--roots", str(out / "roots-n2.json"), "--out", str(out)]
+        builds = cli.model.builds
+        assert run(["bethe", *roots, "--verify-only"]) == 0
+        assert cli.model.builds == builds
+        assert run(["bethe", *roots]) == 0
+        assert (out / "roots-n1.json").read_bytes() == n1
+        rows = (out / "bethe-matching.csv").read_text().splitlines()[1:]
+        assert len(rows) == 6 and all(r.startswith("2,") for r in rows)
+
+    @pytest.mark.parametrize("roots,extra", [
+        ([], ["--verify-only"]),
+        ([{"n": 3, "roots": [[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]]}], ["--verify-only"]),
+        ([{"n": 1, "roots": [[0.4, 0.2]]}], ["--config", "sectors-2"]),
+        (None, ["--verify-only"]), (None, ["--roots", "no-such-roots.json"])],
+        ids=["empty", "sector-3", "unjudged-sector", "verify-only-alone", "no-file"])
+    def test_input_that_judges_nothing_is_config_error(self, tmp_path, roots, extra):
+        cfg = tmp_path / "sectors-2.json"
+        cfg.write_text(json.dumps({"sectors": [2]}))
+        argv = ["bethe", "--out", str(tmp_path / "out")]
+        if roots is not None:
+            (tmp_path / "roots.json").write_text(json.dumps(roots))
+            argv += ["--roots", str(tmp_path / "roots.json")]
+        argv += [str(cfg) if a == "sectors-2" else a for a in extra]
+        assert run(argv) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_verify_only_rejects_bad_roots(self, tmp_path):
         bad = [{"n": 1, "roots": [[0.4, 0.2]], "residual": 0.0,
                 "source": "user", "singular": False}]
@@ -834,29 +890,26 @@ class TestCache:
         from sixvertex.reports import ResultCache
         from sixvertex.spectrum import diagonalize_sector
         cache = ResultCache(tmp_path)
-        es = cache.sector("k1", 1, params,
-                          lambda: diagonalize_sector(params, 1))
-        calls = []
-        es2 = cache.sector("k1", 1, params,
-                           lambda: calls.append(1) or None)
-        assert not calls  # served from disk
+        assert cache.load_sector("k1", 1, params) is None
+        es = diagonalize_sector(params, 1)
+        cache.store_sector("k1", es)
+        es2 = cache.load_sector("k1", 1, params)  # served from disk
         assert np.allclose(es2.eigs, es.eigs)
         assert np.allclose(es2.right, es.right)
         assert np.array_equal(es2.coeffs, es.coeffs)
 
     def test_entry_without_coefficients_is_a_miss(self, tmp_path, params):
         # entries written before eigenvalues became exact sums carry no
-        # coefficient array; they are recomputed and rewritten
+        # coefficient array; they are a miss until rewritten
         from sixvertex.reports import ResultCache
         from sixvertex.spectrum import diagonalize_sector
         es = diagonalize_sector(params, 1)
         np.savez(tmp_path / "eig-k1-n1.npz", x_star=np.array([es.x_star]),
-                 indices=np.array(es.indices), eigs=es.eigs, right=es.right,
-                 left=es.left, flags=np.zeros(es.size, dtype=bool))
+                 eigs=es.eigs, right=es.right, left=es.left,
+                 flags=np.zeros(es.size, dtype=bool))
         cache = ResultCache(tmp_path)
         assert cache.load_sector("k1", 1, params) is None
-        es2 = cache.sector("k1", 1, params, lambda: es)
-        assert es2 is es
+        cache.store_sector("k1", es)
         assert np.array_equal(cache.load_sector("k1", 1, params).coeffs, es.coeffs)
 
 
