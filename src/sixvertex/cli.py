@@ -39,35 +39,40 @@ class VerifyContext:
     solutions and their oracle matches are built once, on first use, and
     kept for the run; each build is timed as its own entry of `shared`, with
     the monodromy builds it made, so no check is charged for work that
-    others reuse.  The samples cover the configured sectors, and every
-    sector 0..L when the run has `transfer-commute`.  Each eigensystem is
-    diagonalized in memory from the samples; nothing is kept between runs."""
+    others reuse.  The samples cover the `SECTORS` entries of the run's
+    checks.  Each eigensystem is diagonalized in memory from the samples;
+    nothing is kept between runs."""
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.params = config.model
         self.rng = PCG64Stream(config.seed)
-        self._sampled = (range(self.params.L + 1)
-                         if "transfer-commute" in (config.checks or CHECKS)
-                         else config.sectors)
+        self._sampled = sorted({n for name in config.checks or CHECKS
+                                for n in SECTORS.get(name, lambda L: ())(self.params.L)})
         self._samples = None
         self._eigs = {}
         self._bethe = {}
         self._match = {}
-        # one entry per memo miss: work, n, seconds, builds (cmd_verify adds
-        # the check)
+        # one entry per memo miss: work, n, seconds, builds (and check, in verify)
         self.shared = []
+
+    def measured(self, work):
+        """work(), the `shared` entries it added, and its ledger: inclusive
+        seconds, and the seconds and monodromy builds less those entries."""
+        t0, b0, first = time.perf_counter(), model.builds, len(self.shared)
+        out = work()
+        inclusive, nested = time.perf_counter() - t0, self.shared[first:]
+        return out, nested, {
+            "inclusive_s": inclusive,
+            "exclusive_s": inclusive - sum(e["seconds"] for e in nested),
+            "exclusive_builds": model.builds - b0 - sum(e["builds"] for e in nested)}
 
     def _timed(self, work, n, build):
         """build() and its `shared` entry, which leaves out the shared work
         that build() triggers (it has entries of its own, ahead of it)."""
-        t0, b0, first = time.perf_counter(), model.builds, len(self.shared)
-        out = build()
-        nested = self.shared[first:]
-        self.shared.append({
-            "work": work, "n": n,
-            "seconds": time.perf_counter() - t0 - sum(e["seconds"] for e in nested),
-            "builds": model.builds - b0 - sum(e["builds"] for e in nested)})
+        out, _, ledger = self.measured(build)
+        self.shared.append({"work": work, "n": n, "seconds": ledger["exclusive_s"],
+                            "builds": ledger["exclusive_builds"]})
         return out, self.shared[-1]
 
     def samples(self):
@@ -155,8 +160,8 @@ def check_transfer_commute(ctx):
     L = ctx.params.L
     comm = np.zeros((L + 1, L + 1))     # squared norms, summed over sectors
     norm = np.zeros(L + 1)
-    for blocks in ctx.samples().values():
-        S = np.fft.fft(blocks, axis=0)  # the sector's samples
+    for n in SECTORS["transfer-commute"](L):
+        S = np.fft.fft(ctx.samples()[n], axis=0)  # the sector's samples
         norm += np.linalg.norm(S, axis=(1, 2)) ** 2
         for i in range(L):              # sample i against every later one
             C = S[i] @ S[i + 1:]
@@ -210,7 +215,7 @@ def check_exchange(ctx):
 
 
 def check_polynomial(ctx):
-    systems = [ctx.eigensystem(n) for n in ctx.config.sectors]
+    systems = [ctx.eigensystem(n) for n in SECTORS["polynomial"](ctx.params.L)]
     worst = max((r.max() for r in polynomial_residuals(systems)), default=0.0)
     out = [_report("polynomial", "u^{L/2} Lam(x) is degree-L in u", worst,
                    TOLERANCES["polynomial_fit"])]
@@ -222,10 +227,6 @@ def check_polynomial(ctx):
     return out
 
 
-def _small_sectors(ctx, cap=3):
-    return [n for n in ctx.config.sectors if 1 <= n <= min(cap, ctx.params.L - 1)]
-
-
 def _sample_points(ctx, count):
     return list(ctx.rng.uniform(-0.9, 1.1, count)
                 + 1j * ctx.rng.uniform(-0.2, 0.2, count))
@@ -233,7 +234,7 @@ def _sample_points(ctx, count):
 
 def check_linear_problem(ctx):
     out = []
-    for n in _small_sectors(ctx):
+    for n in SECTORS["linear-problem"](ctx.params.L):
         es = ctx.eigensystem(n)
         pts = _sample_points(ctx, n + 1)
         count = min(es.size, 4)
@@ -254,7 +255,7 @@ def check_compatibility(ctx):
     """One extended matrix per sector, for a stack of the first four
     eigenvalues, the on-shell eigenvalue 0 and its 1%-off control."""
     out = []
-    for n in _small_sectors(ctx):
+    for n in SECTORS["compatibility"](ctx.params.L):
         pts = [0.31, -0.42, 0.55, 0.9][:n + 1]
         es = ctx.eigensystem(n)
         count, f = min(es.size, 4), es.lam(0)
@@ -276,7 +277,7 @@ def check_compatibility(ctx):
 def check_nonlinear(ctx):
     out = []
     p = ctx.params
-    if 1 in ctx.config.sectors:
+    if 1 in SECTORS["nonlinear"](p.L):
         x0, x1 = 0.31, -0.42
         # the sector, then the cross-check's off-shell eigenvalue: one m-matrix
         f = ctx.eigensystem(1).lam(0)
@@ -290,7 +291,7 @@ def check_nonlinear(ctx):
         d = np.linalg.det(fx.extended_matrix([x0, x1], bad, p))
         out.append(_report("nonlinear-n1", "agrees with determinant path",
                            abs(r[-1] - d) / abs(d), TOLERANCES["nonlinear_n1_det"]))
-    if 2 in ctx.config.sectors:
+    if 2 in SECTORS["nonlinear"](p.L):
         pts = (0.31, -0.42, 0.55)
         lam = ctx.lam(2)
         scale = np.abs(lam(pts[0]) * lam(pts[1]) * lam(pts[2]))
@@ -302,9 +303,7 @@ def check_nonlinear(ctx):
 
 def check_transport(ctx):
     out = []
-    for n in _small_sectors(ctx):
-        if n < 2:
-            continue
+    for n in SECTORS["transport"](ctx.params.L):
         es = ctx.eigensystem(n)
         lam = ctx.lam(n, 0)
         pts = _sample_points(ctx, n + 1)
@@ -327,7 +326,7 @@ def check_transport(ctx):
 def check_reduced_det(ctx):
     out = []
     p = ctx.params
-    for n in [n for n in ctx.config.sectors if 2 <= n <= min(4, p.L - 1)]:
+    for n in SECTORS["reduced-det"](p.L):
         es = ctx.eigensystem(n)
         lam = ctx.lam(n, min(1, es.size - 1))
         pts = _sample_points(ctx, n + 1)
@@ -356,9 +355,7 @@ def check_reduced_det(ctx):
 
 def check_theta(ctx):
     out = []
-    for n in _small_sectors(ctx, cap=2):
-        if n < 2:
-            continue
+    for n in SECTORS["theta"](ctx.params.L):
         lam = ctx.lam(n, 0)
         pts = [0.31, -0.42, 0.55][:n + 1]
         worst = 0.0
@@ -370,32 +367,25 @@ def check_theta(ctx):
 
 
 def check_conserved_n1(ctx):
-    if 1 not in ctx.config.sectors:
-        return []
     out = []
     p = ctx.params
-    v, _, _ = fx.conserved_n1(np.array([0.2, 0.9]), ctx.lam(1), p)
-    out.append(_report("conserved-n1", "constancy across x",
-                       np.abs(v[:, 0] - v[:, 1]).max(),
-                       TOLERANCES["conserved_constancy"]))
-    # closed form against a Bethe root
-    sols, _ = ctx.bethe(1)
-    pairs = ctx.match(1).pairs
-    worst = 0.0
-    if pairs:
-        val, _, _ = fx.conserved_n1(0.4, ctx.lam(1, [ei for _, ei, _ in pairs]), p)
-        target = np.array([fx.conserved_n1_closed_form(sols[si].roots[0], p)
-                           for si, _, _ in pairs])
-        worst = (np.abs(np.exp(val) - target) / np.abs(target)).max()
-    out.append(_report("conserved-n1", "exp equals coth(w1) + dlm(0)/lm(0)",
-                       worst, TOLERANCES["conserved_closed_form"]))
+    for n in SECTORS["conserved-n1"](p.L):
+        v, _, _ = fx.conserved_n1(np.array([0.2, 0.9]), ctx.lam(n), p)
+        out.append(_report("conserved-n1", "constancy across x",
+                           np.abs(v[:, 0] - v[:, 1]).max(),
+                           TOLERANCES["conserved_constancy"]))
+        # closed form against a Bethe root
+        sols, _ = ctx.bethe(n)
+        pairs = ctx.match(n).pairs
+        worst = 0.0
+        if pairs:
+            val, _, _ = fx.conserved_n1(0.4, ctx.lam(n, [ei for _, ei, _ in pairs]), p)
+            target = np.array([fx.conserved_n1_closed_form(sols[si].roots[0], p)
+                               for si, _, _ in pairs])
+            worst = (np.abs(np.exp(val) - target) / np.abs(target)).max()
+        out.append(_report("conserved-n1", "exp equals coth(w1) + dlm(0)/lm(0)",
+                           worst, TOLERANCES["conserved_closed_form"]))
     return out
-
-
-def _bethe_sectors(sectors):
-    """Those of `sectors` whose Bethe roots are solved and matched: 1 and 2,
-    where the all-up reference state gives the Bethe description."""
-    return [n for n in sectors if n in (1, 2)]
 
 
 def _match_residual(rep):
@@ -407,7 +397,7 @@ def _match_residual(rep):
 
 def check_bethe_match(ctx):
     out = []
-    for n in _bethe_sectors(ctx.config.sectors):
+    for n in SECTORS["bethe"](ctx.params.L):
         sols, cond = ctx.bethe(n)
         res = max((s.residual for s in sols), default=0.0)
         out.append(_report("bethe", f"residue-form residuals (n={n})", res,
@@ -423,16 +413,16 @@ def check_bethe_match(ctx):
 
 
 def check_riccati_n1(ctx):
-    if 1 not in ctx.config.sectors:
-        return []
-    lam, xs = ctx.lam(1), np.array([0.43, 0.9])
-    r = odes.riccati_lambda_residual(lam, xs, ctx.params)
-    out = [_report("riccati-n1", "first-order quadratic ODE",
-                   np.abs(r).max(), TOLERANCES["riccati_n1"])]
-    s = odes.sigma1_residual(lam, xs, ctx.params)
-    out.append(_report("riccati-n1", "surface form agrees",
-                       np.maximum(np.abs(s), np.abs(r - s)).max(),
-                       TOLERANCES["sigma1"]))
+    out, xs = [], np.array([0.43, 0.9])
+    for n in SECTORS["riccati-n1"](ctx.params.L):
+        lam = ctx.lam(n)
+        r = odes.riccati_lambda_residual(lam, xs, ctx.params)
+        out.append(_report("riccati-n1", "first-order quadratic ODE",
+                           np.abs(r).max(), TOLERANCES["riccati_n1"]))
+        s = odes.sigma1_residual(lam, xs, ctx.params)
+        out.append(_report("riccati-n1", "surface form agrees",
+                           np.maximum(np.abs(s), np.abs(r - s)).max(),
+                           TOLERANCES["sigma1"]))
     return out
 
 
@@ -442,20 +432,22 @@ _SIGMA2_POINTS = np.array([0.63, -0.213])
 
 
 def check_sigma2(ctx):
-    if 2 not in ctx.config.sectors:
-        return []
-    worst = np.abs(odes.sigma2_residual(ctx.lam(2), _SIGMA2_POINTS, ctx.params)).max()
-    return [_report("sigma2", "second-order ODE (coalescing reduction)",
-                    worst, TOLERANCES["sigma2"])]
+    out = []
+    for n in SECTORS["sigma2"](ctx.params.L):
+        worst = np.abs(odes.sigma2_residual(ctx.lam(n), _SIGMA2_POINTS, ctx.params)).max()
+        out.append(_report("sigma2", "second-order ODE (coalescing reduction)",
+                           worst, TOLERANCES["sigma2"]))
+    return out
 
 
 def check_riccati2(ctx):
-    if 2 not in ctx.config.sectors or not ctx.params.reference_point:
-        return []
-    worst = np.abs(odes.riccati2_residual(ctx.lam(2), np.array([0.43, 0.8]),
-                                          ctx.params)).max()
-    return [_report("riccati2", "standard Riccati at untwisted point", worst,
-                    TOLERANCES["riccati2"])]
+    out = []
+    for n in SECTORS["riccati2"](ctx.params.L) if ctx.params.reference_point else ():
+        worst = np.abs(odes.riccati2_residual(ctx.lam(n), np.array([0.43, 0.8]),
+                                              ctx.params)).max()
+        out.append(_report("riccati2", "standard Riccati at untwisted point", worst,
+                           TOLERANCES["riccati2"]))
+    return out
 
 
 def check_riccati_h(ctx):
@@ -485,9 +477,8 @@ def check_u_equation(ctx):
     """With u'/u = Lam/(c lam_minus), the linear second-order equation for u
     divided by u is minus the `riccati-n1` numerator: judged pointwise on
     the Bethe-root evaluator."""
-    if 1 not in ctx.config.sectors:
-        return []
-    sols = [s for s in ctx.bethe(1)[0] if not s.singular]
+    sols = [s for n in SECTORS["u-equation"](ctx.params.L) for s in ctx.bethe(n)[0]
+            if not s.singular]
     if not sols:
         return []
     ev = bt.RootEigenvalue(sols[0].roots, ctx.params)
@@ -519,15 +510,15 @@ def check_pde(ctx):
 
 
 def check_schrodinger(ctx):
-    if 2 not in ctx.config.sectors or not ctx.params.reference_point:
-        return []
-    worst = odes.schrodinger_map_residual(ctx.lam(2), _ODE_POINTS, ctx.params).max()
-    out = [_report("schrodinger", "psi'' + (V - 1) psi = 0, energy fixed",
-                   worst, TOLERANCES["schrodinger"])]
-    broken = odes.schrodinger_map_residual(ctx.lam(2, 0), _ODE_POINTS, ctx.params,
-                                           potential_scale=1.1).max()
-    out.append(_exceed_report("schrodinger", "scaled potential rejected",
-                              broken, TOLERANCES["negative_control"]))
+    out = []
+    for n in SECTORS["schrodinger"](ctx.params.L) if ctx.params.reference_point else ():
+        worst = odes.schrodinger_map_residual(ctx.lam(n), _ODE_POINTS, ctx.params).max()
+        out.append(_report("schrodinger", "psi'' + (V - 1) psi = 0, energy fixed",
+                           worst, TOLERANCES["schrodinger"]))
+        broken = odes.schrodinger_map_residual(ctx.lam(n, 0), _ODE_POINTS, ctx.params,
+                                               potential_scale=1.1).max()
+        out.append(_exceed_report("schrodinger", "scaled potential rejected",
+                                  broken, TOLERANCES["negative_control"]))
     return out
 
 
@@ -538,7 +529,7 @@ def check_root_of_unity(ctx):
     out = [_report("root-of-unity", "O^L = Id", power,
                    TOLERANCES["root_of_unity_power"])]
     devs = odes.omega0_sector_deviations(
-        ctx.params, {n: ctx.lam(n) for n in ctx.config.sectors})
+        ctx.params, {n: ctx.lam(n) for n in SECTORS["root-of-unity"](ctx.params.L)})
     worst = max((v.max() for v in devs.values()), default=0.0)
     out.append(_report("root-of-unity", "(Lam(0)/c^L)^L = 1", worst,
                        TOLERANCES["root_of_unity_sector"]))
@@ -547,19 +538,12 @@ def check_root_of_unity(ctx):
 
 def check_potential(ctx):
     g = 0.3
-    xs = np.linspace(-6, 6, 301)
-    worst_im = 0.0
-    for om0 in (1.0, 1j):
-        vals = odes.potential_v(xs[np.abs(np.sinh(xs + g) ** 2 / om0
-                                          - om0 * np.sinh(xs) ** 2) > 1e-3], om0, g)
-        worst_im = max(worst_im, float(np.abs(vals.imag).max()))
-    out = [_report("potential", "V real on the real axis", worst_im,
+    well, barrier = (odes.potential_profile(om0, g, (-6, 6), 601) for om0 in (1.0, 1j))
+    wvals, bvals = (prof.values[np.isfinite(prof.values)] for prof in (well, barrier))
+    out = [_report("potential", "V real on the real axis",
+                   max(np.abs(wvals.imag).max(), np.abs(bvals.imag).max()),
                    TOLERANCES["potential_reality"])]
-    barrier = odes.potential_profile(1j, g, (-6, 6), 601)
-    vals = barrier.values[np.isfinite(barrier.values)]
-    ok_barrier = bool((vals.real > -1e-12).all()) and not barrier.poles
-    well = odes.potential_profile(1.0, g, (-6, 6), 601)
-    wvals = well.values[np.isfinite(well.values)]
+    ok_barrier = bool((bvals.real > -1e-12).all()) and not barrier.poles
     pole_dev = min((abs(px + g / 2) for px in well.poles), default=float("inf"))
     ok_well = bool((wvals.real < 1e-12).all())
     shape_penalty = 0.0 if (ok_barrier and ok_well) else 1.0
@@ -605,6 +589,32 @@ TOLERANCES = {
     "root_of_unity_sector": 1e-9,
     "potential_reality": 1e-12,
     "potential_shape": 1e-6,
+}
+
+
+# the sectors whose samples or eigensystems each check reads at chain length L
+# (none if not listed); the linear problem and its determinants need n <= L - 1
+SECTORS = {
+    "transfer-commute": lambda L: range(L + 1),
+    "polynomial": lambda L: range(L + 1),
+    "linear-problem": lambda L: range(1, min(3, L - 1) + 1),
+    "compatibility": lambda L: range(1, min(3, L - 1) + 1),
+    "nonlinear": lambda L: range(1, min(2, L) + 1),
+    "transport": lambda L: range(2, min(3, L - 1) + 1),
+    "reduced-det": lambda L: range(2, min(4, L - 1) + 1),
+    "theta": lambda L: range(2, min(2, L - 1) + 1),
+    # G+/G- = d/dy log(lam_minus(y) sinh(y + w1)) at y = 0, and lam_minus(w1) = 0
+    # is the root's Bethe equation: over the L zeros w_k of lam_minus, G+/G- =
+    # -sum_{k > 1} coth(w_k).  At L = 1 none is left, G+ = 0 at every x and the
+    # log is undefined: the identity needs n <= L - 1
+    "conserved-n1": lambda L: range(1, min(1, L - 1) + 1),
+    "bethe": lambda L: range(1, min(2, L) + 1),
+    "riccati-n1": lambda L: [1],
+    "sigma2": lambda L: range(2, min(2, L) + 1),
+    "riccati2": lambda L: range(2, min(2, L) + 1),
+    "u-equation": lambda L: [1],
+    "schrodinger": lambda L: range(2, min(2, L) + 1),
+    "root-of-unity": lambda L: range(L + 1),
 }
 
 
@@ -654,8 +664,8 @@ def _load_config(args):
 def cmd_spectrum(args):
     cfg = _load_config(args)
     out = cfg.output_dir
-    samples = sample_sectors(cfg.model, cfg.sectors)
-    systems = [diagonalize_blocks(cfg.model, n, samples[n]) for n in cfg.sectors]
+    samples = sample_sectors(cfg.model, range(cfg.model.L + 1))
+    systems = [diagonalize_blocks(cfg.model, n, blocks) for n, blocks in samples.items()]
     # exact coefficients, and their residual against direct builds of T(x)
     rows = []
     for es, residuals in zip(systems, polynomial_residuals(systems)):
@@ -669,7 +679,7 @@ def cmd_spectrum(args):
     write_csv(out / "spectrum.csv",
               ["sector", "k", "re_eig_at_xstar", "im_eig_at_xstar", "fit_residual"],
               rows)
-    print(f"wrote {len(cfg.sectors)} sector files and spectrum.csv to {out}/")
+    print(f"wrote {len(systems)} sector files and spectrum.csv to {out}/")
     return EXIT_OK
 
 
@@ -687,27 +697,24 @@ def cmd_verify(args):
     cfg = _load_config(args)
     ctx = VerifyContext(cfg)
     names = cfg.checks or list(CHECKS)
-    reports = []
-    checks = []     # per check: inclusive time, and time and builds less shared work
-    for name in names:
-        t0, b0, first = time.perf_counter(), model.builds, len(ctx.shared)
+    reports, checks = [], []    # checks: per check, its `measured` ledger
+
+    def rows(name):
         try:
-            reports.extend(CHECKS[name](ctx))
+            return CHECKS[name](ctx)
         except DegenerateSpectrum:
             raise  # aborts the run (exit 3, in main)
         except Exception as exc:  # recorded as a failed report, run continues
-            reports.append(VerificationReport(
+            return [VerificationReport(
                 check=name, identity=f"exception: {type(exc).__name__}",
                 residual=float("inf"), tolerance=0.0, passed=False,
-                details={"message": str(exc)}))
-        inclusive = time.perf_counter() - t0
-        for entry in ctx.shared[first:]:
+                details={"message": str(exc)})]
+    for name in names:
+        out, shared, ledger = ctx.measured(lambda: rows(name))
+        reports.extend(out)
+        for entry in shared:
             entry["check"] = name
-        shared = ctx.shared[first:]
-        checks.append({"check": name, "inclusive_s": inclusive,
-                       "exclusive_s": inclusive - sum(e["seconds"] for e in shared),
-                       "exclusive_builds": model.builds - b0
-                       - sum(e["builds"] for e in shared)})
+        checks.append({"check": name, **ledger})
     for r in reports:
         r.parameters = {"model": cfg.model.to_dict(), "seed": cfg.seed}
     lines = [json.dumps(r.to_dict(), sort_keys=True) for r in reports]
@@ -721,9 +728,7 @@ def cmd_bethe(args):
     cfg = _load_config(args)
     out = cfg.output_dir
     tol = TOLERANCES["bethe_residual"]
-    sectors = _bethe_sectors(cfg.sectors)
-    if not sectors:
-        raise ConfigError(f"bethe needs sector 1 or 2 in sectors, got {cfg.sectors}")
+    sectors = list(SECTORS["bethe"](cfg.model.L))
     if args.verify_only and not args.roots:
         raise ConfigError("--verify-only judges the root sets of --roots; none given")
     if args.roots:
@@ -736,8 +741,8 @@ def cmd_bethe(args):
             raise ConfigError(f"{args.roots}: holds root sets of sectors {held}, "
                               f"bethe judges sectors {sectors}")
         sectors = held
-    # samples only the sectors judged, on first use: --verify-only builds nothing
-    ctx = VerifyContext(replace(cfg, sectors=sectors, checks=["bethe"]))
+    # samples SECTORS["bethe"], on first use: --verify-only builds nothing
+    ctx = VerifyContext(replace(cfg, checks=["bethe"]))
     incomplete = False
     rows = []
     for n in sectors:

@@ -58,7 +58,6 @@ class RunConfig:
     (L=4, gamma=0.7, homogeneous, untwisted)."""
 
     model: ModelParams
-    sectors: list
     seed: int = 1234
     output_dir: Path = Path("out")
     checks: list = field(default_factory=list)
@@ -67,12 +66,6 @@ class RunConfig:
     def __post_init__(self):
         # every field beside the model, which a config file sets and a command
         # may `dataclasses.replace`, so both are held to the same rules
-        if not (isinstance(self.sectors, list)
-                and all(_is_int(n) and 0 <= n <= self.model.L for n in self.sectors)):
-            raise ConfigError(
-                f"sectors must be integers in [0, {self.model.L}]: {self.sectors}")
-        if len(set(self.sectors)) != len(self.sectors):
-            raise ConfigError(f"sectors must not repeat: {self.sectors}")
         if not (_is_int(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be a non-negative integer: {self.seed!r}")
         if not _is_finite(self.perturb_lambda):
@@ -94,12 +87,13 @@ class RunConfig:
             model = ModelParams.from_dict(d.get("model", _REFERENCE_MODEL))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad model section: {exc}") from exc
-        if "tolerances" in d:
-            raise ConfigError("tolerances are not configurable: each row's bound is "
-                              "fixed in sixvertex.cli.TOLERANCES")
-        return cls(model=model, sectors=d.get("sectors", list(range(model.L + 1))),
-                   seed=d.get("seed", 1234), output_dir=d.get("output_dir", "out"),
-                   checks=d.get("checks", []), perturb_lambda=d.get("perturb_lambda", 0.0))
+        for key, table in (("tolerances", "TOLERANCES"), ("sectors", "SECTORS")):
+            if key in d:    # refused rather than run at the fixed values
+                raise ConfigError(f"{key} are not configurable: they are fixed in "
+                                  f"sixvertex.cli.{table}")
+        return cls(model=model, seed=d.get("seed", 1234),
+                   output_dir=d.get("output_dir", "out"), checks=d.get("checks", []),
+                   perturb_lambda=d.get("perturb_lambda", 0.0))
 
     @classmethod
     def from_file(cls, path):

@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,6 @@ class TestConfig:
         cfg = RunConfig.reference()
         assert cfg.model.L == 4
         assert cfg.model.gamma == 0.7
-        assert cfg.sectors == [0, 1, 2, 3, 4]
 
     def test_unknown_tolerance_rejected(self, tmp_path):
         # every bound is fixed in cli.TOLERANCES, so a config written to
@@ -46,21 +44,23 @@ class TestConfig:
             assert run(["verify", "--config", str(path), "--checks", "theta",
                         "--out", str(tmp_path / "out")]) == 2
 
-    def test_bad_sector_rejected(self):
-        with pytest.raises(ConfigError):
-            RunConfig.from_dict({"sectors": [0, 9]})
+    @pytest.mark.parametrize("command", ["spectrum", "verify", "bethe"])
+    def test_sectors_key_rejected(self, tmp_path, command):
+        # each check's sectors are fixed in cli.SECTORS, so a config that
+        # names sectors is refused rather than run on the fixed ones
+        with pytest.raises(ConfigError, match="cli.SECTORS"):
+            RunConfig.from_dict({"sectors": [1, 2]})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sectors": [0, 1, 2, 3, 4]}))
+        out = tmp_path / "out"
+        assert run([command, "--config", str(path), "--out", str(out)]) == 2
+        assert not out.exists()
 
-    @pytest.mark.parametrize("sectors", [[1, 1, True], [True], [1, 2, 1], 3])
-    def test_sector_labels_are_distinct_integers(self, sectors):
-        with pytest.raises(ConfigError):
-            RunConfig.from_dict({"sectors": sectors})
-
-    @pytest.mark.parametrize("sectors", [[5], [-1], [1, 1], (1, 2), [1.0]])
-    def test_sector_labels_checked_on_every_config(self, sectors):
-        # checked by the dataclass itself, so a replaced config is held to
-        # the rules of a loaded one
-        with pytest.raises(ConfigError):
-            replace(RunConfig.reference(), sectors=sectors)
+    def test_readme_config_is_the_reference(self):
+        # the README's example config holds the defaults
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        assert RunConfig.from_dict(json.loads(block)) == RunConfig.reference()
 
     @pytest.mark.parametrize("config", [
         {"seed": "abc"}, {"seed": 1.7}, {"seed": True}, {"perturb_lambda": "x"},
@@ -128,8 +128,7 @@ class TestSpectrumCommand:
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({
             "model": {"L": 1, "gamma": 0.7, "mu": [0.0],
-                      "phi1": 1.2, "phi2": 0.9},
-            "sectors": [0, 1]}))
+                      "phi1": 1.2, "phi2": 0.9}}))
         assert run(["spectrum", "--config", str(cfgfile),
                     "--out", str(tmp_path)]) == 0
         rec = json.loads((tmp_path / "spectrum-n0.json").read_text())
@@ -305,14 +304,15 @@ class TestVerifyCommand:
         row, = cli.check_transfer_commute(ctx)
         assert not row.passed and row.residual > 1e-8
 
-    def test_samples_cover_every_sector_only_for_transfer_commute(self, tmp_path):
+    def test_samples_cover_the_sectors_of_the_run_checks(self, tmp_path):
         def sampled(checks):
             ctx = cli.VerifyContext(RunConfig.reference(
-                sectors=[1, 2], checks=checks, output_dir=str(tmp_path)))
+                model={"L": 6, "gamma": 0.7}, checks=checks, output_dir=str(tmp_path)))
             return sorted(ctx.samples())
-        assert sampled(["polynomial"]) == [1, 2]
-        assert sampled(["polynomial", "transfer-commute"]) == [0, 1, 2, 3, 4]
-        assert sampled([]) == [0, 1, 2, 3, 4]     # every check runs
+        for name in cli.CHECKS:
+            assert sampled([name]) == list(cli.SECTORS.get(name, lambda L: [])(6)), name
+        assert sampled(["bethe", "transfer-commute"]) == list(range(7))
+        assert sampled([]) == list(range(7))     # every check runs
 
     def test_runs_leave_only_their_outputs(self, tmp_path):
         # spectrum, verify and bethe write their named outputs and nothing
@@ -518,11 +518,11 @@ class TestVerifyCommand:
 
 @pytest.fixture(scope="module")
 def reference_contexts(tmp_path_factory):
-    """Verify contexts at the reference point for L = 4, 6, 8, 10, sectors
-    1..3, sharing their eigensystems across tests."""
+    """Verify contexts of `compatibility` at the reference point for L = 4, 6,
+    8, 10 (sectors 1..3), sharing their eigensystems across tests."""
     out = tmp_path_factory.mktemp("controls")
     return {L: cli.VerifyContext(RunConfig.from_dict({
-        "model": {"L": L, "gamma": 0.7}, "sectors": [1, 2, 3],
+        "model": {"L": L, "gamma": 0.7}, "checks": ["compatibility"],
         "output_dir": str(out / f"L{L}")})) for L in (4, 6, 8, 10)}
 
 
@@ -545,21 +545,26 @@ class TestCompatibilityControl:
 
 def control_rows(L, point):
     """Identities that the eigenvalues scaled by 1.01 of a `--perturb-lambda
-    0.01` run fail, at the sectors n <= min(3, L-1) the checks take; the
-    last three rows run only at the homogeneous untwisted points (the
-    reference and critical families)."""
+    0.01` run fail, at the sectors n <= min(3, L-1) the checks take (at
+    L = 1 only sector 1, and of its rows not `conserved-n1`); the last three
+    rows run only at the homogeneous untwisted points (the reference and
+    critical families)."""
     ns = range(1, min(3, L - 1) + 1)
-    rows = {"two-point identity", "three-point identity", "constancy across x",
-            "exp equals coth(w1) + dlm(0)/lm(0)", "first-order quadratic ODE",
-            "surface form agrees", "second-order ODE (coalescing reduction)"}
+    rows = {"two-point identity", "first-order quadratic ODE", "surface form agrees"}
+    if L >= 2:
+        rows |= {"three-point identity", "constancy across x",
+                 "exp equals coth(w1) + dlm(0)/lm(0)",
+                 "second-order ODE (coalescing reduction)"}
     rows |= {f"sum_i M_i F_{n} = 0 (n={n})" for n in ns}
     rows |= {f"det extended matrix = 0 (n={n})" for n in ns}
     rows |= {f"det ratio = F ratio (n={n})" for n in ns if n >= 2}
     if L >= 3:
         rows.add("d_j theta_ij = 0 (n=2)")
     if point in ("reference", "critical"):
-        rows |= {"standard Riccati at untwisted point",
-                 "psi'' + (V - 1) psi = 0, energy fixed", "(Lam(0)/c^L)^L = 1"}
+        rows.add("(Lam(0)/c^L)^L = 1")
+        if L >= 2:
+            rows |= {"standard Riccati at untwisted point",
+                     "psi'' + (V - 1) psi = 0, energy fixed"}
     return rows
 
 
@@ -581,7 +586,7 @@ class TestScenarioMatrix:
         (L, point) for L in (2, 3, 5, 6)
         for point in ("reference", "generic", "complex-gamma", "critical",
                       "critical-generic")] + [
-            (8, "complex-gamma"), (9, "complex-gamma")])
+            (1, "reference"), (1, "generic"), (8, "complex-gamma"), (9, "complex-gamma")])
     def test_verify_passes_in_full(self, tmp_path, capsys, L, point):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": scenario(L, point)}))
@@ -708,14 +713,6 @@ class TestBetheCommand:
         assert (tmp_path / "roots-n1.json").exists()
         assert (tmp_path / "bethe-matching.csv").exists()
 
-    @pytest.mark.parametrize("L,sectors", [(1, [0]), (4, [0, 3])])
-    def test_sectors_without_1_or_2_are_config_error(self, tmp_path, L, sectors):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"model": {"L": L, "gamma": 0.7}, "sectors": sectors}))
-        out = tmp_path / "out"
-        assert run(["bethe", "--config", str(cfg), "--out", str(out)]) == 2
-        assert not list(out.glob("roots-n*.json"))
-
     def test_reproducible_bytes(self, tmp_path):
         run(["bethe", "--out", str(tmp_path / "a")])
         run(["bethe", "--out", str(tmp_path / "b")])
@@ -736,7 +733,7 @@ class TestBetheCommand:
     def test_verify_only_judges_at_check_tolerance(self, tmp_path):
         # roots with a tied near-singular pair pass after the JSON round
         # trip; one root moved by 1e-9 fails the check's 1e-12
-        cfg = generic_config(tmp_path, 14, sectors=[2])
+        cfg = generic_config(tmp_path, 14)
         assert run(["bethe", "--config", cfg, "--out", str(tmp_path)]) == 0
         recs = json.loads((tmp_path / "roots-n2.json").read_text())
         assert any(r["pairs"] for r in recs)
@@ -752,7 +749,7 @@ class TestBetheCommand:
     def test_verify_only_checks_tied_roots(self, tmp_path):
         # a tied root whose written value disagrees with its pair fails;
         # pairs that are not single ties are an input error
-        cfg = generic_config(tmp_path, 14, sectors=[2])
+        cfg = generic_config(tmp_path, 14)
         run(["bethe", "--config", cfg, "--out", str(tmp_path)])
         recs = json.loads((tmp_path / "roots-n2.json").read_text())
         rec = next(r for r in recs if r["pairs"])
@@ -799,17 +796,14 @@ class TestBetheCommand:
     @pytest.mark.parametrize("roots,extra", [
         ([], ["--verify-only"]),
         ([{"n": 3, "roots": [[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]]}], ["--verify-only"]),
-        ([{"n": 1, "roots": [[0.4, 0.2]]}], ["--config", "sectors-2"]),
         (None, ["--verify-only"]), (None, ["--roots", "no-such-roots.json"])],
-        ids=["empty", "sector-3", "unjudged-sector", "verify-only-alone", "no-file"])
+        ids=["empty", "sector-3", "verify-only-alone", "no-file"])
     def test_input_that_judges_nothing_is_config_error(self, tmp_path, roots, extra):
-        cfg = tmp_path / "sectors-2.json"
-        cfg.write_text(json.dumps({"sectors": [2]}))
         argv = ["bethe", "--out", str(tmp_path / "out")]
         if roots is not None:
             (tmp_path / "roots.json").write_text(json.dumps(roots))
             argv += ["--roots", str(tmp_path / "roots.json")]
-        argv += [str(cfg) if a == "sectors-2" else a for a in extra]
+        argv += extra
         assert run(argv) == 2
         assert not (tmp_path / "out").exists()
 

@@ -170,7 +170,7 @@ class TestPolynomiality:
         # the planted non-eigenvalue of the `polynomial` check must fail the
         # degree-L fit at odd L too
         cfg = RunConfig.from_dict({"model": {"L": L, "gamma": 0.7},
-                                   "sectors": [], "output_dir": str(tmp_path)})
+                                   "output_dir": str(tmp_path)})
         _, planted = cli.check_polynomial(cli.VerifyContext(cfg))
         assert planted.passed
         assert planted.details["measured"] > 1e-2
