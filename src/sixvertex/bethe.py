@@ -490,8 +490,11 @@ class MatchReport:
         return max((d for *_, d in self.pairs), default=0.0)
 
     @property
-    def complete(self):
-        return not self.unmatched_eigenvalues and not self.unmatched_solutions
+    def residual(self):
+        """The `spectrum match` residual: the worst matched deviation, or the
+        count of unmatched eigenvalues and sets if any."""
+        return max(self.max_deviation,
+                   float(len(self.unmatched_eigenvalues) + len(self.unmatched_solutions)))
 
 
 def _greedy_pairs(cost):

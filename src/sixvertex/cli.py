@@ -41,10 +41,12 @@ class VerifyContext:
     the monodromy builds it made, so no check is charged for work that
     others reuse.  The samples cover the `SECTORS` entries of the run's
     checks.  Each eigensystem is diagonalized in memory from the samples;
-    nothing is kept between runs."""
+    nothing is kept between runs.  A negative-control run (`perturb`) scales
+    every eigenvalue by `_CONTROL_FACTOR`."""
 
-    def __init__(self, config: RunConfig):
+    def __init__(self, config: RunConfig, perturb=False):
         self.config = config
+        self.factor = _CONTROL_FACTOR if perturb else 1.0
         self.params = config.model
         self.rng = PCG64Stream(config.seed)
         self._sampled = sorted({n for name in config.checks or CHECKS
@@ -96,10 +98,10 @@ class VerifyContext:
 
     def lam(self, n, k=slice(None)):
         """Exact eigenvalue sum k of sector n (a slice or index array gives
-        their stack, all of the sector by default), scaled by
-        1 + perturb_lambda (0 unless this is a negative-control run)."""
+        their stack, all of the sector by default), scaled by the run's
+        factor (1 unless this is a negative-control run)."""
         f = self.eigensystem(n).lam(k)
-        return ExpSum(f.ms, f.coeffs * (1 + self.config.perturb_lambda))
+        return ExpSum(f.ms, f.coeffs * self.factor)
 
     def bethe(self, n):
         """Root sets of sector n and their conditioning, which also goes on
@@ -131,11 +133,8 @@ def _exceed_report(check, identity, value, threshold, **details):
     """Record a must-exceed (negative-control) check as a margin residual,
     preserving the pass <=> residual <= tolerance invariant."""
     margin = threshold / max(float(value), 1e-300)
-    details["measured"] = float(value)
-    details["must_exceed"] = float(threshold)
-    return VerificationReport(
-        check=check, identity=identity, residual=margin, tolerance=1.0,
-        details=details)
+    return _report(check, identity, margin, 1.0, **details, measured=float(value),
+                   must_exceed=float(threshold))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +246,7 @@ def check_linear_problem(ctx):
 
 
 # scale of the planted 1%-off controls: the eigenvalue in `compatibility`,
-# the wave speed in `pde`
+# the wave speed in `pde`, every eigenvalue of a `verify --perturb-lambda` run
 _CONTROL_FACTOR = 1.01
 
 
@@ -274,15 +273,14 @@ def check_compatibility(ctx):
     return out
 
 
-def check_nonlinear(ctx):
-    out = []
-    p = ctx.params
-    if 1 in SECTORS["nonlinear"](p.L):
-        x0, x1 = 0.31, -0.42
+def check_nonlinear_n1(ctx):
+    out, p = [], ctx.params
+    x0, x1 = 0.31, -0.42
+    for n in SECTORS["nonlinear-n1"](p.L):
         # the sector, then the cross-check's off-shell eigenvalue: one m-matrix
-        f = ctx.eigensystem(1).lam(0)
+        f = ctx.eigensystem(n).lam(0)
         bad = ExpSum(f.ms, 1.07 * f.coeffs)
-        stack = ExpSum(f.ms, np.vstack([ctx.lam(1).coeffs, bad.coeffs]))
+        stack = ExpSum(f.ms, np.vstack([ctx.lam(n).coeffs, bad.coeffs]))
         r = fx.nonlinear_eq_n1_residual(x0, x1, stack, p)
         worst = (np.abs(r) / np.abs(stack(x0) * stack(x1)))[:-1].max()
         out.append(_report("nonlinear-n1", "two-point identity", worst,
@@ -291,11 +289,15 @@ def check_nonlinear(ctx):
         d = np.linalg.det(fx.extended_matrix([x0, x1], bad, p))
         out.append(_report("nonlinear-n1", "agrees with determinant path",
                            abs(r[-1] - d) / abs(d), TOLERANCES["nonlinear_n1_det"]))
-    if 2 in SECTORS["nonlinear"](p.L):
-        pts = (0.31, -0.42, 0.55)
-        lam = ctx.lam(2)
+    return out
+
+
+def check_nonlinear_n2(ctx):
+    out, pts = [], (0.31, -0.42, 0.55)
+    for n in SECTORS["nonlinear-n2"](ctx.params.L):
+        lam = ctx.lam(n)
         scale = np.abs(lam(pts[0]) * lam(pts[1]) * lam(pts[2]))
-        worst = (np.abs(fx.nonlinear_eq_n2_residual(*pts, lam, p)) / scale).max()
+        worst = (np.abs(fx.nonlinear_eq_n2_residual(*pts, lam, ctx.params)) / scale).max()
         out.append(_report("nonlinear-n2", "three-point identity", worst,
                            TOLERANCES["nonlinear_n2"]))
     return out
@@ -388,13 +390,6 @@ def check_conserved_n1(ctx):
     return out
 
 
-def _match_residual(rep):
-    """The `spectrum match` residual of a `bt.MatchReport`: the worst matched
-    deviation, or the count of unmatched eigenvalues and sets if any."""
-    return max(rep.max_deviation,
-               float(len(rep.unmatched_eigenvalues) + len(rep.unmatched_solutions)))
-
-
 def check_bethe_match(ctx):
     out = []
     for n in SECTORS["bethe"](ctx.params.L):
@@ -404,7 +399,7 @@ def check_bethe_match(ctx):
                            TOLERANCES["bethe_residual"], n=n,
                            solutions=len(sols), **cond))
         rep = ctx.match(n)
-        out.append(_report("bethe", f"spectrum match (n={n})", _match_residual(rep),
+        out.append(_report("bethe", f"spectrum match (n={n})", rep.residual,
                            TOLERANCES["bethe_match"], n=n,
                            unmatched_eigenvalues=rep.unmatched_eigenvalues,
                            unmatched_solutions=rep.unmatched_solutions,
@@ -599,7 +594,8 @@ SECTORS = {
     "polynomial": lambda L: range(L + 1),
     "linear-problem": lambda L: range(1, min(3, L - 1) + 1),
     "compatibility": lambda L: range(1, min(3, L - 1) + 1),
-    "nonlinear": lambda L: range(1, min(2, L) + 1),
+    "nonlinear-n1": lambda L: [1],
+    "nonlinear-n2": lambda L: range(2, min(2, L) + 1),
     "transport": lambda L: range(2, min(3, L - 1) + 1),
     "reduced-det": lambda L: range(2, min(4, L - 1) + 1),
     "theta": lambda L: range(2, min(2, L - 1) + 1),
@@ -626,7 +622,8 @@ CHECKS = {
     "polynomial": check_polynomial,
     "linear-problem": check_linear_problem,
     "compatibility": check_compatibility,
-    "nonlinear": check_nonlinear,
+    "nonlinear-n1": check_nonlinear_n1,
+    "nonlinear-n2": check_nonlinear_n2,
     "transport": check_transport,
     "reduced-det": check_reduced_det,
     "theta": check_theta,
@@ -652,8 +649,7 @@ def _load_config(args):
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig.reference()
     # the options given, each validated (by `replace`) as the key it overrides
     given = {"output_dir": args.out, "seed": getattr(args, "seed", None),
-             "checks": getattr(args, "checks", None),
-             "perturb_lambda": getattr(args, "perturb_lambda", None)}
+             "checks": getattr(args, "checks", None)}
     cfg = replace(cfg, **{k: v for k, v in given.items() if v is not None})
     unknown = [c for c in cfg.checks if c not in CHECKS]
     if unknown:
@@ -695,7 +691,7 @@ def _print_rows(reports):
 
 def cmd_verify(args):
     cfg = _load_config(args)
-    ctx = VerifyContext(cfg)
+    ctx = VerifyContext(cfg, perturb=args.perturb_lambda)
     names = cfg.checks or list(CHECKS)
     reports, checks = [], []    # checks: per check, its `measured` ledger
 
@@ -705,10 +701,8 @@ def cmd_verify(args):
         except DegenerateSpectrum:
             raise  # aborts the run (exit 3, in main)
         except Exception as exc:  # recorded as a failed report, run continues
-            return [VerificationReport(
-                check=name, identity=f"exception: {type(exc).__name__}",
-                residual=float("inf"), tolerance=0.0, passed=False,
-                details={"message": str(exc)})]
+            return [_report(name, f"exception: {type(exc).__name__}", float("inf"),
+                            0.0, message=str(exc))]
     for name in names:
         out, shared, ledger = ctx.measured(lambda: rows(name))
         reports.extend(out)
@@ -765,7 +759,7 @@ def cmd_bethe(args):
         rep = bt.match_spectrum(cfg.model, n, sols, es) if args.roots else ctx.match(n)
         rows.extend((n, si, ei, dev, sols[si].source, sols[si].singular)
                     for si, ei, dev in rep.pairs)
-        incomplete |= not _match_residual(rep) <= TOLERANCES["bethe_match"]
+        incomplete |= not rep.residual <= TOLERANCES["bethe_match"]
         print(f"sector {n}: {len(rep.pairs)} of {es.size} eigenvalues matched, max "
               f"deviation {rep.max_deviation:.2e}, {len(rep.no_degree_n_q)} without a "
               f"degree-{n} Q; unmatched: eigenvalues {rep.unmatched_eigenvalues}, "
@@ -829,7 +823,10 @@ def cmd_report(args):
 
 
 def _names(text):
-    return [c.strip() for c in text.split(",") if c.strip()]
+    names = [c.strip() for c in text.split(",") if c.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError(f"names no check: {text!r}")
+    return names
 
 
 def main(argv=None):
@@ -850,8 +847,8 @@ def main(argv=None):
     common(p)
     p.add_argument("--seed", type=int, help="seed of the random check points")
     p.add_argument("--checks", type=_names, help="comma-separated check names")
-    p.add_argument("--perturb-lambda", dest="perturb_lambda", type=float,
-                   help="scale eigenvalues by (1+f): negative-control run")
+    p.add_argument("--perturb-lambda", action="store_true",
+                   help="scale every eigenvalue by 1.01: negative-control run")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("bethe", help="solve Bethe equations and match spectrum")

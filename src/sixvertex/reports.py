@@ -8,7 +8,6 @@ rename so concurrent commands never observe partial files.
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 from dataclasses import dataclass, field, fields
@@ -41,12 +40,10 @@ def _is_real(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _is_finite(v):
-    try:
-        return _is_real(v) and math.isfinite(v)
-    except OverflowError:           # an integer beyond the float range
-        return False
-
+# keys of earlier configs, now fixed in code: refused rather than ignored
+_FIXED_KEYS = {"tolerances": "the table sixvertex.cli.TOLERANCES",
+               "sectors": "the table sixvertex.cli.SECTORS",
+               "perturb_lambda": "the switch `verify --perturb-lambda` (eigenvalues x 1.01)"}
 
 _REFERENCE_MODEL = {"L": 4, "gamma": 0.7, "mu": [0.0, 0.0, 0.0, 0.0],
                     "phi1": 1.0, "phi2": 1.0}
@@ -61,22 +58,19 @@ class RunConfig:
     seed: int = 1234
     output_dir: Path = Path("out")
     checks: list = field(default_factory=list)
-    perturb_lambda: float = 0.0
 
     def __post_init__(self):
         # every field beside the model, which a config file sets and a command
         # may `dataclasses.replace`, so both are held to the same rules
         if not (_is_int(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be a non-negative integer: {self.seed!r}")
-        if not _is_finite(self.perturb_lambda):
-            raise ConfigError(
-                f"perturb_lambda must be a finite number: {self.perturb_lambda!r}")
         if not isinstance(self.output_dir, (str, Path)):
             raise ConfigError(f"output_dir must be a path string: {self.output_dir!r}")
         if not (isinstance(self.checks, list)
                 and all(isinstance(c, str) for c in self.checks)):
             raise ConfigError(f"checks must be a list of check names: {self.checks!r}")
-        self.perturb_lambda = float(self.perturb_lambda)
+        if len(set(self.checks)) < len(self.checks):
+            raise ConfigError(f"checks must name each check once: {self.checks!r}")
         self.output_dir = Path(self.output_dir)
 
     @classmethod
@@ -87,13 +81,11 @@ class RunConfig:
             model = ModelParams.from_dict(d.get("model", _REFERENCE_MODEL))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad model section: {exc}") from exc
-        for key, table in (("tolerances", "TOLERANCES"), ("sectors", "SECTORS")):
-            if key in d:    # refused rather than run at the fixed values
-                raise ConfigError(f"{key} are not configurable: they are fixed in "
-                                  f"sixvertex.cli.{table}")
+        for key, now in _FIXED_KEYS.items():
+            if key in d:
+                raise ConfigError(f"{key} is not configurable: it is fixed by {now}")
         return cls(model=model, seed=d.get("seed", 1234),
-                   output_dir=d.get("output_dir", "out"), checks=d.get("checks", []),
-                   perturb_lambda=d.get("perturb_lambda", 0.0))
+                   output_dir=d.get("output_dir", "out"), checks=d.get("checks", []))
 
     @classmethod
     def from_file(cls, path):
@@ -123,28 +115,32 @@ class VerificationReport:
     residual: float
     tolerance: float
     parameters: dict = field(default_factory=dict)
-    passed: bool = None
     details: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.passed is None:
-            self.passed = bool(self.residual <= self.tolerance)
+    @property
+    def passed(self):
+        return bool(self.residual <= self.tolerance)
 
     def to_dict(self):
         """Shallow: `parameters` and `details` are the report's own dicts."""
         d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["residual"] = float(self.residual)
         d["tolerance"] = float(self.tolerance)
+        d["passed"] = self.passed
         return d
 
     @classmethod
     def from_dict(cls, d):
-        r = cls(**d)
+        """The report of a `to_dict` mapping; a `passed` must be its verdict."""
+        # {**d} raises TypeError unless d is a mapping
+        r = cls(**{k: v for k, v in {**d}.items() if k != "passed"})
         if not (isinstance(r.check, str) and isinstance(r.identity, str)
-                and _is_real(r.residual) and _is_real(r.tolerance)
-                and isinstance(r.passed, bool)):
+                and _is_real(r.residual) and _is_real(r.tolerance)):
             raise TypeError("check and identity must be strings, residual and "
-                            "tolerance numbers and passed a boolean")
+                            "tolerance numbers")
+        if d.get("passed", r.passed) is not r.passed:
+            raise ValueError(f"passed must be residual <= tolerance, {r.passed}, "
+                             f"not {d['passed']!r}")
         return r
 
     def line(self):

@@ -20,6 +20,14 @@ def run(argv):
     return cli.main(argv)
 
 
+def exit_code(argv):
+    """The exit code of a command, argparse's refusals (exit 2) included."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def generic_config(tmp_path, seed, **extra):
     """Config file for the benchmark's generic L=6 point at this seed."""
     path = tmp_path / f"generic-{seed}.json"
@@ -56,6 +64,17 @@ class TestConfig:
         assert run([command, "--config", str(path), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["spectrum", "verify", "bethe"])
+    def test_perturb_lambda_key_names_the_switch(self, tmp_path, capsys, command):
+        # the negative control is the verify switch: a config written for the
+        # old setting is refused rather than run unperturbed
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"perturb_lambda": 0.01}))
+        out = tmp_path / "out"
+        assert run([command, "--config", str(path), "--out", str(out)]) == 2
+        assert "`verify --perturb-lambda`" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_readme_config_is_the_reference(self):
         # the README's example config holds the defaults
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -63,13 +82,13 @@ class TestConfig:
         assert RunConfig.from_dict(json.loads(block)) == RunConfig.reference()
 
     @pytest.mark.parametrize("config", [
-        {"seed": "abc"}, {"seed": 1.7}, {"seed": True}, {"perturb_lambda": "x"},
+        {"seed": "abc"}, {"seed": 1.7}, {"seed": True}, {"perturb_lambda": 0.01},
         [], [{"seed": 1}], {"tolerances": [1]}, {"output_dir": 5},
         {"checks": "pde"}, {"model": {"L": 4.5}}, {"model": {"L": True}},
-        {"model": {"L": "4"}}, {"seed": -2}, {"perturb_lambda": float("nan")}],
-        ids=["seed-str", "seed-float", "seed-bool", "perturb-str", "empty-list",
+        {"model": {"L": "4"}}, {"seed": -2}, {"checks": ["upsilon", "theta", "upsilon"]}],
+        ids=["seed-str", "seed-float", "seed-bool", "perturb-lambda", "empty-list",
              "list", "tolerances-list", "output-dir-int", "checks-str", "L-float",
-             "L-bool", "L-str", "seed-negative", "perturb-nan"])
+             "L-bool", "L-str", "seed-negative", "checks-repeated"])
     def test_malformed_values_rejected(self, tmp_path, config):
         with pytest.raises(ConfigError):
             RunConfig.from_dict(config)
@@ -77,26 +96,25 @@ class TestConfig:
         path.write_text(json.dumps(config))
         with pytest.raises(ConfigError):
             RunConfig.from_file(path)
-        assert run(["verify", "--config", str(path), "--checks", "yang-baxter",
-                    "--out", str(tmp_path / "out")]) == 2
-
-    @pytest.mark.parametrize("option", [["--seed", "-3"], ["--perturb-lambda", "nan"],
-                                        ["--perturb-lambda", "inf"]])
-    def test_malformed_overrides_rejected(self, tmp_path, option):
-        # an option is held to the rules of the config key it overrides
         out = tmp_path / "out"
-        assert run(["verify", "--checks", "yang-baxter", "--out", str(out),
-                    *option]) == 2
+        assert run(["verify", "--config", str(path), "--checks", "yang-baxter",
+                    "--out", str(out)]) == 2
         assert not out.exists()
 
-    def test_zero_overrides_the_config(self, tmp_path):
-        # `--perturb-lambda 0` is given, so it replaces the config's value
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"perturb_lambda": 0.01}))
-        assert run(["verify", "--config", str(path), "--out", str(tmp_path / "a"),
-                    "--perturb-lambda", "0"]) == 0
-        assert run(["verify", "--config", str(path), "--out", str(tmp_path / "b"),
-                    "--checks", "compatibility"]) == 1
+    @pytest.mark.parametrize("option", [
+        ["--seed", "-3"], ["--perturb-lambda", "0.01"],
+        pytest.param(["--checks", "upsilon,upsilon"], id="checks-repeated"),
+        pytest.param(["--checks", ""], id="checks-empty"),
+        pytest.param(["--checks", " , "], id="checks-blank")])
+    def test_malformed_overrides_rejected(self, tmp_path, option):
+        # an option is held to the rules of the config key it overrides (a
+        # repeated name would run its check twice), a selection names at least
+        # one check (an empty one would run them all), and the negative
+        # control is a switch that takes no value
+        out = tmp_path / "out"
+        assert exit_code(["verify", "--checks", "yang-baxter", "--out", str(out),
+                          *option]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["spectrum", "bethe"])
     def test_seed_is_a_verify_option_only(self, command):
@@ -226,10 +244,18 @@ class TestVerifyCommand:
 
     def test_perturbed_lambda_fails(self, tmp_path, capsys):
         code = run(["verify", "--out", str(tmp_path),
-                    "--checks", "compatibility,nonlinear",
-                    "--perturb-lambda", "0.01"])
+                    "--checks", "compatibility,nonlinear-n1,nonlinear-n2",
+                    "--perturb-lambda"])
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("model", [{"L": 4, "gamma": 0.7}, generic_model(6, 1)],
+                             ids=["reference-L4", "generic-L6"])
+    def test_rows_carry_their_check_name(self, model):
+        # a row's `check` is the name that selects it with --checks
+        ctx = cli.VerifyContext(RunConfig.from_dict({"model": model}))
+        for name, check in cli.CHECKS.items():
+            assert {r.check for r in check(ctx)} <= {name}, name
 
     def test_unknown_check_is_config_error(self, tmp_path):
         assert run(["verify", "--out", str(tmp_path),
@@ -364,15 +390,16 @@ class TestVerifyCommand:
                     "--checks", "theta,sigma2,conserved-n1,bethe"]) == 0
         assert calls == {"extended_matrix": 2, "symmetric_m_matrix": 1,
                          "match_spectrum": 2}
-        # reference L=6: `nonlinear` builds one m-matrix per point set (the
-        # sector-1 stack carries the cross-check's off-shell row), not one
-        # per eigenvalue, and one extended matrix for that cross-check
+        # reference L=6: `nonlinear-n1` and `nonlinear-n2` each build one
+        # m-matrix for their point set (the sector-1 stack carries the
+        # cross-check's off-shell row), not one per eigenvalue, and
+        # `nonlinear-n1` one extended matrix for its cross-check
         cfg = tmp_path / "l6.json"
         cfg.write_text(json.dumps({"model": {"L": 6, "gamma": 0.7}}))
         calls.clear()
         count(cli.fx, "symmetric_m_matrix", "functional.symmetric_m_matrix")
         assert run(["verify", "--config", str(cfg), "--out", str(tmp_path / "l6"),
-                    "--checks", "nonlinear"]) == 0
+                    "--checks", "nonlinear-n1,nonlinear-n2"]) == 0
         assert calls == {"functional.symmetric_m_matrix": 2, "extended_matrix": 1}
 
     def test_compatibility_builds_one_matrix_per_sector(self, tmp_path, monkeypatch):
@@ -504,9 +531,14 @@ class TestVerifyCommand:
         '{"check": "x", "identity": "y", "residual": 1e-3, "tolerance": 1, '
         '"passed": "yes"}',
         '{"check": "x", "identity": "y", "residual": 1e-3, "tolerance": 1, '
-        '"passed": true, "wall_time": 0.5}'],
+        '"passed": true, "wall_time": 0.5}',
+        '{"check": "x", "identity": "y", "residual": 1e-3, "tolerance": 1, '
+        '"passed": 1}',
+        '{"check": "upsilon", "identity": "y", "residual": 1.0, "tolerance": 1e-13, '
+        '"passed": true}'],
         ids=["not-json", "unknown-key", "int-check", "list-identity",
-             "str-residual", "null-tolerance", "str-passed", "wall-time"])
+             "str-residual", "null-tolerance", "str-passed", "wall-time",
+             "int-passed", "passed-above-bound"])
     def test_malformed_report_is_config_error(self, tmp_path, capsys, bad):
         run(["verify", "--out", str(tmp_path), "--checks", "upsilon"])
         path = tmp_path / "reports.jsonl"
@@ -544,8 +576,8 @@ class TestCompatibilityControl:
 
 
 def control_rows(L, point):
-    """Identities that the eigenvalues scaled by 1.01 of a `--perturb-lambda
-    0.01` run fail, at the sectors n <= min(3, L-1) the checks take (at
+    """Identities that the eigenvalues scaled by 1.01 of a `--perturb-lambda`
+    run fail, at the sectors n <= min(3, L-1) the checks take (at
     L = 1 only sector 1, and of its rows not `conserved-n1`); the last three
     rows run only at the homogeneous untwisted points (the reference and
     critical families)."""
@@ -569,7 +601,7 @@ def control_rows(L, point):
 
 
 def assert_controls_fail(argv, L, point):
-    assert run(argv + ["--perturb-lambda", "0.01"]) == 1
+    assert run(argv + ["--perturb-lambda"]) == 1
     out = Path(argv[argv.index("--out") + 1])
     rows = [json.loads(line) for line in (out / "reports.jsonl").read_text().splitlines()]
     assert {r["identity"] for r in rows if not r["passed"]} == control_rows(L, point)
@@ -635,7 +667,7 @@ class TestSigma2Row:
         argv = ["verify", "--config", str(cfg), "--out", str(out), "--checks", "sigma2"]
         assert run(argv) == 0
         tol = json.loads((out / "reports.jsonl").read_text())["tolerance"]
-        assert run(argv + ["--perturb-lambda", "0.01"]) == 1
+        assert run(argv + ["--perturb-lambda"]) == 1
         assert json.loads((out / "reports.jsonl").read_text())["residual"] > 3e-4
         # at x = -0.213 every 1%-off eigenvalue fails on its own
         p = ModelParams(L=L, gamma=0.7)

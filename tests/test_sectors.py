@@ -52,7 +52,8 @@ def expected(name, L):
         "linear-problem": span(1, min(3, L - 1)), "compatibility": span(1, min(3, L - 1)),
         "transport": span(2, min(3, L - 1)), "reduced-det": span(2, min(4, L - 1)),
         "theta": span(2, min(2, L - 1)),
-        "nonlinear": span(1, min(2, L)), "bethe": span(1, min(2, L)),
+        "nonlinear-n1": [1], "nonlinear-n2": span(2, min(2, L)),
+        "bethe": span(1, min(2, L)),
         "conserved-n1": span(1, min(1, L - 1)),
         "riccati-n1": [1], "u-equation": [1],
         "sigma2": span(2, min(2, L)), "riccati2": span(2, min(2, L)),
