@@ -39,17 +39,16 @@ class VerifyContext:
     solutions and their oracle matches are built once, on first use, and
     kept for the run; each build is timed as its own entry of `shared`, with
     the monodromy builds it made, so no check is charged for work that
-    others reuse.  The samples cover the `SECTORS` entries of the run's
-    checks.  Each eigensystem is diagonalized in memory from the samples;
-    nothing is kept between runs.  A negative-control run (`perturb`) scales
+    others reuse.  The samples cover the `SECTORS` entries of `checks`, the
+    run's check names.  Each eigensystem is diagonalized in memory from the
+    samples; nothing is kept between runs.  A negative-control run (`perturb`) scales
     every eigenvalue by `_CONTROL_FACTOR`."""
 
-    def __init__(self, config: RunConfig, perturb=False):
-        self.config = config
+    def __init__(self, config: RunConfig, checks, perturb=False):
         self.factor = _CONTROL_FACTOR if perturb else 1.0
         self.params = config.model
         self.rng = PCG64Stream(config.seed)
-        self._sampled = sorted({n for name in config.checks or CHECKS
+        self._sampled = sorted({n for name in checks
                                 for n in SECTORS.get(name, lambda L: ())(self.params.L)})
         self._samples = None
         self._eigs = {}
@@ -229,6 +228,11 @@ def check_polynomial(ctx):
 def _sample_points(ctx, count):
     return list(ctx.rng.uniform(-0.9, 1.1, count)
                 + 1j * ctx.rng.uniform(-0.2, 0.2, count))
+
+
+def _random_roots(ctx, n):
+    """n random roots in the square |re|, |im| < 1."""
+    return ctx.rng.uniform(-1, 1, n) + 1j * ctx.rng.uniform(-1, 1, n)
 
 
 def check_linear_problem(ctx):
@@ -448,7 +452,7 @@ def check_riccati2(ctx):
 def check_riccati_h(ctx):
     worst = 0.0
     for n in (1, 2, 3):
-        roots = ctx.rng.uniform(-1, 1, n) + 1j * ctx.rng.uniform(-1, 1, n)
+        roots = _random_roots(ctx, n)
         worst = max(worst, np.abs(odes.riccati_h_residual(
             bt.CothSum(roots), np.array([0.37, -0.6]), n)).max())
     return [_report("riccati-h", "coth-sum ODE chain (orders 1..3)", worst,
@@ -458,7 +462,7 @@ def check_riccati_h(ctx):
 def check_upsilon(ctx):
     worst = 0.0
     for n in range(1, 7):
-        roots = ctx.rng.uniform(-1, 1, n) + 1j * ctx.rng.uniform(-1, 1, n)
+        roots = _random_roots(ctx, n)
         worst = max(worst, odes.upsilon_annihilation(roots, n))
     return [_report("upsilon", "annihilator of exp(-int h), exact", worst,
                     TOLERANCES["upsilon"])]
@@ -489,7 +493,7 @@ _PDE_OMEGA, _PDE_POINTS = 0.8, np.array([0.37, -0.6])
 def check_pde(ctx):
     out, draws = [], []
     for n in (1, 2, 3):
-        roots = ctx.rng.uniform(-1, 1, n) + 1j * ctx.rng.uniform(-1, 1, n)
+        roots = _random_roots(ctx, n)
         draws.append(roots)
         worst = odes.pde_travelling_wave_residual(n, roots, _PDE_OMEGA, _PDE_POINTS).max()
         out.append(_report("pde", f"travelling-wave reduction order {n}", worst,
@@ -646,20 +650,15 @@ CHECKS = {
 # commands
 
 def _load_config(args):
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig.reference()
-    # the options given, each validated (by `replace`) as the key it overrides
-    given = {"output_dir": args.out, "seed": getattr(args, "seed", None),
-             "checks": getattr(args, "checks", None)}
-    cfg = replace(cfg, **{k: v for k, v in given.items() if v is not None})
-    unknown = [c for c in cfg.checks if c not in CHECKS]
-    if unknown:
-        raise ConfigError(f"unknown checks: {unknown}; known: {sorted(CHECKS)}")
+    cfg = RunConfig.from_file(args.config) if args.config else RunConfig.from_dict({})
+    if getattr(args, "seed", None) is not None:
+        cfg = replace(cfg, seed=args.seed)    # validated as the config key
     return cfg
 
 
 def cmd_spectrum(args):
     cfg = _load_config(args)
-    out = cfg.output_dir
+    out = args.out
     samples = sample_sectors(cfg.model, range(cfg.model.L + 1))
     systems = [diagonalize_blocks(cfg.model, n, blocks) for n, blocks in samples.items()]
     # exact coefficients, and their residual against direct builds of T(x)
@@ -691,8 +690,8 @@ def _print_rows(reports):
 
 def cmd_verify(args):
     cfg = _load_config(args)
-    ctx = VerifyContext(cfg, perturb=args.perturb_lambda)
-    names = cfg.checks or list(CHECKS)
+    names = args.checks or list(CHECKS)
+    ctx = VerifyContext(cfg, names, perturb=args.perturb_lambda)
     reports, checks = [], []    # checks: per check, its `measured` ledger
 
     def rows(name):
@@ -712,15 +711,15 @@ def cmd_verify(args):
     for r in reports:
         r.parameters = {"model": cfg.model.to_dict(), "seed": cfg.seed}
     lines = [json.dumps(r.to_dict(), sort_keys=True) for r in reports]
-    atomic_write_text(cfg.output_dir / "reports.jsonl", "\n".join(lines) + "\n")
-    atomic_write_text(cfg.output_dir / "profile.json",
+    atomic_write_text(args.out / "reports.jsonl", "\n".join(lines) + "\n")
+    atomic_write_text(args.out / "profile.json",
                       json.dumps({"shared": ctx.shared, "checks": checks}, indent=2))
     return _print_rows(reports)
 
 
 def cmd_bethe(args):
     cfg = _load_config(args)
-    out = cfg.output_dir
+    out = args.out
     tol = TOLERANCES["bethe_residual"]
     sectors = list(SECTORS["bethe"](cfg.model.L))
     if args.verify_only and not args.roots:
@@ -736,7 +735,7 @@ def cmd_bethe(args):
                               f"bethe judges sectors {sectors}")
         sectors = held
     # samples SECTORS["bethe"], on first use: --verify-only builds nothing
-    ctx = VerifyContext(replace(cfg, checks=["bethe"]))
+    ctx = VerifyContext(cfg, ["bethe"])
     incomplete = False
     rows = []
     for n in sectors:
@@ -787,7 +786,7 @@ def cmd_potential(args):
             f"potential needs --samples >= 2, a finite range lo:hi with lo < hi, a "
             f"finite nonzero --omega0 and finite --gammas, got {args.samples} samples "
             f"on {args.range}, omega0 {args.omega0}, gammas {args.gammas}")
-    outdir = Path(args.out or "out")
+    outdir = args.out
     tag = "i" if omega0 == 1j else f"{omega0.real:g}" if omega0.imag == 0 else "c"
     series, labels = [], []
     xs_ref = None
@@ -808,7 +807,7 @@ def cmd_potential(args):
 
 
 def cmd_report(args):
-    path = Path(args.out or "out") / "reports.jsonl"
+    path = args.out / "reports.jsonl"
     if not path.exists():
         print(f"no reports at {path}", file=sys.stderr)
         return EXIT_CONFIG
@@ -823,9 +822,12 @@ def cmd_report(args):
 
 
 def _names(text):
+    """The names of `--checks`: known, each once, and at least one (an empty
+    selection would run them all)."""
     names = [c.strip() for c in text.split(",") if c.strip()]
-    if not names:
-        raise argparse.ArgumentTypeError(f"names no check: {text!r}")
+    if not names or len(set(names)) < len(names) or not set(names) <= set(CHECKS):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} must name one or more of {sorted(CHECKS)}, each once")
     return names
 
 
@@ -836,8 +838,7 @@ def main(argv=None):
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--config", help="JSON config file: model and seed")
 
     p = sub.add_parser("spectrum", help="brute-force sector spectra + fits")
     common(p)
@@ -863,12 +864,14 @@ def main(argv=None):
     p.add_argument("--gammas", default="0.1,0.3,5.43,8.12")
     p.add_argument("--range", default="-8:8")
     p.add_argument("--samples", type=int, default=801)
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_potential)
 
     p = sub.add_parser("report", help="summarize a previous verify run")
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_report)
+
+    for p in sub.choices.values():
+        p.add_argument("--out", type=Path, default=Path("out"),
+                       help="output directory (default: out/)")
 
     args = ap.parse_args(argv)
     try:

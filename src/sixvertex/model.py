@@ -19,6 +19,7 @@ formed.  Conventions (pinned by the L=1 tests):
 
 from __future__ import annotations
 
+from cmath import isfinite
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
@@ -60,6 +61,8 @@ class ModelParams:
         object.__setattr__(self, "gamma", complex(self.gamma))
         object.__setattr__(self, "phi1", complex(self.phi1))
         object.__setattr__(self, "phi2", complex(self.phi2))
+        if not all(map(isfinite, (self.gamma, *mu, self.phi1, self.phi2))):
+            raise ValueError("gamma, mu, phi1 and phi2 must be finite")
         if self.phi1 == 0 or self.phi2 == 0:
             raise ValueError("twist entries phi1, phi2 must be nonzero")
         if abs(np.sinh(self.gamma)) < 1e-14:
@@ -103,15 +106,19 @@ class ModelParams:
 
     @classmethod
     def from_dict(cls, d):
-        """Build from a config mapping; complex entries may be written as
-        numbers, as [re, im] pairs, or as strings like "1+2j"."""
+        """Build from a config mapping of these five keys only; complex entries
+        may be numbers, [re, im] pairs, or strings like "1+2j"."""
         def cplx(v):
             if isinstance(v, (list, tuple)):
-                return complex(v[0], v[1])
+                re, im = v      # exactly a pair
+                return complex(re, im)
             if isinstance(v, str):
                 return complex(v.replace(" ", ""))
             return complex(v)
 
+        unknown = sorted(set(d) - {"L", "gamma", "mu", "phi1", "phi2"})
+        if unknown:
+            raise ValueError(f"a model holds L, gamma, mu, phi1 and phi2 only, not {unknown}")
         L = d["L"]
         if not isinstance(L, int) or isinstance(L, bool):
             raise TypeError(f"L must be an integer: {L!r}")

@@ -40,10 +40,13 @@ def _is_real(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-# keys of earlier configs, now fixed in code: refused rather than ignored
-_FIXED_KEYS = {"tolerances": "the table sixvertex.cli.TOLERANCES",
-               "sectors": "the table sixvertex.cli.SECTORS",
-               "perturb_lambda": "the switch `verify --perturb-lambda` (eigenvalues x 1.01)"}
+# a config is the model point and the seed; the keys of earlier configs are
+# refused with where their value is set now, every other key as unknown
+_MOVED_KEYS = {"tolerances": "fixed by the table sixvertex.cli.TOLERANCES",
+               "sectors": "fixed by the table sixvertex.cli.SECTORS",
+               "perturb_lambda": "the switch `verify --perturb-lambda` (eigenvalues x 1.01)",
+               "output_dir": "the option `--out`",
+               "checks": "the option `verify --checks`"}
 
 _REFERENCE_MODEL = {"L": 4, "gamma": 0.7, "mu": [0.0, 0.0, 0.0, 0.0],
                     "phi1": 1.0, "phi2": 1.0}
@@ -51,41 +54,33 @@ _REFERENCE_MODEL = {"L": 4, "gamma": 0.7, "mu": [0.0, 0.0, 0.0, 0.0],
 
 @dataclass
 class RunConfig:
-    """Validated run configuration; defaults embed the reference scenario
-    (L=4, gamma=0.7, homogeneous, untwisted)."""
+    """Validated run configuration: the model point and the seed of the
+    random check points; defaults embed the reference scenario (L=4,
+    gamma=0.7, homogeneous, untwisted)."""
 
     model: ModelParams
     seed: int = 1234
-    output_dir: Path = Path("out")
-    checks: list = field(default_factory=list)
 
     def __post_init__(self):
-        # every field beside the model, which a config file sets and a command
-        # may `dataclasses.replace`, so both are held to the same rules
+        # a config file sets the seed and `verify --seed` may `replace` it, so
+        # both are held to the same rule
         if not (_is_int(self.seed) and self.seed >= 0):
             raise ConfigError(f"seed must be a non-negative integer: {self.seed!r}")
-        if not isinstance(self.output_dir, (str, Path)):
-            raise ConfigError(f"output_dir must be a path string: {self.output_dir!r}")
-        if not (isinstance(self.checks, list)
-                and all(isinstance(c, str) for c in self.checks)):
-            raise ConfigError(f"checks must be a list of check names: {self.checks!r}")
-        if len(set(self.checks)) < len(self.checks):
-            raise ConfigError(f"checks must name each check once: {self.checks!r}")
-        self.output_dir = Path(self.output_dir)
 
     @classmethod
     def from_dict(cls, d):
         if not isinstance(d, dict):
             raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
+        unknown = sorted(set(d) - {"model", "seed"})
+        if unknown:
+            raise ConfigError("a config holds model and seed only, not " + ", ".join(
+                f"{k} (now {_MOVED_KEYS[k]})" if k in _MOVED_KEYS else k
+                for k in unknown))
         try:
             model = ModelParams.from_dict(d.get("model", _REFERENCE_MODEL))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad model section: {exc}") from exc
-        for key, now in _FIXED_KEYS.items():
-            if key in d:
-                raise ConfigError(f"{key} is not configurable: it is fixed by {now}")
-        return cls(model=model, seed=d.get("seed", 1234),
-                   output_dir=d.get("output_dir", "out"), checks=d.get("checks", []))
+        return cls(model=model, seed=d.get("seed", 1234))
 
     @classmethod
     def from_file(cls, path):
@@ -98,12 +93,6 @@ class RunConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
-
-    @classmethod
-    def reference(cls, **overrides):
-        d = {"model": dict(_REFERENCE_MODEL)}
-        d.update(overrides)
-        return cls.from_dict(d)
 
 
 @dataclass

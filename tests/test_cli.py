@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -37,7 +38,7 @@ def generic_config(tmp_path, seed, **extra):
 
 class TestConfig:
     def test_reference_defaults(self):
-        cfg = RunConfig.reference()
+        cfg = RunConfig.from_dict({})
         assert cfg.model.L == 4
         assert cfg.model.gamma == 0.7
 
@@ -79,38 +80,69 @@ class TestConfig:
         # the README's example config holds the defaults
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         block = readme.split("```json\n", 1)[1].split("```", 1)[0]
-        assert RunConfig.from_dict(json.loads(block)) == RunConfig.reference()
+        assert RunConfig.from_dict(json.loads(block)) == RunConfig.from_dict({})
+
+    def test_readme_command_block_runs(self, tmp_path, monkeypatch, capsys):
+        # the README's commands as written, in order, in a fresh directory:
+        # each passes but the negative control, and the closing `report`
+        # reads the rows that the last `verify` wrote to the default out/
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+        monkeypatch.chdir(tmp_path)
+        for line in block.split("```", 1)[0].splitlines():
+            prog, *argv = shlex.split(line, comments=True)
+            assert prog == "sixvertex"
+            assert exit_code(argv) == (1 if "--perturb-lambda" in argv else 0), line
+            printed = capsys.readouterr().out
+        assert argv[0] == "report"
+        rows = (tmp_path / "out" / "reports.jsonl").read_text().splitlines()
+        assert f"{len(rows)}/{len(rows)} checks passed" in printed
 
     @pytest.mark.parametrize("config", [
         {"seed": "abc"}, {"seed": 1.7}, {"seed": True}, {"perturb_lambda": 0.01},
         [], [{"seed": 1}], {"tolerances": [1]}, {"output_dir": 5},
         {"checks": "pde"}, {"model": {"L": 4.5}}, {"model": {"L": True}},
-        {"model": {"L": "4"}}, {"seed": -2}, {"checks": ["upsilon", "theta", "upsilon"]}],
+        {"model": {"L": "4"}}, {"seed": -2}, {"checks": ["upsilon", "theta", "upsilon"]},
+        {"model": {"L": 4, "gamma": "nan"}}, {"model": {"L": 4, "phi1": "inf"}},
+        {"model": {"L": 4, "mu": [0, "nan", 0, 0]}}, {"check": ["upsilon"]},
+        {"model": {"L": 4, "gama": 0.3}}, {"output_dir": "res"},
+        {"checks": ["upsilon"]}, {"model": {"L": 2, "mu": [[0.1], 0]}},
+        {"model": {"L": 2, "phi1": [1, 0, 0]}}],
         ids=["seed-str", "seed-float", "seed-bool", "perturb-lambda", "empty-list",
              "list", "tolerances-list", "output-dir-int", "checks-str", "L-float",
-             "L-bool", "L-str", "seed-negative", "checks-repeated"])
-    def test_malformed_values_rejected(self, tmp_path, config):
+             "L-bool", "L-str", "seed-negative", "checks-repeated", "gamma-nan",
+             "phi1-inf", "mu-nan", "unknown-key", "unknown-model-key", "output-dir",
+             "checks", "mu-short-pair", "phi1-long-pair"])
+    def test_malformed_values_rejected(self, tmp_path, monkeypatch, capsys, config):
+        # a config holds the model point and the seed, each well formed and
+        # finite; any other key is refused rather than ignored, a retired one
+        # with where its value is set now, and no command writes a directory
+        # (neither out/ nor a config's own `output_dir`)
         with pytest.raises(ConfigError):
             RunConfig.from_dict(config)
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config))
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps(config))
         with pytest.raises(ConfigError):
-            RunConfig.from_file(path)
-        out = tmp_path / "out"
-        assert run(["verify", "--config", str(path), "--checks", "yang-baxter",
-                    "--out", str(out)]) == 2
-        assert not out.exists()
+            RunConfig.from_file("cfg.json")
+        capsys.readouterr()
+        for command in (["verify", "--checks", "yang-baxter"], ["spectrum"], ["bethe"]):
+            assert run([*command, "--config", "cfg.json"]) == 2
+            err = capsys.readouterr().err
+            for key, option in (("output_dir", "`--out`"), ("checks", "`verify --checks`")):
+                assert key not in config or option in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     @pytest.mark.parametrize("option", [
         ["--seed", "-3"], ["--perturb-lambda", "0.01"],
         pytest.param(["--checks", "upsilon,upsilon"], id="checks-repeated"),
         pytest.param(["--checks", ""], id="checks-empty"),
-        pytest.param(["--checks", " , "], id="checks-blank")])
+        pytest.param(["--checks", " , "], id="checks-blank"),
+        pytest.param(["--checks", "not-a-check"], id="checks-unknown")])
     def test_malformed_overrides_rejected(self, tmp_path, option):
-        # an option is held to the rules of the config key it overrides (a
-        # repeated name would run its check twice), a selection names at least
-        # one check (an empty one would run them all), and the negative
-        # control is a switch that takes no value
+        # `--seed` is held to the rule of the config key it replaces, a
+        # selection names known checks, each once (a repeated name would run
+        # its check twice), and at least one (an empty one would run them
+        # all), and the negative control is a switch that takes no value
         out = tmp_path / "out"
         assert exit_code(["verify", "--checks", "yang-baxter", "--out", str(out),
                           *option]) == 2
@@ -253,13 +285,16 @@ class TestVerifyCommand:
                              ids=["reference-L4", "generic-L6"])
     def test_rows_carry_their_check_name(self, model):
         # a row's `check` is the name that selects it with --checks
-        ctx = cli.VerifyContext(RunConfig.from_dict({"model": model}))
+        ctx = cli.VerifyContext(RunConfig.from_dict({"model": model}), cli.CHECKS)
         for name, check in cli.CHECKS.items():
             assert {r.check for r in check(ctx)} <= {name}, name
 
-    def test_unknown_check_is_config_error(self, tmp_path):
-        assert run(["verify", "--out", str(tmp_path),
-                    "--checks", "not-a-check"]) == 2
+    def test_unknown_check_is_config_error(self, tmp_path, capsys):
+        # refused while the options are parsed, before anything is written
+        out = tmp_path / "out"
+        assert exit_code(["verify", "--out", str(out), "--checks", "not-a-check"]) == 2
+        assert "'not-a-check' must name one or more of" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_profile_times_shared_work_apart(self, tmp_path):
         # Bethe solves and sector eigensystems are timed as their own
@@ -315,11 +350,11 @@ class TestVerifyCommand:
         assert run(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
         assert cli.model.builds - b0 == 21
 
-    def test_planted_non_commuting_sample_fails(self, tmp_path):
+    def test_planted_non_commuting_sample_fails(self):
         # eps = 1e-6 times a matrix that commutes with no sample, added to
         # one sample of one sector of the kept coefficient blocks
-        ctx = cli.VerifyContext(RunConfig.reference(model=generic_model(6, 1),
-                                                    output_dir=str(tmp_path)))
+        ctx = cli.VerifyContext(RunConfig.from_dict({"model": generic_model(6, 1)}),
+                                ["transfer-commute"])
         row, = cli.check_transfer_commute(ctx)
         assert row.passed and row.residual < 1e-14
         blocks = ctx.samples()[3]
@@ -330,15 +365,15 @@ class TestVerifyCommand:
         row, = cli.check_transfer_commute(ctx)
         assert not row.passed and row.residual > 1e-8
 
-    def test_samples_cover_the_sectors_of_the_run_checks(self, tmp_path):
+    def test_samples_cover_the_sectors_of_the_run_checks(self):
         def sampled(checks):
-            ctx = cli.VerifyContext(RunConfig.reference(
-                model={"L": 6, "gamma": 0.7}, checks=checks, output_dir=str(tmp_path)))
+            ctx = cli.VerifyContext(
+                RunConfig.from_dict({"model": {"L": 6, "gamma": 0.7}}), checks)
             return sorted(ctx.samples())
         for name in cli.CHECKS:
             assert sampled([name]) == list(cli.SECTORS.get(name, lambda L: [])(6)), name
         assert sampled(["bethe", "transfer-commute"]) == list(range(7))
-        assert sampled([]) == list(range(7))     # every check runs
+        assert sampled(cli.CHECKS) == list(range(7))     # every check runs
 
     def test_runs_leave_only_their_outputs(self, tmp_path):
         # spectrum, verify and bethe write their named outputs and nothing
@@ -549,13 +584,11 @@ class TestVerifyCommand:
 
 
 @pytest.fixture(scope="module")
-def reference_contexts(tmp_path_factory):
+def reference_contexts():
     """Verify contexts of `compatibility` at the reference point for L = 4, 6,
     8, 10 (sectors 1..3), sharing their eigensystems across tests."""
-    out = tmp_path_factory.mktemp("controls")
-    return {L: cli.VerifyContext(RunConfig.from_dict({
-        "model": {"L": L, "gamma": 0.7}, "checks": ["compatibility"],
-        "output_dir": str(out / f"L{L}")})) for L in (4, 6, 8, 10)}
+    return {L: cli.VerifyContext(RunConfig.from_dict({"model": {"L": L, "gamma": 0.7}}),
+                                 ["compatibility"]) for L in (4, 6, 8, 10)}
 
 
 class TestCompatibilityControl:

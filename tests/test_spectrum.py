@@ -166,12 +166,11 @@ class TestPolynomiality:
         assert abs(fit.coeffs[-1]) > 1e-3 * np.abs(fit.coeffs).max()
 
     @pytest.mark.parametrize("L", [3, 4, 5])
-    def test_negative_control(self, L, tmp_path):
+    def test_negative_control(self, L):
         # the planted non-eigenvalue of the `polynomial` check must fail the
         # degree-L fit at odd L too
-        cfg = RunConfig.from_dict({"model": {"L": L, "gamma": 0.7},
-                                   "output_dir": str(tmp_path)})
-        _, planted = cli.check_polynomial(cli.VerifyContext(cfg))
+        cfg = RunConfig.from_dict({"model": {"L": L, "gamma": 0.7}})
+        _, planted = cli.check_polynomial(cli.VerifyContext(cfg, ["polynomial"]))
         assert planted.passed
         assert planted.details["measured"] > 1e-2
 
