@@ -1,4 +1,4 @@
-"""Bethe roots from Baxter's TQ relation, matched to the closed-form spectrum.
+"""Bethe roots from Baxter's TQ relation, matched to the brute-force spectrum.
 
 Each sector eigenvalue is an exact exponential sum, so Baxter's relation
 Lambda Q(x) = phi1 lam_a Q(x - gamma) + phi2 lam_d Q(x + gamma) is a linear
@@ -13,8 +13,8 @@ inhomogeneous point a near-singular pair is carried as (w, delta).
 import numpy as np
 
 from sixvertex import ModelParams, diagonalize_sector
-from sixvertex.bethe import (conditioning, eigenvalue_from_roots,
-                             match_spectrum, solve_bae)
+from sixvertex.bethe import (RootEigenvalue, conditioning, match_spectrum,
+                             solve_bae)
 
 params = ModelParams(L=4, gamma=0.7)
 
@@ -30,7 +30,7 @@ for n in (1, 2, 3):
     if sols:
         rep = match_spectrum(params, n, sols, es)
         print(f"   matched {len(rep.pairs)}/{es.size} oracle eigenvalues, "
-              f"max deviation {rep.max_deviation:.2e}")
+              f"max relative TQ residual {rep.max_deviation:.2e}")
 
 # a twisted inhomogeneous L=6 point with a near-singular n=2 pair: root j is
 # carried as w_i - gamma + delta, so the tiny factor sinh(delta) is exact
@@ -46,7 +46,7 @@ for s in solve_bae(diagonalize_sector(p6, 2)):
 p2 = ModelParams(L=2, gamma=0.7)
 w = -0.35
 x = 0.9
-lam = eigenvalue_from_roots(x, [w], p2)
+lam = RootEigenvalue([w], p2)(x)
 expect = (np.sinh(x - 0.35) * np.sinh(x + 0.7) ** 2
           + np.sinh(x + 1.05) * np.sinh(x) ** 2) / np.sinh(x + 0.35)
 print("\nL=2 closed form check:", abs(lam - expect))

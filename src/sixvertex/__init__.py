@@ -20,8 +20,7 @@ from .functional import (extended_matrix,
                          tilde_v_spread, theta_conservation,
                          conserved_n1, conserved_n1_closed_form, SingularTransport)
 from .bethe import (BetheRoots, bae_residual, bae_relative_residual, solve_bae,
-                    eigenvalue_from_roots, RootEigenvalue, CothSum,
-                    match_spectrum, canonical_roots, PolePoint)
+                    RootEigenvalue, CothSum, match_spectrum, canonical_roots)
 from .odes import (upsilon_annihilation, riccati_h_residual,
                    riccati_lambda_residual, sigma1_residual, sigma2_residual,
                    riccati2_residual, pde_travelling_wave_residual, potential_v,

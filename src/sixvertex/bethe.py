@@ -1,6 +1,7 @@
 """Bethe equations: root sets from Baxter's TQ relation, residue-form
 residuals, closed-form eigenvalue and h-function evaluators, and matching of
-the Bethe spectrum against the brute-force oracle.
+the root sets against the brute-force oracle's eigenvalues on the relative
+residual of the TQ relation itself.
 
 Baxter's relation Lambda(x) Q(x) = phi1 lam_a(x) Q(x - gamma)
 + phi2 lam_d(x) Q(x + gamma), the eigenvalue formula of `RootEigenvalue`, is
@@ -35,12 +36,11 @@ _MAX_ITER = 10
 # |sinh| distance that snaps a singular pair
 _NULL_TOL = 1e-10
 _PAIR_TOL = 1e-3    # |sinh(w_j + gamma - w_i)| that ties a pair
-# the points at which `match_spectrum` compares formula and oracle eigenvalues
+# the points at which `match_spectrum` judges the TQ relation of each pair
 _MATCH_XS = np.linspace(0.21, 1.3, 20)
 
 __all__ = [
     "BetheRoots",
-    "PolePoint",
     "bae_residual",
     "bae_relative_residual",
     "solution_residual",
@@ -48,7 +48,6 @@ __all__ = [
     "conditioning",
     "no_degree_n_q",
     "canonical_roots",
-    "eigenvalue_from_roots",
     "RootEigenvalue",
     "CothSum",
     "MatchReport",
@@ -56,11 +55,6 @@ __all__ = [
     "roots_to_json",
     "roots_from_json",
 ]
-
-
-class PolePoint(ValueError):
-    """Evaluation point collides with a root that does not satisfy the
-    Bethe equations: the pole is not removable."""
 
 
 @dataclass(frozen=True)
@@ -92,6 +86,8 @@ class BetheRoots:
             (int(i), int(j), complex(d)) for i, j, d in self.pairs))
         if len(self.roots) != self.n:
             raise ValueError(f"expected {self.n} roots, got {len(self.roots)}")
+        if not np.isfinite([*self.roots, *(d for *_, d in self.pairs)]).all():
+            raise ValueError(f"roots {self.roots} and pair deltas must be finite")
         ends = [k for i, j, _ in self.pairs for k in (i, j)]
         if len(set(ends)) < len(ends) or not all(0 <= k < self.n for k in ends):
             raise ValueError(f"pairs {[p[:2] for p in self.pairs]} are not "
@@ -434,27 +430,6 @@ class RootEigenvalue:
         return out
 
 
-def eigenvalue_from_roots(x, roots, params: ModelParams):
-    """Closed-form eigenvalue at x (a point or an array of points) of a root
-    set or a stack of them, shaped as by `RootEigenvalue`.  Near a root the
-    pole must be removable (Bethe equations hold); such a point is then
-    evaluated by a symmetric two-sided limit, otherwise PolePoint is
-    raised."""
-    ev = RootEigenvalue(roots, params)
-    x = np.asarray(x, dtype=complex)
-    near = np.any(np.abs(np.sinh(x[..., None] - ev.roots)) < 1e-6, axis=-1)
-    if not near.any():
-        return ev(x)
-    ta, td, _, _ = _terms(ev.roots, params, jacobian=False)
-    off = near & (_relative(ta, td) > 1e-8)
-    if off.any():
-        raise PolePoint(f"x={np.broadcast_to(x, off.shape)[off]} collides "
-                        "with a non-Bethe root")
-    eps = np.where(near, 1e-4, 0.0)
-    v = ev(x + eps)
-    return np.where(near, 0.5 * (v + ev(x - eps)), v)[()]
-
-
 class CothSum:
     """h(x) = sum_l coth(w_l - x) with closed-form derivatives to order 4.
     roots may be a stack (..., n) of root sets and x an array, broadcast as
@@ -480,7 +455,7 @@ class CothSum:
 
 @dataclass
 class MatchReport:
-    pairs: list     # (solution_index, eigen_index, max relative deviation), by solution
+    pairs: list     # (solution_index, eigen_index, relative TQ residual), by solution
     unmatched_solutions: list
     unmatched_eigenvalues: list     # those with a degree-n Q, which fail the match
     no_degree_n_q: list             # the unmatched ones without, which have no root set
@@ -491,8 +466,8 @@ class MatchReport:
 
     @property
     def residual(self):
-        """The `spectrum match` residual: the worst matched deviation, or the
-        count of unmatched eigenvalues and sets if any."""
+        """The `spectrum match` residual: the worst relative TQ residual of a
+        matched pair, or the count of unmatched eigenvalues and sets, if any."""
         return max(self.max_deviation,
                    float(len(self.unmatched_eigenvalues) + len(self.unmatched_solutions)))
 
@@ -517,17 +492,23 @@ def _greedy_pairs(cost):
 
 
 def match_spectrum(params: ModelParams, n, solutions, oracle):
-    """Greedy minimal-distance bipartite matching between formula and oracle
-    eigenvalues, using the max relative deviation over the points
-    `_MATCH_XS`; the pairs are listed by solution index.  An unmatched
-    eigenvalue without a degree-n Q has no root set, so it is excused (the
-    TQ system is solved again for the unmatched eigenvalues only)."""
-    ovals = oracle.eigenvalues_at(_MATCH_XS)                          # (neig, npts)
-    oscale = np.abs(ovals).max(axis=1) + 1e-300
-    roots = np.array([s.roots for s in solutions], dtype=complex)
-    roots = roots.reshape(len(solutions), 1, n)
-    fvals = eigenvalue_from_roots(_MATCH_XS, roots, params)           # (nsol, npts)
-    cost = np.abs(fvals[:, None] - ovals).max(axis=-1) / oscale       # (nsol, neig)
+    """Greedy minimal-cost bipartite matching between root sets and oracle
+    eigenvalues, the pairs listed by solution index.  The cost of set s and
+    eigenvalue k is their relative TQ residual over the points `_MATCH_XS`,
+    max_x |Lambda_k Q_s(x) - phi1 lam_a Q_s(x - gamma) - phi2 lam_d Q_s(x + gamma)|
+    over the largest |term| of the three: it has no pole, so a root on a point
+    needs no special path.  An unmatched eigenvalue without a degree-n Q has
+    no root set, so it is excused (the TQ system is solved again for the
+    unmatched eigenvalues only)."""
+    p, x = params, _MATCH_XS
+    w = np.array([s.roots for s in solutions], dtype=complex).reshape(len(solutions), 1, n)
+    # Q_s(x), Q_s(x - gamma), Q_s(x + gamma), each from a (set, point, root) stack
+    q, qa, qd = (np.prod(np.sinh(x[:, None] + shift - w), axis=-1)
+                 for shift in (0, -p.gamma, p.gamma))
+    terms = np.broadcast_arrays(oracle.eigenvalues_at(x) * q[:, None],  # (nsol, neig, npts)
+                                -(p.phi1 * p.lam_a(x) * qa)[:, None],
+                                -(p.phi2 * p.lam_d(x) * qd)[:, None])
+    cost = np.abs(sum(terms)).max(-1) / np.abs(terms).max((0, -1))     # (nsol, neig)
     pairs, free_s, free_e = _greedy_pairs(cost)
     excused = no_degree_n_q(oracle, free_e)
     return MatchReport(pairs=sorted(pairs), unmatched_solutions=free_s,

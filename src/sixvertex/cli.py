@@ -831,6 +831,15 @@ def _names(text):
     return names
 
 
+def _out_dir(text):
+    """The directory of `--out`: a path that is a file, or lies under one, is refused."""
+    path = Path(text)
+    if any(p.exists() and not p.is_dir() for p in (path, *path.parents)):
+        raise argparse.ArgumentTypeError(f"{text!r} is a file or lies under one; "
+                                         "--out names a directory")
+    return path
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="sixvertex",
@@ -870,7 +879,7 @@ def main(argv=None):
     p.set_defaults(fn=cmd_report)
 
     for p in sub.choices.values():
-        p.add_argument("--out", type=Path, default=Path("out"),
+        p.add_argument("--out", type=_out_dir, default="out",
                        help="output directory (default: out/)")
 
     args = ap.parse_args(argv)

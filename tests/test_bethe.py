@@ -420,24 +420,10 @@ class TestStacking:
         sols = bt.solve_bae(oracle.eigensystem(p, 2))
         xs = np.linspace(0.21, 1.3, 20)
         stack = np.array([s.roots for s in sols])[:, None]
-        got = bt.eigenvalue_from_roots(xs, stack, p)
+        got = bt.RootEigenvalue(stack, p)(xs)
         assert got.shape == (len(sols), 20)
         for row, s in zip(got, sols):
-            assert np.array_equal(row, bt.eigenvalue_from_roots(xs, s.roots, p))
-
-    def test_stacked_limit_and_pole_point(self, params, oracle):
-        # a point on a root of one set takes the limit in that set only; an
-        # off-shell set with a root on a point raises
-        sols = bt.solve_bae(oracle.eigensystem(params, 1))
-        w = sols[0].roots[0]
-        xs = np.array([0.3, w + 1e-8])
-        stack = np.array([s.roots for s in sols])[:, None]
-        got = bt.eigenvalue_from_roots(xs, stack, params)
-        for row, s in zip(got, sols):
-            assert np.array_equal(row, bt.eigenvalue_from_roots(xs, s.roots, params))
-        with pytest.raises(bt.PolePoint):
-            bt.eigenvalue_from_roots(np.array([0.3, 0.4]),
-                                     np.array([[[w]], [[0.4 + 1e-8]]]), params)
+            assert np.array_equal(row, bt.RootEigenvalue(s.roots, p)(xs))
 
 
 class TestNewtonCounters:
@@ -475,7 +461,7 @@ class TestNewtonCounters:
 class TestEigenvalueFormula:
     def test_closed_form_L2(self, p2):
         g, x, w = 0.7, 0.9, -0.35
-        lam = bt.eigenvalue_from_roots(x, [w], p2)
+        lam = bt.RootEigenvalue([w], p2)(x)
         expect = (np.sinh(x - g / 2) * np.sinh(x + g) ** 2
                   + np.sinh(x + 1.5 * g) * np.sinh(x) ** 2) / np.sinh(x + g / 2)
         assert abs(lam - expect) < 1e-12 * abs(expect)
@@ -483,11 +469,10 @@ class TestEigenvalueFormula:
     def test_permutation_and_strip_invariance(self, params):
         roots = [0.3 + 0.2j, -0.5 - 0.1j]
         x = 0.9
-        v = bt.eigenvalue_from_roots(x, roots, params)
-        assert abs(bt.eigenvalue_from_roots(x, roots[::-1], params) - v) \
-            < 1e-13 * abs(v)
-        assert abs(bt.eigenvalue_from_roots(
-            x, [roots[0] + 1j * np.pi, roots[1]], params) - v) < 1e-13 * abs(v)
+        v = bt.RootEigenvalue(roots, params)(x)
+        assert abs(bt.RootEigenvalue(roots[::-1], params)(x) - v) < 1e-13 * abs(v)
+        assert abs(bt.RootEigenvalue(
+            [roots[0] + 1j * np.pi, roots[1]], params)(x) - v) < 1e-13 * abs(v)
 
     def test_removable_singularity_for_true_roots(self, params, oracle):
         # two-sided differences shrink: the pole at x -> w is removable
@@ -496,16 +481,6 @@ class TestEigenvalueFormula:
         jumps = [abs(ev(w + eps) - ev(w - eps)) * eps for eps in (1e-2, 1e-3, 1e-4)]
         assert jumps[2] < jumps[0]
         assert jumps[2] < 1e-4
-
-    def test_pole_point_raised_off_shell(self, params):
-        with pytest.raises(bt.PolePoint):
-            bt.eigenvalue_from_roots(0.4, [0.4 + 1e-8], params)
-
-    def test_limit_path_on_shell(self, params, oracle):
-        w = bt.solve_bae(oracle.eigensystem(params, 1))[0].roots[0]
-        v = bt.eigenvalue_from_roots(w + 1e-8, [w], params)
-        ref = bt.eigenvalue_from_roots(w + 0.05, [w], params)
-        assert abs(v - ref) < 0.2 * abs(ref)
 
     def test_bethe_eigenvalues_are_polynomial(self, params, oracle):
         # the closed-form eigenvalue of any solved root set passes the
@@ -558,16 +533,6 @@ class TestEigenvalueFormula:
             want = np.array([ev(x, d) for x in xs])
             assert got.shape == xs.shape
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-
-    def test_limit_rule_per_point_of_an_array(self, params, oracle):
-        # only the point on the root takes the two-sided limit
-        w = bt.solve_bae(oracle.eigensystem(params, 1))[0].roots[0]
-        xs = np.array([0.3, w + 1e-8, 0.9])
-        got = bt.eigenvalue_from_roots(xs, [w], params)
-        want = [bt.eigenvalue_from_roots(x, [w], params) for x in xs]
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-        with pytest.raises(bt.PolePoint):
-            bt.eigenvalue_from_roots(np.array([0.2, 0.4]), [0.4 + 1e-8], params)
 
     def test_derivatives_match_fd(self, params):
         ev = bt.RootEigenvalue([0.3 + 0.2j, -0.5 - 0.1j], params)
@@ -624,6 +589,17 @@ class TestMatching:
         assert not rep.unmatched_eigenvalues and not rep.unmatched_solutions
         assert [s for s, _, _ in rep.pairs] == list(range(len(sols)))
 
+    @pytest.mark.parametrize("point", ["reference-4", "generic-6-1"])
+    def test_a_root_moved_by_one_percent_fails(self, params, oracle, point):
+        p = params if point == "reference-4" else generic(6, 1)
+        for n in (1, 2):
+            es = oracle.eigensystem(p, n)
+            sols = bt.solve_bae(es)
+            for i, s in enumerate(sols):
+                moved = replace(s, roots=(1.01 * s.roots[0],) + s.roots[1:], pairs=())
+                rep = bt.match_spectrum(p, n, sols[:i] + [moved] + sols[i + 1:], es)
+                assert rep.residual > TOLERANCES["bethe_match"], (n, i)
+
     def test_generic_twist_matching(self, generic_params, oracle):
         # empirical bijection question: measured, and complete at this point
         es = oracle.eigensystem(generic_params, 1)
@@ -660,8 +636,10 @@ class TestSerialization:
                                        [(0, 1, 0.1), (1, 2, 0.1)],
                                        [(0, 1, 0.1), (1, 0, 0.1)],
                                        [(0, 1, 0.1), (2, 1, 0.1)],
-                                       [(0, 1, 0.1), (0, 2, 0.1)]])
+                                       [(0, 1, 0.1), (0, 2, 0.1)],
+                                       [(0, 1, np.nan)], [(0, 1, np.inf)]])
     def test_malformed_pairs_rejected(self, pairs):
-        # out of range, self-tie, chain, loop, and a root in two pairs
+        # out of range, self-tie, chain, loop, a root in two pairs, and a
+        # delta that is not finite
         with pytest.raises(ValueError):
             bt.BetheRoots(n=3, roots=(0.1, 0.2, 0.3), residual=0.0, pairs=pairs)

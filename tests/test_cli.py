@@ -155,6 +155,22 @@ class TestConfig:
             run([command, "--seed", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["spectrum", "verify", "bethe", "potential",
+                                         "report"])
+    @pytest.mark.parametrize("file,out", [("afile", ["--out", "afile"]),
+                                          ("afile", ["--out", "afile/sub"]),
+                                          ("out", [])],
+                             ids=["file", "under-a-file", "default-is-a-file"])
+    def test_out_that_names_a_file_is_refused(self, tmp_path, monkeypatch, command,
+                                              file, out):
+        # refused at option parsing: the file keeps its bytes and nothing
+        # else is written
+        monkeypatch.chdir(tmp_path)
+        Path(file).write_text("kept\n")
+        assert exit_code([command, *out]) == 2
+        assert Path(file).read_text() == "kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == [file]
+
     def test_report_roundtrip(self):
         r = VerificationReport(check="x", identity="y", residual=1e-9,
                                tolerance=1e-6, parameters={"n": 2})
@@ -830,12 +846,17 @@ class TestBetheCommand:
                     "--roots", str(moved), "--verify-only"]) == 2
 
     @pytest.mark.parametrize("model", [{"L": 2, "gamma": 0.7}, {"L": 3, "gamma": 0.7},
-                                       {"L": 4, "gamma": 0.7}, generic_model(6, 1)],
+                                       {"L": 4, "gamma": 0.7}, generic_model(6, 1),
+                                       {"L": 4, "gamma": 0.7, "mu": [0.21] * 4},
+                                       {"L": 6, "gamma": 0.7, "mu": [0.21] * 6}],
                              ids=["reference-2", "reference-3", "reference-4",
-                                  "generic-6-1"])
+                                  "generic-6-1", "shifted-4", "shifted-6"])
     def test_exit_code_is_the_verdict_of_the_bethe_rows(self, tmp_path, model):
         # both judge a sector through the same match, which excuses the
-        # eigenvalues without a degree-n Q (the n = L = 2 one among them)
+        # eigenvalues without a degree-n Q (the n = L = 2 one among them).
+        # The shifted chains have every mu_j on the first match point, 0.21,
+        # so their singular set {0.21, 0.21 - gamma} has roots on it; a common
+        # shift of the mu_j is a symmetry of the spectrum
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": model}))
         code = run(["bethe", "--config", str(cfg), "--out", str(tmp_path / "b")])
@@ -858,11 +879,22 @@ class TestBetheCommand:
         rows = (out / "bethe-matching.csv").read_text().splitlines()[1:]
         assert len(rows) == 6 and all(r.startswith("2,") for r in rows)
 
+    def test_non_bethe_root_on_a_match_point_fails(self, tmp_path, capsys):
+        path = tmp_path / "roots.json"
+        path.write_text(json.dumps([{"n": 1, "roots": [[0.21, 0.0]]}]))
+        assert run(["bethe", "--roots", str(path), "--out", str(tmp_path / "b")]) == 1
+        assert "root set 0 fails the residual tolerance" in capsys.readouterr().out
+
     @pytest.mark.parametrize("roots,extra", [
         ([], ["--verify-only"]),
         ([{"n": 3, "roots": [[0.1, 0.0], [0.2, 0.0], [0.3, 0.0]]}], ["--verify-only"]),
-        (None, ["--verify-only"]), (None, ["--roots", "no-such-roots.json"])],
-        ids=["empty", "sector-3", "verify-only-alone", "no-file"])
+        (None, ["--verify-only"]), (None, ["--roots", "no-such-roots.json"]),
+        ([{"n": 1, "roots": [[float("nan"), 0.0]]}], []),
+        ([{"n": 1, "roots": [[float("nan"), 0.0]]}], ["--verify-only"]),
+        ([{"n": 1, "roots": [[0.1, float("inf")]]}], []),
+        ([{"n": 1, "roots": [[0.1, float("inf")]]}], ["--verify-only"])],
+        ids=["empty", "sector-3", "verify-only-alone", "no-file", "root-nan",
+             "root-nan-verify-only", "root-inf", "root-inf-verify-only"])
     def test_input_that_judges_nothing_is_config_error(self, tmp_path, roots, extra):
         argv = ["bethe", "--out", str(tmp_path / "out")]
         if roots is not None:
