@@ -491,6 +491,13 @@ def _greedy_pairs(cost):
     return pairs, sorted(free_s), sorted(free_e)
 
 
+def _match_qs(w, params):
+    """Q(x), Q(x - gamma), Q(x + gamma) at the points `_MATCH_XS`, each from
+    a (..., point, root) stack of the roots w."""
+    return [np.prod(np.sinh(_MATCH_XS[:, None] + shift - w), axis=-1)
+            for shift in (0, -params.gamma, params.gamma)]
+
+
 def match_spectrum(params: ModelParams, n, solutions, oracle):
     """Greedy minimal-cost bipartite matching between root sets and oracle
     eigenvalues, the pairs listed by solution index.  The cost of set s and
@@ -502,9 +509,7 @@ def match_spectrum(params: ModelParams, n, solutions, oracle):
     unmatched eigenvalues only)."""
     p, x = params, _MATCH_XS
     w = np.array([s.roots for s in solutions], dtype=complex).reshape(len(solutions), 1, n)
-    # Q_s(x), Q_s(x - gamma), Q_s(x + gamma), each from a (set, point, root) stack
-    q, qa, qd = (np.prod(np.sinh(x[:, None] + shift - w), axis=-1)
-                 for shift in (0, -p.gamma, p.gamma))
+    q, qa, qd = _match_qs(w, p)
     terms = np.broadcast_arrays(oracle.eigenvalues_at(x) * q[:, None],  # (nsol, neig, npts)
                                 -(p.phi1 * p.lam_a(x) * qa)[:, None],
                                 -(p.phi2 * p.lam_d(x) * qd)[:, None])
@@ -531,10 +536,13 @@ def roots_to_json(solutions):
     return json.dumps(recs, indent=2, sort_keys=True)
 
 
-def roots_from_json(text):
-    """Root sets from `roots_to_json` text, marked as user-supplied."""
+def roots_from_json(text, params: ModelParams):
+    """Root sets from `roots_to_json` text, marked as user-supplied.  A set's
+    n must be an integer, and every product that judges it finite."""
     out = []
     for rec in json.loads(text):
+        if not isinstance(rec["n"], int) or isinstance(rec["n"], bool):
+            raise TypeError(f"a root set's n must be an integer: {rec['n']!r}")
         roots = tuple(complex(re, im) for re, im in rec["roots"])
         pairs = [(i, j, complex(re, im)) for i, j, re, im in rec.get("pairs", [])]
         out.append(BetheRoots(n=rec["n"], roots=roots,
@@ -542,4 +550,13 @@ def roots_from_json(text):
                               source="user",
                               singular=bool(rec.get("singular", False)),
                               pairs=pairs))
+        w = np.array(roots)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ta, td, _, _ = _terms(w[None], params, jacobian=False)
+            qs = _match_qs(w, params)
+        if not all(np.isfinite(f).all() for f in (ta, td, *qs)):
+            raise ValueError(
+                f"roots {roots}: the residue-form products at the roots and Q(y) = "
+                f"prod_l sinh(y - w_l) at y = x, x -+ gamma, for the match points x "
+                f"in [{_MATCH_XS[0]:g}, {_MATCH_XS[-1]:g}], must be finite")
     return out

@@ -29,6 +29,14 @@ from .spectrum import (DegenerateSpectrum, complex_pairs, diagonalize_blocks,
 
 EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_DEGENERATE = 0, 1, 2, 3
 
+# scale of the planted 1%-off controls: the eigenvalue in `compatibility`,
+# the wave speed in `pde`, every eigenvalue of a `verify --perturb-lambda` run
+_CONTROL_FACTOR = 1.01
+# the bounds that several readers share (every other bound is written in its
+# row): the margin of the planted controls of `polynomial`, `pde` and
+# `schrodinger`, and the residual and spectrum match of a Bethe root set
+NEGATIVE_CONTROL, BETHE_RESIDUAL, BETHE_MATCH = 1e-3, 1e-12, 1e-8
+
 
 # ---------------------------------------------------------------------------
 # the verify context
@@ -39,17 +47,18 @@ class VerifyContext:
     solutions and their oracle matches are built once, on first use, and
     kept for the run; each build is timed as its own entry of `shared`, with
     the monodromy builds it made, so no check is charged for work that
-    others reuse.  The samples cover the `SECTORS` entries of `checks`, the
-    run's check names.  Each eigensystem is diagonalized in memory from the
-    samples; nothing is kept between runs.  A negative-control run (`perturb`) scales
-    every eigenvalue by `_CONTROL_FACTOR`."""
+    others reuse.  The samples cover the sectors declared by the checks
+    named in `checks` (`_check`).  Each eigensystem is diagonalized in
+    memory from the samples; nothing is kept between runs.  A
+    negative-control run (`perturb`) scales every eigenvalue by
+    `_CONTROL_FACTOR`."""
 
     def __init__(self, config: RunConfig, checks, perturb=False):
         self.factor = _CONTROL_FACTOR if perturb else 1.0
         self.params = config.model
         self.rng = PCG64Stream(config.seed)
         self._sampled = sorted({n for name in checks
-                                for n in SECTORS.get(name, lambda L: ())(self.params.L)})
+                                for n in CHECKS[name].sectors(self.params.L)})
         self._samples = None
         self._eigs = {}
         self._bethe = {}
@@ -108,8 +117,7 @@ class VerifyContext:
         if n not in self._bethe:
             es = self.eigensystem(n)
             sols, entry = self._timed("bethe", n, lambda: bt.solve_bae(es))
-            self._bethe[n] = sols, bt.conditioning(sols, es,
-                                                   TOLERANCES["bethe_residual"])
+            self._bethe[n] = sols, bt.conditioning(sols, es, BETHE_RESIDUAL)
             entry.update(self._bethe[n][1])
         return self._bethe[n]
 
@@ -122,34 +130,50 @@ class VerifyContext:
         return self._match[n]
 
 
-def _report(check, identity, residual, tol, **details):
-    return VerificationReport(
-        check=check, identity=identity, residual=float(residual), tolerance=tol,
-        details=details)
+def _report(identity, residual, tol, **details):
+    """A row, judged at the bound `tol`; `cmd_verify` names its check."""
+    return VerificationReport(check="", identity=identity, residual=float(residual),
+                              tolerance=tol, details=details)
 
 
-def _exceed_report(check, identity, value, threshold, **details):
+def _exceed_report(identity, value, threshold, **details):
     """Record a must-exceed (negative-control) check as a margin residual,
     preserving the pass <=> residual <= tolerance invariant."""
     margin = threshold / max(float(value), 1e-300)
-    return _report(check, identity, margin, 1.0, **details, measured=float(value),
+    return _report(identity, margin, 1.0, **details, measured=float(value),
                    must_exceed=float(threshold))
+
+
+# the registry of `verify`, in run order: every check draws its random points
+# from the run's one stream, so the order is part of each row's residual
+CHECKS = {}
+
+
+def _check(name, sectors=lambda L: ()):
+    """Register a check under `name`, with the sectors it reads at chain
+    length L (none by default); `cmd_verify` calls it with those sectors."""
+    def register(fn):
+        fn.sectors = sectors
+        CHECKS[name] = fn
+        return fn
+    return register
 
 
 # ---------------------------------------------------------------------------
 # registered checks
 
-def check_yang_baxter(ctx):
+@_check("yang-baxter")
+def check_yang_baxter(ctx, sectors):
     draws = []
     for _ in range(50):
         x = ctx.rng.uniform(-1.5, 1.5, 3) + 1j * ctx.rng.uniform(-0.5, 0.5, 3)
         draws.append([*x, ctx.rng.uniform(0.2, 1.2) + 1j * ctx.rng.uniform(-0.3, 0.3)])
     worst = verify_ybe(*np.transpose(draws)).max()
-    return [_report("yang-baxter", "R12 R13 R23 = R23 R13 R12", worst,
-                    TOLERANCES["yang_baxter"])]
+    return [_report("R12 R13 R23 = R23 R13 R12", worst, 1e-12)]
 
 
-def check_transfer_commute(ctx):
+@_check("transfer-commute", lambda L: range(L + 1))
+def check_transfer_commute(ctx, sectors):
     """||[T_i, T_j]||_F / (||T_i||_F ||T_j||_F) over every pair of the run's
     L+1 samples T_i = exp(L x_i) T(x_i), on the sector blocks, where T(x) is
     nonzero; no build.  T(x) is a degree-L trigonometric polynomial that the
@@ -158,7 +182,7 @@ def check_transfer_commute(ctx):
     L = ctx.params.L
     comm = np.zeros((L + 1, L + 1))     # squared norms, summed over sectors
     norm = np.zeros(L + 1)
-    for n in SECTORS["transfer-commute"](L):
+    for n in sectors:
         S = np.fft.fft(ctx.samples()[n], axis=0)  # the sector's samples
         norm += np.linalg.norm(S, axis=(1, 2)) ** 2
         for i in range(L):              # sample i against every later one
@@ -167,11 +191,11 @@ def check_transfer_commute(ctx):
             comm[i, i + 1:] += np.linalg.norm(C, axis=(1, 2)) ** 2
     i, j = np.triu_indices(L + 1, 1)
     worst = np.sqrt(comm[i, j] / (norm[i] * norm[j])).max()
-    return [_report("transfer-commute", "[T(x), T(y)] = 0", worst,
-                    TOLERANCES["transfer_commute"], L=L)]
+    return [_report("[T(x), T(y)] = 0", worst, 1e-10, L=L)]
 
 
-def check_highest_weight(ctx):
+@_check("highest-weight")
+def check_highest_weight(ctx, sectors):
     """The vacuum rows read the sector-0 entries of A and D at ten random
     points (one stacked build); C|0> = 0 holds by construction, since C has
     no block from sector 0."""
@@ -184,8 +208,7 @@ def check_highest_weight(ctx):
     worst = max((np.abs(A[0][:, 0, 0] - p.phi1 * lam_a) / sc).max(),
                 (np.abs(D[0][:, 0, 0] - p.phi2 * lam_d) / sc).max())
     del A, D
-    out = [_report("highest-weight", "A|0>, D|0> eigen; C|0> = 0", worst,
-                   TOLERANCES["highest_weight"])]
+    out = [_report("A|0>, D|0> eigen; C|0> = 0", worst, 1e-12)]
     # the trace against its closed form: the trace over each site of
     # R(x - mu_j) is (a + b) times the unit on the auxiliary space, so
     # tr T(x) = (phi1 + phi2) prod_j (a_j + b_j); the magnetization blocks
@@ -198,30 +221,29 @@ def check_highest_weight(ctx):
         diag[sector_indices(p.L, n)] = np.diagonal(T[0])
     closed = (p.phi1 + p.phi2) * np.prod([np.sinh(x - m + p.gamma) + np.sinh(x - m)
                                           for m in p.mu])
-    out.append(_report("highest-weight", "magnetization blocks + trace",
-                       abs(diag.sum() - closed) / np.abs(diag).sum(),
-                       TOLERANCES["structure"]))
+    out.append(_report("magnetization blocks + trace",
+                       abs(diag.sum() - closed) / np.abs(diag).sum(), 1e-14))
     return out
 
 
-def check_exchange(ctx):
+@_check("exchange")
+def check_exchange(ctx, sectors):
     """The exchange relations on every pair of four random points (one
     stacked build), relative to the largest max|T(x)|^2 among them."""
     worst, t_norm = yba_exchange_residual(ctx.rng.uniform(-1.0, 1.0, 4), ctx.params)
-    return [_report("exchange", "A-B and D-B subalgebra relations",
-                    worst / t_norm ** 2, TOLERANCES["exchange"])]
+    return [_report("A-B and D-B subalgebra relations", worst / t_norm ** 2, 1e-11)]
 
 
-def check_polynomial(ctx):
-    systems = [ctx.eigensystem(n) for n in SECTORS["polynomial"](ctx.params.L)]
+@_check("polynomial", lambda L: range(L + 1))
+def check_polynomial(ctx, sectors):
+    systems = [ctx.eigensystem(n) for n in sectors]
     worst = max((r.max() for r in polynomial_residuals(systems)), default=0.0)
-    out = [_report("polynomial", "u^{L/2} Lam(x) is degree-L in u", worst,
-                   TOLERANCES["polynomial_fit"])]
+    out = [_report("u^{L/2} Lam(x) is degree-L in u", worst, 1e-9)]
     # u^{L/2} exp((L+2)x) = u^{L+1}: outside the degree-L form at every L
     _, planted = polynomiality_check(
         lambda x: ctx.params.lam_a(x) + np.exp((ctx.params.L + 2) * x), ctx.params)
-    out.append(_exceed_report("polynomial", "planted non-eigenvalue fails fit",
-                              planted, TOLERANCES["negative_control"]))
+    out.append(_exceed_report("planted non-eigenvalue fails fit", planted,
+                              NEGATIVE_CONTROL))
     return out
 
 
@@ -235,30 +257,27 @@ def _random_roots(ctx, n):
     return ctx.rng.uniform(-1, 1, n) + 1j * ctx.rng.uniform(-1, 1, n)
 
 
-def check_linear_problem(ctx):
+# the linear problem and its determinants need n <= L - 1
+@_check("linear-problem", lambda L: range(1, min(3, L - 1) + 1))
+def check_linear_problem(ctx, sectors):
     out = []
-    for n in SECTORS["linear-problem"](ctx.params.L):
+    for n in sectors:
         es = ctx.eigensystem(n)
         pts = _sample_points(ctx, n + 1)
         count = min(es.size, 4)
         res, scale = fx.linear_relation_residual(
             pts, ctx.lam(n, slice(count)), es.left[:count], ctx.params)
         worst = float((np.abs(res) / scale).max())
-        out.append(_report("linear-problem", f"sum_i M_i F_{n} = 0 (n={n})",
-                           worst, TOLERANCES["linear_problem"], n=n))
+        out.append(_report(f"sum_i M_i F_{n} = 0 (n={n})", worst, 1e-10, n=n))
     return out
 
 
-# scale of the planted 1%-off controls: the eigenvalue in `compatibility`,
-# the wave speed in `pde`, every eigenvalue of a `verify --perturb-lambda` run
-_CONTROL_FACTOR = 1.01
-
-
-def check_compatibility(ctx):
+@_check("compatibility", lambda L: range(1, min(3, L - 1) + 1))
+def check_compatibility(ctx, sectors):
     """One extended matrix per sector, for a stack of the first four
     eigenvalues, the on-shell eigenvalue 0 and its 1%-off control."""
     out = []
-    for n in SECTORS["compatibility"](ctx.params.L):
+    for n in sectors:
         pts = [0.31, -0.42, 0.55, 0.9][:n + 1]
         es = ctx.eigensystem(n)
         count, f = min(es.size, 4), es.lam(0)
@@ -266,57 +285,57 @@ def check_compatibility(ctx):
                                         _CONTROL_FACTOR * f.coeffs]))
         M = fx.extended_matrix(pts, stack, ctx.params)
         dets = np.abs(fx.compatibility_residual(M))
-        out.append(_report("compatibility", f"det extended matrix = 0 (n={n})",
-                           dets[:count].max(), TOLERANCES["compatibility"], n=n))
+        out.append(_report(f"det extended matrix = 0 (n={n})",
+                           dets[:count].max(), 1e-8, n=n))
         # negative control: the 1%-off determinant must sit far above the
         # on-shell value of the same eigenpair and its rounding level
         out.append(_exceed_report(
-            "compatibility", f"perturbed eigenvalue separated (n={n})",
-            dets[-1], fx.separation_threshold(M[-2]), n=n,
+            f"perturbed eigenvalue separated (n={n})", dets[-1],
+            fx.separation_threshold(M[-2]), n=n,
             on_shell=float(dets[-2]), rank_on_shell=int(fx.extended_rank(M[-2]))))
     return out
 
 
-def check_nonlinear_n1(ctx):
+@_check("nonlinear-n1", lambda L: [1])
+def check_nonlinear_n1(ctx, sectors):
     out, p = [], ctx.params
     x0, x1 = 0.31, -0.42
-    for n in SECTORS["nonlinear-n1"](p.L):
+    for n in sectors:
         # the sector, then the cross-check's off-shell eigenvalue: one m-matrix
         f = ctx.eigensystem(n).lam(0)
         bad = ExpSum(f.ms, 1.07 * f.coeffs)
         stack = ExpSum(f.ms, np.vstack([ctx.lam(n).coeffs, bad.coeffs]))
         r = fx.nonlinear_eq_n1_residual(x0, x1, stack, p)
         worst = (np.abs(r) / np.abs(stack(x0) * stack(x1)))[:-1].max()
-        out.append(_report("nonlinear-n1", "two-point identity", worst,
-                           TOLERANCES["nonlinear_n1"]))
+        out.append(_report("two-point identity", worst, 1e-8))
         # cross-check: identical to the determinant path
         d = np.linalg.det(fx.extended_matrix([x0, x1], bad, p))
-        out.append(_report("nonlinear-n1", "agrees with determinant path",
-                           abs(r[-1] - d) / abs(d), TOLERANCES["nonlinear_n1_det"]))
+        out.append(_report("agrees with determinant path",
+                           abs(r[-1] - d) / abs(d), 1e-12))
     return out
 
 
-def check_nonlinear_n2(ctx):
+@_check("nonlinear-n2", lambda L: range(2, min(2, L) + 1))
+def check_nonlinear_n2(ctx, sectors):
     out, pts = [], (0.31, -0.42, 0.55)
-    for n in SECTORS["nonlinear-n2"](ctx.params.L):
+    for n in sectors:
         lam = ctx.lam(n)
         scale = np.abs(lam(pts[0]) * lam(pts[1]) * lam(pts[2]))
         worst = (np.abs(fx.nonlinear_eq_n2_residual(*pts, lam, ctx.params)) / scale).max()
-        out.append(_report("nonlinear-n2", "three-point identity", worst,
-                           TOLERANCES["nonlinear_n2"]))
+        out.append(_report("three-point identity", worst, 1e-8))
     return out
 
 
-def check_transport(ctx):
+@_check("transport", lambda L: range(2, min(3, L - 1) + 1))
+def check_transport(ctx, sectors):
     out = []
-    for n in SECTORS["transport"](ctx.params.L):
+    for n in sectors:
         es = ctx.eigensystem(n)
         lam = ctx.lam(n, 0)
         pts = _sample_points(ctx, n + 1)
         M = fx.extended_matrix(pts, lam, ctx.params)  # shared by both rows
         loop = abs(fx.transport_loop(list(range(min(n + 1, 4))), M) - 1)
-        out.append(_report("transport", f"loop composition = 1 (n={n})", loop,
-                           TOLERANCES["transport_loop"], n=n))
+        out.append(_report(f"loop composition = 1 (n={n})", loop, 1e-9, n=n))
         # factorization: transport ratio against directly computed F ratios
         F = fx.f_n([pts[:i] + pts[i + 1:] for i in range(3)], es.left[0],
                    ctx.params)[0]
@@ -324,15 +343,15 @@ def check_transport(ctx):
         for (i, j) in [(0, 1), (1, 2), (0, 2)]:
             tv = fx.transport(i, j, M)
             worst = max(worst, abs(tv - F[j] / F[i]) / abs(tv))
-        out.append(_report("transport", f"det ratio = F ratio (n={n})", worst,
-                           TOLERANCES["factorization"], n=n))
+        out.append(_report(f"det ratio = F ratio (n={n})", worst, 1e-8, n=n))
     return out
 
 
-def check_reduced_det(ctx):
+@_check("reduced-det", lambda L: range(2, min(4, L - 1) + 1))
+def check_reduced_det(ctx, sectors):
     out = []
     p = ctx.params
-    for n in SECTORS["reduced-det"](p.L):
+    for n in sectors:
         es = ctx.eigensystem(n)
         lam = ctx.lam(n, min(1, es.size - 1))
         pts = _sample_points(ctx, n + 1)
@@ -351,35 +370,36 @@ def check_reduced_det(ctx):
         d1 = fx.tilde_v_det(i, pts, M, p)
         d2 = fx.tilde_v_det(j, sw, fx.extended_matrix(sw, lam, p), p)
         worst = max(worst, abs(d1 - d2) / abs(d1))
-        out.append(_report("reduced-det", f"normalization + permutation (n={n})",
-                           worst, TOLERANCES["reduced_det"], n=n))
+        out.append(_report(f"normalization + permutation (n={n})", worst, 1e-10, n=n))
         spread = fx.tilde_v_spread(1, pts, lam, p)
-        out.append(_report("reduced-det", f"det independent of x_i (n={n})",
-                           spread, TOLERANCES["reduced_det_spread"], n=n))
+        out.append(_report(f"det independent of x_i (n={n})", spread, 1e-9, n=n))
     return out
 
 
-def check_theta(ctx):
+@_check("theta", lambda L: range(2, min(2, L - 1) + 1))
+def check_theta(ctx, sectors):
     out = []
-    for n in SECTORS["theta"](ctx.params.L):
+    for n in sectors:
         lam = ctx.lam(n, 0)
         pts = [0.31, -0.42, 0.55][:n + 1]
         worst = 0.0
         for (i, j) in [(0, 1), (1, 2)]:
             worst = max(worst, fx.theta_conservation(i, j, pts, lam, ctx.params))
-        out.append(_report("theta", f"d_j theta_ij = 0 (n={n})", worst,
-                           TOLERANCES["theta_conservation"], n=n))
+        out.append(_report(f"d_j theta_ij = 0 (n={n})", worst, 1e-6, n=n))
     return out
 
 
-def check_conserved_n1(ctx):
+# G+/G- = d/dy log(lam_minus(y) sinh(y + w1)) at y = 0, and lam_minus(w1) = 0
+# is the root's Bethe equation: over the L zeros w_k of lam_minus, G+/G- =
+# -sum_{k > 1} coth(w_k).  At L = 1 none is left, G+ = 0 at every x and the
+# log is undefined: the identity needs n <= L - 1
+@_check("conserved-n1", lambda L: range(1, min(1, L - 1) + 1))
+def check_conserved_n1(ctx, sectors):
     out = []
     p = ctx.params
-    for n in SECTORS["conserved-n1"](p.L):
+    for n in sectors:
         v, _, _ = fx.conserved_n1(np.array([0.2, 0.9]), ctx.lam(n), p)
-        out.append(_report("conserved-n1", "constancy across x",
-                           np.abs(v[:, 0] - v[:, 1]).max(),
-                           TOLERANCES["conserved_constancy"]))
+        out.append(_report("constancy across x", np.abs(v[:, 0] - v[:, 1]).max(), 1e-8))
         # closed form against a Bethe root
         sols, _ = ctx.bethe(n)
         pairs = ctx.match(n).pairs
@@ -389,39 +409,36 @@ def check_conserved_n1(ctx):
             target = np.array([fx.conserved_n1_closed_form(sols[si].roots[0], p)
                                for si, _, _ in pairs])
             worst = (np.abs(np.exp(val) - target) / np.abs(target)).max()
-        out.append(_report("conserved-n1", "exp equals coth(w1) + dlm(0)/lm(0)",
-                           worst, TOLERANCES["conserved_closed_form"]))
+        out.append(_report("exp equals coth(w1) + dlm(0)/lm(0)", worst, 1e-7))
     return out
 
 
-def check_bethe_match(ctx):
+@_check("bethe", lambda L: range(1, min(2, L) + 1))
+def check_bethe_match(ctx, sectors):
     out = []
-    for n in SECTORS["bethe"](ctx.params.L):
+    for n in sectors:
         sols, cond = ctx.bethe(n)
         res = max((s.residual for s in sols), default=0.0)
-        out.append(_report("bethe", f"residue-form residuals (n={n})", res,
-                           TOLERANCES["bethe_residual"], n=n,
+        out.append(_report(f"residue-form residuals (n={n})", res, BETHE_RESIDUAL, n=n,
                            solutions=len(sols), **cond))
         rep = ctx.match(n)
-        out.append(_report("bethe", f"spectrum match (n={n})", rep.residual,
-                           TOLERANCES["bethe_match"], n=n,
+        out.append(_report(f"spectrum match (n={n})", rep.residual, BETHE_MATCH, n=n,
                            unmatched_eigenvalues=rep.unmatched_eigenvalues,
                            unmatched_solutions=rep.unmatched_solutions,
                            unmatched_no_degree_n_q=len(rep.no_degree_n_q), **cond))
     return out
 
 
-def check_riccati_n1(ctx):
+@_check("riccati-n1", lambda L: [1])
+def check_riccati_n1(ctx, sectors):
     out, xs = [], np.array([0.43, 0.9])
-    for n in SECTORS["riccati-n1"](ctx.params.L):
+    for n in sectors:
         lam = ctx.lam(n)
         r = odes.riccati_lambda_residual(lam, xs, ctx.params)
-        out.append(_report("riccati-n1", "first-order quadratic ODE",
-                           np.abs(r).max(), TOLERANCES["riccati_n1"]))
+        out.append(_report("first-order quadratic ODE", np.abs(r).max(), 1e-7))
         s = odes.sigma1_residual(lam, xs, ctx.params)
-        out.append(_report("riccati-n1", "surface form agrees",
-                           np.maximum(np.abs(s), np.abs(r - s)).max(),
-                           TOLERANCES["sigma1"]))
+        out.append(_report("surface form agrees",
+                           np.maximum(np.abs(s), np.abs(r - s)).max(), 1e-7))
     return out
 
 
@@ -430,220 +447,120 @@ def check_riccati_n1(ctx):
 _SIGMA2_POINTS = np.array([0.63, -0.213])
 
 
-def check_sigma2(ctx):
+@_check("sigma2", lambda L: range(2, min(2, L) + 1))
+def check_sigma2(ctx, sectors):
     out = []
-    for n in SECTORS["sigma2"](ctx.params.L):
+    for n in sectors:
         worst = np.abs(odes.sigma2_residual(ctx.lam(n), _SIGMA2_POINTS, ctx.params)).max()
-        out.append(_report("sigma2", "second-order ODE (coalescing reduction)",
-                           worst, TOLERANCES["sigma2"]))
+        out.append(_report("second-order ODE (coalescing reduction)", worst, 1e-6))
     return out
 
 
-def check_riccati2(ctx):
+@_check("riccati2", lambda L: range(2, min(2, L) + 1))
+def check_riccati2(ctx, sectors):
     out = []
-    for n in SECTORS["riccati2"](ctx.params.L) if ctx.params.reference_point else ():
+    for n in sectors if ctx.params.reference_point else ():
         worst = np.abs(odes.riccati2_residual(ctx.lam(n), np.array([0.43, 0.8]),
                                               ctx.params)).max()
-        out.append(_report("riccati2", "standard Riccati at untwisted point", worst,
-                           TOLERANCES["riccati2"]))
+        out.append(_report("standard Riccati at untwisted point", worst, 1e-6))
     return out
 
 
-def check_riccati_h(ctx):
+@_check("riccati-h")
+def check_riccati_h(ctx, sectors):
     worst = 0.0
     for n in (1, 2, 3):
         roots = _random_roots(ctx, n)
         worst = max(worst, np.abs(odes.riccati_h_residual(
             bt.CothSum(roots), np.array([0.37, -0.6]), n)).max())
-    return [_report("riccati-h", "coth-sum ODE chain (orders 1..3)", worst,
-                    TOLERANCES["riccati_h"])]
+    return [_report("coth-sum ODE chain (orders 1..3)", worst, 1e-9)]
 
 
-def check_upsilon(ctx):
+@_check("upsilon")
+def check_upsilon(ctx, sectors):
     worst = 0.0
     for n in range(1, 7):
         roots = _random_roots(ctx, n)
         worst = max(worst, odes.upsilon_annihilation(roots, n))
-    return [_report("upsilon", "annihilator of exp(-int h), exact", worst,
-                    TOLERANCES["upsilon"])]
+    return [_report("annihilator of exp(-int h), exact", worst, 1e-13)]
 
 
 # points of the pointwise `u-equation` and `schrodinger` rows
 _ODE_POINTS = np.array([0.2, 0.45, 0.7, 0.95, 1.2])
 
 
-def check_u_equation(ctx):
+@_check("u-equation", lambda L: [1])
+def check_u_equation(ctx, sectors):
     """With u'/u = Lam/(c lam_minus), the linear second-order equation for u
     divided by u is minus the `riccati-n1` numerator: judged pointwise on
     the Bethe-root evaluator."""
-    sols = [s for n in SECTORS["u-equation"](ctx.params.L) for s in ctx.bethe(n)[0]
-            if not s.singular]
+    sols = [s for n in sectors for s in ctx.bethe(n)[0] if not s.singular]
     if not sols:
         return []
     ev = bt.RootEigenvalue(sols[0].roots, ctx.params)
     worst = np.abs(odes.riccati_lambda_residual(ev, _ODE_POINTS, ctx.params)).max()
-    return [_report("u-equation", "linearized second-order form", worst,
-                    TOLERANCES["u_equation"])]
+    return [_report("linearized second-order form", worst, 1e-6)]
 
 
 # the travelling waves: speed and the points X = chi - omega tau judged
 _PDE_OMEGA, _PDE_POINTS = 0.8, np.array([0.37, -0.6])
 
 
-def check_pde(ctx):
+@_check("pde")
+def check_pde(ctx, sectors):
     out, draws = [], []
     for n in (1, 2, 3):
         roots = _random_roots(ctx, n)
         draws.append(roots)
         worst = odes.pde_travelling_wave_residual(n, roots, _PDE_OMEGA, _PDE_POINTS).max()
-        out.append(_report("pde", f"travelling-wave reduction order {n}", worst,
-                           TOLERANCES["pde"]))
+        out.append(_report(f"travelling-wave reduction order {n}", worst, 1e-10))
     # negative control: the waves move at omega, the PDEs' coefficients use
     # 1.01 omega
     control = min(odes.pde_travelling_wave_residual(
         len(roots), roots, _PDE_OMEGA, _PDE_POINTS,
         omega_pde=_CONTROL_FACTOR * _PDE_OMEGA).max() for roots in draws)
-    out.append(_exceed_report("pde", "wave speed off by 1% rejected", control,
-                              TOLERANCES["negative_control"]))
+    out.append(_exceed_report("wave speed off by 1% rejected", control, NEGATIVE_CONTROL))
     return out
 
 
-def check_schrodinger(ctx):
+@_check("schrodinger", lambda L: range(2, min(2, L) + 1))
+def check_schrodinger(ctx, sectors):
     out = []
-    for n in SECTORS["schrodinger"](ctx.params.L) if ctx.params.reference_point else ():
+    for n in sectors if ctx.params.reference_point else ():
         worst = odes.schrodinger_map_residual(ctx.lam(n), _ODE_POINTS, ctx.params).max()
-        out.append(_report("schrodinger", "psi'' + (V - 1) psi = 0, energy fixed",
-                           worst, TOLERANCES["schrodinger"]))
+        out.append(_report("psi'' + (V - 1) psi = 0, energy fixed", worst, 1e-5))
         broken = odes.schrodinger_map_residual(ctx.lam(n, 0), _ODE_POINTS, ctx.params,
                                                potential_scale=1.1).max()
-        out.append(_exceed_report("schrodinger", "scaled potential rejected",
-                                  broken, TOLERANCES["negative_control"]))
+        out.append(_exceed_report("scaled potential rejected", broken, NEGATIVE_CONTROL))
     return out
 
 
-def check_root_of_unity(ctx):
+@_check("root-of-unity", lambda L: range(L + 1))
+def check_root_of_unity(ctx, sectors):
     if not ctx.params.reference_point:
         return []
     power = odes.omega0_power_deviation(ctx.params)
-    out = [_report("root-of-unity", "O^L = Id", power,
-                   TOLERANCES["root_of_unity_power"])]
-    devs = odes.omega0_sector_deviations(
-        ctx.params, {n: ctx.lam(n) for n in SECTORS["root-of-unity"](ctx.params.L)})
+    out = [_report("O^L = Id", power, 1e-12)]
+    devs = odes.omega0_sector_deviations(ctx.params, {n: ctx.lam(n) for n in sectors})
     worst = max((v.max() for v in devs.values()), default=0.0)
-    out.append(_report("root-of-unity", "(Lam(0)/c^L)^L = 1", worst,
-                       TOLERANCES["root_of_unity_sector"]))
+    out.append(_report("(Lam(0)/c^L)^L = 1", worst, 1e-9))
     return out
 
 
-def check_potential(ctx):
+@_check("potential")
+def check_potential(ctx, sectors):
     g = 0.3
     well, barrier = (odes.potential_profile(om0, g, (-6, 6), 601) for om0 in (1.0, 1j))
     wvals, bvals = (prof.values[np.isfinite(prof.values)] for prof in (well, barrier))
-    out = [_report("potential", "V real on the real axis",
-                   max(np.abs(wvals.imag).max(), np.abs(bvals.imag).max()),
-                   TOLERANCES["potential_reality"])]
+    out = [_report("V real on the real axis",
+                   max(np.abs(wvals.imag).max(), np.abs(bvals.imag).max()), 1e-12)]
     ok_barrier = bool((bvals.real > -1e-12).all()) and not barrier.poles
     pole_dev = min((abs(px + g / 2) for px in well.poles), default=float("inf"))
     ok_well = bool((wvals.real < 1e-12).all())
     shape_penalty = 0.0 if (ok_barrier and ok_well) else 1.0
-    out.append(_report("potential", "barrier for om0=i, well with pole for om0=1",
-                       pole_dev + shape_penalty, TOLERANCES["potential_shape"]))
+    out.append(_report("barrier for om0=i, well with pole for om0=1",
+                       pole_dev + shape_penalty, 1e-6))
     return out
-
-
-# the bound of each row, by name: a row passes when its residual is at most
-# its bound (must-exceed rows compare a margin with 1.0 instead)
-TOLERANCES = {
-    "yang_baxter": 1e-12,
-    "transfer_commute": 1e-10,
-    "highest_weight": 1e-12,
-    "exchange": 1e-11,
-    "structure": 1e-14,
-    "polynomial_fit": 1e-9,
-    "linear_problem": 1e-10,
-    "compatibility": 1e-8,
-    "nonlinear_n1": 1e-8,
-    "nonlinear_n1_det": 1e-12,
-    "nonlinear_n2": 1e-8,
-    "negative_control": 1e-3,
-    "transport_loop": 1e-9,
-    "factorization": 1e-8,
-    "reduced_det": 1e-10,
-    "reduced_det_spread": 1e-9,
-    "theta_conservation": 1e-6,
-    "conserved_constancy": 1e-8,
-    "conserved_closed_form": 1e-7,
-    "bethe_residual": 1e-12,
-    "bethe_match": 1e-8,
-    "riccati_n1": 1e-7,
-    "sigma1": 1e-7,
-    "sigma2": 1e-6,
-    "riccati2": 1e-6,
-    "riccati_h": 1e-9,
-    "upsilon": 1e-13,
-    "u_equation": 1e-6,
-    "pde": 1e-10,
-    "schrodinger": 1e-5,
-    "root_of_unity_power": 1e-12,
-    "root_of_unity_sector": 1e-9,
-    "potential_reality": 1e-12,
-    "potential_shape": 1e-6,
-}
-
-
-# the sectors whose samples or eigensystems each check reads at chain length L
-# (none if not listed); the linear problem and its determinants need n <= L - 1
-SECTORS = {
-    "transfer-commute": lambda L: range(L + 1),
-    "polynomial": lambda L: range(L + 1),
-    "linear-problem": lambda L: range(1, min(3, L - 1) + 1),
-    "compatibility": lambda L: range(1, min(3, L - 1) + 1),
-    "nonlinear-n1": lambda L: [1],
-    "nonlinear-n2": lambda L: range(2, min(2, L) + 1),
-    "transport": lambda L: range(2, min(3, L - 1) + 1),
-    "reduced-det": lambda L: range(2, min(4, L - 1) + 1),
-    "theta": lambda L: range(2, min(2, L - 1) + 1),
-    # G+/G- = d/dy log(lam_minus(y) sinh(y + w1)) at y = 0, and lam_minus(w1) = 0
-    # is the root's Bethe equation: over the L zeros w_k of lam_minus, G+/G- =
-    # -sum_{k > 1} coth(w_k).  At L = 1 none is left, G+ = 0 at every x and the
-    # log is undefined: the identity needs n <= L - 1
-    "conserved-n1": lambda L: range(1, min(1, L - 1) + 1),
-    "bethe": lambda L: range(1, min(2, L) + 1),
-    "riccati-n1": lambda L: [1],
-    "sigma2": lambda L: range(2, min(2, L) + 1),
-    "riccati2": lambda L: range(2, min(2, L) + 1),
-    "u-equation": lambda L: [1],
-    "schrodinger": lambda L: range(2, min(2, L) + 1),
-    "root-of-unity": lambda L: range(L + 1),
-}
-
-
-CHECKS = {
-    "yang-baxter": check_yang_baxter,
-    "transfer-commute": check_transfer_commute,
-    "highest-weight": check_highest_weight,
-    "exchange": check_exchange,
-    "polynomial": check_polynomial,
-    "linear-problem": check_linear_problem,
-    "compatibility": check_compatibility,
-    "nonlinear-n1": check_nonlinear_n1,
-    "nonlinear-n2": check_nonlinear_n2,
-    "transport": check_transport,
-    "reduced-det": check_reduced_det,
-    "theta": check_theta,
-    "conserved-n1": check_conserved_n1,
-    "bethe": check_bethe_match,
-    "riccati-n1": check_riccati_n1,
-    "sigma2": check_sigma2,
-    "riccati2": check_riccati2,
-    "riccati-h": check_riccati_h,
-    "upsilon": check_upsilon,
-    "u-equation": check_u_equation,
-    "pde": check_pde,
-    "schrodinger": check_schrodinger,
-    "root-of-unity": check_root_of_unity,
-    "potential": check_potential,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -694,16 +611,18 @@ def cmd_verify(args):
     ctx = VerifyContext(cfg, names, perturb=args.perturb_lambda)
     reports, checks = [], []    # checks: per check, its `measured` ledger
 
-    def rows(name):
+    def rows(check):
         try:
-            return CHECKS[name](ctx)
+            return check(ctx, check.sectors(cfg.model.L))
         except DegenerateSpectrum:
             raise  # aborts the run (exit 3, in main)
         except Exception as exc:  # recorded as a failed report, run continues
-            return [_report(name, f"exception: {type(exc).__name__}", float("inf"),
-                            0.0, message=str(exc))]
+            return [_report(f"exception: {type(exc).__name__}", float("inf"), 0.0,
+                            message=str(exc))]
     for name in names:
-        out, shared, ledger = ctx.measured(lambda: rows(name))
+        out, shared, ledger = ctx.measured(lambda: rows(CHECKS[name]))
+        for r in out:
+            r.check = name
         reports.extend(out)
         for entry in shared:
             entry["check"] = name
@@ -720,13 +639,12 @@ def cmd_verify(args):
 def cmd_bethe(args):
     cfg = _load_config(args)
     out = args.out
-    tol = TOLERANCES["bethe_residual"]
-    sectors = list(SECTORS["bethe"](cfg.model.L))
+    sectors = list(CHECKS["bethe"].sectors(cfg.model.L))
     if args.verify_only and not args.roots:
         raise ConfigError("--verify-only judges the root sets of --roots; none given")
     if args.roots:
         try:
-            loaded = bt.roots_from_json(Path(args.roots).read_text())
+            loaded = bt.roots_from_json(Path(args.roots).read_text(), cfg.model)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"{args.roots}: {exc}") from exc
         held = sorted({s.n for s in loaded})
@@ -734,7 +652,7 @@ def cmd_bethe(args):
             raise ConfigError(f"{args.roots}: holds root sets of sectors {held}, "
                               f"bethe judges sectors {sectors}")
         sectors = held
-    # samples SECTORS["bethe"], on first use: --verify-only builds nothing
+    # samples the sectors of the `bethe` check, on first use: --verify-only builds nothing
     ctx = VerifyContext(cfg, ["bethe"])
     incomplete = False
     rows = []
@@ -746,10 +664,10 @@ def cmd_bethe(args):
             sols = ctx.bethe(n)[0]
         atomic_write_text(out / f"roots-n{n}.json", bt.roots_to_json(sols))
         for i, s in enumerate(sols):
-            if not s.residual <= tol:
+            if not s.residual <= BETHE_RESIDUAL:
                 incomplete = True
                 print(f"sector {n}: root set {i} fails the residual tolerance "
-                      f"({s.residual:.2e} > {tol:.0e})")
+                      f"({s.residual:.2e} > {BETHE_RESIDUAL:.0e})")
         if args.verify_only:
             rows.extend((n, i, "-", s.residual, s.source, s.singular)
                         for i, s in enumerate(sols))
@@ -758,7 +676,7 @@ def cmd_bethe(args):
         rep = bt.match_spectrum(cfg.model, n, sols, es) if args.roots else ctx.match(n)
         rows.extend((n, si, ei, dev, sols[si].source, sols[si].singular)
                     for si, ei, dev in rep.pairs)
-        incomplete |= not rep.residual <= TOLERANCES["bethe_match"]
+        incomplete |= not rep.residual <= BETHE_MATCH
         print(f"sector {n}: {len(rep.pairs)} of {es.size} eigenvalues matched, max "
               f"deviation {rep.max_deviation:.2e}, {len(rep.no_degree_n_q)} without a "
               f"degree-{n} Q; unmatched: eigenvalues {rep.unmatched_eigenvalues}, "

@@ -42,8 +42,8 @@ def _is_real(v):
 
 # a config is the model point and the seed; the keys of earlier configs are
 # refused with where their value is set now, every other key as unknown
-_MOVED_KEYS = {"tolerances": "fixed by the table sixvertex.cli.TOLERANCES",
-               "sectors": "fixed by the table sixvertex.cli.SECTORS",
+_MOVED_KEYS = {"tolerances": "fixed in the code of each row of sixvertex.cli",
+               "sectors": "fixed by each check's @_check declaration in sixvertex.cli",
                "perturb_lambda": "the switch `verify --perturb-lambda` (eigenvalues x 1.01)",
                "output_dir": "the option `--out`",
                "checks": "the option `verify --checks`"}

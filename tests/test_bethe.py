@@ -1,4 +1,5 @@
 import itertools
+import json
 import warnings
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ from conftest import generic_model
 from sixvertex.model import ModelParams
 from sixvertex.spectrum import diagonalize_blocks, sample_sectors
 from sixvertex import bethe as bt
-from sixvertex.cli import TOLERANCES
+from sixvertex.cli import BETHE_MATCH
 
 
 @pytest.fixture(scope="module")
@@ -289,7 +290,7 @@ class TestSolver:
         assert bt.no_degree_n_q(es, [0]) == [0]
         # the match excuses it, so the empty collection passes the match
         rep = bt.match_spectrum(p2, 2, [], es)
-        assert rep.residual <= TOLERANCES["bethe_match"] and rep.no_degree_n_q == [0]
+        assert rep.residual <= BETHE_MATCH and rep.no_degree_n_q == [0]
         assert rep.unmatched_eigenvalues == [] and rep.max_deviation == 0.0
         es1 = oracle.eigensystem(p2, 1)
         assert bt.no_degree_n_q(es1, range(es1.size)) == []
@@ -455,7 +456,7 @@ class TestNewtonCounters:
     def test_newton_residual_is_not_compared(self, params, oracle):
         s = bt.solve_bae(oracle.eigensystem(params, 1))[0]
         assert replace(s, newton_residual=1.0) == s
-        assert np.isnan(bt.roots_from_json(bt.roots_to_json([s]))[0].newton_residual)
+        assert np.isnan(bt.roots_from_json(bt.roots_to_json([s]), params)[0].newton_residual)
 
 
 class TestEigenvalueFormula:
@@ -570,7 +571,7 @@ class TestMatching:
         for n, count in ((1, 4), (2, 6)):
             es = oracle.eigensystem(params, n)
             rep = bt.match_spectrum(params, n, bt.solve_bae(es), es)
-            assert rep.residual <= TOLERANCES["bethe_match"]
+            assert rep.residual <= BETHE_MATCH
             assert len(rep.pairs) == count
             assert rep.max_deviation < 1e-8
 
@@ -598,13 +599,13 @@ class TestMatching:
             for i, s in enumerate(sols):
                 moved = replace(s, roots=(1.01 * s.roots[0],) + s.roots[1:], pairs=())
                 rep = bt.match_spectrum(p, n, sols[:i] + [moved] + sols[i + 1:], es)
-                assert rep.residual > TOLERANCES["bethe_match"], (n, i)
+                assert rep.residual > BETHE_MATCH, (n, i)
 
     def test_generic_twist_matching(self, generic_params, oracle):
         # empirical bijection question: measured, and complete at this point
         es = oracle.eigensystem(generic_params, 1)
         rep = bt.match_spectrum(generic_params, 1, bt.solve_bae(es), es)
-        assert rep.residual <= TOLERANCES["bethe_match"]
+        assert rep.residual <= BETHE_MATCH
 
 
 class TestSerialization:
@@ -613,7 +614,7 @@ class TestSerialization:
         # does the residual recomputed from them
         for p in (params, generic(6, 14)):
             sols = bt.solve_bae(oracle.eigensystem(p, 2))
-            back = bt.roots_from_json(bt.roots_to_json(sols))
+            back = bt.roots_from_json(bt.roots_to_json(sols), p)
             assert len(back) == len(sols)
             assert any(s.pairs for s in back) == (p is not params)
             for a, b in zip(sols, back):
@@ -621,6 +622,21 @@ class TestSerialization:
                 assert a.roots == b.roots and a.pairs == b.pairs
                 assert bt.solution_residual(b, p) == a.residual
                 assert b.source == "user"
+
+    def test_malformed_records_rejected(self, params):
+        # a sector that is not an integer, and far roots that overflow a
+        # product judging them, refused before the product warns: at L=4
+        # sinh at the match points (1000), the residue-form products
+        # (sinh(200)^4) and Q(x) of finite factors (two roots at 400)
+        for n in (True, 1.0, "1"):
+            with pytest.raises(TypeError, match="n must be an integer"):
+                bt.roots_from_json(json.dumps([{"n": n, "roots": [[-0.35, 0.0]]}]), params)
+        for roots in ([[1000, 0.0]], [[200, 0.0]], [[400, 0.0], [400.5, 0.0]]):
+            with pytest.raises(ValueError, match="must be finite"):
+                bt.roots_from_json(json.dumps([{"n": len(roots), "roots": roots}]), params)
+        # a far root whose products stay finite is read
+        sol, = bt.roots_from_json(json.dumps([{"n": 1, "roots": [[150, 0.0]]}]), params)
+        assert sol.roots == (150,)
 
     def test_tied_root_must_follow_its_pair(self, oracle):
         # the written value of a tied root is checked against its pair

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import shlex
@@ -43,10 +44,10 @@ class TestConfig:
         assert cfg.model.gamma == 0.7
 
     def test_unknown_tolerance_rejected(self, tmp_path):
-        # every bound is fixed in cli.TOLERANCES, so a config written to
-        # tighten one is refused rather than run at the fixed value
+        # every bound is fixed in the code of its row, so a config written
+        # to tighten one is refused rather than run at the fixed value
         for tolerances in ({"bogus": 1.0}, {"theta_conservation": 1e-6}):
-            with pytest.raises(ConfigError, match="cli.TOLERANCES"):
+            with pytest.raises(ConfigError, match="code of each row of sixvertex.cli"):
                 RunConfig.from_dict({"tolerances": tolerances})
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps({"tolerances": tolerances}))
@@ -55,9 +56,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("command", ["spectrum", "verify", "bethe"])
     def test_sectors_key_rejected(self, tmp_path, command):
-        # each check's sectors are fixed in cli.SECTORS, so a config that
-        # names sectors is refused rather than run on the fixed ones
-        with pytest.raises(ConfigError, match="cli.SECTORS"):
+        # each check's sectors are fixed by its @_check declaration, so a
+        # config that names sectors is refused rather than run on the fixed ones
+        with pytest.raises(ConfigError, match="each check's @_check declaration"):
             RunConfig.from_dict({"sectors": [1, 2]})
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"sectors": [0, 1, 2, 3, 4]}))
@@ -299,11 +300,50 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("model", [{"L": 4, "gamma": 0.7}, generic_model(6, 1)],
                              ids=["reference-L4", "generic-L6"])
-    def test_rows_carry_their_check_name(self, model):
-        # a row's `check` is the name that selects it with --checks
+    def test_rows_carry_their_check_name(self, tmp_path, model):
+        # a row's `check` is the name that selects it with --checks: the
+        # run names the rows of each check, which a direct call on the same
+        # seed gives in the same order
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"model": model}))
+        assert run(["verify", "--config", str(path), "--out", str(tmp_path)]) == 0
+        rows = [json.loads(line) for line in
+                (tmp_path / "reports.jsonl").read_text().splitlines()]
         ctx = cli.VerifyContext(RunConfig.from_dict({"model": model}), cli.CHECKS)
-        for name, check in cli.CHECKS.items():
-            assert {r.check for r in check(ctx)} <= {name}, name
+        direct = [(name, r.identity) for name, check in cli.CHECKS.items()
+                  for r in check(ctx, check.sectors(ctx.params.L))]
+        assert [(r["check"], r["identity"]) for r in rows] == direct
+
+    def test_checks_are_registered_in_run_order(self):
+        # every check draws its points from the run's one stream, so moving
+        # one definition past another would move the drawn residuals
+        assert list(cli.CHECKS) == [
+            "yang-baxter", "transfer-commute", "highest-weight", "exchange",
+            "polynomial", "linear-problem", "compatibility", "nonlinear-n1",
+            "nonlinear-n2", "transport", "reduced-det", "theta", "conserved-n1",
+            "bethe", "riccati-n1", "sigma2", "riccati2", "riccati-h", "upsilon",
+            "u-equation", "pde", "schrodinger", "root-of-unity", "potential"]
+
+    def test_wrapped_checks_give_the_same_reports(self, tmp_path, monkeypatch):
+        # the benchmark's tracer swaps each entry of CHECKS for a
+        # functools.wraps pass-through; the run calls each wrapper once and
+        # writes the same reports
+        cfg = generic_config(tmp_path, 1)
+        assert run(["verify", "--config", cfg, "--out", str(tmp_path / "plain")]) == 0
+        calls = []
+
+        def wrap(name, fn):
+            @functools.wraps(fn)
+            def traced(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return traced
+        for name, fn in list(cli.CHECKS.items()):
+            monkeypatch.setitem(cli.CHECKS, name, wrap(name, fn))
+        assert run(["verify", "--config", cfg, "--out", str(tmp_path / "wrapped")]) == 0
+        assert calls == list(cli.CHECKS)
+        assert ((tmp_path / "wrapped" / "reports.jsonl").read_bytes()
+                == (tmp_path / "plain" / "reports.jsonl").read_bytes())
 
     def test_unknown_check_is_config_error(self, tmp_path, capsys):
         # refused while the options are parsed, before anything is written
@@ -371,14 +411,15 @@ class TestVerifyCommand:
         # one sample of one sector of the kept coefficient blocks
         ctx = cli.VerifyContext(RunConfig.from_dict({"model": generic_model(6, 1)}),
                                 ["transfer-commute"])
-        row, = cli.check_transfer_commute(ctx)
+        check = cli.check_transfer_commute
+        row, = check(ctx, check.sectors(6))
         assert row.passed and row.residual < 1e-14
         blocks = ctx.samples()[3]
         S = np.fft.fft(blocks, axis=0)
         K = np.random.default_rng(5).standard_normal(S.shape[1:])
         S[2] += 1e-6 * np.linalg.norm(S[2]) / np.linalg.norm(K) * K
         blocks[:] = np.fft.ifft(S, axis=0)
-        row, = cli.check_transfer_commute(ctx)
+        row, = check(ctx, check.sectors(6))
         assert not row.passed and row.residual > 1e-8
 
     def test_samples_cover_the_sectors_of_the_run_checks(self):
@@ -387,7 +428,7 @@ class TestVerifyCommand:
                 RunConfig.from_dict({"model": {"L": 6, "gamma": 0.7}}), checks)
             return sorted(ctx.samples())
         for name in cli.CHECKS:
-            assert sampled([name]) == list(cli.SECTORS.get(name, lambda L: [])(6)), name
+            assert sampled([name]) == list(cli.CHECKS[name].sectors(6)), name
         assert sampled(["bethe", "transfer-commute"]) == list(range(7))
         assert sampled(cli.CHECKS) == list(range(7))     # every check runs
 
@@ -607,11 +648,15 @@ def reference_contexts():
                                  ["compatibility"]) for L in (4, 6, 8, 10)}
 
 
+def compatibility(ctx):
+    return cli.check_compatibility(ctx, cli.check_compatibility.sectors(ctx.params.L))
+
+
 class TestCompatibilityControl:
     def test_separated_at_L10(self, reference_contexts):
         # the 1%-off determinant at n=3 is 7e-13, under the old absolute
         # 1e-12 floor but far above the on-shell value and its rounding level
-        rows = cli.check_compatibility(reference_contexts[10])
+        rows = compatibility(reference_contexts[10])
         assert [r.identity for r in rows if not r.passed] == []
         row = [r for r in rows if r.identity == "perturbed eigenvalue separated (n=3)"][0]
         assert row.details["measured"] < 1e-12
@@ -619,7 +664,7 @@ class TestCompatibilityControl:
     @pytest.mark.parametrize("L", [4, 6, 8, 10])
     def test_unperturbed_control_fails(self, reference_contexts, monkeypatch, L):
         monkeypatch.setattr(cli, "_CONTROL_FACTOR", 1.0)
-        rows = [r for r in cli.check_compatibility(reference_contexts[L])
+        rows = [r for r in compatibility(reference_contexts[L])
                 if r.identity.startswith("perturbed")]
         assert len(rows) == 3 and not any(r.passed for r in rows)
 
@@ -892,9 +937,18 @@ class TestBetheCommand:
         ([{"n": 1, "roots": [[float("nan"), 0.0]]}], []),
         ([{"n": 1, "roots": [[float("nan"), 0.0]]}], ["--verify-only"]),
         ([{"n": 1, "roots": [[0.1, float("inf")]]}], []),
-        ([{"n": 1, "roots": [[0.1, float("inf")]]}], ["--verify-only"])],
+        ([{"n": 1, "roots": [[0.1, float("inf")]]}], ["--verify-only"]),
+        ([{"n": True, "roots": [[-0.35, 0.0]]}], []),
+        ([{"n": True, "roots": [[-0.35, 0.0]]}], ["--verify-only"]),
+        ([{"n": 1.0, "roots": [[-0.35, 0.0]]}], []),
+        ([{"n": 1, "roots": [[1000, 0.0]]}], []),
+        ([{"n": 1, "roots": [[1000, 0.0]]}], ["--verify-only"]),
+        ([{"n": 1, "roots": [[200, 0.0]]}], []),
+        ([{"n": 2, "roots": [[400, 0.0], [400.5, 0.0]]}], [])],
         ids=["empty", "sector-3", "verify-only-alone", "no-file", "root-nan",
-             "root-nan-verify-only", "root-inf", "root-inf-verify-only"])
+             "root-nan-verify-only", "root-inf", "root-inf-verify-only", "n-bool",
+             "n-bool-verify-only", "n-float", "far-root", "far-root-verify-only",
+             "far-residue-form", "far-pair"])
     def test_input_that_judges_nothing_is_config_error(self, tmp_path, roots, extra):
         argv = ["bethe", "--out", str(tmp_path / "out")]
         if roots is not None:

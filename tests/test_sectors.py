@@ -1,41 +1,15 @@
-"""Every entry of `cli.SECTORS` names the sectors of a check that reads it.
-
-The checks read the table as `SECTORS["name"]` subscripts.  A key that no
-subscript names is an entry left behind by a deleted or renamed check: the
-run would sample sectors that nothing reads.
-"""
-
-import ast
-from pathlib import Path
+"""The sectors each check declares on its `@_check` line, against the
+sectors of the chain and the sectors at which its identities are stated."""
 
 import pytest
 
 from sixvertex import cli
 
 
-def reads():
-    """The keys of every `SECTORS[...]` read in cli.py (None where the key
-    is not a literal)."""
-    tree = ast.parse(Path(cli.__file__).read_text())
-    return [node.slice.value if isinstance(node.slice, ast.Constant) else None
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
-            and isinstance(node.value, ast.Name) and node.value.id == "SECTORS"]
-
-
-def test_every_key_is_a_check():
-    assert set(cli.SECTORS) <= set(cli.CHECKS)
-
-
-def test_every_entry_has_a_reader():
-    assert set(cli.SECTORS) - set(reads()) == set()
-    assert None not in reads()
-
-
 @pytest.mark.parametrize("L", range(1, 11))
 def test_entries_are_sectors_of_the_chain(L):
-    for name, entry in cli.SECTORS.items():
-        ns = list(entry(L))
+    for name, check in cli.CHECKS.items():
+        ns = list(check.sectors(L))
         assert all(isinstance(n, int) and 0 <= n <= L for n in ns), (name, ns)
         assert ns == sorted(set(ns)), (name, ns)
 
@@ -63,5 +37,5 @@ def expected(name, L):
 
 @pytest.mark.parametrize("L", range(1, 11))
 def test_entries_are_the_stated_sectors(L):
-    for name in cli.CHECKS:
-        assert list(cli.SECTORS.get(name, lambda L: [])(L)) == expected(name, L), name
+    for name, check in cli.CHECKS.items():
+        assert list(check.sectors(L)) == expected(name, L), name

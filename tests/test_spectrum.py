@@ -170,7 +170,8 @@ class TestPolynomiality:
         # the planted non-eigenvalue of the `polynomial` check must fail the
         # degree-L fit at odd L too
         cfg = RunConfig.from_dict({"model": {"L": L, "gamma": 0.7}})
-        _, planted = cli.check_polynomial(cli.VerifyContext(cfg, ["polynomial"]))
+        check = cli.check_polynomial
+        _, planted = check(cli.VerifyContext(cfg, ["polynomial"]), check.sectors(L))
         assert planted.passed
         assert planted.details["measured"] > 1e-2
 
