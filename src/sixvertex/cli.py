@@ -699,11 +699,12 @@ def cmd_potential(args):
     except ValueError as exc:
         raise ConfigError(exc) from exc
     if (args.samples < 2 or not lo < hi or omega0 == 0
-            or not np.isfinite([omega0, lo, hi, *gammas]).all()):
+            or not np.isfinite([omega0, lo, hi, *gammas]).all()
+            or np.abs(np.sinh(gammas)).min() < 1e-14):
         raise ConfigError(
-            f"potential needs --samples >= 2, a finite range lo:hi with lo < hi, a "
-            f"finite nonzero --omega0 and finite --gammas, got {args.samples} samples "
-            f"on {args.range}, omega0 {args.omega0}, gammas {args.gammas}")
+            f"potential needs --samples >= 2, a finite range lo:hi with lo < hi, a finite "
+            f"nonzero --omega0 and finite --gammas with sinh(gamma) != 0, got {args.samples} "
+            f"samples on {args.range}, omega0 {args.omega0}, gammas {args.gammas}")
     outdir = args.out
     tag = "i" if omega0 == 1j else f"{omega0.real:g}" if omega0.imag == 0 else "c"
     series, labels = [], []

@@ -5,15 +5,16 @@ functions F_n = <Psi| B(x_1)...B(x_n) |0>:
 
     sum_i M_i(x_0..x_n) F_n(points minus x_i) = 0
 
-whose (n+1)x(n+1) extension over variable swaps must be singular.  This
-module builds that extended matrix (row 0 holds the coefficients M_i) and
-its Cramer minors, the explicit n=1 and n=2 scalar identities, transport
-ratios between the F_n values, the conservation of the theta generating
-function built from them, and the leading sector-1 conserved quantity.
-
-Sign conventions for the scalar identities were fixed against the
-determinant form, which this module treats as ground truth (the two code
-paths agree identically; see tests).
+whose (n+1)x(n+1) extension over variable swaps (row j is row 0 at the
+x_0 <-> x_j swapped points) must be singular.  That extended matrix is
+m - diag(Lambda(x_0), ..., Lambda(x_n)), with m the Lambda-free closed form
+`symmetric_m_matrix`, built once per point set.  This module builds it and
+its Cramer minors, the explicit n=1 and n=2 scalar identities (det(m -
+diag Lambda) expanded by hand), transport ratios between the F_n values,
+the conservation of the theta generating function built from them, and the
+leading sector-1 conserved quantity.  `linear_relation_residual` checks
+row 0 against F_n built from the B operators, so the matrix keeps a
+reference independent of its closed form.
 
 Points may be complex scalars or complex arrays of one node shape (one
 point set per node), mixed and broadcast to one shape, and an eigenvalue
@@ -91,44 +92,39 @@ def _validate(points):
     return X, n
 
 
-def _coefficients(X, lam, params: ModelParams):
-    """Coefficient vector (M_0, ..., M_n) of the linear problem at the
-    validated stacked points X; row 0 of the extended matrix."""
-    # r[..., i, j] = a(x_i - x_j) / b(x_i - x_j), with 1 on the diagonal
-    D = X[..., :, None] - X[..., None, :]
-    diag = np.eye(X.shape[-1], dtype=bool)
-    r = np.where(diag, 1, params.a(D) / np.where(diag, 1, params.b(D)))
-    # products over j >= 1 of r[j, i] and of r[i, j]; the diagonal 1 drops j = i
-    va = params.phi1 * np.prod(r[..., 1:, :], axis=-2) * params.lam_a(X)
-    vd = params.phi2 * np.prod(r[..., 1:], axis=-1) * params.lam_d(X)
-    m0 = va[..., 0] + vd[..., 0] - lam(X[..., 0])
-    mi = (params.c / params.b(X[..., :1] - X[..., 1:])) * (va[..., 1:] - vd[..., 1:])
-    return np.concatenate(
-        [m0[..., None], np.broadcast_to(mi, np.shape(m0) + mi.shape[-1:])], axis=-1)
+def symmetric_m_matrix(pts, params: ModelParams):
+    """Lambda-free coefficient matrix m[i, j] of the linear problem, from its
+    closed form: `extended_matrix` is m - diag(Lambda), and the explicit
+    identities read m itself."""
+    X, n = _validate(pts)
+    a, b = params.a, params.b
+    idx = np.arange(n + 1)
+    diag = np.eye(n + 1, dtype=bool)
+    # keep[i, j, k]: k outside {i, j}, which also keeps b(0) on the diagonal out
+    keep = (idx[:, None, None] != idx) & (idx[:, None] != idx)
+    xj, xk = X[..., None, :, None], X[..., None, None, :]
+    # pa[i, j] = prod_k a(x_k - x_j)/b(x_k - x_j), pd[i, j] = prod_k a(x_j - x_k)/b(x_j - x_k)
+    pa = np.prod(np.where(keep, a(xk - xj) / np.where(keep, b(xk - xj), 1), 1), axis=-1)
+    pd = np.prod(np.where(keep, a(xj - xk) / np.where(keep, b(xj - xk), 1), 1), axis=-1)
+    va = params.phi1 * pa * params.lam_a(X)[..., None, :]
+    vd = params.phi2 * pd * params.lam_d(X)[..., None, :]
+    bij = np.where(diag, 1, b(X[..., :, None] - X[..., None, :]))
+    return np.where(diag, va + vd, (params.c / bij) * (va - vd))
 
 
 def extended_matrix(pts, lam, params: ModelParams):
-    """(n+1)x(n+1) system matrix: row j is the coefficient vector after the
-    swap x_0 <-> x_j, with entries 0 and j swapped back into place.  The n+1
-    swapped point sets are one coefficient evaluation, over a row axis after
-    the node axes."""
+    """(n+1)x(n+1) system matrix m - diag(Lambda(x_0), ..., Lambda(x_n)), m
+    the Lambda-free `symmetric_m_matrix`.  Row 0 holds the coefficients M_i
+    of the linear problem, and row j is row 0 at the x_0 <-> x_j swapped
+    points with entries 0 and j swapped back into place."""
     X, n = _validate(pts)
-    idx = np.arange(n + 1)
-    swap = np.tile(idx, (n + 1, 1))     # swap[j]: positions after x_0 <-> x_j
-    swap[idx, 0], swap[idx, idx] = idx, 0
-    C = _coefficients(X[..., swap], lam, params)   # [..., row, entry]
-    return C[..., idx[:, None], swap]
-
-
-def _row_scale(M):
-    """Product of the row max-norms of M."""
-    return np.prod(np.abs(M).max(axis=-1), axis=-1)
+    return symmetric_m_matrix(pts, params) - np.eye(n + 1) * np.asarray(lam(X))[..., None]
 
 
 def compatibility_residual(M):
     """det of the extended matrix M, normalized by the product of row
     max-norms (scale-free; vanishes iff Lambda sits on the spectrum)."""
-    return np.linalg.det(M) / np.maximum(_row_scale(M), 1e-300)
+    return np.linalg.det(M) / np.maximum(np.prod(np.abs(M).max(axis=-1), axis=-1), 1e-300)
 
 
 def _row_normalized_singular_values(M):
@@ -156,29 +152,7 @@ def separation_threshold(M):
 
 
 # ---------------------------------------------------------------------------
-# explicit scalar identities (independent transcription of the same algebra)
-
-def symmetric_m_matrix(pts, params: ModelParams):
-    """Lambda-free coefficient matrix m[i, j] of the explicit identities.
-
-    Equal to extended_matrix + diag(Lambda) entrywise; built here from its
-    own closed form so the two derivations cross-check each other.
-    """
-    X, n = _validate(pts)
-    a, b = params.a, params.b
-    idx = np.arange(n + 1)
-    diag = np.eye(n + 1, dtype=bool)
-    # keep[i, j, k]: k outside {i, j}, which also keeps b(0) on the diagonal out
-    keep = (idx[:, None, None] != idx) & (idx[:, None] != idx)
-    xj, xk = X[..., None, :, None], X[..., None, None, :]
-    # pa[i, j] = prod_k a(x_k - x_j)/b(x_k - x_j), pd[i, j] = prod_k a(x_j - x_k)/b(x_j - x_k)
-    pa = np.prod(np.where(keep, a(xk - xj) / np.where(keep, b(xk - xj), 1), 1), axis=-1)
-    pd = np.prod(np.where(keep, a(xj - xk) / np.where(keep, b(xj - xk), 1), 1), axis=-1)
-    va = params.phi1 * pa * params.lam_a(X)[..., None, :]
-    vd = params.phi2 * pd * params.lam_d(X)[..., None, :]
-    bij = np.where(diag, 1, b(X[..., :, None] - X[..., None, :]))
-    return np.where(diag, va + vd, (params.c / bij) * (va - vd))
-
+# explicit scalar identities: det(m - diag Lambda) expanded by hand at n = 1, 2
 
 def nonlinear_eq_n1_residual(x0, x1, lam, params):
     """Two-point scalar identity for sector-1 eigenvalues (LHS - RHS)."""
@@ -233,7 +207,7 @@ def linear_relation_residual(pts, lam, rows, params):
     scale is the largest term."""
     X, n = _validate(pts)
     F = f_n([np.delete(X, i, axis=-1) for i in range(n + 1)], rows, params)
-    terms = _coefficients(X, lam, params) * F
+    terms = extended_matrix(pts, lam, params)[..., 0, :] * F
     return terms.sum(axis=-1), np.abs(terms).max(axis=-1)
 
 
@@ -251,14 +225,15 @@ def v_matrix(i, M):
 
 def transport(i, j, M):
     """Transport ratio F_n(X_j^0)/F_n(X_i^0) = det(V_j)/det(V_i) of the
-    extended matrix M; raises SingularTransport if det(V_i) is numerically
-    null at any node."""
-    scale = np.maximum(_row_scale(M[..., 1:, 1:]), 1e-300)
-    di = np.linalg.det(v_matrix(i, M))
-    dj = np.linalg.det(v_matrix(j, M))
-    if np.any(np.abs(di) < 1e-12 * scale):
+    extended matrix M.  Raises SingularTransport where |det V_i| is at most
+    1e-12 of the largest of the n+1 Cramer determinants at a node: F_n(X_k^0)
+    is proportional to det V_k, so F_n(X_i^0) is then numerically zero
+    against the point set's largest F_n (and a node whose determinants all
+    vanish raises too)."""
+    det = np.linalg.det(np.stack([v_matrix(k, M) for k in range(M.shape[-1])]))
+    if np.any(np.abs(det[i]) <= 1e-12 * np.abs(det).max(axis=0)):
         raise SingularTransport(f"det(V_{i}) ~ 0 at this point set")
-    return dj / di
+    return det[j] / det[i]
 
 
 def transport_loop(indices, M):

@@ -492,7 +492,8 @@ class TestVerifyCommand:
         count(cli.fx, "symmetric_m_matrix", "functional.symmetric_m_matrix")
         assert run(["verify", "--config", str(cfg), "--out", str(tmp_path / "l6"),
                     "--checks", "nonlinear-n1,nonlinear-n2"]) == 0
-        assert calls == {"functional.symmetric_m_matrix": 2, "extended_matrix": 1}
+        # the extended matrix is m - diag(Lambda), so it builds one m-matrix too
+        assert calls == {"functional.symmetric_m_matrix": 3, "extended_matrix": 1}
 
     def test_compatibility_builds_one_matrix_per_sector(self, tmp_path, monkeypatch):
         # reference L=6, sectors 1..3: the rows, the rank and the 1%-off
@@ -519,6 +520,18 @@ class TestVerifyCommand:
         sectors = {r["details"]["n"] for r in rows}
         assert sectors == {2, 3} and len(rows) == 4
         assert calls == {"extended_matrix": len(sectors)}
+
+    def test_transport_subset_run_passes_at_L8(self, tmp_path):
+        # reference L=8, default seed, transport alone: at n=3, |det V_2| is
+        # 1.2e-14 of V_0's row scale but 8.6e-6 of the largest Cramer
+        # determinant, so F_n(X_2^0) is not null and the ratio is judged
+        cfg = tmp_path / "l8.json"
+        cfg.write_text(json.dumps({"model": {"L": 8, "gamma": 0.7}}))
+        out = tmp_path / "out"
+        assert run(["verify", "--config", str(cfg), "--out", str(out),
+                    "--checks", "transport"]) == 0
+        rows = [json.loads(l) for l in (out / "reports.jsonl").read_text().splitlines()]
+        assert len(rows) == 4 and all(r["passed"] for r in rows)
 
     def test_profile_records_eigensystem_conditioning(self, tmp_path):
         run(["verify", "--out", str(tmp_path), "--checks", "polynomial"])
@@ -748,6 +761,15 @@ class TestScenarioMatrix:
         builds = (sum(e["builds"] for e in prof["shared"])
                   + sum(c["exclusive_builds"] for c in prof["checks"]))
         assert builds <= 59
+
+    @pytest.mark.slow
+    def test_reference_L10_seed2(self, tmp_path, capsys):
+        # seed 2 draws a transport point set whose smallest Cramer determinant
+        # is far below V_0's row scale yet not null against the largest one
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"L": 10, "gamma": 0.7}}))
+        assert run(["verify", "--config", str(cfg), "--seed", "2",
+                    "--out", str(tmp_path / "out")]) == 0
 
 
 class TestSigma2Row:
@@ -997,10 +1019,10 @@ class TestPotentialCommand:
     @pytest.mark.parametrize("grid", [["--samples", "1"], ["--samples", "0"],
                                       ["--range", "1:1"], ["--range", "2:1"],
                                       ["--range=-inf:1"], ["--omega0", "0"],
-                                      ["--gammas", "0.3,nan"]],
+                                      ["--gammas", "0.3,nan"], ["--gammas", "0.3,0"]],
                              ids=["one-sample", "no-sample", "empty-range",
                                   "reversed-range", "infinite-range", "zero-omega0",
-                                  "nan-gamma"])
+                                  "nan-gamma", "zero-gamma"])
     def test_degenerate_grid_is_config_error(self, tmp_path, grid):
         assert run(["potential", *grid, "--out", str(tmp_path)]) == 2
         assert not any(tmp_path.iterdir())

@@ -89,14 +89,6 @@ class TestExtendedMatrix:
         M3 = fx.extended_matrix(sw2, lam, params)
         assert np.abs(M3 - M).max() == 0.0
 
-    def test_matches_symmetric_matrix_plus_diagonal(self, params, oracle):
-        lam = oracle.eigensystem(params, 2).lam(3)
-        pts = pts_for(2)
-        M = fx.extended_matrix(pts, lam, params)
-        S = fx.symmetric_m_matrix(pts, params)
-        target = S - np.diag([lam(x) for x in pts])
-        assert np.abs(M - target).max() < 1e-12 * np.abs(S).max()
-
     def test_point_validation(self, params):
         with pytest.raises(ValueError):
             fx.extended_matrix([0.3, 0.3 + 1e-9], lambda x: 0.0, params)
@@ -278,6 +270,15 @@ class TestTransport:
         x0 = (1j * np.pi - params.gamma) / 2
         with pytest.raises(fx.SingularTransport):
             fx.transport(1, 0, fx.extended_matrix([x0, 0.4], lambda x: 1.0, params))
+
+    def test_null_cramer_rows_raise(self, params, oracle):
+        # rows 1..n planted to zero: every Cramer determinant vanishes, so no
+        # ratio is judged against a nonzero largest one
+        M = fx.extended_matrix(pts_for(2), oracle.eigensystem(params, 2).lam(0), params)
+        M[..., 1:, :] = 0
+        for i, j in [(0, 1), (1, 2), (2, 0)]:
+            with pytest.raises(fx.SingularTransport):
+                fx.transport(i, j, M)
 
 
 class TestReducedMatrix:
