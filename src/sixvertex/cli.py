@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import locale  # argparse's gettext loads it with the first parser, mid-run
+import random
 import sys
 import time
 from dataclasses import replace
@@ -19,7 +20,6 @@ import numpy as np
 from . import bethe as bt
 from . import functional as fx
 from . import model, odes
-from ._rng import PCG64Stream
 from .model import (ExpSum, monodromy_blocks, sector_indices, transfer, verify_ybe,
                     yba_exchange_residual)
 from .reports import (ConfigError, RunConfig, VerificationReport,
@@ -51,12 +51,13 @@ class VerifyContext:
     named in `checks` (`_check`).  Each eigensystem is diagonalized in
     memory from the samples; nothing is kept between runs.  A
     negative-control run (`perturb`) scales every eigenvalue by
-    `_CONTROL_FACTOR`."""
+    `_CONTROL_FACTOR`.  The context keeps the run's seed and draws nothing:
+    each check draws from a stream of its own (`check_stream`)."""
 
     def __init__(self, config: RunConfig, checks, perturb=False):
         self.factor = _CONTROL_FACTOR if perturb else 1.0
         self.params = config.model
-        self.rng = PCG64Stream(config.seed)
+        self.seed = config.seed
         self._sampled = sorted({n for name in checks
                                 for n in CHECKS[name].sectors(self.params.L)})
         self._samples = None
@@ -144,14 +145,14 @@ def _exceed_report(identity, value, threshold, **details):
                    must_exceed=float(threshold))
 
 
-# the registry of `verify`, in run order: every check draws its random points
-# from the run's one stream, so the order is part of each row's residual
+# the registry of `verify`, in run order
 CHECKS = {}
 
 
 def _check(name, sectors=lambda L: ()):
     """Register a check under `name`, with the sectors it reads at chain
-    length L (none by default); `cmd_verify` calls it with those sectors."""
+    length L (none by default); `cmd_verify` calls it with those sectors and
+    its own stream."""
     def register(fn):
         fn.sectors = sectors
         CHECKS[name] = fn
@@ -159,21 +160,33 @@ def _check(name, sectors=lambda L: ()):
     return register
 
 
+def check_stream(seed, name):
+    """The stream of check `name`: its points depend on the run's seed and
+    its name alone, not on the other checks of the run (a str seed is hashed
+    with SHA-512, whatever PYTHONHASHSEED)."""
+    return random.Random(f"{seed}/{name}")
+
+
+def _uniform(rng, lo, hi, size):
+    """size uniform draws from [lo, hi), in order."""
+    return np.array([rng.uniform(lo, hi) for _ in range(size)])
+
+
 # ---------------------------------------------------------------------------
 # registered checks
 
 @_check("yang-baxter")
-def check_yang_baxter(ctx, sectors):
+def check_yang_baxter(ctx, sectors, rng):
     draws = []
     for _ in range(50):
-        x = ctx.rng.uniform(-1.5, 1.5, 3) + 1j * ctx.rng.uniform(-0.5, 0.5, 3)
-        draws.append([*x, ctx.rng.uniform(0.2, 1.2) + 1j * ctx.rng.uniform(-0.3, 0.3)])
+        x = _uniform(rng, -1.5, 1.5, 3) + 1j * _uniform(rng, -0.5, 0.5, 3)
+        draws.append([*x, rng.uniform(0.2, 1.2) + 1j * rng.uniform(-0.3, 0.3)])
     worst = verify_ybe(*np.transpose(draws)).max()
     return [_report("R12 R13 R23 = R23 R13 R12", worst, 1e-12)]
 
 
 @_check("transfer-commute", lambda L: range(L + 1))
-def check_transfer_commute(ctx, sectors):
+def check_transfer_commute(ctx, sectors, rng):
     """||[T_i, T_j]||_F / (||T_i||_F ||T_j||_F) over every pair of the run's
     L+1 samples T_i = exp(L x_i) T(x_i), on the sector blocks, where T(x) is
     nonzero; no build.  T(x) is a degree-L trigonometric polynomial that the
@@ -195,12 +208,12 @@ def check_transfer_commute(ctx, sectors):
 
 
 @_check("highest-weight")
-def check_highest_weight(ctx, sectors):
+def check_highest_weight(ctx, sectors, rng):
     """The vacuum rows read the sector-0 entries of A and D at ten random
     points (one stacked build); C|0> = 0 holds by construction, since C has
     no block from sector 0."""
     p = ctx.params
-    xs = np.array([ctx.rng.uniform(-1.0, 1.0) + 1j * ctx.rng.uniform(-0.3, 0.3)
+    xs = np.array([rng.uniform(-1.0, 1.0) + 1j * rng.uniform(-0.3, 0.3)
                    for _ in range(10)])
     A, _, _, D = monodromy_blocks(xs, p)
     lam_a, lam_d = p.lam_a(xs), p.lam_d(xs)
@@ -227,15 +240,15 @@ def check_highest_weight(ctx, sectors):
 
 
 @_check("exchange")
-def check_exchange(ctx, sectors):
+def check_exchange(ctx, sectors, rng):
     """The exchange relations on every pair of four random points (one
     stacked build), relative to the largest max|T(x)|^2 among them."""
-    worst, t_norm = yba_exchange_residual(ctx.rng.uniform(-1.0, 1.0, 4), ctx.params)
+    worst, t_norm = yba_exchange_residual(_uniform(rng, -1.0, 1.0, 4), ctx.params)
     return [_report("A-B and D-B subalgebra relations", worst / t_norm ** 2, 1e-11)]
 
 
 @_check("polynomial", lambda L: range(L + 1))
-def check_polynomial(ctx, sectors):
+def check_polynomial(ctx, sectors, rng):
     systems = [ctx.eigensystem(n) for n in sectors]
     worst = max((r.max() for r in polynomial_residuals(systems)), default=0.0)
     out = [_report("u^{L/2} Lam(x) is degree-L in u", worst, 1e-9)]
@@ -247,23 +260,22 @@ def check_polynomial(ctx, sectors):
     return out
 
 
-def _sample_points(ctx, count):
-    return list(ctx.rng.uniform(-0.9, 1.1, count)
-                + 1j * ctx.rng.uniform(-0.2, 0.2, count))
+def _sample_points(rng, count):
+    return list(_uniform(rng, -0.9, 1.1, count) + 1j * _uniform(rng, -0.2, 0.2, count))
 
 
-def _random_roots(ctx, n):
+def _random_roots(rng, n):
     """n random roots in the square |re|, |im| < 1."""
-    return ctx.rng.uniform(-1, 1, n) + 1j * ctx.rng.uniform(-1, 1, n)
+    return _uniform(rng, -1, 1, n) + 1j * _uniform(rng, -1, 1, n)
 
 
 # the linear problem and its determinants need n <= L - 1
 @_check("linear-problem", lambda L: range(1, min(3, L - 1) + 1))
-def check_linear_problem(ctx, sectors):
+def check_linear_problem(ctx, sectors, rng):
     out = []
     for n in sectors:
         es = ctx.eigensystem(n)
-        pts = _sample_points(ctx, n + 1)
+        pts = _sample_points(rng, n + 1)
         count = min(es.size, 4)
         res, scale = fx.linear_relation_residual(
             pts, ctx.lam(n, slice(count)), es.left[:count], ctx.params)
@@ -273,7 +285,7 @@ def check_linear_problem(ctx, sectors):
 
 
 @_check("compatibility", lambda L: range(1, min(3, L - 1) + 1))
-def check_compatibility(ctx, sectors):
+def check_compatibility(ctx, sectors, rng):
     """One extended matrix per sector, for a stack of the first four
     eigenvalues, the on-shell eigenvalue 0 and its 1%-off control."""
     out = []
@@ -297,7 +309,7 @@ def check_compatibility(ctx, sectors):
 
 
 @_check("nonlinear-n1", lambda L: [1])
-def check_nonlinear_n1(ctx, sectors):
+def check_nonlinear_n1(ctx, sectors, rng):
     out, p = [], ctx.params
     x0, x1 = 0.31, -0.42
     for n in sectors:
@@ -316,7 +328,7 @@ def check_nonlinear_n1(ctx, sectors):
 
 
 @_check("nonlinear-n2", lambda L: range(2, min(2, L) + 1))
-def check_nonlinear_n2(ctx, sectors):
+def check_nonlinear_n2(ctx, sectors, rng):
     out, pts = [], (0.31, -0.42, 0.55)
     for n in sectors:
         lam = ctx.lam(n)
@@ -327,12 +339,12 @@ def check_nonlinear_n2(ctx, sectors):
 
 
 @_check("transport", lambda L: range(2, min(3, L - 1) + 1))
-def check_transport(ctx, sectors):
+def check_transport(ctx, sectors, rng):
     out = []
     for n in sectors:
         es = ctx.eigensystem(n)
         lam = ctx.lam(n, 0)
-        pts = _sample_points(ctx, n + 1)
+        pts = _sample_points(rng, n + 1)
         M = fx.extended_matrix(pts, lam, ctx.params)  # shared by both rows
         loop = abs(fx.transport_loop(list(range(min(n + 1, 4))), M) - 1)
         out.append(_report(f"loop composition = 1 (n={n})", loop, 1e-9, n=n))
@@ -348,13 +360,13 @@ def check_transport(ctx, sectors):
 
 
 @_check("reduced-det", lambda L: range(2, min(4, L - 1) + 1))
-def check_reduced_det(ctx, sectors):
+def check_reduced_det(ctx, sectors, rng):
     out = []
     p = ctx.params
     for n in sectors:
         es = ctx.eigensystem(n)
         lam = ctx.lam(n, min(1, es.size - 1))
-        pts = _sample_points(ctx, n + 1)
+        pts = _sample_points(rng, n + 1)
         M = fx.extended_matrix(pts, lam, p)
         worst = 0.0
         for i in range(1, n + 1):
@@ -377,7 +389,7 @@ def check_reduced_det(ctx, sectors):
 
 
 @_check("theta", lambda L: range(2, min(2, L - 1) + 1))
-def check_theta(ctx, sectors):
+def check_theta(ctx, sectors, rng):
     out = []
     for n in sectors:
         lam = ctx.lam(n, 0)
@@ -394,7 +406,7 @@ def check_theta(ctx, sectors):
 # -sum_{k > 1} coth(w_k).  At L = 1 none is left, G+ = 0 at every x and the
 # log is undefined: the identity needs n <= L - 1
 @_check("conserved-n1", lambda L: range(1, min(1, L - 1) + 1))
-def check_conserved_n1(ctx, sectors):
+def check_conserved_n1(ctx, sectors, rng):
     out = []
     p = ctx.params
     for n in sectors:
@@ -414,7 +426,7 @@ def check_conserved_n1(ctx, sectors):
 
 
 @_check("bethe", lambda L: range(1, min(2, L) + 1))
-def check_bethe_match(ctx, sectors):
+def check_bethe_match(ctx, sectors, rng):
     out = []
     for n in sectors:
         sols, cond = ctx.bethe(n)
@@ -430,7 +442,7 @@ def check_bethe_match(ctx, sectors):
 
 
 @_check("riccati-n1", lambda L: [1])
-def check_riccati_n1(ctx, sectors):
+def check_riccati_n1(ctx, sectors, rng):
     out, xs = [], np.array([0.43, 0.9])
     for n in sectors:
         lam = ctx.lam(n)
@@ -448,7 +460,7 @@ _SIGMA2_POINTS = np.array([0.63, -0.213])
 
 
 @_check("sigma2", lambda L: range(2, min(2, L) + 1))
-def check_sigma2(ctx, sectors):
+def check_sigma2(ctx, sectors, rng):
     out = []
     for n in sectors:
         worst = np.abs(odes.sigma2_residual(ctx.lam(n), _SIGMA2_POINTS, ctx.params)).max()
@@ -457,7 +469,7 @@ def check_sigma2(ctx, sectors):
 
 
 @_check("riccati2", lambda L: range(2, min(2, L) + 1))
-def check_riccati2(ctx, sectors):
+def check_riccati2(ctx, sectors, rng):
     out = []
     for n in sectors if ctx.params.reference_point else ():
         worst = np.abs(odes.riccati2_residual(ctx.lam(n), np.array([0.43, 0.8]),
@@ -467,20 +479,20 @@ def check_riccati2(ctx, sectors):
 
 
 @_check("riccati-h")
-def check_riccati_h(ctx, sectors):
+def check_riccati_h(ctx, sectors, rng):
     worst = 0.0
     for n in (1, 2, 3):
-        roots = _random_roots(ctx, n)
-        worst = max(worst, np.abs(odes.riccati_h_residual(
-            bt.CothSum(roots), np.array([0.37, -0.6]), n)).max())
+        roots = _random_roots(rng, n)
+        worst = max(worst, odes.riccati_h_residual(
+            bt.CothSum(roots), np.array([0.37, -0.6]), n).max())
     return [_report("coth-sum ODE chain (orders 1..3)", worst, 1e-9)]
 
 
 @_check("upsilon")
-def check_upsilon(ctx, sectors):
+def check_upsilon(ctx, sectors, rng):
     worst = 0.0
     for n in range(1, 7):
-        roots = _random_roots(ctx, n)
+        roots = _random_roots(rng, n)
         worst = max(worst, odes.upsilon_annihilation(roots, n))
     return [_report("annihilator of exp(-int h), exact", worst, 1e-13)]
 
@@ -490,7 +502,7 @@ _ODE_POINTS = np.array([0.2, 0.45, 0.7, 0.95, 1.2])
 
 
 @_check("u-equation", lambda L: [1])
-def check_u_equation(ctx, sectors):
+def check_u_equation(ctx, sectors, rng):
     """With u'/u = Lam/(c lam_minus), the linear second-order equation for u
     divided by u is minus the `riccati-n1` numerator: judged pointwise on
     the Bethe-root evaluator."""
@@ -507,10 +519,10 @@ _PDE_OMEGA, _PDE_POINTS = 0.8, np.array([0.37, -0.6])
 
 
 @_check("pde")
-def check_pde(ctx, sectors):
+def check_pde(ctx, sectors, rng):
     out, draws = [], []
     for n in (1, 2, 3):
-        roots = _random_roots(ctx, n)
+        roots = _random_roots(rng, n)
         draws.append(roots)
         worst = odes.pde_travelling_wave_residual(n, roots, _PDE_OMEGA, _PDE_POINTS).max()
         out.append(_report(f"travelling-wave reduction order {n}", worst, 1e-10))
@@ -524,7 +536,7 @@ def check_pde(ctx, sectors):
 
 
 @_check("schrodinger", lambda L: range(2, min(2, L) + 1))
-def check_schrodinger(ctx, sectors):
+def check_schrodinger(ctx, sectors, rng):
     out = []
     for n in sectors if ctx.params.reference_point else ():
         worst = odes.schrodinger_map_residual(ctx.lam(n), _ODE_POINTS, ctx.params).max()
@@ -536,7 +548,7 @@ def check_schrodinger(ctx, sectors):
 
 
 @_check("root-of-unity", lambda L: range(L + 1))
-def check_root_of_unity(ctx, sectors):
+def check_root_of_unity(ctx, sectors, rng):
     if not ctx.params.reference_point:
         return []
     power = odes.omega0_power_deviation(ctx.params)
@@ -548,7 +560,7 @@ def check_root_of_unity(ctx, sectors):
 
 
 @_check("potential")
-def check_potential(ctx, sectors):
+def check_potential(ctx, sectors, rng):
     g = 0.3
     well, barrier = (odes.potential_profile(om0, g, (-6, 6), 601) for om0 in (1.0, 1j))
     wvals, bvals = (prof.values[np.isfinite(prof.values)] for prof in (well, barrier))
@@ -611,16 +623,17 @@ def cmd_verify(args):
     ctx = VerifyContext(cfg, names, perturb=args.perturb_lambda)
     reports, checks = [], []    # checks: per check, its `measured` ledger
 
-    def rows(check):
+    def rows(check, rng):
         try:
-            return check(ctx, check.sectors(cfg.model.L))
+            return check(ctx, check.sectors(cfg.model.L), rng)
         except DegenerateSpectrum:
             raise  # aborts the run (exit 3, in main)
         except Exception as exc:  # recorded as a failed report, run continues
             return [_report(f"exception: {type(exc).__name__}", float("inf"), 0.0,
                             message=str(exc))]
     for name in names:
-        out, shared, ledger = ctx.measured(lambda: rows(CHECKS[name]))
+        rng = check_stream(ctx.seed, name)
+        out, shared, ledger = ctx.measured(lambda: rows(CHECKS[name], rng))
         for r in out:
             r.check = name
         reports.extend(out)

@@ -107,18 +107,27 @@ def upsilon_annihilation(roots, n):
 # ---------------------------------------------------------------------------
 # Riccati chain for h
 
+def _relative(*terms):
+    """|sum of the terms| / max|term|: an equation's residual against the
+    rounding scale of its terms."""
+    terms = np.broadcast_arrays(*terms)
+    return np.abs(sum(terms)) / np.maximum(np.abs(terms).max(axis=0), 1e-300)
+
+
 def riccati_h_residual(h_eval, x, n):
-    """Residual of the order-n nonlinear ODE satisfied by a sum of n coth
-    terms; h_eval follows the (x, d) protocol with derivatives to order n."""
-    h = h_eval(x)
+    """Normalized residual |R| / max|term| of the order-n nonlinear ODE
+    satisfied by a sum of n coth terms, expanded into monomials in h and its
+    derivatives; h_eval follows the (x, d) protocol with derivatives to
+    order n."""
+    h, *d = (h_eval(x, k) for k in range(n + 1))
     if n == 1:
-        return h_eval(x, 1) + 1 - h ** 2
+        return _relative(d[0], 1, -h ** 2)
     if n == 2:
-        return h_eval(x, 2) - 3 * h * h_eval(x, 1) + h * (h ** 2 - 4)
+        return _relative(d[1], -3 * h * d[0], h ** 3, -4 * h)
     if n == 3:
-        d1, d2, d3 = h_eval(x, 1), h_eval(x, 2), h_eval(x, 3)
-        return (d3 - 4 * h * d2 - (10 - 6 * h ** 2 + 3 * d1) * d1
-                - (h ** 2 - 1) * (h ** 2 - 9))
+        # d3 - 4 h d2 - (10 - 6 h^2 + 3 d1) d1 - (h^2 - 1)(h^2 - 9)
+        return _relative(d[2], -4 * h * d[1], -10 * d[0], 6 * h ** 2 * d[0],
+                         -3 * d[0] ** 2, -h ** 4, 10 * h ** 2, -9)
     raise ValueError("closed forms implemented for n in {1, 2, 3}")
 
 
@@ -310,7 +319,7 @@ def pde_travelling_wave_residual(n, roots, omega, x, omega_pde=None):
         terms = ((omega / w) ** 4 * d4, (20 * h - 4 * h ** 3) * d1, 2 * d1 * d2,
                  2 * (6 * h * d1 ** 2 + (3 * h ** 2 - 5) * d2),
                  -4 * (3 * d1 * d2 + h * d3))
-    return np.abs(sum(terms)) / np.maximum(np.abs(terms).max(axis=0), 1e-300)
+    return _relative(*terms)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,13 @@ def exit_code(argv):
         return exc.code
 
 
+def direct(ctx, name):
+    """The rows of check `name`, called as `verify` calls it: with its
+    sectors and its own stream."""
+    check = cli.CHECKS[name]
+    return check(ctx, check.sectors(ctx.params.L), cli.check_stream(ctx.seed, name))
+
+
 def generic_config(tmp_path, seed, **extra):
     """Config file for the benchmark's generic L=6 point at this seed."""
     path = tmp_path / f"generic-{seed}.json"
@@ -291,6 +298,13 @@ class TestVerifyCommand:
         assert all(r.keys() == {"check", "identity", "residual", "tolerance",
                                 "parameters", "passed", "details"} for r in rows)
 
+    def test_riccati_h_root_near_a_point_passes(self, tmp_path, capsys):
+        # seed 42 draws an order-3 root 0.031 from a judged point: the
+        # residual read 1.07e-9 (bound 1e-9) in absolute terms, and reads
+        # rounding relative to the largest term; the row reads no model
+        assert run(["verify", "--out", str(tmp_path), "--checks", "riccati-h",
+                    "--seed", "42"]) == 0
+
     def test_perturbed_lambda_fails(self, tmp_path, capsys):
         code = run(["verify", "--out", str(tmp_path),
                     "--checks", "compatibility,nonlinear-n1,nonlinear-n2",
@@ -302,21 +316,38 @@ class TestVerifyCommand:
                              ids=["reference-L4", "generic-L6"])
     def test_rows_carry_their_check_name(self, tmp_path, model):
         # a row's `check` is the name that selects it with --checks: the
-        # run names the rows of each check, which a direct call on the same
-        # seed gives in the same order
+        # run names the rows of each check, which a direct call with the
+        # check's own stream gives in the same order, with the same residuals
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"model": model}))
         assert run(["verify", "--config", str(path), "--out", str(tmp_path)]) == 0
         rows = [json.loads(line) for line in
                 (tmp_path / "reports.jsonl").read_text().splitlines()]
         ctx = cli.VerifyContext(RunConfig.from_dict({"model": model}), cli.CHECKS)
-        direct = [(name, r.identity) for name, check in cli.CHECKS.items()
-                  for r in check(ctx, check.sectors(ctx.params.L))]
-        assert [(r["check"], r["identity"]) for r in rows] == direct
+        called = [(name, r.identity, r.residual) for name in cli.CHECKS
+                  for r in direct(ctx, name)]
+        assert [(r["check"], r["identity"], r["residual"]) for r in rows] == called
+
+    @pytest.mark.parametrize("perturb", [[], ["--perturb-lambda"]], ids=["plain", "perturbed"])
+    def test_subset_rows_equal_the_full_run(self, tmp_path, capsys, perturb):
+        # each check draws from its own stream, so `--checks X` reproduces
+        # the full run's rows of X bit for bit, whatever ran before it
+        cfg = tmp_path / "l6.json"
+        cfg.write_text(json.dumps({"model": {"L": 6, "gamma": 0.7}}))
+
+        def lines(name, *checks):
+            out = tmp_path / name
+            run(["verify", "--config", str(cfg), "--out", str(out), *checks, *perturb])
+            return [(json.loads(line)["check"], line) for line in
+                    (out / "reports.jsonl").read_text().splitlines()]
+        full = lines("full")
+        for name in cli.CHECKS:
+            alone = lines(name, "--checks", name)
+            assert alone and alone == [row for row in full if row[0] == name], name
 
     def test_checks_are_registered_in_run_order(self):
-        # every check draws its points from the run's one stream, so moving
-        # one definition past another would move the drawn residuals
+        # the run order is the order of the rows and of profile.json; no
+        # check's points depend on it, since each draws from its own stream
         assert list(cli.CHECKS) == [
             "yang-baxter", "transfer-commute", "highest-weight", "exchange",
             "polynomial", "linear-problem", "compatibility", "nonlinear-n1",
@@ -411,15 +442,14 @@ class TestVerifyCommand:
         # one sample of one sector of the kept coefficient blocks
         ctx = cli.VerifyContext(RunConfig.from_dict({"model": generic_model(6, 1)}),
                                 ["transfer-commute"])
-        check = cli.check_transfer_commute
-        row, = check(ctx, check.sectors(6))
+        row, = direct(ctx, "transfer-commute")
         assert row.passed and row.residual < 1e-14
         blocks = ctx.samples()[3]
         S = np.fft.fft(blocks, axis=0)
         K = np.random.default_rng(5).standard_normal(S.shape[1:])
         S[2] += 1e-6 * np.linalg.norm(S[2]) / np.linalg.norm(K) * K
         blocks[:] = np.fft.ifft(S, axis=0)
-        row, = check(ctx, check.sectors(6))
+        row, = direct(ctx, "transfer-commute")
         assert not row.passed and row.residual > 1e-8
 
     def test_samples_cover_the_sectors_of_the_run_checks(self):
@@ -522,9 +552,10 @@ class TestVerifyCommand:
         assert calls == {"extended_matrix": len(sectors)}
 
     def test_transport_subset_run_passes_at_L8(self, tmp_path):
-        # reference L=8, default seed, transport alone: at n=3, |det V_2| is
-        # 1.2e-14 of V_0's row scale but 8.6e-6 of the largest Cramer
-        # determinant, so F_n(X_2^0) is not null and the ratio is judged
+        # reference L=8, default seed, transport alone: every Cramer
+        # determinant its points give is judged against the largest one
+        # (`TestTransport::test_small_determinant_is_judged_against_the_largest`
+        # in test_functional.py plants the case), so the ratios are judged
         cfg = tmp_path / "l8.json"
         cfg.write_text(json.dumps({"model": {"L": 8, "gamma": 0.7}}))
         out = tmp_path / "out"
@@ -661,15 +692,11 @@ def reference_contexts():
                                  ["compatibility"]) for L in (4, 6, 8, 10)}
 
 
-def compatibility(ctx):
-    return cli.check_compatibility(ctx, cli.check_compatibility.sectors(ctx.params.L))
-
-
 class TestCompatibilityControl:
     def test_separated_at_L10(self, reference_contexts):
         # the 1%-off determinant at n=3 is 7e-13, under the old absolute
         # 1e-12 floor but far above the on-shell value and its rounding level
-        rows = compatibility(reference_contexts[10])
+        rows = direct(reference_contexts[10], "compatibility")
         assert [r.identity for r in rows if not r.passed] == []
         row = [r for r in rows if r.identity == "perturbed eigenvalue separated (n=3)"][0]
         assert row.details["measured"] < 1e-12
@@ -677,7 +704,7 @@ class TestCompatibilityControl:
     @pytest.mark.parametrize("L", [4, 6, 8, 10])
     def test_unperturbed_control_fails(self, reference_contexts, monkeypatch, L):
         monkeypatch.setattr(cli, "_CONTROL_FACTOR", 1.0)
-        rows = [r for r in compatibility(reference_contexts[L])
+        rows = [r for r in direct(reference_contexts[L], "compatibility")
                 if r.identity.startswith("perturbed")]
         assert len(rows) == 3 and not any(r.passed for r in rows)
 
@@ -763,12 +790,12 @@ class TestScenarioMatrix:
         assert builds <= 59
 
     @pytest.mark.slow
-    def test_reference_L10_seed2(self, tmp_path, capsys):
-        # seed 2 draws a transport point set whose smallest Cramer determinant
-        # is far below V_0's row scale yet not null against the largest one
+    @pytest.mark.parametrize("seed", range(1, 13))
+    def test_reference_L10_seeds(self, tmp_path, capsys, seed):
+        # the run passes in full at other draws of its points
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"model": {"L": 10, "gamma": 0.7}}))
-        assert run(["verify", "--config", str(cfg), "--seed", "2",
+        assert run(["verify", "--config", str(cfg), "--seed", str(seed),
                     "--out", str(tmp_path / "out")]) == 0
 
 
@@ -1101,9 +1128,10 @@ class TestScipyFreeRuntime:
         assert proc.stdout.split("\n")[:2] == ["[]", "True False"]
 
     def test_runs_load_no_random_or_crypto(self, tmp_path):
-        # verify draws its points from the package's own PCG64 stream, so a
-        # run never loads numpy.random, nor the libcrypto it brings in through
-        # secrets; and every module a run needs is loaded by the import
+        # verify draws its points from the standard library's `random`, whose
+        # str seeds are hashed by the interpreter's own SHA-512, so a run never
+        # loads numpy.random, nor the libcrypto it brings in through secrets;
+        # and every module a run needs is loaded by the import
         cfg = tmp_path / "generic7.json"
         cfg.write_text(json.dumps({"model": generic_model(7, 1)}))
         proc = self.python(

@@ -271,6 +271,22 @@ class TestTransport:
         with pytest.raises(fx.SingularTransport):
             fx.transport(1, 0, fx.extended_matrix([x0, 0.4], lambda x: 1.0, params))
 
+    def test_small_determinant_is_judged_against_the_largest(self):
+        # V_0 is nearly singular: every Cramer determinant is small against
+        # its row scale (the product of its row max-norms, about 1), and
+        # det V_2 = e is about 1e-14 of it, but 1.5e-5 of the largest,
+        # det V_0 = det V_1 = d.  F_n(X_2^0) is then not null, and the
+        # ratio is returned
+        d, e = 2.0 ** -30, 2.0 ** -46
+        M = np.ones((4, 4), dtype=complex)
+        M[1:, 1:] = [[1, 0, 0], [0, 1, 1], [0, 1, 1 + d]]
+        M[1:, 0] = [-1, -1, -(1 + d - e)]
+        det = np.array([np.linalg.det(fx.v_matrix(k, M)) for k in range(4)])
+        assert np.allclose(det, [d, d, e, d - e], rtol=1e-6, atol=0)
+        assert e < 1e-12 * np.prod(np.abs(M[1:, 1:]).max(axis=-1))
+        assert abs(fx.transport(2, 0, M) / (d / e) - 1) < 1e-6
+        assert abs(fx.transport(0, 2, M) / (e / d) - 1) < 1e-6
+
     def test_null_cramer_rows_raise(self, params, oracle):
         # rows 1..n planted to zero: every Cramer determinant vanishes, so no
         # ratio is judged against a nonzero largest one

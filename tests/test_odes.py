@@ -44,6 +44,25 @@ class TestRiccatiChainH:
         h = CothSum([0.4 - 0.2j])
         assert abs(odes.riccati_h_residual(h, 0.9, 1)) < 1e-13
 
+    def test_root_near_a_point_is_judged_relative(self):
+        # a root 0.025 from a point makes the order-3 terms about 1e7, whose
+        # rounding alone reads 4.7e-9 as an absolute residual; relative to
+        # the largest term it reads 1.8e-16
+        x = np.array([0.37, -0.6])
+        h = CothSum(np.array([0.37 + 0.025j, -0.06 + 0.95j, 0.92 - 0.03j]))
+        assert np.abs(h(x[0], 3)) > 1e7
+        assert odes.riccati_h_residual(h, x, 3).max() < 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_scaled_h_fails(self, n, rng):
+        # h scaled by 1.01 fails the row's two points at every order (at
+        # least 8.5e-4 over 9,000 draws, against the row's 1e-9)
+        for _ in range(20):
+            roots = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+            h = CothSum(roots)
+            scaled = lambda x, d=0: 1.01 * h(x, d)
+            assert odes.riccati_h_residual(scaled, np.array([0.37, -0.6]), n).max() > 1e-4
+
 
 class TestRiccatiLambda:
     def test_all_sector1_eigenvalues(self, params, oracle):

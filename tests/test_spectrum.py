@@ -171,7 +171,8 @@ class TestPolynomiality:
         # degree-L fit at odd L too
         cfg = RunConfig.from_dict({"model": {"L": L, "gamma": 0.7}})
         check = cli.check_polynomial
-        _, planted = check(cli.VerifyContext(cfg, ["polynomial"]), check.sectors(L))
+        _, planted = check(cli.VerifyContext(cfg, ["polynomial"]), check.sectors(L),
+                           cli.check_stream(cfg.seed, "polynomial"))
         assert planted.passed
         assert planted.details["measured"] > 1e-2
 
